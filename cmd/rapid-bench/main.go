@@ -303,6 +303,7 @@ type benchPoint struct {
 	MsgsPerNode      float64 `json:"msgs_per_node"`
 	ShedBatches      int64   `json:"shed_batches"`
 	QueueFullSeconds float64 `json:"queue_full_seconds"`
+	JoinsTimedOut    int64   `json:"joins_timed_out"`
 	MinBatchWindowMs float64 `json:"min_batch_window_ms"`
 	MaxBatchWindowMs float64 `json:"max_batch_window_ms"`
 }
@@ -332,6 +333,7 @@ func writeBenchJSON(path string, cfg experiments.Config, points []experiments.Bo
 			MsgsPerNode:      float64(p.Messages) / float64(p.N),
 			ShedBatches:      p.ShedBatches,
 			QueueFullSeconds: p.QueueFullTime.Seconds(),
+			JoinsTimedOut:    p.JoinsTimedOut,
 			MinBatchWindowMs: float64(p.MinBatchWindow) / float64(time.Millisecond),
 			MaxBatchWindowMs: float64(p.MaxBatchWindow) / float64(time.Millisecond),
 		})

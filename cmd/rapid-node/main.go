@@ -4,8 +4,9 @@
 // installed, and SIGINT/SIGTERM triggers a graceful leave.
 //
 // With --status-addr the agent also serves a JSON status document over HTTP
-// (GET /status): its configuration ID, reported size, and the TCP
-// transport's dial/request/drop counters. cmd/rapid-fleet polls this
+// (GET /status): its configuration ID, reported size, the phase-2 join
+// requests it gave up on after JoinPhase2Timeout (0 on a healthy cluster), and
+// the TCP transport's dial/request/drop counters. cmd/rapid-fleet polls this
 // endpoint to drive and verify real-process loopback fleets.
 //
 // Example:
@@ -38,6 +39,7 @@ type status struct {
 	State           string                `json:"state"` // starting | running | left
 	ConfigurationID string                `json:"configuration_id,omitempty"`
 	Size            int                   `json:"size"`
+	JoinsTimedOut   int64                 `json:"joins_timed_out"` // EngineStats.JoinsTimedOut
 	Transport       rapid.TCPNetworkStats `json:"transport"`
 }
 
@@ -73,6 +75,7 @@ func (s *statusServer) serve(listen string) {
 		if s.cluster != nil {
 			st.ConfigurationID = fmt.Sprintf("%x", s.cluster.ConfigurationID())
 			st.Size = s.cluster.Size()
+			st.JoinsTimedOut = s.cluster.Stats().JoinsTimedOut
 		}
 		s.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")

@@ -120,7 +120,10 @@ type Cluster struct {
 	shedWater int
 
 	started atomic.Bool
-	snap    atomic.Pointer[snapshot]
+	// startedCh is closed when started turns true, for the phase-2 join
+	// requests that wait for this member's engine instead of bouncing.
+	startedCh chan struct{}
+	snap      atomic.Pointer[snapshot]
 	// pastRing orders the recent past configuration IDs for trimming. Only
 	// the engine goroutine (via publishSnapshot) touches it. engine-owned.
 	pastRing []uint64
@@ -154,6 +157,10 @@ type EngineMetrics struct {
 	// NotifierCoalesced counts view changes merged away by the bounded
 	// notification queue.
 	NotifierCoalesced metrics.Counter
+	// JoinsTimedOut counts phase-2 join requests this member gave up on
+	// because JoinPhase2Timeout or the caller's deadline ran out before a view
+	// change settled them.
+	JoinsTimedOut metrics.Counter
 }
 
 // EngineStats is a point-in-time summary of the engine metrics.
@@ -177,6 +184,10 @@ type EngineStats struct {
 	// NotifierCoalesced is the number of view changes merged away because a
 	// slow subscriber hit the notification queue bound.
 	NotifierCoalesced int64
+	// JoinsTimedOut is the number of phase-2 join requests this member gave
+	// up on because JoinPhase2Timeout or the caller's deadline ran out. The
+	// join pipeline is redirect-driven, so a healthy bootstrap reads 0.
+	JoinsTimedOut int64
 }
 
 // StartCluster bootstraps a brand-new cluster consisting of just this
@@ -234,6 +245,7 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 		events:    make(chan event, settings.EventQueueSize),
 		prio:      make(chan event, settings.EventQueueSize),
 		stopCh:    make(chan struct{}),
+		startedCh: make(chan struct{}),
 		shedWater: settings.EventQueueSize * 3 / 4,
 		monitorCh: make(chan []node.Addr, 1),
 	}
@@ -257,6 +269,7 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 func (c *Cluster) initialize(members []node.Endpoint) {
 	e := newEngine(c, members)
 	c.started.Store(true)
+	close(c.startedCh)
 	c.wg.Add(2)
 	go e.run()
 	go c.monitorManager()
@@ -477,6 +490,7 @@ func (c *Cluster) Stats() EngineStats {
 		QueueFullTime:     time.Duration(c.emetrics.QueueFullNanos.Value()),
 		NotifierDepth:     c.notifier.depth(),
 		NotifierCoalesced: c.emetrics.NotifierCoalesced.Value(),
+		JoinsTimedOut:     c.emetrics.JoinsTimedOut.Value(),
 	}
 }
 

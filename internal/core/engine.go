@@ -41,8 +41,12 @@ type event struct {
 	p2b       *remoting.Phase2b
 	leave     *remoting.LeaveMessage
 
-	preJoin     *preJoinEvent
-	join        *joinEvent
+	preJoin *preJoinEvent
+	join    *joinEvent
+	// joinGone tells the engine that the handler serving this phase-2 request
+	// stopped waiting (its caller's context ended or JoinPhase2Timeout ran
+	// out), so the request must not stay parked.
+	joinGone    *joinEvent
 	subjectDown node.Addr
 	// fallback asks the engine to start a classical recovery round for the
 	// given consensus instance, if it is still current and undecided.
@@ -55,26 +59,21 @@ type preJoinEvent struct {
 	reply chan *remoting.PreJoinResponse
 }
 
-// joinEvent carries a phase-2 join request and its reply channel. The engine
-// either replies immediately (non-OK statuses and retries) or parks the
-// channel with the join waiters until the admitting view change.
+// joinEvent carries a phase-2 join request and its reply channel (buffered,
+// so the engine never blocks on a handler that stopped listening). The engine
+// replies at once, parks the request with the join waiters until the next
+// view change settles it, or holds it as early until the configuration it
+// names is installed.
 type joinEvent struct {
 	msg   *remoting.JoinRequest
 	reply chan *remoting.JoinResponse
-	// refiles counts how many view changes re-filed this waiter's JOIN
-	// alert; bounded by maxJoinRefiles.
-	refiles int
 }
 
-// maxJoinRefiles bounds how many successive view changes may re-file a
-// parked joiner's JOIN alert. The re-file keeps a join storm from burning
-// the joiner's retry attempts, but an unbounded loop could keep admitting a
-// joiner that crashed or gave up (a ghost member the failure detectors then
-// have to evict); after the cap the joiner is sent back to phase 1. Keep the
-// cap small: every re-file is another JOIN alert from each of the joiner's
-// up-to-K parked observers per view change, so a generous cap (16 was
-// tried) lets a 2000-node storm flood itself with re-filed alerts.
-const maxJoinRefiles = 3
+// joinerKey identifies one incarnation of a joining process.
+type joinerKey struct {
+	addr node.Addr
+	id   node.ID
+}
 
 // batchKey identifies one flushed outbound batch for gossip deduplication.
 type batchKey struct {
@@ -95,11 +94,19 @@ type engine struct {
 	consensus *fastpaxos.FastPaxos // engine-owned
 
 	alertedEdges map[node.Addr]bool // engine-owned
-	// joinWaiters parks phase-2 join requests until a view change admits the
-	// joiner. The full request is retained so the JOIN alert can be re-filed
-	// under the next configuration if a view change races past the joiner.
-	// engine-owned.
-	joinWaiters map[node.Addr][]*joinEvent
+	// joinWaiters parks phase-2 join requests made in the current
+	// configuration until the next view change answers them: admitted, or
+	// redirected to phase 1. One request per joiner incarnation; a retry
+	// replaces the one it supersedes. engine-owned.
+	joinWaiters map[joinerKey]*joinEvent
+	// joinAlerted records the joiners this process already filed a JOIN alert
+	// for in the current configuration: alerts are irrevocable, so a retry
+	// parks again without another broadcast. engine-owned.
+	joinAlerted map[joinerKey]bool
+	// earlyJoins holds phase-2 requests that name a configuration this
+	// process has not installed yet (the seed that served the joiner's phase 1
+	// decided first); they are re-evaluated after every install. engine-owned.
+	earlyJoins  []*joinEvent
 	viewChanges int // engine-owned
 
 	// Unified outbound batch: alerts and fast-round votes generated within
@@ -148,7 +155,8 @@ func newEngine(c *Cluster, members []node.Endpoint) *engine {
 		view:         view.NewWithMembers(c.settings.K, members),
 		cd:           cutdetect.New(c.settings.K, c.settings.H, c.settings.L),
 		alertedEdges: make(map[node.Addr]bool),
-		joinWaiters:  make(map[node.Addr][]*joinEvent),
+		joinWaiters:  make(map[joinerKey]*joinEvent),
+		joinAlerted:  make(map[joinerKey]bool),
 		seenBatches:  make(map[batchKey]bool),
 		// Seed the batch sequence from this instance's unique logical ID: a
 		// process that restarts and rejoins under the same address must not
@@ -257,6 +265,8 @@ func (e *engine) dispatch(ev event) {
 		e.handlePreJoin(ev.preJoin)
 	case ev.join != nil:
 		e.handleJoinPhase2(ev.join)
+	case ev.joinGone != nil:
+		e.forgetJoin(ev.joinGone)
 	case ev.subjectDown != "":
 		e.handleSubjectFailed(ev.subjectDown)
 	case ev.fallback != nil:
@@ -459,7 +469,18 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	// decides inside Propose, which installs the next view.
 	members := e.view.MemberAddrs()
 	myIndex := sort.Search(len(members), func(i int) bool { return members[i] >= e.c.me.Addr })
-	cons.Propose(dedupeEndpoints(proposal))
+	proposal = dedupeEndpoints(proposal)
+	// A lone seed is the only voter on its cut, so it may admit any part of
+	// it, and it admits at most 4K joiners. Whoever it admits votes on the
+	// next wave, and every voter tallies every vote over that whole cut — a
+	// cost quadratic in this number — while 4K members already give the next
+	// joiners K observers that are distinct but for one on average. Left
+	// alone, the timing of a bootstrap storm against the seed's first window
+	// picks this number: five joiners, or three hundred.
+	if solo := 4 * e.c.settings.K; len(members) == 1 && len(proposal) > solo {
+		proposal = proposal[:solo]
+	}
+	cons.Propose(proposal)
 	e.scheduleFallback(cons, myIndex, len(members))
 }
 
@@ -530,32 +551,53 @@ func (e *engine) handlePreJoin(ev *preJoinEvent) {
 
 // handleJoinPhase2 serves phase 2 of the join protocol on one of the joiner's
 // temporary observers: it broadcasts a JOIN alert and parks the reply channel
-// until the view change that admits the joiner is installed.
+// until the next view change, which either admits the joiner or redirects it
+// to phase 1 (see applyDecision).
 func (e *engine) handleJoinPhase2(ev *joinEvent) {
 	msg := ev.msg
 	c := e.c
 	currentConfig := e.view.ConfigurationID()
 	// If the joiner is already a member, the view change raced ahead of this
 	// request (or it is a retry): answer immediately with the configuration.
+	// The published snapshot holds the membership already sorted; after a big
+	// admission wave hundreds of such requests arrive, and sorting the view
+	// for each would keep this engine from everything else.
 	if existing, ok := e.view.Member(msg.Sender); ok && existing.ID == msg.JoinerID {
 		ev.reply <- &remoting.JoinResponse{
 			Sender:          c.me.Addr,
 			Status:          remoting.JoinSafeToJoin,
 			ConfigurationID: currentConfig,
-			Members:         e.view.Members(),
+			Members:         c.Members(),
 		}
 		return
 	}
 	if msg.ConfigurationID != currentConfig {
-		ev.reply <- &remoting.JoinResponse{Sender: c.me.Addr, Status: remoting.JoinConfigChanged, ConfigurationID: currentConfig}
+		if c.snap.Load().pastConfigs[msg.ConfigurationID] {
+			ev.reply <- e.redirect()
+			return
+		}
+		// The request is early, not stale: the seed installed a configuration
+		// this member is still deciding. Bouncing it would cost the joiner a
+		// ring it needs to reach H; it is served once the install catches up.
+		e.earlyJoins = append(e.earlyJoins, ev)
 		return
 	}
 	rings := e.view.RingNumbers(c.me.Addr, msg.Sender)
 	if len(rings) == 0 {
 		// We are not one of the joiner's observers in this configuration.
-		ev.reply <- &remoting.JoinResponse{Sender: c.me.Addr, Status: remoting.JoinConfigChanged, ConfigurationID: currentConfig}
+		ev.reply <- e.redirect()
 		return
 	}
+	key := joinerKey{addr: msg.Sender, id: msg.JoinerID}
+	if old := e.joinWaiters[key]; old != nil {
+		// A retry supersedes the request it gave up on; release that handler.
+		old.reply <- e.redirect()
+	}
+	e.joinWaiters[key] = ev
+	if e.joinAlerted[key] {
+		return
+	}
+	e.joinAlerted[key] = true
 	e.addAlert(remoting.AlertMessage{
 		EdgeSrc:         c.me.Addr,
 		EdgeDst:         msg.Sender,
@@ -565,7 +607,27 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 		JoinerID:        msg.JoinerID,
 		Metadata:        msg.Metadata,
 	})
-	e.joinWaiters[msg.Sender] = append(e.joinWaiters[msg.Sender], ev)
+}
+
+// redirect is the phase-2 answer that sends a joiner back to phase 1: this
+// configuration will not admit it, the one named here might.
+func (e *engine) redirect() *remoting.JoinResponse {
+	return &remoting.JoinResponse{Sender: e.c.me.Addr, Status: remoting.JoinConfigChanged, ConfigurationID: e.view.ConfigurationID()}
+}
+
+// forgetJoin drops a phase-2 request whose handler stopped waiting for it.
+func (e *engine) forgetJoin(ev *joinEvent) {
+	key := joinerKey{addr: ev.msg.Sender, id: ev.msg.JoinerID}
+	if e.joinWaiters[key] == ev {
+		delete(e.joinWaiters, key)
+		return
+	}
+	for i, held := range e.earlyJoins {
+		if held == ev {
+			e.earlyJoins = append(e.earlyJoins[:i], e.earlyJoins[i+1:]...)
+			return
+		}
+	}
 }
 
 // handleFallback starts (or continues) the classical recovery path if the
@@ -660,81 +722,40 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	e.consensus = e.newConsensus()
 	c.publishSnapshot(e.view, members, e.viewChanges)
 
-	// Settle the parked joiners. Admitted ones get the new configuration.
-	// A joiner the view change raced past keeps waiting if this node still
-	// observes it in the new configuration: its JOIN alert is re-filed under
-	// the new configuration ID so the next cut can include it, instead of
-	// bouncing it back to phase 1 and burning one of its join attempts.
-	joined := make(map[node.Addr]node.ID, len(changes))
-	for _, change := range changes {
-		if change.Joined {
-			joined[change.Endpoint.Addr] = change.Endpoint.ID
+	// Settle every parked joiner now. The incarnation this view change
+	// admitted gets the new configuration; every other one is redirected to
+	// phase 1, where the seed names its observers in the new K rings. Keeping
+	// it parked and re-filing its JOIN alert here would report only the rings
+	// this process still holds for it — after a small view grew, a handful of
+	// K — and a JOIN tally in [L, H) that can never reach H blocks every
+	// member's proposal (§4.2: no subject may be unstable) until the joiner
+	// times out.
+	var admitted *remoting.JoinResponse
+	redirect := e.redirect()
+	for key, w := range e.joinWaiters {
+		resp := redirect
+		if ep, ok := e.view.Member(key.addr); ok && ep.ID == key.id {
+			if admitted == nil {
+				admitted = &remoting.JoinResponse{
+					Sender:          c.me.Addr,
+					Status:          remoting.JoinSafeToJoin,
+					ConfigurationID: newConfigID,
+					Members:         members,
+				}
+			}
+			resp = admitted
 		}
+		w.reply <- resp
 	}
-	remaining := make(map[node.Addr][]*joinEvent)
-	for addr, waiters := range e.joinWaiters {
-		if joinedID, ok := joined[addr]; ok {
-			// Only the incarnation that was actually admitted gets
-			// SafeToJoin; a parked waiter with a different logical ID (e.g.
-			// a fast restart racing its predecessor's join) must retry
-			// phase 1, where it will be told the address is taken.
-			admitted := &remoting.JoinResponse{
-				Sender:          c.me.Addr,
-				Status:          remoting.JoinSafeToJoin,
-				ConfigurationID: newConfigID,
-				Members:         members,
-			}
-			rejected := &remoting.JoinResponse{
-				Sender:          c.me.Addr,
-				Status:          remoting.JoinConfigChanged,
-				ConfigurationID: newConfigID,
-			}
-			for _, w := range waiters {
-				resp := admitted
-				if w.msg.JoinerID != joinedID {
-					resp = rejected
-				}
-				select {
-				case w.reply <- resp:
-				default:
-				}
-			}
-			continue
-		}
-		rings := e.view.RingNumbers(c.me.Addr, addr)
-		if len(rings) == 0 || e.view.Contains(addr) || waiters[0].refiles >= maxJoinRefiles {
-			// No longer this joiner's observer, the address is taken by a
-			// different process, or the re-file budget is spent: send it
-			// back to phase 1.
-			resp := &remoting.JoinResponse{
-				Sender:          c.me.Addr,
-				Status:          remoting.JoinConfigChanged,
-				ConfigurationID: newConfigID,
-			}
-			for _, w := range waiters {
-				select {
-				case w.reply <- resp:
-				default:
-				}
-			}
-			continue
-		}
-		for _, w := range waiters {
-			w.refiles++
-		}
-		msg := waiters[0].msg
-		e.addAlert(remoting.AlertMessage{
-			EdgeSrc:         c.me.Addr,
-			EdgeDst:         addr,
-			Status:          remoting.EdgeUp,
-			ConfigurationID: newConfigID,
-			RingNumbers:     rings,
-			JoinerID:        msg.JoinerID,
-			Metadata:        msg.Metadata,
-		})
-		remaining[addr] = waiters
+	clear(e.joinWaiters)
+	clear(e.joinAlerted)
+	// Requests that were waiting for this install are now current (or, if the
+	// joiner was just admitted, answered with the configuration).
+	early := e.earlyJoins
+	e.earlyJoins = nil
+	for _, ev := range early {
+		e.handleJoinPhase2(ev)
 	}
-	e.joinWaiters = remaining
 
 	// Monitors depend on the subject set, which changed with the view; the
 	// monitor manager swaps them without blocking the engine.

@@ -86,32 +86,66 @@ func (c *Cluster) handlePreJoin(ctx context.Context, msg *remoting.PreJoinReques
 	}
 }
 
-// handleJoinPhase2 forwards phase 2 of the join protocol to the engine. The
-// engine either answers immediately or parks the reply until the view change
-// that admits the joiner; this handler enforces the caller-facing timeouts.
+// handleJoinPhase2 forwards phase 2 of the join protocol to the engine, which
+// answers at once or at the next view change: admitted, or redirected to
+// phase 1. A request that arrives before this member's own engine runs — a
+// member is registered with the transport while it is still joining, and the
+// configuration that admits it already names it as an observer — waits for
+// the engine instead of bouncing. This handler enforces the caller-facing
+// bounds: the caller's context and JoinPhase2Timeout.
 func (c *Cluster) handleJoinPhase2(ctx context.Context, msg *remoting.JoinRequest) *remoting.Response {
-	if !c.started.Load() {
-		return joinResponse(c.me.Addr, remoting.JoinViewChangeInProgress, 0, nil)
+	timeout := c.clock.Timer(c.settings.JoinPhase2Timeout)
+	defer timeout.Stop()
+	ev := &joinEvent{msg: msg, reply: make(chan *remoting.JoinResponse, 1)}
+	started := c.startedCh
+	var reply chan *remoting.JoinResponse // nil until the engine has the request
+	for {
+		select {
+		case <-started:
+			started = nil
+			if !c.enqueuePriority(event{join: ev}) {
+				return c.joinBusy()
+			}
+			reply = ev.reply
+		case resp := <-reply:
+			return &remoting.Response{Join: resp}
+		case <-ctx.Done():
+			// A caller that cancelled was answered by another observer or
+			// gave the attempt up; only an expired wait counts as timed out.
+			return c.abandonJoin(ev, reply, ctx.Err() != context.Canceled)
+		case <-timeout.C():
+			return c.abandonJoin(ev, reply, true)
+		case <-c.stopCh:
+			return c.joinBusy()
+		}
 	}
-	reply := make(chan *remoting.JoinResponse, 1)
-	if !c.enqueuePriority(event{join: &joinEvent{msg: msg, reply: reply}}) {
-		return joinResponse(c.me.Addr, remoting.JoinViewChangeInProgress, c.ConfigurationID(), nil)
-	}
+}
+
+// abandonJoin ends a phase-2 request whose bounds ran out. An answer that is
+// already there still wins: on a saturated host this goroutine may be
+// scheduled long after the engine replied, with the deadline passed as well.
+// Otherwise the engine is told to forget the request, if it ever got it.
+func (c *Cluster) abandonJoin(ev *joinEvent, reply chan *remoting.JoinResponse, timedOut bool) *remoting.Response {
 	select {
 	case resp := <-reply:
 		return &remoting.Response{Join: resp}
-	case <-ctx.Done():
-	case <-c.clock.After(c.settings.JoinPhase2Timeout):
-	case <-c.stopCh:
+	default:
 	}
-	return joinResponse(c.me.Addr, remoting.JoinViewChangeInProgress, c.ConfigurationID(), nil)
+	if timedOut {
+		c.emetrics.JoinsTimedOut.Add(1)
+	}
+	if reply != nil {
+		c.enqueuePriority(event{joinGone: ev})
+	}
+	return c.joinBusy()
 }
 
-func joinResponse(sender node.Addr, status remoting.JoinStatus, configID uint64, members []node.Endpoint) *remoting.Response {
+// joinBusy is the phase-2 answer of a member that cannot serve the request
+// now; the joiner counts it as a lost observer.
+func (c *Cluster) joinBusy() *remoting.Response {
 	return &remoting.Response{Join: &remoting.JoinResponse{
-		Sender:          sender,
-		Status:          status,
-		ConfigurationID: configID,
-		Members:         members,
+		Sender:          c.me.Addr,
+		Status:          remoting.JoinViewChangeInProgress,
+		ConfigurationID: c.ConfigurationID(),
 	}}
 }

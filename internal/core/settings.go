@@ -128,12 +128,16 @@ type Settings struct {
 	// ReinforcementTick is how often the unstable set is checked.
 	ReinforcementTick time.Duration
 
-	// JoinAttempts bounds how many times a joiner retries the two-phase join.
+	// JoinAttempts bounds how many failed attempts a joiner makes at the
+	// two-phase join. An attempt that ends because the configuration changed
+	// under it is a redirect, not a failure: it is repeated at once and not
+	// counted, within the time the attempts could have taken in all,
+	// JoinAttempts x (2 x JoinPhase2Timeout + JoinRetryDelay).
 	JoinAttempts int
 	// JoinPhase2Timeout bounds how long a joiner (and the observer serving
-	// it) waits for the view change that admits it.
+	// it) waits for the next view change, which admits or redirects it.
 	JoinPhase2Timeout time.Duration
-	// JoinRetryDelay is the pause between join attempts.
+	// JoinRetryDelay is the pause after a failed join attempt.
 	JoinRetryDelay time.Duration
 
 	// Clock supplies time; defaults to the wall clock.

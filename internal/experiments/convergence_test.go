@@ -76,10 +76,43 @@ func TestBootstrapConvergence1000Smoke(t *testing.T) {
 		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v]",
 			p.MinBatchWindow, p.MaxBatchWindow, bounds.BatchingWindowMin, bounds.BatchingWindowMax)
 	}
-	t.Logf("1000 nodes converged in %s wall (%.0f paper-s); join p50/p90/p99 = %.0f/%.0f/%.0f paper-s; %d msgs; shed=%d window=[%v,%v]",
+	// JoinsTimedOut is reported, not gated, at this size: at TimeScale 20
+	// JoinPhase2Timeout is 0.6 s of wall time, and one or two cores need
+	// longer than that just to start 999 joiners, so the big admission wave
+	// legitimately stays open past the first parkers' timeout.
+	// TestBootstrapStormTimesOutNoJoin gates it at a size that fits.
+	t.Logf("1000 nodes converged in %s wall (%.0f paper-s); join p50/p90/p99 = %.0f/%.0f/%.0f paper-s; %d msgs; shed=%d window=[%v,%v] joinsTimedOut=%d",
 		time.Since(start).Round(time.Second), cfg.scaledSeconds(p.ConvergenceTime),
 		cfg.scaledSeconds(p.JoinP50), cfg.scaledSeconds(p.JoinP90), cfg.scaledSeconds(p.JoinP99),
-		p.Messages, p.ShedBatches, p.MinBatchWindow, p.MaxBatchWindow)
+		p.Messages, p.ShedBatches, p.MinBatchWindow, p.MaxBatchWindow, p.JoinsTimedOut)
+}
+
+// TestBootstrapStormTimesOutNoJoin is the gate against the join stall coming
+// back: view changes redirect the joiners they race past, so no phase-2
+// request may run out JoinPhase2Timeout. When observers instead kept such
+// joiners parked and re-filed partial JOIN alerts for them, this same
+// 100-node storm took 14-16 paper-seconds, all of them spent waiting for that
+// timeout; it takes under one. The fleet is sized to need a tenth of the
+// timeout (1.2 s of wall time here) on a two-core host, so a non-zero count
+// means a stall, not a slow machine; the race detector's tenfold slowdown
+// takes that margin away, and the paper-scale smokes only report the count.
+func TestBootstrapStormTimesOutNoJoin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the zero-timeouts gate needs its wall-clock margin; the race lane runs the 200-node smoke")
+	}
+	cfg := Config{TimeScale: 10, Seed: 1}
+	points, err := RunBootstrapConvergence(cfg, []int{100}, ConvergenceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := points[0]
+	if !p.Converged {
+		t.Fatal("100-node bootstrap did not converge")
+	}
+	if p.JoinsTimedOut != 0 {
+		t.Errorf("%d phase-2 join requests ran out JoinPhase2Timeout in a 100-node storm that converged in %.1f paper-s; joiners must be redirected, not left to time out",
+			p.JoinsTimedOut, cfg.scaledSeconds(p.ConvergenceTime))
+	}
 }
 
 // TestBootstrapConvergence200RaceSmoke is the race lane's counterpart to the
@@ -121,6 +154,8 @@ func TestBootstrapConvergence200RaceSmoke(t *testing.T) {
 		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v]",
 			p.MinBatchWindow, p.MaxBatchWindow, bounds.BatchingWindowMin, bounds.BatchingWindowMax)
 	}
-	t.Logf("200 nodes converged under -race in %s wall (%.0f paper-s); %d msgs; shed=%d",
-		time.Since(start).Round(time.Second), cfg.scaledSeconds(p.ConvergenceTime), p.Messages, p.ShedBatches)
+	// Reported, not gated, for the same reason as in the 1000-node smoke: the
+	// instrumented fleet needs 0.5-4 s of wall time against a 0.6 s timeout.
+	t.Logf("200 nodes converged under -race in %s wall (%.0f paper-s); %d msgs; shed=%d joinsTimedOut=%d",
+		time.Since(start).Round(time.Second), cfg.scaledSeconds(p.ConvergenceTime), p.Messages, p.ShedBatches, p.JoinsTimedOut)
 }

@@ -167,6 +167,10 @@ type BootstrapConvergencePoint struct {
 	// QueueFullTime sums the time producers spent blocked on full event
 	// queues across the fleet (the backpressure shedding cannot remove).
 	QueueFullTime time.Duration
+	// JoinsTimedOut sums, across the fleet, the phase-2 join requests that
+	// ran out JoinPhase2Timeout. The join pipeline is redirect-driven, so a
+	// healthy bootstrap reads 0.
+	JoinsTimedOut int64
 	// MinBatchWindow/MaxBatchWindow bracket the adaptive flush windows the
 	// fleet's members ended the run with; both must stay within the
 	// configured floor/ceiling.
@@ -237,6 +241,7 @@ func RunBootstrapConvergence(cfg Config, sizes []int, opts ConvergenceOptions) (
 		for i, st := range fleet.RapidStats() {
 			point.ShedBatches += st.ShedBatches
 			point.QueueFullTime += st.QueueFullTime
+			point.JoinsTimedOut += st.JoinsTimedOut
 			if st.BatchWindow > point.MaxBatchWindow {
 				point.MaxBatchWindow = st.BatchWindow
 			}
