@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's tables and figures (§2.1, §7, §8) at
-// laptop scale, plus micro-benchmarks of the protocol's hot paths. Each
-// "Figure"/"Table" benchmark runs one full scaled-down experiment per
-// iteration; EXPERIMENTS.md records a captured run next to the paper's
-// numbers. Run with:
+// laptop scale. Each "Figure"/"Table" benchmark runs one full scaled-down
+// experiment per iteration; EXPERIMENTS.md records a captured run next to the
+// paper's numbers. The hot paths (view build and lookup, configuration ID,
+// alert codec) are timed with repeats by bench/layers.go, not here. Run with:
 //
 //	go test -bench=. -benchmem
 package rapid_test
@@ -17,7 +17,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/node"
-	"repro/internal/remoting"
 	"repro/internal/simnet"
 	"repro/internal/view"
 )
@@ -192,88 +191,6 @@ func buildBenchView(k, n int) *view.View {
 		}
 	}
 	return view.NewWithMembers(k, eps)
-}
-
-// BenchmarkViewConstruction measures building the K-ring topology for a
-// 1000-member configuration, which happens once per view change per process.
-func BenchmarkViewConstruction(b *testing.B) {
-	eps := make([]node.Endpoint, 1000)
-	for i := range eps {
-		eps[i] = node.Endpoint{
-			Addr: node.Addr(fmt.Sprintf("10.%d.%d.%d:1", i/65536, (i/256)%256, i%256)),
-			ID:   node.ID{High: uint64(i + 1), Low: uint64(i + 13)},
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := view.NewWithMembers(10, eps)
-		if v.Size() != 1000 {
-			b.Fatal("bad view")
-		}
-	}
-}
-
-// BenchmarkObserversLookup measures the per-alert topology lookup.
-func BenchmarkObserversLookup(b *testing.B) {
-	v := buildBenchView(10, 1000)
-	addrs := v.MemberAddrs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := v.ObserversOf(addrs[i%len(addrs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkViewChurn measures one add + remove on a 1000-member view, the
-// incremental cost of a single-member view change.
-func BenchmarkViewChurn(b *testing.B) {
-	v := buildBenchView(10, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ep := node.Endpoint{Addr: "churn:1", ID: node.ID{High: 1 << 40, Low: uint64(i + 1)}}
-		if err := v.AddMember(ep); err != nil {
-			b.Fatal(err)
-		}
-		if err := v.RemoveMember(ep.Addr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConfigurationID measures the configuration identifier hash.
-func BenchmarkConfigurationID(b *testing.B) {
-	v := buildBenchView(10, 1000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = v.ConfigurationID()
-	}
-}
-
-// BenchmarkAlertEncoding measures the wire codec for a typical alert batch.
-func BenchmarkAlertEncoding(b *testing.B) {
-	batch := &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: "a:1"}}
-	for i := 0; i < 8; i++ {
-		batch.Alerts.Alerts = append(batch.Alerts.Alerts, remoting.AlertMessage{
-			EdgeSrc: "a:1", EdgeDst: node.Addr(fmt.Sprintf("b%d:1", i)),
-			Status: remoting.EdgeDown, ConfigurationID: 42, RingNumbers: []int{1, 5},
-		})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := remoting.EncodeRequest(batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := remoting.DecodeRequest(data); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkExpanderEigenvalue measures the §8 spectral analysis itself.

@@ -45,8 +45,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		shards    = flag.Int("shards", 0, "bootstrap/scenarios experiments only: simnet delivery shards (0 = default); raise with available cores for 1000+ node runs")
 		joinconc  = flag.Int("joinconc", 0, "bootstrap experiment only: max concurrent joins (0 = all at once)")
-		batchMin  = flag.Duration("batch-min", 0, "bootstrap experiment only: adaptive batching window floor (0 = scaled default)")
-		batchMax  = flag.Duration("batch-max", 0, "bootstrap experiment only: adaptive batching window ceiling (0 = scaled default)")
 		benchJSON = flag.String("bench-json", "", "bootstrap/scenarios experiments only: write the results as JSON to this path")
 		faults    = flag.String("faults", "all", "scenarios experiment only: comma-separated fault kinds (crash,slow,oneway-links,flap,asym-partition,wan-zones,dup-reorder,egress-loss-80) or all")
 		systems   = flag.String("systems", "rapid,memberlist,rapid-c", "scenarios experiment only: comma-separated systems (rapid,memberlist,rapid-c,zookeeper)")
@@ -172,10 +170,8 @@ func main() {
 				sweep = []int{100, 500, 1000, 2000}
 			}
 			points, err := experiments.RunBootstrapConvergence(cfg, sweep, experiments.ConvergenceOptions{
-				JoinConcurrency:   *joinconc,
-				Shards:            *shards,
-				BatchingWindowMin: *batchMin,
-				BatchingWindowMax: *batchMax,
+				JoinConcurrency: *joinconc,
+				Shards:          *shards,
 			})
 			if err != nil {
 				return err

@@ -33,6 +33,12 @@ import (
 	"repro/internal/node"
 )
 
+// leaveDrain is how long a leaving agent keeps its transport up after Leave.
+// The announcement is not batched: Leave hands one message per member to the
+// transport's best-effort queue and returns, so this only waits for that
+// queue to drain before Stop closes the connections under it.
+const leaveDrain = 200 * time.Millisecond
+
 // status is the JSON document served on /status.
 type status struct {
 	Addr            string                `json:"addr"`
@@ -178,7 +184,7 @@ func main() {
 		srv.setState("left")
 	}
 	cluster.Leave()
-	time.Sleep(2 * settings.BatchingWindow)
+	time.Sleep(leaveDrain)
 	cluster.Stop()
 	fmt.Println("stopped")
 }

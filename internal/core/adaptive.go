@@ -10,11 +10,11 @@ import "time"
 // broadcast cost much better with a window several times larger. The
 // controller therefore resizes the flush window between a configured floor
 // and ceiling after every flush, from two signals the engine already owns:
-// the depth of its inbound event queue and the number of data-plane events
-// that arrived during the window just flushed (the alert arrival rate).
+// the depth of its inbound event queue and the number of batches that
+// arrived during the window just flushed (the alert arrival rate).
 
-// Controller thresholds. The queue fraction is relative to EventQueueSize, so
-// the policy scales with the configured queue rather than hard-coding depths.
+// Controller thresholds. The queue fraction is relative to the queue's
+// capacity rather than a hard-coded depth.
 const (
 	// growQueueFraction: a queue holding more than 1/8 of its capacity means
 	// batches are arriving faster than the engine applies them — grow the
@@ -44,24 +44,19 @@ type windowController struct {
 	window  time.Duration
 }
 
-// newWindowController starts at the configured legacy window (clamped into
-// the floor/ceiling range) rather than at the floor: engines frequently boot
-// mid-storm — every admitted joiner starts one — and a floor-rate flusher is
-// the worst thing to add to a storm. A quiet engine decays to the floor
-// within a few flushes anyway (halving per tick).
-func newWindowController(floor, ceiling, start time.Duration) windowController {
-	if start < floor {
-		start = floor
-	}
-	if start > ceiling {
-		start = ceiling
-	}
-	return windowController{floor: floor, ceiling: ceiling, window: start}
+// newWindowController starts at a quarter of the ceiling (the paper's 100 ms
+// under the default 400 ms ceiling), clamped into the floor/ceiling range,
+// rather than at the floor: engines frequently boot mid-storm — every
+// admitted joiner starts one — and a floor-rate flusher is the worst thing to
+// add to a storm. A quiet engine decays to the floor within a few flushes
+// anyway (halving per tick).
+func newWindowController(floor, ceiling time.Duration) windowController {
+	return windowController{floor: floor, ceiling: ceiling, window: max(floor, ceiling/4)}
 }
 
 // retune computes the next flush window from the live queue depth (and its
-// capacity) plus the number of data-plane events dispatched during the window
-// that just ended. Multiplicative increase/decrease gives the window
+// capacity) plus the number of batches dispatched during the window that
+// just ended. Multiplicative increase/decrease gives the window
 // hysteresis: a single quiet tick in mid-storm halves the window once rather
 // than collapsing it, and one busy tick on an idle cluster doubles it once
 // rather than pinning it to the ceiling.

@@ -12,15 +12,12 @@ import (
 
 func TestWindowControllerGrowsAndShrinks(t *testing.T) {
 	const floor, ceiling = 10 * time.Millisecond, 160 * time.Millisecond
-	w := newWindowController(floor, ceiling, 40*time.Millisecond)
-	if w.window != 40*time.Millisecond {
-		t.Fatalf("controller should start at the clamped legacy window, got %v", w.window)
+	w := newWindowController(floor, ceiling)
+	if w.window != ceiling/4 {
+		t.Fatalf("controller should start at a quarter of the ceiling, got %v", w.window)
 	}
-	if c := newWindowController(floor, ceiling, time.Millisecond); c.window != floor {
-		t.Fatalf("start below the floor should clamp to it, got %v", c.window)
-	}
-	if c := newWindowController(floor, ceiling, time.Second); c.window != ceiling {
-		t.Fatalf("start above the ceiling should clamp to it, got %v", c.window)
+	if c := newWindowController(ceiling/2, ceiling); c.window != ceiling/2 {
+		t.Fatalf("a start below the floor should clamp to it, got %v", c.window)
 	}
 
 	// A deep queue doubles the window per retune until the ceiling holds.
@@ -58,7 +55,6 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 	net := simnet.New(simnet.Options{Seed: 99})
 	s := DefaultSettings()
 	s.Clock = clk
-	s.BatchingWindow = 40 * time.Millisecond
 	s.BatchingWindowMin = 10 * time.Millisecond
 	s.BatchingWindowMax = 160 * time.Millisecond
 	c, err := StartCluster("seed:1", s, net)
@@ -77,8 +73,8 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 	if !waitUntil(t, 5*time.Second, func() bool { return clk.PendingWaiters() >= 2 }) {
 		t.Fatal("engine never armed its timers")
 	}
-	if got := c.Stats().BatchWindow; got != s.BatchingWindow {
-		t.Fatalf("window should start at the legacy BatchingWindow, got %v", got)
+	if got := c.Stats().BatchWindow; got != s.BatchingWindowMax/4 {
+		t.Fatalf("window should start at a quarter of the ceiling, got %v", got)
 	}
 
 	// storm sends enough current-configuration alert batches to cross the

@@ -45,7 +45,7 @@ type ViewChange struct {
 	// configuration the subscriber was notified of.
 	Changes []StatusChange
 	// Coalesced is the gap marker for slow subscribers: when the bounded
-	// notification queue (Settings.NotifierQueueBound) overflows, pending
+	// notification queue (notifierQueueBound entries) overflows, pending
 	// view changes are merged and Coalesced counts how many separate view
 	// changes this notification absorbed. Zero in normal operation; when
 	// non-zero, Members and Changes describe the net transition across the
@@ -56,7 +56,7 @@ type ViewChange struct {
 // Subscriber receives view-change notifications. Callbacks are invoked in
 // order from a dedicated delivery goroutine, off the protocol path, so they
 // may block without stalling the membership service. A callback that stays
-// blocked for more than Settings.NotifierQueueBound view changes starts
+// blocked for more than notifierQueueBound (64) view changes starts
 // receiving coalesced notifications (ViewChange.Coalesced > 0) instead of
 // growing the pending queue without bound. A callback already in flight when
 // Stop is called may complete after Stop returns.
@@ -71,23 +71,30 @@ type snapshot struct {
 	byAddr      map[node.Addr]node.Endpoint
 	viewChanges int
 	// pastConfigs are the identifiers of recent configurations this process
-	// has already moved past (bounded by maxPastConfigs). The protocol never
-	// revisits a configuration, so batches referencing only these can be
-	// shed under overload with zero information loss.
+	// has already moved past (bounded by maxPastConfigs). A phase-2 join
+	// request naming one of these is stale and redirected; one naming an
+	// unknown configuration is early and held (see handleJoinPhase2).
 	pastConfigs map[uint64]bool
 }
 
-// maxPastConfigs bounds the shed-eligibility history. It only needs to cover
-// configurations whose traffic may still be in flight; 32 view changes of
-// slack is far beyond any batch's network lifetime.
+// maxPastConfigs bounds the past-configuration history. It only needs to
+// cover configurations whose traffic may still be in flight; 32 view changes
+// of slack is far beyond any request's network lifetime.
 const maxPastConfigs = 32
+
+const (
+	// eventQueueSize bounds the engine's inbound event queue.
+	eventQueueSize = 1024
+	// notifierQueueBound caps the pending view-change notification queue.
+	notifierQueueBound = 64
+)
 
 // Cluster is one process' handle on the Rapid membership service. Create one
 // with StartCluster (to bootstrap a new cluster) or JoinCluster (to join an
 // existing one through seed processes).
 //
 // Internally the handle is a thin shell around a single-writer protocol
-// engine (see engine.go): transport handlers enqueue typed events, one
+// engine (see engine.go): transport handlers enqueue events on one queue, one
 // goroutine applies them, and the results are published as atomic snapshots.
 type Cluster struct {
 	settings Settings
@@ -102,22 +109,12 @@ type Cluster struct {
 	unicast     *broadcast.UnicastToAll
 	broadcaster broadcast.Broadcaster
 
-	events chan event
-	// prio carries control-plane events (join phases) that must not queue
-	// behind the N² alert/vote flood: during a 1000-node bootstrap storm a
-	// seed's event queue holds thousands of batches, and a phase-1 join
-	// parked behind them would time out and burn one of the joiner's
-	// attempts. The engine drains prio first.
-	prio     chan event
+	// events is the engine's only way in: every protocol message, join phase
+	// and failure-detector verdict queues here in arrival order.
+	events   chan event
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	// shedWater is the event-queue high-water mark (3/4 of EventQueueSize):
-	// past it, inbound batches that are entirely stale are shed instead of
-	// enqueued, so an overloaded member never blocks its transport on
-	// traffic the engine would discard anyway.
-	shedWater int
 
 	started atomic.Bool
 	// startedCh is closed when started turns true, for the phase-2 join
@@ -149,10 +146,10 @@ type EngineMetrics struct {
 	// BatchWindow is the engine's current adaptive flush window, nanoseconds.
 	BatchWindow metrics.Gauge
 	// ShedBatches counts inbound alert/vote batches dropped by overload
-	// shedding (queue past its high-water mark, batch entirely stale).
+	// shedding (queue full, nothing in the batch for this configuration).
 	ShedBatches metrics.Counter
 	// QueueFullNanos accumulates the time producers spent blocked on a full
-	// event queue (the backpressure the shedding policy exists to avoid).
+	// event queue.
 	QueueFullNanos metrics.Counter
 	// NotifierCoalesced counts view changes merged away by the bounded
 	// notification queue.
@@ -242,17 +239,12 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 		clock:     settings.Clock,
 		me:        me,
 		unicast:   broadcast.NewUnicastToAll(client),
-		events:    make(chan event, settings.EventQueueSize),
-		prio:      make(chan event, settings.EventQueueSize),
+		events:    make(chan event, eventQueueSize),
 		stopCh:    make(chan struct{}),
 		startedCh: make(chan struct{}),
-		shedWater: settings.EventQueueSize * 3 / 4,
 		monitorCh: make(chan []node.Addr, 1),
 	}
-	if c.shedWater < 1 {
-		c.shedWater = 1
-	}
-	c.notifier = newNotifier(settings.NotifierQueueBound, &c.emetrics.NotifierCoalesced)
+	c.notifier = newNotifier(notifierQueueBound, &c.emetrics.NotifierCoalesced)
 	switch settings.Broadcast {
 	case BroadcastGossip:
 		c.broadcaster = broadcast.NewGossip(client, me.Addr, settings.GossipFanout, int64(me.ID.Low))
@@ -298,83 +290,50 @@ func (c *Cluster) enqueue(ev event) bool {
 	}
 }
 
-// enqueueBatch submits an inbound alert/vote batch with overload shedding.
-// Blocking the transport on a full queue head-of-line-stalls every other
-// endpoint sharing the caller's delivery worker (the sharded simnet delivers
-// ~N/Shards endpoints per worker), so under pressure stale batches are
-// dropped instead, in two tiers:
-//
-//   - past the high-water mark, batches referencing only configurations this
-//     process has already moved past are shed: the protocol never revisits a
-//     configuration, so nothing is lost;
-//   - only when the queue is entirely full — where the alternative is
-//     blocking the worker — are batches from unknown (usually imminent)
-//     configurations shed too. They are kept while there is room because a
-//     batch that is stale at enqueue time can become applicable by the time
-//     the engine reaches it, if a decision already queued ahead of it
-//     installs that configuration; shedding those early costs JOIN-alert
-//     reports the cut detector's H-of-K aggregation has little slack for.
-//
-// Batches with current-configuration content always keep the blocking
-// backpressure of enqueue.
-func (c *Cluster) enqueueBatch(ev event) bool {
-	if len(c.events) >= c.shedWater && c.staleBatch(ev, false) {
-		c.emetrics.ShedBatches.Add(1)
-		return false
-	}
+// enqueueBatch submits an inbound alert/vote batch. Blocking the transport on
+// a full queue head-of-line-stalls every other endpoint sharing the caller's
+// delivery worker (the sharded simnet delivers ~N/Shards endpoints per
+// worker), so when the queue is full a batch with nothing in it for the
+// current configuration is dropped and counted instead: the engine would
+// config-filter it away on receipt anyway, unless a decision queued ahead of
+// it installs the configuration it names — which is why nothing is dropped
+// while there is room. Batches with current-configuration content keep the
+// blocking backpressure of enqueue.
+func (c *Cluster) enqueueBatch(ev event) {
 	select {
 	case c.events <- ev:
-		return true
+		return
 	default:
 	}
-	if c.staleBatch(ev, true) {
+	if c.staleBatch(ev.req) {
 		c.emetrics.ShedBatches.Add(1)
-		return false
+		return
 	}
-	return c.enqueue(ev)
+	c.enqueue(ev)
 }
 
-// staleBatch reports whether the batch is sheddable: no alert or vote in it
-// references the current configuration, and — unless hardFull allows
-// dropping any non-current batch — every referenced configuration is one
-// this process has verifiably moved past.
-func (c *Cluster) staleBatch(ev event, hardFull bool) bool {
+// staleBatch reports whether no alert or vote in the batch references the
+// current configuration.
+func (c *Cluster) staleBatch(req *remoting.Request) bool {
 	s := c.snap.Load()
 	if s == nil {
 		return false
 	}
-	sheddable := func(configID uint64) bool {
-		if configID == s.configID {
-			return false
-		}
-		return hardFull || s.pastConfigs[configID]
-	}
-	if ev.batch != nil {
-		for i := range ev.batch.Alerts {
-			if !sheddable(ev.batch.Alerts[i].ConfigurationID) {
+	if req.Alerts != nil {
+		for i := range req.Alerts.Alerts {
+			if req.Alerts.Alerts[i].ConfigurationID == s.configID {
 				return false
 			}
 		}
 	}
-	if ev.votes != nil {
-		for i := range ev.votes.Votes {
-			if !sheddable(ev.votes.Votes[i].ConfigurationID) {
+	if req.VoteBatch != nil {
+		for i := range req.VoteBatch.Votes {
+			if req.VoteBatch.Votes[i].ConfigurationID == s.configID {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// enqueuePriority submits a control-plane event on the priority queue, which
-// the engine drains ahead of the data-plane flood.
-func (c *Cluster) enqueuePriority(ev event) bool {
-	select {
-	case c.prio <- ev:
-		return true
-	case <-c.stopCh:
-		return false
-	}
 }
 
 // publishSnapshot installs the membership state readers see. Called by the
@@ -390,9 +349,7 @@ func (c *Cluster) publishSnapshot(v *view.View, members []node.Endpoint, viewCha
 	for _, ep := range members {
 		byAddr[ep.Addr] = ep
 	}
-	// The configuration being replaced joins the bounded past-configs set:
-	// overload shedding may drop batches referencing only these, because the
-	// protocol never revisits a configuration.
+	// The configuration being replaced joins the bounded past-configs set.
 	if prev := c.snap.Load(); prev != nil {
 		c.pastRing = append(c.pastRing, prev.configID)
 		if len(c.pastRing) > maxPastConfigs {
@@ -480,7 +437,7 @@ func (c *Cluster) Metadata(addr node.Addr) (map[string]string, bool) {
 // Stats returns a point-in-time summary of the engine instrumentation.
 func (c *Cluster) Stats() EngineStats {
 	return EngineStats{
-		QueueDepth:        len(c.events) + len(c.prio),
+		QueueDepth:        len(c.events),
 		EventsProcessed:   c.emetrics.EventsProcessed.Value(),
 		BatchesSent:       c.emetrics.BatchesSent.Value(),
 		BatchSizes:        c.emetrics.BatchSizes.Summary(),

@@ -129,10 +129,10 @@ func TestSettingsValidation(t *testing.T) {
 	if _, err := StartCluster("seed:1", inverted, net); err == nil {
 		t.Fatal("floor above ceiling should be rejected")
 	}
-	negative := testSettings()
-	negative.BatchingWindow = -time.Millisecond
-	if _, err := StartCluster("seed:1", negative, net); err == nil {
-		t.Fatal("negative batching window should be rejected")
+	negCeiling := testSettings()
+	negCeiling.BatchingWindowMax = -time.Millisecond
+	if _, err := StartCluster("seed:1", negCeiling, net); err == nil {
+		t.Fatal("negative batching ceiling should be rejected")
 	}
 	negFloor := testSettings()
 	negFloor.BatchingWindowMin = -time.Millisecond
@@ -140,15 +140,16 @@ func TestSettingsValidation(t *testing.T) {
 		t.Fatal("negative batching floor should be rejected")
 	}
 
-	// Zero values still derive a coherent adaptive range from the legacy
-	// single knob.
-	legacy := Settings{BatchingWindow: 80 * time.Millisecond}
-	if err := legacy.validate(); err != nil {
-		t.Fatalf("legacy single-knob settings should validate: %v", err)
+	// The zero Settings validates to the paper's defaults: the window starts
+	// at its fixed 100 ms and adapts between 10 and 400 ms.
+	var zero Settings
+	if err := zero.validate(); err != nil {
+		t.Fatalf("zero settings should validate: %v", err)
 	}
-	if legacy.BatchingWindowMin != 8*time.Millisecond || legacy.BatchingWindowMax != 320*time.Millisecond {
-		t.Fatalf("derived window range wrong: floor=%v ceiling=%v",
-			legacy.BatchingWindowMin, legacy.BatchingWindowMax)
+	start := newWindowController(zero.BatchingWindowMin, zero.BatchingWindowMax).window
+	if zero.BatchingWindowMin != 10*time.Millisecond || zero.BatchingWindowMax != 400*time.Millisecond || start != 100*time.Millisecond {
+		t.Fatalf("default window wrong: floor=%v ceiling=%v start=%v",
+			zero.BatchingWindowMin, zero.BatchingWindowMax, start)
 	}
 }
 

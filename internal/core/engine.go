@@ -16,30 +16,23 @@ import (
 // protocol state: the K-ring view, the multi-process cut detector, the
 // consensus instance, the pending join waiters, and the outbound batch. All
 // protocol inputs (batched alerts, consensus messages, failure-detector
-// verdicts, join and leave requests, timer ticks) arrive as typed events on
-// one queue and are applied sequentially, so no mutex guards protocol state
-// and the N² message path never contends on a lock. Transport handlers are
-// thin enqueuers; see handlers.go.
+// verdicts, join and leave requests) arrive as events on one queue and are
+// applied sequentially, so no mutex guards protocol state and the N² message
+// path never contends on a lock. The engine owns its deadlines too: they are
+// fields it checks on its own ticks, never goroutines that read protocol
+// state from outside. Transport handlers are thin enqueuers; see handlers.go.
 
-// event is the union of everything the engine consumes. At most one group of
-// fields is set per event. A flat struct (rather than an interface) keeps the
-// hot path — inbound batches and consensus votes — allocation-free.
+// event is the union of everything the engine consumes. Exactly one of req,
+// preJoin, join, joinGone and subjectDown is set per event. A flat struct
+// (rather than an interface) keeps the hot path — inbound batches and
+// consensus votes — allocation-free.
 type event struct {
-	// raw is the original request for batch events, retained so gossip mode
-	// can re-broadcast it unchanged.
-	raw   *remoting.Request
-	batch *remoting.BatchedAlertMessage
-	votes *remoting.FastRoundVoteBatch
-	// network is true when the batch arrived from the transport (as opposed
-	// to the engine delivering its own flush to itself in gossip mode).
+	// req is a one-way protocol message (batch, consensus phase, leave),
+	// queued as the transport delivered it; dispatchRequest tells which.
+	req *remoting.Request
+	// network is true when a batch arrived from the transport (as opposed to
+	// the engine delivering its own flush to itself in gossip mode).
 	network bool
-
-	fastRound *remoting.FastRoundPhase2b
-	p1a       *remoting.Phase1a
-	p1b       *remoting.Phase1b
-	p2a       *remoting.Phase2a
-	p2b       *remoting.Phase2b
-	leave     *remoting.LeaveMessage
 
 	preJoin *preJoinEvent
 	join    *joinEvent
@@ -48,9 +41,6 @@ type event struct {
 	// out), so the request must not stay parked.
 	joinGone    *joinEvent
 	subjectDown node.Addr
-	// fallback asks the engine to start a classical recovery round for the
-	// given consensus instance, if it is still current and undecided.
-	fallback *fastpaxos.FastPaxos
 }
 
 // preJoinEvent carries a phase-1 join request and its reply channel.
@@ -92,6 +82,10 @@ type engine struct {
 	view      *view.View           // engine-owned
 	cd        *cutdetect.Detector  // engine-owned
 	consensus *fastpaxos.FastPaxos // engine-owned
+	// fallbackAt is the recovery deadline of the current consensus instance:
+	// armed when this process votes, cleared when the instance decides, and
+	// checked on the reinforcement tick. Zero while unarmed. engine-owned.
+	fallbackAt time.Time
 
 	alertedEdges map[node.Addr]bool // engine-owned
 	// joinWaiters parks phase-2 join requests made in the current
@@ -117,7 +111,7 @@ type engine struct {
 
 	// winCtl sizes the flush window between the configured floor and ceiling
 	// from queue depth and arrival rate (see adaptive.go); arrivals counts
-	// the data-plane events dispatched since the last flush, its rate input.
+	// the batches dispatched since the last flush, its rate input.
 	winCtl   windowController // engine-owned
 	arrivals int              // engine-owned
 
@@ -133,6 +127,12 @@ type rumor struct {
 	req       *remoting.Request
 	remaining int
 }
+
+// gossipRounds is how many times each process pushes a batch it originated or
+// first received: one immediate broadcast plus re-gossip on subsequent batch
+// ticks. Multiple rounds give flooding its with-high-probability coverage;
+// one-shot forwarding can strand a member without a consensus quorum.
+const gossipRounds = 3
 
 // maxRumors bounds the re-gossip buffer; under extreme churn the oldest
 // rumors are dropped first (their content is also the most likely to be
@@ -163,7 +163,7 @@ func newEngine(c *Cluster, members []node.Endpoint) *engine {
 		// collide with (address, seq) dedup entries its previous incarnation
 		// left behind on long-lived members.
 		outSeq: c.me.ID.Low,
-		winCtl: newWindowController(c.settings.BatchingWindowMin, c.settings.BatchingWindowMax, c.settings.BatchingWindow),
+		winCtl: newWindowController(c.settings.BatchingWindowMin, c.settings.BatchingWindowMax),
 	}
 	c.emetrics.BatchWindow.Set(int64(e.winCtl.window))
 	addrs := e.view.MemberAddrs()
@@ -191,32 +191,15 @@ func (e *engine) run() {
 	// than a fixed-period Ticker.
 	flush := c.clock.Timer(e.winCtl.window)
 	defer flush.Stop()
-	reinforce := c.clock.Ticker(c.settings.ReinforcementTick)
+	// The unstable set and the recovery deadline are checked five times per
+	// ReinforcementTimeout (1 s by default), never more often than the
+	// millisecond ScaledSettings floors every duration at.
+	reinforce := c.clock.Ticker(max(c.settings.ReinforcementTimeout/5, time.Millisecond))
 	defer reinforce.Stop()
-	// drainPrio applies queued control-plane events, at most maxPrioBurst per
-	// call: joins get strict priority over the alert/vote flood, but each
-	// loop iteration must still reach the full select so stopCh and the
-	// flush/reinforcement tickers stay live under sustained join traffic.
-	const maxPrioBurst = 64
-	drainPrio := func() {
-		for i := 0; i < maxPrioBurst; i++ {
-			select {
-			case ev := <-c.prio:
-				e.dispatch(ev)
-				c.emetrics.EventsProcessed.Add(1)
-			default:
-				return
-			}
-		}
-	}
 	for {
-		drainPrio()
 		select {
 		case <-c.stopCh:
 			return
-		case ev := <-c.prio:
-			e.dispatch(ev)
-			c.emetrics.EventsProcessed.Add(1)
 		case ev := <-c.events:
 			e.dispatch(ev)
 			c.emetrics.EventsProcessed.Add(1)
@@ -232,12 +215,12 @@ func (e *engine) run() {
 	}
 }
 
-// retuneWindow feeds the controller the live data-queue depth and the events
+// retuneWindow feeds the controller the live queue depth and the batches
 // dispatched since the last flush, publishes the resulting window to the
 // BatchWindow gauge, and returns it for the flush timer's next arming.
 func (e *engine) retuneWindow() time.Duration {
 	c := e.c
-	next := e.winCtl.retune(len(c.events), c.settings.EventQueueSize, e.arrivals)
+	next := e.winCtl.retune(len(c.events), cap(c.events), e.arrivals)
 	e.arrivals = 0
 	c.emetrics.BatchWindow.Set(int64(next))
 	return next
@@ -246,21 +229,8 @@ func (e *engine) retuneWindow() time.Duration {
 // dispatch routes one event to its handler.
 func (e *engine) dispatch(ev event) {
 	switch {
-	case ev.batch != nil || ev.votes != nil:
-		e.arrivals++
-		e.handleBatch(ev)
-	case ev.fastRound != nil:
-		e.consensus.HandleFastRoundVote(ev.fastRound)
-	case ev.p1a != nil:
-		e.consensus.HandlePhase1a(ev.p1a)
-	case ev.p1b != nil:
-		e.consensus.HandlePhase1b(ev.p1b)
-	case ev.p2a != nil:
-		e.consensus.HandlePhase2a(ev.p2a)
-	case ev.p2b != nil:
-		e.consensus.HandlePhase2b(ev.p2b)
-	case ev.leave != nil:
-		e.handleLeave(ev.leave)
+	case ev.req != nil:
+		e.dispatchRequest(ev.req, ev.network)
 	case ev.preJoin != nil:
 		e.handlePreJoin(ev.preJoin)
 	case ev.join != nil:
@@ -269,8 +239,30 @@ func (e *engine) dispatch(ev event) {
 		e.forgetJoin(ev.joinGone)
 	case ev.subjectDown != "":
 		e.handleSubjectFailed(ev.subjectDown)
-	case ev.fallback != nil:
-		e.handleFallback(ev.fallback)
+	}
+}
+
+// dispatchRequest is the one place that tells the protocol messages apart.
+// Anything else HandleRequest let through (an empty or foreign request) is
+// ignored.
+func (e *engine) dispatchRequest(req *remoting.Request, network bool) {
+	switch {
+	case req.Alerts != nil || req.VoteBatch != nil:
+		e.arrivals++
+		e.handleBatch(req, network)
+	case req.FastRound != nil:
+		e.consensus.HandleFastRoundVote(req.FastRound)
+	case req.P1a != nil:
+		e.consensus.HandlePhase1a(req.P1a)
+	case req.P1b != nil:
+		e.consensus.HandlePhase1b(req.P1b)
+	case req.P2a != nil:
+		e.consensus.HandlePhase2a(req.P2a)
+	case req.P2b != nil:
+		e.consensus.HandlePhase2b(req.P2b)
+	case req.Leave != nil:
+		// A graceful leave is a REMOVE alert its observers file at once.
+		e.handleSubjectFailed(req.Leave.Sender)
 	}
 }
 
@@ -337,7 +329,7 @@ func (e *engine) flushOutbox() {
 		e.seenBatches[batchKey{origin: c.me.Addr, seq: e.outSeq}] = true
 		c.broadcaster.Broadcast(req)
 		e.addRumor(req)
-		e.handleBatch(event{raw: req, batch: req.Alerts, votes: req.VoteBatch})
+		e.handleBatch(req, false)
 		return
 	}
 	// Unicast-to-all includes this process, so the batch comes back through
@@ -347,14 +339,10 @@ func (e *engine) flushOutbox() {
 
 // addRumor queues a batch for further gossip rounds on upcoming batch ticks.
 func (e *engine) addRumor(req *remoting.Request) {
-	remaining := e.c.settings.GossipRounds - 1
-	if remaining <= 0 {
-		return
-	}
 	if len(e.rumors) >= maxRumors {
 		e.rumors = e.rumors[1:]
 	}
-	e.rumors = append(e.rumors, rumor{req: req, remaining: remaining})
+	e.rumors = append(e.rumors, rumor{req: req, remaining: gossipRounds - 1})
 }
 
 // regossip pushes every buffered rumor to a fresh random fanout subset. Runs
@@ -378,17 +366,17 @@ func (e *engine) regossip() {
 // handleBatch applies one unified batch: gossip bookkeeping first, then
 // alerts through cut detection (possibly casting this process' vote), then
 // the batched fast-round votes.
-func (e *engine) handleBatch(ev event) {
+func (e *engine) handleBatch(req *remoting.Request, network bool) {
 	c := e.c
 	// Dedup and re-broadcast only exist for gossip: unicast-to-all delivers
 	// each batch exactly once, so the default mode skips the bookkeeping on
 	// its hot path entirely.
-	if ev.network && c.settings.Broadcast == BroadcastGossip {
+	if network && c.settings.Broadcast == BroadcastGossip {
 		key := batchKey{}
-		if ev.batch != nil {
-			key = batchKey{origin: ev.batch.Sender, seq: ev.batch.Seq}
+		if req.Alerts != nil {
+			key = batchKey{origin: req.Alerts.Sender, seq: req.Alerts.Seq}
 		} else {
-			key = batchKey{origin: ev.votes.Sender, seq: ev.votes.Seq}
+			key = batchKey{origin: req.VoteBatch.Sender, seq: req.VoteBatch.Seq}
 		}
 		if e.seenBatches[key] {
 			c.emetrics.GossipDuplicates.Add(1)
@@ -398,20 +386,18 @@ func (e *engine) handleBatch(ev event) {
 			e.seenBatches = make(map[batchKey]bool)
 		}
 		e.seenBatches[key] = true
-		if ev.raw != nil {
-			// Re-broadcast unseen batches so gossip floods the membership,
-			// as the broadcast package's contract requires, and keep pushing
-			// them for the remaining gossip rounds.
-			c.broadcaster.Broadcast(ev.raw)
-			e.addRumor(ev.raw)
-		}
+		// Re-broadcast unseen batches so gossip floods the membership, as the
+		// broadcast package's contract requires, and keep pushing them for
+		// the remaining gossip rounds.
+		c.broadcaster.Broadcast(req)
+		e.addRumor(req)
 	}
-	if ev.batch != nil {
-		e.handleAlerts(ev.batch)
+	if req.Alerts != nil {
+		e.handleAlerts(req.Alerts)
 	}
-	if ev.votes != nil {
-		for i := range ev.votes.Votes {
-			e.consensus.HandleFastRoundVote(&ev.votes.Votes[i])
+	if req.VoteBatch != nil {
+		for i := range req.VoteBatch.Votes {
+			e.consensus.HandleFastRoundVote(&req.VoteBatch.Votes[i])
 		}
 	}
 }
@@ -465,8 +451,6 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	if cons.HasProposed() {
 		return
 	}
-	// Capture the index and size before proposing: a single-process cluster
-	// decides inside Propose, which installs the next view.
 	members := e.view.MemberAddrs()
 	myIndex := sort.Search(len(members), func(i int) bool { return members[i] >= e.c.me.Addr })
 	proposal = dedupeEndpoints(proposal)
@@ -480,8 +464,12 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	if solo := 4 * e.c.settings.K; len(members) == 1 && len(proposal) > solo {
 		proposal = proposal[:solo]
 	}
+	// Arm the recovery deadline: the base delay plus a per-node jitter, so a
+	// single coordinator usually emerges. Armed before the vote is cast: a
+	// single-process cluster decides inside Propose, and that clears it again.
+	base := e.c.settings.ConsensusFallbackBase
+	e.fallbackAt = e.c.clock.Now().Add(base + time.Duration(myIndex%8)*base/8)
 	cons.Propose(proposal)
-	e.scheduleFallback(cons, myIndex, len(members))
 }
 
 // handleSubjectFailed converts an edge failure detector verdict into an
@@ -504,15 +492,12 @@ func (e *engine) handleSubjectFailed(subject node.Addr) {
 	})
 }
 
-// handleLeave converts a graceful-leave announcement into REMOVE alerts on
-// the rings where this process observes the leaver.
-func (e *engine) handleLeave(msg *remoting.LeaveMessage) {
-	e.handleSubjectFailed(msg.Sender)
-}
-
 // reinforce echoes REMOVE alerts for subjects stuck in the unstable report
-// region longer than ReinforcementTimeout (§4.2, liveness), and re-runs the
-// implicit-alert scan that handleAlerts skips for join/vote-only batches.
+// region longer than ReinforcementTimeout (§4.2, liveness), re-runs the
+// implicit-alert scan that handleAlerts skips for join/vote-only batches, and
+// starts a classical recovery round when the consensus instance this process
+// voted in is past its deadline — again every ConsensusFallbackBase for as
+// long as it stays undecided, each time with a higher rank.
 func (e *engine) reinforce() {
 	c := e.c
 	now := c.clock.Now()
@@ -521,6 +506,10 @@ func (e *engine) reinforce() {
 		e.handleSubjectFailed(subject)
 	}
 	e.propose(e.cd.InvalidateFailingEdges(e.view, now))
+	if !e.fallbackAt.IsZero() && !now.Before(e.fallbackAt) {
+		e.fallbackAt = now.Add(c.settings.ConsensusFallbackBase)
+		e.consensus.StartClassicalRound()
+	}
 }
 
 // handlePreJoin serves phase 1 of the join protocol: a seed returns the
@@ -630,53 +619,6 @@ func (e *engine) forgetJoin(ev *joinEvent) {
 	}
 }
 
-// handleFallback starts (or continues) the classical recovery path if the
-// instance the timer was armed for is still current and undecided.
-func (e *engine) handleFallback(cons *fastpaxos.FastPaxos) {
-	if cons != e.consensus || cons.Decided() {
-		return
-	}
-	cons.StartClassicalRound()
-}
-
-// scheduleFallback arms the classical-Paxos fallback for the given consensus
-// instance: if it has not decided within the base delay plus a per-node
-// jitter, this node asks the engine to start (and keep retrying) recovery
-// rounds. The timer goroutine never touches protocol state itself.
-func (e *engine) scheduleFallback(cons *fastpaxos.FastPaxos, myIndex, membershipSize int) {
-	c := e.c
-	base := c.settings.ConsensusFallbackBase
-	jitterSteps := 1
-	if membershipSize > 0 {
-		jitterSteps = myIndex % 8
-	}
-	delay := base + time.Duration(jitterSteps)*base/8
-	// The engine goroutine is wg-tracked, so the counter is non-zero here and
-	// this Add cannot race Stop's Wait.
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		select {
-		case <-c.stopCh:
-			return
-		case <-c.clock.After(delay):
-		}
-		for round := 0; round < 8; round++ {
-			if cons.Decided() {
-				return
-			}
-			if !c.enqueue(event{fallback: cons}) {
-				return
-			}
-			select {
-			case <-c.stopCh:
-				return
-			case <-c.clock.After(base):
-			}
-		}
-	}()
-}
-
 // --- view changes -------------------------------------------------------------
 
 // applyDecision is invoked by the consensus layer exactly once per
@@ -720,6 +662,7 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 		c.broadcaster.SetMembership(addrs)
 	}
 	e.consensus = e.newConsensus()
+	e.fallbackAt = time.Time{}
 	c.publishSnapshot(e.view, members, e.viewChanges)
 
 	// Settle every parked joiner now. The incarnation this view change

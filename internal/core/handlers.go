@@ -8,10 +8,11 @@ import (
 )
 
 // HandleRequest implements transport.Handler. Handlers are thin enqueuers:
-// protocol messages become typed events on the engine queue and are
+// protocol messages go onto the engine queue as they are and are
 // acknowledged immediately, so the transport's dispatch path never takes a
-// lock and never touches protocol state. Only the join phases wait for the
-// engine's reply, and probes are answered directly from an atomic flag.
+// lock and never touches protocol state; which message it is gets decided
+// once, in the engine's dispatch. Only the join phases wait for the engine's
+// reply, and probes are answered directly from an atomic flag.
 func (c *Cluster) HandleRequest(ctx context.Context, from node.Addr, req *remoting.Request) (*remoting.Response, error) {
 	switch {
 	case req == nil:
@@ -23,32 +24,14 @@ func (c *Cluster) HandleRequest(ctx context.Context, from node.Addr, req *remoti
 	case req.Join != nil:
 		return c.handleJoinPhase2(ctx, req.Join), nil
 	case req.Alerts != nil || req.VoteBatch != nil:
-		// enqueueBatch sheds stale batches under overload instead of blocking
-		// the transport's delivery worker; the batch is acked either way, as
-		// best-effort dissemination expects.
-		c.enqueueBatch(event{raw: req, batch: req.Alerts, votes: req.VoteBatch, network: true})
-		return remoting.AckResponse(), nil
-	case req.Leave != nil:
-		c.enqueue(event{leave: req.Leave})
-		return remoting.AckResponse(), nil
-	case req.FastRound != nil:
-		c.enqueue(event{fastRound: req.FastRound})
-		return remoting.AckResponse(), nil
-	case req.P1a != nil:
-		c.enqueue(event{p1a: req.P1a})
-		return remoting.AckResponse(), nil
-	case req.P1b != nil:
-		c.enqueue(event{p1b: req.P1b})
-		return remoting.AckResponse(), nil
-	case req.P2a != nil:
-		c.enqueue(event{p2a: req.P2a})
-		return remoting.AckResponse(), nil
-	case req.P2b != nil:
-		c.enqueue(event{p2b: req.P2b})
-		return remoting.AckResponse(), nil
+		// enqueueBatch sheds a stale batch when the queue is full instead of
+		// blocking the transport's delivery worker; the batch is acked either
+		// way, as best-effort dissemination expects.
+		c.enqueueBatch(event{req: req, network: true})
 	default:
-		return remoting.AckResponse(), nil
+		c.enqueue(event{req: req})
 	}
+	return remoting.AckResponse(), nil
 }
 
 // handleProbe answers an edge failure detector probe without involving the
@@ -73,7 +56,7 @@ func (c *Cluster) handlePreJoin(ctx context.Context, msg *remoting.PreJoinReques
 		return busy
 	}
 	reply := make(chan *remoting.PreJoinResponse, 1)
-	if !c.enqueuePriority(event{preJoin: &preJoinEvent{msg: msg, reply: reply}}) {
+	if !c.enqueue(event{preJoin: &preJoinEvent{msg: msg, reply: reply}}) {
 		return busy
 	}
 	select {
@@ -103,7 +86,7 @@ func (c *Cluster) handleJoinPhase2(ctx context.Context, msg *remoting.JoinReques
 		select {
 		case <-started:
 			started = nil
-			if !c.enqueuePriority(event{join: ev}) {
+			if !c.enqueue(event{join: ev}) {
 				return c.joinBusy()
 			}
 			reply = ev.reply
@@ -135,7 +118,7 @@ func (c *Cluster) abandonJoin(ev *joinEvent, reply chan *remoting.JoinResponse, 
 		c.emetrics.JoinsTimedOut.Add(1)
 	}
 	if reply != nil {
-		c.enqueuePriority(event{joinGone: ev})
+		c.enqueue(event{joinGone: ev})
 	}
 	return c.joinBusy()
 }

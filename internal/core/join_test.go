@@ -30,8 +30,7 @@ type engineRig struct {
 }
 
 // rigNet is the rig's transport: best-effort sends are queued for the test to
-// deliver. Only the classical recovery round uses Send, and no scenario here
-// reaches it.
+// deliver. An engine never calls Send; only joiners do.
 type rigNet struct{ r *engineRig }
 
 func (n rigNet) Register(node.Addr, transport.Handler) error { return nil }
@@ -48,13 +47,7 @@ func newEngineRig(t *testing.T) *engineRig {
 	s := DefaultSettings()
 	clk := simclock.NewManual(time.Unix(0, 0))
 	s.Clock = clk
-	r := &engineRig{t: t, clk: clk, settings: s, engines: map[node.Addr]*engine{}, inbox: map[node.Addr][]*remoting.Request{}}
-	t.Cleanup(func() {
-		for _, e := range r.engines {
-			close(e.c.stopCh) // releases the fallback timers' goroutines
-		}
-	})
-	return r
+	return &engineRig{t: t, clk: clk, settings: s, engines: map[node.Addr]*engine{}, inbox: map[node.Addr][]*remoting.Request{}}
 }
 
 // engine-entry: the rig applies events on the test goroutine; no loop runs.
@@ -99,7 +92,7 @@ func (r *engineRig) deliver(members ...node.Addr) {
 		r.inbox[m] = nil
 		if e := r.engines[m]; e != nil {
 			for _, req := range reqs {
-				e.handleBatch(event{raw: req, batch: req.Alerts, votes: req.VoteBatch, network: true})
+				e.dispatchRequest(req, true)
 			}
 		}
 	}

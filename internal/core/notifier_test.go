@@ -123,12 +123,17 @@ func TestNotifierBoundsQueueAndCoalesces(t *testing.T) {
 func TestClusterNotifierCoalescesUnderBlockedSubscriber(t *testing.T) {
 	net := simnet.New(simnet.Options{Seed: 23})
 	settings := testSettings()
-	settings.NotifierQueueBound = 1
 	node.SeedIDGenerator(23)
-	seed, err := StartCluster(addr(0), settings, net)
+	// StartCluster, with the notification queue cut down to one entry.
+	seed, err := newCluster(addr(0), settings, net)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seed.notifier = newNotifier(1, &seed.emetrics.NotifierCoalesced)
+	if err := net.Register(addr(0), seed); err != nil {
+		t.Fatal(err)
+	}
+	seed.initialize([]node.Endpoint{seed.me})
 	release := make(chan struct{})
 	var mu sync.Mutex
 	var got []ViewChange

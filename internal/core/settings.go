@@ -7,22 +7,22 @@
 // reachable over any transport.
 //
 // Internally the service is a single-writer event-loop engine (engine.go):
-// one goroutine owns all protocol state and consumes typed event queues,
-// transport handlers are thin enqueuers, readers see atomic snapshots, and
-// outbound alerts and consensus votes are coalesced into one batched wire
-// message per batching window, disseminated by a Settings-selected
-// broadcaster (unicast-to-all or gossip). Join phases travel on a separate
-// control-plane priority queue that the engine drains first, so a seed
-// serving a 1000-node bootstrap storm keeps answering joiners while
-// thousands of alert/vote batches are backed up behind them.
+// one goroutine owns all protocol state and consumes one event queue that
+// everything — batches, consensus phases, join phases, failure-detector
+// verdicts — enters in arrival order; transport handlers are thin enqueuers,
+// readers see atomic snapshots, and outbound alerts and consensus votes are
+// coalesced into one batched wire message per batching window, disseminated
+// by a Settings-selected broadcaster (unicast-to-all or gossip). The engine
+// owns its deadlines too: the consensus recovery deadline is a field it
+// checks on its reinforcement tick, not a goroutine per proposal.
 //
-// The control plane is load-adaptive (adaptive.go): the batching window is
-// resized between BatchingWindowMin and BatchingWindowMax from the engine's
-// queue depth and alert arrival rate (quiet clusters flush near-immediately,
-// storming clusters send fewer, larger batches); past the event queue's
-// high-water mark, inbound batches that reference only already-passed
-// configurations are shed rather than blocking the transport (batches from
-// unknown configurations only when the queue is entirely full); and the
+// The batching window is load-adaptive (adaptive.go): it starts at a quarter
+// of BatchingWindowMax and is resized between BatchingWindowMin and
+// BatchingWindowMax from the engine's queue depth and batch arrival rate
+// (quiet clusters flush near-immediately, storming clusters send fewer,
+// larger batches). There is one overload rule: when the event queue is full,
+// an inbound batch with nothing in it for the current configuration is
+// dropped rather than blocking the transport; everything else blocks. The
 // subscriber notification queue is bounded, coalescing view changes for slow
 // subscribers (notifier.go). See docs/ARCHITECTURE.md for the full
 // event-flow diagram.
@@ -70,19 +70,14 @@ type Settings struct {
 	// ping-pong detector (40% of the last 10 probes).
 	FailureDetector edgefd.Factory
 
-	// BatchingWindow is the legacy fixed flush window (§6). It now only seeds
-	// the adaptive controller's defaults: a zero BatchingWindowMin defaults to
-	// BatchingWindow/10 and a zero BatchingWindowMax to 4x BatchingWindow, so
-	// existing callers that only set BatchingWindow keep a sensible adaptive
-	// range centred on their old constant.
-	BatchingWindow time.Duration
-	// BatchingWindowMin is the floor of the adaptive flush window: a quiet
-	// engine collapses its window to this value so joins and isolated alerts
-	// are broadcast almost immediately.
+	// BatchingWindowMin is the floor of the adaptive flush window (§6): a
+	// quiet engine collapses its window to this value so joins and isolated
+	// alerts are broadcast almost immediately. Defaults to 10 ms.
 	BatchingWindowMin time.Duration
 	// BatchingWindowMax is the ceiling of the adaptive flush window: a
 	// storming engine grows its window toward this value so alerts and votes
-	// leave in fewer, larger wire batches. Must satisfy
+	// leave in fewer, larger wire batches. An engine starts at a quarter of
+	// it — the paper's fixed 100 ms under the 400 ms default. Must satisfy
 	// 0 < BatchingWindowMin <= BatchingWindowMax.
 	BatchingWindowMax time.Duration
 
@@ -94,39 +89,17 @@ type Settings struct {
 	// GossipFanout is how many random members each gossip hop forwards to;
 	// only used with BroadcastGossip. Defaults to 8.
 	GossipFanout int
-	// GossipRounds is how many times each process pushes a batch it
-	// originated or first received: one immediate broadcast plus re-gossip
-	// on subsequent batch ticks. Multiple rounds give flooding its
-	// with-high-probability coverage; one-shot forwarding can strand a
-	// member without a consensus quorum. Defaults to 3.
-	GossipRounds int
-
-	// EventQueueSize bounds the engine's inbound event queue. Once the queue
-	// crosses its high-water mark (3/4 of this size), inbound alert/vote
-	// batches that reference only configurations this process already moved
-	// past are shed — the protocol never revisits them — and when the queue
-	// is entirely full, batches from unknown configurations are shed too, so
-	// a storming member does not head-of-line-block its transport. Batches
-	// for the current configuration (and all other protocol events) always
-	// exert blocking backpressure. Defaults to 1024.
-	EventQueueSize int
-
-	// NotifierQueueBound caps the pending view-change notification queue. A
-	// subscriber that blocks for more than this many view changes receives
-	// coalesced notifications (ViewChange.Coalesced > 0) instead of growing
-	// the queue without bound. Defaults to 64.
-	NotifierQueueBound int
 
 	// ConsensusFallbackBase is the base delay before an undecided node starts
-	// the classical Paxos recovery round. Each node adds a deterministic
-	// jitter so a single coordinator usually emerges.
+	// a classical Paxos recovery round, and the pause between its retries.
+	// Each node adds a deterministic jitter so a single coordinator usually
+	// emerges. The deadline is checked on the reinforcement tick.
 	ConsensusFallbackBase time.Duration
 
 	// ReinforcementTimeout is how long a subject may stay in the unstable
 	// report region before this node's observers echo REMOVE alerts (§4.2).
+	// The unstable set is checked five times per timeout.
 	ReinforcementTimeout time.Duration
-	// ReinforcementTick is how often the unstable set is checked.
-	ReinforcementTick time.Duration
 
 	// JoinAttempts bounds how many failed attempts a joiner makes at the
 	// two-phase join. An attempt that ends because the configuration changed
@@ -158,12 +131,10 @@ func DefaultSettings() Settings {
 		ProbeInterval:         time.Second,
 		ProbeTimeout:          500 * time.Millisecond,
 		FailureDetector:       edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions()),
-		BatchingWindow:        100 * time.Millisecond,
 		BatchingWindowMin:     10 * time.Millisecond,
 		BatchingWindowMax:     400 * time.Millisecond,
 		ConsensusFallbackBase: 8 * time.Second,
 		ReinforcementTimeout:  5 * time.Second,
-		ReinforcementTick:     time.Second,
 		JoinAttempts:          10,
 		JoinPhase2Timeout:     12 * time.Second,
 		JoinRetryDelay:        time.Second,
@@ -189,12 +160,10 @@ func ScaledSettings(factor float64) Settings {
 	}
 	s.ProbeInterval = scale(s.ProbeInterval)
 	s.ProbeTimeout = scale(s.ProbeTimeout)
-	s.BatchingWindow = scale(s.BatchingWindow)
 	s.BatchingWindowMin = scale(s.BatchingWindowMin)
 	s.BatchingWindowMax = scale(s.BatchingWindowMax)
 	s.ConsensusFallbackBase = scale(s.ConsensusFallbackBase)
 	s.ReinforcementTimeout = scale(s.ReinforcementTimeout)
-	s.ReinforcementTick = scale(s.ReinforcementTick)
 	s.JoinPhase2Timeout = scale(s.JoinPhase2Timeout)
 	s.JoinRetryDelay = scale(s.JoinRetryDelay)
 	return s
@@ -226,26 +195,18 @@ func (s *Settings) validate() error {
 	if s.FailureDetector == nil {
 		s.FailureDetector = edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions())
 	}
-	// The adaptive window range must be coherent: zero values take defaults
-	// (derived from BatchingWindow so legacy single-knob callers keep a range
-	// centred on their constant), but explicitly negative values or an
-	// inverted floor/ceiling relation are configuration mistakes and are
-	// rejected instead of silently rewritten.
-	if s.BatchingWindow < 0 || s.BatchingWindowMin < 0 || s.BatchingWindowMax < 0 {
-		return fmt.Errorf("core: negative batching window (window=%v floor=%v ceiling=%v)",
-			s.BatchingWindow, s.BatchingWindowMin, s.BatchingWindowMax)
-	}
-	if s.BatchingWindow == 0 {
-		s.BatchingWindow = 100 * time.Millisecond
+	// The adaptive window range must be coherent: zero values take defaults,
+	// but explicitly negative values or an inverted floor/ceiling relation are
+	// configuration mistakes and are rejected instead of silently rewritten.
+	if s.BatchingWindowMin < 0 || s.BatchingWindowMax < 0 {
+		return fmt.Errorf("core: negative batching window (floor=%v ceiling=%v)",
+			s.BatchingWindowMin, s.BatchingWindowMax)
 	}
 	if s.BatchingWindowMin == 0 {
-		s.BatchingWindowMin = s.BatchingWindow / 10
-		if s.BatchingWindowMin <= 0 {
-			s.BatchingWindowMin = time.Millisecond
-		}
+		s.BatchingWindowMin = 10 * time.Millisecond
 	}
 	if s.BatchingWindowMax == 0 {
-		s.BatchingWindowMax = 4 * s.BatchingWindow
+		s.BatchingWindowMax = 400 * time.Millisecond
 	}
 	if s.BatchingWindowMin > s.BatchingWindowMax {
 		return fmt.Errorf("core: batching window floor %v exceeds ceiling %v",
@@ -261,23 +222,11 @@ func (s *Settings) validate() error {
 	if s.GossipFanout <= 0 {
 		s.GossipFanout = 8
 	}
-	if s.GossipRounds <= 0 {
-		s.GossipRounds = 3
-	}
-	if s.EventQueueSize <= 0 {
-		s.EventQueueSize = 1024
-	}
-	if s.NotifierQueueBound <= 0 {
-		s.NotifierQueueBound = 64
-	}
 	if s.ConsensusFallbackBase <= 0 {
 		s.ConsensusFallbackBase = 8 * time.Second
 	}
 	if s.ReinforcementTimeout <= 0 {
 		s.ReinforcementTimeout = 5 * time.Second
-	}
-	if s.ReinforcementTick <= 0 {
-		s.ReinforcementTick = time.Second
 	}
 	if s.JoinAttempts <= 0 {
 		s.JoinAttempts = 10

@@ -21,18 +21,18 @@ func (h *countingHandler) HandleRequest(context.Context, node.Addr, *remoting.Re
 
 // TestShardWorkerSurvivesOverloadedEndpoint is the head-of-line-blocking
 // regression test for the sharded simnet: all endpoints of a single-shard
-// network share one delivery worker, so before the engine grew overload
-// shedding, a member whose event queue filled would block the worker inside
-// its handler and starve every other endpoint on the shard. The victim here
-// is a cluster whose engine never runs (built but not initialized), so its
-// queue saturates deterministically; a flood of past-configuration batches
-// into it must be shed at the high-water mark — never blocking the worker —
-// and a bystander sharing the shard must receive all of its own traffic.
+// network share one delivery worker, so without overload shedding a member
+// whose event queue filled would block the worker inside its handler and
+// starve every other endpoint on the shard. The victim here is a cluster
+// whose engine never runs (built but not initialized), so its queue saturates
+// deterministically; a flood of past-configuration batches into it must be
+// shed once the queue is full — never blocking the worker — and a bystander
+// sharing the shard must receive all of its own traffic.
 func TestShardWorkerSurvivesOverloadedEndpoint(t *testing.T) {
 	net := simnet.New(simnet.Options{Seed: 3, Shards: 1}) // one shard: worst-case sharing
 	defer net.Close()
 
-	const queueSize = 8 // high water = 6
+	const queueSize = 8
 	victim, _, pastID := shedTestCluster(t, queueSize)
 	if err := net.Register("overload-victim:1", victim); err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestShardWorkerSurvivesOverloadedEndpoint(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if bystander.delivered.Load() >= probes && victim.Stats().ShedBatches == floods-6 {
+		if bystander.delivered.Load() >= probes && victim.Stats().ShedBatches == floods-queueSize {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -69,10 +69,10 @@ func TestShardWorkerSurvivesOverloadedEndpoint(t *testing.T) {
 	if got := bystander.delivered.Load(); got < probes {
 		t.Fatalf("bystander received %d of %d messages: shard worker stalled behind the overloaded endpoint", got, probes)
 	}
-	// The victim's queue holds its six pre-high-water batches; every later
-	// one must have been shed.
+	// The victim's queue holds the batches that filled it; every later one
+	// must have been shed.
 	stats := victim.Stats()
-	if stats.QueueDepth != 6 || stats.ShedBatches != floods-6 {
-		t.Fatalf("expected 6 queued + %d shed batches, got %+v", floods-6, stats)
+	if stats.QueueDepth != queueSize || stats.ShedBatches != floods-queueSize {
+		t.Fatalf("expected %d queued + %d shed batches, got %+v", queueSize, floods-queueSize, stats)
 	}
 }

@@ -68,7 +68,7 @@ func TestBootstrapConvergence1000Smoke(t *testing.T) {
 	// tiny allowance keeps the gate meaningful without coupling CI green to
 	// machine load.
 	if p.ShedBatches*1000 > p.Messages {
-		t.Errorf("bootstrap shed %d batches of %d messages; the adaptive window should keep queues under the high-water mark",
+		t.Errorf("bootstrap shed %d batches of %d messages; the adaptive window should keep the event queues from filling",
 			p.ShedBatches, p.Messages)
 	}
 	bounds := core.ScaledSettings(cfg.TimeScale)
@@ -146,7 +146,7 @@ func TestBootstrapConvergence200RaceSmoke(t *testing.T) {
 	// Same control-plane gates as the 1000-node smoke, with the same tiny
 	// shedding allowance for instrumented-scheduler hiccups.
 	if p.ShedBatches*1000 > p.Messages {
-		t.Errorf("bootstrap shed %d batches of %d messages; the adaptive window should keep queues under the high-water mark",
+		t.Errorf("bootstrap shed %d batches of %d messages; the adaptive window should keep the event queues from filling",
 			p.ShedBatches, p.Messages)
 	}
 	bounds := core.ScaledSettings(cfg.TimeScale)

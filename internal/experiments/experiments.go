@@ -162,7 +162,7 @@ type BootstrapConvergencePoint struct {
 	// dissemination cost of the bootstrap storm.
 	Messages int64
 	// ShedBatches sums overload shedding across the fleet: non-zero means
-	// some member's event queue crossed its high-water mark during the run.
+	// some member's event queue filled up during the run.
 	ShedBatches int64
 	// QueueFullTime sums the time producers spent blocked on full event
 	// queues across the fleet (the backpressure shedding cannot remove).
@@ -187,10 +187,6 @@ type ConvergenceOptions struct {
 	Shards int
 	// Timeout bounds each run's convergence wait (0 = 300s).
 	Timeout time.Duration
-	// BatchingWindowMin/Max override the engine's adaptive window range
-	// (0 = scaled core default).
-	BatchingWindowMin time.Duration
-	BatchingWindowMax time.Duration
 }
 
 // RunBootstrapConvergence reruns the Figure 5 bootstrap workload at the
@@ -217,16 +213,14 @@ func RunBootstrapConvergence(cfg Config, sizes []int, opts ConvergenceOptions) (
 			attempts = n / 25
 		}
 		fleet, err := harness.Launch(harness.Options{
-			System:            harness.SystemRapid,
-			N:                 n,
-			TimeScale:         cfg.TimeScale,
-			Seed:              cfg.Seed,
-			SampleInterval:    50 * time.Millisecond,
-			JoinConcurrency:   opts.JoinConcurrency,
-			SimnetShards:      opts.Shards,
-			JoinAttempts:      attempts,
-			BatchingWindowMin: opts.BatchingWindowMin,
-			BatchingWindowMax: opts.BatchingWindowMax,
+			System:          harness.SystemRapid,
+			N:               n,
+			TimeScale:       cfg.TimeScale,
+			Seed:            cfg.Seed,
+			SampleInterval:  50 * time.Millisecond,
+			JoinConcurrency: opts.JoinConcurrency,
+			SimnetShards:    opts.Shards,
+			JoinAttempts:    attempts,
 		})
 		if err != nil {
 			return out, fmt.Errorf("bootstrap convergence N=%d: %w", n, err)

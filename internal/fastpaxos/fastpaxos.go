@@ -50,6 +50,8 @@ type FastPaxos struct {
 	votesReceived map[node.Addr]bool
 	votesPerValue map[string]*tally
 	proposed      bool
+	// classicRounds counts the recovery rounds this process has started.
+	classicRounds uint64
 }
 
 type tally struct {
@@ -166,16 +168,22 @@ func (f *FastPaxos) VotesForLeadingProposal() (leading, total int) {
 	return leading, len(f.votesReceived)
 }
 
-// StartClassicalRound begins the Paxos recovery path if no decision has been
-// reached. The membership service calls this from its fallback timer.
+// StartClassicalRound begins a Paxos recovery round if no decision has been
+// reached. The membership service calls this from its fallback deadline, again
+// and again while the instance stays undecided: each call uses the next round
+// number (2, 3, 4, ...), because a coordinator may only prepare a rank higher
+// than its last one — a repeated round 2 would send nothing, and a
+// coordinator whose first round lost its P1b majority would be silent for good.
 func (f *FastPaxos) StartClassicalRound() {
 	f.mu.Lock()
 	if f.decided {
 		f.mu.Unlock()
 		return
 	}
+	f.classicRounds++
+	round := 1 + f.classicRounds
 	f.mu.Unlock()
-	f.inner.StartPhase1a(2)
+	f.inner.StartPhase1a(round)
 }
 
 // HandlePhase1a routes a recovery message to the inner Paxos instance.

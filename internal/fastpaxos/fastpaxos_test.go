@@ -201,6 +201,42 @@ func TestConflictingVotesFallBackToClassicalPaxos(t *testing.T) {
 	}
 }
 
+// TestRecoveryRetryUsesAHigherRound: a coordinator whose first recovery round
+// reached no majority must be able to try again. A repeated round 2 builds
+// the rank the coordinator already holds and sends nothing (the parent
+// commit's behaviour); every retry has to climb.
+func TestRecoveryRetryUsesAHigherRound(t *testing.T) {
+	const n = 8
+	c := newCluster(n, 7)
+	vA, vB := proposal("a:1"), proposal("b:1")
+	for i, addr := range c.addrs {
+		if i < n/2 {
+			c.instances[addr].Propose(vA)
+		} else {
+			c.instances[addr].Propose(vB)
+		}
+	}
+	coordinator := c.instances[c.addrs[0]]
+	// The first round's P1a reaches too few acceptors for a P1b majority.
+	for _, addr := range c.addrs[n/2:] {
+		c.router.drop[addr] = true
+	}
+	coordinator.StartClassicalRound()
+	if c.decisionCount() != 0 {
+		t.Fatalf("decided with %d of %d acceptors reachable", n/2, n)
+	}
+	for _, addr := range c.addrs[n/2:] {
+		c.router.drop[addr] = false
+	}
+	coordinator.StartClassicalRound()
+	if c.decisionCount() != n {
+		t.Fatalf("%d of %d members decided after the retry", c.decisionCount(), n)
+	}
+	if uniq := c.uniqueDecisions(); len(uniq) != 1 {
+		t.Fatalf("conflicting decisions after the retry: %v", uniq)
+	}
+}
+
 func TestDuplicateVotesFromSameSenderIgnored(t *testing.T) {
 	const n = 8
 	c := newCluster(n, 7)

@@ -107,12 +107,6 @@ type Options struct {
 	// admit joiners in waves, so large fleets need more attempts than the
 	// default tuned for 100-node runs.
 	JoinAttempts int
-	// BatchingWindowMin/Max override the Rapid engine's adaptive batching
-	// window range (0 = scaled core default). The values are used as given —
-	// they are not divided by TimeScale — so experiments can sweep the
-	// floor/ceiling independently of the time compression.
-	BatchingWindowMin time.Duration
-	BatchingWindowMax time.Duration
 }
 
 // Fleet is a running cluster of agents plus its infrastructure processes.
@@ -287,12 +281,6 @@ func (f *Fleet) rapidSettings() core.Settings {
 	}
 	if f.Options.JoinAttempts > 0 {
 		settings.JoinAttempts = f.Options.JoinAttempts
-	}
-	if f.Options.BatchingWindowMin > 0 {
-		settings.BatchingWindowMin = f.Options.BatchingWindowMin
-	}
-	if f.Options.BatchingWindowMax > 0 {
-		settings.BatchingWindowMax = f.Options.BatchingWindowMax
 	}
 	return settings
 }

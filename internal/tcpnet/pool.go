@@ -93,7 +93,7 @@ func (n *Network) send(callerCtx, ctx context.Context, to node.Addr, req *remoti
 	}
 }
 
-// pool is the set of pipelined connections to one destination, plus the dial
+// pool is the one pipelined connection to a destination, plus the dial
 // backoff state that makes sends to a dead peer fail fast instead of each
 // opening its own doomed SYN.
 type pool struct {
@@ -101,8 +101,7 @@ type pool struct {
 	addr node.Addr
 
 	mu           sync.Mutex
-	conns        []*pconn
-	next         int           // round-robin cursor when ConnsPerPeer > 1
+	conn         *pconn        // nil until dialed, and again once it died
 	dialDone     chan struct{} // non-nil while a dial is in flight
 	backoffUntil time.Time
 	backoff      time.Duration
@@ -113,7 +112,7 @@ func newPool(n *Network, addr node.Addr) *pool {
 	return &pool{net: n, addr: addr}
 }
 
-// acquire returns a live connection to the pool's destination, dialing at
+// acquire returns the live connection to the pool's destination, dialing at
 // most once at a time: concurrent senders wait for the in-flight dial
 // instead of each dialing their own connection (this is what collapses a
 // join storm's worth of messages onto one FD).
@@ -124,18 +123,11 @@ func (pl *pool) acquire(ctx context.Context) (*pconn, error) {
 			pl.mu.Unlock()
 			return nil, fmt.Errorf("%w: network closed", transport.ErrUnreachable)
 		}
-		if len(pl.conns) >= pl.net.opts.ConnsPerPeer {
-			pl.next = (pl.next + 1) % len(pl.conns)
-			pc := pl.conns[pl.next]
+		if pc := pl.conn; pc != nil {
 			pl.mu.Unlock()
 			return pc, nil
 		}
 		if until := pl.backoffUntil; time.Now().Before(until) {
-			if len(pl.conns) > 0 {
-				pc := pl.conns[0]
-				pl.mu.Unlock()
-				return pc, nil
-			}
 			pl.mu.Unlock()
 			return nil, fmt.Errorf("%w: dial backoff until %s", transport.ErrUnreachable, until.Format("15:04:05.000"))
 		}
@@ -166,7 +158,7 @@ func (pl *pool) acquire(ctx context.Context) (*pconn, error) {
 			pc.close(fmt.Errorf("%w: network closed", transport.ErrUnreachable))
 			return nil, fmt.Errorf("%w: network closed", transport.ErrUnreachable)
 		}
-		pl.conns = append(pl.conns, pc)
+		pl.conn = pc
 		pl.mu.Unlock()
 		return pc, nil
 	}
@@ -215,23 +207,20 @@ func (pl *pool) dial(ctx context.Context) (*pconn, error) {
 // remove drops a dead connection from the pool.
 func (pl *pool) remove(pc *pconn) {
 	pl.mu.Lock()
-	for i, c := range pl.conns {
-		if c == pc {
-			pl.conns = append(pl.conns[:i], pl.conns[i+1:]...)
-			break
-		}
+	if pl.conn == pc {
+		pl.conn = nil
 	}
 	pl.mu.Unlock()
 }
 
-// closeAll closes every pooled connection; used by Network.Close.
+// closeAll closes the pooled connection; used by Network.Close.
 func (pl *pool) closeAll() {
 	pl.mu.Lock()
 	pl.closed = true
-	conns := append([]*pconn(nil), pl.conns...)
-	pl.conns = nil
+	pc := pl.conn
+	pl.conn = nil
 	pl.mu.Unlock()
-	for _, pc := range conns {
+	if pc != nil {
 		pc.close(fmt.Errorf("%w: network closed", transport.ErrUnreachable))
 	}
 }

@@ -43,10 +43,6 @@ type Options struct {
 	// than the server end so reuse rarely races a server-side close).
 	// Defaults to 60s.
 	IdleTimeout time.Duration
-	// ConnsPerPeer caps pooled connections per destination. Pipelining makes
-	// one connection sufficient for membership traffic; raise it only if a
-	// single stream becomes a throughput bottleneck. Defaults to 1.
-	ConnsPerPeer int
 	// MaxInFlightPerConn bounds concurrently executing handlers per inbound
 	// connection on the server side. Defaults to 256.
 	MaxInFlightPerConn int
@@ -78,9 +74,9 @@ func (o *Options) validate() error {
 		return fmt.Errorf("tcpnet: negative timeout in options (dial=%v request=%v idle=%v backoff=%v/%v)",
 			o.DialTimeout, o.RequestTimeout, o.IdleTimeout, o.DialBackoffBase, o.DialBackoffMax)
 	}
-	if o.ConnsPerPeer < 0 || o.MaxInFlightPerConn < 0 || o.BestEffortWorkers < 0 || o.BestEffortQueue < 0 {
-		return fmt.Errorf("tcpnet: negative bound in options (conns=%d inflight=%d workers=%d queue=%d)",
-			o.ConnsPerPeer, o.MaxInFlightPerConn, o.BestEffortWorkers, o.BestEffortQueue)
+	if o.MaxInFlightPerConn < 0 || o.BestEffortWorkers < 0 || o.BestEffortQueue < 0 {
+		return fmt.Errorf("tcpnet: negative bound in options (inflight=%d workers=%d queue=%d)",
+			o.MaxInFlightPerConn, o.BestEffortWorkers, o.BestEffortQueue)
 	}
 	if o.DialTimeout == 0 {
 		o.DialTimeout = time.Second
@@ -90,9 +86,6 @@ func (o *Options) validate() error {
 	}
 	if o.IdleTimeout == 0 {
 		o.IdleTimeout = 60 * time.Second
-	}
-	if o.ConnsPerPeer == 0 {
-		o.ConnsPerPeer = 1
 	}
 	if o.MaxInFlightPerConn == 0 {
 		o.MaxInFlightPerConn = 256

@@ -378,7 +378,7 @@ func TestIdleTimeoutDefaultsApplied(t *testing.T) {
 	if n.opts.IdleTimeout != 60*time.Second {
 		t.Fatalf("zero IdleTimeout did not default to 60s: %v", n.opts.IdleTimeout)
 	}
-	if n.opts.ConnsPerPeer != 1 || n.opts.BestEffortWorkers != 4 || n.opts.BestEffortQueue != 1024 {
+	if n.opts.BestEffortWorkers != 4 || n.opts.BestEffortQueue != 1024 {
 		t.Fatalf("defaults not applied: %+v", n.opts)
 	}
 }
