@@ -1,8 +1,8 @@
-// Package broadcast provides the dissemination primitives used for alerts and
-// consensus votes. Rapid's default is a best-effort unicast-to-all
-// broadcaster (the counting fast path only needs a best-effort channel); a
-// fanout gossip broadcaster is provided as an alternative with lower
-// per-sender cost at the price of extra hops.
+// Package broadcast provides the dissemination primitives used for alerts
+// and the consensus recovery path (fast-round votes are pushed along the K
+// rings by the membership service itself). Rapid's default is a best-effort
+// unicast-to-all broadcaster; a fanout gossip broadcaster is provided as an
+// alternative with lower per-sender cost at the price of extra hops.
 package broadcast
 
 import (
@@ -66,7 +66,7 @@ func (b *UnicastToAll) Members() []node.Addr {
 
 // Gossip forwards each broadcast to a random fanout subset of the membership;
 // receivers are expected to re-broadcast (the membership service does this
-// for batched alert/vote messages, deduplicating on per-sender sequence
+// for batched alert messages, deduplicating on per-sender sequence
 // numbers). It reduces per-sender cost from O(N) to O(fanout) per hop.
 type Gossip struct {
 	client transport.Client

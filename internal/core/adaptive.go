@@ -22,7 +22,7 @@ const (
 	growQueueFraction = 8
 	// growArrivals: with a healthy queue, this many data events inside one
 	// ceiling-length window is storm-level traffic (a steady cluster sees
-	// none — members only flush when they have pending alerts or votes). The
+	// none — members only flush when they have alerts or votes to send). The
 	// per-window threshold scales with the window so it expresses an arrival
 	// *rate*: a short window must not need the same absolute count as the
 	// ceiling to react.

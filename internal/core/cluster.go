@@ -104,8 +104,8 @@ type Cluster struct {
 	me       node.Endpoint
 
 	// unicast always addresses the full membership; broadcaster is the
-	// Settings-selected strategy for batched alerts and votes (it aliases
-	// unicast unless gossip is configured).
+	// Settings-selected strategy for batched alerts (it aliases unicast unless
+	// gossip is configured).
 	unicast     *broadcast.UnicastToAll
 	broadcaster broadcast.Broadcaster
 
@@ -137,9 +137,10 @@ type Cluster struct {
 type EngineMetrics struct {
 	// EventsProcessed counts events applied by the engine goroutine.
 	EventsProcessed metrics.Counter
-	// BatchesSent counts flushed outbound batches.
+	// BatchesSent counts flushed alert batches and vote pushes.
 	BatchesSent metrics.Counter
-	// BatchSizes aggregates alerts+votes per flushed batch.
+	// BatchSizes aggregates the alerts per flushed alert batch and the
+	// proposals per vote push.
 	BatchSizes metrics.Distribution
 	// GossipDuplicates counts batches dropped by gossip deduplication.
 	GossipDuplicates metrics.Counter

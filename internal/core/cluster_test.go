@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	stdnet "net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"repro/internal/node"
 	"repro/internal/remoting"
 	"repro/internal/simnet"
+	"repro/internal/tcpnet"
+	"repro/internal/transport"
 	"repro/internal/view"
 )
 
@@ -205,58 +208,12 @@ func TestDuplicateAddressIsRejectedAtPreJoin(t *testing.T) {
 
 func TestConcurrentJoins(t *testing.T) {
 	net := simnet.New(simnet.Options{Seed: 4})
-	settings := testSettings()
 	node.SeedIDGenerator(99)
-	seed, err := StartCluster(addr(0), settings, net)
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]node.Addr, 13)
+	for i := range addrs {
+		addrs[i] = addr(i)
 	}
-	const joiners = 12
-	var mu sync.Mutex
-	clusters := []*Cluster{seed}
-	var wg sync.WaitGroup
-	for i := 1; i <= joiners; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := JoinCluster(addr(i), []node.Addr{addr(0)}, settings, net)
-			if err != nil {
-				t.Errorf("join %d failed: %v", i, err)
-				return
-			}
-			mu.Lock()
-			clusters = append(clusters, c)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		stopAll(clusters)
-	}()
-	if !waitUntil(t, 30*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(clusters) != joiners+1 {
-			return false
-		}
-		for _, c := range clusters {
-			if c.Size() != joiners+1 {
-				return false
-			}
-		}
-		return true
-	}) {
-		mu.Lock()
-		sizes := []int{}
-		for _, c := range clusters {
-			sizes = append(sizes, c.Size())
-		}
-		mu.Unlock()
-		t.Fatalf("concurrent joins did not converge: sizes=%v", sizes)
-	}
+	stopAll(joinFleet(t, net, addrs, testSettings()))
 }
 
 func TestCrashFailuresDetectedAndRemoved(t *testing.T) {
@@ -509,7 +466,9 @@ func TestStopIsIdempotentAndHaltsService(t *testing.T) {
 
 func TestGossipBroadcastModeConverges(t *testing.T) {
 	// The gossip broadcaster is selected through Settings; receivers must
-	// re-broadcast unseen batches so alerts and votes flood the membership.
+	// re-broadcast unseen batches so alerts flood the membership. Votes do
+	// not ride the gossip batch: they take the ring path in either mode (one
+	// hop here, with eight members).
 	net := simnet.New(simnet.Options{Seed: 12})
 	settings := testSettings()
 	settings.Broadcast = BroadcastGossip
@@ -561,19 +520,199 @@ func TestUnknownBroadcastModeRejected(t *testing.T) {
 	}
 }
 
-func TestFastRoundVotesTravelBatched(t *testing.T) {
-	// Consensus fast-round votes must share the batched outbound path with
-	// alerts: no standalone fastround messages on the wire.
+// joinFleet starts a seed and n-1 members that all join at once, waits until
+// every one of them reports n members, and returns them, seed first.
+func joinFleet(t *testing.T, net transport.Network, addrs []node.Addr, settings Settings) []*Cluster {
+	t.Helper()
+	seed, err := StartCluster(addrs[0], settings, net)
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	clusters := make([]*Cluster, len(addrs))
+	clusters[0] = seed
+	var wg sync.WaitGroup
+	for i := 1; i < len(addrs); i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := JoinCluster(addrs[i], addrs[:1], settings, net)
+			if err != nil {
+				t.Errorf("join %d failed: %v", i, err)
+				return
+			}
+			clusters[i] = c
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if !waitUntil(t, 60*time.Second, func() bool { return allAgree(clusters, len(addrs)) }) {
+		t.Fatalf("the fleet did not converge to %d members", len(addrs))
+	}
+	return clusters
+}
+
+// allAgree reports whether every member holds the same configuration, of the
+// given size.
+func allAgree(clusters []*Cluster, size int) bool {
+	for _, c := range clusters {
+		if c.Size() != size || c.ConfigurationID() != clusters[0].ConfigurationID() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVotesTravelAlongTheRings: 200 members, two crash. The survivors count
+// each other's votes through bitmaps pushed along the K rings: no standalone
+// fast-round message, and per member and view change a handful of pushes to
+// K subjects (about 4K measured, 6K allowed) where unicast-to-all sent one
+// vote batch to each of the 200 — and every survivor installs the same
+// configuration.
+func TestVotesTravelAlongTheRings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 200-member fleet is too slow for the race lane")
+	}
+	const n = 200
 	net := simnet.New(simnet.Options{Seed: 14})
-	clusters := startCluster(t, net, 5, testSettings())
+	defer net.Close()
+	settings := ScaledSettings(5)
+	node.SeedIDGenerator(14)
+	addrs := make([]node.Addr, n)
+	for i := range addrs {
+		addrs[i] = addr(i)
+	}
+	clusters := joinFleet(t, net, addrs, settings)
 	defer stopAll(clusters)
 
-	if got := net.MessageCount("fastround"); got != 0 {
-		t.Errorf("%d standalone fast-round messages sent; votes should ride the batch", got)
+	survivors := clusters[:n-2]
+	pushesBefore, changesBefore := net.MessageCount("votebatch"), survivors[0].ViewChangeCount()
+	net.Crash(addrs[n-1])
+	net.Crash(addrs[n-2])
+	if !waitUntil(t, 60*time.Second, func() bool { return allAgree(survivors, n-2) }) {
+		t.Fatal("the survivors did not agree on a configuration without the two crashed members")
 	}
-	batched := net.MessageCount("votebatch") + net.MessageCount("alerts+votes")
-	if batched == 0 {
-		t.Error("no batched vote messages observed during view changes")
+	if got := net.MessageCount("fastround"); got != 0 {
+		t.Errorf("%d standalone fast-round messages sent; votes travel as pushed bitmaps", got)
+	}
+	changes := survivors[0].ViewChangeCount() - changesBefore
+	perMember := float64(net.MessageCount("votebatch")-pushesBefore) / float64(len(survivors)*changes)
+	t.Logf("%d view change(s), %.1f vote-batch sends per member and view change (K=%d)", changes, perMember, settings.K)
+	if perMember == 0 || perMember > float64(6*settings.K) {
+		t.Errorf("%.1f vote-batch sends per member and view change, want (0, %d]", perMember, 6*settings.K)
+	}
+}
+
+// tcpFleetNet gives every member its own TCP transport, as separate processes
+// would have, and counts what the members send by request kind.
+type tcpFleetNet struct {
+	mu   sync.Mutex
+	nets map[node.Addr]*tcpnet.Network
+	sent map[string]int
+}
+
+func (f *tcpFleetNet) of(a node.Addr) *tcpnet.Network {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.nets[a] == nil {
+		n, err := tcpnet.New(tcpnet.Options{})
+		if err != nil {
+			panic(err) // the zero Options are valid
+		}
+		f.nets[a] = n
+	}
+	return f.nets[a]
+}
+
+func (f *tcpFleetNet) Register(a node.Addr, h transport.Handler) error { return f.of(a).Register(a, h) }
+func (f *tcpFleetNet) Deregister(a node.Addr)                          { f.of(a).Deregister(a) }
+func (f *tcpFleetNet) Client(a node.Addr) transport.Client {
+	return kindCountingClient{f.of(a).Client(a), f}
+}
+
+func (f *tcpFleetNet) count(kind string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sent[kind]
+}
+
+func (f *tcpFleetNet) close() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, n := range f.nets {
+		n.Close()
+	}
+}
+
+type kindCountingClient struct {
+	transport.Client
+	f *tcpFleetNet
+}
+
+func (c kindCountingClient) note(req *remoting.Request) {
+	c.f.mu.Lock()
+	c.f.sent[req.Kind()]++
+	c.f.mu.Unlock()
+}
+
+func (c kindCountingClient) Send(ctx context.Context, to node.Addr, req *remoting.Request) (*remoting.Response, error) {
+	c.note(req)
+	return c.Client.Send(ctx, to, req)
+}
+
+func (c kindCountingClient) SendBestEffort(to node.Addr, req *remoting.Request) {
+	c.note(req)
+	c.Client.SendBestEffort(to, req)
+}
+
+// TestRelayedVotesCrossTheRealCodec: 48 members on loopback TCP are above the
+// one-hop limit (4K = 40), so their votes are relayed as bitmaps through the
+// wire codec. One crash must be decided on the fast path — no recovery round —
+// by every survivor.
+func TestRelayedVotesCrossTheRealCodec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("48 members over loopback TCP are too slow for the race lane")
+	}
+	const n = 48
+	net := &tcpFleetNet{nets: map[node.Addr]*tcpnet.Network{}, sent: map[string]int{}}
+	defer net.close()
+	// Free ports: held open until all are drawn, so that no two are the same.
+	addrs := make([]node.Addr, n)
+	held := make([]stdnet.Listener, n)
+	for i := range addrs {
+		l, err := stdnet.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("cannot listen on loopback: %v", err)
+		}
+		addrs[i], held[i] = node.Addr(l.Addr().String()), l
+	}
+	for _, l := range held {
+		l.Close()
+	}
+	settings := ScaledSettings(5)
+	node.SeedIDGenerator(48)
+	clusters := joinFleet(t, net, addrs, settings)
+	defer stopAll(clusters)
+
+	// Concurrent joins may well have needed recovery rounds; the crash must not.
+	pushesBefore, recoveriesBefore := net.count("votebatch"), net.count("phase1a")
+	victim, survivors := clusters[n-1], clusters[:n-1]
+	victim.Stop() // no leave announcement: to the others this is a crash
+	if !waitUntil(t, 60*time.Second, func() bool { return allAgree(survivors, n-1) }) {
+		t.Fatal("the survivors did not agree on a configuration without the crashed member")
+	}
+	if got := net.count("phase1a") - recoveriesBefore; got != 0 {
+		t.Errorf("%d recovery messages sent; the relayed bitmaps should decide on the fast path", got)
+	}
+	// How many pushes a member makes depends on how the votes' arrival is
+	// spread against its flush window, and a compressed window over real
+	// sockets spreads it wide; the count is logged, not bounded.
+	pushes := net.count("votebatch") - pushesBefore
+	t.Logf("%.1f vote-batch sends per member", float64(pushes)/float64(len(survivors)))
+	if pushes == 0 {
+		t.Error("no vote batch was sent")
 	}
 }
 

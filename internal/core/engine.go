@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -14,10 +15,10 @@ import (
 // This file implements the cluster's single-writer protocol engine. One
 // goroutine — the engine loop — owns every piece of per-configuration
 // protocol state: the K-ring view, the multi-process cut detector, the
-// consensus instance, the pending join waiters, and the outbound batch. All
-// protocol inputs (batched alerts, consensus messages, failure-detector
+// consensus instance, the pending join waiters, and the outbound alert batch.
+// All protocol inputs (batched alerts, consensus messages, failure-detector
 // verdicts, join and leave requests) arrive as events on one queue and are
-// applied sequentially, so no mutex guards protocol state and the N² message
+// applied sequentially, so no mutex guards protocol state and the message
 // path never contends on a lock. The engine owns its deadlines too: they are
 // fields it checks on its own ticks, never goroutines that read protocol
 // state from outside. Transport handlers are thin enqueuers; see handlers.go.
@@ -65,7 +66,7 @@ type joinerKey struct {
 	id   node.ID
 }
 
-// batchKey identifies one flushed outbound batch for gossip deduplication.
+// batchKey identifies one flushed alert batch for gossip deduplication.
 type batchKey struct {
 	origin node.Addr
 	seq    uint64
@@ -79,9 +80,20 @@ type batchKey struct {
 type engine struct {
 	c *Cluster
 
-	view      *view.View           // engine-owned
+	view *view.View // engine-owned
+	// addrs is the membership sorted by address, myIndex this process' place
+	// in it (-1 once it has been removed), and subjects the distinct processes
+	// it monitors: all three are derived from the view once per installed
+	// configuration. A voter bitmap is indexed the way addrs is.
+	addrs     []node.Addr          // engine-owned
+	myIndex   int                  // engine-owned
+	subjects  []node.Addr          // engine-owned
 	cd        *cutdetect.Detector  // engine-owned
 	consensus *fastpaxos.FastPaxos // engine-owned
+	// votesDirty is set while the consensus instance holds votes this process
+	// has not pushed to its vote targets yet: its own, or, when it relays,
+	// whatever an inbound aggregate taught it. engine-owned.
+	votesDirty bool
 	// fallbackAt is the recovery deadline of the current consensus instance:
 	// armed when this process votes, cleared when the instance decides, and
 	// checked on the reinforcement tick. Zero while unarmed. engine-owned.
@@ -103,11 +115,10 @@ type engine struct {
 	earlyJoins  []*joinEvent
 	viewChanges int // engine-owned
 
-	// Unified outbound batch: alerts and fast-round votes generated within
-	// one batching window leave as a single wire message on the next flush.
-	pendingAlerts []remoting.AlertMessage     // engine-owned
-	pendingVotes  []remoting.FastRoundPhase2b // engine-owned
-	outSeq        uint64                      // engine-owned
+	// Outbound alert batch: alerts generated within one batching window leave
+	// as a single wire message on the next flush.
+	pendingAlerts []remoting.AlertMessage // engine-owned
+	outSeq        uint64                  // engine-owned
 
 	// winCtl sizes the flush window between the configured floor and ceiling
 	// from queue depth and arrival rate (see adaptive.go); arrivals counts
@@ -115,9 +126,9 @@ type engine struct {
 	winCtl   windowController // engine-owned
 	arrivals int              // engine-owned
 
-	// seenBatches deduplicates gossip-forwarded batches per configuration.
+	// seenBatches deduplicates gossip-forwarded alert batches.
 	seenBatches map[batchKey]bool // engine-owned
-	// rumors are batches this process still re-gossips on upcoming batch
+	// rumors are alert batches this process still re-gossips on upcoming batch
 	// ticks (push gossip needs multiple rounds for whp coverage).
 	rumors []rumor // engine-owned
 }
@@ -166,14 +177,35 @@ func newEngine(c *Cluster, members []node.Endpoint) *engine {
 		winCtl: newWindowController(c.settings.BatchingWindowMin, c.settings.BatchingWindowMax),
 	}
 	c.emetrics.BatchWindow.Set(int64(e.winCtl.window))
-	addrs := e.view.MemberAddrs()
-	c.unicast.SetMembership(addrs)
+	e.install()
+	return e
+}
+
+// install derives everything the engine keeps per configuration from the
+// view it just built or changed — the membership is sorted here, once — and
+// publishes the result: broadcast recipients, a fresh consensus instance, the
+// snapshot readers see. It returns the sorted membership.
+func (e *engine) install() []node.Endpoint {
+	c := e.c
+	members := e.view.Members()
+	e.addrs = node.EndpointAddrs(members)
+	e.myIndex = -1
+	if i, ok := slices.BinarySearch(e.addrs, c.me.Addr); ok {
+		e.myIndex = i
+	}
+	e.subjects = nil
+	if e.myIndex >= 0 {
+		e.subjects, _ = e.view.UniqueSubjectsOf(c.me.Addr)
+	}
+	c.unicast.SetMembership(e.addrs)
 	if c.broadcaster != c.unicast {
-		c.broadcaster.SetMembership(addrs)
+		c.broadcaster.SetMembership(e.addrs)
 	}
 	e.consensus = e.newConsensus()
-	c.publishSnapshot(e.view, e.view.Members(), e.viewChanges)
-	return e
+	e.votesDirty = false
+	e.fallbackAt = time.Time{}
+	c.publishSnapshot(e.view, members, e.viewChanges)
+	return members
 }
 
 // run is the engine loop: the only goroutine that mutates protocol state.
@@ -185,7 +217,7 @@ func (e *engine) run() {
 	// The initial monitor subject set is published from this goroutine so
 	// that it is ordered before any view change's update: publishing it from
 	// the initializer could overwrite a newer set with the stale initial one.
-	c.setMonitorSubjects(e.currentSubjects())
+	c.setMonitorSubjects(e.subjects)
 	// The flush timer is re-armed after every flush with a window the
 	// controller sizes to the current load, so it is a one-shot Timer rather
 	// than a fixed-period Ticker.
@@ -250,8 +282,6 @@ func (e *engine) dispatchRequest(req *remoting.Request, network bool) {
 	case req.Alerts != nil || req.VoteBatch != nil:
 		e.arrivals++
 		e.handleBatch(req, network)
-	case req.FastRound != nil:
-		e.consensus.HandleFastRoundVote(req.FastRound)
 	case req.P1a != nil:
 		e.consensus.HandlePhase1a(req.P1a)
 	case req.P1b != nil:
@@ -266,17 +296,15 @@ func (e *engine) dispatchRequest(req *remoting.Request, network bool) {
 	}
 }
 
-// newConsensus builds the consensus instance for the current view. Votes are
-// routed into the unified outbound batch; the classical recovery path
+// newConsensus builds the consensus instance for the current view. This
+// process' own vote comes back through addVote; the classical recovery path
 // broadcasts directly via unicast-to-all so it needs no gossip cooperation.
 func (e *engine) newConsensus() *fastpaxos.FastPaxos {
 	c := e.c
-	members := e.view.MemberAddrs()
-	myIndex := sort.Search(len(members), func(i int) bool { return members[i] >= c.me.Addr })
 	return fastpaxos.New(fastpaxos.Config{
 		MyAddr:          c.me.Addr,
-		MyIndex:         myIndex,
-		MembershipSize:  e.view.Size(),
+		MyIndex:         e.myIndex,
+		MembershipSize:  len(e.addrs),
 		ConfigurationID: e.view.ConfigurationID(),
 		Client:          c.client,
 		Broadcaster:     c.unicast,
@@ -292,35 +320,62 @@ func (e *engine) addAlert(alert remoting.AlertMessage) {
 	e.pendingAlerts = append(e.pendingAlerts, alert)
 }
 
-// addVote buffers this process' fast-round vote for the next flush. It is the
-// consensus VoteSink and only ever runs on the engine goroutine (consensus
-// methods are invoked exclusively from dispatch).
+// addVote counts this process' own fast-round vote — the consensus VoteSink
+// hands it over with this process' bit set — and marks it for the next push.
+// It only ever runs on the engine goroutine (consensus methods are invoked
+// exclusively from dispatch). The flag is set first: a vote that completes
+// the quorum installs the next configuration inside Merge, and that push
+// (see applyDecision) is the only one this vote will get.
 func (e *engine) addVote(vote *remoting.FastRoundPhase2b) {
-	if vote.ConfigurationID != e.view.ConfigurationID() {
-		return
-	}
-	e.pendingVotes = append(e.pendingVotes, *vote)
+	e.votesDirty = true
+	e.consensus.Merge(vote.ConfigurationID, vote.Proposal, vote.Voters)
 }
 
-// flushOutbox sends everything buffered during the last batching window as
-// one wire message (§6, extended to consensus votes).
+// relays reports whether votes travel along the K rings in this
+// configuration (see Settings.oneHopLimit).
+func (e *engine) relays() bool { return len(e.addrs) > e.c.settings.oneHopLimit() }
+
+// pushVotes sends what the consensus instance knows — one voter bitmap per
+// distinct proposal — to this process' vote targets: its ring subjects when
+// it relays, otherwise every other member, which makes one hop enough.
+func (e *engine) pushVotes() {
+	c := e.c
+	e.votesDirty = false
+	votes := e.consensus.Aggregates()
+	if len(votes) == 0 {
+		return
+	}
+	e.outSeq++
+	req := &remoting.Request{VoteBatch: &remoting.FastRoundVoteBatch{Sender: c.me.Addr, Seq: e.outSeq, Votes: votes}}
+	c.emetrics.BatchSizes.Observe(float64(len(votes)))
+	c.emetrics.BatchesSent.Add(1)
+	targets := e.addrs
+	if e.relays() {
+		targets = e.subjects
+	}
+	for _, to := range targets {
+		if to != c.me.Addr {
+			c.client.SendBestEffort(to, req)
+		}
+	}
+}
+
+// flushOutbox sends what the last batching window produced: the vote
+// aggregates, if this process learned of a vote since its last push, and the
+// buffered alerts as one wire message (§6).
 func (e *engine) flushOutbox() {
-	if len(e.pendingAlerts) == 0 && len(e.pendingVotes) == 0 {
+	if e.votesDirty {
+		e.pushVotes()
+	}
+	if len(e.pendingAlerts) == 0 {
 		return
 	}
 	c := e.c
 	e.outSeq++
-	req := &remoting.Request{}
-	if len(e.pendingAlerts) > 0 {
-		req.Alerts = &remoting.BatchedAlertMessage{Sender: c.me.Addr, Seq: e.outSeq, Alerts: e.pendingAlerts}
-	}
-	if len(e.pendingVotes) > 0 {
-		req.VoteBatch = &remoting.FastRoundVoteBatch{Sender: c.me.Addr, Seq: e.outSeq, Votes: e.pendingVotes}
-	}
-	c.emetrics.BatchSizes.Observe(float64(len(e.pendingAlerts) + len(e.pendingVotes)))
+	req := &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: c.me.Addr, Seq: e.outSeq, Alerts: e.pendingAlerts}}
+	c.emetrics.BatchSizes.Observe(float64(len(e.pendingAlerts)))
 	c.emetrics.BatchesSent.Add(1)
 	e.pendingAlerts = nil
-	e.pendingVotes = nil
 
 	if c.settings.Broadcast == BroadcastGossip {
 		// Gossip reaches a random fanout subset, so the sender cannot rely on
@@ -363,42 +418,60 @@ func (e *engine) regossip() {
 
 // --- inbound protocol events -------------------------------------------------
 
-// handleBatch applies one unified batch: gossip bookkeeping first, then
-// alerts through cut detection (possibly casting this process' vote), then
-// the batched fast-round votes.
+// handleBatch applies one inbound batch: alerts through cut detection
+// (possibly casting this process' vote), then vote aggregates into the
+// consensus tally.
 func (e *engine) handleBatch(req *remoting.Request, network bool) {
-	c := e.c
-	// Dedup and re-broadcast only exist for gossip: unicast-to-all delivers
-	// each batch exactly once, so the default mode skips the bookkeeping on
-	// its hot path entirely.
-	if network && c.settings.Broadcast == BroadcastGossip {
-		key := batchKey{}
-		if req.Alerts != nil {
-			key = batchKey{origin: req.Alerts.Sender, seq: req.Alerts.Seq}
-		} else {
-			key = batchKey{origin: req.VoteBatch.Sender, seq: req.VoteBatch.Seq}
-		}
-		if e.seenBatches[key] {
-			c.emetrics.GossipDuplicates.Add(1)
-			return
-		}
-		if len(e.seenBatches) >= maxSeenBatches {
-			e.seenBatches = make(map[batchKey]bool)
-		}
-		e.seenBatches[key] = true
-		// Re-broadcast unseen batches so gossip floods the membership, as the
-		// broadcast package's contract requires, and keep pushing them for
-		// the remaining gossip rounds.
-		c.broadcaster.Broadcast(req)
-		e.addRumor(req)
-	}
-	if req.Alerts != nil {
+	// Dedup and re-broadcast only exist for gossip, and only for alerts:
+	// unicast-to-all delivers each batch exactly once, so the default mode
+	// skips the bookkeeping on its hot path entirely.
+	gossiped := network && e.c.settings.Broadcast == BroadcastGossip
+	if req.Alerts != nil && (!gossiped || e.forwardOnce(req)) {
 		e.handleAlerts(req.Alerts)
 	}
 	if req.VoteBatch != nil {
-		for i := range req.VoteBatch.Votes {
-			e.consensus.HandleFastRoundVote(&req.VoteBatch.Votes[i])
+		e.handleVotes(req.VoteBatch)
+	}
+}
+
+// forwardOnce is the gossip bookkeeping of an inbound alert batch: it reports
+// whether the batch is new to this process, and if so re-broadcasts it — so
+// gossip floods the membership, as the broadcast package's contract requires
+// — and keeps pushing it for the remaining gossip rounds.
+func (e *engine) forwardOnce(req *remoting.Request) bool {
+	key := batchKey{origin: req.Alerts.Sender, seq: req.Alerts.Seq}
+	if e.seenBatches[key] {
+		e.c.emetrics.GossipDuplicates.Add(1)
+		return false
+	}
+	if len(e.seenBatches) >= maxSeenBatches {
+		e.seenBatches = make(map[batchKey]bool)
+	}
+	e.seenBatches[key] = true
+	e.c.broadcaster.Broadcast(req)
+	e.addRumor(req)
+	return true
+}
+
+// handleVotes merges a peer's vote aggregates. When this process relays, an
+// aggregate that taught it a voter is pushed on at the next flush; in a
+// one-hop membership every voter reaches every member itself.
+func (e *engine) handleVotes(batch *remoting.FastRoundVoteBatch) {
+	cons := e.consensus
+	learned := false
+	for i := range batch.Votes {
+		v := &batch.Votes[i]
+		if cons.Merge(v.ConfigurationID, v.Proposal, v.Voters) {
+			learned = true
 		}
+		if e.consensus != cons {
+			// That aggregate completed a quorum: Merge installed the next
+			// configuration, and the rest of the batch names the one just left.
+			return
+		}
+	}
+	if learned && e.relays() {
+		e.votesDirty = true
 	}
 }
 
@@ -448,27 +521,26 @@ func (e *engine) propose(proposal []node.Endpoint) {
 		return
 	}
 	cons := e.consensus
-	if cons.HasProposed() {
+	// A process its view no longer contains has no vote (and no bit).
+	if e.myIndex < 0 || cons.HasProposed() {
 		return
 	}
-	members := e.view.MemberAddrs()
-	myIndex := sort.Search(len(members), func(i int) bool { return members[i] >= e.c.me.Addr })
 	proposal = dedupeEndpoints(proposal)
 	// A lone seed is the only voter on its cut, so it may admit any part of
-	// it, and it admits at most 4K joiners. Whoever it admits votes on the
-	// next wave, and every voter tallies every vote over that whole cut — a
-	// cost quadratic in this number — while 4K members already give the next
-	// joiners K observers that are distinct but for one on average. Left
-	// alone, the timing of a bootstrap storm against the seed's first window
-	// picks this number: five joiners, or three hundred.
-	if solo := 4 * e.c.settings.K; len(members) == 1 && len(proposal) > solo {
+	// it, and it admits at most oneHopLimit (4K) joiners: the largest
+	// electorate that still counts the next wave's votes in one hop, and 4K
+	// members already give the next joiners K observers that are distinct but
+	// for one on average. Left alone, the timing of a bootstrap storm against
+	// the seed's first window picks this number: five joiners, or three
+	// hundred.
+	if solo := e.c.settings.oneHopLimit(); len(e.addrs) == 1 && len(proposal) > solo {
 		proposal = proposal[:solo]
 	}
 	// Arm the recovery deadline: the base delay plus a per-node jitter, so a
 	// single coordinator usually emerges. Armed before the vote is cast: a
 	// single-process cluster decides inside Propose, and that clears it again.
 	base := e.c.settings.ConsensusFallbackBase
-	e.fallbackAt = e.c.clock.Now().Add(base + time.Duration(myIndex%8)*base/8)
+	e.fallbackAt = e.c.clock.Now().Add(base + time.Duration(e.myIndex%8)*base/8)
 	cons.Propose(proposal)
 }
 
@@ -497,10 +569,15 @@ func (e *engine) handleSubjectFailed(subject node.Addr) {
 // implicit-alert scan that handleAlerts skips for join/vote-only batches, and
 // starts a classical recovery round when the consensus instance this process
 // voted in is past its deadline — again every ConsensusFallbackBase for as
-// long as it stays undecided, each time with a higher rank.
+// long as it stays undecided, each time with a higher rank. Votes not pushed
+// yet go out on this tick too, so they never wait on a flush window that was
+// configured longer than it.
 func (e *engine) reinforce() {
 	c := e.c
 	now := c.clock.Now()
+	if e.votesDirty {
+		e.pushVotes()
+	}
 	stuck := e.cd.UnstableLongerThan(now, c.settings.ReinforcementTimeout)
 	for _, subject := range stuck {
 		e.handleSubjectFailed(subject)
@@ -629,6 +706,15 @@ func (e *engine) forgetJoin(ev *joinEvent) {
 // that were waiting on this view change.
 func (e *engine) applyDecision(proposal []node.Endpoint) {
 	c := e.c
+	// The decision push. This process is about to drop the instance that just
+	// decided, and with it everything it would have relayed: pushed now, to
+	// the subjects of the configuration being left, the deciding aggregate
+	// lets them decide too — otherwise the relay chain ends at whoever
+	// decides first. In a one-hop membership only a vote of its own that has
+	// not left yet still matters to anyone.
+	if e.votesDirty || e.relays() {
+		e.pushVotes()
+	}
 
 	changes := make([]StatusChange, 0, len(proposal))
 	for _, ep := range proposal {
@@ -645,25 +731,16 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 
 	e.viewChanges++
 	newConfigID := e.view.ConfigurationID()
-	members := e.view.Members()
 
 	// Per-configuration state is reset: tallies never carry across views.
 	e.cd.Clear()
 	e.alertedEdges = make(map[node.Addr]bool)
 	e.pendingAlerts = nil
-	e.pendingVotes = nil
 	// seenBatches and rumors survive the view change deliberately: (origin,
 	// seq) keys are never reused, so dedup stays valid, and re-gossiping the
 	// previous configuration's batches is what rescues members that have not
 	// decided yet. Stale content is config-filtered on receipt.
-	addrs := e.view.MemberAddrs()
-	c.unicast.SetMembership(addrs)
-	if c.broadcaster != c.unicast {
-		c.broadcaster.SetMembership(addrs)
-	}
-	e.consensus = e.newConsensus()
-	e.fallbackAt = time.Time{}
-	c.publishSnapshot(e.view, members, e.viewChanges)
+	members := e.install()
 
 	// Settle every parked joiner now. The incarnation this view change
 	// admitted gets the new configuration; every other one is redirected to
@@ -702,23 +779,13 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 
 	// Monitors depend on the subject set, which changed with the view; the
 	// monitor manager swaps them without blocking the engine.
-	c.setMonitorSubjects(e.currentSubjects())
+	c.setMonitorSubjects(e.subjects)
 
 	c.notifier.publish(ViewChange{
 		ConfigurationID: newConfigID,
 		Members:         members,
 		Changes:         changes,
 	})
-}
-
-// currentSubjects returns the distinct subjects this process must monitor in
-// the current configuration, or nil if it is no longer a member.
-func (e *engine) currentSubjects() []node.Addr {
-	if !e.view.Contains(e.c.me.Addr) {
-		return nil
-	}
-	subjects, _ := e.view.UniqueSubjectsOf(e.c.me.Addr)
-	return subjects
 }
 
 // dedupeEndpoints removes duplicate endpoints and sorts by address so every

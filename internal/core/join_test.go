@@ -144,12 +144,11 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 		admitted = append(admitted, r.park(seed.Addr, j, c0))
 	}
 	r.flush(seed.Addr) // JOIN alerts
-	r.deliver(seed.Addr)
-	// The straggler parks after the seed voted on the cut and before the vote
-	// decides it.
+	// The straggler parks after the cut's alerts left and before they come
+	// back: a lone seed's vote is a quorum, so the cut is decided the moment
+	// the alerts are applied, with the straggler's own alert still unsent.
 	late := endpoint(4)
 	straggler := r.park(seed.Addr, late, c0)
-	r.flush(seed.Addr) // the vote, and the straggler's alert
 	r.deliver(seed.Addr)
 
 	if got := s.view.Size(); got != 4 {
@@ -185,7 +184,7 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 	}
 	r.flush(all...) // JOIN alerts
 	r.deliver(all...)
-	r.flush(all...) // votes
+	r.flush(all...) // votes, one hop: four members
 	r.deliver(all...)
 
 	for _, m := range all {
@@ -222,8 +221,6 @@ func TestLoneSeedAdmitsAtMost4K(t *testing.T) {
 		parked = append(parked, r.park(seed.Addr, endpoint(i), c0))
 	}
 	r.flush(seed.Addr) // JOIN alerts
-	r.deliver(seed.Addr)
-	r.flush(seed.Addr) // the vote
 	r.deliver(seed.Addr)
 	if got := s.view.Size(); got != 1+limit {
 		t.Fatalf("seed has %d members after a storm of %d, want %d", got, len(parked), 1+limit)
@@ -276,8 +273,6 @@ func TestRetriedJoinFilesOneAlert(t *testing.T) {
 		t.Fatalf("%d JOIN alerts pending after re-parking, want 1", len(s.pendingAlerts))
 	}
 	r.flush(seed.Addr) // the JOIN alert
-	r.deliver(seed.Addr)
-	r.flush(seed.Addr) // the vote
 	r.deliver(seed.Addr)
 	if resp := answer(t, third); resp.Status != remoting.JoinSafeToJoin {
 		t.Fatalf("joiner got %s, want SAFE_TO_JOIN", resp.Status)

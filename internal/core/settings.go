@@ -10,11 +10,15 @@
 // one goroutine owns all protocol state and consumes one event queue that
 // everything — batches, consensus phases, join phases, failure-detector
 // verdicts — enters in arrival order; transport handlers are thin enqueuers,
-// readers see atomic snapshots, and outbound alerts and consensus votes are
-// coalesced into one batched wire message per batching window, disseminated
-// by a Settings-selected broadcaster (unicast-to-all or gossip). The engine
-// owns its deadlines too: the consensus recovery deadline is a field it
-// checks on its reinforcement tick, not a goroutine per proposal.
+// readers see atomic snapshots, and outbound alerts are coalesced into one
+// batched wire message per batching window, disseminated by a
+// Settings-selected broadcaster (unicast-to-all or gossip). Consensus votes
+// are counted the way §4.3 counts them: a member keeps a voter bitmap per
+// distinct proposal and, on the same window, pushes what it learned to its K
+// ring subjects (to everyone, in memberships of at most 4K, where one hop is
+// cheaper). The engine owns its deadlines too: the consensus recovery
+// deadline is a field it checks on its reinforcement tick, not a goroutine
+// per proposal.
 //
 // The batching window is load-adaptive (adaptive.go): it starts at a quarter
 // of BatchingWindowMax and is resized between BatchingWindowMin and
@@ -36,8 +40,9 @@ import (
 	"repro/internal/simclock"
 )
 
-// BroadcastMode selects how batched alerts and consensus votes are
-// disseminated to the membership.
+// BroadcastMode selects how batched alerts are disseminated to the
+// membership. Consensus votes do not use it: they are pushed along the K
+// rings in either mode.
 type BroadcastMode string
 
 const (
@@ -75,16 +80,17 @@ type Settings struct {
 	// alerts are broadcast almost immediately. Defaults to 10 ms.
 	BatchingWindowMin time.Duration
 	// BatchingWindowMax is the ceiling of the adaptive flush window: a
-	// storming engine grows its window toward this value so alerts and votes
-	// leave in fewer, larger wire batches. An engine starts at a quarter of
+	// storming engine grows its window toward this value so alerts leave in
+	// fewer, larger wire batches and votes in fewer pushes. An engine starts at a quarter of
 	// it — the paper's fixed 100 ms under the 400 ms default. Must satisfy
 	// 0 < BatchingWindowMin <= BatchingWindowMax.
 	BatchingWindowMax time.Duration
 
-	// Broadcast selects the dissemination strategy for batched alerts and
-	// votes; defaults to BroadcastUnicastToAll. Consensus recovery messages
-	// and leave announcements always use unicast-to-all, which needs no
-	// re-broadcast cooperation to reach every member.
+	// Broadcast selects the dissemination strategy for batched alerts;
+	// defaults to BroadcastUnicastToAll. Consensus recovery messages and
+	// leave announcements always use unicast-to-all, which needs no
+	// re-broadcast cooperation to reach every member, and fast-round votes
+	// always travel along the K rings.
 	Broadcast BroadcastMode
 	// GossipFanout is how many random members each gossip hop forwards to;
 	// only used with BroadcastGossip. Defaults to 8.
@@ -168,6 +174,13 @@ func ScaledSettings(factor float64) Settings {
 	s.JoinRetryDelay = scale(s.JoinRetryDelay)
 	return s
 }
+
+// oneHopLimit is the largest membership whose fast-round votes travel in one
+// hop, every voter to every other member: 4K. Above it a member pushes vote
+// bitmaps to its K ring subjects only, which costs about four pushes of K
+// sends per view change against the N - 1 sends of one hop. A lone seed admits
+// this many joiners first, for the same reason.
+func (s *Settings) oneHopLimit() int { return 4 * s.K }
 
 // validate fills defaults for zero-valued fields and checks watermarks.
 func (s *Settings) validate() error {

@@ -356,3 +356,239 @@ func TestAgreementPropertyUnderPartialVoting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// --- counting by bitmap ---------------------------------------------------------
+
+// voters builds an n-member bitmap with the given members' bits set.
+func voters(n int, members ...int) []byte {
+	b := make([]byte, (n+7)/8)
+	for _, i := range members {
+		b[i/8] |= 1 << (i % 8)
+	}
+	return b
+}
+
+// counter is a lone instance that records its decisions.
+type counter struct {
+	*FastPaxos
+	decisions [][]node.Endpoint
+}
+
+func newCounter(n int, configID uint64) *counter {
+	c := &counter{}
+	c.FastPaxos = New(Config{
+		MyAddr: "me:1", MembershipSize: n, ConfigurationID: configID,
+		Client: &nodeClient{r: newRouter()}, Broadcaster: &nodeClient{r: newRouter()},
+		OnDecide: func(v []node.Endpoint) { c.decisions = append(c.decisions, v) },
+	})
+	return c
+}
+
+// tallies renders Aggregates as proposal key -> voter bitmap.
+func (c *counter) tallies() map[string]string {
+	out := map[string]string{}
+	for _, a := range c.Aggregates() {
+		out[paxos.Key(a.Proposal)] = fmt.Sprintf("%08b", a.Voters)
+	}
+	return out
+}
+
+// regroup turns a set of voters of one proposal into aggregates that cover it:
+// random groups, some sent twice, some folded into a bigger one.
+func regroup(r *rand.Rand, n int, members []int) [][]byte {
+	members = append([]int(nil), members...)
+	r.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
+	var out [][]byte
+	for len(members) > 0 {
+		k := 1 + r.Intn(min(6, len(members)))
+		group := voters(n, members[:k]...)
+		members = members[k:]
+		out = append(out, group)
+		if r.Intn(3) == 0 {
+			out = append(out, group) // a duplicate
+		}
+		if r.Intn(3) == 0 { // a later aggregate that already contains an earlier one
+			union := append([]byte(nil), group...)
+			for i, b := range out[r.Intn(len(out))] {
+				union[i] |= b
+			}
+			out = append(out, union)
+		}
+	}
+	return out
+}
+
+func span(from, to int) []int {
+	var out []int
+	for i := from; i < to; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// TestMergeIsOrderAndGroupingIndependent: however a fixed set of votes is cut
+// into aggregates, repeated and ordered, the instance ends with the same
+// tallies, and completing the quorum decides exactly once.
+func TestMergeIsOrderAndGroupingIndependent(t *testing.T) {
+	const n, configID = 40, 7 // fast quorum 31
+	vA, vB := proposal("a:1", "b:1"), proposal("c:1")
+	want := map[string]string{
+		paxos.Key(vA): fmt.Sprintf("%08b", voters(n, span(0, 25)...)),
+		paxos.Key(vB): fmt.Sprintf("%08b", voters(n, span(25, 33)...)),
+	}
+	type aggregate struct {
+		value []node.Endpoint
+		bits  []byte
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var batch []aggregate
+		for _, bits := range regroup(r, n, span(0, 25)) {
+			// The same proposal listed in another order is the same proposal.
+			value := vA
+			if r.Intn(2) == 0 {
+				value = []node.Endpoint{vA[1], vA[0]}
+			}
+			batch = append(batch, aggregate{value, bits})
+		}
+		for _, bits := range regroup(r, n, span(25, 33)) {
+			batch = append(batch, aggregate{vB, bits})
+		}
+		r.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+
+		c := newCounter(n, configID)
+		learned := 0
+		for _, a := range batch {
+			if c.Merge(configID, a.value, a.bits) {
+				learned++
+			}
+		}
+		if got := c.tallies(); len(got) != 2 || got[paxos.Key(vA)] != want[paxos.Key(vA)] || got[paxos.Key(vB)] != want[paxos.Key(vB)] {
+			t.Fatalf("seed %d: tallies %v, want %v", seed, got, want)
+		}
+		if leading, total := c.VotesForLeadingProposal(); leading != 25 || total != 33 {
+			t.Fatalf("seed %d: leading=%d total=%d, want 25 of 33", seed, leading, total)
+		}
+		if learned == 0 || learned > 33 || len(c.decisions) != 0 {
+			t.Fatalf("seed %d: %d merges taught something, %d decisions below the quorum", seed, learned, len(c.decisions))
+		}
+		for _, bits := range regroup(r, n, span(33, 40)) {
+			c.Merge(configID, vA, bits)
+		}
+		if len(c.decisions) != 1 || paxos.Key(c.decisions[0]) != paxos.Key(vA) {
+			t.Fatalf("seed %d: decisions %v, want exactly one, for %v", seed, c.decisions, vA)
+		}
+		if c.Merge(configID, vB, voters(n, 39)) {
+			t.Fatalf("seed %d: a decided instance learned from an aggregate", seed)
+		}
+	}
+}
+
+// TestVoterSeenUnderTwoProposalsCountsOnce: a member has one vote; whatever
+// else claims it later, it stays under the proposal it was first seen with.
+func TestVoterSeenUnderTwoProposalsCountsOnce(t *testing.T) {
+	const n, configID = 12, 7
+	vA, vB := proposal("a:1"), proposal("b:1")
+	c := newCounter(n, configID)
+	if !c.Merge(configID, vA, voters(n, 3)) {
+		t.Fatal("the first sight of voter 3 taught nothing")
+	}
+	if !c.Merge(configID, vB, voters(n, 3, 4)) {
+		t.Fatal("voter 4 is new and must be learned")
+	}
+	if c.Merge(configID, vB, voters(n, 3)) {
+		t.Fatal("voter 3 was counted a second time, under another proposal")
+	}
+	want := map[string]string{
+		paxos.Key(vA): fmt.Sprintf("%08b", voters(n, 3)),
+		paxos.Key(vB): fmt.Sprintf("%08b", voters(n, 4)),
+	}
+	if got := c.tallies(); len(got) != 2 || got[paxos.Key(vA)] != want[paxos.Key(vA)] || got[paxos.Key(vB)] != want[paxos.Key(vB)] {
+		t.Fatalf("tallies %v, want %v", got, want)
+	}
+	if leading, total := c.VotesForLeadingProposal(); leading != 1 || total != 2 {
+		t.Fatalf("leading=%d total=%d, want 1 of 2", leading, total)
+	}
+}
+
+// TestMalformedAggregatesChangeNothing: the bitmap is network input. One that
+// does not fit this configuration's membership exactly, or that names another
+// configuration, is dropped whole — even if it would have decided.
+func TestMalformedAggregatesChangeNothing(t *testing.T) {
+	const n, configID = 12, 7 // two bytes, bits 12..15 must stay clear
+	full := voters(n, span(0, n)...)
+	cases := map[string]struct {
+		configID uint64
+		bits     []byte
+	}{
+		"stale configuration": {configID + 1, full},
+		"no bitmap":           {configID, nil},
+		"too short":           {configID, full[:1]},
+		"too long":            {configID, append(append([]byte(nil), full...), 0)},
+		"bit past N":          {configID, []byte{0xff, 0x1f}},
+		"all ones":            {configID, []byte{0xff, 0xff}},
+	}
+	for name, tc := range cases {
+		c := newCounter(n, configID)
+		if c.Merge(tc.configID, proposal("dead:1"), tc.bits) {
+			t.Errorf("%s: Merge reports it learned something", name)
+		}
+		if tc.bits != nil { // the vote-message entry point takes a bitmap down the same path
+			c.HandleFastRoundVote(&remoting.FastRoundPhase2b{Sender: "x:1", ConfigurationID: tc.configID, Proposal: proposal("dead:1"), Voters: tc.bits})
+		}
+		if _, total := c.VotesForLeadingProposal(); total != 0 || len(c.decisions) != 0 {
+			t.Errorf("%s: %d votes counted, %d decisions", name, total, len(c.decisions))
+		}
+	}
+	c := newCounter(n, configID)
+	if !c.Merge(configID, proposal("dead:1"), full) || len(c.decisions) != 1 {
+		t.Fatal("the well-formed full bitmap must decide")
+	}
+}
+
+// TestBareAndBitmapPathsAgree feeds the same votes to one instance as bare
+// votes and to another as one-bit aggregates: same decision, at the same vote.
+func TestBareAndBitmapPathsAgree(t *testing.T) {
+	const n, configID = 23, 7
+	vA, vB := proposal("a:1", "b:1"), proposal("c:1")
+	bare, bitmap := newCounter(n, configID), newCounter(n, configID)
+	for i := 0; i < n; i++ {
+		value := vA
+		if i%6 == 5 {
+			value = vB // a minority votes for something else
+		}
+		bare.HandleFastRoundVote(&remoting.FastRoundPhase2b{Sender: node.Addr(fmt.Sprintf("n%02d:1", i)), ConfigurationID: configID, Proposal: value})
+		bitmap.Merge(configID, value, voters(n, i))
+		if len(bare.decisions) != len(bitmap.decisions) {
+			t.Fatalf("after vote %d: %d decisions from bare votes, %d from bitmaps", i, len(bare.decisions), len(bitmap.decisions))
+		}
+		l1, t1 := bare.VotesForLeadingProposal()
+		l2, t2 := bitmap.VotesForLeadingProposal()
+		if l1 != l2 || t1 != t2 {
+			t.Fatalf("after vote %d: bare votes count %d/%d, bitmaps %d/%d", i, l1, t1, l2, t2)
+		}
+	}
+	if len(bare.decisions) != 1 || paxos.Key(bare.decisions[0]) != paxos.Key(vA) || paxos.Key(bitmap.decisions[0]) != paxos.Key(vA) {
+		t.Fatalf("decisions %v and %v, want one each, for %v", bare.decisions, bitmap.decisions, vA)
+	}
+}
+
+// TestVoteSinkReceivesOwnBit: with a sink, Propose broadcasts nothing and
+// hands over this process' vote as a one-bit aggregate.
+func TestVoteSinkReceivesOwnBit(t *testing.T) {
+	const n, me = 19, 10
+	var got []*remoting.FastRoundPhase2b
+	f := New(Config{
+		MyAddr: "me:1", MyIndex: me, MembershipSize: n, ConfigurationID: 7,
+		Client: &nodeClient{r: newRouter()}, Broadcaster: &nodeClient{r: newRouter()},
+		VoteSink: func(v *remoting.FastRoundPhase2b) { got = append(got, v) },
+	})
+	f.Propose(proposal("dead:1"))
+	f.Propose(proposal("other:1"))
+	if len(got) != 1 || fmt.Sprintf("%08b", got[0].Voters) != fmt.Sprintf("%08b", voters(n, me)) {
+		t.Fatalf("sink got %v, want one vote with exactly bit %d", got, me)
+	}
+	if _, total := f.VotesForLeadingProposal(); total != 0 {
+		t.Fatalf("%d votes counted before the sink merged anything", total)
+	}
+}

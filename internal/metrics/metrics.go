@@ -12,25 +12,17 @@ import (
 	"time"
 )
 
-// Counter is a concurrency-safe monotonically increasing counter.
+// Counter is a concurrency-safe monotonically increasing counter. It sits on
+// the engine's per-event path, so it is a single atomic word, not a mutex.
 type Counter struct {
-	mu sync.Mutex
-	v  int64
+	v atomic.Int64
 }
 
 // Add increments the counter by delta.
-func (c *Counter) Add(delta int64) {
-	c.mu.Lock()
-	c.v += delta
-	c.mu.Unlock()
-}
+func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is a concurrency-safe last-value metric (e.g. the engine's current
 // adaptive batching window in nanoseconds). Unlike Counter it can move in

@@ -5,7 +5,7 @@ package remoting
 // (each Encoder/Decoder pair here is single-use), costing both CPU and the
 // bandwidth that Table 2 of the paper accounts. The format:
 //
-//	byte 0   codec version (currently 2)
+//	byte 0   codec version (currently 3)
 //	uvarint  field mask: bit i set means union field i is present
 //	...      each present field's payload, in mask bit order
 //
@@ -30,9 +30,10 @@ import (
 )
 
 // codecVersion tags every encoded message so the format can evolve. Version
-// 2 added the batch Seq field and the FastRoundVoteBatch union member; a
-// version-1 peer rejects version-2 frames outright instead of mis-decoding.
-const codecVersion = 2
+// 2 added the batch Seq field and the FastRoundVoteBatch union member;
+// version 3 added the voter bitmap to every fast-round vote. A peer of
+// another version rejects the frame outright instead of mis-decoding it.
+const codecVersion = 3
 
 // ErrCodecVersion indicates a message encoded with an unknown format version.
 var ErrCodecVersion = errors.New("remoting: unknown codec version")
@@ -213,10 +214,7 @@ func appendRequest(b []byte, req *Request) []byte {
 		b = appendString(b, string(req.Probe.Sender))
 	}
 	if req.FastRound != nil {
-		m := req.FastRound
-		b = appendString(b, string(m.Sender))
-		b = appendU64(b, m.ConfigurationID)
-		b = appendEndpoints(b, m.Proposal)
+		b = appendVote(b, req.FastRound)
 	}
 	if req.P1a != nil {
 		m := req.P1a
@@ -263,10 +261,7 @@ func appendRequest(b []byte, req *Request) []byte {
 		b = binary.AppendUvarint(b, m.Seq)
 		b = binary.AppendUvarint(b, uint64(len(m.Votes)))
 		for i := range m.Votes {
-			v := &m.Votes[i]
-			b = appendString(b, string(v.Sender))
-			b = appendU64(b, v.ConfigurationID)
-			b = appendEndpoints(b, v.Proposal)
+			b = appendVote(b, &m.Votes[i])
 		}
 	}
 	return b
@@ -341,6 +336,13 @@ func appendAlert(b []byte, a *AlertMessage) []byte {
 	b = appendID(b, a.JoinerID)
 	b = appendMetadata(b, a.Metadata)
 	return b
+}
+
+func appendVote(b []byte, v *FastRoundPhase2b) []byte {
+	b = appendString(b, string(v.Sender))
+	b = appendU64(b, v.ConfigurationID)
+	b = appendEndpoints(b, v.Proposal)
+	return appendBytes(b, v.Voters)
 }
 
 func appendString(b []byte, s string) []byte {
@@ -612,6 +614,15 @@ func (d *decoder) metadata() map[string]string {
 	return out
 }
 
+func (d *decoder) vote() FastRoundPhase2b {
+	return FastRoundPhase2b{
+		Sender:          d.addr(),
+		ConfigurationID: d.u64(),
+		Proposal:        d.endpoints(),
+		Voters:          d.bytes(),
+	}
+}
+
 func (d *decoder) version() {
 	if v := d.byte(); d.err == nil && v != codecVersion {
 		d.fail(fmt.Errorf("%w: %d", ErrCodecVersion, v))
@@ -663,11 +674,8 @@ func (d *decoder) request() *Request {
 		req.Probe = &ProbeRequest{Sender: d.addr()}
 	}
 	if mask&reqFastRound != 0 {
-		req.FastRound = &FastRoundPhase2b{
-			Sender:          d.addr(),
-			ConfigurationID: d.u64(),
-			Proposal:        d.endpoints(),
-		}
+		vote := d.vote()
+		req.FastRound = &vote
 	}
 	if mask&reqP1a != 0 {
 		req.P1a = &Phase1a{Sender: d.addr(), ConfigurationID: d.u64(), Rank: d.rank()}
@@ -712,11 +720,7 @@ func (d *decoder) request() *Request {
 		if n > 0 {
 			m.Votes = make([]FastRoundPhase2b, n)
 			for i := range m.Votes {
-				m.Votes[i] = FastRoundPhase2b{
-					Sender:          d.addr(),
-					ConfigurationID: d.u64(),
-					Proposal:        d.endpoints(),
-				}
+				m.Votes[i] = d.vote()
 			}
 			if d.err != nil {
 				m.Votes = nil

@@ -8,6 +8,7 @@ package remoting
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -135,14 +136,21 @@ func randAlertBatch(r *rand.Rand) *BatchedAlertMessage {
 	return m
 }
 
+// randVote is a bare vote one time in three, otherwise an aggregate with a
+// voter bitmap of up to 64 bytes (a 512-member configuration).
+func randVote(r *rand.Rand) FastRoundPhase2b {
+	v := FastRoundPhase2b{Sender: randAddr(r), ConfigurationID: r.Uint64(), Proposal: randEndpoints(r)}
+	if r.Intn(3) > 0 {
+		v.Voters = make([]byte, 1+r.Intn(64))
+		r.Read(v.Voters)
+	}
+	return v
+}
+
 func randVoteBatch(r *rand.Rand) *FastRoundVoteBatch {
 	m := &FastRoundVoteBatch{Sender: randAddr(r), Seq: uint64(r.Intn(1 << 20))}
 	for i, n := 0, r.Intn(4); i < n; i++ {
-		m.Votes = append(m.Votes, FastRoundPhase2b{
-			Sender:          randAddr(r),
-			ConfigurationID: r.Uint64(),
-			Proposal:        randEndpoints(r),
-		})
+		m.Votes = append(m.Votes, randVote(r))
 	}
 	return m
 }
@@ -165,7 +173,8 @@ func randRequest(r *rand.Rand) *Request {
 	case 3:
 		req.Probe = &ProbeRequest{Sender: randAddr(r)}
 	case 4:
-		req.FastRound = &FastRoundPhase2b{Sender: randAddr(r), ConfigurationID: r.Uint64(), Proposal: randEndpoints(r)}
+		vote := randVote(r)
+		req.FastRound = &vote
 	case 5:
 		req.P1a = &Phase1a{Sender: randAddr(r), ConfigurationID: r.Uint64(), Rank: randRank(r)}
 	case 6:
@@ -188,7 +197,7 @@ func randRequest(r *rand.Rand) *Request {
 	case 12:
 		req.VoteBatch = randVoteBatch(r)
 	case 13:
-		// The unified outbound batch: alerts and votes in one wire message.
+		// Alerts and votes may share one wire message.
 		req.Alerts = randAlertBatch(r)
 		req.VoteBatch = randVoteBatch(r)
 	}
@@ -366,6 +375,27 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsVersion2Frame: version 3 put a voter bitmap behind every
+// vote's proposal, so a version-2 vote batch read as version 3 (or the other
+// way round) would take the next field's bytes for the bitmap's. The version
+// byte refuses the frame before any of it is read.
+func TestDecodeRejectsVersion2Frame(t *testing.T) {
+	data, _ := EncodeRequest(&Request{VoteBatch: &FastRoundVoteBatch{Sender: "a:1", Votes: []FastRoundPhase2b{
+		{Sender: "a:1", ConfigurationID: 7, Proposal: []node.Endpoint{{Addr: "dead:1"}}},
+	}}})
+	// A version-2 encoder wrote everything this frame holds but the bitmap's
+	// length byte, which for a bare vote is the frame's last.
+	v2 := append([]byte{2}, data[1:len(data)-1]...)
+	if _, err := DecodeRequest(v2); !errors.Is(err, ErrCodecVersion) {
+		t.Fatalf("version-2 request: got %v, want ErrCodecVersion", err)
+	}
+	resp, _ := EncodeResponse(AckResponse())
+	resp[0] = 2
+	if _, err := DecodeResponse(resp); !errors.Is(err, ErrCodecVersion) {
+		t.Fatalf("version-2 response: got %v, want ErrCodecVersion", err)
+	}
+}
+
 // TestDecodeRejectsTrailingBytes pins strict framing.
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	data, _ := EncodeRequest(&Request{Probe: &ProbeRequest{Sender: "a:1"}})
@@ -379,19 +409,57 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 // panic, and never allocate unboundedly (collection counts are bounded by the
 // remaining input length).
 func TestDecodeCorruptInputNeverPanics(t *testing.T) {
+	corruptRequests(100, func(data []byte) { _, _ = DecodeRequest(data) })
+}
+
+// corruptRequests hands visit every truncation and twenty single-bit flips of
+// n randomized requests' encodings (votes with and without bitmaps included).
+func corruptRequests(n int, visit func([]byte)) {
 	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 100; i++ {
+	for i := 0; i < n; i++ {
 		req := randRequest(r)
 		data, _ := EncodeRequest(req)
 		for cut := 0; cut < len(data); cut++ {
-			_, _ = DecodeRequest(data[:cut])
+			visit(data[:cut])
 		}
 		for flip := 0; flip < 20 && len(data) > 0; flip++ {
 			mutated := append([]byte(nil), data...)
 			mutated[r.Intn(len(mutated))] ^= byte(1 << r.Intn(8))
-			_, _ = DecodeRequest(mutated)
+			visit(mutated)
 		}
 	}
+}
+
+// FuzzDecodeRequest: DecodeRequest faces the network. Whatever the bytes, it
+// must not panic, and whatever it accepts must survive the codec: re-encoded
+// and decoded again it is the same value. Seeded with the corrupt inputs of
+// the test above and one well-formed vote batch carrying a voter bitmap.
+func FuzzDecodeRequest(f *testing.F) {
+	corruptRequests(5, func(data []byte) { f.Add(append([]byte(nil), data...)) })
+	valid, _ := EncodeRequest(&Request{VoteBatch: &FastRoundVoteBatch{Sender: "10.0.0.1:7000", Seq: 9, Votes: []FastRoundPhase2b{{
+		Sender:          "10.0.0.1:7000",
+		ConfigurationID: 0xfeedface,
+		Proposal:        []node.Endpoint{{Addr: "10.0.0.9:7000", ID: node.ID{High: 1, Low: 2}, Metadata: map[string]string{"role": "backend"}}},
+		Voters:          []byte{0xff, 0x0f, 0x01},
+	}}}})
+	f.Add(valid)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeRequest(data)
+		if err != nil {
+			return
+		}
+		again, err := EncodeRequest(req)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded request: %v", err)
+		}
+		back, err := DecodeRequest(again)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded request: %v", err)
+		}
+		if !reflect.DeepEqual(req, back) {
+			t.Fatalf("a decoded request changed across the codec:\n first: %+v\n again: %+v", req, back)
+		}
+	})
 }
 
 // TestAlertEncodingAllocs bounds the alert hot path's allocations: one for

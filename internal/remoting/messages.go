@@ -1,13 +1,15 @@
 // Package remoting defines the wire-level message types exchanged by the
 // membership service: join phases, edge alerts, failure-detector probes,
-// Fast-Paxos votes, classical Paxos phases, and leave announcements. It also
+// Fast-Paxos votes and vote aggregates (a voter bitmap per distinct
+// proposal), classical Paxos phases, and leave announcements. It also
 // provides a compact hand-rolled binary codec (see codec.go) so that real
 // transports (TCP) and the simulated network can account for message sizes.
 //
 // The set of messages mirrors the RPCs of the Rapid paper (§4, §6): JOIN is a
 // two-phase protocol (pre-join to a seed, then join to the K temporary
 // observers); REMOVE/JOIN alerts are batched and broadcast; consensus votes
-// are counted for the Fast Paxos fast path with classical Paxos as fallback.
+// are counted for the Fast Paxos fast path by aggregating bitmaps along the K
+// rings (§4.3), with classical Paxos as fallback.
 package remoting
 
 import "repro/internal/node"
@@ -168,22 +170,27 @@ type ProbeResponse struct {
 	Status NodeStatus
 }
 
-// FastRoundPhase2b is a vote in the leaderless Fast Paxos round: the sender
-// proposes (votes for) the membership-change Proposal it detected.
+// FastRoundPhase2b is a vote in the leaderless Fast Paxos round. A bare vote
+// (Voters empty) says that Sender votes for the membership-change Proposal it
+// detected. With Voters set it is an aggregate: Sender knows of these voters
+// for Proposal — bit i of the little-endian bitmap (byte i/8, bit i%8) is
+// member i of the configuration's membership sorted by address — and need not
+// be one of them.
 type FastRoundPhase2b struct {
 	Sender          node.Addr
 	ConfigurationID uint64
 	Proposal        []node.Endpoint
+	Voters          []byte
 }
 
-// FastRoundVoteBatch groups fast-round votes flushed within one batching
-// window. The membership service coalesces consensus votes and alerts into a
-// single outbound wire message per window (§6 extended to the vote path): a
+// FastRoundVoteBatch is one push of a member's vote aggregates: one entry
+// per distinct proposal it knows votes for (§4.3's counting protocol). A
 // Request may carry both an Alerts and a VoteBatch payload.
 type FastRoundVoteBatch struct {
 	Sender node.Addr
-	// Seq is the sender's outbound batch sequence number, shared with the
-	// Alerts payload flushed in the same window (gossip deduplication).
+	// Seq is the sender's outbound batch sequence number, drawn from the same
+	// counter as its alert batches. Merging an aggregate is idempotent, so
+	// nothing deduplicates on it.
 	Seq   uint64
 	Votes []FastRoundPhase2b
 }
@@ -255,11 +262,9 @@ type CustomMessage struct {
 }
 
 // Request is the union of all RPC request payloads. Exactly one of the
-// pointer fields is set, with one exception: the outbound batching path may
-// combine Alerts and VoteBatch in a single request so that everything
-// generated within one batching window travels as one wire message. Using a
-// flat union avoids per-message type information on the wire and keeps
-// encoding deterministic.
+// pointer fields is set, with one exception the codec and every receiver
+// accept: Alerts and VoteBatch may share a request. Using a flat union avoids
+// per-message type information on the wire and keeps encoding deterministic.
 type Request struct {
 	PreJoin   *PreJoinRequest
 	Join      *JoinRequest

@@ -34,7 +34,7 @@ type (
 	StatusChange = core.StatusChange
 	// Subscriber receives view-change notifications.
 	Subscriber = core.Subscriber
-	// BroadcastMode selects how batched alerts and votes are disseminated.
+	// BroadcastMode selects how batched alerts are disseminated.
 	BroadcastMode = core.BroadcastMode
 	// EngineStats is a point-in-time summary of the protocol engine's
 	// instrumentation (queue depth, events processed, batch sizes).
