@@ -7,11 +7,14 @@
 //
 // The check forbids the time functions that observe or schedule real time
 // (time.Now, Sleep, Since, Until, After, AfterFunc, Tick, NewTimer,
-// NewTicker) in the protocol packages; pure data uses of package time
-// (time.Duration, time.Millisecond, time.Time values) stay legal. Wall-clock
-// sites that are legitimately real-time — the tcpnet transport, harness
-// measurement, cmd binaries — either live outside the protocol set or carry
-// an explicit //lint:allow simclock <reason>.
+// NewTicker) in the protocol packages, and the context constructors that arm
+// the same wall-clock timer behind the caller's back (context.WithTimeout,
+// WithDeadline and their Cause variants; simclock.WithTimeout replaces them).
+// Pure data uses of package time (time.Duration, time.Millisecond, time.Time
+// values) and the rest of package context stay legal. Wall-clock sites that
+// are legitimately real-time — the tcpnet transport, harness measurement, cmd
+// binaries — either live outside the protocol set or carry an explicit
+// //lint:allow simclock <reason>.
 package simclockcheck
 
 import (
@@ -22,19 +25,21 @@ import (
 	"repro/internal/analysis"
 )
 
-// forbidden are the time package functions that observe or schedule real
-// time. Everything else in package time is timeless data manipulation.
-var forbidden = map[string]bool{
-	"Now":       true,
-	"Sleep":     true,
-	"Since":     true,
-	"Until":     true,
-	"After":     true,
-	"AfterFunc": true,
-	"Tick":      true,
-	"NewTimer":  true,
-	"NewTicker": true,
+// forbidden lists, per package, the functions that observe or schedule real
+// time. Everything else in package time is timeless data manipulation;
+// everything else in package context arms nothing.
+var forbidden = map[string]map[string]bool{
+	"time": {
+		"Now": true, "Sleep": true, "Since": true, "Until": true, "After": true,
+		"AfterFunc": true, "Tick": true, "NewTimer": true, "NewTicker": true,
+	},
+	"context": {
+		"WithTimeout": true, "WithDeadline": true, "WithTimeoutCause": true, "WithDeadlineCause": true,
+	},
 }
+
+// instead names, per package, what protocol code uses in its place.
+var instead = map[string]string{"time": "simclock.Clock", "context": "simclock.WithTimeout"}
 
 // protocolLeaves are the final import-path segments of the packages whose
 // code must be deterministic under simnet. A package also qualifies when any
@@ -76,28 +81,36 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		// Map the local name of the "time" import in this file; it is almost
-		// always "time" but aliasing must not defeat the check.
-		timeName := ""
+		// Map the local name of each watched import in this file; it is almost
+		// always the package's own name but aliasing must not defeat the check.
+		watched := make(map[string]string) // local name -> package
 		for _, imp := range f.Imports {
-			if strings.Trim(imp.Path.Value, `"`) != "time" {
+			pkg := strings.Trim(imp.Path.Value, `"`)
+			if forbidden[pkg] == nil {
 				continue
 			}
-			timeName = "time"
+			local := pkg
 			if imp.Name != nil {
-				timeName = imp.Name.Name
+				local = imp.Name.Name
+			}
+			if local != "_" {
+				watched[local] = pkg
 			}
 		}
-		if timeName == "" || timeName == "_" {
+		if len(watched) == 0 {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || !forbidden[sel.Sel.Name] {
+			if !ok {
 				return true
 			}
 			ident, ok := sel.X.(*ast.Ident)
-			if !ok || ident.Name != timeName {
+			if !ok {
+				return true
+			}
+			pkg := watched[ident.Name]
+			if !forbidden[pkg][sel.Sel.Name] {
 				return true
 			}
 			// The identifier must resolve to the package, not a local variable
@@ -108,8 +121,8 @@ func run(pass *analysis.Pass) error {
 				}
 			}
 			pass.Reportf(sel.Pos(),
-				"time.%s in protocol package %s: use simclock.Clock so simnet runs stay deterministic (or annotate //lint:allow simclock <reason>)",
-				sel.Sel.Name, pass.Pkg.Path())
+				"%s.%s in protocol package %s: use %s so simnet runs stay deterministic (or annotate //lint:allow simclock <reason>)",
+				pkg, sel.Sel.Name, pass.Pkg.Path(), instead[pkg])
 			return true
 		})
 	}

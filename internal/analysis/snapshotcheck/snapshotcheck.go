@@ -1,10 +1,11 @@
 // Package snapshotcheck enforces snapshot immutability: the slices and maps
-// handed out by the membership snapshot accessors are shared — one
-// ViewChange.Members slice goes to every subscriber and join response — so
-// callers must treat them as read-only. Enforcing this at vet time is also
-// what lets accessors that defensively copy today (Cluster.Members) drop the
-// O(N) copy later (the ROADMAP's copy-on-write member lists) without
-// auditing every caller first.
+// handed out by the membership snapshot accessors are shared — the engine
+// builds one sorted membership per configuration, and the snapshot, every
+// ViewChange.Members, every JoinResponse.Members and the unicast broadcaster
+// hold that very slice — so callers must treat them as read-only. Enforcing this
+// at vet time is what let the engine drop its per-consumer O(N) copies, and
+// what would let the accessor that still copies defensively (Cluster.Members)
+// drop its copy without auditing every caller first.
 //
 // The check tracks expressions whose value comes from a curated set of
 // read-only sources — accessor methods and snapshot-carrying struct fields —
@@ -48,8 +49,10 @@ var ReadOnlyFields = []FieldSource{
 	{"repro/internal/core", "ViewChange", "Members"},
 	{"repro/internal/core", "ViewChange", "Changes"},
 	{"repro/internal/core", "snapshot", "members"},
-	{"repro/internal/core", "snapshot", "byAddr"},
 	{"repro/internal/core", "snapshot", "pastConfigs"},
+	{"repro/internal/core", "engine", "members"},
+	{"repro/internal/core", "engine", "addrs"},
+	{"repro/internal/remoting", "JoinResponse", "Members"},
 }
 
 // sorters are the standard in-place sorts whose first argument is mutated.

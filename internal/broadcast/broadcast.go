@@ -3,6 +3,10 @@
 // rings by the membership service itself). Rapid's default is a best-effort
 // unicast-to-all broadcaster; a fanout gossip broadcaster is provided as an
 // alternative with lower per-sender cost at the price of extra hops.
+//
+// A recipient list is immutable once set: SetMembership hands over a slice
+// that is shared with the rest of the configuration's consumers, so
+// UnicastToAll keeps it without a copy and nobody writes to it again.
 package broadcast
 
 import (
@@ -18,7 +22,10 @@ import (
 type Broadcaster interface {
 	// Broadcast sends req to all current members, best-effort.
 	Broadcast(req *remoting.Request)
-	// SetMembership replaces the recipient list after a view change.
+	// SetMembership replaces the recipient list after a view change. The
+	// broadcaster may retain members, and the membership service passes the
+	// same slice to every consumer of a configuration: neither side writes to
+	// it afterwards.
 	SetMembership(members []node.Addr)
 }
 
@@ -36,12 +43,10 @@ func NewUnicastToAll(client transport.Client) *UnicastToAll {
 	return &UnicastToAll{client: client}
 }
 
-// SetMembership implements Broadcaster.
+// SetMembership implements Broadcaster. members is retained, not copied.
 func (b *UnicastToAll) SetMembership(members []node.Addr) {
-	copied := make([]node.Addr, len(members))
-	copy(copied, members)
 	b.mu.Lock()
-	b.members = copied
+	b.members = members
 	b.mu.Unlock()
 }
 

@@ -74,15 +74,18 @@ func TestUnicastToAllEmptyMembershipIsNoop(t *testing.T) {
 	}
 }
 
-func TestUnicastToAllSetMembershipCopies(t *testing.T) {
-	cl := &recordingClient{}
-	b := NewUnicastToAll(cl)
-	m := members(3)
-	b.SetMembership(m)
-	m[0] = "mutated:1"
-	got := b.Members()
-	if got[0] == "mutated:1" {
-		t.Fatal("SetMembership must copy the slice")
+// TestUnicastToAllSetMembershipRetainsTheSlice: a recipient list is shared
+// with the rest of a configuration's consumers and immutable, so the
+// broadcaster keeps it as it is — an N-address copy per member per view change
+// is what this replaced.
+func TestUnicastToAllSetMembershipRetainsTheSlice(t *testing.T) {
+	b := NewUnicastToAll(&recordingClient{})
+	m := members(500)
+	if allocs := testing.AllocsPerRun(10, func() { b.SetMembership(m) }); allocs != 0 {
+		t.Fatalf("SetMembership allocates %.0f times, want 0", allocs)
+	}
+	if got := b.Members(); len(got) != len(m) || got[0] != m[0] || got[len(m)-1] != m[len(m)-1] {
+		t.Fatal("the retained recipient list is not the one that was set")
 	}
 }
 

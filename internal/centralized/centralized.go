@@ -20,6 +20,7 @@ package centralized
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -417,7 +418,7 @@ func (e *EnsembleNode) handleAlerts(batch *remoting.BatchedAlertMessage) {
 		if alreadyProposed || len(deduped) == 0 {
 			return
 		}
-		sort.Slice(deduped, func(i, j int) bool { return deduped[i].Addr < deduped[j].Addr })
+		slices.SortFunc(deduped, node.CompareEndpoints)
 		cons.Propose(deduped)
 		go func() {
 			e.clock.Sleep(base)

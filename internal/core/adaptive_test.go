@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/remoting"
 	"repro/internal/simclock"
 	"repro/internal/simnet"
@@ -47,9 +48,11 @@ func TestWindowControllerGrowsAndShrinks(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWindowOnManualClock drives a live engine with a manual clock:
-// idle flush ticks must collapse the window from its starting value to the
-// floor, and a synthetic alert storm must then grow it to the ceiling.
+// TestAdaptiveWindowOnManualClock drives a live engine loop with a manual
+// clock: idle flush ticks must collapse the window from its starting value to
+// the floor, where the flush timer stops; a synthetic alert storm must arm it
+// again and grow the window to the ceiling; and when the storm ends the
+// window must decay and the timer stop once more.
 func TestAdaptiveWindowOnManualClock(t *testing.T) {
 	clk := simclock.NewManual(time.Unix(0, 0))
 	net := simnet.New(simnet.Options{Seed: 99})
@@ -68,11 +71,26 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 		c.Stop()
 	}()
 
-	// Wait until the engine armed its flush timer and reinforcement ticker,
-	// so clock advances cannot race the loop's startup.
-	if !waitUntil(t, 5*time.Second, func() bool { return clk.PendingWaiters() >= 2 }) {
-		t.Fatal("engine never armed its timers")
+	// A lone seed monitors nobody, so the clock holds the engine's
+	// reinforcement ticker and, while it is armed, its flush timer.
+	const quiet, armed = 1, 2
+	waiters := func(n int, when string) {
+		t.Helper()
+		if !waitUntil(t, 5*time.Second, func() bool { return clk.PendingWaiters() == n }) {
+			t.Fatalf("%s: %d clock waiters, want %d", when, clk.PendingWaiters(), n)
+		}
 	}
+	// sync returns once the engine loop has gone around at least once more: a
+	// pre-join is answered by the engine and arms nothing.
+	sync := func() {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			if _, err := c.HandleRequest(context.Background(), "joiner:1", preJoinRequest("joiner:1", node.NewID())); err != nil {
+				t.Fatalf("HandleRequest: %v", err)
+			}
+		}
+	}
+	waiters(armed, "at birth")
 	if got := c.Stats().BatchWindow; got != s.BatchingWindowMax/4 {
 		t.Fatalf("window should start at a quarter of the ceiling, got %v", got)
 	}
@@ -114,6 +132,8 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 					t.Fatal("engine did not drain the synthetic storm")
 				}
 			}
+			// Arrivals, or a window above the floor, keep the timer armed.
+			waiters(armed, "before a flush tick")
 			window := c.Stats().BatchWindow
 			clk.Advance(window)
 			if !waitUntil(t, 5*time.Second, func() bool {
@@ -121,19 +141,35 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 			}) {
 				t.Fatalf("flush tick did not retune the window from %v", window)
 			}
-			// Only advance again once the timer is re-armed for the new window.
-			if !waitUntil(t, 5*time.Second, func() bool { return clk.PendingWaiters() >= 2 }) {
-				t.Fatal("flush timer was not re-armed")
-			}
 			if c.Stats().BatchWindow == want {
 				return
 			}
 		}
 		t.Fatalf("window never reached %v (at %v)", want, c.Stats().BatchWindow)
 	}
+	// wentQuiet checks that the engine, at the floor with nothing to send or
+	// to measure, stopped its flush timer and leaves it stopped.
+	wentQuiet := func() {
+		t.Helper()
+		sync()
+		waiters(quiet, "at the floor")
+		for i := 0; i < 5; i++ {
+			clk.Advance(s.BatchingWindowMin)
+			sync()
+			waiters(quiet, "on a quiet engine")
+		}
+		if got := c.Stats().BatchWindow; got != s.BatchingWindowMin {
+			t.Fatalf("a quiet engine's window moved to %v", got)
+		}
+	}
 
 	advanceUntil(s.BatchingWindowMin, false) // idle: collapse to the floor
-	advanceUntil(s.BatchingWindowMax, true)  // storm: grow to the ceiling
+	wentQuiet()
+	advanceUntil(s.BatchingWindowMax, true) // storm: arm again, grow to the ceiling
+	// The last storm tick may have left arrivals behind; either way the window
+	// is above the floor, so the timer is armed until it has decayed.
+	advanceUntil(s.BatchingWindowMin, false)
+	wentQuiet()
 
 	if shed := c.Stats().ShedBatches; shed != 0 {
 		t.Fatalf("current-configuration storm must not be shed, got %d", shed)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/remoting"
 	"repro/internal/simclock"
 	"repro/internal/transport"
-	"repro/internal/view"
 )
 
 // Errors returned by the public API.
@@ -39,7 +39,9 @@ type StatusChange struct {
 type ViewChange struct {
 	// ConfigurationID identifies the new configuration.
 	ConfigurationID uint64
-	// Members is the full membership of the new configuration.
+	// Members is the full membership of the new configuration, sorted by
+	// address. Every subscriber, the engine and concurrent readers share this
+	// one slice: it must not be written to (clone it first).
 	Members []node.Endpoint
 	// Changes lists the endpoints added or removed relative to the previous
 	// configuration the subscriber was notified of.
@@ -67,8 +69,7 @@ type Subscriber func(ViewChange)
 // readers only ever observe fully installed configurations.
 type snapshot struct {
 	configID    uint64
-	members     []node.Endpoint // sorted by address; treated as immutable
-	byAddr      map[node.Addr]node.Endpoint
+	members     []node.Endpoint // sorted by address; the engine's slice, immutable
 	viewChanges int
 	// pastConfigs are the identifiers of recent configurations this process
 	// has already moved past (bounded by maxPastConfigs). A phase-2 join
@@ -337,19 +338,22 @@ func (c *Cluster) staleBatch(req *remoting.Request) bool {
 	return true
 }
 
+// member returns the endpoint registered for addr, by binary search of the
+// sorted membership.
+func (s *snapshot) member(addr node.Addr) (node.Endpoint, bool) {
+	i, ok := slices.BinarySearchFunc(s.members, node.Endpoint{Addr: addr}, node.CompareEndpoints)
+	if !ok {
+		return node.Endpoint{}, false
+	}
+	return s.members[i], true
+}
+
 // publishSnapshot installs the membership state readers see. Called by the
 // engine goroutine only (and once during construction). members is the
-// caller's sorted copy of v.Members(); reusing it saves a second O(N log N)
-// sort per view change per node, but the snapshot still takes its own flat
-// copy — the caller hands the same slice to subscriber callbacks and join
-// responses, and a subscriber mutating ViewChange.Members must not corrupt
-// what concurrent Members()/Size() readers see.
-func (c *Cluster) publishSnapshot(v *view.View, members []node.Endpoint, viewChanges int) {
-	members = append([]node.Endpoint(nil), members...)
-	byAddr := make(map[node.Addr]node.Endpoint, len(members))
-	for _, ep := range members {
-		byAddr[ep.Addr] = ep
-	}
+// configuration's sorted membership, the slice the engine also hands to
+// subscribers and joiners; nobody writes to it again (rapid-vet's snapshot
+// check enforces that), so the snapshot keeps it as it is.
+func (c *Cluster) publishSnapshot(configID uint64, members []node.Endpoint, viewChanges int) {
 	// The configuration being replaced joins the bounded past-configs set.
 	if prev := c.snap.Load(); prev != nil {
 		c.pastRing = append(c.pastRing, prev.configID)
@@ -362,9 +366,8 @@ func (c *Cluster) publishSnapshot(v *view.View, members []node.Endpoint, viewCha
 		past[id] = true
 	}
 	c.snap.Store(&snapshot{
-		configID:    v.ConfigurationID(),
+		configID:    configID,
 		members:     members,
-		byAddr:      byAddr,
 		viewChanges: viewChanges,
 		pastConfigs: past,
 	})
@@ -386,13 +389,14 @@ func (c *Cluster) Size() int {
 	return 0
 }
 
-// Members returns the endpoints of the current configuration sorted by address.
+// Members returns the endpoints of the current configuration sorted by
+// address, in a slice the caller owns.
 func (c *Cluster) Members() []node.Endpoint {
 	s := c.snap.Load()
 	if s == nil {
 		return nil
 	}
-	return append([]node.Endpoint(nil), s.members...)
+	return slices.Clone(s.members)
 }
 
 // ConfigurationID returns the identifier of the current configuration.
@@ -410,7 +414,7 @@ func (c *Cluster) IsMember() bool {
 	if s == nil {
 		return false
 	}
-	_, ok := s.byAddr[c.me.Addr]
+	_, ok := s.member(c.me.Addr)
 	return ok
 }
 
@@ -428,7 +432,7 @@ func (c *Cluster) Metadata(addr node.Addr) (map[string]string, bool) {
 	if s == nil {
 		return nil, false
 	}
-	ep, ok := s.byAddr[addr]
+	ep, ok := s.member(addr)
 	if !ok {
 		return nil, false
 	}

@@ -2,13 +2,13 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/cutdetect"
 	"repro/internal/fastpaxos"
 	"repro/internal/node"
 	"repro/internal/remoting"
+	"repro/internal/simclock"
 	"repro/internal/view"
 )
 
@@ -81,10 +81,14 @@ type engine struct {
 	c *Cluster
 
 	view *view.View // engine-owned
-	// addrs is the membership sorted by address, myIndex this process' place
-	// in it (-1 once it has been removed), and subjects the distinct processes
-	// it monitors: all three are derived from the view once per installed
-	// configuration. A voter bitmap is indexed the way addrs is.
+	// members and addrs are the membership sorted by address, myIndex this
+	// process' place in it (-1 once it has been removed), and subjects the
+	// distinct processes it monitors: all four are derived from the view once
+	// per installed configuration. A voter bitmap is indexed the way addrs is.
+	// members and addrs are never written after install built them: the
+	// snapshot, the view-change notification, every join response and the
+	// unicast broadcaster hold these very slices.
+	members   []node.Endpoint      // engine-owned
 	addrs     []node.Addr          // engine-owned
 	myIndex   int                  // engine-owned
 	subjects  []node.Addr          // engine-owned
@@ -125,6 +129,12 @@ type engine struct {
 	// the batches dispatched since the last flush, its rate input.
 	winCtl   windowController // engine-owned
 	arrivals int              // engine-owned
+	// flush is the batching timer and flushArmed says whether a tick is on its
+	// way: it is armed only while there is something to flush or to measure
+	// (see armFlush), so a quiet engine wakes for nothing but its
+	// reinforcement tick.
+	flush      simclock.Timer // engine-owned
+	flushArmed bool           // engine-owned
 
 	// seenBatches deduplicates gossip-forwarded alert batches.
 	seenBatches map[batchKey]bool // engine-owned
@@ -177,18 +187,21 @@ func newEngine(c *Cluster, members []node.Endpoint) *engine {
 		winCtl: newWindowController(c.settings.BatchingWindowMin, c.settings.BatchingWindowMax),
 	}
 	c.emetrics.BatchWindow.Set(int64(e.winCtl.window))
+	// An engine is born armed: it usually boots mid-storm, and if it does not,
+	// the first ticks are the window's decay to its floor.
+	e.flush, e.flushArmed = c.clock.Timer(e.winCtl.window), true
 	e.install()
 	return e
 }
 
 // install derives everything the engine keeps per configuration from the
-// view it just built or changed — the membership is sorted here, once — and
-// publishes the result: broadcast recipients, a fresh consensus instance, the
-// snapshot readers see. It returns the sorted membership.
-func (e *engine) install() []node.Endpoint {
+// view it just built or changed — the view hands out its address order, the
+// only O(N) copy made here — and publishes the result: broadcast recipients, a
+// fresh consensus instance, the snapshot readers see.
+func (e *engine) install() {
 	c := e.c
-	members := e.view.Members()
-	e.addrs = node.EndpointAddrs(members)
+	e.members = e.view.Members()
+	e.addrs = node.EndpointAddrs(e.members)
 	e.myIndex = -1
 	if i, ok := slices.BinarySearch(e.addrs, c.me.Addr); ok {
 		e.myIndex = i
@@ -204,8 +217,7 @@ func (e *engine) install() []node.Endpoint {
 	e.consensus = e.newConsensus()
 	e.votesDirty = false
 	e.fallbackAt = time.Time{}
-	c.publishSnapshot(e.view, members, e.viewChanges)
-	return members
+	c.publishSnapshot(e.view.ConfigurationID(), e.members, e.viewChanges)
 }
 
 // run is the engine loop: the only goroutine that mutates protocol state.
@@ -218,44 +230,66 @@ func (e *engine) run() {
 	// that it is ordered before any view change's update: publishing it from
 	// the initializer could overwrite a newer set with the stale initial one.
 	c.setMonitorSubjects(e.subjects)
-	// The flush timer is re-armed after every flush with a window the
-	// controller sizes to the current load, so it is a one-shot Timer rather
-	// than a fixed-period Ticker.
-	flush := c.clock.Timer(e.winCtl.window)
-	defer flush.Stop()
+	defer e.flush.Stop()
 	// The unstable set and the recovery deadline are checked five times per
 	// ReinforcementTimeout (1 s by default), never more often than the
 	// millisecond ScaledSettings floors every duration at.
 	reinforce := c.clock.Ticker(max(c.settings.ReinforcementTimeout/5, time.Millisecond))
 	defer reinforce.Stop()
 	for {
+		e.armFlush()
 		select {
 		case <-c.stopCh:
 			return
 		case ev := <-c.events:
 			e.dispatch(ev)
 			c.emetrics.EventsProcessed.Add(1)
-		case <-flush.C():
-			// Rumors first: a batch flushed this tick had its first push
-			// inside flushOutbox, so its next round belongs to the next tick.
-			e.regossip()
-			e.flushOutbox()
-			flush.Reset(e.retuneWindow())
+		case <-e.flush.C():
+			e.flushTick()
 		case <-reinforce.C():
 			e.reinforce()
 		}
 	}
 }
 
-// retuneWindow feeds the controller the live queue depth and the batches
-// dispatched since the last flush, publishes the resulting window to the
-// BatchWindow gauge, and returns it for the flush timer's next arming.
-func (e *engine) retuneWindow() time.Duration {
+// armFlush arms the flush timer, with the window the controller last chose,
+// if it is not running and a tick has work to do:
+//
+//   - output is pending — buffered alerts, votes not pushed yet, or rumors
+//     with gossip rounds left;
+//   - or a batch was dispatched since the last flush, which the controller
+//     must see at the end of this window to size the next one;
+//   - or the window is still above its floor and has to decay there, one
+//     halving per quiet tick.
+//
+// Otherwise the timer stays stopped. The loop asks after every event and
+// tick, so the first alert after a quiet spell leaves exactly one floor
+// window after it was raised.
+func (e *engine) armFlush() {
+	if e.flushArmed {
+		return
+	}
+	if len(e.pendingAlerts) == 0 && !e.votesDirty && len(e.rumors) == 0 &&
+		e.arrivals == 0 && e.winCtl.window <= e.winCtl.floor {
+		return
+	}
+	e.flushArmed = true
+	e.flush.Reset(e.winCtl.window)
+}
+
+// flushTick is one firing of the flush timer: it sends what the window
+// gathered and lets the controller size the next window from the live queue
+// depth and the batches dispatched during this one.
+func (e *engine) flushTick() {
 	c := e.c
+	e.flushArmed = false
+	// Rumors first: a batch flushed this tick had its first push inside
+	// flushOutbox, so its next round belongs to the next tick.
+	e.regossip()
+	e.flushOutbox()
 	next := e.winCtl.retune(len(c.events), cap(c.events), e.arrivals)
 	e.arrivals = 0
 	c.emetrics.BatchWindow.Set(int64(next))
-	return next
 }
 
 // dispatch routes one event to its handler.
@@ -625,16 +659,10 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 	currentConfig := e.view.ConfigurationID()
 	// If the joiner is already a member, the view change raced ahead of this
 	// request (or it is a retry): answer immediately with the configuration.
-	// The published snapshot holds the membership already sorted; after a big
-	// admission wave hundreds of such requests arrive, and sorting the view
-	// for each would keep this engine from everything else.
+	// After a big admission wave hundreds of such requests arrive; they all
+	// get the configuration's one membership slice.
 	if existing, ok := e.view.Member(msg.Sender); ok && existing.ID == msg.JoinerID {
-		ev.reply <- &remoting.JoinResponse{
-			Sender:          c.me.Addr,
-			Status:          remoting.JoinSafeToJoin,
-			ConfigurationID: currentConfig,
-			Members:         c.Members(),
-		}
+		ev.reply <- e.admitted()
 		return
 	}
 	if msg.ConfigurationID != currentConfig {
@@ -673,6 +701,18 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 		JoinerID:        msg.JoinerID,
 		Metadata:        msg.Metadata,
 	})
+}
+
+// admitted is the phase-2 answer for a joiner the current configuration
+// contains. Members is the engine's shared slice: the receiver must not write
+// to it (rapid-vet's snapshot check holds callers to that).
+func (e *engine) admitted() *remoting.JoinResponse {
+	return &remoting.JoinResponse{
+		Sender:          e.c.me.Addr,
+		Status:          remoting.JoinSafeToJoin,
+		ConfigurationID: e.view.ConfigurationID(),
+		Members:         e.members,
+	}
 }
 
 // redirect is the phase-2 answer that sends a joiner back to phase 1: this
@@ -716,21 +756,27 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 		e.pushVotes()
 	}
 
-	changes := make([]StatusChange, 0, len(proposal))
+	// A cut names members to remove and everybody else to admit; the view
+	// applies it in one pass per ring and says what it actually did.
+	var joiners []node.Endpoint
+	var leavers []node.Addr
 	for _, ep := range proposal {
-		if existing, ok := e.view.Member(ep.Addr); ok {
-			if err := e.view.RemoveMember(ep.Addr); err == nil {
-				changes = append(changes, StatusChange{Endpoint: existing, Joined: false})
-			}
+		if e.view.Contains(ep.Addr) {
+			leavers = append(leavers, ep.Addr)
 		} else {
-			if err := e.view.AddMember(ep); err == nil {
-				changes = append(changes, StatusChange{Endpoint: ep, Joined: true})
-			}
+			joiners = append(joiners, ep)
 		}
+	}
+	joined, left := e.view.ApplyCut(joiners, leavers)
+	changes := make([]StatusChange, 0, len(joined)+len(left))
+	for _, ep := range left {
+		changes = append(changes, StatusChange{Endpoint: ep, Joined: false})
+	}
+	for _, ep := range joined {
+		changes = append(changes, StatusChange{Endpoint: ep, Joined: true})
 	}
 
 	e.viewChanges++
-	newConfigID := e.view.ConfigurationID()
 
 	// Per-configuration state is reset: tallies never carry across views.
 	e.cd.Clear()
@@ -740,7 +786,8 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// seq) keys are never reused, so dedup stays valid, and re-gossiping the
 	// previous configuration's batches is what rescues members that have not
 	// decided yet. Stale content is config-filtered on receipt.
-	members := e.install()
+	e.install()
+	newConfigID := e.view.ConfigurationID()
 
 	// Settle every parked joiner now. The incarnation this view change
 	// admitted gets the new configuration; every other one is redirected to
@@ -756,12 +803,7 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 		resp := redirect
 		if ep, ok := e.view.Member(key.addr); ok && ep.ID == key.id {
 			if admitted == nil {
-				admitted = &remoting.JoinResponse{
-					Sender:          c.me.Addr,
-					Status:          remoting.JoinSafeToJoin,
-					ConfigurationID: newConfigID,
-					Members:         members,
-				}
+				admitted = e.admitted()
 			}
 			resp = admitted
 		}
@@ -783,7 +825,7 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 
 	c.notifier.publish(ViewChange{
 		ConfigurationID: newConfigID,
-		Members:         members,
+		Members:         e.members,
 		Changes:         changes,
 	})
 }
@@ -800,6 +842,6 @@ func dedupeEndpoints(in []node.Endpoint) []node.Endpoint {
 		seen[ep.Addr] = true
 		out = append(out, ep)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, node.CompareEndpoints)
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -169,5 +170,228 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 	e.dispatch(ev)
 	if len(e.joinWaiters) != 0 {
 		t.Fatal("a request whose caller gave up stayed parked")
+	}
+}
+
+// turn is one trip around the engine loop without the loop: the flush tick,
+// if the clock has made it due, then the arming rule. It reports whether the
+// tick ran.
+//
+// engine-entry: the rig applies events on the test goroutine; no loop runs.
+func (r *engineRig) turn(e *engine) bool {
+	flushed := false
+	select {
+	case <-e.flush.C():
+		e.flushTick()
+		flushed = true
+	default:
+	}
+	e.armFlush()
+	return flushed
+}
+
+// decayTicks is how many quiet flush ticks take a window to its floor, by the
+// controller's own rule — the number the always-armed loop needed as well.
+func decayTicks(w windowController) int {
+	ticks := 0
+	for ; w.window > w.floor; ticks++ {
+		w.retune(0, eventQueueSize, 0)
+	}
+	return ticks
+}
+
+// TestFlushTimerIsArmedOnDemand drives the arming rule by hand. A quiet
+// engine holds no flush waiter on the clock; an alert arms it and leaves
+// exactly one floor window later; unpushed votes and rumors arm it too; a
+// burst of arrivals keeps it armed and grows the window, which then decays to
+// the floor in as many ticks as the controller alone needs, and stops. The
+// regression this guards is re-arming unconditionally.
+//
+// engine-entry: the rig applies events on the test goroutine; no loop runs.
+func TestFlushTimerIsArmedOnDemand(t *testing.T) {
+	r := newEngineRig(t)
+	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
+	e := r.start(members[0], members)
+	floor, ceiling := r.settings.BatchingWindowMin, r.settings.BatchingWindowMax
+	armed := func(want bool, when string) {
+		t.Helper()
+		n := 0
+		if want {
+			n = 1
+		}
+		if got := r.clk.PendingWaiters(); got != n || e.flushArmed != want {
+			t.Fatalf("%s: %d clock waiters, flushArmed=%v; want %d, %v", when, got, e.flushArmed, n, want)
+		}
+	}
+	// settle runs quiet ticks until the timer stops and returns how many ran.
+	settle := func() int {
+		t.Helper()
+		ticks := 0
+		for e.flushArmed {
+			r.clk.Advance(e.winCtl.window)
+			if !r.turn(e) {
+				t.Fatalf("no flush tick one window (%v) after arming", e.winCtl.window)
+			}
+			if ticks++; ticks > 64 {
+				t.Fatal("the flush timer never stopped on a quiet engine")
+			}
+		}
+		return ticks
+	}
+
+	// Born armed, at a quarter of the ceiling; quiet ticks halve the window
+	// to the floor and then the timer stops.
+	armed(true, "at birth")
+	if want, got := decayTicks(e.winCtl), settle(); got != want {
+		t.Fatalf("the first window decayed to the floor in %d ticks, the controller needs %d", got, want)
+	}
+	if e.winCtl.window != floor {
+		t.Fatalf("window settled at %v, want the floor %v", e.winCtl.window, floor)
+	}
+	armed(false, "after the decay")
+	r.clk.Advance(time.Minute)
+	if r.turn(e) {
+		t.Fatal("a flush tick ran on an engine that had gone quiet")
+	}
+	armed(false, "after a quiet minute")
+	clear(r.inbox)
+
+	// The first alert arms the timer; its batch leaves one floor window later,
+	// not a nanosecond before.
+	e.handleSubjectFailed(e.subjects[0])
+	r.turn(e)
+	armed(true, "with an alert pending")
+	r.clk.Advance(floor - time.Nanosecond)
+	if r.turn(e) || len(r.inbox) != 0 {
+		t.Fatal("the batch left before a floor window had passed")
+	}
+	r.clk.Advance(time.Nanosecond)
+	if !r.turn(e) {
+		t.Fatal("no flush tick one floor window after the alert")
+	}
+	for _, m := range members {
+		if got := r.inbox[m.Addr]; len(got) != 1 || got[0].Alerts == nil || len(got[0].Alerts.Alerts) != 1 {
+			t.Fatalf("%s received %d requests one floor window after the alert, want the one batch", m.Addr, len(got))
+		}
+	}
+	armed(false, "after the batch left")
+	clear(r.inbox)
+
+	// Votes not pushed yet arm it, and the tick that pushes them stops it.
+	e.votesDirty = true
+	r.turn(e)
+	armed(true, "with dirty votes")
+	if got := settle(); got != 1 || e.votesDirty {
+		t.Fatalf("dirty votes took %d ticks to push (still dirty: %v), want 1", got, e.votesDirty)
+	}
+	// A rumor keeps it armed for as long as it has gossip rounds left.
+	e.addRumor(alertBatch(e.view.ConfigurationID(), 1))
+	r.turn(e)
+	armed(true, "with a rumor")
+	if got := settle(); got != gossipRounds-1 || len(e.rumors) != 0 {
+		t.Fatalf("a rumor kept the timer armed for %d ticks, want its %d remaining rounds", got, gossipRounds-1)
+	}
+	armed(false, "after the rumor's last round")
+
+	// A burst: arrivals alone arm the timer (the controller must see them),
+	// every busy window doubles the next, and the ceiling holds.
+	burst := func() {
+		for i := 0; i < 2*growArrivals; i++ {
+			e.dispatchRequest(alertBatch(e.view.ConfigurationID(), uint64(i)), true)
+		}
+	}
+	for want := 2 * floor; ; want = min(2*want, ceiling) {
+		burst()
+		r.turn(e)
+		armed(true, "during a burst")
+		r.clk.Advance(e.winCtl.window)
+		if !r.turn(e) || e.winCtl.window != want {
+			t.Fatalf("a busy window was followed by one of %v, want %v", e.winCtl.window, want)
+		}
+		if want == ceiling {
+			break
+		}
+	}
+	armed(true, "above the floor after the burst")
+	if want, got := decayTicks(e.winCtl), settle(); got != want || e.winCtl.window != floor {
+		t.Fatalf("after the burst the window reached %v in %d ticks; the controller reaches the floor in %d", e.winCtl.window, got, want)
+	}
+	armed(false, "after the burst decayed")
+}
+
+// TestConfigurationSlicesAreShared: everything a configuration hands out is
+// one sorted membership built once by install — the snapshot, the view-change
+// notification, the answer to an admitted joiner and the answer to a joiner
+// that is a member already share a backing array — and IsMember and Metadata,
+// which used to read a per-install map, answer from that slice.
+//
+// engine-entry: the rig applies events on the test goroutine; no loop runs.
+func TestConfigurationSlicesAreShared(t *testing.T) {
+	r := newEngineRig(t)
+	seed := endpoint(0).WithMetadata(map[string]string{"role": "seed"})
+	s := r.start(seed, []node.Endpoint{seed})
+	c := s.c
+	joiner := endpoint(1).WithMetadata(map[string]string{"role": "joiner"})
+	park := func(j node.Endpoint) *joinEvent {
+		ev := &joinEvent{
+			msg:   &remoting.JoinRequest{Sender: j.Addr, JoinerID: j.ID, ConfigurationID: s.view.ConfigurationID(), Metadata: j.Metadata},
+			reply: make(chan *remoting.JoinResponse, 1),
+		}
+		s.handleJoinPhase2(ev)
+		return ev
+	}
+	parked := park(joiner)
+	r.flush(seed.Addr)
+	r.deliver(seed.Addr) // a lone seed's vote is a quorum: the cut is decided here
+
+	admitted := answer(t, parked)
+	late := answer(t, park(joiner)) // a retry that finds the joiner a member already
+	if len(c.notifier.queue) != 1 {
+		t.Fatalf("%d view changes queued for subscribers, want 1", len(c.notifier.queue))
+	}
+	vc := c.notifier.queue[0]
+	snap := c.snap.Load()
+	for name, members := range map[string][]node.Endpoint{
+		"the snapshot":                   snap.members,
+		"ViewChange.Members":             vc.Members,
+		"the admitted joiner's response": admitted.Members,
+		"the late request's response":    late.Members,
+	} {
+		if len(members) != 2 || &members[0] != &s.members[0] {
+			t.Errorf("%s does not share the engine's membership slice", name)
+		}
+	}
+	if &c.Members()[0] == &s.members[0] {
+		t.Error("Cluster.Members() handed out the shared slice; the public accessor must copy")
+	}
+	if got := c.unicast.Members(); !slices.Equal(got, s.addrs) {
+		t.Errorf("broadcast recipients %v, want %v", got, s.addrs)
+	}
+
+	if !c.IsMember() {
+		t.Error("the seed does not see itself as a member")
+	}
+	for _, ep := range []node.Endpoint{seed, joiner} {
+		if md, ok := c.Metadata(ep.Addr); !ok || md["role"] != ep.Metadata["role"] {
+			t.Errorf("Metadata(%s) = %v, %v", ep.Addr, md, ok)
+		}
+	}
+	if md, ok := c.Metadata("stranger:1"); ok || md != nil {
+		t.Errorf("Metadata of a stranger = %v, %v", md, ok)
+	}
+
+	// The joiner's own handle removes the seed: the seed's handle then says so.
+	s.applyDecision([]node.Endpoint{seed})
+	if c.IsMember() {
+		t.Error("IsMember() still true after this process was removed")
+	}
+	if _, ok := c.Metadata(seed.Addr); ok {
+		t.Error("Metadata still answers for a removed member")
+	}
+	if md, ok := c.Metadata(joiner.Addr); !ok || md["role"] != "joiner" {
+		t.Errorf("Metadata(%s) = %v, %v after an unrelated removal", joiner.Addr, md, ok)
+	}
+	if len(snap.members) != 2 || snap.members[0].Addr != seed.Addr {
+		t.Error("installing the next configuration wrote to the previous one's slice")
 	}
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/node"
 	"repro/internal/remoting"
+	"repro/internal/simclock"
 )
 
 // errJoinRedirected ends a join attempt whose configuration was replaced
@@ -73,7 +73,7 @@ func (c *Cluster) runJoinProtocol(seeds []node.Addr) ([]node.Endpoint, error) {
 // answer fails the attempt like any other seed that is not ready.
 func (c *Cluster) joinOnce(seed node.Addr, left uint64) ([]node.Endpoint, uint64, error) {
 	// Phase 1: obtain the configuration and this joiner's temporary observers.
-	ctx, cancel := context.WithTimeout(context.Background(), c.settings.JoinPhase2Timeout)
+	ctx, cancel := simclock.WithTimeout(c.clock, c.settings.JoinPhase2Timeout)
 	defer cancel()
 	resp, err := c.client.Send(ctx, seed, &remoting.Request{PreJoin: &remoting.PreJoinRequest{
 		Sender:   c.me.Addr,
@@ -128,7 +128,7 @@ func (c *Cluster) joinPhase2(configID uint64, observers []node.Addr) ([]node.End
 		resp *remoting.JoinResponse
 		err  error
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.settings.JoinPhase2Timeout)
+	ctx, cancel := simclock.WithTimeout(c.clock, c.settings.JoinPhase2Timeout)
 	defer cancel()
 	results := make(chan outcome, len(rings)) // every sender finishes without a reader
 	for observer := range rings {

@@ -26,12 +26,12 @@ func shedTestCluster(t *testing.T, queueSize int) (c *Cluster, currentID, pastID
 	c.events = make(chan event, queueSize)
 	t.Cleanup(c.Stop)
 	v1 := view.NewWithMembers(s.K, []node.Endpoint{{Addr: "shed:1", ID: node.NewID()}})
-	c.publishSnapshot(v1, v1.Members(), 0)
+	c.publishSnapshot(v1.ConfigurationID(), v1.Members(), 0)
 	v2 := view.NewWithMembers(s.K, []node.Endpoint{
 		{Addr: "shed:1", ID: node.NewID()},
 		{Addr: "peer:1", ID: node.NewID()},
 	})
-	c.publishSnapshot(v2, v2.Members(), 1)
+	c.publishSnapshot(v2.ConfigurationID(), v2.Members(), 1)
 	return c, v2.ConfigurationID(), v1.ConfigurationID()
 }
 

@@ -15,10 +15,15 @@
 //
 // Any function matching Factory can be plugged into the membership service,
 // which mirrors Rapid's support for application-supplied detectors.
+//
+// The probe path is sized for fleets of thousands of simulated edges: a probe
+// reuses its edge's request, bounds the RPC with simclock.WithTimeout — one
+// allocation, and no timer unless the transport actually waits — and hands
+// the outcome to a judge that keeps its window in a fixed ring. A monitor's
+// state belongs to its probe goroutine; nothing on the path takes a lock.
 package edgefd
 
 import (
-	"context"
 	"math"
 	"sync"
 	"time"
@@ -63,15 +68,16 @@ type Factory func(p Params) Monitor
 
 // prober is the common probe loop; the judge decides when the edge fails.
 type prober struct {
-	p     Params
-	judge func(success bool) bool // returns true when the edge is now faulty
+	p Params
+	// judge is told every probe's outcome and returns true when the edge is
+	// now faulty. Only the probe loop calls it, so a judge guards nothing.
+	judge func(success bool) bool
 
-	mu       sync.Mutex
-	started  bool
-	stopped  bool
-	reported bool
-	quit     chan struct{}
-	done     sync.WaitGroup
+	mu      sync.Mutex // guards started and stopped
+	started bool
+	stopped bool
+	quit    chan struct{}
+	done    sync.WaitGroup
 }
 
 func newProber(p Params, judge func(bool) bool) *prober {
@@ -118,6 +124,7 @@ func (pr *prober) loop() {
 	tick := pr.p.Clock.Ticker(pr.p.Interval)
 	defer tick.Stop()
 	req := &remoting.Request{Probe: &remoting.ProbeRequest{Sender: pr.p.Observer}}
+	reported := false
 	for {
 		select {
 		case <-pr.quit:
@@ -125,16 +132,8 @@ func (pr *prober) loop() {
 		case <-tick.C():
 		}
 		success := pr.probeOnce(req)
-		pr.mu.Lock()
-		alreadyReported := pr.reported
-		pr.mu.Unlock()
-		if alreadyReported {
-			continue
-		}
-		if pr.judge(success) {
-			pr.mu.Lock()
-			pr.reported = true
-			pr.mu.Unlock()
+		if !reported && pr.judge(success) {
+			reported = true
 			if pr.p.OnFailure != nil {
 				pr.p.OnFailure(pr.p.Subject)
 			}
@@ -145,7 +144,7 @@ func (pr *prober) loop() {
 // probeOnce sends a single probe and reports whether it succeeded. A subject
 // that reports itself as bootstrapping is treated as healthy, as in §6.
 func (pr *prober) probeOnce(req *remoting.Request) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), pr.p.Timeout)
+	ctx, cancel := simclock.WithTimeout(pr.p.Clock, pr.p.Timeout)
 	defer cancel()
 	resp, err := pr.p.Client.Send(ctx, pr.p.Subject, req)
 	if err != nil {
@@ -177,28 +176,27 @@ func NewPingPongFactory(opts PingPongOptions) Factory {
 	if opts.FailureThreshold <= 0 {
 		opts.FailureThreshold = 0.4
 	}
-	return func(p Params) Monitor {
-		window := make([]bool, 0, opts.WindowSize)
-		var mu sync.Mutex
-		judge := func(success bool) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			window = append(window, !success)
-			if len(window) > opts.WindowSize {
-				window = window[1:]
-			}
-			if len(window) < opts.WindowSize {
-				return false
-			}
-			failures := 0
-			for _, failed := range window {
-				if failed {
-					failures++
-				}
-			}
-			return float64(failures) >= opts.FailureThreshold*float64(opts.WindowSize)
+	return func(p Params) Monitor { return newProber(p, pingPongJudge(opts)) }
+}
+
+// pingPongJudge keeps the last WindowSize outcomes in a ring and the number
+// of failures among them as a running count: O(1) per probe, and nothing is
+// allocated once the judge exists.
+func pingPongJudge(opts PingPongOptions) func(success bool) bool {
+	failed := make([]bool, opts.WindowSize) // the window; next is its oldest slot once full
+	next, seen, failures := 0, 0, 0
+	return func(success bool) bool {
+		if seen < len(failed) {
+			seen++
+		} else if failed[next] {
+			failures--
 		}
-		return newProber(p, judge)
+		failed[next] = !success
+		if !success {
+			failures++
+		}
+		next = (next + 1) % len(failed)
+		return seen == len(failed) && float64(failures) >= opts.FailureThreshold*float64(opts.WindowSize)
 	}
 }
 
@@ -212,11 +210,8 @@ func NewCountingFactory(consecutiveFailures int) Factory {
 		consecutiveFailures = 3
 	}
 	return func(p Params) Monitor {
-		var mu sync.Mutex
 		streak := 0
 		judge := func(success bool) bool {
-			mu.Lock()
-			defer mu.Unlock()
 			if success {
 				streak = 0
 				return false
@@ -260,56 +255,47 @@ func NewPhiAccrualFactory(opts PhiAccrualOptions) Factory {
 	if opts.MinStdDev <= 0 {
 		opts.MinStdDev = 10 * time.Millisecond
 	}
-	return func(p Params) Monitor {
-		var mu sync.Mutex
-		var lastSuccess time.Time
-		var intervals []float64 // seconds between successful probes
-		judge := func(success bool) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			now := p.Clock.Now()
-			if success {
-				if !lastSuccess.IsZero() {
-					intervals = append(intervals, now.Sub(lastSuccess).Seconds())
-					if len(intervals) > 100 {
-						intervals = intervals[1:]
-					}
-				}
-				lastSuccess = now
-				return false
-			}
-			if len(intervals) < opts.MinSamples || lastSuccess.IsZero() {
-				return false
-			}
-			mean, std := meanStd(intervals)
-			minStd := opts.MinStdDev.Seconds()
-			if std < minStd {
-				std = minStd
-			}
-			elapsed := now.Sub(lastSuccess).Seconds()
-			phi := phiValue(elapsed, mean, std)
-			return phi >= opts.Threshold
-		}
-		return newProber(p, judge)
-	}
+	return func(p Params) Monitor { return newProber(p, phiAccrualJudge(opts, p.Clock)) }
 }
 
-// meanStd returns the mean and standard deviation of the samples.
-func meanStd(samples []float64) (mean, std float64) {
-	if len(samples) == 0 {
-		return 0, 0
+// phiWindow is how many inter-success intervals the φ-accrual judge keeps.
+const phiWindow = 100
+
+// phiAccrualJudge keeps the last phiWindow intervals between successful
+// probes in a ring, with their sum and sum of squares as running totals, so
+// mean and deviation cost O(1) whenever a probe fails.
+func phiAccrualJudge(opts PhiAccrualOptions, clock simclock.Clock) func(success bool) bool {
+	var lastSuccess time.Time
+	intervals := make([]float64, phiWindow) // seconds; next is the oldest slot once full
+	next, seen := 0, 0
+	var sum, sumSq float64
+	return func(success bool) bool {
+		now := clock.Now()
+		if success {
+			if !lastSuccess.IsZero() {
+				if seen < len(intervals) {
+					seen++
+				} else {
+					old := intervals[next]
+					sum, sumSq = sum-old, sumSq-old*old
+				}
+				d := now.Sub(lastSuccess).Seconds()
+				intervals[next] = d
+				sum, sumSq = sum+d, sumSq+d*d
+				next = (next + 1) % len(intervals)
+			}
+			lastSuccess = now
+			return false
+		}
+		if seen < opts.MinSamples || lastSuccess.IsZero() {
+			return false
+		}
+		mean := sum / float64(seen)
+		// Rounding can leave a hair below zero where every interval is equal.
+		std := math.Sqrt(max(sumSq/float64(seen)-mean*mean, 0))
+		std = max(std, opts.MinStdDev.Seconds())
+		return phiValue(now.Sub(lastSuccess).Seconds(), mean, std) >= opts.Threshold
 	}
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	mean = sum / float64(len(samples))
-	var variance float64
-	for _, s := range samples {
-		variance += (s - mean) * (s - mean)
-	}
-	variance /= float64(len(samples))
-	return mean, math.Sqrt(variance)
 }
 
 // phiValue computes the φ suspicion level assuming normally distributed

@@ -9,7 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -141,10 +141,17 @@ func EndpointAddrs(endpoints []Endpoint) []Addr {
 	return addrs
 }
 
+// CompareEndpoints orders endpoints by address. It is the one comparator
+// behind every address-sorted endpoint list — memberships, proposals — so
+// that they all agree: slices.SortFunc(eps, node.CompareEndpoints).
+func CompareEndpoints(a, b Endpoint) int {
+	return strings.Compare(string(a.Addr), string(b.Addr))
+}
+
 // SortAddrs sorts a slice of addresses lexicographically in place and
 // returns it, for deterministic iteration in protocols and tests.
 func SortAddrs(addrs []Addr) []Addr {
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	return addrs
 }
 

@@ -3,6 +3,10 @@
 // simulations drive a manual clock so that timeouts (failure detection
 // windows, consensus fallback delays, reinforcement timeouts) can be
 // exercised without real sleeping.
+//
+// Request deadlines belong to the clock as well: WithTimeout (context.go) is
+// the package's context.WithTimeout, and the only one protocol code may use.
+// It costs one allocation and arms no timer until somebody waits on it.
 package simclock
 
 import (
@@ -34,6 +38,11 @@ type Clock interface {
 	// C (the engine's flush loop always consumes the tick before re-arming).
 	// Callers must Stop it when done.
 	Timer(d time.Duration) Timer
+	// AfterFunc calls f once d has elapsed, unless stop is called first; stop
+	// reports whether it prevented the call. f must not block: the wall clock
+	// runs it on its own goroutine, the manual clock on the goroutine that
+	// calls Advance.
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
 
 // Ticker is a repeating timer. Like time.Ticker, delivery is coalescing: if
@@ -96,6 +105,11 @@ func (rt realTimer) C() <-chan time.Time { return rt.t.C }
 func (rt realTimer) Reset(d time.Duration) { rt.t.Reset(d) }
 func (rt realTimer) Stop()                 { rt.t.Stop() }
 
+// AfterFunc implements Clock.
+func (Real) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	return time.AfterFunc(d, f).Stop
+}
+
 // Manual is a Clock whose time only moves when Advance is called. Sleepers
 // and After-channels fire when the manual time passes their deadline.
 type Manual struct {
@@ -106,9 +120,13 @@ type Manual struct {
 
 type waiter struct {
 	deadline time.Time
-	ch       chan time.Time
+	// A waiter delivers on ch or, if it came from AfterFunc, calls fn.
+	ch chan time.Time
+	fn func()
 	// period is non-zero for ticker waiters, which re-arm after firing.
-	period  time.Duration
+	period time.Duration
+	// stopped waiters no longer fire: stopped by their owner or, for a
+	// one-shot, because they already have.
 	stopped bool
 }
 
@@ -233,6 +251,23 @@ func (mt *manualTimer) Stop() {
 	mt.m.mu.Unlock()
 }
 
+// AfterFunc implements Clock. f runs inside the Advance call that reaches its
+// deadline, after the clock has moved; a non-positive d is due at the next
+// Advance.
+func (m *Manual) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	w := &waiter{deadline: m.now.Add(d), fn: f}
+	m.waiters = append(m.waiters, w)
+	return func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		prevented := !w.stopped
+		w.stopped = true
+		return prevented
+	}
+}
+
 // Advance moves the clock forward by d and fires any waiters whose deadline
 // has been reached, in deadline order. One-shot waiters are removed; ticker
 // waiters re-arm at now + period.
@@ -255,6 +290,8 @@ func (m *Manual) Advance(d time.Duration) {
 			if w.period > 0 {
 				w.deadline = now.Add(w.period)
 				remaining = append(remaining, w)
+			} else {
+				w.stopped = true
 			}
 		} else {
 			remaining = append(remaining, w)
@@ -265,23 +302,34 @@ func (m *Manual) Advance(d time.Duration) {
 
 	sort.Slice(due, func(i, j int) bool { return due[i].at.Before(due[j].at) })
 	for _, f := range due {
-		if f.w.period > 0 {
+		switch {
+		case f.w.fn != nil:
+			f.w.fn()
+		case f.w.period > 0:
 			// Coalescing delivery: drop the tick if the receiver is behind.
 			select {
 			case f.w.ch <- now:
 			default:
 			}
-		} else {
+		default:
 			f.w.ch <- now
 		}
 	}
 }
 
-// PendingWaiters reports how many sleepers/After channels have not fired yet.
+// PendingWaiters reports how many sleepers, After channels, timers, tickers
+// and AfterFunc calls are armed: not fired yet (a ticker always is) and not
+// stopped.
 func (m *Manual) PendingWaiters() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.waiters)
+	n := 0
+	for _, w := range m.waiters {
+		if !w.stopped {
+			n++
+		}
+	}
+	return n
 }
 
 var _ Clock = Real{}

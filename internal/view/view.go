@@ -10,19 +10,32 @@
 // K observers and K subjects, and the union of the rings is (with high
 // probability) a good expander — the property §8 of the paper relies on.
 //
-// Hot-path design: each member's K ring hashes are computed exactly once, at
-// insert time, and every member record carries its current index in each ring.
-// Topology queries (ObserversOf, SubjectsOf, RingNumbers) are therefore O(K)
-// array lookups with no hashing and no searching, and bulk construction
-// (NewWithMembers) hashes each address K times and sorts each ring once —
-// O(K·N log N) — instead of performing N repeated sorted insertions.
+// Hot-path design. Members live in a slot table; the K rings, and the
+// membership in address order beside them, are sequences of int32 slot
+// indexes, and every slot records its index in each sequence. The K·N arrays
+// hold no pointers, so the collector never scans them.
+//
+//   - Topology queries (ObserversOf, SubjectsOf, RingNumbers) are O(K) array
+//     lookups with no hashing and no searching: each member's K ring hashes
+//     are computed exactly once, when it is staged.
+//   - The address order is maintained, not derived: Members and MemberAddrs
+//     are an O(N) copy, and a ConfigurationID miss is one pass over it with no
+//     sort and no allocation.
+//   - There is one mutation path, rewire, and it applies a whole cut at once:
+//     the cut's ring keys are sorted and merged into each sequence in a single
+//     in-place pass — O(K·(N + c log c)) for a cut of c — instead of c
+//     shifted insertions. AddMember and RemoveMember are one-element cuts, and
+//     NewWithMembers is the same path from the empty view.
+//   - Large cuts order their ring keys with an LSD radix sort on the upper
+//     half of the 64-bit ring hash, not a comparison sort; a tie-break pass
+//     orders what the radix passes left equal by the full (hash, address) key,
+//     so the order is total and identical on every process.
 package view
 
 import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -41,99 +54,77 @@ var (
 	ErrUUIDAlreadyInRing = errors.New("view: UUID already in ring")
 )
 
-// memberRec is the internal record for one member. hashes is immutable after
-// construction (and therefore shared with clones); pos tracks the member's
-// current index in each ring and is updated by ring mutations.
-type memberRec struct {
-	ep     node.Endpoint
-	hashes []uint64 // per-ring ordering hash, computed once at insert time
-	pos    []int    // current index of this member in each ring
-}
-
 // View is a configuration: a membership set arranged into K rings. All methods
 // are safe for concurrent use.
 type View struct {
 	k int
+	// hashMask is ANDed onto every ring hash. It is all ones outside the
+	// package's tests, which narrow it to force equal ring hashes.
+	hashMask uint64
 
-	mu            sync.RWMutex
-	rings         [][]*memberRec
-	byAddr        map[node.Addr]*memberRec
-	seenIDs       map[node.ID]bool
+	mu sync.RWMutex
+	// The slot table. A member keeps its slot for as long as it stays; free
+	// lists the vacated ones. hashes holds K ring hashes per slot, pos K+1
+	// sequence indexes per slot.
+	eps    []node.Endpoint
+	hashes []uint64
+	pos    []int32
+	free   []int32
+	// seqs[r] for r < K is ring r: the slots ordered by (ring hash, address).
+	// seqs[K] is the membership in address order, kept the way a ring is: a
+	// ring whose key is the address alone.
+	seqs    [][]int32
+	byAddr  map[node.Addr]int32
+	seenIDs map[node.ID]struct{}
+
 	cachedConfig  uint64
 	configIsValid bool
 }
 
 // New creates an empty view with k rings. k must be at least 1; the paper
 // uses K=10.
-func New(k int) *View {
+func New(k int) *View { return newSized(k, 0, ^uint64(0)) }
+
+// newSized creates an empty view with room for n members.
+func newSized(k, n int, hashMask uint64) *View {
 	if k < 1 {
 		panic("view: k must be >= 1")
 	}
-	return &View{
-		k:       k,
-		rings:   make([][]*memberRec, k),
-		byAddr:  make(map[node.Addr]*memberRec),
-		seenIDs: make(map[node.ID]bool),
+	v := &View{
+		k:        k,
+		hashMask: hashMask,
+		eps:      make([]node.Endpoint, 0, n),
+		hashes:   make([]uint64, 0, n*k),
+		pos:      make([]int32, 0, n*(k+1)),
+		seqs:     make([][]int32, k+1),
+		byAddr:   make(map[node.Addr]int32, n),
+		seenIDs:  make(map[node.ID]struct{}, n),
 	}
+	block := make([]int32, (k+1)*n)
+	for r := range v.seqs {
+		v.seqs[r] = block[r*n : r*n : (r+1)*n]
+	}
+	return v
 }
 
 // NewWithMembers creates a view with k rings containing the given members.
 // Duplicate addresses and identifiers are ignored silently: initial member
-// lists may repeat seeds. Construction hashes each member once per ring and
-// sorts each ring once, which is far cheaper than repeated AddMember calls.
+// lists may repeat seeds. It is one cut applied to the empty view, with every
+// table sized up front; members is not retained.
 func NewWithMembers(k int, members []node.Endpoint) *View {
-	v := New(k)
-	recs := make([]*memberRec, 0, len(members))
-	// Block-allocate the records and their hash/position arrays: one backing
-	// array each instead of three allocations per member.
-	recBlock := make([]memberRec, len(members))
-	hashBlock := make([]uint64, len(members)*k)
-	posBlock := make([]int, len(members)*k)
+	return build(k, members, ^uint64(0))
+}
+
+// build is NewWithMembers with the ring hash masked (see View.hashMask).
+func build(k int, members []node.Endpoint, hashMask uint64) *View {
+	v := newSized(k, len(members), hashMask)
+	adds := make([]int32, 0, len(members))
 	for _, ep := range members {
-		if _, ok := v.byAddr[ep.Addr]; ok {
-			continue
+		if v.admissible(ep) == nil {
+			adds = append(adds, v.stage(ep))
 		}
-		if v.seenIDs[ep.ID] {
-			continue
-		}
-		i := len(recs)
-		rec := &recBlock[i]
-		rec.ep = ep
-		rec.hashes = hashBlock[i*k : (i+1)*k : (i+1)*k]
-		rec.pos = posBlock[i*k : (i+1)*k : (i+1)*k]
-		fillRingHashes(rec.hashes, ep.Addr)
-		v.byAddr[ep.Addr] = rec
-		v.seenIDs[ep.ID] = true
-		recs = append(recs, rec)
 	}
-	// Sort (hash, rec) pairs rather than *memberRec directly: comparisons stay
-	// on a contiguous value slice instead of chasing pointers.
-	type ringKey struct {
-		hash uint64
-		rec  *memberRec
-	}
-	keys := make([]ringKey, len(recs))
-	ringBlock := make([]*memberRec, len(recs)*k)
-	for r := 0; r < k; r++ {
-		for i, rec := range recs {
-			keys[i] = ringKey{hash: rec.hashes[r], rec: rec}
-		}
-		slices.SortFunc(keys, func(a, b ringKey) int {
-			if a.hash != b.hash {
-				if a.hash < b.hash {
-					return -1
-				}
-				return 1
-			}
-			return strings.Compare(string(a.rec.ep.Addr), string(b.rec.ep.Addr))
-		})
-		ring := ringBlock[r*len(recs) : (r+1)*len(recs) : (r+1)*len(recs)]
-		for i, key := range keys {
-			ring[i] = key.rec
-			key.rec.pos[r] = i
-		}
-		v.rings[r] = ring
-	}
+	v.rewire(adds, nil)
 	return v
 }
 
@@ -159,41 +150,44 @@ func (v *View) Contains(addr node.Addr) bool {
 func (v *View) ContainsID(id node.ID) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return v.seenIDs[id]
+	_, ok := v.seenIDs[id]
+	return ok
 }
 
 // Member returns the endpoint registered for addr.
 func (v *View) Member(addr node.Addr) (node.Endpoint, bool) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	rec, ok := v.byAddr[addr]
+	s, ok := v.byAddr[addr]
 	if !ok {
 		return node.Endpoint{}, false
 	}
-	return rec.ep, true
+	return v.eps[s], true
 }
 
-// Members returns all member endpoints sorted by address.
+// Members returns all member endpoints sorted by address, in a slice the
+// caller owns.
 func (v *View) Members() []node.Endpoint {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := make([]node.Endpoint, 0, len(v.byAddr))
-	for _, rec := range v.byAddr {
-		out = append(out, rec.ep)
+	order := v.seqs[v.k]
+	out := make([]node.Endpoint, len(order))
+	for i, s := range order {
+		out[i] = v.eps[s]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
-// MemberAddrs returns all member addresses sorted lexicographically.
+// MemberAddrs returns all member addresses sorted lexicographically, in a
+// slice the caller owns.
 func (v *View) MemberAddrs() []node.Addr {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := make([]node.Addr, 0, len(v.byAddr))
-	for a := range v.byAddr {
-		out = append(out, a)
+	order := v.seqs[v.k]
+	out := make([]node.Addr, len(order))
+	for i, s := range order {
+		out[i] = v.eps[s].Addr
 	}
-	node.SortAddrs(out)
 	return out
 }
 
@@ -203,31 +197,34 @@ const (
 	fnvPrime  = 0x100000001b3
 )
 
-// ringHash orders members within ring r. FNV-1a over the ring index and the
+// fillRingHashes computes the hash that orders addr within each ring r into
+// dst[r]. FNV-1a over the ring index (four little-endian bytes) and the
 // address, followed by a 64-bit avalanche finalizer (the murmur3 fmix64
 // routine), gives every ring an effectively independent pseudo-random
 // permutation that every process computes identically. The finalizer matters:
 // without it, orderings of nearby ring indices are correlated and the union
 // of the rings is a much weaker expander.
 //
-// The hash is inlined (no hash.Hash64 allocation) and each member's K hashes
-// are computed exactly once, at insert time; comparisons never hash.
-func ringHash(addr node.Addr, ring int) uint64 {
-	h := uint64(fnvOffset)
-	h = (h ^ uint64(byte(ring))) * fnvPrime
-	h = (h ^ uint64(byte(ring>>8))) * fnvPrime
-	h = (h ^ uint64(byte(ring>>16))) * fnvPrime
-	h = (h ^ uint64(byte(ring>>24))) * fnvPrime
-	for i := 0; i < len(addr); i++ {
-		h = (h ^ uint64(addr[i])) * fnvPrime
-	}
-	return fmix64(h)
-}
-
-// fillRingHashes computes the per-ring hashes of addr into dst (len K).
-func fillRingHashes(dst []uint64, addr node.Addr) {
+// The rings advance together, one address byte at a time: the multiply chains
+// of different rings are independent, so they pipeline instead of each
+// waiting out its own latency.
+func fillRingHashes(dst []uint64, addr node.Addr, mask uint64) {
 	for r := range dst {
-		dst[r] = ringHash(addr, r)
+		h := uint64(fnvOffset)
+		h = (h ^ uint64(byte(r))) * fnvPrime
+		h = (h ^ uint64(byte(r>>8))) * fnvPrime
+		h = (h ^ uint64(byte(r>>16))) * fnvPrime
+		h = (h ^ uint64(byte(r>>24))) * fnvPrime
+		dst[r] = h
+	}
+	for i := 0; i < len(addr); i++ {
+		b := uint64(addr[i])
+		for r := range dst {
+			dst[r] = (dst[r] ^ b) * fnvPrime
+		}
+	}
+	for r := range dst {
+		dst[r] = fmix64(dst[r]) & mask
 	}
 }
 
@@ -241,16 +238,216 @@ func fmix64(x uint64) uint64 {
 	return x
 }
 
-// searchRing returns the insertion index in ring (sorted for ring r) for a
-// member with the given hash and address: the first index whose entry does not
-// order strictly before (hash, addr). The address is the tie-breaker so the
-// order is total even under hash collisions.
-func searchRing(ring []*memberRec, r int, hash uint64, addr node.Addr) int {
-	lo, hi := 0, len(ring)
+// probeHashes returns the K ring hashes of an address that is not (or need
+// not be) a member. buf keeps the paper's K on the caller's stack.
+func (v *View) probeHashes(buf *[16]uint64, addr node.Addr) []uint64 {
+	hs := buf[:]
+	if v.k > len(buf) {
+		hs = make([]uint64, v.k)
+	}
+	hs = hs[:v.k]
+	fillRingHashes(hs, addr, v.hashMask)
+	return hs
+}
+
+// --- the mutation path ---------------------------------------------------------
+
+// admissible reports why ep may not join, if it may not. Must be called with
+// the lock held.
+func (v *View) admissible(ep node.Endpoint) error {
+	if _, ok := v.byAddr[ep.Addr]; ok {
+		return ErrNodeAlreadyInRing
+	}
+	if _, ok := v.seenIDs[ep.ID]; ok {
+		return ErrUUIDAlreadyInRing
+	}
+	return nil
+}
+
+// stage gives an admissible endpoint a slot, hashes it once per ring and
+// registers its address and identifier; rewire then places it in the rings.
+func (v *View) stage(ep node.Endpoint) int32 {
+	var s int32
+	if n := len(v.free); n > 0 {
+		s, v.free = v.free[n-1], v.free[:n-1]
+		v.eps[s] = ep
+	} else {
+		// The new rows are written before they are read: the hashes just
+		// below, the positions when rewire places the slot.
+		s = int32(len(v.eps))
+		v.eps = append(v.eps, ep)
+		v.hashes = slices.Grow(v.hashes, v.k)[:len(v.hashes)+v.k]
+		v.pos = slices.Grow(v.pos, v.k+1)[:len(v.pos)+v.k+1]
+	}
+	fillRingHashes(v.hashes[int(s)*v.k:(int(s)+1)*v.k], ep.Addr, v.hashMask)
+	v.byAddr[ep.Addr] = s
+	v.seenIDs[ep.ID] = struct{}{}
+	return s
+}
+
+// unstage unregisters a member's address and returns its slot, which stays
+// occupied until rewire has taken it out of the rings. The logical ID stays
+// in seenIDs: a process that rejoins must use a new identifier (§3).
+func (v *View) unstage(addr node.Addr) (int32, bool) {
+	s, ok := v.byAddr[addr]
+	if ok {
+		delete(v.byAddr, addr)
+	}
+	return s, ok
+}
+
+// AddMember inserts an endpoint into every ring. It fails if the address or
+// the logical identifier is already present.
+func (v *View) AddMember(ep node.Endpoint) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if err := v.admissible(ep); err != nil {
+		return err
+	}
+	adds := [1]int32{v.stage(ep)}
+	v.rewire(adds[:], nil)
+	return nil
+}
+
+// RemoveMember removes the endpoint with the given address from every ring.
+func (v *View) RemoveMember(addr node.Addr) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	s, ok := v.unstage(addr)
+	if !ok {
+		return ErrNodeNotInRing
+	}
+	dels := [1]int32{s}
+	v.rewire(nil, dels[:])
+	return nil
+}
+
+// ApplyCut applies one multi-process cut (§4.2) with a single pass over each
+// ring: the leavers are removed as RemoveMember would remove them, then the
+// joiners are admitted as AddMember would admit them, in order — so a process
+// may leave and return under a new identifier in one cut. It returns the
+// endpoints actually added and removed. A leaver that is not a member, and a
+// joiner whose address or identifier is taken — by a member or by an earlier
+// joiner of the same cut — are skipped, where the one-element calls would
+// have returned ErrNodeNotInRing, ErrNodeAlreadyInRing or
+// ErrUUIDAlreadyInRing.
+func (v *View) ApplyCut(joiners []node.Endpoint, leavers []node.Addr) (joined, left []node.Endpoint) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	dels := make([]int32, 0, len(leavers))
+	for _, a := range leavers {
+		if s, ok := v.unstage(a); ok {
+			dels = append(dels, s)
+			left = append(left, v.eps[s])
+		}
+	}
+	adds := make([]int32, 0, len(joiners))
+	for _, ep := range joiners {
+		if v.admissible(ep) == nil {
+			adds = append(adds, v.stage(ep))
+			joined = append(joined, ep)
+		}
+	}
+	v.rewire(adds, dels)
+	return joined, left
+}
+
+// rewire is the view's one mutation path: it takes the slots in dels out of
+// every sequence and merges the staged slots in adds into every sequence,
+// touching only the part of a sequence behind the first slot that moves.
+func (v *View) rewire(adds, dels []int32) {
+	if len(adds)+len(dels) == 0 {
+		return
+	}
+	var sorter cutSorter
+	for r := range v.seqs {
+		seq := v.seqs[r]
+		if len(dels) > 0 {
+			seq = v.drop(seq, r, dels)
+		}
+		if len(adds) > 0 {
+			seq = v.merge(seq, r, sorter.sorted(v, r, adds))
+		}
+		v.seqs[r] = seq
+	}
+	for _, s := range dels {
+		v.eps[s] = node.Endpoint{}
+		v.free = append(v.free, s)
+	}
+	v.configIsValid = false
+}
+
+// drop compacts sequence r over the slots in dels, in place.
+func (v *View) drop(seq []int32, r int, dels []int32) []int32 {
+	stride := v.k + 1
+	start := len(seq)
+	for _, s := range dels {
+		p := &v.pos[int(s)*stride+r]
+		start = min(start, int(*p))
+		*p = -1
+	}
+	w := start
+	for _, s := range seq[start:] {
+		p := &v.pos[int(s)*stride+r]
+		if *p < 0 {
+			continue
+		}
+		seq[w] = s
+		*p = int32(w)
+		w++
+	}
+	return seq[:w]
+}
+
+// merge inserts adds — already in sequence r's order — into sequence r, in
+// place and from the back: the members behind each insertion point move once,
+// by the number of joiners that land before them, and the members in front of
+// the first insertion point are not touched.
+func (v *View) merge(seq []int32, r int, adds []int32) []int32 {
+	stride := v.k + 1
+	n, c := len(seq), len(adds)
+	seq = slices.Grow(seq, c)[:n+c]
+	hi := n
+	for j := c - 1; j >= 0; j-- {
+		s := adds[j]
+		idx := v.search(seq[:hi], r, v.hashOf(s, r), v.eps[s].Addr)
+		copy(seq[idx+j+1:hi+j+1], seq[idx:hi])
+		for x := idx + j + 1; x < hi+j+1; x++ {
+			v.pos[int(seq[x])*stride+r] = int32(x)
+		}
+		seq[idx+j] = s
+		v.pos[int(s)*stride+r] = int32(idx + j)
+		hi = idx
+	}
+	return seq
+}
+
+// hashOf returns the key hash of slot s in sequence r: its ring hash, or zero
+// in the address order, whose key is the address alone.
+func (v *View) hashOf(s int32, r int) uint64 {
+	if r == v.k {
+		return 0
+	}
+	return v.hashes[int(s)*v.k+r]
+}
+
+// before reports whether slot s orders strictly before the key (hash, addr)
+// in sequence r. The address is the tie-breaker, so the order is total even
+// under hash collisions.
+func (v *View) before(s int32, r int, hash uint64, addr node.Addr) bool {
+	if h := v.hashOf(s, r); h != hash {
+		return h < hash
+	}
+	return v.eps[s].Addr < addr
+}
+
+// search returns the insertion index in seq (a prefix of sequence r) for the
+// key (hash, addr): the first index whose slot does not order before it.
+func (v *View) search(seq []int32, r int, hash uint64, addr node.Addr) int {
+	lo, hi := 0, len(seq)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		e := ring[mid]
-		if e.hashes[r] < hash || (e.hashes[r] == hash && e.ep.Addr < addr) {
+		if v.before(seq[mid], r, hash, addr) {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -259,79 +456,127 @@ func searchRing(ring []*memberRec, r int, hash uint64, addr node.Addr) int {
 	return lo
 }
 
-// AddMember inserts an endpoint into every ring. It fails if the address or
-// the logical identifier is already present.
-func (v *View) AddMember(ep node.Endpoint) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.byAddr[ep.Addr]; ok {
-		return ErrNodeAlreadyInRing
-	}
-	if v.seenIDs[ep.ID] {
-		return ErrUUIDAlreadyInRing
-	}
-	rec := &memberRec{
-		ep:     ep,
-		hashes: make([]uint64, v.k),
-		pos:    make([]int, v.k),
-	}
-	fillRingHashes(rec.hashes, ep.Addr)
-	v.byAddr[ep.Addr] = rec
-	v.seenIDs[ep.ID] = true
-	for r := 0; r < v.k; r++ {
-		ring := v.rings[r]
-		idx := searchRing(ring, r, rec.hashes[r], ep.Addr)
-		ring = append(ring, nil)
-		copy(ring[idx+1:], ring[idx:])
-		ring[idx] = rec
-		rec.pos[r] = idx
-		for i := idx + 1; i < len(ring); i++ {
-			ring[i].pos[r]++
-		}
-		v.rings[r] = ring
-	}
-	v.configIsValid = false
-	return nil
+// ringKey is one slot keyed for the radix passes: the upper half of its ring
+// hash. Eight bytes, so a pass moves half of what the full hash would.
+type ringKey struct {
+	top  uint32
+	slot int32
 }
 
-// RemoveMember removes the endpoint with the given address from every ring.
-// The position index makes each ring removal a direct O(1) lookup plus the
-// unavoidable shift, with no searching.
-func (v *View) RemoveMember(addr node.Addr) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	rec, ok := v.byAddr[addr]
-	if !ok {
-		return ErrNodeNotInRing
-	}
-	delete(v.byAddr, addr)
-	for r := 0; r < v.k; r++ {
-		ring := v.rings[r]
-		idx := rec.pos[r]
-		copy(ring[idx:], ring[idx+1:])
-		ring[len(ring)-1] = nil
-		ring = ring[:len(ring)-1]
-		for i := idx; i < len(ring); i++ {
-			ring[i].pos[r]--
-		}
-		v.rings[r] = ring
-	}
-	// Note: the logical ID stays in seenIDs; a process that rejoins must use
-	// a new identifier, as required by §3.
-	v.configIsValid = false
-	return nil
+// cutSorter orders a cut's staged slots for each sequence in turn, reusing
+// its buffers across the K+1 sequences of one rewire.
+type cutSorter struct {
+	out       []int32
+	keys, tmp []ringKey
 }
+
+// radixMin is the cut size from which ring keys are radix sorted; below it an
+// insertion sort wins (a failure or a lone join is a cut of one or two).
+const radixMin = 48
+
+// sorted returns adds in the order of sequence r.
+func (cs *cutSorter) sorted(v *View, r int, adds []int32) []int32 {
+	if len(adds) == 1 {
+		return adds
+	}
+	if cs.out == nil {
+		cs.out = make([]int32, len(adds))
+	}
+	out := cs.out
+	copy(out, adds)
+	switch {
+	case r == v.k:
+		// Join responses and consensus proposals arrive sorted by address.
+		byAddr := func(a, b int32) int { return strings.Compare(string(v.eps[a].Addr), string(v.eps[b].Addr)) }
+		if !slices.IsSortedFunc(out, byAddr) {
+			slices.SortFunc(out, byAddr)
+		}
+	case len(adds) < radixMin:
+		v.insertionSort(out, r)
+	default:
+		if cs.keys == nil {
+			cs.keys, cs.tmp = make([]ringKey, len(adds)), make([]ringKey, len(adds))
+		}
+		for i, s := range adds {
+			cs.keys[i] = ringKey{top: uint32(v.hashes[int(s)*v.k+r] >> 32), slot: s}
+		}
+		keys := radixSort(cs.keys, cs.tmp)
+		for i := range keys {
+			out[i] = keys[i].slot
+		}
+		// The tie-break pass: a run of keys the radix passes could not tell
+		// apart is ordered by the rest of the hash, then by address.
+		for i := 0; i < len(keys); {
+			j := i + 1
+			for j < len(keys) && keys[j].top == keys[i].top {
+				j++
+			}
+			if j-i > 1 {
+				v.insertionSort(out[i:j], r)
+			}
+			i = j
+		}
+	}
+	return out
+}
+
+// insertionSort orders slots by sequence r's key.
+func (v *View) insertionSort(slots []int32, r int) {
+	for i := 1; i < len(slots); i++ {
+		s := slots[i]
+		hash, addr := v.hashOf(s, r), v.eps[s].Addr
+		j := i
+		for ; j > 0 && !v.before(slots[j-1], r, hash, addr); j-- {
+			slots[j] = slots[j-1]
+		}
+		slots[j] = s
+	}
+}
+
+// radixSort orders keys by top with a stable LSD radix sort, one byte per
+// pass, and returns whichever of the two buffers holds the result. The four
+// histograms are taken in one read; a byte on which all keys agree is skipped.
+func radixSort(keys, tmp []ringKey) []ringKey {
+	var hist [4][256]int32
+	for i := range keys {
+		t := keys[i].top
+		hist[0][byte(t)]++
+		hist[1][byte(t>>8)]++
+		hist[2][byte(t>>16)]++
+		hist[3][byte(t>>24)]++
+	}
+	for d := range hist {
+		shift := 8 * d
+		count := &hist[d]
+		if int(count[byte(keys[0].top>>shift)]) == len(keys) {
+			continue
+		}
+		sum := int32(0)
+		for b, n := range count {
+			count[b], sum = sum, sum+n
+		}
+		for i := range keys {
+			b := byte(keys[i].top >> shift)
+			tmp[count[b]] = keys[i]
+			count[b]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
+}
+
+// --- topology queries ------------------------------------------------------------
 
 // ObserversOf returns the K processes that monitor addr: the predecessor of
 // addr in each ring. With fewer than two members there are no observers.
 func (v *View) ObserversOf(addr node.Addr) ([]node.Addr, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	rec, ok := v.byAddr[addr]
+	s, ok := v.byAddr[addr]
 	if !ok {
 		return nil, ErrNodeNotInRing
 	}
-	return v.neighboursLocked(rec, -1), nil
+	return v.neighboursLocked(s, -1), nil
 }
 
 // SubjectsOf returns the K processes that addr monitors: the successor of
@@ -339,11 +584,11 @@ func (v *View) ObserversOf(addr node.Addr) ([]node.Addr, error) {
 func (v *View) SubjectsOf(addr node.Addr) ([]node.Addr, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	rec, ok := v.byAddr[addr]
+	s, ok := v.byAddr[addr]
 	if !ok {
 		return nil, ErrNodeNotInRing
 	}
-	return v.neighboursLocked(rec, +1), nil
+	return v.neighboursLocked(s, +1), nil
 }
 
 // UniqueSubjectsOf returns the distinct subjects of addr, excluding addr
@@ -353,42 +598,45 @@ func (v *View) SubjectsOf(addr node.Addr) ([]node.Addr, error) {
 func (v *View) UniqueSubjectsOf(addr node.Addr) ([]node.Addr, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	rec, ok := v.byAddr[addr]
+	slot, ok := v.byAddr[addr]
 	if !ok {
 		return nil, ErrNodeNotInRing
 	}
-	subs := v.neighboursLocked(rec, +1)
+	subs := v.neighboursLocked(slot, +1)
 	out := subs[:0]
 	for _, s := range subs {
-		if s == addr {
-			continue
-		}
-		dup := false
-		for _, seen := range out {
-			if seen == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if s != addr && !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}
 	return out, nil
 }
 
-// neighboursLocked returns the ring neighbour of rec in each ring in ring
+// predecessor returns the address in front of index idx of ring, wrapping.
+func (v *View) predecessor(ring []int32, idx int) node.Addr {
+	if idx == 0 {
+		idx = len(ring)
+	}
+	return v.eps[ring[idx-1]].Addr
+}
+
+// neighboursLocked returns the ring neighbour of slot s in each ring in ring
 // order; direction -1 selects predecessors (observers), +1 successors
 // (subjects). Must be called with the lock held.
-func (v *View) neighboursLocked(rec *memberRec, direction int) []node.Addr {
+func (v *View) neighboursLocked(s int32, direction int) []node.Addr {
 	out := make([]node.Addr, 0, v.k)
 	if len(v.byAddr) <= 1 {
 		return out
 	}
-	for r := 0; r < v.k; r++ {
-		ring := v.rings[r]
-		n := len(ring)
-		out = append(out, ring[((rec.pos[r]+direction)%n+n)%n].ep.Addr)
+	pos := v.pos[int(s)*(v.k+1):]
+	for r, ring := range v.seqs[:v.k] {
+		idx := int(pos[r]) + direction
+		if idx < 0 {
+			idx = len(ring) - 1
+		} else if idx == len(ring) {
+			idx = 0
+		}
+		out = append(out, v.eps[ring[idx]].Addr)
 	}
 	return out
 }
@@ -403,14 +651,10 @@ func (v *View) ExpectedObserversOf(addr node.Addr) []node.Addr {
 	if len(v.byAddr) == 0 {
 		return out
 	}
-	for r := 0; r < v.k; r++ {
-		ring := v.rings[r]
-		if len(ring) == 0 {
-			continue
-		}
-		idx := searchRing(ring, r, ringHash(addr, r), addr)
-		n := len(ring)
-		out = append(out, ring[((idx-1)%n+n)%n].ep.Addr)
+	var buf [16]uint64
+	for r, hash := range v.probeHashes(&buf, addr) {
+		ring := v.seqs[r]
+		out = append(out, v.predecessor(ring, v.search(ring, r, hash, addr)))
 	}
 	return out
 }
@@ -423,29 +667,26 @@ func (v *View) RingNumbers(observer, subject node.Addr) []int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	var out []int
-	if rec, ok := v.byAddr[subject]; ok {
+	if s, ok := v.byAddr[subject]; ok {
 		if len(v.byAddr) <= 1 {
 			return out
 		}
-		for r := 0; r < v.k; r++ {
-			ring := v.rings[r]
-			n := len(ring)
-			if ring[((rec.pos[r]-1)%n+n)%n].ep.Addr == observer {
+		pos := v.pos[int(s)*(v.k+1):]
+		for r, ring := range v.seqs[:v.k] {
+			if v.predecessor(ring, int(pos[r])) == observer {
 				out = append(out, r)
 			}
 		}
 		return out
 	}
-	// Joiner case: locate the would-be position by binary search, hashing the
-	// probe address once per ring.
-	for r := 0; r < v.k; r++ {
-		ring := v.rings[r]
-		if len(ring) == 0 {
-			continue
-		}
-		idx := searchRing(ring, r, ringHash(subject, r), subject)
-		n := len(ring)
-		if ring[((idx-1)%n+n)%n].ep.Addr == observer {
+	if len(v.byAddr) == 0 {
+		return out
+	}
+	// Joiner case: locate the would-be position by binary search.
+	var buf [16]uint64
+	for r, hash := range v.probeHashes(&buf, subject) {
+		ring := v.seqs[r]
+		if v.predecessor(ring, v.search(ring, r, hash, subject)) == observer {
 			out = append(out, r)
 		}
 	}
@@ -458,7 +699,8 @@ func (v *View) RingNumbers(observer, subject node.Addr) []int {
 //
 // The common case — the cached identifier is valid — takes only the read
 // lock, so concurrent readers are not serialized; the write lock is taken
-// only to recompute after a membership change (double-checked).
+// only to recompute after a membership change (double-checked), and the
+// recomputation is one pass over the address order.
 func (v *View) ConfigurationID() uint64 {
 	v.mu.RLock()
 	if v.configIsValid {
@@ -473,22 +715,17 @@ func (v *View) ConfigurationID() uint64 {
 	if v.configIsValid {
 		return v.cachedConfig
 	}
-	addrs := make([]node.Addr, 0, len(v.byAddr))
-	for a := range v.byAddr {
-		addrs = append(addrs, a)
-	}
-	node.SortAddrs(addrs)
 	h := uint64(fnvOffset)
-	for _, a := range addrs {
-		id := v.byAddr[a].ep.ID
-		for i := 0; i < len(a); i++ {
-			h = (h ^ uint64(a[i])) * fnvPrime
+	for _, s := range v.seqs[v.k] {
+		ep := &v.eps[s]
+		for i := 0; i < len(ep.Addr); i++ {
+			h = (h ^ uint64(ep.Addr[i])) * fnvPrime
 		}
 		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(id.High>>(8*i)))) * fnvPrime
+			h = (h ^ uint64(byte(ep.ID.High>>(8*i)))) * fnvPrime
 		}
 		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(id.Low>>(8*i)))) * fnvPrime
+			h = (h ^ uint64(byte(ep.ID.Low>>(8*i)))) * fnvPrime
 		}
 	}
 	v.cachedConfig = h
@@ -500,43 +737,13 @@ func (v *View) ConfigurationID() uint64 {
 func (v *View) IsSafeToJoin(addr node.Addr, id node.ID) remoting.JoinStatus {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	if _, ok := v.byAddr[addr]; ok {
+	switch v.admissible(node.Endpoint{Addr: addr, ID: id}) {
+	case ErrNodeAlreadyInRing:
 		return remoting.JoinHostAlreadyInRing
-	}
-	if v.seenIDs[id] {
+	case ErrUUIDAlreadyInRing:
 		return remoting.JoinUUIDAlreadyInRing
 	}
 	return remoting.JoinSafeToJoin
-}
-
-// Clone returns a deep copy of the view (used when handing a snapshot to a
-// new configuration or to application callbacks).
-func (v *View) Clone() *View {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	clone := New(v.k)
-	for a, rec := range v.byAddr {
-		// The hash slice is immutable after construction and safely shared;
-		// positions are mutable per-view state and must be copied.
-		clone.byAddr[a] = &memberRec{
-			ep:     rec.ep,
-			hashes: rec.hashes,
-			pos:    append([]int(nil), rec.pos...),
-		}
-	}
-	for id := range v.seenIDs {
-		clone.seenIDs[id] = true
-	}
-	for r := 0; r < v.k; r++ {
-		ring := make([]*memberRec, len(v.rings[r]))
-		for i, rec := range v.rings[r] {
-			ring[i] = clone.byAddr[rec.ep.Addr]
-		}
-		clone.rings[r] = ring
-	}
-	clone.cachedConfig = v.cachedConfig
-	clone.configIsValid = v.configIsValid
-	return clone
 }
 
 // Ring returns a copy of ring r, primarily for the expander analysis in
@@ -547,9 +754,9 @@ func (v *View) Ring(r int) ([]node.Endpoint, error) {
 	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := make([]node.Endpoint, len(v.rings[r]))
-	for i, rec := range v.rings[r] {
-		out[i] = rec.ep
+	out := make([]node.Endpoint, len(v.seqs[r]))
+	for i, s := range v.seqs[r] {
+		out[i] = v.eps[s]
 	}
 	return out, nil
 }

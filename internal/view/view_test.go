@@ -286,18 +286,6 @@ func TestIsSafeToJoin(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	v := NewWithMembers(5, endpoints(5))
-	c := v.Clone()
-	if c.ConfigurationID() != v.ConfigurationID() {
-		t.Fatal("clone should have the same configuration ID")
-	}
-	v.RemoveMember(endpoints(5)[0].Addr)
-	if c.Size() != 5 {
-		t.Fatal("mutating the original must not affect the clone")
-	}
-}
-
 func TestRingAccessor(t *testing.T) {
 	v := NewWithMembers(3, endpoints(4))
 	ring, err := v.Ring(0)
