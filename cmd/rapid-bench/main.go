@@ -14,7 +14,7 @@
 //	rapid-bench -exp scenarios -sizes 60 -faults slow,flap -systems rapid
 //
 // Experiments: fig1, fig5 (also covers fig6/fig7/table1), fig8, fig9, fig10,
-// table2, fig11, fig12, fig13, broadcast, eigen, all, plus two that must be
+// table2, fig11, fig12, fig13, eigen, all, plus two that must be
 // selected explicitly because they run minutes, not seconds, and are
 // therefore not part of "all": bootstrap — the paper-scale (1000+ node)
 // Figure 5 rerun — and scenarios — the adversarial scenario matrix (fault
@@ -38,7 +38,7 @@ import (
 
 func main() {
 	var (
-		expName   = flag.String("exp", "all", "experiment to run (fig1,fig5,fig8,fig9,fig10,table2,fig11,fig12,fig13,broadcast,eigen,all,bootstrap,scenarios)")
+		expName   = flag.String("exp", "all", "experiment to run (fig1,fig5,fig8,fig9,fig10,table2,fig11,fig12,fig13,eigen,all,bootstrap,scenarios)")
 		scale     = flag.Float64("scale", 50, "time compression factor (50 = 1 paper-second -> 20ms)")
 		n         = flag.Int("n", 60, "cluster size for failure experiments")
 		sizes     = flag.String("sizes", "30,60,100", "comma-separated cluster sizes for bootstrap experiments (bootstrap default: 100,500,1000,2000)")
@@ -140,16 +140,6 @@ func main() {
 	if want("fig13") {
 		run("Figure 13: service discovery", func() error {
 			_, err := experiments.RunServiceDiscovery(cfg, 20, 5, 3*time.Second)
-			return err
-		})
-	}
-	if want("broadcast") {
-		run("Broadcast strategy: unicast-to-all vs gossip message cost", func() error {
-			failures := *n / 10
-			if failures < 1 {
-				failures = 1
-			}
-			_, err := experiments.RunBroadcastComparison(cfg, *n, failures, 8)
 			return err
 		})
 	}

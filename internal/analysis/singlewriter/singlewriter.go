@@ -3,8 +3,8 @@
 // Struct fields whose comment carries the marker "engine-owned" may only be
 // read or written from functions reachable — through same-package static
 // calls — from a function whose doc comment carries "engine-entry" (the
-// engine loop itself, plus constructors that run before the loop goroutine
-// starts and therefore happen-before it).
+// driver loop that steps the engine, plus constructors that run before the
+// driver goroutine starts and therefore happen-before it).
 //
 // Function literals declared inside a reachable function inherit its
 // reachability (deferred closures, sort comparators and locally-called

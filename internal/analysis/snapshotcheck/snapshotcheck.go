@@ -1,7 +1,7 @@
 // Package snapshotcheck enforces snapshot immutability: the slices and maps
 // handed out by the membership snapshot accessors are shared — the engine
 // builds one sorted membership per configuration, and the snapshot, every
-// ViewChange.Members, every JoinResponse.Members and the unicast broadcaster
+// ViewChange.Members, every JoinResponse.Members and every send's target list
 // hold that very slice — so callers must treat them as read-only. Enforcing this
 // at vet time is what let the engine drop its per-consumer O(N) copies, and
 // what would let the accessor that still copies defensively (Cluster.Members)
@@ -49,7 +49,6 @@ var ReadOnlyFields = []FieldSource{
 	{"repro/internal/core", "ViewChange", "Members"},
 	{"repro/internal/core", "ViewChange", "Changes"},
 	{"repro/internal/core", "snapshot", "members"},
-	{"repro/internal/core", "snapshot", "pastConfigs"},
 	{"repro/internal/core", "engine", "members"},
 	{"repro/internal/core", "engine", "addrs"},
 	{"repro/internal/remoting", "JoinResponse", "Members"},

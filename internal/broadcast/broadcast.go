@@ -1,12 +1,16 @@
-// Package broadcast provides the dissemination primitives used for alerts
-// and the consensus recovery path (fast-round votes are pushed along the K
-// rings by the membership service itself). Rapid's default is a best-effort
-// unicast-to-all broadcaster; a fanout gossip broadcaster is provided as an
-// alternative with lower per-sender cost at the price of extra hops.
+// Package broadcast provides standalone dissemination primitives: a
+// best-effort unicast-to-all broadcaster, which the Rapid-C ensemble
+// (package centralized) sends through, and a fanout gossip broadcaster. The
+// membership service (package core) uses neither: its engine returns its
+// sends — the alert batch for every member, vote bitmaps for the K ring
+// subjects — and its driver performs them. Gossip has no user left in this
+// module; it stays because the frozen benchmark times it
+// (broadcast.gossip_flush_ns) and goes with the [benchmark] PR that drops
+// that row.
 //
 // A recipient list is immutable once set: SetMembership hands over a slice
-// that is shared with the rest of the configuration's consumers, so
-// UnicastToAll keeps it without a copy and nobody writes to it again.
+// its caller may share, so UnicastToAll keeps it without a copy and nobody
+// writes to it again.
 package broadcast
 
 import (
@@ -23,9 +27,7 @@ type Broadcaster interface {
 	// Broadcast sends req to all current members, best-effort.
 	Broadcast(req *remoting.Request)
 	// SetMembership replaces the recipient list after a view change. The
-	// broadcaster may retain members, and the membership service passes the
-	// same slice to every consumer of a configuration: neither side writes to
-	// it afterwards.
+	// broadcaster may retain members: neither side writes to it afterwards.
 	SetMembership(members []node.Addr)
 }
 
@@ -60,19 +62,9 @@ func (b *UnicastToAll) Broadcast(req *remoting.Request) {
 	}
 }
 
-// Members returns the current recipient list (for tests).
-func (b *UnicastToAll) Members() []node.Addr {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]node.Addr, len(b.members))
-	copy(out, b.members)
-	return out
-}
-
 // Gossip forwards each broadcast to a random fanout subset of the membership;
-// receivers are expected to re-broadcast (the membership service does this
-// for batched alert messages, deduplicating on per-sender sequence
-// numbers). It reduces per-sender cost from O(N) to O(fanout) per hop.
+// receivers are expected to re-broadcast what they had not seen. It reduces
+// per-sender cost from O(N) to O(fanout) per hop.
 type Gossip struct {
 	client transport.Client
 	self   node.Addr

@@ -37,7 +37,7 @@ const (
 )
 
 // windowController holds the adaptive flush window. It is engine-goroutine
-// state: retune is only called from the engine loop, between flushes.
+// state: retune is only called from the engine's tick, between flushes.
 type windowController struct {
 	floor   time.Duration
 	ceiling time.Duration

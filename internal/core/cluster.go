@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/broadcast"
 	"repro/internal/edgefd"
 	"repro/internal/metrics"
 	"repro/internal/node"
@@ -71,17 +70,7 @@ type snapshot struct {
 	configID    uint64
 	members     []node.Endpoint // sorted by address; the engine's slice, immutable
 	viewChanges int
-	// pastConfigs are the identifiers of recent configurations this process
-	// has already moved past (bounded by maxPastConfigs). A phase-2 join
-	// request naming one of these is stale and redirected; one naming an
-	// unknown configuration is early and held (see handleJoinPhase2).
-	pastConfigs map[uint64]bool
 }
-
-// maxPastConfigs bounds the past-configuration history. It only needs to
-// cover configurations whose traffic may still be in flight; 32 view changes
-// of slack is far beyond any request's network lifetime.
-const maxPastConfigs = 32
 
 const (
 	// eventQueueSize bounds the engine's inbound event queue.
@@ -96,19 +85,14 @@ const (
 //
 // Internally the handle is a thin shell around a single-writer protocol
 // engine (see engine.go): transport handlers enqueue events on one queue, one
-// goroutine applies them, and the results are published as atomic snapshots.
+// goroutine steps the engine with them and performs what it returns (see
+// driver.go), and the results are published as atomic snapshots.
 type Cluster struct {
 	settings Settings
 	net      transport.Network
 	client   transport.Client
 	clock    simclock.Clock
 	me       node.Endpoint
-
-	// unicast always addresses the full membership; broadcaster is the
-	// Settings-selected strategy for batched alerts (it aliases unicast unless
-	// gossip is configured).
-	unicast     *broadcast.UnicastToAll
-	broadcaster broadcast.Broadcaster
 
 	// events is the engine's only way in: every protocol message, join phase
 	// and failure-detector verdict queues here in arrival order.
@@ -122,9 +106,6 @@ type Cluster struct {
 	// requests that wait for this member's engine instead of bouncing.
 	startedCh chan struct{}
 	snap      atomic.Pointer[snapshot]
-	// pastRing orders the recent past configuration IDs for trimming. Only
-	// the engine goroutine (via publishSnapshot) touches it. engine-owned.
-	pastRing []uint64
 
 	notifier  *notifier
 	monitorCh chan []node.Addr
@@ -136,15 +117,13 @@ type Cluster struct {
 // the notifier queue depth are not stored metrics: Stats() reads them live
 // from the queues themselves.
 type EngineMetrics struct {
-	// EventsProcessed counts events applied by the engine goroutine.
+	// EventsProcessed counts events the driver stepped the engine with.
 	EventsProcessed metrics.Counter
 	// BatchesSent counts flushed alert batches and vote pushes.
 	BatchesSent metrics.Counter
 	// BatchSizes aggregates the alerts per flushed alert batch and the
 	// proposals per vote push.
 	BatchSizes metrics.Distribution
-	// GossipDuplicates counts batches dropped by gossip deduplication.
-	GossipDuplicates metrics.Counter
 	// BatchWindow is the engine's current adaptive flush window, nanoseconds.
 	BatchWindow metrics.Gauge
 	// ShedBatches counts inbound alert/vote batches dropped by overload
@@ -164,11 +143,10 @@ type EngineMetrics struct {
 
 // EngineStats is a point-in-time summary of the engine metrics.
 type EngineStats struct {
-	QueueDepth       int
-	EventsProcessed  int64
-	BatchesSent      int64
-	BatchSizes       metrics.DistributionSummary
-	GossipDuplicates int64
+	QueueDepth      int
+	EventsProcessed int64
+	BatchesSent     int64
+	BatchSizes      metrics.DistributionSummary
 	// BatchWindow is the current adaptive flush window, sized between
 	// Settings.BatchingWindowMin and BatchingWindowMax by load.
 	BatchWindow time.Duration
@@ -233,39 +211,33 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 	if settings.Metadata != nil {
 		me = me.WithMetadata(settings.Metadata)
 	}
-	client := net.Client(addr)
 	c := &Cluster{
 		settings:  settings,
 		net:       net,
-		client:    client,
+		client:    net.Client(addr),
 		clock:     settings.Clock,
 		me:        me,
-		unicast:   broadcast.NewUnicastToAll(client),
 		events:    make(chan event, eventQueueSize),
 		stopCh:    make(chan struct{}),
 		startedCh: make(chan struct{}),
 		monitorCh: make(chan []node.Addr, 1),
 	}
 	c.notifier = newNotifier(notifierQueueBound, &c.emetrics.NotifierCoalesced)
-	switch settings.Broadcast {
-	case BroadcastGossip:
-		c.broadcaster = broadcast.NewGossip(client, me.Addr, settings.GossipFanout, int64(me.ID.Low))
-	default:
-		c.broadcaster = c.unicast
-	}
 	return c, nil
 }
 
-// initialize installs the first configuration and starts the engine, the
-// monitor manager and the subscriber delivery goroutine. The engine
-// goroutine publishes the initial monitor subject set itself, keeping all
-// subject updates ordered.
+// initialize installs the first configuration and starts the engine's
+// driver, the monitor manager and the subscriber delivery goroutine. The
+// engine's first outputs are performed here, before the driver exists: the
+// snapshot is there when the constructor returns, and the first monitor
+// subject set cannot overtake a view change's.
 func (c *Cluster) initialize(members []node.Endpoint) {
-	e := newEngine(c, members)
+	e, first := newEngine(c.me, &c.settings, &c.emetrics, members)
+	c.perform(first)
 	c.started.Store(true)
 	close(c.startedCh)
 	c.wg.Add(2)
-	go e.run()
+	go e.run(c, c.clock.Timer(first.flushIn))
 	go c.monitorManager()
 	go c.notifier.run()
 }
@@ -348,31 +320,6 @@ func (s *snapshot) member(addr node.Addr) (node.Endpoint, bool) {
 	return s.members[i], true
 }
 
-// publishSnapshot installs the membership state readers see. Called by the
-// engine goroutine only (and once during construction). members is the
-// configuration's sorted membership, the slice the engine also hands to
-// subscribers and joiners; nobody writes to it again (rapid-vet's snapshot
-// check enforces that), so the snapshot keeps it as it is.
-func (c *Cluster) publishSnapshot(configID uint64, members []node.Endpoint, viewChanges int) {
-	// The configuration being replaced joins the bounded past-configs set.
-	if prev := c.snap.Load(); prev != nil {
-		c.pastRing = append(c.pastRing, prev.configID)
-		if len(c.pastRing) > maxPastConfigs {
-			c.pastRing = c.pastRing[len(c.pastRing)-maxPastConfigs:]
-		}
-	}
-	past := make(map[uint64]bool, len(c.pastRing))
-	for _, id := range c.pastRing {
-		past[id] = true
-	}
-	c.snap.Store(&snapshot{
-		configID:    configID,
-		members:     members,
-		viewChanges: viewChanges,
-		pastConfigs: past,
-	})
-}
-
 // --- public accessors --------------------------------------------------------
 
 // Addr returns this process' listen address.
@@ -446,7 +393,6 @@ func (c *Cluster) Stats() EngineStats {
 		EventsProcessed:   c.emetrics.EventsProcessed.Value(),
 		BatchesSent:       c.emetrics.BatchesSent.Value(),
 		BatchSizes:        c.emetrics.BatchSizes.Summary(),
-		GossipDuplicates:  c.emetrics.GossipDuplicates.Value(),
 		BatchWindow:       time.Duration(c.emetrics.BatchWindow.Value()),
 		ShedBatches:       c.emetrics.ShedBatches.Value(),
 		QueueFullTime:     time.Duration(c.emetrics.QueueFullNanos.Value()),
@@ -465,14 +411,13 @@ func (c *Cluster) Subscribe(cb Subscriber) { c.notifier.subscribe(cb) }
 
 // Leave announces a graceful departure: observers of this process convert the
 // announcement into REMOVE alerts so a coordinated view change removes it.
+// The announcement is an event like any other: the engine sends it to every
+// member when its turn comes, and a handle that has stopped sends nothing.
 // The handle keeps serving protocol messages until Stop is called.
 func (c *Cluster) Leave() {
-	if !c.started.Load() {
-		return
+	if c.started.Load() {
+		c.enqueue(event{leave: true})
 	}
-	// Leave always unicasts to the full membership: it must reach every
-	// observer of the leaver regardless of the gossip fanout.
-	c.unicast.Broadcast(&remoting.Request{Leave: &remoting.LeaveMessage{Sender: c.me.Addr}})
 }
 
 // Stop halts all background work and deregisters from the transport. The

@@ -464,59 +464,36 @@ func TestStopIsIdempotentAndHaltsService(t *testing.T) {
 	}
 }
 
-func TestGossipBroadcastModeConverges(t *testing.T) {
-	// The gossip broadcaster is selected through Settings; receivers must
-	// re-broadcast unseen batches so alerts flood the membership. Votes do
-	// not ride the gossip batch: they take the ring path in either mode (one
-	// hop here, with eight members).
+// TestLeaveIsAnEngineEvent: a leave announcement is sent by the engine's
+// driver — one message per member of the leaver's configuration, itself
+// included — so a handle that has stopped, whose driver is gone, announces
+// nothing. (Leave used to unicast from the caller's goroutine whenever the
+// handle had ever started, from an address Stop had already deregistered.)
+func TestLeaveIsAnEngineEvent(t *testing.T) {
 	net := simnet.New(simnet.Options{Seed: 12})
-	settings := testSettings()
-	settings.Broadcast = BroadcastGossip
-	settings.GossipFanout = 4
-	const n = 8
-	clusters := startCluster(t, net, n, settings)
+	const n = 5
+	clusters := startCluster(t, net, n, testSettings())
 	defer stopAll(clusters)
 
-	// A crash must still be detected and removed with gossip dissemination.
-	net.Crash(clusters[n-1].Addr())
-	survivors := clusters[:n-1]
-	if !waitUntil(t, 30*time.Second, func() bool {
-		for _, c := range survivors {
-			if c.Size() != n-1 {
-				return false
-			}
-		}
-		return true
-	}) {
-		sizes := []int{}
-		for _, c := range survivors {
-			sizes = append(sizes, c.Size())
-		}
-		t.Fatalf("gossip-mode cluster did not remove the crashed node: sizes=%v", sizes)
+	stopped := clusters[n-1]
+	stopped.Stop()
+	stopped.Leave()
+	if got := net.MessageCount("leave"); got != 0 {
+		t.Fatalf("a stopped handle sent %d leave messages, want 0", got)
 	}
-	configID := survivors[0].ConfigurationID()
-	for _, c := range survivors {
-		if c.ConfigurationID() != configID {
-			t.Fatal("gossip-mode survivors disagree on the configuration")
-		}
-	}
-	// Flooding means every batch is forwarded by every receiver, so the
-	// dedup path must have absorbed duplicates somewhere in the run.
-	var dups int64
-	for _, c := range survivors {
-		dups += c.Stats().GossipDuplicates
-	}
-	if dups == 0 {
-		t.Error("expected gossip re-broadcast to produce deduplicated duplicates")
-	}
-}
 
-func TestUnknownBroadcastModeRejected(t *testing.T) {
-	net := simnet.New(simnet.Options{Seed: 13})
-	bad := testSettings()
-	bad.Broadcast = "carrier-pigeon"
-	if _, err := StartCluster("seed:1", bad, net); err == nil {
-		t.Fatal("unknown broadcast mode should be rejected")
+	live := clusters[0]
+	live.Leave()
+	if !waitUntil(t, 10*time.Second, func() bool { return net.MessageCount("leave") >= n }) {
+		t.Fatalf("%d leave messages sent, want %d", net.MessageCount("leave"), n)
+	}
+	// A pre-join is answered by the engine after the leave event ahead of it:
+	// by now the driver has performed every send the leave asked for.
+	if _, err := live.HandleRequest(context.Background(), "peer:1", preJoinRequest("peer:1", node.NewID())); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.MessageCount("leave"); got != n {
+		t.Fatalf("%d leave messages sent, want one per member (%d)", got, n)
 	}
 }
 

@@ -8,32 +8,29 @@ import (
 	"repro/internal/fastpaxos"
 	"repro/internal/node"
 	"repro/internal/remoting"
-	"repro/internal/simclock"
 	"repro/internal/view"
 )
 
-// This file implements the cluster's single-writer protocol engine. One
-// goroutine — the engine loop — owns every piece of per-configuration
-// protocol state: the K-ring view, the multi-process cut detector, the
-// consensus instance, the pending join waiters, and the outbound alert batch.
-// All protocol inputs (batched alerts, consensus messages, failure-detector
-// verdicts, join and leave requests) arrive as events on one queue and are
-// applied sequentially, so no mutex guards protocol state and the message
-// path never contends on a lock. The engine owns its deadlines too: they are
-// fields it checks on its own ticks, never goroutines that read protocol
-// state from outside. Transport handlers are thin enqueuers; see handlers.go.
+// This file implements the member as a state machine: a deterministic
+// reaction to alerts, votes and ticks (§4.2, §4.3). The engine is pure state —
+// the K-ring view, the multi-process cut detector, the consensus instance,
+// the pending join waiters, the outbound alert batch — with two ways in and
+// one way out: step applies one event, tick is one firing of the flush timer,
+// and both return outputs, the things to do to the world. The engine holds no
+// transport, no clock, no timer and no handle on the Cluster, so it cannot do
+// any of them itself; run (driver.go) is the goroutine that feeds it events
+// and the time and performs what it returns. Events are applied one at a
+// time, so no mutex guards protocol state, and the engine's deadlines are
+// fields it checks on its ticks. Transport handlers are thin enqueuers; see
+// handlers.go.
 
-// event is the union of everything the engine consumes. Exactly one of req,
-// preJoin, join, joinGone and subjectDown is set per event. A flat struct
-// (rather than an interface) keeps the hot path — inbound batches and
-// consensus votes — allocation-free.
+// event is the union of everything the engine consumes. Exactly one field is
+// set per event. A flat struct (rather than an interface) keeps the hot path —
+// inbound batches and consensus votes — allocation-free.
 type event struct {
 	// req is a one-way protocol message (batch, consensus phase, leave),
 	// queued as the transport delivered it; dispatchRequest tells which.
 	req *remoting.Request
-	// network is true when a batch arrived from the transport (as opposed to
-	// the engine delivering its own flush to itself in gossip mode).
-	network bool
 
 	preJoin *preJoinEvent
 	join    *joinEvent
@@ -42,22 +39,26 @@ type event struct {
 	// out), so the request must not stay parked.
 	joinGone    *joinEvent
 	subjectDown node.Addr
+	// reinforce is the reinforcement tick: five per ReinforcementTimeout.
+	reinforce bool
+	// leave asks the engine to announce this process' graceful departure.
+	leave bool
 }
 
 // preJoinEvent carries a phase-1 join request and its reply channel.
 type preJoinEvent struct {
 	msg   *remoting.PreJoinRequest
-	reply chan *remoting.PreJoinResponse
+	reply chan *remoting.Response
 }
 
 // joinEvent carries a phase-2 join request and its reply channel (buffered,
-// so the engine never blocks on a handler that stopped listening). The engine
+// so a reply never blocks on a handler that stopped listening). The engine
 // replies at once, parks the request with the join waiters until the next
 // view change settles it, or holds it as early until the configuration it
 // names is installed.
 type joinEvent struct {
 	msg   *remoting.JoinRequest
-	reply chan *remoting.JoinResponse
+	reply chan *remoting.Response
 }
 
 // joinerKey identifies one incarnation of a joining process.
@@ -66,41 +67,88 @@ type joinerKey struct {
 	id   node.ID
 }
 
-// batchKey identifies one flushed alert batch for gossip deduplication.
-type batchKey struct {
-	origin node.Addr
-	seq    uint64
+// outputs is everything one step or tick asks of the world, in the order the
+// driver performs it.
+type outputs struct {
+	// sends are best-effort messages. A send's targets are a slice some
+	// configuration owns: nobody writes to it.
+	sends []send
+	// publish is the configuration this step installed, if it installed one.
+	publish *publication
+	// replies answer join requests, parked ones included.
+	replies []reply
+	// flushIn, when positive, arms the flush timer: tick is due that much
+	// later. Zero leaves the timer as it is — running, or stopped.
+	flushIn time.Duration
 }
 
-// engine is the single-writer owner of all protocol state. Only the run
-// goroutine touches the engine-owned fields after initialization; rapid-vet's
-// singlewriter analyzer enforces that every access is reachable from an
-// engine-entry root (newEngine, which happens-before the loop goroutine
-// starts, and run itself).
+// send is one request for a list of members.
+type send struct {
+	to  []node.Addr
+	req *remoting.Request
+}
+
+// reply is the answer to one join-phase request, for its waiting handler.
+type reply struct {
+	to   chan<- *remoting.Response
+	resp *remoting.Response
+}
+
+// publication is a freshly installed configuration: what readers see, what
+// subscribers are told (nothing for the configuration a member starts in) and
+// whom the edge failure detectors monitor from now on.
+type publication struct {
+	snap     *snapshot
+	change   *ViewChange
+	subjects []node.Addr
+}
+
+// engine is the single-writer owner of all protocol state. Only the goroutine
+// that steps it touches the engine-owned fields after initialization;
+// rapid-vet's singlewriter analyzer enforces that every access is reachable
+// from an engine-entry root (newEngine, which happens-before the driver
+// goroutine starts, and run itself).
 type engine struct {
-	c *Cluster
+	me node.Endpoint
+	// The settings the state machine reads: Settings.oneHopLimit,
+	// ConsensusFallbackBase and ReinforcementTimeout.
+	oneHop               int
+	fallbackBase         time.Duration
+	reinforcementTimeout time.Duration
+	metrics              *EngineMetrics
+
+	// now is the time of the step or tick being applied. engine-owned.
+	now time.Time
+	// out collects the outputs of the step or tick being applied; finish
+	// hands them over and starts afresh. engine-owned.
+	out outputs
 
 	view *view.View // engine-owned
 	// members and addrs are the membership sorted by address, myIndex this
-	// process' place in it (-1 once it has been removed), and subjects the
-	// distinct processes it monitors: all four are derived from the view once
-	// per installed configuration. A voter bitmap is indexed the way addrs is.
-	// members and addrs are never written after install built them: the
-	// snapshot, the view-change notification, every join response and the
-	// unicast broadcaster hold these very slices.
-	members   []node.Endpoint      // engine-owned
-	addrs     []node.Addr          // engine-owned
-	myIndex   int                  // engine-owned
-	subjects  []node.Addr          // engine-owned
-	cd        *cutdetect.Detector  // engine-owned
-	consensus *fastpaxos.FastPaxos // engine-owned
+	// process' place in it (-1 once it has been removed), subjects the
+	// distinct processes it monitors and voteTargets where its vote pushes go:
+	// all five are derived from the view once per installed configuration. A
+	// voter bitmap is indexed the way addrs is. None is written after install
+	// built it: the snapshot, the view-change notification, every join
+	// response and every send still to be performed hold these very slices.
+	members     []node.Endpoint      // engine-owned
+	addrs       []node.Addr          // engine-owned
+	myIndex     int                  // engine-owned
+	subjects    []node.Addr          // engine-owned
+	voteTargets []node.Addr          // engine-owned
+	cd          *cutdetect.Detector  // engine-owned
+	consensus   *fastpaxos.FastPaxos // engine-owned
+	// decided is the cut the consensus instance decided during this step. The
+	// instance only records it (see newConsensus); finish applies it once the
+	// call into consensus has returned. A cut is never empty. engine-owned.
+	decided []node.Endpoint
 	// votesDirty is set while the consensus instance holds votes this process
 	// has not pushed to its vote targets yet: its own, or, when it relays,
 	// whatever an inbound aggregate taught it. engine-owned.
 	votesDirty bool
 	// fallbackAt is the recovery deadline of the current consensus instance:
-	// armed when this process votes, cleared when the instance decides, and
-	// checked on the reinforcement tick. Zero while unarmed. engine-owned.
+	// armed when this process votes, cleared by the next install, and checked
+	// on the reinforcement tick. Zero while unarmed. engine-owned.
 	fallbackAt time.Time
 
 	alertedEdges map[node.Addr]bool // engine-owned
@@ -116,187 +164,98 @@ type engine struct {
 	// earlyJoins holds phase-2 requests that name a configuration this
 	// process has not installed yet (the seed that served the joiner's phase 1
 	// decided first); they are re-evaluated after every install. engine-owned.
-	earlyJoins  []*joinEvent
+	earlyJoins []*joinEvent
+	// pastConfigs are the configurations this process has moved past, oldest
+	// first, at most maxPastConfigs of them. A phase-2 join request naming one
+	// is stale and redirected; one naming an unknown configuration is early
+	// and held (see handleJoinPhase2). engine-owned.
+	pastConfigs []uint64
 	viewChanges int // engine-owned
 
 	// Outbound alert batch: alerts generated within one batching window leave
 	// as a single wire message on the next flush.
 	pendingAlerts []remoting.AlertMessage // engine-owned
-	outSeq        uint64                  // engine-owned
 
 	// winCtl sizes the flush window between the configured floor and ceiling
 	// from queue depth and arrival rate (see adaptive.go); arrivals counts
 	// the batches dispatched since the last flush, its rate input.
 	winCtl   windowController // engine-owned
 	arrivals int              // engine-owned
-	// flush is the batching timer and flushArmed says whether a tick is on its
-	// way: it is armed only while there is something to flush or to measure
-	// (see armFlush), so a quiet engine wakes for nothing but its
-	// reinforcement tick.
-	flush      simclock.Timer // engine-owned
-	flushArmed bool           // engine-owned
-
-	// seenBatches deduplicates gossip-forwarded alert batches.
-	seenBatches map[batchKey]bool // engine-owned
-	// rumors are alert batches this process still re-gossips on upcoming batch
-	// ticks (push gossip needs multiple rounds for whp coverage).
-	rumors []rumor // engine-owned
+	// flushArmed says whether a tick is on its way. finish asks for one only
+	// while there is something to flush or to measure, so a quiet engine is
+	// stepped for nothing but its reinforcement tick.
+	flushArmed bool // engine-owned
 }
 
-// rumor is one batch awaiting further gossip rounds.
-type rumor struct {
-	req       *remoting.Request
-	remaining int
-}
+// maxPastConfigs bounds the past-configuration history. It only needs to
+// cover configurations whose traffic may still be in flight; 32 view changes
+// of slack is far beyond any request's network lifetime.
+const maxPastConfigs = 32
 
-// gossipRounds is how many times each process pushes a batch it originated or
-// first received: one immediate broadcast plus re-gossip on subsequent batch
-// ticks. Multiple rounds give flooding its with-high-probability coverage;
-// one-shot forwarding can strand a member without a consensus quorum.
-const gossipRounds = 3
-
-// maxRumors bounds the re-gossip buffer; under extreme churn the oldest
-// rumors are dropped first (their content is also the most likely to be
-// superseded or already delivered).
-const maxRumors = 256
-
-// maxSeenBatches bounds the gossip dedup set. (origin, seq) keys are never
-// reused, so the set only needs to cover batches that may still circulate; a
-// full reset merely risks one extra round of config-filtered re-gossip.
-const maxSeenBatches = 8192
-
-// newEngine builds the engine state for the first configuration. It runs on
-// the caller's goroutine; the run loop takes sole ownership afterwards (the
-// goroutine start gives the required happens-before edge).
+// newEngine builds the engine state for the first configuration and returns
+// it with its first outputs: that configuration, and the first flush window —
+// an engine usually boots mid-storm, and if it does not, the first ticks are
+// the window's decay to its floor. It runs on the caller's goroutine; the
+// driver takes sole ownership afterwards (the goroutine start gives the
+// required happens-before edge).
 //
-// engine-entry: construction precedes the loop goroutine.
-func newEngine(c *Cluster, members []node.Endpoint) *engine {
+// engine-entry: construction precedes the driver goroutine.
+func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.Endpoint) (*engine, outputs) {
 	e := &engine{
-		c:            c,
-		view:         view.NewWithMembers(c.settings.K, members),
-		cd:           cutdetect.New(c.settings.K, c.settings.H, c.settings.L),
-		alertedEdges: make(map[node.Addr]bool),
-		joinWaiters:  make(map[joinerKey]*joinEvent),
-		joinAlerted:  make(map[joinerKey]bool),
-		seenBatches:  make(map[batchKey]bool),
-		// Seed the batch sequence from this instance's unique logical ID: a
-		// process that restarts and rejoins under the same address must not
-		// collide with (address, seq) dedup entries its previous incarnation
-		// left behind on long-lived members.
-		outSeq: c.me.ID.Low,
-		winCtl: newWindowController(c.settings.BatchingWindowMin, c.settings.BatchingWindowMax),
+		me:                   me,
+		oneHop:               s.oneHopLimit(),
+		fallbackBase:         s.ConsensusFallbackBase,
+		reinforcementTimeout: s.ReinforcementTimeout,
+		metrics:              m,
+		view:                 view.NewWithMembers(s.K, members),
+		cd:                   cutdetect.New(s.K, s.H, s.L),
+		alertedEdges:         make(map[node.Addr]bool),
+		joinWaiters:          make(map[joinerKey]*joinEvent),
+		joinAlerted:          make(map[joinerKey]bool),
+		winCtl:               newWindowController(s.BatchingWindowMin, s.BatchingWindowMax),
 	}
-	c.emetrics.BatchWindow.Set(int64(e.winCtl.window))
-	// An engine is born armed: it usually boots mid-storm, and if it does not,
-	// the first ticks are the window's decay to its floor.
-	e.flush, e.flushArmed = c.clock.Timer(e.winCtl.window), true
+	m.BatchWindow.Set(int64(e.winCtl.window))
 	e.install()
-	return e
+	e.flushArmed, e.out.flushIn = true, e.winCtl.window
+	return e, e.finish()
 }
 
 // install derives everything the engine keeps per configuration from the
 // view it just built or changed — the view hands out its address order, the
-// only O(N) copy made here — and publishes the result: broadcast recipients, a
-// fresh consensus instance, the snapshot readers see.
+// only O(N) copy made here — starts a fresh consensus instance and puts the
+// configuration into this step's outputs.
 func (e *engine) install() {
-	c := e.c
 	e.members = e.view.Members()
 	e.addrs = node.EndpointAddrs(e.members)
 	e.myIndex = -1
-	if i, ok := slices.BinarySearch(e.addrs, c.me.Addr); ok {
+	if i, ok := slices.BinarySearch(e.addrs, e.me.Addr); ok {
 		e.myIndex = i
 	}
 	e.subjects = nil
 	if e.myIndex >= 0 {
-		e.subjects, _ = e.view.UniqueSubjectsOf(c.me.Addr)
+		e.subjects, _ = e.view.UniqueSubjectsOf(e.me.Addr)
 	}
-	c.unicast.SetMembership(e.addrs)
-	if c.broadcaster != c.unicast {
-		c.broadcaster.SetMembership(e.addrs)
+	// Votes go to the ring subjects when this membership relays them, and
+	// otherwise to every other member, which makes one hop enough.
+	e.voteTargets = e.subjects
+	if !e.relays() {
+		e.voteTargets = slices.DeleteFunc(slices.Clone(e.addrs), func(a node.Addr) bool { return a == e.me.Addr })
 	}
 	e.consensus = e.newConsensus()
 	e.votesDirty = false
 	e.fallbackAt = time.Time{}
-	c.publishSnapshot(e.view.ConfigurationID(), e.members, e.viewChanges)
-}
-
-// run is the engine loop: the only goroutine that mutates protocol state.
-//
-// engine-entry: the single-writer goroutine itself.
-func (e *engine) run() {
-	c := e.c
-	defer c.wg.Done()
-	// The initial monitor subject set is published from this goroutine so
-	// that it is ordered before any view change's update: publishing it from
-	// the initializer could overwrite a newer set with the stale initial one.
-	c.setMonitorSubjects(e.subjects)
-	defer e.flush.Stop()
-	// The unstable set and the recovery deadline are checked five times per
-	// ReinforcementTimeout (1 s by default), never more often than the
-	// millisecond ScaledSettings floors every duration at.
-	reinforce := c.clock.Ticker(max(c.settings.ReinforcementTimeout/5, time.Millisecond))
-	defer reinforce.Stop()
-	for {
-		e.armFlush()
-		select {
-		case <-c.stopCh:
-			return
-		case ev := <-c.events:
-			e.dispatch(ev)
-			c.emetrics.EventsProcessed.Add(1)
-		case <-e.flush.C():
-			e.flushTick()
-		case <-reinforce.C():
-			e.reinforce()
-		}
+	e.out.publish = &publication{
+		snap:     &snapshot{configID: e.view.ConfigurationID(), members: e.members, viewChanges: e.viewChanges},
+		subjects: e.subjects,
 	}
 }
 
-// armFlush arms the flush timer, with the window the controller last chose,
-// if it is not running and a tick has work to do:
-//
-//   - output is pending — buffered alerts, votes not pushed yet, or rumors
-//     with gossip rounds left;
-//   - or a batch was dispatched since the last flush, which the controller
-//     must see at the end of this window to size the next one;
-//   - or the window is still above its floor and has to decay there, one
-//     halving per quiet tick.
-//
-// Otherwise the timer stays stopped. The loop asks after every event and
-// tick, so the first alert after a quiet spell leaves exactly one floor
-// window after it was raised.
-func (e *engine) armFlush() {
-	if e.flushArmed {
-		return
-	}
-	if len(e.pendingAlerts) == 0 && !e.votesDirty && len(e.rumors) == 0 &&
-		e.arrivals == 0 && e.winCtl.window <= e.winCtl.floor {
-		return
-	}
-	e.flushArmed = true
-	e.flush.Reset(e.winCtl.window)
-}
-
-// flushTick is one firing of the flush timer: it sends what the window
-// gathered and lets the controller size the next window from the live queue
-// depth and the batches dispatched during this one.
-func (e *engine) flushTick() {
-	c := e.c
-	e.flushArmed = false
-	// Rumors first: a batch flushed this tick had its first push inside
-	// flushOutbox, so its next round belongs to the next tick.
-	e.regossip()
-	e.flushOutbox()
-	next := e.winCtl.retune(len(c.events), cap(c.events), e.arrivals)
-	e.arrivals = 0
-	c.emetrics.BatchWindow.Set(int64(next))
-}
-
-// dispatch routes one event to its handler.
-func (e *engine) dispatch(ev event) {
+// step applies one event at the given time and returns what it asks for.
+func (e *engine) step(ev event, now time.Time) outputs {
+	e.now = now
 	switch {
 	case ev.req != nil:
-		e.dispatchRequest(ev.req, ev.network)
+		e.dispatchRequest(ev.req)
 	case ev.preJoin != nil:
 		e.handlePreJoin(ev.preJoin)
 	case ev.join != nil:
@@ -305,17 +264,74 @@ func (e *engine) dispatch(ev event) {
 		e.forgetJoin(ev.joinGone)
 	case ev.subjectDown != "":
 		e.handleSubjectFailed(ev.subjectDown)
+	case ev.reinforce:
+		e.reinforce()
+	case ev.leave:
+		// A graceful leave goes to every member: the leaver's observers are
+		// among them, and file REMOVE alerts at once.
+		e.broadcast(&remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.me.Addr}})
 	}
+	return e.finish()
+}
+
+// tick is one firing of the flush timer: it sends what the window gathered
+// and lets the controller size the next window from the depth of the inbound
+// queue and the batches dispatched during this one.
+func (e *engine) tick(now time.Time, queueDepth int) outputs {
+	e.now = now
+	e.flushArmed = false
+	e.flushOutbox()
+	next := e.winCtl.retune(queueDepth, eventQueueSize, e.arrivals)
+	e.arrivals = 0
+	e.metrics.BatchWindow.Set(int64(next))
+	return e.finish()
+}
+
+// finish ends a step or tick. A cut the consensus instance decided during it
+// is applied here, exactly once and with no consensus call on the stack.
+// Then, if no tick is on its way and one has work to do, it asks for one, with
+// the window the controller last chose:
+//
+//   - output is pending — buffered alerts, or votes not pushed yet;
+//   - or a batch was dispatched since the last flush, which the controller
+//     must see at the end of this window to size the next one;
+//   - or the window is still above its floor and has to decay there, one
+//     halving per quiet tick.
+//
+// Otherwise the timer stays stopped. Every step and tick ends here, so the
+// first alert after a quiet spell leaves exactly one floor window after it
+// was raised.
+func (e *engine) finish() outputs {
+	if e.decided != nil {
+		cut := e.decided
+		e.decided = nil
+		e.applyDecision(cut)
+	}
+	if !e.flushArmed && (len(e.pendingAlerts) > 0 || e.votesDirty ||
+		e.arrivals > 0 || e.winCtl.window > e.winCtl.floor) {
+		e.flushArmed = true
+		e.out.flushIn = e.winCtl.window
+	}
+	out := e.out
+	e.out = outputs{}
+	return out
 }
 
 // dispatchRequest is the one place that tells the protocol messages apart.
 // Anything else HandleRequest let through (an empty or foreign request) is
 // ignored.
-func (e *engine) dispatchRequest(req *remoting.Request, network bool) {
+func (e *engine) dispatchRequest(req *remoting.Request) {
 	switch {
 	case req.Alerts != nil || req.VoteBatch != nil:
+		// One inbound batch: alerts through cut detection (possibly casting
+		// this process' vote), then vote aggregates into the consensus tally.
 		e.arrivals++
-		e.handleBatch(req, network)
+		if req.Alerts != nil {
+			e.handleAlerts(req.Alerts)
+		}
+		if req.VoteBatch != nil {
+			e.handleVotes(req.VoteBatch)
+		}
 	case req.P1a != nil:
 		e.consensus.HandlePhase1a(req.P1a)
 	case req.P1b != nil:
@@ -330,22 +346,52 @@ func (e *engine) dispatchRequest(req *remoting.Request, network bool) {
 	}
 }
 
-// newConsensus builds the consensus instance for the current view. This
-// process' own vote comes back through addVote; the classical recovery path
-// broadcasts directly via unicast-to-all so it needs no gossip cooperation.
+// newConsensus builds the consensus instance for the current view. It sends
+// through the engine's outbox — a recovery message is one more send in the
+// step's outputs — hands this process' own vote back through addVote, and
+// only records what it decides: finish installs the decision after the call
+// that reached it has returned.
 func (e *engine) newConsensus() *fastpaxos.FastPaxos {
-	c := e.c
 	return fastpaxos.New(fastpaxos.Config{
-		MyAddr:          c.me.Addr,
+		MyAddr:          e.me.Addr,
 		MyIndex:         e.myIndex,
 		MembershipSize:  len(e.addrs),
 		ConfigurationID: e.view.ConfigurationID(),
-		Client:          c.client,
-		Broadcaster:     c.unicast,
+		Client:          outbox{e},
+		Broadcaster:     outbox{e},
 		VoteSink:        e.addVote,
-		OnDecide:        e.applyDecision,
+		OnDecide:        func(cut []node.Endpoint) { e.decided = cut },
 	})
 }
+
+// --- outputs --------------------------------------------------------------------
+
+// send adds one best-effort message to this step's outputs.
+func (e *engine) send(to []node.Addr, req *remoting.Request) {
+	if len(to) > 0 {
+		e.out.sends = append(e.out.sends, send{to: to, req: req})
+	}
+}
+
+// broadcast sends req to every member of the current configuration, this
+// process included (unicast-to-all, §6): alert batches, the classical
+// recovery rounds and leave announcements travel this way.
+func (e *engine) broadcast(req *remoting.Request) { e.send(e.addrs, req) }
+
+// reply adds the answer to a join-phase request to this step's outputs.
+func (e *engine) reply(to chan<- *remoting.Response, resp *remoting.Response) {
+	e.out.replies = append(e.out.replies, reply{to: to, resp: resp})
+}
+
+// outbox is the engine as its consensus instance sees it: the Client and the
+// Broadcaster of the frozen fastpaxos.Config, which here only add to the
+// outputs of the step that called into consensus.
+type outbox struct{ e *engine }
+
+func (o outbox) SendBestEffort(to node.Addr, req *remoting.Request) {
+	o.e.send([]node.Addr{to}, req)
+}
+func (o outbox) Broadcast(req *remoting.Request) { o.e.broadcast(req) }
 
 // --- outbound batching -------------------------------------------------------
 
@@ -356,10 +402,6 @@ func (e *engine) addAlert(alert remoting.AlertMessage) {
 
 // addVote counts this process' own fast-round vote — the consensus VoteSink
 // hands it over with this process' bit set — and marks it for the next push.
-// It only ever runs on the engine goroutine (consensus methods are invoked
-// exclusively from dispatch). The flag is set first: a vote that completes
-// the quorum installs the next configuration inside Merge, and that push
-// (see applyDecision) is the only one this vote will get.
 func (e *engine) addVote(vote *remoting.FastRoundPhase2b) {
 	e.votesDirty = true
 	e.consensus.Merge(vote.ConfigurationID, vote.Proposal, vote.Voters)
@@ -367,36 +409,25 @@ func (e *engine) addVote(vote *remoting.FastRoundPhase2b) {
 
 // relays reports whether votes travel along the K rings in this
 // configuration (see Settings.oneHopLimit).
-func (e *engine) relays() bool { return len(e.addrs) > e.c.settings.oneHopLimit() }
+func (e *engine) relays() bool { return len(e.addrs) > e.oneHop }
 
 // pushVotes sends what the consensus instance knows — one voter bitmap per
-// distinct proposal — to this process' vote targets: its ring subjects when
-// it relays, otherwise every other member, which makes one hop enough.
+// distinct proposal — to this process' vote targets.
 func (e *engine) pushVotes() {
-	c := e.c
 	e.votesDirty = false
 	votes := e.consensus.Aggregates()
 	if len(votes) == 0 {
 		return
 	}
-	e.outSeq++
-	req := &remoting.Request{VoteBatch: &remoting.FastRoundVoteBatch{Sender: c.me.Addr, Seq: e.outSeq, Votes: votes}}
-	c.emetrics.BatchSizes.Observe(float64(len(votes)))
-	c.emetrics.BatchesSent.Add(1)
-	targets := e.addrs
-	if e.relays() {
-		targets = e.subjects
-	}
-	for _, to := range targets {
-		if to != c.me.Addr {
-			c.client.SendBestEffort(to, req)
-		}
-	}
+	e.metrics.BatchSizes.Observe(float64(len(votes)))
+	e.metrics.BatchesSent.Add(1)
+	e.send(e.voteTargets, &remoting.Request{VoteBatch: &remoting.FastRoundVoteBatch{Sender: e.me.Addr, Votes: votes}})
 }
 
 // flushOutbox sends what the last batching window produced: the vote
 // aggregates, if this process learned of a vote since its last push, and the
-// buffered alerts as one wire message (§6).
+// buffered alerts as one wire message (§6). The batch goes to this process as
+// well, and comes back through the transport like everyone else's.
 func (e *engine) flushOutbox() {
 	if e.votesDirty {
 		e.pushVotes()
@@ -404,104 +435,24 @@ func (e *engine) flushOutbox() {
 	if len(e.pendingAlerts) == 0 {
 		return
 	}
-	c := e.c
-	e.outSeq++
-	req := &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: c.me.Addr, Seq: e.outSeq, Alerts: e.pendingAlerts}}
-	c.emetrics.BatchSizes.Observe(float64(len(e.pendingAlerts)))
-	c.emetrics.BatchesSent.Add(1)
+	e.metrics.BatchSizes.Observe(float64(len(e.pendingAlerts)))
+	e.metrics.BatchesSent.Add(1)
+	e.broadcast(&remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: e.me.Addr, Alerts: e.pendingAlerts}})
 	e.pendingAlerts = nil
-
-	if c.settings.Broadcast == BroadcastGossip {
-		// Gossip reaches a random fanout subset, so the sender cannot rely on
-		// the network echoing the batch back: mark it seen and apply it
-		// locally, then let the membership flood it.
-		e.seenBatches[batchKey{origin: c.me.Addr, seq: e.outSeq}] = true
-		c.broadcaster.Broadcast(req)
-		e.addRumor(req)
-		e.handleBatch(req, false)
-		return
-	}
-	// Unicast-to-all includes this process, so the batch comes back through
-	// the transport like everyone else's.
-	c.broadcaster.Broadcast(req)
-}
-
-// addRumor queues a batch for further gossip rounds on upcoming batch ticks.
-func (e *engine) addRumor(req *remoting.Request) {
-	if len(e.rumors) >= maxRumors {
-		e.rumors = e.rumors[1:]
-	}
-	e.rumors = append(e.rumors, rumor{req: req, remaining: gossipRounds - 1})
-}
-
-// regossip pushes every buffered rumor to a fresh random fanout subset. Runs
-// on each batch tick in gossip mode.
-func (e *engine) regossip() {
-	if len(e.rumors) == 0 {
-		return
-	}
-	kept := e.rumors[:0]
-	for _, r := range e.rumors {
-		e.c.broadcaster.Broadcast(r.req)
-		if r.remaining--; r.remaining > 0 {
-			kept = append(kept, r)
-		}
-	}
-	e.rumors = kept
 }
 
 // --- inbound protocol events -------------------------------------------------
 
-// handleBatch applies one inbound batch: alerts through cut detection
-// (possibly casting this process' vote), then vote aggregates into the
-// consensus tally.
-func (e *engine) handleBatch(req *remoting.Request, network bool) {
-	// Dedup and re-broadcast only exist for gossip, and only for alerts:
-	// unicast-to-all delivers each batch exactly once, so the default mode
-	// skips the bookkeeping on its hot path entirely.
-	gossiped := network && e.c.settings.Broadcast == BroadcastGossip
-	if req.Alerts != nil && (!gossiped || e.forwardOnce(req)) {
-		e.handleAlerts(req.Alerts)
-	}
-	if req.VoteBatch != nil {
-		e.handleVotes(req.VoteBatch)
-	}
-}
-
-// forwardOnce is the gossip bookkeeping of an inbound alert batch: it reports
-// whether the batch is new to this process, and if so re-broadcasts it — so
-// gossip floods the membership, as the broadcast package's contract requires
-// — and keeps pushing it for the remaining gossip rounds.
-func (e *engine) forwardOnce(req *remoting.Request) bool {
-	key := batchKey{origin: req.Alerts.Sender, seq: req.Alerts.Seq}
-	if e.seenBatches[key] {
-		e.c.emetrics.GossipDuplicates.Add(1)
-		return false
-	}
-	if len(e.seenBatches) >= maxSeenBatches {
-		e.seenBatches = make(map[batchKey]bool)
-	}
-	e.seenBatches[key] = true
-	e.c.broadcaster.Broadcast(req)
-	e.addRumor(req)
-	return true
-}
-
 // handleVotes merges a peer's vote aggregates. When this process relays, an
 // aggregate that taught it a voter is pushed on at the next flush; in a
-// one-hop membership every voter reaches every member itself.
+// one-hop membership every voter reaches every member itself. Once an
+// aggregate has completed a quorum the instance ignores the rest of the batch.
 func (e *engine) handleVotes(batch *remoting.FastRoundVoteBatch) {
-	cons := e.consensus
 	learned := false
 	for i := range batch.Votes {
 		v := &batch.Votes[i]
-		if cons.Merge(v.ConfigurationID, v.Proposal, v.Voters) {
+		if e.consensus.Merge(v.ConfigurationID, v.Proposal, v.Voters) {
 			learned = true
-		}
-		if e.consensus != cons {
-			// That aggregate completed a quorum: Merge installed the next
-			// configuration, and the rest of the batch names the one just left.
-			return
 		}
 	}
 	if learned && e.relays() {
@@ -512,7 +463,6 @@ func (e *engine) handleVotes(batch *remoting.FastRoundVoteBatch) {
 // handleAlerts feeds observer alerts into the cut detector and, when the
 // aggregation rule fires, casts this process' consensus vote (§4.2, §4.3).
 func (e *engine) handleAlerts(batch *remoting.BatchedAlertMessage) {
-	now := e.c.clock.Now()
 	currentConfig := e.view.ConfigurationID()
 	var proposal []node.Endpoint
 	downApplied := false
@@ -534,7 +484,7 @@ func (e *engine) handleAlerts(batch *remoting.BatchedAlertMessage) {
 			}
 			subject = node.Endpoint{Addr: alert.EdgeDst, ID: alert.JoinerID, Metadata: alert.Metadata}
 		}
-		proposal = append(proposal, e.cd.AggregateForProposal(alert, subject, now)...)
+		proposal = append(proposal, e.cd.AggregateForProposal(alert, subject, e.now)...)
 	}
 	// Implicit alerts (§4.2, liveness) scan every unstable subject's would-be
 	// observers — O(unstable x K^2) ring searches. Their outcome can only
@@ -543,7 +493,7 @@ func (e *engine) handleAlerts(batch *remoting.BatchedAlertMessage) {
 	// (hundreds of unstable joiners, zero failures) this check was >80% of
 	// all CPU. The reinforcement tick re-runs the scan as a backstop.
 	if downApplied {
-		proposal = append(proposal, e.cd.InvalidateFailingEdges(e.view, now)...)
+		proposal = append(proposal, e.cd.InvalidateFailingEdges(e.view, e.now)...)
 	}
 	e.propose(proposal)
 }
@@ -554,9 +504,8 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	if len(proposal) == 0 {
 		return
 	}
-	cons := e.consensus
 	// A process its view no longer contains has no vote (and no bit).
-	if e.myIndex < 0 || cons.HasProposed() {
+	if e.myIndex < 0 || e.consensus.HasProposed() {
 		return
 	}
 	proposal = dedupeEndpoints(proposal)
@@ -567,15 +516,13 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	// for one on average. Left alone, the timing of a bootstrap storm against
 	// the seed's first window picks this number: five joiners, or three
 	// hundred.
-	if solo := e.c.settings.oneHopLimit(); len(e.addrs) == 1 && len(proposal) > solo {
-		proposal = proposal[:solo]
+	if len(e.addrs) == 1 && len(proposal) > e.oneHop {
+		proposal = proposal[:e.oneHop]
 	}
 	// Arm the recovery deadline: the base delay plus a per-node jitter, so a
-	// single coordinator usually emerges. Armed before the vote is cast: a
-	// single-process cluster decides inside Propose, and that clears it again.
-	base := e.c.settings.ConsensusFallbackBase
-	e.fallbackAt = e.c.clock.Now().Add(base + time.Duration(e.myIndex%8)*base/8)
-	cons.Propose(proposal)
+	// single coordinator usually emerges.
+	e.fallbackAt = e.now.Add(e.fallbackBase + time.Duration(e.myIndex%8)*e.fallbackBase/8)
+	e.consensus.Propose(proposal)
 }
 
 // handleSubjectFailed converts an edge failure detector verdict into an
@@ -584,13 +531,13 @@ func (e *engine) handleSubjectFailed(subject node.Addr) {
 	if !e.view.Contains(subject) || e.alertedEdges[subject] {
 		return
 	}
-	rings := e.view.RingNumbers(e.c.me.Addr, subject)
+	rings := e.view.RingNumbers(e.me.Addr, subject)
 	if len(rings) == 0 {
 		return
 	}
 	e.alertedEdges[subject] = true
 	e.addAlert(remoting.AlertMessage{
-		EdgeSrc:         e.c.me.Addr,
+		EdgeSrc:         e.me.Addr,
 		EdgeDst:         subject,
 		Status:          remoting.EdgeDown,
 		ConfigurationID: e.view.ConfigurationID(),
@@ -607,18 +554,15 @@ func (e *engine) handleSubjectFailed(subject node.Addr) {
 // yet go out on this tick too, so they never wait on a flush window that was
 // configured longer than it.
 func (e *engine) reinforce() {
-	c := e.c
-	now := c.clock.Now()
 	if e.votesDirty {
 		e.pushVotes()
 	}
-	stuck := e.cd.UnstableLongerThan(now, c.settings.ReinforcementTimeout)
-	for _, subject := range stuck {
+	for _, subject := range e.cd.UnstableLongerThan(e.now, e.reinforcementTimeout) {
 		e.handleSubjectFailed(subject)
 	}
-	e.propose(e.cd.InvalidateFailingEdges(e.view, now))
-	if !e.fallbackAt.IsZero() && !now.Before(e.fallbackAt) {
-		e.fallbackAt = now.Add(c.settings.ConsensusFallbackBase)
+	e.propose(e.cd.InvalidateFailingEdges(e.view, e.now))
+	if !e.fallbackAt.IsZero() && !e.now.Before(e.fallbackAt) {
+		e.fallbackAt = e.now.Add(e.fallbackBase)
 		e.consensus.StartClassicalRound()
 	}
 }
@@ -627,7 +571,7 @@ func (e *engine) reinforce() {
 // joiner's temporary observers in the current configuration.
 func (e *engine) handlePreJoin(ev *preJoinEvent) {
 	msg := ev.msg
-	resp := &remoting.PreJoinResponse{Sender: e.c.me.Addr}
+	resp := &remoting.PreJoinResponse{Sender: e.me.Addr}
 	resp.Status = e.view.IsSafeToJoin(msg.Sender, msg.JoinerID)
 	resp.ConfigurationID = e.view.ConfigurationID()
 	switch resp.Status {
@@ -646,7 +590,7 @@ func (e *engine) handlePreJoin(ev *preJoinEvent) {
 			}
 		}
 	}
-	ev.reply <- resp
+	e.reply(ev.reply, &remoting.Response{PreJoin: resp})
 }
 
 // handleJoinPhase2 serves phase 2 of the join protocol on one of the joiner's
@@ -655,19 +599,18 @@ func (e *engine) handlePreJoin(ev *preJoinEvent) {
 // to phase 1 (see applyDecision).
 func (e *engine) handleJoinPhase2(ev *joinEvent) {
 	msg := ev.msg
-	c := e.c
 	currentConfig := e.view.ConfigurationID()
 	// If the joiner is already a member, the view change raced ahead of this
 	// request (or it is a retry): answer immediately with the configuration.
 	// After a big admission wave hundreds of such requests arrive; they all
 	// get the configuration's one membership slice.
 	if existing, ok := e.view.Member(msg.Sender); ok && existing.ID == msg.JoinerID {
-		ev.reply <- e.admitted()
+		e.reply(ev.reply, e.admitted())
 		return
 	}
 	if msg.ConfigurationID != currentConfig {
-		if c.snap.Load().pastConfigs[msg.ConfigurationID] {
-			ev.reply <- e.redirect()
+		if slices.Contains(e.pastConfigs, msg.ConfigurationID) {
+			e.reply(ev.reply, e.redirect())
 			return
 		}
 		// The request is early, not stale: the seed installed a configuration
@@ -676,16 +619,16 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 		e.earlyJoins = append(e.earlyJoins, ev)
 		return
 	}
-	rings := e.view.RingNumbers(c.me.Addr, msg.Sender)
+	rings := e.view.RingNumbers(e.me.Addr, msg.Sender)
 	if len(rings) == 0 {
 		// We are not one of the joiner's observers in this configuration.
-		ev.reply <- e.redirect()
+		e.reply(ev.reply, e.redirect())
 		return
 	}
 	key := joinerKey{addr: msg.Sender, id: msg.JoinerID}
 	if old := e.joinWaiters[key]; old != nil {
 		// A retry supersedes the request it gave up on; release that handler.
-		old.reply <- e.redirect()
+		e.reply(old.reply, e.redirect())
 	}
 	e.joinWaiters[key] = ev
 	if e.joinAlerted[key] {
@@ -693,7 +636,7 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 	}
 	e.joinAlerted[key] = true
 	e.addAlert(remoting.AlertMessage{
-		EdgeSrc:         c.me.Addr,
+		EdgeSrc:         e.me.Addr,
 		EdgeDst:         msg.Sender,
 		Status:          remoting.EdgeUp,
 		ConfigurationID: currentConfig,
@@ -706,19 +649,19 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 // admitted is the phase-2 answer for a joiner the current configuration
 // contains. Members is the engine's shared slice: the receiver must not write
 // to it (rapid-vet's snapshot check holds callers to that).
-func (e *engine) admitted() *remoting.JoinResponse {
-	return &remoting.JoinResponse{
-		Sender:          e.c.me.Addr,
+func (e *engine) admitted() *remoting.Response {
+	return &remoting.Response{Join: &remoting.JoinResponse{
+		Sender:          e.me.Addr,
 		Status:          remoting.JoinSafeToJoin,
 		ConfigurationID: e.view.ConfigurationID(),
 		Members:         e.members,
-	}
+	}}
 }
 
 // redirect is the phase-2 answer that sends a joiner back to phase 1: this
 // configuration will not admit it, the one named here might.
-func (e *engine) redirect() *remoting.JoinResponse {
-	return &remoting.JoinResponse{Sender: e.c.me.Addr, Status: remoting.JoinConfigChanged, ConfigurationID: e.view.ConfigurationID()}
+func (e *engine) redirect() *remoting.Response {
+	return &remoting.Response{Join: &remoting.JoinResponse{Sender: e.me.Addr, Status: remoting.JoinConfigChanged, ConfigurationID: e.view.ConfigurationID()}}
 }
 
 // forgetJoin drops a phase-2 request whose handler stopped waiting for it.
@@ -738,14 +681,12 @@ func (e *engine) forgetJoin(ev *joinEvent) {
 
 // --- view changes -------------------------------------------------------------
 
-// applyDecision is invoked by the consensus layer exactly once per
-// configuration with the agreed multi-process cut, always on the engine
-// goroutine. It installs the next configuration, resets the
-// per-configuration protocol state, publishes the new snapshot, re-targets
-// the failure-detector monitors, notifies subscribers, and answers joiners
-// that were waiting on this view change.
+// applyDecision installs the configuration the agreed multi-process cut
+// leads to: finish calls it once per decided instance. It resets the
+// per-configuration protocol state, answers the joiners that were waiting on
+// this view change, and leaves the new snapshot, the monitor subjects and the
+// subscribers' notification in this step's outputs.
 func (e *engine) applyDecision(proposal []node.Endpoint) {
-	c := e.c
 	// The decision push. This process is about to drop the instance that just
 	// decided, and with it everything it would have relayed: pushed now, to
 	// the subjects of the configuration being left, the deciding aggregate
@@ -754,6 +695,11 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// not left yet still matters to anyone.
 	if e.votesDirty || e.relays() {
 		e.pushVotes()
+	}
+
+	e.pastConfigs = append(e.pastConfigs, e.view.ConfigurationID())
+	if len(e.pastConfigs) > maxPastConfigs {
+		e.pastConfigs = e.pastConfigs[1:]
 	}
 
 	// A cut names members to remove and everybody else to admit; the view
@@ -782,12 +728,8 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	e.cd.Clear()
 	e.alertedEdges = make(map[node.Addr]bool)
 	e.pendingAlerts = nil
-	// seenBatches and rumors survive the view change deliberately: (origin,
-	// seq) keys are never reused, so dedup stays valid, and re-gossiping the
-	// previous configuration's batches is what rescues members that have not
-	// decided yet. Stale content is config-filtered on receipt.
 	e.install()
-	newConfigID := e.view.ConfigurationID()
+	e.out.publish.change = &ViewChange{ConfigurationID: e.view.ConfigurationID(), Members: e.members, Changes: changes}
 
 	// Settle every parked joiner now. The incarnation this view change
 	// admitted gets the new configuration; every other one is redirected to
@@ -797,7 +739,7 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// K — and a JOIN tally in [L, H) that can never reach H blocks every
 	// member's proposal (§4.2: no subject may be unstable) until the joiner
 	// times out.
-	var admitted *remoting.JoinResponse
+	var admitted *remoting.Response
 	redirect := e.redirect()
 	for key, w := range e.joinWaiters {
 		resp := redirect
@@ -807,7 +749,7 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 			}
 			resp = admitted
 		}
-		w.reply <- resp
+		e.reply(w.reply, resp)
 	}
 	clear(e.joinWaiters)
 	clear(e.joinAlerted)
@@ -818,16 +760,6 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	for _, ev := range early {
 		e.handleJoinPhase2(ev)
 	}
-
-	// Monitors depend on the subject set, which changed with the view; the
-	// monitor manager swaps them without blocking the engine.
-	c.setMonitorSubjects(e.subjects)
-
-	c.notifier.publish(ViewChange{
-		ConfigurationID: newConfigID,
-		Members:         e.members,
-		Changes:         changes,
-	})
 }
 
 // dedupeEndpoints removes duplicate endpoints and sorts by address so every

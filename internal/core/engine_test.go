@@ -29,7 +29,7 @@ func (r *engineRig) p1aRanks(at node.Addr) []remoting.Rank {
 // stays undecided — each time with a higher rank, or the retry would send
 // nothing — and is gone once the instance decides.
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	r := newEngineRig(t)
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
@@ -42,19 +42,19 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	e := r.engines[addr(myIndex)]
 	base := r.settings.ConsensusFallbackBase
 	delay := base + myIndex*base/8
-	cut := []node.Endpoint{endpoint(9)}
+	cut := cutAlerts(e.view.ConfigurationID(), r.settings.K, endpoint(9))
 
 	// tick moves the clock and runs one reinforcement tick.
 	tick := func(advance time.Duration) []remoting.Rank {
 		r.clk.Advance(advance)
-		e.reinforce()
+		r.step(e.me.Addr, event{reinforce: true})
 		return r.p1aRanks(addr(0))
 	}
 	if got := tick(10 * base); len(got) != 0 {
 		t.Fatalf("recovery round %v started before this process voted", got)
 	}
 
-	e.propose(cut)
+	r.step(e.me.Addr, event{req: cut})
 	if got := tick(delay - time.Millisecond); len(got) != 0 {
 		t.Fatalf("recovery round %v started before base + jitter", got)
 	}
@@ -71,7 +71,7 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 
 	// The fast round decides after all: everyone votes for the same cut.
 	for _, m := range all {
-		r.engines[m].propose(cut)
+		r.step(m, event{req: cut})
 	}
 	r.flush(all...)
 	r.deliver(all...)
@@ -91,14 +91,12 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 // served in arrival order, after the backlog, and the notice that the
 // phase-2 caller gave up — queued behind them — still drops the parked waiter.
 //
-// engine-entry: the test drains the queue on its own goroutine; no loop runs.
+// engine-entry: the test drains the queue on its own goroutine; no driver runs.
 func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
-	e := r.start(seed, []node.Endpoint{seed})
-	c := e.c
-	c.started.Store(true)
-	close(c.startedCh)
+	c, e := r.handle(seed, []node.Endpoint{seed})
+	dispatch := func(ev event) { c.perform(e.step(ev, r.clk.Now())) }
 	configID := e.view.ConfigurationID()
 	joiner := endpoint(1)
 
@@ -139,7 +137,7 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 		if ev := <-c.events; ev.req == nil {
 			t.Fatalf("event %d jumped the backlog of batches: %+v", i, ev)
 		} else {
-			e.dispatch(ev)
+			dispatch(ev)
 		}
 	}
 	select {
@@ -151,7 +149,7 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 	if ev.preJoin == nil {
 		t.Fatalf("want the pre-join next, got %+v", ev)
 	}
-	e.dispatch(ev)
+	dispatch(ev)
 	if resp := <-preJoined; resp.PreJoin.Status != remoting.JoinSafeToJoin || resp.PreJoin.ConfigurationID != configID {
 		t.Fatalf("pre-join answered %s/%x", resp.PreJoin.Status, resp.PreJoin.ConfigurationID)
 	}
@@ -159,7 +157,7 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 	if ev.join == nil {
 		t.Fatalf("want the phase-2 request next, got %+v", ev)
 	}
-	e.dispatch(ev)
+	dispatch(ev)
 	if len(e.joinWaiters) != 1 {
 		t.Fatalf("%d joiners parked after the phase-2 request, want 1", len(e.joinWaiters))
 	}
@@ -167,27 +165,10 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 	if ev.joinGone == nil {
 		t.Fatalf("want the give-up notice last, got %+v", ev)
 	}
-	e.dispatch(ev)
+	dispatch(ev)
 	if len(e.joinWaiters) != 0 {
 		t.Fatal("a request whose caller gave up stayed parked")
 	}
-}
-
-// turn is one trip around the engine loop without the loop: the flush tick,
-// if the clock has made it due, then the arming rule. It reports whether the
-// tick ran.
-//
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
-func (r *engineRig) turn(e *engine) bool {
-	flushed := false
-	select {
-	case <-e.flush.C():
-		e.flushTick()
-		flushed = true
-	default:
-	}
-	e.armFlush()
-	return flushed
 }
 
 // decayTicks is how many quiet flush ticks take a window to its floor, by the
@@ -200,38 +181,59 @@ func decayTicks(w windowController) int {
 	return ticks
 }
 
-// TestFlushTimerIsArmedOnDemand drives the arming rule by hand. A quiet
-// engine holds no flush waiter on the clock; an alert arms it and leaves
-// exactly one floor window later; unpushed votes and rumors arm it too; a
-// burst of arrivals keeps it armed and grows the window, which then decays to
-// the floor in as many ticks as the controller alone needs, and stops. The
-// regression this guards is re-arming unconditionally.
+// TestFlushTimerIsArmedOnDemand plays the driver's flush timer by hand: a
+// step's flushIn arms it, tick is its firing. A quiet engine asks for no
+// tick; an alert asks for one exactly one floor window later and leaves on
+// it, not before; unpushed votes ask for one too; a burst of arrivals keeps
+// the timer armed and grows the window, which then decays to the floor in as
+// many ticks as the controller alone needs, and stops. The regression this
+// guards is re-arming unconditionally.
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 	r := newEngineRig(t)
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
-	e := r.start(members[0], members)
+	e, first := r.start(members[0], members)
+	me := members[0].Addr
 	floor, ceiling := r.settings.BatchingWindowMin, r.settings.BatchingWindowMax
-	armed := func(want bool, when string) {
+
+	// timer is what the driver's flush timer was last armed with, zero while
+	// it is stopped. An engine must never arm a timer that is running.
+	var timer time.Duration
+	arm := func(out outputs) outputs {
 		t.Helper()
-		n := 0
-		if want {
-			n = 1
+		if out.flushIn > 0 {
+			if timer != 0 {
+				t.Fatalf("flushIn %v while a tick was already %v away", out.flushIn, timer)
+			}
+			timer = out.flushIn
 		}
-		if got := r.clk.PendingWaiters(); got != n || e.flushArmed != want {
-			t.Fatalf("%s: %d clock waiters, flushArmed=%v; want %d, %v", when, got, e.flushArmed, n, want)
+		return out
+	}
+	step := func(ev event) outputs { t.Helper(); return arm(r.step(me, ev)) }
+	tick := func() outputs {
+		t.Helper()
+		if timer == 0 {
+			t.Fatal("tick on a stopped timer")
+		}
+		timer = 0
+		return arm(r.file(e.tick(r.clk.Now(), 0)))
+	}
+	armed := func(want time.Duration, when string) {
+		t.Helper()
+		if timer != want || e.flushArmed != (want != 0) {
+			t.Fatalf("%s: the timer is armed with %v, flushArmed=%v; want %v", when, timer, e.flushArmed, want)
 		}
 	}
 	// settle runs quiet ticks until the timer stops and returns how many ran.
 	settle := func() int {
 		t.Helper()
 		ticks := 0
-		for e.flushArmed {
-			r.clk.Advance(e.winCtl.window)
-			if !r.turn(e) {
-				t.Fatalf("no flush tick one window (%v) after arming", e.winCtl.window)
+		for timer != 0 {
+			if want := e.winCtl.window; timer != want {
+				t.Fatalf("the timer is armed with %v, the controller's window is %v", timer, want)
 			}
+			tick()
 			if ticks++; ticks > 64 {
 				t.Fatal("the flush timer never stopped on a quiet engine")
 			}
@@ -241,119 +243,99 @@ func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 
 	// Born armed, at a quarter of the ceiling; quiet ticks halve the window
 	// to the floor and then the timer stops.
-	armed(true, "at birth")
+	arm(first)
+	armed(ceiling/4, "at birth")
 	if want, got := decayTicks(e.winCtl), settle(); got != want {
 		t.Fatalf("the first window decayed to the floor in %d ticks, the controller needs %d", got, want)
 	}
 	if e.winCtl.window != floor {
 		t.Fatalf("window settled at %v, want the floor %v", e.winCtl.window, floor)
 	}
-	armed(false, "after the decay")
+	armed(0, "after the decay")
 	r.clk.Advance(time.Minute)
-	if r.turn(e) {
-		t.Fatal("a flush tick ran on an engine that had gone quiet")
+	if out := step(event{reinforce: true}); len(out.sends) != 0 {
+		t.Fatalf("a quiet engine's reinforcement tick sent %v", out.sends)
 	}
-	armed(false, "after a quiet minute")
+	armed(0, "after a quiet minute")
+
+	// The first alert arms the timer for one floor window; its batch leaves on
+	// that tick, not on the step that raised it.
+	if out := step(event{subjectDown: e.subjects[0]}); len(out.sends) != 0 {
+		t.Fatalf("the batch left before its flush tick: %v", out.sends)
+	}
+	armed(floor, "with an alert pending")
+	out := tick()
+	if len(out.sends) != 1 || !slices.Equal(out.sends[0].to, e.addrs) ||
+		out.sends[0].req.Alerts == nil || len(out.sends[0].req.Alerts.Alerts) != 1 {
+		t.Fatalf("the flush tick sent %+v, want the one batch for every member", out.sends)
+	}
+	armed(0, "after the batch left")
 	clear(r.inbox)
 
-	// The first alert arms the timer; its batch leaves one floor window later,
-	// not a nanosecond before.
-	e.handleSubjectFailed(e.subjects[0])
-	r.turn(e)
-	armed(true, "with an alert pending")
-	r.clk.Advance(floor - time.Nanosecond)
-	if r.turn(e) || len(r.inbox) != 0 {
-		t.Fatal("the batch left before a floor window had passed")
+	// A vote not pushed yet arms it, and the tick that pushes it stops it.
+	step(event{req: cutAlerts(e.view.ConfigurationID(), r.settings.K, endpoint(9))})
+	if !e.votesDirty {
+		t.Fatal("the cut did not make this member vote")
 	}
-	r.clk.Advance(time.Nanosecond)
-	if !r.turn(e) {
-		t.Fatal("no flush tick one floor window after the alert")
+	armed(floor, "with dirty votes")
+	if out := tick(); len(out.sends) != 1 || out.sends[0].req.VoteBatch == nil || e.votesDirty {
+		t.Fatalf("the tick after a vote sent %+v (still dirty: %v), want the one push", out.sends, e.votesDirty)
 	}
-	for _, m := range members {
-		if got := r.inbox[m.Addr]; len(got) != 1 || got[0].Alerts == nil || len(got[0].Alerts.Alerts) != 1 {
-			t.Fatalf("%s received %d requests one floor window after the alert, want the one batch", m.Addr, len(got))
-		}
-	}
-	armed(false, "after the batch left")
-	clear(r.inbox)
-
-	// Votes not pushed yet arm it, and the tick that pushes them stops it.
-	e.votesDirty = true
-	r.turn(e)
-	armed(true, "with dirty votes")
-	if got := settle(); got != 1 || e.votesDirty {
-		t.Fatalf("dirty votes took %d ticks to push (still dirty: %v), want 1", got, e.votesDirty)
-	}
-	// A rumor keeps it armed for as long as it has gossip rounds left.
-	e.addRumor(alertBatch(e.view.ConfigurationID(), 1))
-	r.turn(e)
-	armed(true, "with a rumor")
-	if got := settle(); got != gossipRounds-1 || len(e.rumors) != 0 {
-		t.Fatalf("a rumor kept the timer armed for %d ticks, want its %d remaining rounds", got, gossipRounds-1)
-	}
-	armed(false, "after the rumor's last round")
+	armed(0, "after the votes left")
 
 	// A burst: arrivals alone arm the timer (the controller must see them),
 	// every busy window doubles the next, and the ceiling holds.
 	burst := func() {
 		for i := 0; i < 2*growArrivals; i++ {
-			e.dispatchRequest(alertBatch(e.view.ConfigurationID(), uint64(i)), true)
+			step(event{req: alertBatch(e.view.ConfigurationID(), uint64(i))})
 		}
 	}
 	for want := 2 * floor; ; want = min(2*want, ceiling) {
+		before := e.winCtl.window
 		burst()
-		r.turn(e)
-		armed(true, "during a burst")
-		r.clk.Advance(e.winCtl.window)
-		if !r.turn(e) || e.winCtl.window != want {
+		armed(before, "during a burst")
+		if tick(); e.winCtl.window != want {
 			t.Fatalf("a busy window was followed by one of %v, want %v", e.winCtl.window, want)
 		}
+		armed(want, "above the floor after a busy window")
 		if want == ceiling {
 			break
 		}
 	}
-	armed(true, "above the floor after the burst")
 	if want, got := decayTicks(e.winCtl), settle(); got != want || e.winCtl.window != floor {
 		t.Fatalf("after the burst the window reached %v in %d ticks; the controller reaches the floor in %d", e.winCtl.window, got, want)
 	}
-	armed(false, "after the burst decayed")
+	armed(0, "after the burst decayed")
 }
 
 // TestConfigurationSlicesAreShared: everything a configuration hands out is
 // one sorted membership built once by install — the snapshot, the view-change
-// notification, the answer to an admitted joiner and the answer to a joiner
-// that is a member already share a backing array — and IsMember and Metadata,
-// which used to read a per-install map, answer from that slice.
+// notification, the answer to an admitted joiner, the answer to a joiner that
+// is a member already and the targets of a broadcast share a backing array —
+// and IsMember and Metadata, which used to read a per-install map, answer
+// from that slice.
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestConfigurationSlicesAreShared(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0).WithMetadata(map[string]string{"role": "seed"})
-	s := r.start(seed, []node.Endpoint{seed})
-	c := s.c
+	c, s := r.handle(seed, []node.Endpoint{seed})
 	joiner := endpoint(1).WithMetadata(map[string]string{"role": "joiner"})
-	park := func(j node.Endpoint) *joinEvent {
-		ev := &joinEvent{
-			msg:   &remoting.JoinRequest{Sender: j.Addr, JoinerID: j.ID, ConfigurationID: s.view.ConfigurationID(), Metadata: j.Metadata},
-			reply: make(chan *remoting.JoinResponse, 1),
-		}
-		s.handleJoinPhase2(ev)
-		return ev
-	}
-	parked := park(joiner)
+	parked := r.park(seed.Addr, joiner, s.view.ConfigurationID())
 	r.flush(seed.Addr)
-	r.deliver(seed.Addr) // a lone seed's vote is a quorum: the cut is decided here
+	// A lone seed's vote is a quorum: the cut is decided on this step.
+	decided := r.step(seed.Addr, event{req: r.inbox[seed.Addr][0]})
+	c.perform(outputs{publish: decided.publish})
 
 	admitted := answer(t, parked)
-	late := answer(t, park(joiner)) // a retry that finds the joiner a member already
-	if len(c.notifier.queue) != 1 {
-		t.Fatalf("%d view changes queued for subscribers, want 1", len(c.notifier.queue))
+	late := answer(t, r.park(seed.Addr, joiner, s.view.ConfigurationID())) // a retry that finds the joiner a member already
+	if decided.publish == nil || decided.publish.change == nil {
+		t.Fatal("the deciding step published no view change")
 	}
-	vc := c.notifier.queue[0]
 	snap := c.snap.Load()
 	for name, members := range map[string][]node.Endpoint{
 		"the snapshot":                   snap.members,
-		"ViewChange.Members":             vc.Members,
+		"ViewChange.Members":             decided.publish.change.Members,
 		"the admitted joiner's response": admitted.Members,
 		"the late request's response":    late.Members,
 	} {
@@ -364,8 +346,8 @@ func TestConfigurationSlicesAreShared(t *testing.T) {
 	if &c.Members()[0] == &s.members[0] {
 		t.Error("Cluster.Members() handed out the shared slice; the public accessor must copy")
 	}
-	if got := c.unicast.Members(); !slices.Equal(got, s.addrs) {
-		t.Errorf("broadcast recipients %v, want %v", got, s.addrs)
+	if out := r.step(seed.Addr, event{leave: true}); len(out.sends) != 1 || len(out.sends[0].to) != 2 || &out.sends[0].to[0] != &s.addrs[0] {
+		t.Errorf("broadcast recipients %+v, want the engine's address slice %v", out.sends, s.addrs)
 	}
 
 	if !c.IsMember() {
@@ -381,7 +363,10 @@ func TestConfigurationSlicesAreShared(t *testing.T) {
 	}
 
 	// The joiner's own handle removes the seed: the seed's handle then says so.
-	s.applyDecision([]node.Endpoint{seed})
+	removed := r.step(seed.Addr, event{req: &remoting.Request{VoteBatch: &remoting.FastRoundVoteBatch{Sender: joiner.Addr, Votes: []remoting.FastRoundPhase2b{
+		{Sender: joiner.Addr, ConfigurationID: s.view.ConfigurationID(), Proposal: []node.Endpoint{seed}, Voters: []byte{0b11}},
+	}}}})
+	c.perform(outputs{publish: removed.publish})
 	if c.IsMember() {
 		t.Error("IsMember() still true after this process was removed")
 	}

@@ -27,7 +27,7 @@ func (c *Cluster) HandleRequest(ctx context.Context, from node.Addr, req *remoti
 		// enqueueBatch sheds a stale batch when the queue is full instead of
 		// blocking the transport's delivery worker; the batch is acked either
 		// way, as best-effort dissemination expects.
-		c.enqueueBatch(event{req: req, network: true})
+		c.enqueueBatch(event{req: req})
 	default:
 		c.enqueue(event{req: req})
 	}
@@ -55,13 +55,13 @@ func (c *Cluster) handlePreJoin(ctx context.Context, msg *remoting.PreJoinReques
 	if !c.started.Load() {
 		return busy
 	}
-	reply := make(chan *remoting.PreJoinResponse, 1)
+	reply := make(chan *remoting.Response, 1)
 	if !c.enqueue(event{preJoin: &preJoinEvent{msg: msg, reply: reply}}) {
 		return busy
 	}
 	select {
 	case resp := <-reply:
-		return &remoting.Response{PreJoin: resp}
+		return resp
 	case <-ctx.Done():
 		return busy
 	case <-c.stopCh:
@@ -79,9 +79,9 @@ func (c *Cluster) handlePreJoin(ctx context.Context, msg *remoting.PreJoinReques
 func (c *Cluster) handleJoinPhase2(ctx context.Context, msg *remoting.JoinRequest) *remoting.Response {
 	timeout := c.clock.Timer(c.settings.JoinPhase2Timeout)
 	defer timeout.Stop()
-	ev := &joinEvent{msg: msg, reply: make(chan *remoting.JoinResponse, 1)}
+	ev := &joinEvent{msg: msg, reply: make(chan *remoting.Response, 1)}
 	started := c.startedCh
-	var reply chan *remoting.JoinResponse // nil until the engine has the request
+	var reply chan *remoting.Response // nil until the engine has the request
 	for {
 		select {
 		case <-started:
@@ -91,7 +91,7 @@ func (c *Cluster) handleJoinPhase2(ctx context.Context, msg *remoting.JoinReques
 			}
 			reply = ev.reply
 		case resp := <-reply:
-			return &remoting.Response{Join: resp}
+			return resp
 		case <-ctx.Done():
 			// A caller that cancelled was answered by another observer or
 			// gave the attempt up; only an expired wait counts as timed out.
@@ -108,10 +108,10 @@ func (c *Cluster) handleJoinPhase2(ctx context.Context, msg *remoting.JoinReques
 // already there still wins: on a saturated host this goroutine may be
 // scheduled long after the engine replied, with the deadline passed as well.
 // Otherwise the engine is told to forget the request, if it ever got it.
-func (c *Cluster) abandonJoin(ev *joinEvent, reply chan *remoting.JoinResponse, timedOut bool) *remoting.Response {
+func (c *Cluster) abandonJoin(ev *joinEvent, reply chan *remoting.Response, timedOut bool) *remoting.Response {
 	select {
 	case resp := <-reply:
-		return &remoting.Response{Join: resp}
+		return resp
 	default:
 	}
 	if timedOut {

@@ -18,29 +18,17 @@ import (
 
 // --- engine rig ----------------------------------------------------------------
 
-// engineRig drives engines by hand on the test goroutine: no engine loop runs,
-// so every interleaving below is exactly the one written down. Broadcast
-// batches land in per-member inboxes and move only when the test says so.
+// engineRig drives engines by hand on the test goroutine: no driver runs, so
+// every interleaving below is exactly the one written down. The rig performs
+// an engine's outputs the way the driver would, minus the world: sends land
+// in per-member inboxes and move only when the test says so, replies go to the
+// channel that waits for them, and the time is whatever the manual clock says.
 type engineRig struct {
 	t        *testing.T
 	clk      *simclock.Manual
 	settings Settings
 	engines  map[node.Addr]*engine
 	inbox    map[node.Addr][]*remoting.Request
-}
-
-// rigNet is the rig's transport: best-effort sends are queued for the test to
-// deliver. An engine never calls Send; only joiners do.
-type rigNet struct{ r *engineRig }
-
-func (n rigNet) Register(node.Addr, transport.Handler) error { return nil }
-func (n rigNet) Deregister(node.Addr)                        {}
-func (n rigNet) Client(node.Addr) transport.Client           { return n }
-func (n rigNet) Send(context.Context, node.Addr, *remoting.Request) (*remoting.Response, error) {
-	return nil, transport.ErrUnreachable
-}
-func (n rigNet) SendBestEffort(to node.Addr, req *remoting.Request) {
-	n.r.inbox[to] = append(n.r.inbox[to], req)
 }
 
 func newEngineRig(t *testing.T) *engineRig {
@@ -50,49 +38,82 @@ func newEngineRig(t *testing.T) *engineRig {
 	return &engineRig{t: t, clk: clk, settings: s, engines: map[node.Addr]*engine{}, inbox: map[node.Addr][]*remoting.Request{}}
 }
 
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
-func (r *engineRig) start(me node.Endpoint, members []node.Endpoint) *engine {
-	c, err := newCluster(me.Addr, r.settings, rigNet{r})
+// start builds a member's engine and returns it with its first outputs.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func (r *engineRig) start(me node.Endpoint, members []node.Endpoint) (*engine, outputs) {
+	e, first := newEngine(me, &r.settings, &EngineMetrics{}, members)
+	r.engines[me.Addr] = e
+	return e, first
+}
+
+// handle builds a member as start does, inside a Cluster handle that has no
+// driver: the test takes events off its queue and performs outputs on it.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func (r *engineRig) handle(me node.Endpoint, members []node.Endpoint) (*Cluster, *engine) {
+	c, err := newCluster(me.Addr, r.settings, &scriptedNet{})
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	c.me = me
-	e := newEngine(c, members)
+	e, first := newEngine(me, &c.settings, &c.emetrics, members)
+	c.perform(first)
+	c.started.Store(true)
+	close(c.startedCh)
 	r.engines[me.Addr] = e
-	return e
+	return c, e
+}
+
+// file puts one step's sends into the recipients' inboxes and its replies
+// into the channels that wait for them, and hands the outputs back.
+func (r *engineRig) file(out outputs) outputs {
+	for _, s := range out.sends {
+		for _, to := range s.to {
+			r.inbox[to] = append(r.inbox[to], s.req)
+		}
+	}
+	for _, rep := range out.replies {
+		rep.to <- rep.resp
+	}
+	return out
+}
+
+// step applies one event to a member at the rig's time and files the outputs.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func (r *engineRig) step(m node.Addr, ev event) outputs {
+	return r.file(r.engines[m].step(ev, r.clk.Now()))
 }
 
 // park hands one phase-2 request to an observer's engine.
-//
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
 func (r *engineRig) park(observer node.Addr, joiner node.Endpoint, configID uint64) *joinEvent {
 	ev := &joinEvent{
-		msg:   &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: configID},
-		reply: make(chan *remoting.JoinResponse, 1),
+		msg:   &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: configID, Metadata: joiner.Metadata},
+		reply: make(chan *remoting.Response, 1),
 	}
-	r.engines[observer].handleJoinPhase2(ev)
+	r.step(observer, event{join: ev})
 	return ev
 }
 
-// flush sends every listed member's pending batch into the inboxes.
+// flush runs one flush tick on every listed member: its pending batch and
+// vote push go into the inboxes.
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) flush(members ...node.Addr) {
 	for _, m := range members {
-		r.engines[m].flushOutbox()
+		r.file(r.engines[m].tick(r.clk.Now(), 0))
 	}
 }
 
 // deliver applies everything queued for the listed members.
-//
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
 func (r *engineRig) deliver(members ...node.Addr) {
 	for _, m := range members {
 		reqs := r.inbox[m]
 		r.inbox[m] = nil
-		if e := r.engines[m]; e != nil {
+		if r.engines[m] != nil {
 			for _, req := range reqs {
-				e.dispatchRequest(req, true)
+				r.step(m, event{req: req})
 			}
 		}
 	}
@@ -101,17 +122,30 @@ func (r *engineRig) deliver(members ...node.Addr) {
 // idle reports that the member's cut detector tracks no subject between the
 // watermarks and that nothing is waiting in its outbox.
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) idle(m node.Addr) bool {
 	e := r.engines[m]
 	return e.cd.UpdatesInProgress() == 0 && len(e.pendingAlerts) == 0
+}
+
+// cutAlerts is a batch that reports a joiner on every one of the k rings at
+// once: the member it is applied to proposes the cut {joiner}.
+func cutAlerts(configID uint64, k int, joiner node.Endpoint) *remoting.Request {
+	rings := make([]int, k)
+	for i := range rings {
+		rings[i] = i
+	}
+	return &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: "peer:1", Alerts: []remoting.AlertMessage{{
+		EdgeSrc: "peer:1", EdgeDst: joiner.Addr, Status: remoting.EdgeUp, ConfigurationID: configID,
+		RingNumbers: rings, JoinerID: joiner.ID, Metadata: joiner.Metadata,
+	}}}}
 }
 
 func answer(t *testing.T, ev *joinEvent) *remoting.JoinResponse {
 	t.Helper()
 	select {
 	case resp := <-ev.reply:
-		return resp
+		return resp.Join
 	default:
 		t.Fatalf("no answer to %s's phase-2 request", ev.msg.Sender)
 		return nil
@@ -130,12 +164,12 @@ func endpoint(i int) node.Endpoint {
 // next view change, all without a tick of protocol time (at the parent commit
 // it waited out JoinPhase2Timeout).
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestRacedPastJoinerIsRedirected(t *testing.T) {
 	r := newEngineRig(t)
 	began := r.clk.Now()
 	seed := endpoint(0)
-	s := r.start(seed, []node.Endpoint{seed})
+	s, _ := r.start(seed, []node.Endpoint{seed})
 	c0 := s.view.ConfigurationID()
 
 	first := []node.Endpoint{endpoint(1), endpoint(2), endpoint(3)}
@@ -209,11 +243,11 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 // it admits votes on everything after, so it takes 4K of a bigger storm (the
 // first by address, like any cut) and redirects the rest.
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestLoneSeedAdmitsAtMost4K(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
-	s := r.start(seed, []node.Endpoint{seed})
+	s, _ := r.start(seed, []node.Endpoint{seed})
 	c0 := s.view.ConfigurationID()
 	limit := 4 * r.settings.K
 	var parked []*joinEvent
@@ -248,11 +282,11 @@ func TestLoneSeedAdmitsAtMost4K(t *testing.T) {
 // without a second JOIN alert, and a request its handler gave up on is not
 // kept parked.
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestRetriedJoinFilesOneAlert(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
-	s := r.start(seed, []node.Endpoint{seed})
+	s, _ := r.start(seed, []node.Endpoint{seed})
 	c0 := s.view.ConfigurationID()
 	j := endpoint(1)
 
@@ -264,7 +298,7 @@ func TestRetriedJoinFilesOneAlert(t *testing.T) {
 	if resp := answer(t, firstTry); resp.Status != remoting.JoinConfigChanged {
 		t.Fatalf("superseded request got %s, want CONFIG_CHANGED", resp.Status)
 	}
-	s.forgetJoin(retry)
+	r.step(seed.Addr, event{joinGone: retry})
 	if len(s.joinWaiters) != 0 {
 		t.Fatal("a request whose handler gave up stayed parked")
 	}

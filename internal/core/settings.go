@@ -6,14 +6,15 @@
 // leaderless view-change consensus (package fastpaxos) into a single service
 // reachable over any transport.
 //
-// Internally the service is a single-writer event-loop engine (engine.go):
-// one goroutine owns all protocol state and consumes one event queue that
-// everything — batches, consensus phases, join phases, failure-detector
-// verdicts — enters in arrival order; transport handlers are thin enqueuers,
-// readers see atomic snapshots, and outbound alerts are coalesced into one
-// batched wire message per batching window, disseminated by a
-// Settings-selected broadcaster (unicast-to-all or gossip). Consensus votes
-// are counted the way §4.3 counts them: a member keeps a voter bitmap per
+// Internally the service is a single-writer state machine (engine.go) and
+// the goroutine that drives it (driver.go): the engine owns all protocol
+// state and does no IO — it is stepped with one event at a time from one
+// queue that everything — batches, consensus phases, join phases,
+// failure-detector verdicts, the leave request — enters in arrival order, and
+// returns what to send, answer and publish; transport handlers are thin
+// enqueuers, readers see atomic snapshots, and outbound alerts are coalesced into one
+// batched wire message per batching window, sent to every member
+// (unicast-to-all, §6). Consensus votes are counted the way §4.3 counts them: a member keeps a voter bitmap per
 // distinct proposal and, on the same window, pushes what it learned to its K
 // ring subjects (to everyone, in memberships of at most 4K, where one hop is
 // cheaper). The engine owns its deadlines too: the consensus recovery
@@ -38,21 +39,6 @@ import (
 
 	"repro/internal/edgefd"
 	"repro/internal/simclock"
-)
-
-// BroadcastMode selects how batched alerts are disseminated to the
-// membership. Consensus votes do not use it: they are pushed along the K
-// rings in either mode.
-type BroadcastMode string
-
-const (
-	// BroadcastUnicastToAll sends every batch directly to every member:
-	// O(N) messages per batch from the sender, one hop. The paper's default.
-	BroadcastUnicastToAll BroadcastMode = "unicast"
-	// BroadcastGossip sends every batch to a random fanout subset; receivers
-	// re-broadcast unseen batches, flooding the membership in O(log N) hops
-	// at O(fanout) cost per process per batch.
-	BroadcastGossip BroadcastMode = "gossip"
 )
 
 // Settings are the tunables of a membership service instance. The zero value
@@ -85,16 +71,6 @@ type Settings struct {
 	// it — the paper's fixed 100 ms under the 400 ms default. Must satisfy
 	// 0 < BatchingWindowMin <= BatchingWindowMax.
 	BatchingWindowMax time.Duration
-
-	// Broadcast selects the dissemination strategy for batched alerts;
-	// defaults to BroadcastUnicastToAll. Consensus recovery messages and
-	// leave announcements always use unicast-to-all, which needs no
-	// re-broadcast cooperation to reach every member, and fast-round votes
-	// always travel along the K rings.
-	Broadcast BroadcastMode
-	// GossipFanout is how many random members each gossip hop forwards to;
-	// only used with BroadcastGossip. Defaults to 8.
-	GossipFanout int
 
 	// ConsensusFallbackBase is the base delay before an undecided node starts
 	// a classical Paxos recovery round, and the pause between its retries.
@@ -224,16 +200,6 @@ func (s *Settings) validate() error {
 	if s.BatchingWindowMin > s.BatchingWindowMax {
 		return fmt.Errorf("core: batching window floor %v exceeds ceiling %v",
 			s.BatchingWindowMin, s.BatchingWindowMax)
-	}
-	switch s.Broadcast {
-	case "":
-		s.Broadcast = BroadcastUnicastToAll
-	case BroadcastUnicastToAll, BroadcastGossip:
-	default:
-		return fmt.Errorf("core: unknown broadcast mode %q", s.Broadcast)
-	}
-	if s.GossipFanout <= 0 {
-		s.GossipFanout = 8
 	}
 	if s.ConsensusFallbackBase <= 0 {
 		s.ConsensusFallbackBase = 8 * time.Second

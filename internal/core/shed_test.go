@@ -12,9 +12,8 @@ import (
 )
 
 // shedTestCluster builds a cluster whose engine is deliberately not started,
-// so the event queue fills deterministically, with two published
-// configurations: the returned pastID has been moved past, currentID is
-// installed.
+// so the event queue fills deterministically: currentID is the configuration
+// its snapshot names, pastID one it has moved past.
 func shedTestCluster(t *testing.T, queueSize int) (c *Cluster, currentID, pastID uint64) {
 	t.Helper()
 	net := simnet.New(simnet.Options{Seed: 7})
@@ -26,12 +25,11 @@ func shedTestCluster(t *testing.T, queueSize int) (c *Cluster, currentID, pastID
 	c.events = make(chan event, queueSize)
 	t.Cleanup(c.Stop)
 	v1 := view.NewWithMembers(s.K, []node.Endpoint{{Addr: "shed:1", ID: node.NewID()}})
-	c.publishSnapshot(v1.ConfigurationID(), v1.Members(), 0)
 	v2 := view.NewWithMembers(s.K, []node.Endpoint{
 		{Addr: "shed:1", ID: node.NewID()},
 		{Addr: "peer:1", ID: node.NewID()},
 	})
-	c.publishSnapshot(v2.ConfigurationID(), v2.Members(), 1)
+	c.snap.Store(&snapshot{configID: v2.ConfigurationID(), members: v2.Members(), viewChanges: 1})
 	return c, v2.ConfigurationID(), v1.ConfigurationID()
 }
 

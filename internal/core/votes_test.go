@@ -5,66 +5,169 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/fastpaxos"
 	"repro/internal/node"
 	"repro/internal/remoting"
 	"repro/internal/view"
 )
 
-// --- counting votes along the rings, driven by hand ---------------------------
+// --- counting votes along the rings: rows on step ----------------------------------
 
-// newVoteRig starts n members on the hand-driven rig with K = 3, so that a
-// membership relays votes from 13 members on (oneHopLimit = 4K = 12).
+// A stepRow drives one member of an n-member configuration through a list of
+// turns — events given to step, or flush ticks — with no transport and no
+// goroutine, and checks what each turn returns: K = 3 here, so a membership
+// relays votes from 13 members on (oneHopLimit = 4K = 12).
+type stepRow struct {
+	name  string
+	n, me int // the membership is endpoint(0..n-1), the member under test endpoint(me)
+	turns []stepTurn
+	// installs is how many configurations the turns publish in all, and size
+	// the membership the member ends with.
+	installs, size int
+}
+
+// stepTurn is one input and the sends it must return, in order.
+type stepTurn struct {
+	in    func(f *stepFixture) event // nil: a flush tick
+	sends []wantSend
+}
+
+// wantSend describes one send: the request's kind, its exact targets (in any
+// order) and, for a vote batch, how many voters each of its aggregates names.
+type wantSend struct {
+	kind   string
+	to     func(f *stepFixture) []node.Addr
+	voters []int
+}
+
+// stepFixture is what a row's inputs and targets are computed from: the
+// configuration, ring subjects and peers the member started with — a decision
+// push goes to the subjects of the configuration being left.
+type stepFixture struct {
+	config   uint64
+	next     uint64 // the configuration that admits joiner
+	members  []node.Addr
+	subjects []node.Addr
+	others   []node.Addr
+}
+
+// joiner is the process every row's cut admits.
+var joiner = endpoint(99)
+
+func all(f *stepFixture) []node.Addr   { return f.members }
+func ring(f *stepFixture) []node.Addr  { return f.subjects }
+func peers(f *stepFixture) []node.Addr { return f.others }
+func cut(f *stepFixture) event         { return event{req: cutAlerts(f.config, 3, joiner)} }
+func leave(*stepFixture) event         { return event{leave: true} }
+
+// pushTo is a vote batch for the given targets whose aggregates name that
+// many voters each.
+func pushTo(to func(*stepFixture) []node.Addr, voters ...int) wantSend {
+	return wantSend{kind: "votebatch", to: to, voters: voters}
+}
+
+// agg is one aggregate of an inbound vote batch: count voters from index from
+// on, for the cut {endpoint(proposal)}; next makes it name the configuration
+// that admits joiner (one member more) instead of the row's own.
+type agg struct {
+	proposal, from, count int
+	next                  bool
+}
+
+// votes builds the turn input that delivers a peer's vote batch.
+func votes(aggs ...agg) func(*stepFixture) event {
+	return func(f *stepFixture) event {
+		batch := &remoting.FastRoundVoteBatch{Sender: f.others[0]}
+		for _, a := range aggs {
+			config, n := f.config, len(f.members)
+			if a.next {
+				config, n = f.next, n+1
+			}
+			bitmap := make([]byte, (n+7)/8)
+			for i := a.from; i < a.from+a.count; i++ {
+				bitmap[i/8] |= 1 << (i % 8)
+			}
+			batch.Votes = append(batch.Votes, remoting.FastRoundPhase2b{
+				Sender: f.others[0], ConfigurationID: config, Proposal: []node.Endpoint{endpoint(a.proposal)}, Voters: bitmap,
+			})
+		}
+		return event{req: &remoting.Request{VoteBatch: batch}}
+	}
+}
+
+// run steps the row's member through its turns.
 //
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
-func newVoteRig(t *testing.T, n int) (*engineRig, []node.Endpoint) {
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func (row stepRow) run(t *testing.T) {
 	r := newEngineRig(t)
 	r.settings.K, r.settings.H, r.settings.L = 3, 3, 1
-	members := make([]node.Endpoint, n)
+	members := make([]node.Endpoint, row.n)
 	for i := range members {
 		members[i] = endpoint(i)
 	}
-	for _, m := range members {
-		r.start(m, members)
+	me := members[row.me].Addr
+	e, _ := r.start(members[row.me], members)
+	f := &stepFixture{config: e.view.ConfigurationID(), members: e.addrs, subjects: e.subjects}
+	f.next = view.NewWithMembers(3, append(slices.Clone(members), joiner)).ConfigurationID()
+	for _, a := range e.addrs {
+		if a != me {
+			f.others = append(f.others, a)
+		}
 	}
-	return r, members
-}
 
-// votePushes empties the rig's inboxes and returns who was sent which vote
-// batch; anything else in flight fails the test.
-func (r *engineRig) votePushes() map[node.Addr][]*remoting.FastRoundVoteBatch {
-	r.t.Helper()
-	out := map[node.Addr][]*remoting.FastRoundVoteBatch{}
-	for to, reqs := range r.inbox {
-		for _, req := range reqs {
-			if req.VoteBatch == nil || req.Alerts != nil {
-				r.t.Fatalf("%s was sent a %s, want vote batches only", to, req.Kind())
+	installs := 0
+	for i, turn := range row.turns {
+		var out outputs
+		if turn.in == nil {
+			out = e.tick(r.clk.Now(), 0)
+		} else {
+			out = e.step(turn.in(f), r.clk.Now())
+		}
+		if out.publish != nil {
+			installs++
+		}
+		if len(out.sends) != len(turn.sends) {
+			t.Fatalf("turn %d returned %d sends (%+v), want %d", i, len(out.sends), out.sends, len(turn.sends))
+		}
+		for j, want := range turn.sends {
+			got := out.sends[j]
+			if got.req.Kind() != want.kind {
+				t.Fatalf("turn %d, send %d is a %s, want a %s", i, j, got.req.Kind(), want.kind)
 			}
-			out[to] = append(out[to], req.VoteBatch)
+			if to := want.to(f); !slices.Equal(node.SortAddrs(slices.Clone(got.to)), node.SortAddrs(slices.Clone(to))) {
+				t.Fatalf("turn %d, send %d goes to %v, want exactly %v", i, j, got.to, to)
+			}
+			var counts []int
+			if got.req.VoteBatch != nil {
+				for _, v := range got.req.VoteBatch.Votes {
+					if v.ConfigurationID != f.config {
+						t.Fatalf("turn %d pushed a vote of configuration %x, want %x", i, v.ConfigurationID, f.config)
+					}
+					counts = append(counts, voterCount(v.Voters))
+				}
+			}
+			if !slices.Equal(counts, want.voters) {
+				t.Fatalf("turn %d, send %d carries aggregates of %v voters, want %v", i, j, counts, want.voters)
+			}
 		}
 	}
-	clear(r.inbox)
-	return out
+	if installs != row.installs || e.view.Size() != row.size {
+		t.Fatalf("%d configurations installed and %d members, want %d and %d", installs, e.view.Size(), row.installs, row.size)
+	}
+	if row.installs > 0 {
+		if e.view.ConfigurationID() != f.next {
+			t.Fatalf("installed configuration %x, want %x", e.view.ConfigurationID(), f.next)
+		}
+		// Nothing of the configuration left behind reaches the new instance.
+		if _, total := e.consensus.VotesForLeadingProposal(); total != 0 || e.votesDirty || !e.fallbackAt.IsZero() {
+			t.Fatalf("the new configuration starts with %d votes counted, dirty=%v, recovery deadline %v", total, e.votesDirty, e.fallbackAt)
+		}
+	}
 }
 
-// wantOnePushTo checks that exactly the listed members were sent one vote
-// batch each, and returns it (every target of one push gets the same batch).
-func wantOnePushTo(t *testing.T, pushes map[node.Addr][]*remoting.FastRoundVoteBatch, targets []node.Addr) *remoting.FastRoundVoteBatch {
-	t.Helper()
-	var got []node.Addr
-	var batch *remoting.FastRoundVoteBatch
-	for to, batches := range pushes {
-		if len(batches) != 1 {
-			t.Fatalf("%s was sent %d vote batches, want 1", to, len(batches))
-		}
-		got = append(got, to)
-		batch = batches[0]
+func runStepRows(t *testing.T, rows ...stepRow) {
+	for _, row := range rows {
+		t.Run(row.name, row.run)
 	}
-	want := append([]node.Addr(nil), targets...)
-	if !slices.Equal(node.SortAddrs(got), node.SortAddrs(want)) {
-		t.Fatalf("vote batch sent to %v, want exactly %v", got, want)
-	}
-	return batch
 }
 
 func voterCount(bitmap []byte) int {
@@ -75,160 +178,81 @@ func voterCount(bitmap []byte) int {
 	return n
 }
 
-// bitmapOf sets the bits of the first count members of an n-member bitmap,
-// skipping the listed index.
-func bitmapOf(n, count, skip int) []byte {
-	b := make([]byte, (n+7)/8)
-	for i := 0; count > 0; i++ {
-		if i != skip {
-			b[i/8] |= 1 << (i % 8)
-			count--
-		}
-	}
-	return b
-}
-
 // TestOwnVoteIsPushedToRingSubjectsOnce: above the one-hop limit a member's
 // vote leaves on the next flush, as a bitmap with its own bit, for exactly its
-// ring subjects; a subject it taught pushes on to its own subjects; and an
+// ring subjects; a member it taught pushes on to its own subjects; and an
 // aggregate that teaches nothing causes no push at all.
-//
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
 func TestOwnVoteIsPushedToRingSubjectsOnce(t *testing.T) {
-	r, members := newVoteRig(t, 16)
-	voter := r.engines[members[5].Addr]
-	cut := []node.Endpoint{endpoint(99)}
-
-	voter.propose(cut)
-	if pushes := r.votePushes(); len(pushes) != 0 {
-		t.Fatalf("a vote left before the flush tick: %v", pushes)
-	}
-	r.flush(voter.c.me.Addr)
-	subjects, _ := voter.view.UniqueSubjectsOf(voter.c.me.Addr)
-	if len(subjects) == 0 || len(subjects) > 3 {
-		t.Fatalf("%d ring subjects with K=3", len(subjects))
-	}
-	batch := wantOnePushTo(t, r.votePushes(), subjects)
-	ownBit := make([]byte, 2)
-	ownBit[voter.myIndex/8] |= 1 << (voter.myIndex % 8)
-	if len(batch.Votes) != 1 || batch.Votes[0].ConfigurationID != voter.view.ConfigurationID() || !slices.Equal(batch.Votes[0].Voters, ownBit) {
-		t.Fatalf("pushed %+v, want one aggregate with exactly bit %d", batch.Votes, voter.myIndex)
-	}
-	r.flush(voter.c.me.Addr)
-	if pushes := r.votePushes(); len(pushes) != 0 {
-		t.Fatalf("a second flush pushed again with nothing learned: %v", pushes)
-	}
-
-	// A subject learns the vote and relays it; hearing it again is silent.
-	relay := r.engines[subjects[0]]
-	push := &remoting.Request{VoteBatch: batch}
-	relay.dispatchRequest(push, true)
-	r.flush(relay.c.me.Addr)
-	onward, _ := relay.view.UniqueSubjectsOf(relay.c.me.Addr)
-	if got := wantOnePushTo(t, r.votePushes(), onward); voterCount(got.Votes[0].Voters) != 1 {
-		t.Fatalf("the relay pushed %d voters on, want the one it learned", voterCount(got.Votes[0].Voters))
-	}
-	relay.dispatchRequest(push, true)
-	r.flush(relay.c.me.Addr)
-	if pushes := r.votePushes(); len(pushes) != 0 {
-		t.Fatalf("an aggregate that taught nothing caused a push: %v", pushes)
-	}
+	runStepRows(t,
+		stepRow{name: "the voter", n: 16, me: 5, size: 16, turns: []stepTurn{
+			{in: cut}, // the vote waits for the flush tick
+			{sends: []wantSend{pushTo(ring, 1)}},
+			{}, // nothing learned since: no second push
+		}},
+		stepRow{name: "a relay", n: 16, me: 7, size: 16, turns: []stepTurn{
+			{in: votes(agg{proposal: 99, from: 5, count: 1})},
+			{sends: []wantSend{pushTo(ring, 1)}},
+			{in: votes(agg{proposal: 99, from: 5, count: 1})}, // heard again: silent
+			{},
+		}},
+	)
 }
 
 // TestDecidingAggregateIsRelayedBeforeInstall: the member that completes a
-// quorum installs the next configuration and forgets the instance, so it
-// first pushes the deciding aggregate to the subjects it has in the
-// configuration it is leaving — or the relay chain would end with it. What
-// follows in the same batch is not counted for anything.
-//
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// quorum installs the next configuration and forgets the instance, so the
+// step that decides first pushes what it knows to the subjects it has in the
+// configuration it is leaving — or the relay chain would end with it. The
+// decision is applied once, after the whole batch went through the instance
+// that decided: whichever aggregate completes the quorum (13 of 16), exactly
+// one configuration is installed and what follows it in the batch is counted
+// for nothing, neither in the push nor in the new configuration.
 func TestDecidingAggregateIsRelayedBeforeInstall(t *testing.T) {
-	const n = 16
-	r, members := newVoteRig(t, n)
-	e := r.engines[members[2].Addr]
-	oldConfig := e.view.ConfigurationID()
-	oldSubjects, _ := e.view.UniqueSubjectsOf(e.c.me.Addr)
-	joiner := endpoint(99)
-	newConfig := view.NewWithMembers(3, append(append([]node.Endpoint(nil), members...), joiner)).ConfigurationID()
-	quorum := fastpaxos.FastQuorumSize(n)
-
-	e.dispatchRequest(&remoting.Request{VoteBatch: &remoting.FastRoundVoteBatch{Sender: members[0].Addr, Votes: []remoting.FastRoundPhase2b{
-		{Sender: members[0].Addr, ConfigurationID: oldConfig, Proposal: []node.Endpoint{joiner}, Voters: bitmapOf(n, quorum, e.myIndex)},
-		{Sender: members[0].Addr, ConfigurationID: oldConfig, Proposal: []node.Endpoint{endpoint(98)}, Voters: bitmapOf(n, n-1, e.myIndex)},
-		{Sender: members[0].Addr, ConfigurationID: newConfig, Proposal: []node.Endpoint{endpoint(97)}, Voters: bitmapOf(n+1, 3, -1)},
-	}}}, true)
-
-	if got := e.view.ConfigurationID(); got != newConfig || e.view.Size() != n+1 {
-		t.Fatalf("installed %x with %d members, want %x with %d", got, e.view.Size(), newConfig, n+1)
-	}
-	batch := wantOnePushTo(t, r.votePushes(), oldSubjects)
-	if len(batch.Votes) != 1 || batch.Votes[0].ConfigurationID != oldConfig || voterCount(batch.Votes[0].Voters) != quorum {
-		t.Fatalf("the decision push carried %+v, want the one deciding aggregate of %d voters", batch.Votes, quorum)
-	}
-	if _, total := e.consensus.VotesForLeadingProposal(); total != 0 || e.votesDirty {
-		t.Fatalf("the rest of the deciding batch was counted in the new configuration: %d votes, dirty=%v", total, e.votesDirty)
-	}
-	r.flush(e.c.me.Addr)
-	if pushes := r.votePushes(); len(pushes) != 0 {
-		t.Fatalf("the new configuration's first flush pushed %v", pushes)
-	}
+	rest := []agg{{proposal: 98, from: 14, count: 2}, {proposal: 97, from: 0, count: 3, next: true}}
+	runStepRows(t,
+		stepRow{name: "the first aggregate decides", n: 16, me: 2, installs: 1, size: 17, turns: []stepTurn{
+			{in: votes(append([]agg{{proposal: 99, from: 0, count: 13}}, rest...)...), sends: []wantSend{pushTo(ring, 13)}},
+			{}, // the new configuration's first flush has nothing to push
+		}},
+		stepRow{name: "the second aggregate decides", n: 16, me: 2, installs: 1, size: 17, turns: []stepTurn{
+			{in: votes(append([]agg{{proposal: 98, from: 0, count: 1}, {proposal: 99, from: 1, count: 13}}, rest...)...), sends: []wantSend{pushTo(ring, 1, 13)}},
+			{},
+		}},
+	)
 }
 
 // TestSmallMembershipVotesInOneHop: at or below the one-hop limit a vote goes
 // to every other member and nobody relays what it receives — the message
 // count of unicast-to-all, less the copy to oneself.
-//
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
 func TestSmallMembershipVotesInOneHop(t *testing.T) {
-	r, members := newVoteRig(t, 12)
-	voter := r.engines[members[5].Addr]
-	voter.propose([]node.Endpoint{endpoint(99)})
-	r.flush(voter.c.me.Addr)
-	var others []node.Addr
-	for _, m := range members {
-		if m.Addr != voter.c.me.Addr {
-			others = append(others, m.Addr)
-		}
-	}
-	batch := wantOnePushTo(t, r.votePushes(), others)
-
-	peer := r.engines[members[6].Addr]
-	peer.dispatchRequest(&remoting.Request{VoteBatch: batch}, true)
-	if _, total := peer.consensus.VotesForLeadingProposal(); total != 1 {
-		t.Fatalf("the peer counted %d votes, want 1", total)
-	}
-	r.flush(peer.c.me.Addr)
-	if pushes := r.votePushes(); len(pushes) != 0 {
-		t.Fatalf("a one-hop member relayed what it received: %v", pushes)
-	}
+	runStepRows(t,
+		stepRow{name: "the voter", n: 12, me: 5, size: 12, turns: []stepTurn{
+			{in: cut},
+			{sends: []wantSend{pushTo(peers, 1)}},
+		}},
+		stepRow{name: "a peer", n: 12, me: 6, size: 12, turns: []stepTurn{
+			{in: votes(agg{proposal: 99, from: 5, count: 1})},
+			{}, // counted, not relayed
+		}},
+	)
 }
 
 // TestVoteThatDecidesStillLeaves: a member counts its own vote at once, so
-// the vote that completes its quorum decides before any flush tick. It must
-// reach the others all the same — with N = 4 they cannot decide without it.
-//
-// engine-entry: the rig applies events on the test goroutine; no loop runs.
+// the vote that completes its quorum decides on the step that casts it,
+// before any flush tick. It must reach the others all the same — with N = 4
+// they cannot decide without it. A lone member decides inside Propose, with
+// nobody to tell, and the recovery deadline its vote armed is gone with the
+// instance. And a leave is one message for every member, this one included.
 func TestVoteThatDecidesStillLeaves(t *testing.T) {
-	r, members := newVoteRig(t, 4)
-	cut := []node.Endpoint{endpoint(99)}
-	early := []node.Addr{members[0].Addr, members[1].Addr, members[2].Addr}
-	last := members[3].Addr
-	for _, m := range early {
-		r.engines[m].propose(cut)
-	}
-	r.flush(early...)
-	r.deliver(last)
-	if got := r.engines[last].view.Size(); got != 4 {
-		t.Fatalf("decided on 3 of 4 votes (size %d)", got)
-	}
-	r.engines[last].propose(cut)
-	if got := r.engines[last].view.Size(); got != 5 {
-		t.Fatalf("the fourth vote did not decide at once (size %d)", got)
-	}
-	r.deliver(early...)
-	for _, m := range early {
-		if got := r.engines[m].view.Size(); got != 5 {
-			t.Fatalf("%s has %d members: the deciding vote never reached it", m, got)
-		}
-	}
+	runStepRows(t,
+		stepRow{name: "the last of four votes", n: 4, me: 3, installs: 1, size: 5, turns: []stepTurn{
+			{in: votes(agg{proposal: 99, from: 0, count: 3})}, // three of four decide nothing
+			{in: cut, sends: []wantSend{pushTo(peers, 4)}},
+		}},
+		stepRow{name: "a lone member", n: 1, me: 0, installs: 1, size: 2, turns: []stepTurn{
+			{in: cut},
+		}},
+		stepRow{name: "a leave", n: 4, me: 1, size: 4, turns: []stepTurn{
+			{in: leave, sends: []wantSend{{kind: "leave", to: all}}},
+		}},
+	)
 }

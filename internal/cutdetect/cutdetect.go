@@ -1,9 +1,10 @@
 // Package cutdetect implements Rapid's multi-process cut detection (§4.2).
 //
 // Every process ingests REMOVE and JOIN alerts broadcast by observers about
-// edges to their subjects, and tallies the number of distinct observers that
-// reported each subject. With K observers per subject and two watermarks
-// L ≤ H ≤ K, a subject is in "stable report mode" once its tally reaches H
+// edges to their subjects, and tallies per subject the number of ring slots
+// with a report: of its K rings, how many have been reported on, so an
+// observer that holds several of a subject's rings counts once per ring, not
+// once. With K ring slots per subject and two watermarks L ≤ H ≤ K, a subject is in "stable report mode" once its tally reaches H
 // and in "unstable report mode" while the tally is between L and H. A process
 // announces a configuration-change proposal only when at least one subject is
 // stable and no subject is unstable — this single rule is what yields

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cutdetect"
 	"repro/internal/graph"
 	"repro/internal/harness"
@@ -345,82 +344,6 @@ func CrashSweep(cfg Config, systems []harness.System, n, failures int) ([]CrashR
 		cfg.printf("%-12s %12.1f %12v %10d\n", r.System, cfg.scaledSeconds(r.RecoveryTime), r.Recovered, r.UniqueSizes)
 	}
 	return out, nil
-}
-
-// --- broadcast strategy comparison -------------------------------------------
-
-// BroadcastCostResult captures the message cost of one dissemination
-// strategy handling the same crash-recovery workload.
-type BroadcastCostResult struct {
-	Mode         core.BroadcastMode
-	N, Failures  int
-	Recovered    bool
-	RecoveryTime time.Duration
-	// TotalMessages is every send attempt during the run (probes included).
-	TotalMessages int64
-	// BatchMessages is the number of batched alert/vote wire messages.
-	BatchMessages int64
-}
-
-// RunBroadcastComparison runs the crash-recovery workload once per broadcast
-// mode on identically seeded fleets and reports the message cost of each:
-// unicast-to-all pays O(N) per batch at one hop, gossip pays O(fanout) per
-// process per hop with flooding re-broadcast.
-func RunBroadcastComparison(cfg Config, n, failures, fanout int) ([]BroadcastCostResult, error) {
-	var out []BroadcastCostResult
-	cfg.printf("== Broadcast strategy: messages to recover from %d crashes (N=%d) ==\n", failures, n)
-	cfg.printf("%-10s %12s %12s %14s %12s\n", "mode", "recover(s)", "recovered", "total-msgs", "batch-msgs")
-	for _, mode := range []core.BroadcastMode{core.BroadcastUnicastToAll, core.BroadcastGossip} {
-		fleet, err := harness.Launch(harness.Options{
-			System:         harness.SystemRapid,
-			N:              n,
-			TimeScale:      cfg.TimeScale,
-			Seed:           cfg.Seed,
-			SampleInterval: 10 * time.Millisecond,
-			Broadcast:      mode,
-			GossipFanout:   fanout,
-		})
-		if err != nil {
-			return out, fmt.Errorf("broadcast comparison %s: %w", mode, err)
-		}
-		res := BroadcastCostResult{Mode: mode, N: n, Failures: failures}
-		if _, ok := fleet.WaitForSize(n, 120*time.Second); !ok {
-			fleet.Stop()
-			return out, fmt.Errorf("broadcast comparison %s: fleet did not stabilise", mode)
-		}
-		agents := fleet.Agents()
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		perm := rng.Perm(len(agents))
-		excluded := make(map[node.Addr]bool, failures)
-		var victims []node.Addr
-		for _, idx := range perm {
-			if len(victims) == failures {
-				break
-			}
-			victims = append(victims, agents[idx].Addr())
-			excluded[agents[idx].Addr()] = true
-		}
-		startTotal := fleet.Net.TotalMessages()
-		startBatches := batchMessages(fleet)
-		fleet.Crash(victims...)
-		elapsed, ok := fleet.WaitForSizeExcluding(n-failures, excluded, 120*time.Second)
-		res.Recovered = ok
-		res.RecoveryTime = elapsed
-		res.TotalMessages = fleet.Net.TotalMessages() - startTotal
-		res.BatchMessages = batchMessages(fleet) - startBatches
-		fleet.Stop()
-		out = append(out, res)
-		cfg.printf("%-10s %12.1f %12v %14d %12d\n",
-			res.Mode, cfg.scaledSeconds(res.RecoveryTime), res.Recovered, res.TotalMessages, res.BatchMessages)
-	}
-	return out, nil
-}
-
-// batchMessages counts the batched alert/vote wire messages seen so far.
-func batchMessages(fleet *harness.Fleet) int64 {
-	return fleet.Net.MessageCount("alerts") +
-		fleet.Net.MessageCount("votebatch") +
-		fleet.Net.MessageCount("alerts+votes")
 }
 
 // --- Figures 1, 9, 10: asymmetric network failures --------------------------

@@ -175,21 +175,3 @@ func TestServiceDiscoveryShapeMatchesFigure13(t *testing.T) {
 			memberlist.Reloads, rapid.Reloads)
 	}
 }
-
-func TestRunBroadcastComparisonSmall(t *testing.T) {
-	results, err := RunBroadcastComparison(testConfig(), 10, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("expected one result per broadcast mode, got %d", len(results))
-	}
-	for _, r := range results {
-		if !r.Recovered {
-			t.Errorf("%s fleet did not recover from the crash", r.Mode)
-		}
-		if r.TotalMessages == 0 || r.BatchMessages == 0 {
-			t.Errorf("%s recorded no message traffic: %+v", r.Mode, r)
-		}
-	}
-}

@@ -21,7 +21,6 @@ package fastpaxos
 
 import (
 	"math/bits"
-	"math/rand"
 	"sync"
 
 	"repro/internal/node"
@@ -342,15 +341,4 @@ func (f *FastPaxos) decide(value []node.Endpoint) {
 	if onDecide != nil {
 		onDecide(value)
 	}
-}
-
-// RandomFallbackJitter returns a deterministic-per-node jitter multiplier in
-// [0, n) used to stagger fallback timers so that a single coordinator usually
-// emerges. Exposed here so that the membership service and tests share the
-// same policy.
-func RandomFallbackJitter(seed int64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return rand.New(rand.NewSource(seed)).Intn(n)
 }

@@ -313,18 +313,6 @@ func TestDecideCalledExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestRandomFallbackJitterBounds(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		j := RandomFallbackJitter(seed, 10)
-		if j < 0 || j >= 10 {
-			t.Fatalf("jitter %d out of range", j)
-		}
-	}
-	if RandomFallbackJitter(1, 1) != 0 || RandomFallbackJitter(1, 0) != 0 {
-		t.Fatal("jitter for n<=1 should be 0")
-	}
-}
-
 func TestAgreementPropertyUnderPartialVoting(t *testing.T) {
 	// Property: whatever subset of nodes votes (all for one of two values),
 	// and whichever nodes later run recovery, no two nodes decide different

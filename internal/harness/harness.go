@@ -93,11 +93,6 @@ type Options struct {
 	AccountBandwidth bool
 	// JoinConcurrency bounds how many joins run at once (0 = all at once).
 	JoinConcurrency int
-	// Broadcast selects the dissemination strategy for Rapid fleets
-	// (unicast-to-all or gossip); empty uses the core default.
-	Broadcast core.BroadcastMode
-	// GossipFanout is the per-hop fanout for the gossip broadcaster.
-	GossipFanout int
 	// SimnetShards overrides the simulated network's delivery shard count
 	// (0 = simnet default). Paper-scale fleets (1000+) spread enqueue and
 	// delivery across shards, so more shards help when cores are available.
@@ -273,12 +268,6 @@ func (f *Fleet) startMembers() error {
 // rapidSettings builds the core settings for this fleet's Rapid agents.
 func (f *Fleet) rapidSettings() core.Settings {
 	settings := core.ScaledSettings(f.Options.TimeScale)
-	if f.Options.Broadcast != "" {
-		settings.Broadcast = f.Options.Broadcast
-	}
-	if f.Options.GossipFanout > 0 {
-		settings.GossipFanout = f.Options.GossipFanout
-	}
 	if f.Options.JoinAttempts > 0 {
 		settings.JoinAttempts = f.Options.JoinAttempts
 	}

@@ -153,8 +153,10 @@ type AlertMessage struct {
 // Rapid batches multiple alerts into a single message before sending (§6).
 type BatchedAlertMessage struct {
 	Sender node.Addr
-	// Seq is the sender's outbound batch sequence number. Gossip broadcast
-	// re-forwards batches, so receivers deduplicate on (Sender, Seq).
+	// Seq is a wire field nothing stamps or reads any more: it numbered a
+	// sender's batches for the deduplication of a gossip mode that is gone.
+	// It stays in codec version 3 because the frozen benchmark encodes it, and
+	// goes with the [benchmark] PR that changes that.
 	Seq    uint64
 	Alerts []AlertMessage
 }
@@ -188,9 +190,8 @@ type FastRoundPhase2b struct {
 // Request may carry both an Alerts and a VoteBatch payload.
 type FastRoundVoteBatch struct {
 	Sender node.Addr
-	// Seq is the sender's outbound batch sequence number, drawn from the same
-	// counter as its alert batches. Merging an aggregate is idempotent, so
-	// nothing deduplicates on it.
+	// Seq is unused, like BatchedAlertMessage.Seq, and goes with it. Merging
+	// an aggregate is idempotent, so nothing ever deduplicated on it.
 	Seq   uint64
 	Votes []FastRoundPhase2b
 }

@@ -34,19 +34,9 @@ type (
 	StatusChange = core.StatusChange
 	// Subscriber receives view-change notifications.
 	Subscriber = core.Subscriber
-	// BroadcastMode selects how batched alerts are disseminated.
-	BroadcastMode = core.BroadcastMode
 	// EngineStats is a point-in-time summary of the protocol engine's
 	// instrumentation (queue depth, events processed, batch sizes).
 	EngineStats = core.EngineStats
-)
-
-// The available broadcast modes.
-const (
-	// BroadcastUnicastToAll sends every batch directly to every member.
-	BroadcastUnicastToAll = core.BroadcastUnicastToAll
-	// BroadcastGossip floods batches through random-fanout re-broadcast.
-	BroadcastGossip = core.BroadcastGossip
 )
 
 // Re-exported logically centralized mode types (Rapid-C, §5).
