@@ -1,8 +1,10 @@
-// Benchmarks regenerating the paper's tables and figures (§2.1, §7, §8) at
-// laptop scale. Each "Figure"/"Table" benchmark runs one full scaled-down
-// experiment per iteration; EXPERIMENTS.md records a captured run next to the
-// paper's numbers. The hot paths (view build and lookup, configuration ID,
-// alert codec) are timed with repeats by bench/layers.go, not here. Run with:
+// Benchmarks of the paper's analytic figures (11-13, §8) at laptop scale, one
+// full scaled-down experiment per iteration, and of two protocol paths. The
+// figures that need a comparison fleet (1, 5-10, Tables 1-2) are not
+// benchmarks: `rapid-bench -seeds a,b,c` runs them with spread, and
+// TestEveryFigureAtToySize keeps them working. The hot paths (view build and
+// lookup, configuration ID, alert codec) are timed with repeats by
+// bench/layers.go, not here. Run with:
 //
 //	go test -bench=. -benchmem
 package rapid_test
@@ -15,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/harness"
 	"repro/internal/node"
 	"repro/internal/simnet"
 	"repro/internal/view"
@@ -25,100 +26,6 @@ import (
 // in the single-digit seconds.
 func benchConfig() experiments.Config {
 	return experiments.Config{TimeScale: 100, Seed: 7}
-}
-
-// BenchmarkFigure5To7Table1_Bootstrap measures bootstrap convergence for each
-// system (Figure 5), per-node latency distributions (Figure 6), the shape of
-// the size timeseries (Figure 7) and the number of unique sizes (Table 1).
-func BenchmarkFigure5To7Table1_Bootstrap(b *testing.B) {
-	systems := []harness.System{
-		harness.SystemZooKeeper, harness.SystemMemberlist, harness.SystemRapidC, harness.SystemRapid,
-	}
-	const n = 24
-	for _, system := range systems {
-		b.Run(string(system), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunBootstrap(benchConfig(), system, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !r.Converged {
-					b.Fatalf("%s bootstrap did not converge", system)
-				}
-				b.ReportMetric(benchConfig().TimeScale*r.ConvergenceTime.Seconds(), "paper-s/bootstrap")
-				b.ReportMetric(float64(r.UniqueSizes), "unique-sizes")
-			}
-		})
-	}
-}
-
-// BenchmarkFigure8_ConcurrentCrashes measures how long each system takes to
-// remove 10% of the membership after a simultaneous crash.
-func BenchmarkFigure8_ConcurrentCrashes(b *testing.B) {
-	systems := []harness.System{harness.SystemMemberlist, harness.SystemRapid}
-	const n, failures = 20, 2
-	for _, system := range systems {
-		b.Run(string(system), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunCrash(benchConfig(), system, n, failures)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(benchConfig().TimeScale*r.RecoveryTime.Seconds(), "paper-s/removal")
-				b.ReportMetric(float64(r.UniqueSizes), "unique-sizes")
-			}
-		})
-	}
-}
-
-// BenchmarkFigure1_9_10_AsymmetricFaults measures stability under the paper's
-// asymmetric network failures: Figure 9's one-way flip-flopping partition and
-// Figure 10's (and Figure 1's) sustained 80% packet loss. The flip-flop case
-// runs at N=60: the paper's stability guarantee needs n >> K, and at N=20 a
-// partitioned victim's own noise alerts occasionally evicted a healthy
-// subject (see the FaultIngressFlipFlop doc comment for the mechanism).
-func BenchmarkFigure1_9_10_AsymmetricFaults(b *testing.B) {
-	cases := []struct {
-		name  string
-		fault experiments.FaultKind
-		n     int
-	}{
-		{"Figure9_IngressFlipFlop", experiments.FaultIngressFlipFlop, 60},
-		{"Figure1_10_EgressLoss80", experiments.FaultEgressLoss80, 20},
-	}
-	for _, c := range cases {
-		b.Run(c.name+"/rapid", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunFault(benchConfig(), harness.SystemRapid, c.fault, c.n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !r.FaultyRemoved {
-					b.Fatalf("rapid did not remove the faulty member under %s", c.fault)
-				}
-				b.ReportMetric(benchConfig().TimeScale*r.RemovalTime.Seconds(), "paper-s/removal")
-			}
-		})
-	}
-}
-
-// BenchmarkTable2_Bandwidth measures per-process network bandwidth during the
-// crash-fault experiment, the quantity Table 2 reports.
-func BenchmarkTable2_Bandwidth(b *testing.B) {
-	systems := []harness.System{harness.SystemMemberlist, harness.SystemRapid}
-	for _, system := range systems {
-		b.Run(string(system), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.RunBandwidth(benchConfig(), system, 16, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.Received.MeanKBps, "KBps-recv-mean")
-				b.ReportMetric(r.Received.MaxKBps, "KBps-recv-max")
-				b.ReportMetric(r.Sent.MeanKBps, "KBps-sent-mean")
-			}
-		})
-	}
 }
 
 // BenchmarkFigure11_CutDetectionConflictRate measures the almost-everywhere

@@ -5,27 +5,30 @@
 // Example:
 //
 //	rapid-sim -system rapid -n 40 -fault crash -victims 4
-//	rapid-sim -system memberlist -n 40 -fault egress-loss -victims 1
+//	rapid-sim -system memberlist -n 40 -fault egress-loss-80 -victims 1
 //	rapid-sim -system rapid -n 60 -fault slow -victims 1
 //	rapid-sim -system rapid -n 60 -fault flap -victims 1
+//
+// -fault takes the names of harness.Fault, the vocabulary rapid-bench's
+// scenario cells use.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/node"
-	"repro/internal/simnet"
 )
 
 func main() {
 	var (
 		system   = flag.String("system", "rapid", "membership system: rapid, rapid-c, memberlist, zookeeper")
 		n        = flag.Int("n", 40, "cluster size")
-		fault    = flag.String("fault", "crash", "fault to inject: none, crash, egress-loss, ingress-block, slow, oneway, flap, deaf, wan, chaos")
+		fault    = flag.String("fault", "crash", fmt.Sprintf("fault to inject, one of %v", harness.Faults()))
 		victims  = flag.Int("victims", 2, "number of faulty nodes")
 		scale    = flag.Float64("scale", 50, "time compression factor")
 		duration = flag.Duration("duration", 20*time.Second, "wall-clock time to observe after the fault")
@@ -50,67 +53,23 @@ func main() {
 	}
 	defer fleet.Stop()
 
-	if _, ok := fleet.WaitForSize(*n, 120*time.Second); !ok {
+	if _, ok := fleet.WaitForSizeExcluding(*n, nil, 120*time.Second); !ok {
 		fmt.Fprintf(os.Stderr, "cluster did not converge to %d members\n", *n)
 		os.Exit(1)
 	}
-	fmt.Printf("cluster of %d %s members formed; injecting fault %q on %d node(s)\n",
-		*n, *system, *fault, *victims)
-
-	agents := fleet.Agents()
-	var victimAddrs []node.Addr
-	for i := 0; i < *victims && i < len(agents); i++ {
-		victimAddrs = append(victimAddrs, agents[len(agents)-1-i].Addr())
-	}
-	switch *fault {
-	case "none":
-	case "crash":
-		fleet.Crash(victimAddrs...)
-	case "egress-loss":
-		for _, v := range victimAddrs {
-			fleet.Net.SetEgressLoss(v, 0.8)
-		}
-	case "ingress-block":
-		for _, v := range victimAddrs {
-			fleet.Net.SetIngressLoss(v, 1.0)
-		}
-	case "slow":
-		// Slow-but-alive: one-way delay past the probe timeout.
-		fleet.SlowNodes(harness.Scale(800*time.Millisecond, *scale), victimAddrs...)
-	case "oneway":
-		// One-way link failures from each victim to every even-indexed member.
-		for _, v := range victimAddrs {
-			var dsts []node.Addr
-			for i := 0; i < *n; i += 2 {
-				if a := harness.MemberAddr(i); a != v {
-					dsts = append(dsts, a)
-				}
-			}
-			fleet.BlockOneWay(v, dsts...)
-		}
-	case "flap":
-		w := harness.Scale(20*time.Second, *scale)
-		fleet.Flap(simnet.FlapSpec{Loss: 1.0, Ingress: true, On: w, Off: w}, victimAddrs...)
-	case "deaf":
-		fleet.PartitionDeaf(victimAddrs...)
-	case "wan":
-		fleet.WAN(3, harness.Scale(50*time.Millisecond, *scale), harness.Scale(150*time.Millisecond, *scale))
-	case "chaos":
-		fleet.Chaos(simnet.ChaosSpec{Duplicate: 0.1, Reorder: 0.3, MaxJitter: harness.Scale(100*time.Millisecond, *scale)})
-	default:
-		fmt.Fprintf(os.Stderr, "unknown fault %q\n", *fault)
+	excluded, err := fleet.Inject(harness.Fault(*fault), *victims)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	fmt.Printf("cluster of %d %s members formed; injected fault %q on %d node(s)\n",
+		*n, *system, *fault, len(excluded))
 
 	time.Sleep(*duration)
 
-	excluded := make(map[node.Addr]bool)
-	for _, v := range victimAddrs {
-		excluded[v] = true
-	}
 	fmt.Printf("\n%-14s %-10s\n", "time(s)", "sizes reported (min..max across nodes)")
 	printSeries(fleet, excluded, *scale)
-	fmt.Printf("\ndistinct sizes observed: %d\n", fleet.UniqueReportedSizes(excluded))
+	fmt.Printf("\ndistinct sizes observed: %d\n", fleet.UniqueReportedSizes(excluded, fleet.Started()))
 }
 
 // printSeries prints, for each sampling instant, the range of sizes reported
@@ -143,13 +102,7 @@ func printSeries(fleet *harness.Fleet, excluded map[node.Addr]bool, scale float6
 			}
 		}
 	}
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if order[j] < order[i] {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
+	slices.Sort(order)
 	for _, key := range order {
 		b := buckets[key]
 		paperSeconds := float64(key) * 0.25 * scale

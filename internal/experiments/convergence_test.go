@@ -5,27 +5,21 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 )
 
 // TestRunBootstrapConvergenceSmall exercises the paper-scale sweep machinery
 // at laptop size: the sweep must converge, record a join latency for every
 // member, and produce ordered percentiles.
 func TestRunBootstrapConvergenceSmall(t *testing.T) {
-	points, err := RunBootstrapConvergence(testConfig(), []int{20}, ConvergenceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 1 {
-		t.Fatalf("expected 1 point, got %d", len(points))
-	}
-	p := points[0]
-	if !p.Converged {
+	p := runCell(t, testConfig(), harness.SystemRapid, harness.FaultNone, 20, ScenarioOptions{})
+	if !p.FormationOK {
 		t.Fatal("20-node bootstrap did not converge")
 	}
-	if p.JoinP50 <= 0 || p.JoinP50 > p.JoinP90 || p.JoinP90 > p.JoinP99 {
-		t.Fatalf("join percentiles not ordered: p50=%v p90=%v p99=%v", p.JoinP50, p.JoinP90, p.JoinP99)
+	if p.JoinP50S <= 0 || p.JoinP50S > p.JoinP90S || p.JoinP90S > p.JoinP99S {
+		t.Fatalf("join percentiles not ordered: p50=%v p90=%v p99=%v", p.JoinP50S, p.JoinP90S, p.JoinP99S)
 	}
-	if p.Messages <= 0 {
+	if p.BootMessages <= 0 {
 		t.Fatal("no messages recorded")
 	}
 }
@@ -47,14 +41,8 @@ func TestBootstrapConvergence1000Smoke(t *testing.T) {
 	}
 	cfg := Config{TimeScale: 20, Seed: 1}
 	start := time.Now()
-	points, err := RunBootstrapConvergence(cfg, []int{1000}, ConvergenceOptions{
-		Timeout: 4 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := points[0]
-	if !p.Converged {
+	p := runCell(t, cfg, harness.SystemRapid, harness.FaultNone, 1000, ScenarioOptions{FormationTimeout: 4 * time.Minute})
+	if !p.FormationOK {
 		t.Fatal("1000-node bootstrap did not converge")
 	}
 	// Control-plane health gates: a clean bootstrap must finish with
@@ -67,24 +55,23 @@ func TestBootstrapConvergence1000Smoke(t *testing.T) {
 	// handful when the host scheduler starves a member mid-storm, so the
 	// tiny allowance keeps the gate meaningful without coupling CI green to
 	// machine load.
-	if p.ShedBatches*1000 > p.Messages {
+	if p.ShedBatches*1000 > p.BootMessages {
 		t.Errorf("bootstrap shed %d batches of %d messages; the adaptive window should keep the event queues from filling",
-			p.ShedBatches, p.Messages)
+			p.ShedBatches, p.BootMessages)
 	}
 	bounds := core.ScaledSettings(cfg.TimeScale)
-	if p.MinBatchWindow < bounds.BatchingWindowMin || p.MaxBatchWindow > bounds.BatchingWindowMax {
-		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v]",
-			p.MinBatchWindow, p.MaxBatchWindow, bounds.BatchingWindowMin, bounds.BatchingWindowMax)
+	if lo, hi := cfg.scaledSeconds(bounds.BatchingWindowMin), cfg.scaledSeconds(bounds.BatchingWindowMax); p.MinBatchWindowS < lo || p.MaxBatchWindowS > hi {
+		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v] paper-s",
+			p.MinBatchWindowS, p.MaxBatchWindowS, lo, hi)
 	}
 	// JoinsTimedOut is reported, not gated, at this size: at TimeScale 20
 	// JoinPhase2Timeout is 0.6 s of wall time, and one or two cores need
 	// longer than that just to start 999 joiners, so the big admission wave
 	// legitimately stays open past the first parkers' timeout.
 	// TestBootstrapStormTimesOutNoJoin gates it at a size that fits.
-	t.Logf("1000 nodes converged in %s wall (%.0f paper-s); join p50/p90/p99 = %.0f/%.0f/%.0f paper-s; %d msgs; shed=%d window=[%v,%v] joinsTimedOut=%d",
-		time.Since(start).Round(time.Second), cfg.scaledSeconds(p.ConvergenceTime),
-		cfg.scaledSeconds(p.JoinP50), cfg.scaledSeconds(p.JoinP90), cfg.scaledSeconds(p.JoinP99),
-		p.Messages, p.ShedBatches, p.MinBatchWindow, p.MaxBatchWindow, p.JoinsTimedOut)
+	t.Logf("1000 nodes converged in %s wall (%.0f paper-s); join p50/p90/p99 = %.0f/%.0f/%.0f paper-s; %d msgs; shed=%d window=[%v,%v] paper-s joinsTimedOut=%d",
+		time.Since(start).Round(time.Second), p.ConvergeS, p.JoinP50S, p.JoinP90S, p.JoinP99S,
+		p.BootMessages, p.ShedBatches, p.MinBatchWindowS, p.MaxBatchWindowS, p.JoinsTimedOut)
 }
 
 // TestBootstrapStormTimesOutNoJoin is the gate against the join stall coming
@@ -101,17 +88,13 @@ func TestBootstrapStormTimesOutNoJoin(t *testing.T) {
 		t.Skip("the zero-timeouts gate needs its wall-clock margin; the race lane runs the 200-node smoke")
 	}
 	cfg := Config{TimeScale: 10, Seed: 1}
-	points, err := RunBootstrapConvergence(cfg, []int{100}, ConvergenceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := points[0]
-	if !p.Converged {
+	p := runCell(t, cfg, harness.SystemRapid, harness.FaultNone, 100, ScenarioOptions{})
+	if !p.FormationOK {
 		t.Fatal("100-node bootstrap did not converge")
 	}
 	if p.JoinsTimedOut != 0 {
 		t.Errorf("%d phase-2 join requests ran out JoinPhase2Timeout in a 100-node storm that converged in %.1f paper-s; joiners must be redirected, not left to time out",
-			p.JoinsTimedOut, cfg.scaledSeconds(p.ConvergenceTime))
+			p.JoinsTimedOut, p.ConvergeS)
 	}
 }
 
@@ -133,29 +116,23 @@ func TestBootstrapConvergence200RaceSmoke(t *testing.T) {
 	}
 	cfg := Config{TimeScale: 20, Seed: 1}
 	start := time.Now()
-	points, err := RunBootstrapConvergence(cfg, []int{200}, ConvergenceOptions{
-		Timeout: 4 * time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := points[0]
-	if !p.Converged {
+	p := runCell(t, cfg, harness.SystemRapid, harness.FaultNone, 200, ScenarioOptions{FormationTimeout: 4 * time.Minute})
+	if !p.FormationOK {
 		t.Fatal("200-node bootstrap did not converge under the race detector")
 	}
 	// Same control-plane gates as the 1000-node smoke, with the same tiny
 	// shedding allowance for instrumented-scheduler hiccups.
-	if p.ShedBatches*1000 > p.Messages {
+	if p.ShedBatches*1000 > p.BootMessages {
 		t.Errorf("bootstrap shed %d batches of %d messages; the adaptive window should keep the event queues from filling",
-			p.ShedBatches, p.Messages)
+			p.ShedBatches, p.BootMessages)
 	}
 	bounds := core.ScaledSettings(cfg.TimeScale)
-	if p.MinBatchWindow < bounds.BatchingWindowMin || p.MaxBatchWindow > bounds.BatchingWindowMax {
-		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v]",
-			p.MinBatchWindow, p.MaxBatchWindow, bounds.BatchingWindowMin, bounds.BatchingWindowMax)
+	if lo, hi := cfg.scaledSeconds(bounds.BatchingWindowMin), cfg.scaledSeconds(bounds.BatchingWindowMax); p.MinBatchWindowS < lo || p.MaxBatchWindowS > hi {
+		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v] paper-s",
+			p.MinBatchWindowS, p.MaxBatchWindowS, lo, hi)
 	}
 	// Reported, not gated, for the same reason as in the 1000-node smoke: the
 	// instrumented fleet needs 0.5-4 s of wall time against a 0.6 s timeout.
 	t.Logf("200 nodes converged under -race in %s wall (%.0f paper-s); %d msgs; shed=%d joinsTimedOut=%d",
-		time.Since(start).Round(time.Second), cfg.scaledSeconds(p.ConvergenceTime), p.Messages, p.ShedBatches, p.JoinsTimedOut)
+		time.Since(start).Round(time.Second), p.ConvergeS, p.BootMessages, p.ShedBatches, p.JoinsTimedOut)
 }

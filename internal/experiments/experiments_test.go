@@ -11,16 +11,28 @@ func testConfig() Config {
 	return Config{TimeScale: 100, Seed: 42}
 }
 
-func TestRunBootstrapRapidSmall(t *testing.T) {
-	r, err := RunBootstrap(testConfig(), harness.SystemRapid, 8)
+// runCell runs one scenario cell under the suite's bounded timeouts.
+func runCell(t *testing.T, cfg Config, system harness.System, kind harness.Fault, n int, opts ScenarioOptions) ScenarioCell {
+	t.Helper()
+	bounded := scenarioTestOptions()
+	bounded.VictimPercent, bounded.AccountBandwidth = opts.VictimPercent, opts.AccountBandwidth
+	if opts.FormationTimeout > 0 {
+		bounded.FormationTimeout = opts.FormationTimeout
+	}
+	cell, err := RunScenarioCell(cfg, system, kind, n, bounded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Converged {
+	return cell
+}
+
+func TestRunBootstrapRapidSmall(t *testing.T) {
+	r := runCell(t, testConfig(), harness.SystemRapid, harness.FaultNone, 8, ScenarioOptions{})
+	if !r.FormationOK {
 		t.Fatal("bootstrap did not converge")
 	}
-	if len(r.PerNodeLatency) != 8 {
-		t.Fatalf("per-node latencies = %d, want 8", len(r.PerNodeLatency))
+	if r.FullView != 8 {
+		t.Fatalf("members that reached the full view = %d, want 8", r.FullView)
 	}
 	if r.UniqueSizes < 1 {
 		t.Fatal("no sizes recorded")
@@ -28,31 +40,25 @@ func TestRunBootstrapRapidSmall(t *testing.T) {
 }
 
 func TestRunBootstrapMemberlistSmall(t *testing.T) {
-	r, err := RunBootstrap(testConfig(), harness.SystemMemberlist, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Converged {
+	r := runCell(t, testConfig(), harness.SystemMemberlist, harness.FaultNone, 8, ScenarioOptions{})
+	if !r.FormationOK {
 		t.Fatal("memberlist bootstrap did not converge")
 	}
 }
 
 func TestRunCrashRapidSmall(t *testing.T) {
-	r, err := RunCrash(testConfig(), harness.SystemRapid, 10, 2)
-	if err != nil {
-		t.Fatal(err)
+	r := runCell(t, testConfig(), harness.SystemRapid, harness.FaultCrash, 10, ScenarioOptions{VictimPercent: 20})
+	if r.Victims != 2 {
+		t.Fatalf("victims = %d, want 2 of 10", r.Victims)
 	}
-	if !r.Recovered {
+	if !r.Detected {
 		t.Fatal("crash experiment did not recover")
 	}
 }
 
 func TestRunFaultEgressLossRapid(t *testing.T) {
-	r, err := RunFault(testConfig(), harness.SystemRapid, FaultEgressLoss80, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.FaultyRemoved {
+	r := runCell(t, testConfig(), harness.SystemRapid, harness.FaultEgressLoss, 12, ScenarioOptions{})
+	if !r.Detected {
 		t.Fatal("rapid did not remove the lossy member")
 	}
 }
@@ -61,30 +67,24 @@ func TestRunFaultEgressLossRapid(t *testing.T) {
 // paper's n >> K precondition holds: the flip-flopping victim must be removed
 // and — unlike the retired N=20 variant, which flaked ~2/12 runs because the
 // victim's own noise alerts could evict a healthy subject (see the
-// FaultIngressFlipFlop doc comment) — every healthy member must be retained.
+// harness.FaultFlap doc comment) — every healthy member must be retained.
 func TestStabilityFlipFlopLargeN(t *testing.T) {
 	if testing.Short() {
 		t.Skip("60-node stability run skipped in -short mode")
 	}
-	r, err := RunFault(testConfig(), harness.SystemRapid, FaultIngressFlipFlop, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.FaultyRemoved {
+	r := runCell(t, testConfig(), harness.SystemRapid, harness.FaultFlap, 60, ScenarioOptions{})
+	if !r.Detected {
 		t.Fatal("flip-flopping victim was not removed")
 	}
-	if !r.HealthyRetained {
-		t.Fatal("a healthy member was evicted: n >> K stability violated")
+	if r.UnnecessaryEvictions != 0 {
+		t.Fatalf("%d healthy members were evicted: n >> K stability violated", r.UnnecessaryEvictions)
 	}
 }
 
 func TestRunBandwidthRapidSmall(t *testing.T) {
-	r, err := RunBandwidth(testConfig(), harness.SystemRapid, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runCell(t, testConfig(), harness.SystemRapid, harness.FaultCrash, 8, ScenarioOptions{AccountBandwidth: true})
 	if r.Received.MaxKBps <= 0 || r.Sent.MaxKBps <= 0 {
-		t.Fatalf("bandwidth accounting produced zeros: %+v", r)
+		t.Fatalf("bandwidth accounting produced zeros: %+v / %+v", r.Received, r.Sent)
 	}
 }
 

@@ -1,105 +1,37 @@
-// The adversarial scenario matrix: one declarative grid of
-// (fault kind x system x cluster size) cells, every cell running the same
-// protocol-independent script — form the cluster, inject the fault, measure
-// detection, clear the fault, require the live members to agree on one
-// membership again — against Rapid, the SWIM/Memberlist baseline, and the
-// centralized designs. The grid extends the paper's Table 2 and Figures
-// 8/9/10 with the gray-failure modes simnet's composable fault layer can now
-// express (slow-but-alive nodes, one-way links, flapping, asymmetric
-// partitions, WAN latency classes, duplicate/reorder delivery) and runs them
-// at paper scale (N=1000). cmd/rapid-bench wires the matrix to
-// `-exp scenarios` with machine-readable `-bench-json` output.
+// The scenario cell: the one script every fleet figure of the evaluation is a
+// view over — form the cluster, inject a fault, measure detection, clear the
+// fault, require the live members to agree on one membership again — run
+// against Rapid, the SWIM/Memberlist baseline and the centralized designs.
+// Bootstrap (Figures 5-7, Table 1) is the cell with fault "none", Figure 8 is
+// "crash", Figures 1/9/10 are "egress-loss-80" and "flap", Table 2 is "crash"
+// with byte accounting on, and the adversarial matrix is the grid of all
+// eight fault kinds, gray failures included, at paper scale (N=1000).
+// figures.go declares those views and groups the runs of a cell over seeds.
+
 package experiments
 
 import (
-	"fmt"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/node"
-	"repro/internal/simnet"
+	"repro/internal/metrics"
 )
 
-// ScenarioKind names one fault kind of the adversarial matrix.
-type ScenarioKind string
-
-// The matrix's fault kinds. Each is injected at 1% of members (at least one)
-// unless it is a whole-network condition (wan-zones, dup-reorder).
-const (
-	// ScenarioCrash: victims fail abruptly (Figure 8's workload, here as the
-	// matrix baseline every gray failure is compared against).
-	ScenarioCrash ScenarioKind = "crash"
-	// ScenarioSlow: victims stay perfectly reachable but every message they
-	// send or receive pays an 800 paper-ms one-way delay, pushing their probe
-	// round trips far past the 500 paper-ms timeout — the classic gray
-	// failure: alive to TCP, dead to the failure detector.
-	ScenarioSlow ScenarioKind = "slow"
-	// ScenarioOneWay: each victim's links *to* half the cluster fail while
-	// the reverse directions keep working, so half the victim's observers see
-	// it dead and the other half see it alive. Run with N >> K (N >= 60):
-	// like the flip-flop fault, at N close to K the victim's own noise
-	// alerts occupy enough observer slots to evict a healthy member.
-	ScenarioOneWay ScenarioKind = "oneway-links"
-	// ScenarioFlap: victims drop all ingress traffic for 20 paper-seconds,
-	// recover for 20, and repeat (Figure 9's flip-flop, driven by simnet's
-	// schedule-toggled flap rules instead of an experiment goroutine).
-	ScenarioFlap ScenarioKind = "flap"
-	// ScenarioAsym: victims turn deaf — they hear only each other while their
-	// own alerts, probes and gossip still reach everyone (the group
-	// generalization of a one-way link).
-	ScenarioAsym ScenarioKind = "asym-partition"
-	// ScenarioWAN: no victims — the whole network gets zone latency classes
-	// (3 zones, 50 paper-ms intra, 150 paper-ms inter). Round trips stay
-	// under the probe timeout, so a stable system must evict nobody.
-	ScenarioWAN ScenarioKind = "wan-zones"
-	// ScenarioChaos: no victims — best-effort traffic is duplicated (10%)
-	// and reordered (30%, up to 100 paper-ms of jitter) network-wide. A
-	// robust protocol must neither evict anyone nor double-count anything.
-	ScenarioChaos ScenarioKind = "dup-reorder"
-	// ScenarioEgressLoss: victims drop 80% of their outgoing packets
-	// (Figure 10's fault, the matrix's lossy-gray-failure representative).
-	ScenarioEgressLoss ScenarioKind = "egress-loss-80"
-)
-
-// AllScenarioKinds returns the matrix's fault kinds in reporting order.
-func AllScenarioKinds() []ScenarioKind {
-	return []ScenarioKind{
-		ScenarioCrash, ScenarioSlow, ScenarioOneWay, ScenarioFlap,
-		ScenarioAsym, ScenarioWAN, ScenarioChaos, ScenarioEgressLoss,
-	}
-}
-
-// removalExpected reports whether the kind's victims should end up evicted.
-// For whole-network conditions (and for kinds with no victims at all) the
-// stable outcome is the opposite: nobody may be evicted.
-func (k ScenarioKind) removalExpected() bool {
-	switch k {
-	case ScenarioWAN, ScenarioChaos:
-		return false
-	}
-	return true
-}
-
-// global reports whether the kind applies to the whole network (no victims).
-func (k ScenarioKind) global() bool {
-	return k == ScenarioWAN || k == ScenarioChaos
-}
-
-// ScenarioOptions tune a matrix run.
+// ScenarioOptions declare which cells to run and bound each one.
 type ScenarioOptions struct {
-	// Systems to compare; nil means Rapid, Memberlist and Rapid-C (the
-	// centralized design that still forms at N=1000; pass SystemZooKeeper
-	// explicitly for the watch-herd registry).
+	// Systems, Kinds and Sizes span the grid of cells.
 	Systems []harness.System
-	// Kinds to run; nil means AllScenarioKinds.
-	Kinds []ScenarioKind
-	// Sizes are the cluster sizes; nil means {1000}.
-	Sizes []int
+	Kinds   []harness.Fault
+	Sizes   []int
+	// VictimPercent is the share of members a fault hits, at least one
+	// member (0 = 1%, the matrix's; Figure 8 and Table 2 crash 10%).
+	// Whole-network kinds have no victims whatever it says.
+	VictimPercent int
+	// AccountBandwidth turns per-member byte accounting on and fills the
+	// cell's Received and Sent (Table 2).
+	AccountBandwidth bool
 	// Shards overrides the simnet delivery shard count (0 = default).
 	Shards int
-	// JoinConcurrency bounds simultaneous joins during formation (0 = storm).
-	JoinConcurrency int
 	// FormationTimeout bounds the pre-fault bootstrap wait (wall clock;
 	// 0 = 300s).
 	FormationTimeout time.Duration
@@ -115,14 +47,8 @@ type ScenarioOptions struct {
 }
 
 func (o ScenarioOptions) withDefaults() ScenarioOptions {
-	if len(o.Systems) == 0 {
-		o.Systems = []harness.System{harness.SystemRapid, harness.SystemMemberlist, harness.SystemRapidC}
-	}
-	if len(o.Kinds) == 0 {
-		o.Kinds = AllScenarioKinds()
-	}
-	if len(o.Sizes) == 0 {
-		o.Sizes = []int{1000}
+	if o.VictimPercent <= 0 {
+		o.VictimPercent = 1
 	}
 	if o.FormationTimeout <= 0 {
 		o.FormationTimeout = 300 * time.Second
@@ -139,150 +65,106 @@ func (o ScenarioOptions) withDefaults() ScenarioOptions {
 	return o
 }
 
-// ScenarioCell is the measured outcome of one (kind, system, N) cell.
+// ScenarioCell is the measured outcome of one (fault, system, N, seed) run.
+// Every time is in paper-seconds (wall time times the run's time scale), so
+// cells from runs at different -scale values stay comparable, and the JSON
+// encoding of a cell is the file format cmd/rapid-bench writes.
 type ScenarioCell struct {
-	Kind    ScenarioKind
-	System  harness.System
-	N       int
-	Victims int
+	Fault   harness.Fault  `json:"fault"`
+	System  harness.System `json:"system"`
+	N       int            `json:"n"`
+	Seed    int64          `json:"seed"`
+	Victims int            `json:"victims"`
 
-	// FormationOK: the fleet reached full size before the fault. The other
-	// fields are only meaningful when it did.
-	FormationOK bool
+	// FormationOK: the fleet reached full size. The formation fields below
+	// are recorded either way; the fault-phase fields only when it did.
+	FormationOK bool `json:"formation_ok"`
+	// ConvergeS is the time from launch until every member reported N
+	// (Figure 5), or the formation timeout.
+	ConvergeS float64 `json:"converge_paper_s"`
+	// FullView counts the members that ever reported N; ViewP50S/P90S/P99S
+	// are percentiles of their time from launch to that first report
+	// (Figure 6's ECDF).
+	FullView int     `json:"full_view_members"`
+	ViewP50S float64 `json:"view_p50_paper_s"`
+	ViewP90S float64 `json:"view_p90_paper_s"`
+	ViewP99S float64 `json:"view_p99_paper_s"`
+	// JoinP50S/P90S/P99S are percentiles of each member's join-call latency
+	// (from issuing the join until the admitting view change's response
+	// arrived), the per-node quantity Figure 5 plots.
+	JoinP50S float64 `json:"join_p50_paper_s"`
+	JoinP90S float64 `json:"join_p90_paper_s"`
+	JoinP99S float64 `json:"join_p99_paper_s"`
+	// BootMessages counts simnet send attempts until the fleet formed, a
+	// proxy for the dissemination cost of the bootstrap storm.
+	BootMessages int64 `json:"boot_messages"`
+	// Control-plane health of a Rapid fleet (zero for the baselines), summed
+	// over its members: ShedBatches non-zero means some member's event queue
+	// filled up; QueueFullS is the time producers spent blocked on full
+	// queues; JoinsTimedOut counts phase-2 join requests that ran out
+	// JoinPhase2Timeout (the join pipeline is redirect-driven, so a healthy
+	// bootstrap reads 0). Min/MaxBatchWindowS bracket the adaptive flush
+	// windows the members ended formation with.
+	ShedBatches     int64   `json:"shed_batches"`
+	QueueFullS      float64 `json:"queue_full_paper_s"`
+	JoinsTimedOut   int64   `json:"joins_timed_out"`
+	MinBatchWindowS float64 `json:"min_batch_window_paper_s"`
+	MaxBatchWindowS float64 `json:"max_batch_window_paper_s"`
 
-	// RemovalExpected mirrors the kind: whether the stable outcome evicts
-	// the victims (true) or keeps everyone (false).
-	RemovalExpected bool
+	// RemovalExpected: the fault has victims, so the stable outcome evicts
+	// them; otherwise (whole-network kinds) it keeps everyone.
+	RemovalExpected bool `json:"removal_expected"`
 	// Detected: every healthy member converged to N-victims while the fault
-	// was active; DetectTime is how long that took from injection.
-	Detected   bool
-	DetectTime time.Duration
-
+	// was active; DetectS is how long that took from injection.
+	Detected bool    `json:"detected"`
+	DetectS  float64 `json:"detect_paper_s"`
 	// Agreed: after the fault cleared, all live non-victim members reported
-	// one identical stable size (AgreedSize) within AgreeTime.
-	Agreed     bool
-	AgreeTime  time.Duration
-	AgreedSize int
+	// one identical stable size (AgreedSize) within AgreeS.
+	Agreed     bool    `json:"agreed"`
+	AgreeS     float64 `json:"agree_paper_s"`
+	AgreedSize int     `json:"agreed_size"`
 	// MinReported/MaxReported are the post-clear size spread (equal when
 	// Agreed).
-	MinReported, MaxReported int
-
+	MinReported int `json:"min_reported"`
+	MaxReported int `json:"max_reported"`
 	// UnnecessaryEvictions counts healthy members missing from the final
 	// membership: max(0, N - Victims - observed size). The paper's stability
 	// metric — zero for Rapid in every cell is the claim under test.
-	UnnecessaryEvictions int
-	// UniqueSizes is the number of distinct sizes healthy members reported
-	// over the run (Table 1's instability proxy).
-	UniqueSizes int
-
-	// Messages counts send attempts during the fault phase only; MsgsPerNode
-	// divides by N.
-	Messages    int64
-	MsgsPerNode float64
+	UnnecessaryEvictions int `json:"unnecessary_evictions"`
+	// UniqueSizes is the number of distinct sizes healthy members reported:
+	// from launch for fault "none" (Table 1's instability proxy), from the
+	// injection instant otherwise (Figure 8: Rapid goes N -> N-F in one step,
+	// so it reads 2).
+	UniqueSizes int `json:"unique_sizes"`
+	// Messages counts send attempts during the fault phase only.
+	Messages int64 `json:"messages"`
 	// Duplicates counts chaos-layer duplicated deliveries (dup-reorder only).
-	Duplicates int64
+	Duplicates int64 `json:"duplicates"`
+
+	// Received and Sent are the healthy members' per-process KB/s over the
+	// whole run (Table 2); zero unless AccountBandwidth was set.
+	Received metrics.BandwidthSummary `json:"received_kbps"`
+	Sent     metrics.BandwidthSummary `json:"sent_kbps"`
 }
 
-// scenarioVictims picks the victim set: 1% of members (at least one), taken
-// from the tail of the launch order like the Figure 9/10 runners.
-func scenarioVictims(fleet *harness.Fleet, n int) ([]node.Addr, map[node.Addr]bool) {
-	count := n / 100
-	if count < 1 {
-		count = 1
-	}
-	agents := fleet.Agents()
-	if count > len(agents) {
-		count = len(agents)
-	}
-	victims := make([]node.Addr, 0, count)
-	excluded := make(map[node.Addr]bool, count)
-	for i := 0; i < count; i++ {
-		a := agents[len(agents)-1-i].Addr()
-		victims = append(victims, a)
-		excluded[a] = true
-	}
-	return victims, excluded
-}
-
-// inject installs the cell's fault kind on the fleet.
-func inject(fleet *harness.Fleet, kind ScenarioKind, scale float64, victims []node.Addr) error {
-	switch kind {
-	case ScenarioCrash:
-		fleet.Crash(victims...)
-	case ScenarioSlow:
-		fleet.SlowNodes(harness.Scale(800*time.Millisecond, scale), victims...)
-	case ScenarioOneWay:
-		// Fail each victim's links to every even-indexed member; the reverse
-		// directions keep working.
-		for _, v := range victims {
-			var dsts []node.Addr
-			for _, a := range fleet.Agents() {
-				if a.Addr() != v && addrIndexEven(a.Addr()) {
-					dsts = append(dsts, a.Addr())
-				}
-			}
-			fleet.BlockOneWay(v, dsts...)
-		}
-	case ScenarioFlap:
-		w := harness.Scale(20*time.Second, scale)
-		fleet.Flap(simnet.FlapSpec{Loss: 1.0, Ingress: true, On: w, Off: w}, victims...)
-	case ScenarioAsym:
-		fleet.PartitionDeaf(victims...)
-	case ScenarioWAN:
-		fleet.WAN(3, harness.Scale(50*time.Millisecond, scale), harness.Scale(150*time.Millisecond, scale))
-	case ScenarioChaos:
-		fleet.Chaos(simnet.ChaosSpec{
-			Duplicate: 0.10,
-			Reorder:   0.30,
-			MaxJitter: harness.Scale(100*time.Millisecond, scale),
-		})
-	case ScenarioEgressLoss:
-		for _, v := range victims {
-			fleet.Net.SetEgressLoss(v, 0.8)
-		}
-	default:
-		return fmt.Errorf("unknown scenario kind %q", kind)
-	}
-	return nil
-}
-
-// addrIndexEven reports whether a member address has an even launch index
-// (the "m0042:9000" naming scheme of harness.MemberAddr); non-member
-// addresses (the seed) count as odd so they stay reachable.
-func addrIndexEven(a node.Addr) bool {
-	s := string(a)
-	if len(s) < 2 || s[0] != 'm' {
-		return false
-	}
-	var idx int
-	if _, err := fmt.Sscanf(s, "m%d:", &idx); err != nil {
-		return false
-	}
-	return idx%2 == 0
-}
-
-// RunScenarioCell runs one cell of the matrix. Failures to form or to detect
-// are recorded in the cell, not returned as errors, so a sweep over systems
-// that degrade differently still completes the grid.
-func RunScenarioCell(cfg Config, system harness.System, kind ScenarioKind, n int, opts ScenarioOptions) (ScenarioCell, error) {
+// RunScenarioCell runs one cell. It is the only code that launches a fleet
+// for a figure. Failures to form or to detect are recorded in the cell, not
+// returned as errors, so a sweep over systems that degrade differently still
+// completes the grid; the error is for a fault kind that does not exist.
+func RunScenarioCell(cfg Config, system harness.System, kind harness.Fault, n int, opts ScenarioOptions) (ScenarioCell, error) {
 	opts = opts.withDefaults()
-	cell := ScenarioCell{Kind: kind, System: system, N: n, RemovalExpected: kind.removalExpected()}
+	clock := cfg.clock()
+	cell := ScenarioCell{Fault: kind, System: system, N: n, Seed: cfg.Seed}
+	sampleEvery := harness.Scale(500*time.Millisecond, cfg.TimeScale)
 
-	// Bootstrap storms at large N admit Rapid joiners in waves; match the
-	// paper-scale bootstrap sweep's attempt budget.
-	attempts := 10
-	if n/25 > attempts {
-		attempts = n / 25
-	}
 	fleet, err := harness.Launch(harness.Options{
-		System:          system,
-		N:               n,
-		TimeScale:       cfg.TimeScale,
-		Seed:            cfg.Seed,
-		SampleInterval:  50 * time.Millisecond,
-		SimnetShards:    opts.Shards,
-		JoinConcurrency: opts.JoinConcurrency,
-		JoinAttempts:    attempts,
+		System:           system,
+		N:                n,
+		TimeScale:        cfg.TimeScale,
+		Seed:             cfg.Seed,
+		SampleInterval:   sampleEvery,
+		AccountBandwidth: opts.AccountBandwidth,
+		SimnetShards:     opts.Shards,
 	})
 	if err != nil {
 		// A failed launch (e.g. a join storm exhausting its budget) is a
@@ -293,82 +175,86 @@ func RunScenarioCell(cfg Config, system harness.System, kind ScenarioKind, n int
 	}
 	defer fleet.Stop()
 
-	if _, ok := fleet.WaitForSize(n, opts.FormationTimeout); !ok {
+	_, cell.FormationOK = fleet.WaitForSizeExcluding(n, nil, opts.FormationTimeout)
+	cell.ConvergeS = cfg.scaledSeconds(clock.Now().Sub(fleet.Started()))
+	cell.recordFormation(cfg, fleet)
+	// Let the sampler capture the converged state before reading series.
+	clock.Sleep(2 * sampleEvery)
+	view := cfg.scaledAll(fleet.PerAgentConvergence(n))
+	cell.FullView = len(view)
+	cell.ViewP50S, cell.ViewP90S, cell.ViewP99S = metrics.Percentile(view, 50), metrics.Percentile(view, 90), metrics.Percentile(view, 99)
+	if !cell.FormationOK {
 		return cell, nil
 	}
-	cell.FormationOK = true
-
-	var victims []node.Addr
-	excluded := map[node.Addr]bool{}
-	if !kind.global() {
-		victims, excluded = scenarioVictims(fleet, n)
-		cell.Victims = len(victims)
+	if kind == harness.FaultNone {
+		cell.UniqueSizes = fleet.UniqueReportedSizes(nil, fleet.Started())
+		return cell, nil
 	}
 
 	msgs0 := fleet.Net.TotalMessages()
 	dups0 := fleet.Net.Duplicates()
-	if err := inject(fleet, kind, cfg.TimeScale, victims); err != nil {
+	injected := clock.Now()
+	excluded, err := fleet.Inject(kind, max(1, n*opts.VictimPercent/100))
+	if err != nil {
 		return cell, err
 	}
+	cell.Victims = len(excluded)
+	cell.RemovalExpected = cell.Victims > 0
 
 	if cell.RemovalExpected {
-		cell.DetectTime, cell.Detected = fleet.WaitForSizeExcluding(n-cell.Victims, excluded, opts.DetectTimeout)
+		var took time.Duration
+		took, cell.Detected = fleet.WaitForSizeExcluding(n-cell.Victims, excluded, opts.DetectTimeout)
+		cell.DetectS = cfg.scaledSeconds(took)
 	} else {
-		cfg.clock().Sleep(harness.Scale(opts.FaultWindow, cfg.TimeScale))
+		clock.Sleep(harness.Scale(opts.FaultWindow, cfg.TimeScale))
+	}
+	if opts.AccountBandwidth {
+		// Let steady-state traffic accumulate for a short window.
+		clock.Sleep(harness.Scale(10*time.Second, cfg.TimeScale))
+		var recv, sent []float64
+		for _, a := range fleet.Agents() {
+			if !excluded[a.Addr()] {
+				rec := fleet.Net.Bandwidth(a.Addr())
+				recv = append(recv, rec.ReceivedRates()...)
+				sent = append(sent, rec.SentRates()...)
+			}
+		}
+		cell.Received, cell.Sent = metrics.Summarize(recv), metrics.Summarize(sent)
 	}
 	cell.Messages = fleet.Net.TotalMessages() - msgs0
-	cell.MsgsPerNode = float64(cell.Messages) / float64(n)
 	cell.Duplicates = fleet.Net.Duplicates() - dups0
 
 	// Conformance: clear every fault and require the live members to settle
 	// on one agreed membership within the bound. Victims stay excluded for
 	// removal kinds — evicted-but-alive processes report their stale view.
 	fleet.ClearFaults()
-	cell.AgreedSize, cell.AgreeTime, cell.Agreed = fleet.WaitForAgreement(excluded, opts.AgreeTimeout)
+	var took time.Duration
+	cell.AgreedSize, took, cell.Agreed = fleet.WaitForAgreement(excluded, opts.AgreeTimeout)
+	cell.AgreeS = cfg.scaledSeconds(took)
 	cell.MinReported, cell.MaxReported = fleet.ReportedSizeRange(excluded)
 	observed := cell.AgreedSize
 	if !cell.Agreed {
 		observed = cell.MinReported
 	}
-	if miss := n - cell.Victims - observed; miss > 0 {
-		cell.UnnecessaryEvictions = miss
-	}
-	cell.UniqueSizes = fleet.UniqueReportedSizes(excluded)
+	cell.UnnecessaryEvictions = max(0, n-cell.Victims-observed)
+	cell.UniqueSizes = fleet.UniqueReportedSizes(excluded, injected)
 	return cell, nil
 }
 
-// RunScenarioMatrix runs the full grid and prints the extended Table 2.
-func RunScenarioMatrix(cfg Config, opts ScenarioOptions) ([]ScenarioCell, error) {
-	opts = opts.withDefaults()
-	var out []ScenarioCell
-	for _, n := range opts.Sizes {
-		cfg.printf("== Adversarial scenario matrix (extended Table 2, N=%d) ==\n", n)
-		cfg.printf("%-15s %-12s %7s %7s %9s %10s %7s %9s %7s %12s %11s %7s\n",
-			"fault", "system", "formed", "detect", "detect(s)", "agreed", "size", "agree(s)", "unnec", "msgs/node", "uniq-sizes", "dups")
-		for _, kind := range opts.Kinds {
-			for _, system := range opts.Systems {
-				cell, err := RunScenarioCell(cfg, system, kind, n, opts)
-				if err != nil {
-					return out, err
-				}
-				out = append(out, cell)
-				// Return the stopped fleet's memory before the next cell
-				// boots, for the same reason as the paper-scale bootstrap
-				// sweep: fragmented spans from a 1000-member fleet distort
-				// the next cell's timing-sensitive dynamics.
-				debug.FreeOSMemory()
-				detect := "-"
-				detectS := "-"
-				if cell.RemovalExpected {
-					detect = fmt.Sprintf("%v", cell.Detected)
-					detectS = fmt.Sprintf("%.1f", cfg.scaledSeconds(cell.DetectTime))
-				}
-				cfg.printf("%-15s %-12s %7v %7s %9s %10v %7d %9.1f %7d %12.0f %11d %7d\n",
-					cell.Kind, cell.System, cell.FormationOK, detect, detectS,
-					cell.Agreed, cell.AgreedSize, cfg.scaledSeconds(cell.AgreeTime),
-					cell.UnnecessaryEvictions, cell.MsgsPerNode, cell.UniqueSizes, cell.Duplicates)
-			}
+// recordFormation fills the cell's message, join-latency and control-plane
+// columns from a fleet whose bootstrap wait just ended.
+func (c *ScenarioCell) recordFormation(cfg Config, fleet *harness.Fleet) {
+	c.BootMessages = fleet.Net.TotalMessages()
+	join := cfg.scaledAll(fleet.JoinLatencies())
+	c.JoinP50S, c.JoinP90S, c.JoinP99S = metrics.Percentile(join, 50), metrics.Percentile(join, 90), metrics.Percentile(join, 99)
+	for i, st := range fleet.RapidStats() {
+		c.ShedBatches += st.ShedBatches
+		c.QueueFullS += cfg.scaledSeconds(st.QueueFullTime)
+		c.JoinsTimedOut += st.JoinsTimedOut
+		w := cfg.scaledSeconds(st.BatchWindow)
+		c.MaxBatchWindowS = max(c.MaxBatchWindowS, w)
+		if i == 0 || w < c.MinBatchWindowS {
+			c.MinBatchWindowS = w
 		}
 	}
-	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/node"
 )
 
 // scenarioTestOptions bounds every scenario-cell test run: small timeouts so
@@ -20,46 +19,6 @@ func scenarioTestOptions() ScenarioOptions {
 	}
 }
 
-// TestScenarioKindTable pins the matrix's shape: at least the six gray
-// fault kinds the acceptance grid requires, with consistent victim/outcome
-// classification (global kinds have no victims and expect no evictions).
-func TestScenarioKindTable(t *testing.T) {
-	kinds := AllScenarioKinds()
-	if len(kinds) < 6 {
-		t.Fatalf("scenario matrix has %d fault kinds, want >= 6", len(kinds))
-	}
-	seen := map[ScenarioKind]bool{}
-	for _, k := range kinds {
-		if seen[k] {
-			t.Fatalf("duplicate kind %q", k)
-		}
-		seen[k] = true
-		if k.global() && k.removalExpected() {
-			t.Fatalf("kind %q is whole-network but expects victim removal", k)
-		}
-	}
-	for _, want := range []ScenarioKind{ScenarioSlow, ScenarioOneWay, ScenarioFlap, ScenarioAsym, ScenarioWAN, ScenarioChaos} {
-		if !seen[want] {
-			t.Fatalf("gray fault kind %q missing from the matrix", want)
-		}
-	}
-}
-
-func TestAddrIndexEven(t *testing.T) {
-	cases := []struct {
-		addr string
-		want bool
-	}{
-		{"m0000:9000", true}, {"m0001:9000", false}, {"m0042:9000", true},
-		{"m0977:9000", false}, {"seed-0:9000", false}, {"zk-registry:2181", false},
-	}
-	for _, c := range cases {
-		if got := addrIndexEven(node.Addr(c.addr)); got != c.want {
-			t.Errorf("addrIndexEven(%q) = %v, want %v", c.addr, got, c.want)
-		}
-	}
-}
-
 // TestScenarioConformanceAfterFaultClears is the protocol-conformance suite:
 // for every system, after a scenario-matrix fault is injected and then
 // cleared, all live members must converge back to one agreed membership
@@ -69,11 +28,11 @@ func TestAddrIndexEven(t *testing.T) {
 // is the invariant every membership service must keep.
 func TestScenarioConformanceAfterFaultClears(t *testing.T) {
 	systems := []harness.System{harness.SystemRapid, harness.SystemMemberlist, harness.SystemRapidC}
-	kinds := []ScenarioKind{ScenarioCrash, ScenarioSlow, ScenarioAsym, ScenarioEgressLoss, ScenarioWAN, ScenarioChaos}
+	kinds := []harness.Fault{harness.FaultCrash, harness.FaultSlow, harness.FaultAsym, harness.FaultEgressLoss, harness.FaultWAN, harness.FaultChaos}
 	if testing.Short() {
 		// The short lanes (plain smoke and -race) keep one gray cell per
 		// system; the full grid runs in the plain `go test ./...` tier.
-		kinds = []ScenarioKind{ScenarioSlow}
+		kinds = []harness.Fault{harness.FaultSlow}
 	}
 	cfg := Config{TimeScale: 100, Seed: 42}
 	for _, system := range systems {
@@ -96,8 +55,8 @@ func TestScenarioConformanceAfterFaultClears(t *testing.T) {
 						system, cell.AgreedSize, kind, cell.UnnecessaryEvictions)
 				}
 				t.Logf("%s/%s: detected=%v in %.1f paper-s, agreed on %d in %.1f paper-s, %0.f msgs/node",
-					system, kind, cell.Detected, cfg.scaledSeconds(cell.DetectTime),
-					cell.AgreedSize, cfg.scaledSeconds(cell.AgreeTime), cell.MsgsPerNode)
+					system, kind, cell.Detected, cell.DetectS,
+					cell.AgreedSize, cell.AgreeS, float64(cell.Messages)/float64(cell.N))
 			})
 		}
 	}
@@ -115,12 +74,15 @@ func TestScenarioMatrixShortSmoke(t *testing.T) {
 		t.Skip("matrix smoke runs in the dedicated -short lane: go test -short -run TestScenarioMatrixShortSmoke ./internal/experiments/")
 	}
 	cfg := Config{TimeScale: 100, Seed: 42}
+	fig := figureNamed(t, "scenarios")
 	opts := scenarioTestOptions()
+	opts.Kinds = fig.Kinds
 	opts.Systems = []harness.System{harness.SystemRapid}
 	// N=60, not 30: the one-way, flap and deaf kinds need N >> K so the
 	// victim's noise alerts cannot evict a healthy member (see
-	// ScenarioOneWay and the Figure 9 note in docs/EXPERIMENTS.md).
+	// harness.FaultOneWay and the Figure 9 note in docs/EXPERIMENTS.md).
 	opts.Sizes = []int{60}
+	fig.ScenarioOptions = opts
 	// Even at N=60 that precondition is only marginally satisfied: a victim
 	// whose egress still works keeps alerting against healthy members, and
 	// under host-scheduler jitter one healthy member is occasionally cut
@@ -128,32 +90,32 @@ func TestScenarioMatrixShortSmoke(t *testing.T) {
 	// unnecessary evictions for every kind, so the smoke tolerates a single
 	// such eviction for the victim-noise kinds only — everything else
 	// (formation, post-clear agreement, all other kinds) stays strict.
-	victimNoise := map[ScenarioKind]bool{ScenarioOneWay: true, ScenarioFlap: true, ScenarioAsym: true}
-	cells, err := RunScenarioMatrix(cfg, opts)
+	victimNoise := map[harness.Fault]bool{harness.FaultOneWay: true, harness.FaultFlap: true, harness.FaultAsym: true}
+	res, err := RunFigure(cfg, fig, []int64{cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != len(AllScenarioKinds()) {
-		t.Fatalf("matrix produced %d cells, want %d", len(cells), len(AllScenarioKinds()))
+	if len(fig.Kinds) != 8 || len(res.Cells) != len(fig.Kinds) {
+		t.Fatalf("matrix produced %d cells for %d fault kinds, want 8 and 8", len(res.Cells), len(fig.Kinds))
 	}
-	for _, c := range cells {
+	for _, c := range res.Cells {
 		if !c.FormationOK {
-			t.Errorf("%s: formation failed", c.Kind)
+			t.Errorf("%s: formation failed", c.Fault)
 			continue
 		}
 		if !c.Agreed {
-			t.Errorf("%s: no post-clear agreement (size range [%d, %d])", c.Kind, c.MinReported, c.MaxReported)
+			t.Errorf("%s: no post-clear agreement (size range [%d, %d])", c.Fault, c.MinReported, c.MaxReported)
 		}
-		noiseEviction := victimNoise[c.Kind] && c.UnnecessaryEvictions == 1
+		noiseEviction := victimNoise[c.Fault] && c.UnnecessaryEvictions == 1
 		if c.UnnecessaryEvictions > 0 {
 			if noiseEviction {
-				t.Logf("%s: tolerated one noise-alert eviction at laptop N (zero at N=1000; see docs/EXPERIMENTS.md)", c.Kind)
+				t.Logf("%s: tolerated one noise-alert eviction at laptop N (zero at N=1000; see docs/EXPERIMENTS.md)", c.Fault)
 			} else {
-				t.Errorf("%s: Rapid evicted %d healthy members", c.Kind, c.UnnecessaryEvictions)
+				t.Errorf("%s: Rapid evicted %d healthy members", c.Fault, c.UnnecessaryEvictions)
 			}
 		}
 		if c.RemovalExpected && !c.Detected && !noiseEviction {
-			t.Errorf("%s: Rapid did not evict the faulty member within the bound", c.Kind)
+			t.Errorf("%s: Rapid did not evict the faulty member within the bound", c.Fault)
 		}
 	}
 }
@@ -170,7 +132,7 @@ func TestScenarioGrayFailureRaceSmoke(t *testing.T) {
 		t.Skip("race smoke runs in the -race -short lane")
 	}
 	cfg := Config{TimeScale: 100, Seed: 42}
-	cell, err := RunScenarioCell(cfg, harness.SystemRapid, ScenarioSlow, 30, scenarioTestOptions())
+	cell, err := RunScenarioCell(cfg, harness.SystemRapid, harness.FaultSlow, 30, scenarioTestOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestChurnConcurrentJoinsAndCorrelatedFailures(t *testing.T) {
 		t.Fatalf("Launch: %v", err)
 	}
 	defer f.Stop()
-	if _, ok := f.WaitForSize(n, 120*time.Second); !ok {
+	if _, ok := f.WaitForSizeExcluding(n, nil, 120*time.Second); !ok {
 		t.Fatal("fleet did not converge before churn")
 	}
 
@@ -63,12 +63,14 @@ func TestChurnConcurrentJoinsAndCorrelatedFailures(t *testing.T) {
 	for i := 0; i < joins; i++ {
 		i := i
 		go func() {
-			c, err := core.JoinCluster(MemberAddr(n+i), []node.Addr{seedAddr}, settings, f.Net)
+			c, err := core.JoinCluster(memberAddr(n+i), []node.Addr{seedAddr}, settings, f.Net)
 			results <- joined{c: c, err: err}
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
-	f.Crash(crashAddrs...)
+	for _, a := range crashAddrs {
+		f.Net.Crash(a)
+	}
 
 	var joiners []*core.Cluster
 	for i := 0; i < joins; i++ {

@@ -9,8 +9,10 @@
 // through the paper's bootstrap-storm workload (all joins at once unless
 // Options.JoinConcurrency bounds them), samples each agent's reported size on
 // a fixed interval, and retains per-member join-call latencies for the
-// Figure 5 percentiles. Fleets of 1000–2000 Rapid agents are routine; see
-// experiments.RunBootstrapConvergence for the paper-scale sweep built on top.
+// Figure 5 percentiles. Fleets of 1000–2000 Rapid agents are routine. The
+// fault vocabulary lives here too: Fault names every failure scenario and
+// Fleet.Inject installs one, so experiments.RunScenarioCell and cmd/rapid-sim
+// spell a fault the same way.
 package harness
 
 import (
@@ -97,11 +99,6 @@ type Options struct {
 	// (0 = simnet default). Paper-scale fleets (1000+) spread enqueue and
 	// delivery across shards, so more shards help when cores are available.
 	SimnetShards int
-	// JoinAttempts overrides how many times each Rapid joiner retries the
-	// two-phase join (0 = core default). Bootstrap storms at 1000+ nodes
-	// admit joiners in waves, so large fleets need more attempts than the
-	// default tuned for 100-node runs.
-	JoinAttempts int
 }
 
 // Fleet is a running cluster of agents plus its infrastructure processes.
@@ -134,9 +131,6 @@ func ensembleAddrs() []node.Addr {
 func memberAddr(i int) node.Addr {
 	return node.Addr(fmt.Sprintf("m%04d:9000", i))
 }
-
-// MemberAddr exposes the fleet's address naming scheme to experiments.
-func MemberAddr(i int) node.Addr { return memberAddr(i) }
 
 // Launch boots a fleet: infrastructure first (seed / registry / ensemble),
 // then all remaining members concurrently, which is exactly the bootstrap
@@ -266,11 +260,11 @@ func (f *Fleet) startMembers() error {
 }
 
 // rapidSettings builds the core settings for this fleet's Rapid agents.
+// Bootstrap storms at 1000+ nodes admit joiners in waves, so a large fleet's
+// joiners get more attempts than the default tuned for 100-node runs.
 func (f *Fleet) rapidSettings() core.Settings {
 	settings := core.ScaledSettings(f.Options.TimeScale)
-	if f.Options.JoinAttempts > 0 {
-		settings.JoinAttempts = f.Options.JoinAttempts
-	}
+	settings.JoinAttempts = max(settings.JoinAttempts, f.Options.N/25)
 	return settings
 }
 
@@ -363,18 +357,6 @@ func (f *Fleet) Agents() []Agent {
 	return append([]Agent(nil), f.agents...)
 }
 
-// Agent returns the agent bound to addr, if any.
-func (f *Fleet) Agent(addr node.Addr) (Agent, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, a := range f.agents {
-		if a.Addr() == addr {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // RapidStats returns every Rapid agent's engine stats (empty for other
 // systems). Experiments use it to assert control-plane health — no shed
 // events, adaptive window inside its configured bounds — after a run.
@@ -401,41 +383,20 @@ func (f *Fleet) Series(addr node.Addr) *metrics.Series {
 func (f *Fleet) Started() time.Time { return f.started }
 
 // JoinLatencies returns each member's join-call duration.
-func (f *Fleet) JoinLatencies() map[node.Addr]time.Duration {
+func (f *Fleet) JoinLatencies() []time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[node.Addr]time.Duration, len(f.joinTime))
-	for k, v := range f.joinTime {
-		out[k] = v
+	out := make([]time.Duration, 0, len(f.joinTime))
+	for _, v := range f.joinTime {
+		out = append(out, v)
 	}
 	return out
 }
 
-// WaitForSize blocks until every agent reports the target size or the timeout
-// elapses; it returns the time that took and whether convergence was reached.
-func (f *Fleet) WaitForSize(target int, timeout time.Duration) (time.Duration, bool) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if f.allReport(target) {
-			return time.Since(f.started), true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return time.Since(f.started), f.allReport(target)
-}
-
-// allReport reports whether every live agent currently reports the target size.
-func (f *Fleet) allReport(target int) bool {
-	for _, a := range f.Agents() {
-		if a.ReportedSize() != target {
-			return false
-		}
-	}
-	return true
-}
-
-// WaitForSizeExcluding is WaitForSize over the agents not in the excluded set
-// (used after crashing or partitioning some members).
+// WaitForSizeExcluding blocks until every agent outside the excluded set (nil
+// for a whole fleet; the victims after a fault) reports the target size, or
+// the timeout elapses. It returns how long the call took and whether
+// convergence was reached.
 func (f *Fleet) WaitForSizeExcluding(target int, excluded map[node.Addr]bool, timeout time.Duration) (time.Duration, bool) {
 	begin := time.Now()
 	deadline := begin.Add(timeout)
@@ -459,9 +420,11 @@ func (f *Fleet) WaitForSizeExcluding(target int, excluded map[node.Addr]bool, ti
 	return time.Since(begin), check()
 }
 
-// UniqueReportedSizes returns the number of distinct cluster sizes observed
-// across all agents (Table 1's metric), optionally excluding some agents.
-func (f *Fleet) UniqueReportedSizes(excluded map[node.Addr]bool) int {
+// UniqueReportedSizes returns the number of distinct cluster sizes the
+// non-excluded agents reported from the instant since on: Started() counts
+// the bootstrap's intermediate sizes (Table 1's metric), the injection
+// instant counts only what a fault caused (Figure 8's).
+func (f *Fleet) UniqueReportedSizes(excluded map[node.Addr]bool, since time.Time) int {
 	seen := make(map[float64]struct{})
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -470,7 +433,9 @@ func (f *Fleet) UniqueReportedSizes(excluded map[node.Addr]bool) int {
 			continue
 		}
 		for _, sample := range s.Samples() {
-			seen[sample.Value] = struct{}{}
+			if !sample.At.Before(since) {
+				seen[sample.Value] = struct{}{}
+			}
 		}
 	}
 	return len(seen)
@@ -494,59 +459,131 @@ func (f *Fleet) PerAgentConvergence(target int) []time.Duration {
 	return out
 }
 
-// Crash abruptly fails the agents at the given addresses.
-func (f *Fleet) Crash(addrs ...node.Addr) {
-	for _, a := range addrs {
-		f.Net.Crash(a)
+// --- faults ------------------------------------------------------------------
+
+// Fault names one failure scenario a fleet can inject: the paper's Figures
+// 8-10 and the gray failures of the adversarial matrix. cmd/rapid-bench's
+// -faults and cmd/rapid-sim's -fault take these names.
+type Fault string
+
+const (
+	// FaultNone injects nothing (the bootstrap figures' cell).
+	FaultNone Fault = "none"
+	// FaultCrash: victims fail abruptly (Figure 8's workload, and the
+	// baseline every gray failure is compared against).
+	FaultCrash Fault = "crash"
+	// FaultSlow: victims stay perfectly reachable but every message they
+	// send or receive pays an 800 paper-ms one-way delay, pushing their probe
+	// round trips far past the 500 paper-ms timeout — the classic gray
+	// failure: alive to TCP, dead to the failure detector.
+	FaultSlow Fault = "slow"
+	// FaultOneWay: each victim's links *to* every even-indexed member fail
+	// while the reverse directions keep working, so half the victim's
+	// observers see it dead and the other half see it alive. Run with N >> K
+	// (N >= 60): like the flip-flop fault, at N close to K the victim's own
+	// noise alerts occupy enough observer slots to evict a healthy member.
+	FaultOneWay Fault = "oneway-links"
+	// FaultFlap: victims drop all ingress traffic for 20 paper-seconds,
+	// recover for 20, and repeat (Figure 9's flip-flop, as a simnet flap rule).
+	//
+	// Run it with N >> K only. The paper's stability argument assumes cluster
+	// size well above the ring count; at N close to K (e.g. N=20, K=10) a
+	// flip-flop-partitioned victim observes a healthy subject on >= L rings,
+	// so the victim's own noise REMOVE alerts can push that healthy subject
+	// past the low watermark, reinforcement echoes pile on, and the healthy
+	// subject is evicted — observed as a ~2/12 flake in earlier PRs. With
+	// N >= 60 a single victim holds fewer than L of any subject's K observer
+	// slots and the noise cannot cross the watermark.
+	FaultFlap Fault = "flap"
+	// FaultAsym: victims turn deaf — they hear only each other while their
+	// own alerts, probes and gossip still reach everyone (the group
+	// generalization of a one-way link).
+	FaultAsym Fault = "asym-partition"
+	// FaultWAN: no victims — the whole network gets zone latency classes
+	// (3 zones, 50 paper-ms intra, 150 paper-ms inter). Round trips stay
+	// under the probe timeout, so a stable system must evict nobody.
+	FaultWAN Fault = "wan-zones"
+	// FaultChaos: no victims — best-effort traffic is duplicated (10%) and
+	// reordered (30%, up to 100 paper-ms of jitter) network-wide. A robust
+	// protocol must neither evict anyone nor double-count anything.
+	FaultChaos Fault = "dup-reorder"
+	// FaultEgressLoss: victims drop 80% of their outgoing packets (Figure
+	// 10's fault; Figure 1 is the same fault read off the baselines).
+	FaultEgressLoss Fault = "egress-loss-80"
+	// FaultIngressBlock: victims drop every packet they receive, for good
+	// (one half-period of the flip-flop that never ends).
+	FaultIngressBlock Fault = "ingress-block"
+)
+
+// Faults returns every fault kind, the eight of the adversarial matrix first
+// and in its reporting order.
+func Faults() []Fault {
+	return []Fault{
+		FaultCrash, FaultSlow, FaultOneWay, FaultFlap, FaultAsym, FaultWAN,
+		FaultChaos, FaultEgressLoss, FaultIngressBlock, FaultNone,
 	}
 }
 
-// --- fault controls ----------------------------------------------------------
-//
-// Thin veneers over simnet's composable fault kinds, so experiments inject
-// gray failures through the fleet they are measuring. All of them are
-// reverted by ClearFaults.
+// global reports whether the kind applies to the whole network (or, for
+// FaultNone, to nothing) and therefore takes no victims.
+func (k Fault) global() bool {
+	return k == FaultWAN || k == FaultChaos || k == FaultNone
+}
 
-// SlowNodes makes the given members slow-but-alive: every message they send
-// or receive pays an extra one-way delay d. A non-positive d restores them.
-func (f *Fleet) SlowNodes(d time.Duration, addrs ...node.Addr) {
-	for _, a := range addrs {
-		f.Net.SetNodeDelay(a, d)
+// Inject installs the fault on the last `victims` members of the launch order
+// (none for a whole-network kind) and returns the victim set, which is what
+// the Wait* and size accessors take as their excluded set. ClearFaults
+// reverts every kind but a crash.
+func (f *Fleet) Inject(fault Fault, victims int) (map[node.Addr]bool, error) {
+	agents := f.Agents()
+	if fault.global() {
+		victims = 0
 	}
-}
-
-// Flap installs the same schedule-toggled loss rule on every given member
-// (the Figure 9 flip-flop when Loss is 1 and Ingress is set).
-func (f *Fleet) Flap(spec simnet.FlapSpec, addrs ...node.Addr) {
-	for _, a := range addrs {
-		f.Net.SetFlap(a, spec)
+	victims = max(0, min(victims, len(agents)))
+	addrs := make([]node.Addr, 0, victims)
+	hit := make(map[node.Addr]bool, victims)
+	for _, a := range agents[len(agents)-victims:] {
+		addrs = append(addrs, a.Addr())
+		hit[a.Addr()] = true
 	}
-}
-
-// PartitionDeaf installs an asymmetric partition: the given members stop
-// hearing the rest of the cluster while their own traffic still flows.
-func (f *Fleet) PartitionDeaf(addrs ...node.Addr) {
-	f.Net.SetAsymmetricPartition(addrs...)
-}
-
-// BlockOneWay fails the one-way links src -> dst for every given dst; traffic
-// in the opposite direction is untouched.
-func (f *Fleet) BlockOneWay(src node.Addr, dsts ...node.Addr) {
-	for _, d := range dsts {
-		f.Net.BlockDirectional(src, d)
+	each := func(install func(v node.Addr)) {
+		for _, v := range addrs {
+			install(v)
+		}
 	}
-}
-
-// WAN overlays zone-based per-link latency classes on the whole network:
-// members hash into `zones` zones, intra-zone links cost intra one-way,
-// cross-zone links cost inter.
-func (f *Fleet) WAN(zones int, intra, inter time.Duration) {
-	f.Net.SetLatencyModel(simnet.ZoneLatency(zones, intra, inter))
-}
-
-// Chaos installs best-effort duplication/reordering on the whole network.
-func (f *Fleet) Chaos(spec simnet.ChaosSpec) {
-	f.Net.SetChaos(spec)
+	paper := func(d time.Duration) time.Duration { return scaled(d, f.Options.TimeScale) }
+	switch fault {
+	case FaultNone:
+	case FaultCrash:
+		each(f.Net.Crash)
+	case FaultSlow:
+		each(func(v node.Addr) { f.Net.SetNodeDelay(v, paper(800*time.Millisecond)) })
+	case FaultOneWay:
+		each(func(v node.Addr) {
+			// The seed is not an "m" address, so it stays reachable.
+			for i := 0; i < f.Options.N; i += 2 {
+				if dst := memberAddr(i); dst != v {
+					f.Net.BlockDirectional(v, dst)
+				}
+			}
+		})
+	case FaultFlap:
+		w := paper(20 * time.Second)
+		each(func(v node.Addr) { f.Net.SetFlap(v, simnet.FlapSpec{Loss: 1.0, Ingress: true, On: w, Off: w}) })
+	case FaultAsym:
+		f.Net.SetAsymmetricPartition(addrs...)
+	case FaultWAN:
+		f.Net.SetLatencyModel(simnet.ZoneLatency(3, paper(50*time.Millisecond), paper(150*time.Millisecond)))
+	case FaultChaos:
+		f.Net.SetChaos(simnet.ChaosSpec{Duplicate: 0.10, Reorder: 0.30, MaxJitter: paper(100 * time.Millisecond)})
+	case FaultEgressLoss:
+		each(func(v node.Addr) { f.Net.SetEgressLoss(v, 0.8) })
+	case FaultIngressBlock:
+		each(func(v node.Addr) { f.Net.SetIngressLoss(v, 1.0) })
+	default:
+		return nil, fmt.Errorf("harness: unknown fault %q", fault)
+	}
+	return hit, nil
 }
 
 // ClearFaults removes every installed fault rule of every kind.

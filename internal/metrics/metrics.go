@@ -281,9 +281,9 @@ func (b *BandwidthRecorder) SentRates() []float64 {
 
 // BandwidthSummary is the Table-2 style aggregate for one direction.
 type BandwidthSummary struct {
-	MeanKBps float64
-	P99KBps  float64
-	MaxKBps  float64
+	MeanKBps float64 `json:"mean"`
+	P99KBps  float64 `json:"p99"`
+	MaxKBps  float64 `json:"max"`
 }
 
 // Summarize computes mean/p99/max in KB/s from byte/s rates.

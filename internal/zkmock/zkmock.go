@@ -304,6 +304,7 @@ type Client struct {
 
 	mu       sync.Mutex
 	members  []node.Addr
+	version  uint64 // registry version of members
 	reads    int
 	onChange []func(members []node.Addr)
 	stopped  bool
@@ -400,8 +401,16 @@ func (c *Client) readAndWatch() {
 		return
 	}
 	c.mu.Lock()
-	c.members = resp.Members
 	c.reads++
+	if resp.Version < c.version {
+		// Two watch fires are served by two concurrent reads, and their
+		// responses may land in either order: an older listing must not
+		// overwrite a newer one, or the view stays stale for good (the watch
+		// the newer read re-registered never fires again).
+		c.mu.Unlock()
+		return
+	}
+	c.members, c.version = resp.Members, resp.Version
 	callbacks := make([]func([]node.Addr), len(c.onChange))
 	copy(callbacks, c.onChange)
 	members := append([]node.Addr(nil), resp.Members...)

@@ -1,11 +1,13 @@
 package zkmock
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/remoting"
 	"repro/internal/simnet"
 )
 
@@ -161,5 +163,46 @@ func TestIngressBlockedClientKeepsSessionAlive(t *testing.T) {
 	time.Sleep(5 * regOpts().SessionTimeout)
 	if reg.GroupSize() != 2 {
 		t.Fatalf("registry removed a member that still sends heartbeats: size=%d", reg.GroupSize())
+	}
+}
+
+// scriptedRegistry answers each read-watch with the next scripted listing.
+type scriptedRegistry struct{ listings []*message }
+
+func (s *scriptedRegistry) HandleRequest(_ context.Context, _ node.Addr, req *remoting.Request) (*remoting.Response, error) {
+	if m, ok := decode(req.Custom.Data); ok && m.Type == "read-watch" && len(s.listings) > 0 {
+		next := s.listings[0]
+		s.listings = s.listings[1:]
+		return wrapResp(next), nil
+	}
+	return wrapResp(&message{Type: "ok"}), nil
+}
+
+// TestOlderListingDoesNotOverwriteNewer: two watch fires are served by two
+// concurrent reads whose responses may land in either order. When the older
+// listing landed last it used to win, and the client's view stayed one member
+// short for good (TestLaunchZooKeeperFleetConverges failed about 1 run in 30).
+func TestOlderListingDoesNotOverwriteNewer(t *testing.T) {
+	net := simnet.New(simnet.Options{Seed: 1})
+	defer net.Close()
+	three := []node.Addr{caddr(0), caddr(1), caddr(2)}
+	reg := &scriptedRegistry{listings: []*message{
+		{Type: "listing", Members: three, Version: 3},
+		{Type: "listing", Members: three[:2], Version: 2},
+	}}
+	if err := net.Register(registryAddr, reg); err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartClient(caddr(0), registryAddr, cliOpts(), net) // applies version 3
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	c.readAndWatch() // the version 2 response lands late
+	if got := c.NumAlive(); got != 3 {
+		t.Fatalf("after a stale listing landed last the client sees %d members, want 3", got)
+	}
+	if c.Reads() != 2 {
+		t.Fatalf("reads = %d, want 2 (a stale read still costs the registry a read)", c.Reads())
 	}
 }
