@@ -416,7 +416,7 @@ func (c *Cluster) Subscribe(cb Subscriber) { c.notifier.subscribe(cb) }
 // The handle keeps serving protocol messages until Stop is called.
 func (c *Cluster) Leave() {
 	if c.started.Load() {
-		c.enqueue(event{leave: true})
+		c.enqueue(leaveEvent)
 	}
 }
 
@@ -494,7 +494,7 @@ func (c *Cluster) monitorManager() {
 
 // onSubjectFailed forwards an edge failure detector verdict to the engine.
 func (c *Cluster) onSubjectFailed(subject node.Addr) {
-	c.enqueue(event{subjectDown: subject})
+	c.enqueue(event{ctl: &control{subjectDown: subject}})
 }
 
 var _ transport.Handler = (*Cluster)(nil)

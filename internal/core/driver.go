@@ -35,7 +35,7 @@ func (e *engine) run(c *Cluster, flush simclock.Timer) {
 		case <-flush.C():
 			out = e.tick(c.clock.Now(), len(c.events))
 		case <-reinforce.C():
-			out = e.step(event{reinforce: true}, c.clock.Now())
+			out = e.step(reinforceEvent, c.clock.Now())
 		}
 		c.perform(out)
 		if out.flushIn > 0 {

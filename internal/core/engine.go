@@ -24,14 +24,19 @@ import (
 // fields it checks on its ticks. Transport handlers are thin enqueuers; see
 // handlers.go.
 
-// event is the union of everything the engine consumes. Exactly one field is
-// set per event. A flat struct (rather than an interface) keeps the hot path —
-// inbound batches and consensus votes — allocation-free.
+// event is the union of everything the engine consumes. It is two words — a
+// member's queue holds eventQueueSize of them — and a struct rather than an
+// interface, so the hot path (inbound batches and consensus votes) queues a
+// message without allocating.
 type event struct {
 	// req is a one-way protocol message (batch, consensus phase, leave),
 	// queued as the transport delivered it; dispatchRequest tells which.
 	req *remoting.Request
+	ctl *control // set instead of req for everything else
+}
 
+// control is a rare event that is no protocol message. Exactly one field is set.
+type control struct {
 	preJoin *preJoinEvent
 	join    *joinEvent
 	// joinGone tells the engine that the handler serving this phase-2 request
@@ -44,6 +49,12 @@ type event struct {
 	// leave asks the engine to announce this process' graceful departure.
 	leave bool
 }
+
+// The two control events that carry nothing are made once.
+var (
+	reinforceEvent = event{ctl: &control{reinforce: true}}
+	leaveEvent     = event{ctl: &control{leave: true}}
+)
 
 // preJoinEvent carries a phase-1 join request and its reply channel.
 type preJoinEvent struct {
@@ -207,7 +218,7 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 		fallbackBase:         s.ConsensusFallbackBase,
 		reinforcementTimeout: s.ReinforcementTimeout,
 		metrics:              m,
-		view:                 view.NewWithMembers(s.K, members),
+		view:                 view.NewShared(s.K, members),
 		cd:                   cutdetect.New(s.K, s.H, s.L),
 		alertedEdges:         make(map[node.Addr]bool),
 		joinWaiters:          make(map[joinerKey]*joinEvent),
@@ -221,12 +232,12 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 }
 
 // install derives everything the engine keeps per configuration from the
-// view it just built or changed — the view hands out its address order, the
-// only O(N) copy made here — starts a fresh consensus instance and puts the
-// configuration into this step's outputs.
+// view it just obtained or changed — the view hands out its address order: the
+// frozen build's own slices while it shares one, otherwise the only O(N) copy
+// made here — starts a fresh consensus instance and puts the configuration
+// into this step's outputs.
 func (e *engine) install() {
-	e.members = e.view.Members()
-	e.addrs = node.EndpointAddrs(e.members)
+	e.members, e.addrs = e.view.Membership()
 	e.myIndex = -1
 	if i, ok := slices.BinarySearch(e.addrs, e.me.Addr); ok {
 		e.myIndex = i
@@ -253,20 +264,21 @@ func (e *engine) install() {
 // step applies one event at the given time and returns what it asks for.
 func (e *engine) step(ev event, now time.Time) outputs {
 	e.now = now
-	switch {
+	switch c := ev.ctl; {
 	case ev.req != nil:
 		e.dispatchRequest(ev.req)
-	case ev.preJoin != nil:
-		e.handlePreJoin(ev.preJoin)
-	case ev.join != nil:
-		e.handleJoinPhase2(ev.join)
-	case ev.joinGone != nil:
-		e.forgetJoin(ev.joinGone)
-	case ev.subjectDown != "":
-		e.handleSubjectFailed(ev.subjectDown)
-	case ev.reinforce:
+	case c == nil:
+	case c.preJoin != nil:
+		e.handlePreJoin(c.preJoin)
+	case c.join != nil:
+		e.handleJoinPhase2(c.join)
+	case c.joinGone != nil:
+		e.forgetJoin(c.joinGone)
+	case c.subjectDown != "":
+		e.handleSubjectFailed(c.subjectDown)
+	case c.reinforce:
 		e.reinforce()
-	case ev.leave:
+	case c.leave:
 		// A graceful leave goes to every member: the leaver's observers are
 		// among them, and file REMOVE alerts at once.
 		e.broadcast(&remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.me.Addr}})

@@ -47,7 +47,7 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	// tick moves the clock and runs one reinforcement tick.
 	tick := func(advance time.Duration) []remoting.Rank {
 		r.clk.Advance(advance)
-		r.step(e.me.Addr, event{reinforce: true})
+		r.step(e.me.Addr, reinforceEvent)
 		return r.p1aRanks(addr(0))
 	}
 	if got := tick(10 * base); len(got) != 0 {
@@ -146,7 +146,7 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 	default:
 	}
 	ev := <-c.events
-	if ev.preJoin == nil {
+	if ev.ctl == nil || ev.ctl.preJoin == nil {
 		t.Fatalf("want the pre-join next, got %+v", ev)
 	}
 	dispatch(ev)
@@ -154,7 +154,7 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 		t.Fatalf("pre-join answered %s/%x", resp.PreJoin.Status, resp.PreJoin.ConfigurationID)
 	}
 	ev = <-c.events
-	if ev.join == nil {
+	if ev.ctl == nil || ev.ctl.join == nil {
 		t.Fatalf("want the phase-2 request next, got %+v", ev)
 	}
 	dispatch(ev)
@@ -162,7 +162,7 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 		t.Fatalf("%d joiners parked after the phase-2 request, want 1", len(e.joinWaiters))
 	}
 	ev = <-c.events
-	if ev.joinGone == nil {
+	if ev.ctl == nil || ev.ctl.joinGone == nil {
 		t.Fatalf("want the give-up notice last, got %+v", ev)
 	}
 	dispatch(ev)
@@ -253,14 +253,14 @@ func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 	}
 	armed(0, "after the decay")
 	r.clk.Advance(time.Minute)
-	if out := step(event{reinforce: true}); len(out.sends) != 0 {
+	if out := step(reinforceEvent); len(out.sends) != 0 {
 		t.Fatalf("a quiet engine's reinforcement tick sent %v", out.sends)
 	}
 	armed(0, "after a quiet minute")
 
 	// The first alert arms the timer for one floor window; its batch leaves on
 	// that tick, not on the step that raised it.
-	if out := step(event{subjectDown: e.subjects[0]}); len(out.sends) != 0 {
+	if out := step(event{ctl: &control{subjectDown: e.subjects[0]}}); len(out.sends) != 0 {
 		t.Fatalf("the batch left before its flush tick: %v", out.sends)
 	}
 	armed(floor, "with an alert pending")
@@ -346,7 +346,7 @@ func TestConfigurationSlicesAreShared(t *testing.T) {
 	if &c.Members()[0] == &s.members[0] {
 		t.Error("Cluster.Members() handed out the shared slice; the public accessor must copy")
 	}
-	if out := r.step(seed.Addr, event{leave: true}); len(out.sends) != 1 || len(out.sends[0].to) != 2 || &out.sends[0].to[0] != &s.addrs[0] {
+	if out := r.step(seed.Addr, leaveEvent); len(out.sends) != 1 || len(out.sends[0].to) != 2 || &out.sends[0].to[0] != &s.addrs[0] {
 		t.Errorf("broadcast recipients %+v, want the engine's address slice %v", out.sends, s.addrs)
 	}
 

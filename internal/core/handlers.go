@@ -56,7 +56,7 @@ func (c *Cluster) handlePreJoin(ctx context.Context, msg *remoting.PreJoinReques
 		return busy
 	}
 	reply := make(chan *remoting.Response, 1)
-	if !c.enqueue(event{preJoin: &preJoinEvent{msg: msg, reply: reply}}) {
+	if !c.enqueue(event{ctl: &control{preJoin: &preJoinEvent{msg: msg, reply: reply}}}) {
 		return busy
 	}
 	select {
@@ -86,7 +86,7 @@ func (c *Cluster) handleJoinPhase2(ctx context.Context, msg *remoting.JoinReques
 		select {
 		case <-started:
 			started = nil
-			if !c.enqueue(event{join: ev}) {
+			if !c.enqueue(event{ctl: &control{join: ev}}) {
 				return c.joinBusy()
 			}
 			reply = ev.reply
@@ -118,7 +118,7 @@ func (c *Cluster) abandonJoin(ev *joinEvent, reply chan *remoting.Response, time
 		c.emetrics.JoinsTimedOut.Add(1)
 	}
 	if reply != nil {
-		c.enqueue(event{joinGone: ev})
+		c.enqueue(event{ctl: &control{joinGone: ev}})
 	}
 	return c.joinBusy()
 }

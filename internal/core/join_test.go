@@ -92,7 +92,7 @@ func (r *engineRig) park(observer node.Addr, joiner node.Endpoint, configID uint
 		msg:   &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: configID, Metadata: joiner.Metadata},
 		reply: make(chan *remoting.Response, 1),
 	}
-	r.step(observer, event{join: ev})
+	r.step(observer, event{ctl: &control{join: ev}})
 	return ev
 }
 
@@ -298,7 +298,7 @@ func TestRetriedJoinFilesOneAlert(t *testing.T) {
 	if resp := answer(t, firstTry); resp.Status != remoting.JoinConfigChanged {
 		t.Fatalf("superseded request got %s, want CONFIG_CHANGED", resp.Status)
 	}
-	r.step(seed.Addr, event{joinGone: retry})
+	r.step(seed.Addr, event{ctl: &control{joinGone: retry}})
 	if len(s.joinWaiters) != 0 {
 		t.Fatal("a request whose handler gave up stayed parked")
 	}

@@ -57,7 +57,7 @@ func all(f *stepFixture) []node.Addr   { return f.members }
 func ring(f *stepFixture) []node.Addr  { return f.subjects }
 func peers(f *stepFixture) []node.Addr { return f.others }
 func cut(f *stepFixture) event         { return event{req: cutAlerts(f.config, 3, joiner)} }
-func leave(*stepFixture) event         { return event{leave: true} }
+func leave(*stepFixture) event         { return leaveEvent }
 
 // pushTo is a vote batch for the given targets whose aggregates name that
 // many voters each.

@@ -4,11 +4,17 @@
 // edges to their subjects, and tallies per subject the number of ring slots
 // with a report: of its K rings, how many have been reported on, so an
 // observer that holds several of a subject's rings counts once per ring, not
-// once. With K ring slots per subject and two watermarks L ≤ H ≤ K, a subject is in "stable report mode" once its tally reaches H
-// and in "unstable report mode" while the tally is between L and H. A process
-// announces a configuration-change proposal only when at least one subject is
-// stable and no subject is unstable — this single rule is what yields
-// almost-everywhere agreement on a multi-node cut.
+// once. With K ring slots per subject and two watermarks L ≤ H ≤ K, a subject
+// is in "stable report mode" once its tally reaches H and in "unstable report
+// mode" while the tally is between L and H. A process announces a
+// configuration-change proposal only when at least one subject is stable and
+// no subject is unstable — this single rule is what yields almost-everywhere
+// agreement on a multi-node cut.
+//
+// All of it is one record per subject — the reported rings as a bitmap, the
+// state against the watermarks, the endpoint, the time it turned unstable —
+// in one map. The detector takes no lock: its owner serializes the calls (the
+// membership engine is single-writer, the centralized ensemble holds its own).
 //
 // The detector also implements the two liveness mechanisms of the paper:
 // implicit alerts (an unstable observer of an unstable subject implicitly
@@ -18,8 +24,7 @@ package cutdetect
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/node"
@@ -28,27 +33,44 @@ import (
 )
 
 // Detector accumulates alerts for one configuration and emits at most one
-// multi-process cut proposal batch at a time. It is safe for concurrent use.
+// multi-process cut proposal batch at a time. It is not safe for concurrent
+// use.
 type Detector struct {
 	k, h, l int
 
-	mu sync.Mutex
-	// reportsPerHost maps subject -> ring number -> observer that reported it.
-	reportsPerHost map[node.Addr]map[int]node.Addr
-	// endpoints resolves the endpoint to include in a proposal for each
-	// subject (needed for joiners, which are not in the current view).
-	endpoints map[node.Addr]node.Endpoint
-	// preProposal holds subjects in the unstable region [L, H).
-	preProposal map[node.Addr]bool
-	// unstableSince records when a subject entered the unstable region, for
-	// the reinforcement timeout.
-	unstableSince map[node.Addr]time.Time
-	// proposal holds subjects that reached H and await flushing.
-	proposal map[node.Addr]bool
+	subjects map[node.Addr]*record
+	// pending are the subjects that reached H and await flushing.
+	pending []*record
 	// updatesInProgress counts subjects currently in the unstable region.
 	updatesInProgress int
 	// proposalsEmitted counts flushed proposals (diagnostics/tests).
 	proposalsEmitted int
+}
+
+// state is where a subject's tally stands against the watermarks.
+type state uint8
+
+const (
+	noise    state = iota // fewer than L reports
+	unstable              // in [L, H)
+	stable                // reached H, awaiting the flush
+	emitted               // flushed in a proposal
+)
+
+// record is everything the detector knows about one subject.
+type record struct {
+	// rings is the bitmap of the ring slots with a report — first, unless K
+	// is past 64 — and count their number.
+	rings []uint64
+	first [1]uint64
+	count int
+	state state
+	// endpoint is what a proposal names the subject by (a joiner is not in
+	// the current view).
+	endpoint node.Endpoint
+	// since is when the subject entered the unstable region, for the
+	// reinforcement timeout.
+	since time.Time
 }
 
 // New creates a detector for a configuration with K observers per subject and
@@ -58,16 +80,7 @@ func New(k, h, l int) *Detector {
 	if k <= 0 || l < 1 || h < l || h > k {
 		panic(fmt.Sprintf("cutdetect: invalid parameters K=%d H=%d L=%d (need 1 <= L <= H <= K)", k, h, l))
 	}
-	return &Detector{
-		k:              k,
-		h:              h,
-		l:              l,
-		reportsPerHost: make(map[node.Addr]map[int]node.Addr),
-		endpoints:      make(map[node.Addr]node.Endpoint),
-		preProposal:    make(map[node.Addr]bool),
-		unstableSince:  make(map[node.Addr]time.Time),
-		proposal:       make(map[node.Addr]bool),
-	}
+	return &Detector{k: k, h: h, l: l, subjects: make(map[node.Addr]*record)}
 }
 
 // AggregateForProposal ingests one alert and returns a (possibly empty) list
@@ -75,59 +88,74 @@ func New(k, h, l int) *Detector {
 // aggregation rule fired: at least one subject is stable and none is
 // unstable. `now` is used to time how long subjects stay unstable.
 func (d *Detector) AggregateForProposal(alert remoting.AlertMessage, subject node.Endpoint, now time.Time) []node.Endpoint {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	var out []node.Endpoint
 	for _, ring := range alert.RingNumbers {
-		out = append(out, d.aggregateLocked(alert.EdgeSrc, alert.EdgeDst, subject, ring, now)...)
+		out = append(out, d.aggregate(alert.EdgeDst, subject, ring, now)...)
 	}
 	return out
 }
 
-// aggregateLocked applies a single (observer, subject, ring) report.
-func (d *Detector) aggregateLocked(observer, subjectAddr node.Addr, subject node.Endpoint, ring int, now time.Time) []node.Endpoint {
+// aggregate applies a single (subject, ring) report.
+func (d *Detector) aggregate(subjectAddr node.Addr, subject node.Endpoint, ring int, now time.Time) []node.Endpoint {
 	if ring < 0 || ring >= d.k {
 		return nil
 	}
-	reports, ok := d.reportsPerHost[subjectAddr]
-	if !ok {
-		reports = make(map[int]node.Addr, d.k)
-		d.reportsPerHost[subjectAddr] = reports
+	r := d.subjects[subjectAddr]
+	if r == nil {
+		r = &record{}
+		if r.rings = r.first[:]; d.k > 64 {
+			r.rings = make([]uint64, (d.k+63)/64)
+		}
+		d.subjects[subjectAddr] = r
 	}
-	if _, dup := reports[ring]; dup {
-		return nil // Already have a report for this ring.
-	}
-	if len(reports) >= d.h {
+	if r.count >= d.h {
 		return nil // Already saturated; no more bookkeeping needed.
 	}
-	reports[ring] = observer
-	d.endpoints[subjectAddr] = subject
-	count := len(reports)
-
-	if count == d.l {
-		d.updatesInProgress++
-		d.preProposal[subjectAddr] = true
-		d.unstableSince[subjectAddr] = now
+	word, bit := &r.rings[ring/64], uint64(1)<<(ring%64)
+	if *word&bit != 0 {
+		return nil // Already have a report for this ring.
 	}
-	if count == d.h {
-		delete(d.preProposal, subjectAddr)
-		delete(d.unstableSince, subjectAddr)
-		d.proposal[subjectAddr] = true
+	*word |= bit
+	r.count++
+	r.endpoint = subject
+
+	if r.count == d.l {
+		d.updatesInProgress++
+		r.state, r.since = unstable, now
+	}
+	if r.count == d.h {
+		r.state = stable
+		d.pending = append(d.pending, r)
 		d.updatesInProgress--
 		if d.updatesInProgress == 0 {
 			// No subject is unstable: flush everything in stable mode as one
 			// multi-process cut proposal.
 			d.proposalsEmitted++
-			out := make([]node.Endpoint, 0, len(d.proposal))
-			for addr := range d.proposal {
-				out = append(out, d.endpoints[addr])
+			out := make([]node.Endpoint, len(d.pending))
+			for i, p := range d.pending {
+				out[i], p.state = p.endpoint, emitted
 			}
-			d.proposal = make(map[node.Addr]bool)
-			sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+			d.pending = nil
+			slices.SortFunc(out, node.CompareEndpoints)
 			return out
 		}
 	}
 	return nil
+}
+
+// unstableSubjects returns the subjects in the unstable region that keep, in
+// address order.
+func (d *Detector) unstableSubjects(keep func(*record) bool) []node.Addr {
+	if d.updatesInProgress == 0 {
+		return nil
+	}
+	var out []node.Addr
+	for addr, r := range d.subjects {
+		if r.state == unstable && keep(r) {
+			out = append(out, addr)
+		}
+	}
+	return node.SortAddrs(out)
 }
 
 // InvalidateFailingEdges applies implicit alerts: if both an observer o and
@@ -136,24 +164,10 @@ func (d *Detector) aggregateLocked(observer, subjectAddr node.Addr, subject node
 // detector from waiting forever for alerts from observers that are themselves
 // faulty (§4.2, "Ensuring liveness"). It returns any proposal that results.
 func (d *Detector) InvalidateFailingEdges(v *view.View, now time.Time) []node.Endpoint {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.preProposal) == 0 {
-		return nil
-	}
-	// Work on a sorted snapshot of the unstable subjects for determinism.
-	unstable := make([]node.Addr, 0, len(d.preProposal))
-	for a := range d.preProposal {
-		unstable = append(unstable, a)
-	}
-	node.SortAddrs(unstable)
-
 	var out []node.Endpoint
-	for _, subjectAddr := range unstable {
-		subject, ok := d.endpoints[subjectAddr]
-		if !ok {
-			subject = node.Endpoint{Addr: subjectAddr}
-		}
+	// A sorted snapshot of the unstable subjects, for determinism.
+	for _, subjectAddr := range d.unstableSubjects(func(*record) bool { return true }) {
+		subject := d.subjects[subjectAddr].endpoint
 		var observers []node.Addr
 		if v.Contains(subjectAddr) {
 			observers, _ = v.ObserversOf(subjectAddr)
@@ -161,79 +175,50 @@ func (d *Detector) InvalidateFailingEdges(v *view.View, now time.Time) []node.En
 			observers = v.ExpectedObserversOf(subjectAddr)
 		}
 		for _, o := range observers {
-			if !d.unstableOrProposedLocked(o) {
+			// The observer must itself be unstable, or in the pending stable set.
+			if r := d.subjects[o]; r == nil || (r.state != unstable && r.state != stable) {
 				continue
 			}
-			rings := v.RingNumbers(o, subjectAddr)
-			for _, ring := range rings {
-				out = append(out, d.aggregateLocked(o, subjectAddr, subject, ring, now)...)
+			for _, ring := range v.RingNumbers(o, subjectAddr) {
+				out = append(out, d.aggregate(subjectAddr, subject, ring, now)...)
 			}
 		}
 	}
 	return out
-}
-
-// unstableOrProposedLocked reports whether addr is itself in the unstable
-// region or already part of the pending stable set.
-func (d *Detector) unstableOrProposedLocked(addr node.Addr) bool {
-	return d.preProposal[addr] || d.proposal[addr]
 }
 
 // UnstableLongerThan returns the subjects that have been in the unstable
 // region for at least the given duration. The membership service uses this to
 // trigger reinforcement: observers of a stuck subject echo REMOVE alerts.
 func (d *Detector) UnstableLongerThan(now time.Time, timeout time.Duration) []node.Addr {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []node.Addr
-	for addr, since := range d.unstableSince {
-		if now.Sub(since) >= timeout {
-			out = append(out, addr)
-		}
-	}
-	node.SortAddrs(out)
-	return out
+	return d.unstableSubjects(func(r *record) bool { return now.Sub(r.since) >= timeout })
 }
 
 // Tally returns the number of distinct observer reports seen for a subject.
 func (d *Detector) Tally(subject node.Addr) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.reportsPerHost[subject])
+	if r := d.subjects[subject]; r != nil {
+		return r.count
+	}
+	return 0
 }
 
 // HasReportForRing reports whether an alert about subject was already
 // received on the given ring (used to avoid duplicate reinforcement).
 func (d *Detector) HasReportForRing(subject node.Addr, ring int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.reportsPerHost[subject][ring]
-	return ok
+	r := d.subjects[subject]
+	return r != nil && ring >= 0 && ring < d.k && r.rings[ring/64]>>(ring%64)&1 != 0
 }
 
 // UpdatesInProgress returns the number of subjects currently unstable.
-func (d *Detector) UpdatesInProgress() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.updatesInProgress
-}
+func (d *Detector) UpdatesInProgress() int { return d.updatesInProgress }
 
 // ProposalsEmitted returns the number of proposals flushed so far.
-func (d *Detector) ProposalsEmitted() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.proposalsEmitted
-}
+func (d *Detector) ProposalsEmitted() int { return d.proposalsEmitted }
 
 // Clear resets all detector state. It is called after every view change,
 // since tallies never carry across configurations.
 func (d *Detector) Clear() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.reportsPerHost = make(map[node.Addr]map[int]node.Addr)
-	d.endpoints = make(map[node.Addr]node.Endpoint)
-	d.preProposal = make(map[node.Addr]bool)
-	d.unstableSince = make(map[node.Addr]time.Time)
-	d.proposal = make(map[node.Addr]bool)
+	d.subjects = make(map[node.Addr]*record)
+	d.pending = nil
 	d.updatesInProgress = 0
 }

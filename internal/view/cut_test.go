@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -58,14 +59,14 @@ func TestFillRingHashesMatchesReference(t *testing.T) {
 // way: every slot must sit where pos says it does.
 func ringAddrs(t *testing.T, v *View, r int) []node.Addr {
 	t.Helper()
-	out := make([]node.Addr, len(v.seqs[r]))
-	for i, s := range v.seqs[r] {
-		out[i] = v.eps[s].Addr
-		if got := v.pos[int(s)*(v.k+1)+r]; int(got) != i {
+	out := make([]node.Addr, len(v.t.seqs[r]))
+	for i, s := range v.t.seqs[r] {
+		out[i] = v.t.eps[s].Addr
+		if got := v.t.pos[int(s)*(v.k+1)+r]; int(got) != i {
 			t.Fatalf("sequence %d: %s sits at %d but its position index says %d", r, out[i], i, got)
 		}
-		if v.byAddr[out[i]] != s {
-			t.Fatalf("sequence %d holds slot %d for %s, the address index says %d", r, s, out[i], v.byAddr[out[i]])
+		if found, ok := v.slot(out[i]); !ok || found != s {
+			t.Fatalf("sequence %d holds slot %d for %s, the address search says %d, %v", r, s, out[i], found, ok)
 		}
 	}
 	return out
@@ -138,8 +139,19 @@ func sameView(t *testing.T, name string, got, want *View, members []node.Endpoin
 // must hold the rings in the reference (hash, address) order. Two sequences in
 // three run with most of the ring hash masked away, so that most comparisons
 // are decided by the address tie-break.
-func TestCutPathsAgree(t *testing.T) {
+func TestCutPathsAgree(t *testing.T) { cutSequences(t, false) }
+
+// TestCutPathsAgreeFromASharedBuild runs the same sequences from views that
+// alias one frozen build, with a sibling that never mutates: whatever the two
+// mutating views do to their copies, the sibling stays indistinguishable from
+// a private build of the start list, and keeps aliasing the frozen tables.
+func TestCutPathsAgreeFromASharedBuild(t *testing.T) { cutSequences(t, true) }
+
+func cutSequences(t *testing.T, sharedStart bool) {
 	for seed := int64(0); seed < 200; seed++ {
+		if sharedStart && testing.Short() && seed%4 != 0 {
+			continue // the race lane runs the private sequences in full already
+		}
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(10)
 		// One sequence in three keeps the whole hash; one keeps two bits, so
@@ -167,6 +179,30 @@ func TestCutPathsAgree(t *testing.T) {
 			}
 			node.SortAddrs(out)
 			return out
+		}
+		var start []node.Endpoint
+		var sibling, private *View
+		mutated := false
+		checkSibling := func(when string) {}
+		if sharedStart {
+			for i, n := 0, 1+rng.Intn(60); i < n; i++ {
+				ep := fresh()
+				start, live[ep.Addr], usedIDs[ep.ID] = append(start, ep), ep, true
+			}
+			slices.SortFunc(start, node.CompareEndpoints)
+			whole, single, sibling = shared(k, start, mask), shared(k, start, mask), shared(k, start, mask)
+			private = build(k, start, mask)
+			frozen := sibling.t
+			if whole.t != frozen || single.t != frozen || whole.base == nil {
+				t.Fatalf("seed %d: three views of one list do not alias one build", seed)
+			}
+			checkSibling = func(when string) {
+				if sibling.t != frozen || sibling.base == nil {
+					t.Fatalf("seed %d %s: the sibling no longer aliases the frozen build", seed, when)
+				}
+				sameView(t, fmt.Sprintf("seed %d %s (sibling vs private build)", seed, when), sibling, private, start, []node.Addr{"stranger:1"})
+			}
+			checkSibling("at the start")
 		}
 		for step := 0; step < 8; step++ {
 			var joiners []node.Endpoint
@@ -272,6 +308,12 @@ func TestCutPathsAgree(t *testing.T) {
 			sameView(t, name+" (cut vs one at a time)", whole, single, sorted, strangers)
 			sameView(t, name+" (cut vs built sorted)", whole, build(k, sorted, mask), sorted, strangers)
 			sameView(t, name+" (cut vs built shuffled)", whole, build(k, shuffled, mask), sorted, strangers)
+			// A view copies the tables on its first effective mutation, not before.
+			mutated = mutated || len(joined)+len(left) > 0
+			if sharedStart && (whole.base == nil) != mutated {
+				t.Fatalf("%s: whole aliases the frozen build = %v, mutated = %v", name, whole.base != nil, mutated)
+			}
+			checkSibling(fmt.Sprintf("step %d", step))
 		}
 	}
 }
@@ -321,6 +363,32 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 	if build > 20 {
 		t.Errorf("NewWithMembers(10, 500 members) allocates %.0f times, want <= 20", build)
+	}
+	// The copy a sharing view makes before its first mutation: the slot table,
+	// the ring hashes, one block for the position index and the sequences, and
+	// the sequence headers. No map: tables has none to copy or rehash.
+	sharers := make([]*View, 21)
+	for i := range sharers {
+		sharers[i] = NewShared(10, eps)
+	}
+	next := 0
+	copying := testing.AllocsPerRun(len(sharers)-1, func() {
+		v := sharers[next]
+		next++
+		v.mu.Lock()
+		v.own()
+		v.mu.Unlock()
+		if v.base != nil || v.t != &v.private {
+			t.Fatal("own did not copy")
+		}
+	})
+	if copying > 4 {
+		t.Errorf("the copy on first mutation allocates %.0f times, want <= 4", copying)
+	}
+	for i, typ := 0, reflect.TypeOf(tables{}); i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Map {
+			t.Errorf("tables.%s is a map: the copy on first mutation would have to rehash it", f.Name)
+		}
 	}
 	extra := node.Endpoint{Addr: "extra:9000"}
 	churn := testing.AllocsPerRun(50, func() {

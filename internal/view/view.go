@@ -19,8 +19,9 @@
 //     lookups with no hashing and no searching: each member's K ring hashes
 //     are computed exactly once, when it is staged.
 //   - The address order is maintained, not derived: Members and MemberAddrs
-//     are an O(N) copy, and a ConfigurationID miss is one pass over it with no
-//     sort and no allocation.
+//     are an O(N) copy, a ConfigurationID miss is one pass over it with no
+//     sort and no allocation, and a member is found by binary search of it —
+//     the tables hold no map.
 //   - There is one mutation path, rewire, and it applies a whole cut at once:
 //     the cut's ring keys are sorted and merged into each sequence in a single
 //     in-place pass — O(K·(N + c log c)) for a cut of c — instead of c
@@ -30,11 +31,18 @@
 //     half of the 64-bit ring hash, not a comparison sort; a tie-break pass
 //     orders what the radix passes left equal by the full (hash, address) key,
 //     so the order is total and identical on every process.
+//
+// Sharing. The tables are a pure function of the member list, so views that
+// NewShared returns for one list alias one frozen build per process — an
+// in-process fleet does not sort the same N members into the same K rings N
+// times — and a view copies them (own) before its first mutation, then rewires
+// the copy in place like any other. NewWithMembers always builds privately.
 package view
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -54,15 +62,9 @@ var (
 	ErrUUIDAlreadyInRing = errors.New("view: UUID already in ring")
 )
 
-// View is a configuration: a membership set arranged into K rings. All methods
-// are safe for concurrent use.
-type View struct {
-	k int
-	// hashMask is ANDed onto every ring hash. It is all ones outside the
-	// package's tests, which narrow it to force equal ring hashes.
-	hashMask uint64
-
-	mu sync.RWMutex
+// tables are the part of a view that is a pure function of its member list,
+// and so the part that views of one list share in a process (see NewShared).
+type tables struct {
 	// The slot table. A member keeps its slot for as long as it stays; free
 	// lists the vacated ones. hashes holds K ring hashes per slot, pos K+1
 	// sequence indexes per slot.
@@ -72,9 +74,28 @@ type View struct {
 	free   []int32
 	// seqs[r] for r < K is ring r: the slots ordered by (ring hash, address).
 	// seqs[K] is the membership in address order, kept the way a ring is: a
-	// ring whose key is the address alone.
-	seqs    [][]int32
-	byAddr  map[node.Addr]int32
+	// ring whose key is the address alone. A member is found by searching it.
+	seqs [][]int32
+}
+
+// View is a configuration: a membership set arranged into K rings. All methods
+// are safe for concurrent use.
+type View struct {
+	k int
+	// hashMask is ANDed onto every ring hash. It is all ones outside the
+	// package's tests, which narrow it to force equal ring hashes.
+	hashMask uint64
+
+	mu sync.RWMutex
+	// t is what every query reads: &private, or — while base is set — the
+	// tables of a frozen build, which other views alias and nobody writes.
+	t       *tables
+	private tables
+	base    *frozen
+	// Identifiers only accumulate (§3: a process rejoins under a new one), so
+	// the set is layered, not copied: baseIDs is the frozen build's and
+	// read-only like its tables, seenIDs what this view staged itself.
+	baseIDs map[node.ID]struct{}
 	seenIDs map[node.ID]struct{}
 
 	cachedConfig  uint64
@@ -86,23 +107,23 @@ type View struct {
 func New(k int) *View { return newSized(k, 0, ^uint64(0)) }
 
 // newSized creates an empty view with room for n members.
+//
+// owned-tables: the tables are being made.
 func newSized(k, n int, hashMask uint64) *View {
 	if k < 1 {
 		panic("view: k must be >= 1")
 	}
-	v := &View{
-		k:        k,
-		hashMask: hashMask,
-		eps:      make([]node.Endpoint, 0, n),
-		hashes:   make([]uint64, 0, n*k),
-		pos:      make([]int32, 0, n*(k+1)),
-		seqs:     make([][]int32, k+1),
-		byAddr:   make(map[node.Addr]int32, n),
-		seenIDs:  make(map[node.ID]struct{}, n),
+	v := &View{k: k, hashMask: hashMask, seenIDs: make(map[node.ID]struct{}, n)}
+	v.t = &v.private
+	v.private = tables{
+		eps:    make([]node.Endpoint, 0, n),
+		hashes: make([]uint64, 0, n*k),
+		pos:    make([]int32, 0, n*(k+1)),
+		seqs:   make([][]int32, k+1),
 	}
 	block := make([]int32, (k+1)*n)
-	for r := range v.seqs {
-		v.seqs[r] = block[r*n : r*n : (r+1)*n]
+	for r := range v.private.seqs {
+		v.private.seqs[r] = block[r*n : r*n : (r+1)*n]
 	}
 	return v
 }
@@ -120,12 +141,81 @@ func build(k int, members []node.Endpoint, hashMask uint64) *View {
 	v := newSized(k, len(members), hashMask)
 	adds := make([]int32, 0, len(members))
 	for _, ep := range members {
-		if v.admissible(ep) == nil {
-			adds = append(adds, v.stage(ep))
-		}
+		adds, _ = v.admit(ep, adds, nil)
 	}
 	v.rewire(adds, nil)
 	return v
+}
+
+// builds holds the last maxBuilds frozen builds of this process, oldest first.
+// A fleet forms in a wave or two, so the lists wanted at any one time are few;
+// a list that fell out is built again.
+var builds struct {
+	sync.Mutex
+	recent []*frozen
+	made   int
+}
+
+// frozen is a view that is never handed out or mutated, and its addresses.
+type frozen struct {
+	*View
+	addrs []node.Addr
+}
+
+const maxBuilds = 8
+
+// SharedBuilds returns how many builds NewShared has made in this process —
+// one per distinct list, however many views asked for it.
+func SharedBuilds() int {
+	builds.Lock()
+	defer builds.Unlock()
+	return builds.made
+}
+
+// NewShared returns a view of the given members whose tables are built once
+// per process, however many views of that list are asked for: every joiner of
+// a wave in an in-process fleet is handed the same list, and a lone process
+// pays one list comparison. The list must be strictly sorted by address and
+// repeat no identifier; any other list gets NewWithMembers' private build.
+//
+// A build is found by comparing every endpoint of the list, never by the
+// configuration identifier alone — the list may have crossed a network — and
+// callers that arrive together wait for one build instead of racing. The view
+// is as mutable as any: its first ApplyCut, AddMember or RemoveMember copies
+// the tables (see own) and rewires the copy in place.
+func NewShared(k int, members []node.Endpoint) *View {
+	return shared(k, members, ^uint64(0))
+}
+
+// shared is NewShared with the ring hash masked (see View.hashMask).
+func shared(k int, members []node.Endpoint, hashMask uint64) *View {
+	for i := 1; i < len(members); i++ {
+		if members[i-1].Addr >= members[i].Addr {
+			return build(k, members, hashMask)
+		}
+	}
+	builds.Lock()
+	defer builds.Unlock()
+	i := slices.IndexFunc(builds.recent, func(b *frozen) bool {
+		// A frozen build holds its list in slot order.
+		return b.k == k && b.hashMask == hashMask && slices.EqualFunc(b.t.eps, members, func(x, y node.Endpoint) bool {
+			return x.Equal(y) && maps.Equal(x.Metadata, y.Metadata)
+		})
+	})
+	if i < 0 {
+		b := &frozen{View: build(k, members, hashMask)}
+		if b.Size() != len(members) {
+			return b.View // a repeated identifier: the list does not build to itself
+		}
+		builds.made++
+		b.addrs = node.EndpointAddrs(b.t.eps)
+		if len(builds.recent) == maxBuilds {
+			builds.recent = slices.Delete(builds.recent, 0, 1)
+		}
+		i, builds.recent = len(builds.recent), append(builds.recent, b)
+	}
+	b := builds.recent[i]
+	return &View{k: k, hashMask: hashMask, t: b.t, base: b, baseIDs: b.seenIDs, cachedConfig: b.ConfigurationID(), configIsValid: true}
 }
 
 // K returns the number of rings (observers per subject).
@@ -135,22 +225,24 @@ func (v *View) K() int { return v.k }
 func (v *View) Size() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.byAddr)
+	return len(v.t.seqs[v.k])
+}
+
+// slot finds a member in the address order. Called with the lock held.
+func (v *View) slot(addr node.Addr) (int32, bool) {
+	order := v.t.seqs[v.k]
+	i := v.search(order, v.k, 0, addr)
+	if i == len(order) || v.t.eps[order[i]].Addr != addr {
+		return 0, false
+	}
+	return order[i], true
 }
 
 // Contains reports whether addr is a member of the view.
 func (v *View) Contains(addr node.Addr) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	_, ok := v.byAddr[addr]
-	return ok
-}
-
-// ContainsID reports whether the logical identifier has been seen in this view.
-func (v *View) ContainsID(id node.ID) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	_, ok := v.seenIDs[id]
+	_, ok := v.slot(addr)
 	return ok
 }
 
@@ -158,11 +250,11 @@ func (v *View) ContainsID(id node.ID) bool {
 func (v *View) Member(addr node.Addr) (node.Endpoint, bool) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	s, ok := v.byAddr[addr]
+	s, ok := v.slot(addr)
 	if !ok {
 		return node.Endpoint{}, false
 	}
-	return v.eps[s], true
+	return v.t.eps[s], true
 }
 
 // Members returns all member endpoints sorted by address, in a slice the
@@ -170,10 +262,10 @@ func (v *View) Member(addr node.Addr) (node.Endpoint, bool) {
 func (v *View) Members() []node.Endpoint {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	order := v.seqs[v.k]
+	order := v.t.seqs[v.k]
 	out := make([]node.Endpoint, len(order))
 	for i, s := range order {
-		out[i] = v.eps[s]
+		out[i] = v.t.eps[s]
 	}
 	return out
 }
@@ -183,12 +275,26 @@ func (v *View) Members() []node.Endpoint {
 func (v *View) MemberAddrs() []node.Addr {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	order := v.seqs[v.k]
+	order := v.t.seqs[v.k]
 	out := make([]node.Addr, len(order))
 	for i, s := range order {
-		out[i] = v.eps[s].Addr
+		out[i] = v.t.eps[s].Addr
 	}
 	return out
+}
+
+// Membership returns the members and their addresses in address order, in
+// slices nobody may write: the frozen build's own — the same two for every
+// view of the list — while the view shares one, fresh copies afterwards.
+func (v *View) Membership() ([]node.Endpoint, []node.Addr) {
+	v.mu.RLock()
+	b := v.base
+	v.mu.RUnlock()
+	if b != nil {
+		return b.t.eps, b.addrs
+	}
+	members := v.Members()
+	return members, node.EndpointAddrs(members)
 }
 
 // fnvOffset and fnvPrime are the FNV-1a 64-bit parameters.
@@ -252,48 +358,86 @@ func (v *View) probeHashes(buf *[16]uint64, addr node.Addr) []uint64 {
 
 // --- the mutation path ---------------------------------------------------------
 
-// admissible reports why ep may not join, if it may not. Must be called with
-// the lock held.
-func (v *View) admissible(ep node.Endpoint) error {
-	if _, ok := v.byAddr[ep.Addr]; ok {
-		return ErrNodeAlreadyInRing
+// own makes the tables this view's to write: a view that aliases a frozen
+// build copies it — the slot table and two pointer-free blocks — before its
+// first mutation. rapid-vet's snapshot check allows writes to the tables only
+// in functions marked as this one is.
+//
+// owned-tables: this is where they become owned.
+func (v *View) own() {
+	if v.base == nil {
+		return
 	}
-	if _, ok := v.seenIDs[ep.ID]; ok {
-		return ErrUUIDAlreadyInRing
+	src, n, stride := v.t, len(v.t.eps), v.k+1
+	block := make([]int32, 2*stride*n) // the position index, then the sequences
+	v.private = tables{eps: slices.Clone(src.eps), hashes: slices.Clone(src.hashes), pos: block[: stride*n : stride*n], seqs: make([][]int32, stride)}
+	copy(v.private.pos, src.pos)
+	for r, seq := range src.seqs {
+		v.private.seqs[r] = block[(stride+r)*n:][:n:n]
+		copy(v.private.seqs[r], seq)
 	}
-	return nil
+	v.t, v.base = &v.private, nil
 }
 
-// stage gives an admissible endpoint a slot, hashes it once per ring and
-// registers its address and identifier; rewire then places it in the rings.
-func (v *View) stage(ep node.Endpoint) int32 {
+// admissible reports why ep may not join, if it may not, and otherwise where
+// its slot belongs in adds. adds and dels are the cut being staged: the slots
+// of the joiners admitted so far, in address order, and of the leavers, whose
+// addresses are free again. Must be called with the lock held.
+func (v *View) admissible(ep node.Endpoint, adds, dels []int32) (at int, err error) {
+	if s, ok := v.slot(ep.Addr); ok && !slices.Contains(dels, s) {
+		return 0, ErrNodeAlreadyInRing
+	}
+	// Join responses and consensus proposals arrive sorted by address, so the
+	// last joiner staged usually settles where this one goes.
+	if at = len(adds); at > 0 && v.t.eps[adds[at-1]].Addr >= ep.Addr {
+		var taken bool
+		at, taken = slices.BinarySearchFunc(adds, ep.Addr, func(s int32, a node.Addr) int {
+			return strings.Compare(string(v.t.eps[s].Addr), string(a))
+		})
+		if taken {
+			return 0, ErrNodeAlreadyInRing
+		}
+	}
+	_, seen := v.seenIDs[ep.ID]
+	if !seen {
+		_, seen = v.baseIDs[ep.ID]
+	}
+	if seen {
+		return 0, ErrUUIDAlreadyInRing
+	}
+	return at, nil
+}
+
+// admit stages ep if it is admissible: gives it a slot, hashes it once per
+// ring, records its identifier and puts the slot in its place in adds; rewire
+// then places it in the rings.
+//
+// owned-tables: own comes first.
+func (v *View) admit(ep node.Endpoint, adds, dels []int32) ([]int32, error) {
+	at, err := v.admissible(ep, adds, dels)
+	if err != nil {
+		return adds, err
+	}
+	v.own()
+	t := v.t
 	var s int32
-	if n := len(v.free); n > 0 {
-		s, v.free = v.free[n-1], v.free[:n-1]
-		v.eps[s] = ep
+	if n := len(t.free); n > 0 {
+		s, t.free = t.free[n-1], t.free[:n-1]
+		t.eps[s] = ep
 	} else {
 		// The new rows are written before they are read: the hashes just
 		// below, the positions when rewire places the slot.
-		s = int32(len(v.eps))
-		v.eps = append(v.eps, ep)
-		v.hashes = slices.Grow(v.hashes, v.k)[:len(v.hashes)+v.k]
-		v.pos = slices.Grow(v.pos, v.k+1)[:len(v.pos)+v.k+1]
+		s = int32(len(t.eps))
+		t.eps = append(t.eps, ep)
+		t.hashes = slices.Grow(t.hashes, v.k)[:len(t.hashes)+v.k]
+		t.pos = slices.Grow(t.pos, v.k+1)[:len(t.pos)+v.k+1]
 	}
-	fillRingHashes(v.hashes[int(s)*v.k:(int(s)+1)*v.k], ep.Addr, v.hashMask)
-	v.byAddr[ep.Addr] = s
+	fillRingHashes(t.hashes[int(s)*v.k:(int(s)+1)*v.k], ep.Addr, v.hashMask)
+	if v.seenIDs == nil {
+		v.seenIDs = make(map[node.ID]struct{})
+	}
 	v.seenIDs[ep.ID] = struct{}{}
-	return s
-}
-
-// unstage unregisters a member's address and returns its slot, which stays
-// occupied until rewire has taken it out of the rings. The logical ID stays
-// in seenIDs: a process that rejoins must use a new identifier (§3).
-func (v *View) unstage(addr node.Addr) (int32, bool) {
-	s, ok := v.byAddr[addr]
-	if ok {
-		delete(v.byAddr, addr)
-	}
-	return s, ok
+	return slices.Insert(adds, at, s), nil
 }
 
 // AddMember inserts an endpoint into every ring. It fails if the address or
@@ -301,19 +445,22 @@ func (v *View) unstage(addr node.Addr) (int32, bool) {
 func (v *View) AddMember(ep node.Endpoint) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if err := v.admissible(ep); err != nil {
+	var one [1]int32
+	adds, err := v.admit(ep, one[:0], nil)
+	if err != nil {
 		return err
 	}
-	adds := [1]int32{v.stage(ep)}
-	v.rewire(adds[:], nil)
+	v.rewire(adds, nil)
 	return nil
 }
 
 // RemoveMember removes the endpoint with the given address from every ring.
+// Its logical identifier stays seen: a process that rejoins must use a new one
+// (§3).
 func (v *View) RemoveMember(addr node.Addr) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	s, ok := v.unstage(addr)
+	s, ok := v.slot(addr)
 	if !ok {
 		return ErrNodeNotInRing
 	}
@@ -336,15 +483,15 @@ func (v *View) ApplyCut(joiners []node.Endpoint, leavers []node.Addr) (joined, l
 	defer v.mu.Unlock()
 	dels := make([]int32, 0, len(leavers))
 	for _, a := range leavers {
-		if s, ok := v.unstage(a); ok {
+		if s, ok := v.slot(a); ok && !slices.Contains(dels, s) {
 			dels = append(dels, s)
-			left = append(left, v.eps[s])
+			left = append(left, v.t.eps[s])
 		}
 	}
 	adds := make([]int32, 0, len(joiners))
 	for _, ep := range joiners {
-		if v.admissible(ep) == nil {
-			adds = append(adds, v.stage(ep))
+		var err error
+		if adds, err = v.admit(ep, adds, dels); err == nil {
 			joined = append(joined, ep)
 		}
 	}
@@ -353,42 +500,49 @@ func (v *View) ApplyCut(joiners []node.Endpoint, leavers []node.Addr) (joined, l
 }
 
 // rewire is the view's one mutation path: it takes the slots in dels out of
-// every sequence and merges the staged slots in adds into every sequence,
-// touching only the part of a sequence behind the first slot that moves.
+// every sequence and merges the staged slots in adds — in address order, as
+// admit keeps them — into every sequence, touching only the part of a
+// sequence behind the first slot that moves.
+//
+// owned-tables: own comes first.
 func (v *View) rewire(adds, dels []int32) {
 	if len(adds)+len(dels) == 0 {
 		return
 	}
+	v.own()
+	t := v.t
 	var sorter cutSorter
-	for r := range v.seqs {
-		seq := v.seqs[r]
+	for r := range t.seqs {
+		seq := t.seqs[r]
 		if len(dels) > 0 {
 			seq = v.drop(seq, r, dels)
 		}
 		if len(adds) > 0 {
 			seq = v.merge(seq, r, sorter.sorted(v, r, adds))
 		}
-		v.seqs[r] = seq
+		t.seqs[r] = seq
 	}
 	for _, s := range dels {
-		v.eps[s] = node.Endpoint{}
-		v.free = append(v.free, s)
+		t.eps[s] = node.Endpoint{}
+		t.free = append(t.free, s)
 	}
 	v.configIsValid = false
 }
 
 // drop compacts sequence r over the slots in dels, in place.
+//
+// owned-tables: rewire calls it after own.
 func (v *View) drop(seq []int32, r int, dels []int32) []int32 {
-	stride := v.k + 1
+	stride, pos := v.k+1, v.t.pos
 	start := len(seq)
 	for _, s := range dels {
-		p := &v.pos[int(s)*stride+r]
+		p := &pos[int(s)*stride+r]
 		start = min(start, int(*p))
 		*p = -1
 	}
 	w := start
 	for _, s := range seq[start:] {
-		p := &v.pos[int(s)*stride+r]
+		p := &pos[int(s)*stride+r]
 		if *p < 0 {
 			continue
 		}
@@ -403,20 +557,22 @@ func (v *View) drop(seq []int32, r int, dels []int32) []int32 {
 // place and from the back: the members behind each insertion point move once,
 // by the number of joiners that land before them, and the members in front of
 // the first insertion point are not touched.
+//
+// owned-tables: rewire calls it after own.
 func (v *View) merge(seq []int32, r int, adds []int32) []int32 {
-	stride := v.k + 1
+	stride, pos := v.k+1, v.t.pos
 	n, c := len(seq), len(adds)
 	seq = slices.Grow(seq, c)[:n+c]
 	hi := n
 	for j := c - 1; j >= 0; j-- {
 		s := adds[j]
-		idx := v.search(seq[:hi], r, v.hashOf(s, r), v.eps[s].Addr)
+		idx := v.search(seq[:hi], r, v.hashOf(s, r), v.t.eps[s].Addr)
 		copy(seq[idx+j+1:hi+j+1], seq[idx:hi])
 		for x := idx + j + 1; x < hi+j+1; x++ {
-			v.pos[int(seq[x])*stride+r] = int32(x)
+			pos[int(seq[x])*stride+r] = int32(x)
 		}
 		seq[idx+j] = s
-		v.pos[int(s)*stride+r] = int32(idx + j)
+		pos[int(s)*stride+r] = int32(idx + j)
 		hi = idx
 	}
 	return seq
@@ -428,7 +584,7 @@ func (v *View) hashOf(s int32, r int) uint64 {
 	if r == v.k {
 		return 0
 	}
-	return v.hashes[int(s)*v.k+r]
+	return v.t.hashes[int(s)*v.k+r]
 }
 
 // before reports whether slot s orders strictly before the key (hash, addr)
@@ -438,7 +594,7 @@ func (v *View) before(s int32, r int, hash uint64, addr node.Addr) bool {
 	if h := v.hashOf(s, r); h != hash {
 		return h < hash
 	}
-	return v.eps[s].Addr < addr
+	return v.t.eps[s].Addr < addr
 }
 
 // search returns the insertion index in seq (a prefix of sequence r) for the
@@ -476,29 +632,22 @@ const radixMin = 48
 
 // sorted returns adds in the order of sequence r.
 func (cs *cutSorter) sorted(v *View, r int, adds []int32) []int32 {
-	if len(adds) == 1 {
-		return adds
+	if len(adds) == 1 || r == v.k {
+		return adds // admit keeps a cut's joiners in address order
 	}
 	if cs.out == nil {
 		cs.out = make([]int32, len(adds))
 	}
 	out := cs.out
 	copy(out, adds)
-	switch {
-	case r == v.k:
-		// Join responses and consensus proposals arrive sorted by address.
-		byAddr := func(a, b int32) int { return strings.Compare(string(v.eps[a].Addr), string(v.eps[b].Addr)) }
-		if !slices.IsSortedFunc(out, byAddr) {
-			slices.SortFunc(out, byAddr)
-		}
-	case len(adds) < radixMin:
+	if len(adds) < radixMin {
 		v.insertionSort(out, r)
-	default:
+	} else {
 		if cs.keys == nil {
 			cs.keys, cs.tmp = make([]ringKey, len(adds)), make([]ringKey, len(adds))
 		}
 		for i, s := range adds {
-			cs.keys[i] = ringKey{top: uint32(v.hashes[int(s)*v.k+r] >> 32), slot: s}
+			cs.keys[i] = ringKey{top: uint32(v.t.hashes[int(s)*v.k+r] >> 32), slot: s}
 		}
 		keys := radixSort(cs.keys, cs.tmp)
 		for i := range keys {
@@ -524,7 +673,7 @@ func (cs *cutSorter) sorted(v *View, r int, adds []int32) []int32 {
 func (v *View) insertionSort(slots []int32, r int) {
 	for i := 1; i < len(slots); i++ {
 		s := slots[i]
-		hash, addr := v.hashOf(s, r), v.eps[s].Addr
+		hash, addr := v.hashOf(s, r), v.t.eps[s].Addr
 		j := i
 		for ; j > 0 && !v.before(slots[j-1], r, hash, addr); j-- {
 			slots[j] = slots[j-1]
@@ -569,26 +718,37 @@ func radixSort(keys, tmp []ringKey) []ringKey {
 
 // ObserversOf returns the K processes that monitor addr: the predecessor of
 // addr in each ring. With fewer than two members there are no observers.
-func (v *View) ObserversOf(addr node.Addr) ([]node.Addr, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	s, ok := v.byAddr[addr]
-	if !ok {
-		return nil, ErrNodeNotInRing
-	}
-	return v.neighboursLocked(s, -1), nil
-}
+func (v *View) ObserversOf(addr node.Addr) ([]node.Addr, error) { return v.neighbours(addr, -1) }
 
 // SubjectsOf returns the K processes that addr monitors: the successor of
 // addr in each ring.
-func (v *View) SubjectsOf(addr node.Addr) ([]node.Addr, error) {
+func (v *View) SubjectsOf(addr node.Addr) ([]node.Addr, error) { return v.neighbours(addr, +1) }
+
+// neighbours returns the ring neighbour of addr in each ring, in ring order;
+// direction -1 selects predecessors (observers), +1 successors (subjects).
+func (v *View) neighbours(addr node.Addr, direction int) ([]node.Addr, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	s, ok := v.byAddr[addr]
+	s, ok := v.slot(addr)
 	if !ok {
 		return nil, ErrNodeNotInRing
 	}
-	return v.neighboursLocked(s, +1), nil
+	t := v.t
+	out := make([]node.Addr, 0, v.k)
+	if len(t.seqs[v.k]) <= 1 {
+		return out, nil
+	}
+	pos := t.pos[int(s)*(v.k+1):]
+	for r, ring := range t.seqs[:v.k] {
+		idx := int(pos[r]) + direction
+		if idx < 0 {
+			idx = len(ring) - 1
+		} else if idx == len(ring) {
+			idx = 0
+		}
+		out = append(out, t.eps[ring[idx]].Addr)
+	}
+	return out, nil
 }
 
 // UniqueSubjectsOf returns the distinct subjects of addr, excluding addr
@@ -596,20 +756,14 @@ func (v *View) SubjectsOf(addr node.Addr) ([]node.Addr, error) {
 // against. Ring multiplicity is irrelevant to monitoring, so callers that
 // start one monitor per subject want this rather than SubjectsOf.
 func (v *View) UniqueSubjectsOf(addr node.Addr) ([]node.Addr, error) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	slot, ok := v.byAddr[addr]
-	if !ok {
-		return nil, ErrNodeNotInRing
-	}
-	subs := v.neighboursLocked(slot, +1)
+	subs, err := v.SubjectsOf(addr)
 	out := subs[:0]
 	for _, s := range subs {
 		if s != addr && !slices.Contains(out, s) {
 			out = append(out, s)
 		}
 	}
-	return out, nil
+	return out, err
 }
 
 // predecessor returns the address in front of index idx of ring, wrapping.
@@ -617,28 +771,7 @@ func (v *View) predecessor(ring []int32, idx int) node.Addr {
 	if idx == 0 {
 		idx = len(ring)
 	}
-	return v.eps[ring[idx-1]].Addr
-}
-
-// neighboursLocked returns the ring neighbour of slot s in each ring in ring
-// order; direction -1 selects predecessors (observers), +1 successors
-// (subjects). Must be called with the lock held.
-func (v *View) neighboursLocked(s int32, direction int) []node.Addr {
-	out := make([]node.Addr, 0, v.k)
-	if len(v.byAddr) <= 1 {
-		return out
-	}
-	pos := v.pos[int(s)*(v.k+1):]
-	for r, ring := range v.seqs[:v.k] {
-		idx := int(pos[r]) + direction
-		if idx < 0 {
-			idx = len(ring) - 1
-		} else if idx == len(ring) {
-			idx = 0
-		}
-		out = append(out, v.eps[ring[idx]].Addr)
-	}
-	return out
+	return v.t.eps[ring[idx-1]].Addr
 }
 
 // ExpectedObserversOf returns the processes that would observe addr if it
@@ -648,12 +781,12 @@ func (v *View) ExpectedObserversOf(addr node.Addr) []node.Addr {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	out := make([]node.Addr, 0, v.k)
-	if len(v.byAddr) == 0 {
+	if len(v.t.seqs[v.k]) == 0 {
 		return out
 	}
 	var buf [16]uint64
 	for r, hash := range v.probeHashes(&buf, addr) {
-		ring := v.seqs[r]
+		ring := v.t.seqs[r]
 		out = append(out, v.predecessor(ring, v.search(ring, r, hash, addr)))
 	}
 	return out
@@ -667,25 +800,25 @@ func (v *View) RingNumbers(observer, subject node.Addr) []int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	var out []int
-	if s, ok := v.byAddr[subject]; ok {
-		if len(v.byAddr) <= 1 {
+	if s, ok := v.slot(subject); ok {
+		if len(v.t.seqs[v.k]) <= 1 {
 			return out
 		}
-		pos := v.pos[int(s)*(v.k+1):]
-		for r, ring := range v.seqs[:v.k] {
+		pos := v.t.pos[int(s)*(v.k+1):]
+		for r, ring := range v.t.seqs[:v.k] {
 			if v.predecessor(ring, int(pos[r])) == observer {
 				out = append(out, r)
 			}
 		}
 		return out
 	}
-	if len(v.byAddr) == 0 {
+	if len(v.t.seqs[v.k]) == 0 {
 		return out
 	}
 	// Joiner case: locate the would-be position by binary search.
 	var buf [16]uint64
 	for r, hash := range v.probeHashes(&buf, subject) {
-		ring := v.seqs[r]
+		ring := v.t.seqs[r]
 		if v.predecessor(ring, v.search(ring, r, hash, subject)) == observer {
 			out = append(out, r)
 		}
@@ -716,16 +849,16 @@ func (v *View) ConfigurationID() uint64 {
 		return v.cachedConfig
 	}
 	h := uint64(fnvOffset)
-	for _, s := range v.seqs[v.k] {
-		ep := &v.eps[s]
-		for i := 0; i < len(ep.Addr); i++ {
-			h = (h ^ uint64(ep.Addr[i])) * fnvPrime
+	for _, s := range v.t.seqs[v.k] {
+		addr, id := v.t.eps[s].Addr, v.t.eps[s].ID
+		for i := 0; i < len(addr); i++ {
+			h = (h ^ uint64(addr[i])) * fnvPrime
 		}
 		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(ep.ID.High>>(8*i)))) * fnvPrime
+			h = (h ^ uint64(byte(id.High>>(8*i)))) * fnvPrime
 		}
 		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(ep.ID.Low>>(8*i)))) * fnvPrime
+			h = (h ^ uint64(byte(id.Low>>(8*i)))) * fnvPrime
 		}
 	}
 	v.cachedConfig = h
@@ -737,7 +870,7 @@ func (v *View) ConfigurationID() uint64 {
 func (v *View) IsSafeToJoin(addr node.Addr, id node.ID) remoting.JoinStatus {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	switch v.admissible(node.Endpoint{Addr: addr, ID: id}) {
+	switch _, err := v.admissible(node.Endpoint{Addr: addr, ID: id}, nil, nil); err {
 	case ErrNodeAlreadyInRing:
 		return remoting.JoinHostAlreadyInRing
 	case ErrUUIDAlreadyInRing:
@@ -754,9 +887,9 @@ func (v *View) Ring(r int) ([]node.Endpoint, error) {
 	}
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	out := make([]node.Endpoint, len(v.seqs[r]))
-	for i, s := range v.seqs[r] {
-		out[i] = v.eps[s]
+	out := make([]node.Endpoint, len(v.t.seqs[r]))
+	for i, s := range v.t.seqs[r] {
+		out[i] = v.t.eps[s]
 	}
 	return out, nil
 }
