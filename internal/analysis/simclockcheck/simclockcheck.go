@@ -45,7 +45,8 @@ var instead = map[string]string{"time": "simclock.Clock", "context": "simclock.W
 // code must be deterministic under simnet. A package also qualifies when any
 // path segment is "apps" (the §7 workload models). The names — not full
 // paths — are matched so that analysistest fixtures named after a protocol
-// package exercise the real configuration.
+// package exercise the real configuration; the programs under "examples" run
+// on the wall clock whatever they are named after.
 var protocolLeaves = map[string]bool{
 	"core":        true,
 	"cutdetect":   true,
@@ -53,6 +54,7 @@ var protocolLeaves = map[string]bool{
 	"edgefd":      true,
 	"gossipfd":    true,
 	"broadcast":   true,
+	"centralized": true,
 	"simnet":      true,
 	"experiments": true,
 }
@@ -69,8 +71,11 @@ var Analyzer = &analysis.Analyzer{
 func IsProtocolPackage(path string) bool {
 	segments := strings.Split(path, "/")
 	for _, s := range segments {
-		if s == "apps" {
+		switch s {
+		case "apps":
 			return true
+		case "examples":
+			return false
 		}
 	}
 	return protocolLeaves[segments[len(segments)-1]]

@@ -20,6 +20,8 @@ func TestIsProtocolPackage(t *testing.T) {
 		"repro/internal/core":        true,
 		"repro/internal/apps/txn":    true,
 		"repro/internal/experiments": true,
+		"repro/internal/centralized": true,
+		"repro/examples/centralized": false,
 		"repro/internal/tcpnet":      false,
 		"repro/internal/harness":     false,
 		"repro/cmd/rapid":            false,

@@ -61,6 +61,8 @@ var ReadOnlyFields = []FieldSource{
 	{"repro/internal/core", "snapshot", "members"},
 	{"repro/internal/core", "engine", "members"},
 	{"repro/internal/core", "engine", "addrs"},
+	{"repro/internal/core", "engine", "subjects"},
+	{"repro/internal/edgefd", "scheduler", "subjects"},
 	{"repro/internal/remoting", "JoinResponse", "Members"},
 }
 

@@ -44,6 +44,12 @@ func mutateField(c *Change) {
 	delete(c.Meta, "k") // want `deletes from Change.Meta`
 }
 
+// retarget mimics a probe scheduler diffing the subject list it was handed in
+// place, while the engine that computed it still sends along it.
+func retarget(c *Change, next []string) {
+	copy(c.Members, next) // want `copies into Change.Members`
+}
+
 func cloneFirst(r *Registry) []string {
 	m := append([]string(nil), r.Members()...)
 	sort.Strings(m) // a clone is the caller's to mutate

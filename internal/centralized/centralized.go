@@ -467,7 +467,7 @@ type MemberSettings struct {
 	// ProbeInterval / ProbeTimeout configure edge monitoring.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// FailureDetector builds per-edge monitors.
+	// FailureDetector builds each monitored edge's judge.
 	FailureDetector edgefd.Factory
 	// JoinTimeout bounds the initial join.
 	JoinTimeout time.Duration
@@ -503,7 +503,7 @@ type Member struct {
 	mu          sync.Mutex
 	view        *view.View
 	configID    uint64
-	monitors    []edgefd.Monitor
+	monitor     *edgefd.Monitor
 	subscribers []func(configID uint64, members []node.Endpoint)
 	alerted     map[node.Addr]bool
 	stopped     bool
@@ -547,6 +547,15 @@ func JoinViaEnsemble(addr node.Addr, ensemble []node.Addr, settings MemberSettin
 		alerted:  make(map[node.Addr]bool),
 		stopCh:   make(chan struct{}),
 	}
+	m.monitor = edgefd.NewMonitor(edgefd.Params{
+		Observer:  addr,
+		Client:    m.client,
+		Clock:     m.clock,
+		Interval:  settings.ProbeInterval,
+		Timeout:   settings.ProbeTimeout,
+		Judges:    settings.FailureDetector,
+		OnFailure: m.onSubjectFailed,
+	})
 	if err := net.Register(addr, m); err != nil {
 		return nil, err
 	}
@@ -569,7 +578,7 @@ func (m *Member) join() error {
 			// under a join storm an ensemble endpoint can back up for
 			// seconds, and one blocked Send must not consume the deadline
 			// that the retry loop exists to spend.
-			ctx, cancel := context.WithTimeout(context.Background(), m.settings.ProbeTimeout*4)
+			ctx, cancel := simclock.WithTimeout(m.clock, m.settings.ProbeTimeout*4)
 			_, _ = m.client.Send(ctx, ens, &remoting.Request{Join: &remoting.JoinRequest{
 				Sender:   m.me.Addr,
 				JoinerID: m.me.ID,
@@ -601,13 +610,13 @@ func (m *Member) refreshView() bool {
 	known := m.configID
 	m.mu.Unlock()
 	for _, ens := range m.ensemble {
-		ctx, cancel := context.WithTimeout(context.Background(), m.settings.ProbeTimeout*4)
+		ctx, cancel := simclock.WithTimeout(m.clock, m.settings.ProbeTimeout*4)
 		resp, err := m.client.Send(ctx, ens, &remoting.Request{GetView: &remoting.GetViewRequest{
 			Sender:               m.me.Addr,
 			KnownConfigurationID: known,
 		}})
 		cancel()
-		if err != nil || resp.View == nil {
+		if err != nil || resp == nil || resp.View == nil {
 			continue
 		}
 		if resp.View.Unchanged {
@@ -619,7 +628,7 @@ func (m *Member) refreshView() bool {
 	return false
 }
 
-// installView replaces the local view and restarts monitors if it changed.
+// installView replaces the local view and re-targets the monitor if it changed.
 func (m *Member) installView(configID uint64, members []node.Endpoint) {
 	m.mu.Lock()
 	if m.configID == configID {
@@ -631,43 +640,24 @@ func (m *Member) installView(configID uint64, members []node.Endpoint) {
 	m.alerted = make(map[node.Addr]bool)
 	subs := make([]func(uint64, []node.Endpoint), len(m.subscribers))
 	copy(subs, m.subscribers)
-	old := m.monitors
-	m.monitors = nil
 	var subjects []node.Addr
-	if m.view.Contains(m.me.Addr) && !m.stopped {
+	if m.view.Contains(m.me.Addr) {
 		subjects, _ = m.view.UniqueSubjectsOf(m.me.Addr)
 	}
-	var fresh []edgefd.Monitor
-	for _, s := range subjects {
-		fresh = append(fresh, m.settings.FailureDetector(edgefd.Params{
-			Observer:  m.me.Addr,
-			Subject:   s,
-			Client:    m.client,
-			Clock:     m.clock,
-			Interval:  m.settings.ProbeInterval,
-			Timeout:   m.settings.ProbeTimeout,
-			OnFailure: m.onSubjectFailed,
-		}))
-	}
-	m.monitors = fresh
+	m.monitor.Watch(configID, subjects)
 	m.mu.Unlock()
 
-	for _, mon := range old {
-		mon.Stop()
-	}
-	for _, mon := range fresh {
-		mon.Start()
-	}
 	for _, sub := range subs {
 		sub(configID, members)
 	}
 }
 
 // onSubjectFailed reports a REMOVE alert about the subject to every ensemble
-// member (instead of broadcasting to the whole cluster).
-func (m *Member) onSubjectFailed(subject node.Addr) {
+// member (instead of broadcasting to the whole cluster). A verdict on an edge
+// of a configuration this member has left is dropped.
+func (m *Member) onSubjectFailed(configID uint64, subject node.Addr) {
 	m.mu.Lock()
-	if m.stopped || !m.view.Contains(subject) || m.alerted[subject] {
+	if m.stopped || configID != m.configID || !m.view.Contains(subject) || m.alerted[subject] {
 		m.mu.Unlock()
 		return
 	}
@@ -752,13 +742,9 @@ func (m *Member) Stop() {
 		return
 	}
 	m.stopped = true
-	monitors := m.monitors
-	m.monitors = nil
 	m.mu.Unlock()
 	close(m.stopCh)
-	for _, mon := range monitors {
-		mon.Stop()
-	}
+	m.monitor.Stop()
 	m.wg.Wait()
 	m.net.Deregister(m.me.Addr)
 }

@@ -71,8 +71,9 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 		c.Stop()
 	}()
 
-	// A lone seed monitors nobody, so the clock holds the engine's
-	// reinforcement ticker and, while it is armed, its flush timer.
+	// A lone seed monitors nobody and its probe scheduler arms no timer, so the
+	// clock holds the engine's reinforcement ticker and, while it is armed, its
+	// flush timer.
 	const quiet, armed = 1, 2
 	waiters := func(n int, when string) {
 		t.Helper()

@@ -107,8 +107,9 @@ type Cluster struct {
 	startedCh chan struct{}
 	snap      atomic.Pointer[snapshot]
 
-	notifier  *notifier
-	monitorCh chan []node.Addr
+	notifier *notifier
+	// monitor probes this member's ring subjects; perform re-targets it.
+	monitor *edgefd.Monitor
 
 	emetrics EngineMetrics
 }
@@ -220,25 +221,32 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 		events:    make(chan event, eventQueueSize),
 		stopCh:    make(chan struct{}),
 		startedCh: make(chan struct{}),
-		monitorCh: make(chan []node.Addr, 1),
 	}
 	c.notifier = newNotifier(notifierQueueBound, &c.emetrics.NotifierCoalesced)
+	c.monitor = edgefd.NewMonitor(edgefd.Params{
+		Observer:  addr,
+		Client:    c.client,
+		Clock:     c.clock,
+		Interval:  settings.ProbeInterval,
+		Timeout:   settings.ProbeTimeout,
+		Judges:    settings.FailureDetector,
+		OnFailure: c.onSubjectFailed,
+	})
 	return c, nil
 }
 
 // initialize installs the first configuration and starts the engine's
-// driver, the monitor manager and the subscriber delivery goroutine. The
-// engine's first outputs are performed here, before the driver exists: the
-// snapshot is there when the constructor returns, and the first monitor
-// subject set cannot overtake a view change's.
+// driver and the subscriber delivery goroutine. The engine's first outputs
+// are performed here, before the driver exists: the snapshot is there when
+// the constructor returns, and the first monitor subject set cannot overtake
+// a view change's.
 func (c *Cluster) initialize(members []node.Endpoint) {
 	e, first := newEngine(c.me, &c.settings, &c.emetrics, members)
 	c.perform(first)
 	c.started.Store(true)
 	close(c.startedCh)
-	c.wg.Add(2)
+	c.wg.Add(1)
 	go e.run(c, c.clock.Timer(first.flushIn))
-	go c.monitorManager()
 	go c.notifier.run()
 }
 
@@ -427,74 +435,16 @@ func (c *Cluster) Leave() {
 func (c *Cluster) Stop() {
 	c.stopOnce.Do(func() {
 		close(c.stopCh)
+		c.monitor.Stop()
 		c.wg.Wait()
 		c.notifier.stop()
 		c.net.Deregister(c.me.Addr)
 	})
 }
 
-// --- monitor manager ---------------------------------------------------------
-
-// setMonitorSubjects hands the latest subject set to the monitor manager
-// without ever blocking the engine: a stale pending update is replaced.
-func (c *Cluster) setMonitorSubjects(subjects []node.Addr) {
-	for {
-		select {
-		case c.monitorCh <- subjects:
-			return
-		case <-c.stopCh:
-			return
-		default:
-		}
-		select {
-		case <-c.monitorCh:
-		default:
-		}
-	}
-}
-
-// monitorManager owns the edge failure-detector monitors. It swaps them when
-// the engine publishes a new subject set; stopping old monitors can block on
-// in-flight probes, which is why this runs off the engine goroutine.
-func (c *Cluster) monitorManager() {
-	defer c.wg.Done()
-	var current []edgefd.Monitor
-	stopAll := func(ms []edgefd.Monitor) {
-		for _, m := range ms {
-			m.Stop()
-		}
-	}
-	for {
-		select {
-		case <-c.stopCh:
-			stopAll(current)
-			return
-		case subjects := <-c.monitorCh:
-			stopAll(current)
-			current = current[:0]
-			factory := c.settings.FailureDetector
-			for _, s := range subjects {
-				m := factory(edgefd.Params{
-					Observer:  c.me.Addr,
-					Subject:   s,
-					Client:    c.client,
-					Clock:     c.clock,
-					Interval:  c.settings.ProbeInterval,
-					Timeout:   c.settings.ProbeTimeout,
-					OnFailure: c.onSubjectFailed,
-				})
-				current = append(current, m)
-			}
-			for _, m := range current {
-				m.Start()
-			}
-		}
-	}
-}
-
-// onSubjectFailed forwards an edge failure detector verdict to the engine.
-func (c *Cluster) onSubjectFailed(subject node.Addr) {
-	c.enqueue(event{ctl: &control{subjectDown: subject}})
+// onSubjectFailed forwards an edge failure detector's verdict to the engine.
+func (c *Cluster) onSubjectFailed(config uint64, subject node.Addr) {
+	c.enqueue(event{ctl: &control{subjectDown: subject, downConfig: config}})
 }
 
 var _ transport.Handler = (*Cluster)(nil)

@@ -9,7 +9,7 @@ import (
 // run is the live driver of the state machine in engine.go: the one
 // goroutine that steps the engine, and the only code in this package that
 // sends a member's protocol messages, arms its timers, publishes to
-// subscribers or re-targets the monitors (a joiner, which is no member yet,
+// subscribers or re-targets the monitor (a joiner, which is no member yet,
 // makes its blocking calls in join.go). It turns the inbound queue, the flush
 // timer and the reinforcement ticker into step and tick calls, stamps each
 // with the clock, and performs what comes back. flush is the timer
@@ -55,9 +55,7 @@ func (c *Cluster) perform(out outputs) {
 	}
 	if p := out.publish; p != nil {
 		c.snap.Store(p.snap)
-		// Monitors depend on the subject set, which changed with the view; the
-		// monitor manager swaps them without blocking this goroutine.
-		c.setMonitorSubjects(p.subjects)
+		c.monitor.Watch(p.snap.configID, p.subjects)
 		if p.change != nil {
 			c.notifier.publish(*p.change)
 		}

@@ -35,15 +35,18 @@ type event struct {
 	ctl *control // set instead of req for everything else
 }
 
-// control is a rare event that is no protocol message. Exactly one field is set.
+// control is a rare event, no protocol message. One field is set, downConfig apart.
 type control struct {
 	preJoin *preJoinEvent
 	join    *joinEvent
 	// joinGone tells the engine that the handler serving this phase-2 request
 	// stopped waiting (its caller's context ended or JoinPhase2Timeout ran
 	// out), so the request must not stay parked.
-	joinGone    *joinEvent
+	joinGone *joinEvent
+	// subjectDown is an edge failure detector's verdict, downConfig the
+	// configuration whose edge it judged.
 	subjectDown node.Addr
+	downConfig  uint64
 	// reinforce is the reinforcement tick: five per ReinforcementTimeout.
 	reinforce bool
 	// leave asks the engine to announce this process' graceful departure.
@@ -275,7 +278,11 @@ func (e *engine) step(ev event, now time.Time) outputs {
 	case c.joinGone != nil:
 		e.forgetJoin(c.joinGone)
 	case c.subjectDown != "":
-		e.handleSubjectFailed(c.subjectDown)
+		// Every configuration starts with fresh detector windows: a verdict the
+		// last one's probes completed is not evidence about this one's edge.
+		if c.downConfig == e.view.ConfigurationID() {
+			e.handleSubjectFailed(c.subjectDown)
+		}
 	case c.reinforce:
 		e.reinforce()
 	case c.leave:

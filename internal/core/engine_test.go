@@ -260,7 +260,7 @@ func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 
 	// The first alert arms the timer for one floor window; its batch leaves on
 	// that tick, not on the step that raised it.
-	if out := step(event{ctl: &control{subjectDown: e.subjects[0]}}); len(out.sends) != 0 {
+	if out := step(event{ctl: &control{subjectDown: e.subjects[0], downConfig: e.view.ConfigurationID()}}); len(out.sends) != 0 {
 		t.Fatalf("the batch left before its flush tick: %v", out.sends)
 	}
 	armed(floor, "with an alert pending")

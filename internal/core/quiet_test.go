@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -12,28 +13,10 @@ import (
 	"repro/internal/view"
 )
 
-// TestQuietFleetHoldsNoFlushWaiters counts what a whole fleet keeps on its
-// clock. 48 members (more than 4K, so votes are relayed) share one manual
-// clock. Once the fleet is past the first windows' decay, the clock holds the
-// probe tickers and one reinforcement ticker per member exactly — no flush
-// timer anywhere — and that stays so while time passes. Stopping a member
-// brings flush timers back on the members that have an alert to send, on
-// nobody else, and once the view change has settled they are gone again.
-// There is no wall-clock threshold in here: the waits are for events, the
-// bounds are step counts. The regression this guards is an engine that
-// re-arms its flush timer unconditionally.
-func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
-	const n = 48
-	clk := simclock.NewManual(time.Unix(0, 0))
-	net := simnet.New(simnet.Options{Seed: 5, Clock: clk})
-	defer net.Close()
-	s := DefaultSettings()
-	s.Clock = clk
-	if n <= s.oneHopLimit() {
-		t.Fatalf("a fleet of %d does not relay votes", n)
-	}
-
-	// The fleet starts converged: every member is handed the same membership.
+// startConverged starts a fleet of n that is converged from birth: every
+// member is handed the same membership.
+func startConverged(t *testing.T, n int, s Settings, net *simnet.Network) ([]node.Endpoint, map[node.Addr]*Cluster) {
+	t.Helper()
 	members := make([]node.Endpoint, n)
 	for i := range members {
 		members[i] = endpoint(i)
@@ -52,9 +35,56 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 		fleet[me.Addr] = c
 		t.Cleanup(c.Stop)
 	}
+	return members, fleet
+}
 
-	// monitors is how many edge monitors — probe tickers — a membership runs.
-	monitors := func(v *view.View) int {
+// TestQuietMemberRunsThreeGoroutines counts what a quiet member keeps running
+// on the real clock: its driver, its subscribers' notifier and nothing per
+// monitored edge — a probe is a goroutine for as long as its Send takes. 64
+// converged members, two probe rounds in: at most three goroutines each, plus
+// a round's worth of probes in flight. (A goroutine per edge read (K+3)·n.)
+func TestQuietMemberRunsThreeGoroutines(t *testing.T) {
+	const n = 64
+	net := simnet.New(simnet.Options{Seed: 6})
+	defer net.Close()
+	s := ScaledSettings(20)
+	before := runtime.NumGoroutine()
+	startConverged(t, n, s, net)
+	if !waitUntil(t, 10*time.Second, func() bool { return net.MessageCount("probe") >= 2*n*int64(s.K) }) {
+		t.Fatalf("%d probes sent, want two rounds of %d members", net.MessageCount("probe"), n)
+	}
+	limit := 3*n + s.K
+	if !waitUntil(t, 5*time.Second, func() bool { return runtime.NumGoroutine()-before <= limit }) {
+		t.Fatalf("%d members run %d goroutines, want at most %d", n, runtime.NumGoroutine()-before, limit)
+	}
+}
+
+// TestQuietFleetHoldsNoFlushWaiters counts what a whole fleet keeps on its
+// clock. 48 members (more than 4K, so votes are relayed) share one manual
+// clock. Once the fleet is past the first windows' decay, the clock holds one
+// probe timer and one reinforcement ticker per member exactly — no flush
+// timer anywhere, and no timer per monitored edge — and that stays so while
+// time passes. Stopping a member brings flush timers back on the members that
+// have an alert to send, on nobody else, and once the view change has settled
+// they are gone again.
+// There is no wall-clock threshold in here: the waits are for events, the
+// bounds are step counts. The regression this guards is an engine that
+// re-arms its flush timer unconditionally.
+func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
+	const n = 48
+	clk := simclock.NewManual(time.Unix(0, 0))
+	net := simnet.New(simnet.Options{Seed: 5, Clock: clk})
+	defer net.Close()
+	s := DefaultSettings()
+	s.Clock = clk
+	if n <= s.oneHopLimit() {
+		t.Fatalf("a fleet of %d does not relay votes", n)
+	}
+
+	members, fleet := startConverged(t, n, s, net)
+
+	// edges is how many edges a membership monitors: the probes of one round.
+	edges := func(v *view.View) int {
 		total := 0
 		for _, a := range v.MemberAddrs() {
 			subjects, err := v.UniqueSubjectsOf(a)
@@ -83,21 +113,21 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 			}
 		}
 	}
-	// probeRound advances one probe interval and waits until every monitor has
-	// sent its probe, so that no tick is coalesced away.
-	probeRound := func(probers int) {
+	// probeRound advances one probe interval and waits until every edge has
+	// been probed, so that no round is coalesced away.
+	probeRound := func(probes int) {
 		t.Helper()
-		want := net.MessageCount("probe") + int64(probers)
+		want := net.MessageCount("probe") + int64(probes)
 		clk.Advance(s.ProbeInterval)
 		if !waitUntil(t, 10*time.Second, func() bool { return net.MessageCount("probe") >= want }) {
-			t.Fatalf("%d probes sent in a round of %d monitors", net.MessageCount("probe")-want+int64(probers), probers)
+			t.Fatalf("%d probes sent in a round of %d edges", net.MessageCount("probe")-want+int64(probes), probes)
 		}
 		syncAll()
 	}
 
 	v := view.NewWithMembers(s.K, members)
-	probers := monitors(v)
-	quiet := probers + n // and one reinforcement ticker per member
+	probes := edges(v)
+	quiet := 2 * n // one probe timer and one reinforcement ticker per member
 
 	// Every engine is born armed, at a quarter of the ceiling, and its window
 	// halves per quiet tick. The decay is over long before the first probe.
@@ -117,10 +147,10 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 	syncAll()
 	waiters(quiet, "after the decay")
 
-	// A quiet fleet stays quiet. Twelve rounds also fill every monitor's window
+	// A quiet fleet stays quiet. Twelve rounds also fill every edge's window
 	// with successes, so the fourth failed probe below is the verdict.
 	for round := 0; round < 12; round++ {
-		probeRound(probers)
+		probeRound(probes)
 		if got := clk.PendingWaiters(); got != quiet {
 			t.Fatalf("probe round %d: %d clock waiters on a quiet fleet, want %d", round, got, quiet)
 		}
@@ -139,11 +169,11 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 	}
 	fleet[victim.Addr].Stop()
 	delete(fleet, victim.Addr)
-	probers -= len(subjects)
-	quiet -= len(subjects) + 1
+	probes -= len(subjects)
+	quiet -= 2
 	waiters(quiet, "after a member stopped")
 	for round := 0; round < 3; round++ {
-		probeRound(probers)
+		probeRound(probes)
 		if got := clk.PendingWaiters(); got != quiet {
 			t.Fatalf("failed probe %d: %d clock waiters, want %d", round+1, got, quiet)
 		}
@@ -160,7 +190,7 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 	if err := v.RemoveMember(victim.Addr); err != nil {
 		t.Fatal(err)
 	}
-	quiet = monitors(v) + n - 1
+	quiet = 2 * (n - 1)
 	settled := func() bool {
 		for _, c := range fleet {
 			if c.Size() != n-1 {

@@ -11,7 +11,9 @@
 // state and does no IO — it is stepped with one event at a time from one
 // queue that everything — batches, consensus phases, join phases,
 // failure-detector verdicts, the leave request — enters in arrival order, and
-// returns what to send, answer and publish; transport handlers are thin
+// returns what to send, answer and publish, and whom to probe (the driver
+// hands the ring subjects to the member's one edgefd.Monitor, whose verdicts
+// come back through the queue); transport handlers are thin
 // enqueuers, readers see atomic snapshots, and outbound alerts are coalesced into one
 // batched wire message per batching window, sent to every member
 // (unicast-to-all, §6). Consensus votes are counted the way §4.3 counts them: a member keeps a voter bitmap per
@@ -57,8 +59,8 @@ type Settings struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds each probe RPC.
 	ProbeTimeout time.Duration
-	// FailureDetector builds the per-edge monitor; defaults to the paper's
-	// ping-pong detector (40% of the last 10 probes).
+	// FailureDetector builds the judge of each monitored edge; defaults to the
+	// paper's ping-pong detector (40% of the last 10 probes).
 	FailureDetector edgefd.Factory
 
 	// BatchingWindowMin is the floor of the adaptive flush window (§6): a

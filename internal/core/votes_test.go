@@ -59,6 +59,22 @@ func peers(f *stepFixture) []node.Addr { return f.others }
 func cut(f *stepFixture) event         { return event{req: cutAlerts(f.config, 3, joiner)} }
 func leave(*stepFixture) event         { return leaveEvent }
 
+// grown is the membership once joiner has been admitted.
+func grown(f *stepFixture) []node.Addr { return append(slices.Clone(f.members), joiner.Addr) }
+
+// down is an edge failure detector's verdict on the member's first ring
+// subject, stamped with the row's own configuration or, if next is set, with
+// the one that admits joiner.
+func down(next bool) func(*stepFixture) event {
+	return func(f *stepFixture) event {
+		config := f.config
+		if next {
+			config = f.next
+		}
+		return event{ctl: &control{subjectDown: f.subjects[0], downConfig: config}}
+	}
+}
+
 // pushTo is a vote batch for the given targets whose aggregates name that
 // many voters each.
 func pushTo(to func(*stepFixture) []node.Addr, voters ...int) wantSend {
@@ -253,6 +269,29 @@ func TestVoteThatDecidesStillLeaves(t *testing.T) {
 		}},
 		stepRow{name: "a leave", n: 4, me: 1, size: 4, turns: []stepTurn{
 			{in: leave, sends: []wantSend{{kind: "leave", to: all}}},
+		}},
+	)
+}
+
+// TestVerdictOfTheConfigurationLeftIsDropped: a verdict names the
+// configuration whose probes completed it. One that was queued behind the
+// decision — or fired by a monitor the driver had not re-targeted yet — is
+// about an edge of the configuration just left, and files nothing, although
+// its subject is still on this member's rings: every configuration starts
+// with fresh detector windows. The same verdict stamped with the installed
+// configuration is a REMOVE alert for every member of it.
+func TestVerdictOfTheConfigurationLeftIsDropped(t *testing.T) {
+	decide := stepTurn{in: votes(agg{proposal: 99, from: 0, count: 13}), sends: []wantSend{pushTo(ring, 13)}}
+	runStepRows(t,
+		stepRow{name: "stamped with the configuration left", n: 16, me: 2, installs: 1, size: 17, turns: []stepTurn{
+			decide,
+			{in: down(false)},
+			{}, // no alert is pending: the flush tick sends nothing
+		}},
+		stepRow{name: "stamped with the configuration installed", n: 16, me: 2, installs: 1, size: 17, turns: []stepTurn{
+			decide,
+			{in: down(true)},
+			{sends: []wantSend{{kind: "alerts", to: grown}}},
 		}},
 	)
 }

@@ -19,9 +19,9 @@ import (
 // is appended to and re-sliced, recounted for every verdict. The rings must
 // give the same verdict after every probe.
 
-func refPingPongJudge(opts PingPongOptions) func(bool) bool {
+func refPingPongJudge(opts PingPongOptions) Judge {
 	window := make([]bool, 0, opts.WindowSize)
-	return func(success bool) bool {
+	return func(success bool, _ time.Time) bool {
 		window = append(window, !success)
 		if len(window) > opts.WindowSize {
 			window = window[1:]
@@ -39,11 +39,10 @@ func refPingPongJudge(opts PingPongOptions) func(bool) bool {
 	}
 }
 
-func refPhiAccrualJudge(opts PhiAccrualOptions, clock simclock.Clock) func(bool) bool {
+func refPhiAccrualJudge(opts PhiAccrualOptions) Judge {
 	var lastSuccess time.Time
 	var intervals []float64
-	return func(success bool) bool {
-		now := clock.Now()
+	return func(success bool, now time.Time) bool {
 		if success {
 			if !lastSuccess.IsZero() {
 				intervals = append(intervals, now.Sub(lastSuccess).Seconds())
@@ -109,7 +108,7 @@ func TestRingJudgesGiveTheRecordedVerdicts(t *testing.T) {
 		ring, ref := pingPongJudge(opts), refPingPongJudge(opts)
 		faulty := 0
 		for i, success := range probes {
-			got, want := ring(success), ref(success)
+			got, want := ring(success, time.Time{}), ref(success, time.Time{})
 			if got != want {
 				t.Fatalf("ping-pong %+v: verdict %v after probe %d, the recounted window says %v", opts, got, i, want)
 			}
@@ -122,14 +121,14 @@ func TestRingJudgesGiveTheRecordedVerdicts(t *testing.T) {
 		}
 	}
 
-	clk := simclock.NewManual(time.Unix(0, 0))
+	now := time.Unix(0, 0)
 	rng := rand.New(rand.NewSource(21))
 	opts := DefaultPhiAccrualOptions()
-	ring, ref := phiAccrualJudge(opts, clk), refPhiAccrualJudge(opts, clk)
+	ring, ref := phiAccrualJudge(opts), refPhiAccrualJudge(opts)
 	faulty := 0
 	for i, success := range probes {
-		clk.Advance(time.Second + time.Duration(rng.Intn(40)-20)*time.Millisecond)
-		got, want := ring(success), ref(success)
+		now = now.Add(time.Second + time.Duration(rng.Intn(40)-20)*time.Millisecond)
+		got, want := ring(success, now), ref(success, now)
 		if got != want {
 			t.Fatalf("phi-accrual: verdict %v after probe %d, the recomputed window says %v", got, i, want)
 		}
@@ -144,12 +143,13 @@ func TestRingJudgesGiveTheRecordedVerdicts(t *testing.T) {
 
 func TestJudgesDoNotAllocate(t *testing.T) {
 	probes := recordedProbes()
-	clk := simclock.NewManual(time.Unix(0, 0))
-	pp, phi := pingPongJudge(DefaultPingPongOptions()), phiAccrualJudge(DefaultPhiAccrualOptions(), clk)
+	now := time.Unix(0, 0)
+	pp, phi := pingPongJudge(DefaultPingPongOptions()), phiAccrualJudge(DefaultPhiAccrualOptions())
 	i := 0
 	allocs := testing.AllocsPerRun(len(probes), func() {
-		pp(probes[i%len(probes)])
-		phi(probes[i%len(probes)])
+		now = now.Add(time.Second)
+		pp(probes[i%len(probes)], now)
+		phi(probes[i%len(probes)], now)
 		i++
 	})
 	if allocs != 0 {
@@ -174,16 +174,15 @@ func TestProbeThatNeverWaitsArmsNoTimer(t *testing.T) {
 	clk := simclock.NewManual(time.Unix(0, 0))
 	ok := &remoting.Response{Probe: &remoting.ProbeResponse{Status: remoting.NodeOK}}
 	var sawErr error
-	pr := newProber(Params{
-		Subject: "subject:1", Clock: clk, Timeout: time.Second,
+	m := NewMonitor(Params{
+		Observer: "observer:1", Clock: clk, Timeout: time.Second,
 		Client: ctxClient(func(ctx context.Context) (*remoting.Response, error) {
 			sawErr = ctx.Err()
 			return ok, nil
 		}),
-	}, func(bool) bool { return false })
-	req := &remoting.Request{Probe: &remoting.ProbeRequest{Sender: "observer:1"}}
+	})
 	allocs := testing.AllocsPerRun(100, func() {
-		if !pr.probeOnce(req) {
+		if !m.probeOnce("subject:1") {
 			t.Fatal("probe failed")
 		}
 	})
@@ -205,15 +204,15 @@ func TestProbeThatNeverWaitsArmsNoTimer(t *testing.T) {
 func TestBlockedProbeIsReleasedAtTimeout(t *testing.T) {
 	clk := simclock.NewManual(time.Unix(0, 0))
 	waiting := make(chan struct{})
-	pr := newProber(Params{
-		Subject: "subject:1", Clock: clk, Timeout: 700 * time.Millisecond,
+	m := NewMonitor(Params{
+		Observer: "observer:1", Clock: clk, Timeout: 700 * time.Millisecond,
 		Client: ctxClient(func(ctx context.Context) (*remoting.Response, error) {
 			done := ctx.Done()
 			close(waiting)
 			<-done
 			return nil, ctx.Err()
 		}),
-	}, func(bool) bool { return false })
+	})
 
 	type outcome struct {
 		success bool
@@ -221,9 +220,9 @@ func TestBlockedProbeIsReleasedAtTimeout(t *testing.T) {
 	}
 	result := make(chan outcome, 1)
 	go func() {
-		ctx, cancel := simclock.WithTimeout(clk, pr.p.Timeout)
+		ctx, cancel := simclock.WithTimeout(clk, m.p.Timeout)
 		defer cancel()
-		_, err := pr.p.Client.Send(ctx, pr.p.Subject, nil)
+		_, err := m.p.Client.Send(ctx, "subject:1", nil)
 		result <- outcome{err: err}
 	}()
 	<-waiting
@@ -252,9 +251,9 @@ func TestBlockedProbeIsReleasedAtTimeout(t *testing.T) {
 	// The same through probeOnce: a timed-out probe is a failed probe.
 	waiting = make(chan struct{})
 	failed := make(chan bool, 1)
-	go func() { failed <- !pr.probeOnce(&remoting.Request{}) }()
+	go func() { failed <- !m.probeOnce("subject:1") }()
 	<-waiting
-	clk.Advance(pr.p.Timeout)
+	clk.Advance(m.p.Timeout)
 	select {
 	case f := <-failed:
 		if !f {

@@ -130,18 +130,22 @@ func NewTCPNetwork(opts TCPNetworkOptions) (*TCPNetwork, error) {
 }
 
 // PingPongFailureDetector returns the paper's default edge failure detector
-// factory (an edge is faulty when 40% of the last 10 probes failed).
+// (an edge is faulty when 40% of the last 10 probes failed). A detector is a
+// factory of judges: the member's one probe scheduler builds a judge per ring
+// subject in every configuration and tells it each probe's outcome.
 func PingPongFailureDetector() edgefd.Factory {
 	return edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions())
 }
 
-// CountingFailureDetector returns an edge failure detector that fails an edge
-// after the given number of consecutive probe failures.
+// CountingFailureDetector returns an edge failure detector whose judges fail
+// an edge after the given number of consecutive probe failures.
 func CountingFailureDetector(consecutiveFailures int) edgefd.Factory {
 	return edgefd.NewCountingFactory(consecutiveFailures)
 }
 
-// PhiAccrualFailureDetector returns an adaptive φ-accrual edge detector.
+// PhiAccrualFailureDetector returns an adaptive φ-accrual edge detector: its
+// judges suspect an edge from how long it has been silent, measured against
+// the intervals between its earlier answers.
 func PhiAccrualFailureDetector() edgefd.Factory {
 	return edgefd.NewPhiAccrualFactory(edgefd.DefaultPhiAccrualOptions())
 }
