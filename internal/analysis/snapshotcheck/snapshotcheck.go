@@ -62,7 +62,7 @@ var ReadOnlyFields = []FieldSource{
 	{"repro/internal/core", "engine", "members"},
 	{"repro/internal/core", "engine", "addrs"},
 	{"repro/internal/core", "engine", "subjects"},
-	{"repro/internal/edgefd", "scheduler", "subjects"},
+	{"repro/internal/edgefd", "Scheduler", "subjects"},
 	{"repro/internal/remoting", "JoinResponse", "Members"},
 }
 

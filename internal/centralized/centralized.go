@@ -15,6 +15,8 @@
 //
 // The resulting service inherits Rapid's stability and agreement properties,
 // with resiliency bounded by the ensemble (majority of S must be reachable).
+// A member steps the same edgefd.Scheduler as the decentralized engine, under
+// its lock, from the one loop that also polls the ensemble.
 package centralized
 
 import (
@@ -499,13 +501,14 @@ type Member struct {
 	net      transport.Network
 	client   transport.Client
 	clock    simclock.Clock
+	probeReq *remoting.Request // the one request every probe sends
 
-	mu          sync.Mutex
-	view        *view.View
-	configID    uint64
-	monitor     *edgefd.Monitor
+	mu       sync.Mutex
+	view     *view.View
+	configID uint64
+	// probes judges the edges to the subjects installView last watched.
+	probes      *edgefd.Scheduler
 	subscribers []func(configID uint64, members []node.Endpoint)
-	alerted     map[node.Addr]bool
 	stopped     bool
 
 	stopCh chan struct{}
@@ -543,19 +546,11 @@ func JoinViaEnsemble(addr node.Addr, ensemble []node.Addr, settings MemberSettin
 		net:      net,
 		client:   net.Client(addr),
 		clock:    settings.Clock,
+		probeReq: &remoting.Request{Probe: &remoting.ProbeRequest{Sender: addr}},
 		view:     view.New(settings.K),
-		alerted:  make(map[node.Addr]bool),
+		probes:   edgefd.NewScheduler(settings.FailureDetector),
 		stopCh:   make(chan struct{}),
 	}
-	m.monitor = edgefd.NewMonitor(edgefd.Params{
-		Observer:  addr,
-		Client:    m.client,
-		Clock:     m.clock,
-		Interval:  settings.ProbeInterval,
-		Timeout:   settings.ProbeTimeout,
-		Judges:    settings.FailureDetector,
-		OnFailure: m.onSubjectFailed,
-	})
 	if err := net.Register(addr, m); err != nil {
 		return nil, err
 	}
@@ -628,7 +623,7 @@ func (m *Member) refreshView() bool {
 	return false
 }
 
-// installView replaces the local view and re-targets the monitor if it changed.
+// installView replaces the local view and re-targets the probes if it changed.
 func (m *Member) installView(configID uint64, members []node.Endpoint) {
 	m.mu.Lock()
 	if m.configID == configID {
@@ -637,14 +632,13 @@ func (m *Member) installView(configID uint64, members []node.Endpoint) {
 	}
 	m.view = view.NewWithMembers(m.settings.K, members)
 	m.configID = configID
-	m.alerted = make(map[node.Addr]bool)
 	subs := make([]func(uint64, []node.Endpoint), len(m.subscribers))
 	copy(subs, m.subscribers)
 	var subjects []node.Addr
 	if m.view.Contains(m.me.Addr) {
 		subjects, _ = m.view.UniqueSubjectsOf(m.me.Addr)
 	}
-	m.monitor.Watch(configID, subjects)
+	m.probes.Watch(subjects)
 	m.mu.Unlock()
 
 	for _, sub := range subs {
@@ -652,45 +646,55 @@ func (m *Member) installView(configID uint64, members []node.Endpoint) {
 	}
 }
 
-// onSubjectFailed reports a REMOVE alert about the subject to every ensemble
-// member (instead of broadcasting to the whole cluster). A verdict on an edge
-// of a configuration this member has left is dropped.
-func (m *Member) onSubjectFailed(configID uint64, subject node.Addr) {
+// probe performs one probe, a short-lived goroutine around the transport's
+// blocking Send, and files its outcome. A verdict — at most one per edge and
+// configuration — is reported as a REMOVE alert to every ensemble member
+// (instead of being broadcast to the whole cluster); an outcome on an edge of
+// a configuration this member has left is of an older generation, and
+// dropped.
+func (m *Member) probe(gen uint64, i int, subject node.Addr) {
+	ok := edgefd.Probe(m.client, m.clock, m.settings.ProbeTimeout, m.probeReq, subject)
 	m.mu.Lock()
-	if m.stopped || configID != m.configID || !m.view.Contains(subject) || m.alerted[subject] {
+	if m.stopped || !m.probes.Outcome(gen, i, ok, m.clock.Now()) {
 		m.mu.Unlock()
 		return
 	}
-	m.alerted[subject] = true
 	rings := m.view.RingNumbers(m.me.Addr, subject)
 	cfg := m.configID
 	m.mu.Unlock()
 	if len(rings) == 0 {
 		return
 	}
-	alert := remoting.AlertMessage{
-		EdgeSrc:         m.me.Addr,
-		EdgeDst:         subject,
-		Status:          remoting.EdgeDown,
-		ConfigurationID: cfg,
-		RingNumbers:     rings,
-	}
-	req := &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: m.me.Addr, Alerts: []remoting.AlertMessage{alert}}}
+	req := &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: m.me.Addr, Alerts: []remoting.AlertMessage{{
+		EdgeSrc: m.me.Addr, EdgeDst: subject, Status: remoting.EdgeDown, ConfigurationID: cfg, RingNumbers: rings,
+	}}}}
 	for _, ens := range m.ensemble {
 		m.client.SendBestEffort(ens, req)
 	}
 }
 
-// pollLoop periodically refreshes the configuration from the ensemble.
+// pollLoop periodically refreshes the configuration from the ensemble and
+// probes this member's subjects.
 func (m *Member) pollLoop() {
 	defer m.wg.Done()
+	poll := m.clock.Ticker(m.settings.PollInterval)
+	defer poll.Stop()
+	probe := m.clock.Ticker(m.settings.ProbeInterval)
+	defer probe.Stop()
 	for {
 		select {
 		case <-m.stopCh:
 			return
-		case <-m.clock.After(m.settings.PollInterval):
+		case <-poll.C():
+			m.refreshView()
+		case <-probe.C():
+			m.mu.Lock()
+			gen, subjects := m.probes.Tick()
+			m.mu.Unlock()
+			for i, subject := range subjects {
+				go m.probe(gen, i, subject)
+			}
 		}
-		m.refreshView()
 	}
 }
 
@@ -744,7 +748,6 @@ func (m *Member) Stop() {
 	m.stopped = true
 	m.mu.Unlock()
 	close(m.stopCh)
-	m.monitor.Stop()
 	m.wg.Wait()
 	m.net.Deregister(m.me.Addr)
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/edgefd"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/remoting"
@@ -95,7 +94,7 @@ type Cluster struct {
 	me       node.Endpoint
 
 	// events is the engine's only way in: every protocol message, join phase
-	// and failure-detector verdict queues here in arrival order.
+	// and probe outcome queues here in arrival order.
 	events   chan event
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -108,8 +107,7 @@ type Cluster struct {
 	snap      atomic.Pointer[snapshot]
 
 	notifier *notifier
-	// monitor probes this member's ring subjects; perform re-targets it.
-	monitor *edgefd.Monitor
+	probeReq *remoting.Request // the one request every probe of this member sends
 
 	emetrics EngineMetrics
 }
@@ -194,7 +192,7 @@ func JoinCluster(addr node.Addr, seeds []node.Addr, settings Settings, net trans
 	if err := net.Register(addr, c); err != nil {
 		return nil, fmt.Errorf("core: register %s: %w", addr, err)
 	}
-	members, err := c.runJoinProtocol(seeds)
+	members, err := c.join(seeds)
 	if err != nil {
 		net.Deregister(addr)
 		return nil, err
@@ -221,32 +219,23 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 		events:    make(chan event, eventQueueSize),
 		stopCh:    make(chan struct{}),
 		startedCh: make(chan struct{}),
+		probeReq:  &remoting.Request{Probe: &remoting.ProbeRequest{Sender: addr}},
 	}
 	c.notifier = newNotifier(notifierQueueBound, &c.emetrics.NotifierCoalesced)
-	c.monitor = edgefd.NewMonitor(edgefd.Params{
-		Observer:  addr,
-		Client:    c.client,
-		Clock:     c.clock,
-		Interval:  settings.ProbeInterval,
-		Timeout:   settings.ProbeTimeout,
-		Judges:    settings.FailureDetector,
-		OnFailure: c.onSubjectFailed,
-	})
 	return c, nil
 }
 
 // initialize installs the first configuration and starts the engine's
 // driver and the subscriber delivery goroutine. The engine's first outputs
-// are performed here, before the driver exists: the snapshot is there when
-// the constructor returns, and the first monitor subject set cannot overtake
-// a view change's.
+// are performed, and the timers they ask for armed, here, before the driver
+// exists: the snapshot is there when the constructor returns.
 func (c *Cluster) initialize(members []node.Endpoint) {
-	e, first := newEngine(c.me, &c.settings, &c.emetrics, members)
+	e, first := newEngine(c.me, &c.settings, &c.emetrics, members, c.clock.Now())
 	c.perform(first)
 	c.started.Store(true)
 	close(c.startedCh)
 	c.wg.Add(1)
-	go e.run(c, c.clock.Timer(first.flushIn))
+	go e.run(c, c.clock.Timer(first.flushIn), c.clock.Timer(first.probeIn))
 	go c.notifier.run()
 }
 
@@ -435,16 +424,10 @@ func (c *Cluster) Leave() {
 func (c *Cluster) Stop() {
 	c.stopOnce.Do(func() {
 		close(c.stopCh)
-		c.monitor.Stop()
 		c.wg.Wait()
 		c.notifier.stop()
 		c.net.Deregister(c.me.Addr)
 	})
-}
-
-// onSubjectFailed forwards an edge failure detector's verdict to the engine.
-func (c *Cluster) onSubjectFailed(config uint64, subject node.Addr) {
-	c.enqueue(event{ctl: &control{subjectDown: subject, downConfig: config}})
 }
 
 var _ transport.Handler = (*Cluster)(nil)

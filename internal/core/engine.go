@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cutdetect"
+	"repro/internal/edgefd"
 	"repro/internal/fastpaxos"
 	"repro/internal/node"
 	"repro/internal/remoting"
@@ -12,17 +13,17 @@ import (
 )
 
 // This file implements the member as a state machine: a deterministic
-// reaction to alerts, votes and ticks (§4.2, §4.3). The engine is pure state —
-// the K-ring view, the multi-process cut detector, the consensus instance,
-// the pending join waiters, the outbound alert batch — with two ways in and
-// one way out: step applies one event, tick is one firing of the flush timer,
-// and both return outputs, the things to do to the world. The engine holds no
-// transport, no clock, no timer and no handle on the Cluster, so it cannot do
-// any of them itself; run (driver.go) is the goroutine that feeds it events
-// and the time and performs what it returns. Events are applied one at a
-// time, so no mutex guards protocol state, and the engine's deadlines are
-// fields it checks on its ticks. Transport handlers are thin enqueuers; see
-// handlers.go.
+// reaction to alerts, probes, votes and ticks (§4.1–§4.3). The engine is pure
+// state — the K-ring view, the probe scheduler, the multi-process cut
+// detector, the consensus instance, the pending join waiters, the outbound
+// alert batch — with two ways in and one way out: step applies one event,
+// tick is one firing of the flush timer, and both return outputs, the things
+// to do to the world. The engine holds no transport, no clock, no timer and
+// no handle on the Cluster, so it cannot do any of them itself; run
+// (driver.go) is the goroutine that feeds it events and the time and performs
+// what it returns, probes included. Events are applied one at a time, so no
+// mutex guards protocol state, and the engine's deadlines are fields it checks
+// on its ticks. Transport handlers are thin enqueuers; see handlers.go.
 
 // event is the union of everything the engine consumes. It is two words — a
 // member's queue holds eventQueueSize of them — and a struct rather than an
@@ -35,7 +36,7 @@ type event struct {
 	ctl *control // set instead of req for everything else
 }
 
-// control is a rare event, no protocol message. One field is set, downConfig apart.
+// control is anything but a protocol message. One field is set.
 type control struct {
 	preJoin *preJoinEvent
 	join    *joinEvent
@@ -43,21 +44,28 @@ type control struct {
 	// stopped waiting (its caller's context ended or JoinPhase2Timeout ran
 	// out), so the request must not stay parked.
 	joinGone *joinEvent
-	// subjectDown is an edge failure detector's verdict, downConfig the
-	// configuration whose edge it judged.
-	subjectDown node.Addr
-	downConfig  uint64
+	// probed is what a probe found; probe is a firing of the probe timer.
+	probed *probeResult
+	probe  bool
 	// reinforce is the reinforcement tick: five per ReinforcementTimeout.
 	reinforce bool
 	// leave asks the engine to announce this process' graceful departure.
 	leave bool
 }
 
-// The two control events that carry nothing are made once.
+// The control events that carry nothing are made once.
 var (
+	probeEvent     = event{ctl: &control{probe: true}}
 	reinforceEvent = event{ctl: &control{reinforce: true}}
 	leaveEvent     = event{ctl: &control{leave: true}}
 )
+
+// probeResult is what the probe of a round's i-th subject found.
+type probeResult struct {
+	gen uint64
+	i   int
+	ok  bool
+}
 
 // preJoinEvent carries a phase-1 join request and its reply channel.
 type preJoinEvent struct {
@@ -87,13 +95,21 @@ type outputs struct {
 	// sends are best-effort messages. A send's targets are a slice some
 	// configuration owns: nobody writes to it.
 	sends []send
-	// publish is the configuration this step installed, if it installed one.
-	publish *publication
+	// publish is the configuration this step installed, if it installed one,
+	// and change what subscribers are told of it (nothing for the
+	// configuration a member starts in).
+	publish *snapshot
+	change  *ViewChange
 	// replies answer join requests, parked ones included.
 	replies []reply
 	// flushIn, when positive, arms the flush timer: tick is due that much
 	// later. Zero leaves the timer as it is — running, or stopped.
 	flushIn time.Duration
+	// probe are the subjects to probe now, probeGen the round's generation,
+	// and probeIn, when positive, arms the probe timer as flushIn does.
+	probe    []node.Addr
+	probeGen uint64
+	probeIn  time.Duration
 }
 
 // send is one request for a list of members.
@@ -108,15 +124,6 @@ type reply struct {
 	resp *remoting.Response
 }
 
-// publication is a freshly installed configuration: what readers see, what
-// subscribers are told (nothing for the configuration a member starts in) and
-// whom the edge failure detectors monitor from now on.
-type publication struct {
-	snap     *snapshot
-	change   *ViewChange
-	subjects []node.Addr
-}
-
 // engine is the single-writer owner of all protocol state. Only the goroutine
 // that steps it touches the engine-owned fields after initialization;
 // rapid-vet's singlewriter analyzer enforces that every access is reachable
@@ -125,8 +132,9 @@ type publication struct {
 type engine struct {
 	me node.Endpoint
 	// The settings the state machine reads: Settings.oneHopLimit,
-	// ConsensusFallbackBase and ReinforcementTimeout.
+	// ProbeInterval, ConsensusFallbackBase and ReinforcementTimeout.
 	oneHop               int
+	probeInterval        time.Duration
 	fallbackBase         time.Duration
 	reinforcementTimeout time.Duration
 	metrics              *EngineMetrics
@@ -164,6 +172,10 @@ type engine struct {
 	// armed when this process votes, cleared by the next install, and checked
 	// on the reinforcement tick. Zero while unarmed. engine-owned.
 	fallbackAt time.Time
+	// probes judges the edges to subjects, a new generation per install;
+	// probeDue is its next round, zero with nobody to probe. engine-owned.
+	probes   *edgefd.Scheduler
+	probeDue time.Time // engine-owned
 
 	alertedEdges map[node.Addr]bool // engine-owned
 	// joinWaiters parks phase-2 join requests made in the current
@@ -206,22 +218,25 @@ type engine struct {
 // of slack is far beyond any request's network lifetime.
 const maxPastConfigs = 32
 
-// newEngine builds the engine state for the first configuration and returns
-// it with its first outputs: that configuration, and the first flush window —
-// an engine usually boots mid-storm, and if it does not, the first ticks are
-// the window's decay to its floor. It runs on the caller's goroutine; the
-// driver takes sole ownership afterwards (the goroutine start gives the
-// required happens-before edge).
+// newEngine builds the engine state for the first configuration, installed at
+// now, and returns it with its first outputs: that configuration, its first
+// probe round, and the first flush window — an engine usually boots mid-storm,
+// and if it does not, the first ticks are the window's decay to its floor. It
+// runs on the caller's goroutine; the driver takes sole ownership afterwards
+// (the goroutine start gives the required happens-before edge).
 //
 // engine-entry: construction precedes the driver goroutine.
-func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.Endpoint) (*engine, outputs) {
+func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.Endpoint, now time.Time) (*engine, outputs) {
 	e := &engine{
 		me:                   me,
 		oneHop:               s.oneHopLimit(),
+		probeInterval:        s.ProbeInterval,
 		fallbackBase:         s.ConsensusFallbackBase,
 		reinforcementTimeout: s.ReinforcementTimeout,
 		metrics:              m,
+		now:                  now,
 		view:                 view.NewShared(s.K, members),
+		probes:               edgefd.NewScheduler(s.FailureDetector),
 		cd:                   cutdetect.New(s.K, s.H, s.L),
 		alertedEdges:         make(map[node.Addr]bool),
 		joinWaiters:          make(map[joinerKey]*joinEvent),
@@ -237,8 +252,9 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 // install derives everything the engine keeps per configuration from the
 // view it just obtained or changed — the view hands out its address order: the
 // frozen build's own slices while it shares one, otherwise the only O(N) copy
-// made here — starts a fresh consensus instance and puts the configuration
-// into this step's outputs.
+// made here — starts a fresh consensus instance and a new probe generation,
+// and puts the configuration and its first probe round, one interval from
+// now, into this step's outputs (none for a member with nobody to probe).
 func (e *engine) install() {
 	e.members, e.addrs = e.view.Membership()
 	e.myIndex = -1
@@ -258,10 +274,12 @@ func (e *engine) install() {
 	e.consensus = e.newConsensus()
 	e.votesDirty = false
 	e.fallbackAt = time.Time{}
-	e.out.publish = &publication{
-		snap:     &snapshot{configID: e.view.ConfigurationID(), members: e.members, viewChanges: e.viewChanges},
-		subjects: e.subjects,
+	e.probes.Watch(e.subjects)
+	e.probeDue = time.Time{}
+	if len(e.subjects) > 0 {
+		e.probeDue, e.out.probeIn = e.now.Add(e.probeInterval), e.probeInterval
 	}
+	e.out.publish = &snapshot{configID: e.view.ConfigurationID(), members: e.members, viewChanges: e.viewChanges}
 }
 
 // step applies one event at the given time and returns what it asks for.
@@ -277,12 +295,14 @@ func (e *engine) step(ev event, now time.Time) outputs {
 		e.handleJoinPhase2(c.join)
 	case c.joinGone != nil:
 		e.forgetJoin(c.joinGone)
-	case c.subjectDown != "":
-		// Every configuration starts with fresh detector windows: a verdict the
-		// last one's probes completed is not evidence about this one's edge.
-		if c.downConfig == e.view.ConfigurationID() {
-			e.handleSubjectFailed(c.subjectDown)
+	case c.probed != nil:
+		// An outcome of an older generation — a probe that crossed an install —
+		// completes nothing: every configuration starts with fresh windows.
+		if r := c.probed; e.probes.Outcome(r.gen, r.i, r.ok, e.now) {
+			e.handleSubjectFailed(e.subjects[r.i])
 		}
+	case c.probe:
+		e.probeRound()
 	case c.reinforce:
 		e.reinforce()
 	case c.leave:
@@ -291,6 +311,21 @@ func (e *engine) step(ev event, now time.Time) outputs {
 		e.broadcast(&remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.me.Addr}})
 	}
 	return e.finish()
+}
+
+// probeRound is one firing of the probe timer: the round's subjects go into
+// the outputs, and the next round is armed on the beat of this one's deadline,
+// however late it fired. A firing before the round is due — an install re-armed
+// a timer that had fired — probes nothing and re-arms for the rest.
+func (e *engine) probeRound() {
+	if e.probeDue.IsZero() {
+		return
+	}
+	if !e.now.Before(e.probeDue) {
+		e.probeDue = e.now.Add(e.probeInterval - e.now.Sub(e.probeDue)%e.probeInterval)
+		e.out.probeGen, e.out.probe = e.probes.Tick()
+	}
+	e.out.probeIn = e.probeDue.Sub(e.now)
 }
 
 // tick is one firing of the flush timer: it sends what the window gathered
@@ -703,8 +738,8 @@ func (e *engine) forgetJoin(ev *joinEvent) {
 // applyDecision installs the configuration the agreed multi-process cut
 // leads to: finish calls it once per decided instance. It resets the
 // per-configuration protocol state, answers the joiners that were waiting on
-// this view change, and leaves the new snapshot, the monitor subjects and the
-// subscribers' notification in this step's outputs.
+// this view change, and leaves the new snapshot, the first probe round's timer
+// and the subscribers' notification in this step's outputs.
 func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// The decision push. This process is about to drop the instance that just
 	// decided, and with it everything it would have relayed: pushed now, to
@@ -748,7 +783,7 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	e.alertedEdges = make(map[node.Addr]bool)
 	e.pendingAlerts = nil
 	e.install()
-	e.out.publish.change = &ViewChange{ConfigurationID: e.view.ConfigurationID(), Members: e.members, Changes: changes}
+	e.out.change = &ViewChange{ConfigurationID: e.view.ConfigurationID(), Members: e.members, Changes: changes}
 
 	// Settle every parked joiner now. The incarnation this view change
 	// admitted gets the new configuration; every other one is redirected to

@@ -258,9 +258,10 @@ func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 	}
 	armed(0, "after a quiet minute")
 
-	// The first alert arms the timer for one floor window; its batch leaves on
-	// that tick, not on the step that raised it.
-	if out := step(event{ctl: &control{subjectDown: e.subjects[0], downConfig: e.view.ConfigurationID()}}); len(out.sends) != 0 {
+	// The first alert — a subject's leave, which its observers report at
+	// once — arms the timer for one floor window; its batch leaves on that
+	// tick, not on the step that raised it.
+	if out := step(event{req: &remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.subjects[0]}}}); len(out.sends) != 0 {
 		t.Fatalf("the batch left before its flush tick: %v", out.sends)
 	}
 	armed(floor, "with an alert pending")
@@ -329,13 +330,13 @@ func TestConfigurationSlicesAreShared(t *testing.T) {
 
 	admitted := answer(t, parked)
 	late := answer(t, r.park(seed.Addr, joiner, s.view.ConfigurationID())) // a retry that finds the joiner a member already
-	if decided.publish == nil || decided.publish.change == nil {
+	if decided.publish == nil || decided.change == nil {
 		t.Fatal("the deciding step published no view change")
 	}
 	snap := c.snap.Load()
 	for name, members := range map[string][]node.Endpoint{
 		"the snapshot":                   snap.members,
-		"ViewChange.Members":             decided.publish.change.Members,
+		"ViewChange.Members":             decided.change.Members,
 		"the admitted joiner's response": admitted.Members,
 		"the late request's response":    late.Members,
 	} {

@@ -42,7 +42,7 @@ func newEngineRig(t *testing.T) *engineRig {
 //
 // engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) start(me node.Endpoint, members []node.Endpoint) (*engine, outputs) {
-	e, first := newEngine(me, &r.settings, &EngineMetrics{}, members)
+	e, first := newEngine(me, &r.settings, &EngineMetrics{}, members, r.clk.Now())
 	r.engines[me.Addr] = e
 	return e, first
 }
@@ -57,7 +57,7 @@ func (r *engineRig) handle(me node.Endpoint, members []node.Endpoint) (*Cluster,
 		r.t.Fatal(err)
 	}
 	c.me = me
-	e, first := newEngine(me, &c.settings, &c.emetrics, members)
+	e, first := newEngine(me, &c.settings, &c.emetrics, members, r.clk.Now())
 	c.perform(first)
 	c.started.Store(true)
 	close(c.startedCh)
@@ -357,7 +357,7 @@ func TestEarlyJoinRequestsAreHeldNotBounced(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	members, err := second.runJoinProtocol([]node.Addr{seed.me.Addr})
+	members, err := second.join([]node.Addr{seed.me.Addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,17 +413,19 @@ func parked(ctx context.Context) (*remoting.JoinResponse, error) {
 	return nil, ctx.Err()
 }
 
-// TestJoinAbandonsOnceHIsUnreachable checks the joiner's ring arithmetic:
-// with K=10 and H=9 one bounced ring still leaves H reachable, two do not —
-// whether they belong to two observers or to one that holds two rings — and
-// abandoning cancels the requests still parked.
+// TestJoinAbandonsOnceHIsUnreachable steps the joiner through its ring
+// arithmetic: with K=10 and H=9 one bounced ring still leaves H reachable, two
+// do not — whether they belong to two observers or to one that holds two
+// rings. An attempt abandoned on a redirect is free: phase 1 again, at once.
+// (TestAbandonedRoundCancelsItsParkedCalls has the driver cancel the calls
+// still parked.)
 func TestJoinAbandonsOnceHIsUnreachable(t *testing.T) {
 	distinct := make([]node.Addr, 10)
 	for i := range distinct {
 		distinct[i] = addr(100 + i)
 	}
 	twoRings := append([]node.Addr{distinct[0]}, distinct[:9]...) // distinct[0] holds rings 0 and 1
-	bounce := &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: 2}
+	bounce := &remoting.Response{Join: &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: 2}}
 	cases := []struct {
 		name      string
 		observers []node.Addr
@@ -434,62 +436,84 @@ func TestJoinAbandonsOnceHIsUnreachable(t *testing.T) {
 		{"two rings lost", distinct, distinct[:2], true},
 		{"one observer with two rings lost", twoRings, distinct[:1], true},
 	}
+	s := DefaultSettings()
+	now := time.Unix(0, 0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bounces := map[node.Addr]bool{}
+			j := newJoiner(endpoint(1), []node.Addr{addr(0)}, &s, now)
+			j.start(now)
+			out := j.step(joinAnswer{from: addr(0), resp: &remoting.Response{PreJoin: &remoting.PreJoinResponse{
+				Status: remoting.JoinSafeToJoin, ConfigurationID: 1, Observers: tc.observers,
+			}}}, now)
+			if len(out.to) != len(distinctOf(tc.observers)) || out.req.Join == nil {
+				t.Fatalf("phase 2 calls %v, want the %d distinct observers", out.to, len(distinctOf(tc.observers)))
+			}
 			for _, o := range tc.bouncing {
-				bounces[o] = true
+				out = j.step(joinAnswer{from: o, resp: bounce}, now)
 			}
-			release := make(chan struct{})
-			var cancelled sync.WaitGroup
-			cancelled.Add(len(distinctOf(tc.observers)) - len(tc.bouncing))
-			net := &scriptedNet{join: func(ctx context.Context, observer node.Addr) (*remoting.JoinResponse, error) {
-				if bounces[observer] {
-					return bounce, nil
-				}
-				defer cancelled.Done()
-				select {
-				case <-release:
-					return &remoting.JoinResponse{Status: remoting.JoinSafeToJoin, Members: []node.Endpoint{endpoint(0)}}, nil
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}}
-			c, err := newCluster(addr(1), DefaultSettings(), net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			type result struct {
-				members []node.Endpoint
-				err     error
-			}
-			done := make(chan result, 1)
-			go func() {
-				members, err := c.joinPhase2(1, tc.observers)
-				done <- result{members, err}
-			}()
 			if tc.abandon {
-				select {
-				case res := <-done:
-					if !errors.Is(res.err, errJoinRedirected) {
-						t.Fatalf("got %v, want a redirect", res.err)
-					}
-				case <-time.After(5 * time.Second):
-					t.Fatal("the attempt waited for observers that cannot bring it to H")
+				if len(out.to) != 1 || out.req.PreJoin == nil || out.retryIn != 0 || j.attempt != 0 {
+					t.Fatalf("got %+v after %d attempts, want phase 1 again at once, free of charge", out, j.attempt)
 				}
-				cancelled.Wait() // every parked request saw its context end
 				return
 			}
-			select {
-			case res := <-done:
-				t.Fatalf("abandoned with H still reachable: %v", res.err)
-			case <-time.After(100 * time.Millisecond):
+			if out.to != nil || out.retryIn != 0 || out.members != nil || out.err != nil {
+				t.Fatalf("abandoned with H still reachable: %+v", out)
 			}
-			close(release)
-			if res := <-done; res.err != nil || len(res.members) != 1 {
-				t.Fatalf("got %d members, %v; want the admitting answer", len(res.members), res.err)
+			admitted := &remoting.Response{Join: &remoting.JoinResponse{Status: remoting.JoinSafeToJoin, Members: []node.Endpoint{endpoint(0)}}}
+			if out = j.step(joinAnswer{from: distinct[5], resp: admitted}, now); out.err != nil || len(out.members) != 1 {
+				t.Fatalf("got %+v; want the admitting answer", out)
 			}
 		})
+	}
+}
+
+// TestAbandonedRoundCancelsItsParkedCalls: once two of ten rings bounced, the
+// driver abandons the round and cancels the context of every request still
+// parked, and the join ends on the next phase 1's answer.
+func TestAbandonedRoundCancelsItsParkedCalls(t *testing.T) {
+	observers := make([]node.Addr, 10)
+	for i := range observers {
+		observers[i] = addr(100 + i)
+	}
+	var cancelled sync.WaitGroup
+	cancelled.Add(len(observers) - 2)
+	net := &scriptedNet{join: func(ctx context.Context, observer node.Addr) (*remoting.JoinResponse, error) {
+		if observer == observers[0] || observer == observers[1] {
+			return &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: 2}, nil
+		}
+		defer cancelled.Done()
+		return parked(ctx)
+	}}
+	net.preJoin = func() *remoting.PreJoinResponse {
+		if net.preJoins.Load() > 1 {
+			return &remoting.PreJoinResponse{Status: remoting.JoinHostAlreadyInRing}
+		}
+		return &remoting.PreJoinResponse{Status: remoting.JoinSafeToJoin, ConfigurationID: 1, Observers: observers}
+	}
+	c, err := newCluster(addr(1), DefaultSettings(), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.join([]node.Addr{addr(0)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrAddressInUse) {
+			t.Fatalf("got %v, want the second phase 1's ErrAddressInUse", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the join waited for observers that cannot bring it to H")
+	}
+	released := make(chan struct{})
+	go func() { cancelled.Wait(); close(released) }()
+	select {
+	case <-released: // every parked request saw its context end
+	case <-time.After(5 * time.Second):
+		t.Fatal("a parked request of the abandoned round was never cancelled")
 	}
 }
 
@@ -527,7 +551,7 @@ func TestRedirectsAreFreeButBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.runJoinProtocol([]node.Addr{addr(0)})
+	_, err = c.join([]node.Addr{addr(0)})
 	if !errors.Is(err, ErrJoinFailed) {
 		t.Fatalf("got %v, want ErrJoinFailed", err)
 	}
@@ -559,7 +583,7 @@ func TestStaleSeedCostsAnAttempt(t *testing.T) {
 	// One free redirect, then the stale answer uses up the only attempt — and
 	// the last failure returns without sleeping JoinRetryDelay, which on this
 	// clock would never end.
-	if _, err := c.runJoinProtocol([]node.Addr{addr(0)}); !errors.Is(err, ErrJoinFailed) {
+	if _, err := c.join([]node.Addr{addr(0)}); !errors.Is(err, ErrJoinFailed) {
 		t.Fatalf("got %v, want ErrJoinFailed", err)
 	}
 	if got := net.preJoins.Load(); got != 2 {

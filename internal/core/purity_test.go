@@ -5,41 +5,73 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
-// TestEngineDoesNoIO holds engine.go to "no IO in the state machine" by its
-// source: the file may not import the transport, a broadcaster or context, and
-// the engine struct may not hold the handle, a clock, a timer or a client.
-// Everything that touches the world lives in driver.go.
+// TestEngineDoesNoIO holds the two state machines to "no IO" by their source:
+// engine.go and join.go may not import the transport, a broadcaster or
+// context, and neither the engine struct nor the joiner may hold the handle, a
+// clock, a timer or a client. Everything that touches the world lives in
+// driver.go.
 func TestEngineDoesNoIO(t *testing.T) {
-	file, err := parser.ParseFile(token.NewFileSet(), "engine.go", nil, 0)
+	for file, typ := range map[string]string{"engine.go": "engine", "join.go": "joiner"} {
+		parsed, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forbiddenImports := map[string]bool{"repro/internal/transport": true, "repro/internal/broadcast": true, "context": true}
+		for _, imp := range parsed.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); forbiddenImports[path] {
+				t.Errorf("%s imports %s", file, path)
+			}
+		}
+		forbiddenFields := map[string]bool{"*Cluster": true, "simclock.Clock": true, "simclock.Timer": true, "transport.Client": true}
+		found := false
+		ast.Inspect(parsed, func(n ast.Node) bool {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok || spec.Name.Name != typ {
+				return true
+			}
+			found = true
+			for _, field := range spec.Type.(*ast.StructType).Fields.List {
+				if ftyp := types.ExprString(field.Type); forbiddenFields[ftyp] {
+					t.Errorf("type %s holds a %s (field %v)", typ, ftyp, field.Names)
+				}
+			}
+			return false
+		})
+		if !found {
+			t.Fatalf("%s declares no type %s", file, typ)
+		}
+	}
+}
+
+// TestOnlyTheDriverBlocks: a blocking call — a transport Send, or the
+// deadline that bounds one — appears in no non-test file of the package but
+// driver.go.
+func TestOnlyTheDriverBlocks(t *testing.T) {
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	forbiddenImports := map[string]bool{"repro/internal/transport": true, "repro/internal/broadcast": true, "context": true}
-	for _, imp := range file.Imports {
-		if path, _ := strconv.Unquote(imp.Path.Value); forbiddenImports[path] {
-			t.Errorf("engine.go imports %s", path)
+	for _, file := range files {
+		if file == "driver.go" || strings.HasSuffix(file, "_test.go") {
+			continue
 		}
-	}
-	forbiddenFields := map[string]bool{"*Cluster": true, "simclock.Clock": true, "simclock.Timer": true, "transport.Client": true}
-	found := false
-	ast.Inspect(file, func(n ast.Node) bool {
-		spec, ok := n.(*ast.TypeSpec)
-		if !ok || spec.Name.Name != "engine" {
-			return true
+		parsed, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		found = true
-		for _, field := range spec.Type.(*ast.StructType).Fields.List {
-			if typ := types.ExprString(field.Type); forbiddenFields[typ] {
-				t.Errorf("type engine holds a %s (field %v)", typ, field.Names)
+		ast.Inspect(parsed, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if call := types.ExprString(sel); sel.Sel.Name == "Send" || call == "simclock.WithTimeout" {
+					t.Errorf("%s calls %s: only driver.go may block", file, call)
+				}
 			}
-		}
-		return false
-	})
-	if !found {
-		t.Fatal("engine.go declares no type engine")
+			return true
+		})
 	}
 }

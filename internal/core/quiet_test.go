@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"slices"
@@ -38,24 +39,37 @@ func startConverged(t *testing.T, n int, s Settings, net *simnet.Network) ([]nod
 	return members, fleet
 }
 
-// TestQuietMemberRunsThreeGoroutines counts what a quiet member keeps running
-// on the real clock: its driver, its subscribers' notifier and nothing per
-// monitored edge — a probe is a goroutine for as long as its Send takes. 64
-// converged members, two probe rounds in: at most three goroutines each, plus
-// a round's worth of probes in flight. (A goroutine per edge read (K+3)·n.)
-func TestQuietMemberRunsThreeGoroutines(t *testing.T) {
+// longLived counts the goroutines that are not a probe in flight: a probe is
+// a goroutine of the driver's probe function for as long as its Send takes.
+func longLived() int {
+	stacks := make([]byte, 1<<22)
+	n := 0
+	for _, g := range bytes.Split(stacks[:runtime.Stack(stacks, true)], []byte("\n\n")) {
+		if !bytes.Contains(g, []byte("core.(*Cluster).probe(")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestQuietMemberRunsTwoGoroutines counts what a quiet member keeps running
+// on the real clock: its driver and its subscribers' notifier, and nothing per
+// monitored edge or for its probe timer. 64 converged members, two probe
+// rounds in: at most two long-lived goroutines each. (A goroutine per edge
+// read (K+3)·n, one timer-driven monitor per member 3·n with the probes in
+// flight on top.)
+func TestQuietMemberRunsTwoGoroutines(t *testing.T) {
 	const n = 64
 	net := simnet.New(simnet.Options{Seed: 6})
 	defer net.Close()
 	s := ScaledSettings(20)
-	before := runtime.NumGoroutine()
+	before := longLived()
 	startConverged(t, n, s, net)
 	if !waitUntil(t, 10*time.Second, func() bool { return net.MessageCount("probe") >= 2*n*int64(s.K) }) {
 		t.Fatalf("%d probes sent, want two rounds of %d members", net.MessageCount("probe"), n)
 	}
-	limit := 3*n + s.K
-	if !waitUntil(t, 5*time.Second, func() bool { return runtime.NumGoroutine()-before <= limit }) {
-		t.Fatalf("%d members run %d goroutines, want at most %d", n, runtime.NumGoroutine()-before, limit)
+	if !waitUntil(t, 5*time.Second, func() bool { return longLived()-before <= 2*n }) {
+		t.Fatalf("%d members run %d long-lived goroutines, want at most %d", n, longLived()-before, 2*n)
 	}
 }
 

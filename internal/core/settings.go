@@ -8,20 +8,21 @@
 //
 // Internally the service is a single-writer state machine (engine.go) and
 // the goroutine that drives it (driver.go): the engine owns all protocol
-// state and does no IO — it is stepped with one event at a time from one
-// queue that everything — batches, consensus phases, join phases,
-// failure-detector verdicts, the leave request — enters in arrival order, and
-// returns what to send, answer and publish, and whom to probe (the driver
-// hands the ring subjects to the member's one edgefd.Monitor, whose verdicts
-// come back through the queue); transport handlers are thin
-// enqueuers, readers see atomic snapshots, and outbound alerts are coalesced into one
-// batched wire message per batching window, sent to every member
-// (unicast-to-all, §6). Consensus votes are counted the way §4.3 counts them: a member keeps a voter bitmap per
+// state, the probe scheduler included, and does no IO — it is stepped with
+// one event at a time from one queue that everything — batches, consensus
+// phases, join phases, probe outcomes, the leave request — enters in arrival
+// order, and returns what to send, answer, publish and probe (the driver runs
+// each probe as a short-lived goroutine around the blocking Send). Transport
+// handlers are thin enqueuers, readers see atomic snapshots, and outbound
+// alerts are coalesced into one batched wire message per batching window,
+// sent to every member (unicast-to-all, §6). Consensus votes are
+// counted the way §4.3 counts them: a member keeps a voter bitmap per
 // distinct proposal and, on the same window, pushes what it learned to its K
 // ring subjects (to everyone, in memberships of at most 4K, where one hop is
 // cheaper). The engine owns its deadlines too: the consensus recovery
 // deadline is a field it checks on its reinforcement tick, not a goroutine
-// per proposal.
+// per proposal. A joiner is a state machine of its own (join.go), whose
+// calls the driver performs the same way.
 //
 // The batching window is load-adaptive (adaptive.go): it starts at a quarter
 // of BatchingWindowMax and is resized between BatchingWindowMin and
@@ -48,8 +49,8 @@ import (
 type Settings struct {
 	// K is the number of observers per subject (ring count).
 	K int
-	// H is the high watermark: a subject with at least H distinct
-	// observer reports is in stable report mode.
+	// H is the high watermark: a subject with a report on at least H of its
+	// K ring slots is in stable report mode.
 	H int
 	// L is the low watermark: a subject with fewer than L reports is noise;
 	// between L and H it is unstable and delays proposals.

@@ -116,7 +116,7 @@ func TestStormBuildsEachConfigurationOnce(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			members, err := c.runJoinProtocol([]node.Addr{addr(0)})
+			members, err := c.join([]node.Addr{addr(0)})
 			if err != nil {
 				t.Errorf("join %d failed: %v", i, err)
 				return

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/edgefd"
 	"repro/internal/node"
 	"repro/internal/remoting"
 	"repro/internal/view"
@@ -40,38 +41,40 @@ type wantSend struct {
 }
 
 // stepFixture is what a row's inputs and targets are computed from: the
-// configuration, ring subjects and peers the member started with — a decision
-// push goes to the subjects of the configuration being left.
+// configuration, its probe generation, ring subjects and peers the member
+// started with — a decision push goes to the subjects of the configuration
+// being left.
 type stepFixture struct {
 	config   uint64
-	next     uint64 // the configuration that admits joiner
+	next     uint64 // the configuration that admits newcomer
+	gen      uint64
 	members  []node.Addr
 	subjects []node.Addr
 	others   []node.Addr
 }
 
-// joiner is the process every row's cut admits.
-var joiner = endpoint(99)
+// newcomer is the process every row's cut admits.
+var newcomer = endpoint(99)
 
 func all(f *stepFixture) []node.Addr   { return f.members }
 func ring(f *stepFixture) []node.Addr  { return f.subjects }
 func peers(f *stepFixture) []node.Addr { return f.others }
-func cut(f *stepFixture) event         { return event{req: cutAlerts(f.config, 3, joiner)} }
+func cut(f *stepFixture) event         { return event{req: cutAlerts(f.config, 3, newcomer)} }
 func leave(*stepFixture) event         { return leaveEvent }
 
-// grown is the membership once joiner has been admitted.
-func grown(f *stepFixture) []node.Addr { return append(slices.Clone(f.members), joiner.Addr) }
+// grown is the membership once newcomer has been admitted.
+func grown(f *stepFixture) []node.Addr { return append(slices.Clone(f.members), newcomer.Addr) }
 
-// down is an edge failure detector's verdict on the member's first ring
-// subject, stamped with the row's own configuration or, if next is set, with
-// the one that admits joiner.
-func down(next bool) func(*stepFixture) event {
+// failed is a failed probe of the first subject of a round: a round of the
+// row's own configuration or, if next is set, of the one that admits
+// newcomer. A row's member judges an edge faulty on its first failure.
+func failed(next bool) func(*stepFixture) event {
 	return func(f *stepFixture) event {
-		config := f.config
+		gen := f.gen
 		if next {
-			config = f.next
+			gen++
 		}
-		return event{ctl: &control{subjectDown: f.subjects[0], downConfig: config}}
+		return event{ctl: &control{probed: &probeResult{gen: gen, i: 0, ok: false}}}
 	}
 }
 
@@ -83,7 +86,7 @@ func pushTo(to func(*stepFixture) []node.Addr, voters ...int) wantSend {
 
 // agg is one aggregate of an inbound vote batch: count voters from index from
 // on, for the cut {endpoint(proposal)}; next makes it name the configuration
-// that admits joiner (one member more) instead of the row's own.
+// that admits newcomer (one member more) instead of the row's own.
 type agg struct {
 	proposal, from, count int
 	next                  bool
@@ -116,6 +119,7 @@ func votes(aggs ...agg) func(*stepFixture) event {
 func (row stepRow) run(t *testing.T) {
 	r := newEngineRig(t)
 	r.settings.K, r.settings.H, r.settings.L = 3, 3, 1
+	r.settings.FailureDetector = edgefd.NewCountingFactory(1)
 	members := make([]node.Endpoint, row.n)
 	for i := range members {
 		members[i] = endpoint(i)
@@ -123,7 +127,8 @@ func (row stepRow) run(t *testing.T) {
 	me := members[row.me].Addr
 	e, _ := r.start(members[row.me], members)
 	f := &stepFixture{config: e.view.ConfigurationID(), members: e.addrs, subjects: e.subjects}
-	f.next = view.NewWithMembers(3, append(slices.Clone(members), joiner)).ConfigurationID()
+	f.gen, _ = e.probes.Tick()
+	f.next = view.NewWithMembers(3, append(slices.Clone(members), newcomer)).ConfigurationID()
 	for _, a := range e.addrs {
 		if a != me {
 			f.others = append(f.others, a)
@@ -273,24 +278,26 @@ func TestVoteThatDecidesStillLeaves(t *testing.T) {
 	)
 }
 
-// TestVerdictOfTheConfigurationLeftIsDropped: a verdict names the
-// configuration whose probes completed it. One that was queued behind the
-// decision — or fired by a monitor the driver had not re-targeted yet — is
-// about an edge of the configuration just left, and files nothing, although
-// its subject is still on this member's rings: every configuration starts
-// with fresh detector windows. The same verdict stamped with the installed
-// configuration is a REMOVE alert for every member of it.
+// TestVerdictOfTheConfigurationLeftIsDropped: a probe outcome carries the
+// generation of the round that issued it, and every install starts a new one.
+// A failure that was queued behind the decision — a probe that crossed the
+// install — is about an edge of the configuration just left, and files
+// nothing, although it would complete a verdict: every configuration starts
+// with fresh detector windows. The same failure in a round of the installed
+// configuration is a REMOVE alert, in that same step, for every member of it.
+// (TestOutcomeOfAnOlderGenerationChangesNothing has an index past the new
+// subject list.)
 func TestVerdictOfTheConfigurationLeftIsDropped(t *testing.T) {
 	decide := stepTurn{in: votes(agg{proposal: 99, from: 0, count: 13}), sends: []wantSend{pushTo(ring, 13)}}
 	runStepRows(t,
 		stepRow{name: "stamped with the configuration left", n: 16, me: 2, installs: 1, size: 17, turns: []stepTurn{
 			decide,
-			{in: down(false)},
+			{in: failed(false)},
 			{}, // no alert is pending: the flush tick sends nothing
 		}},
 		stepRow{name: "stamped with the configuration installed", n: 16, me: 2, installs: 1, size: 17, turns: []stepTurn{
 			decide,
-			{in: down(true)},
+			{in: failed(true)},
 			{sends: []wantSend{{kind: "alerts", to: grown}}},
 		}},
 	)

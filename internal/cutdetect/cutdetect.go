@@ -194,7 +194,8 @@ func (d *Detector) UnstableLongerThan(now time.Time, timeout time.Duration) []no
 	return d.unstableSubjects(func(r *record) bool { return now.Sub(r.since) >= timeout })
 }
 
-// Tally returns the number of distinct observer reports seen for a subject.
+// Tally returns the number of the subject's ring slots with a report: an
+// observer that holds several of its rings counts once per ring reported.
 func (d *Detector) Tally(subject node.Addr) int {
 	if r := d.subjects[subject]; r != nil {
 		return r.count

@@ -74,7 +74,7 @@ func TestDuplicateRingReportsIgnored(t *testing.T) {
 	d := New(testK, testH, testL)
 	subject := node.Addr("faulty:1")
 	// The same ring reported H times must not trigger a proposal: tallies
-	// count distinct observers (rings), not repeated alerts.
+	// count ring slots with a report, not repeated alerts.
 	for i := 0; i < testH*2; i++ {
 		a, ep := alertOnRing(0, subject, 0)
 		if got := d.AggregateForProposal(a, ep, t0); len(got) != 0 {

@@ -13,22 +13,20 @@
 //     computing a suspicion level from the distribution of probe round-trip
 //     successes and failing the edge when it crosses a threshold.
 //
-// The probing is not pluggable, and there is one of it per observer: a
-// Monitor owns one timer, the subjects of the current configuration and one
-// judge per subject. Every interval it probes them all, each probe a
-// short-lived goroutine around the transport's blocking Send, so a subject
-// that answers late delays neither its neighbours nor the next round. Watch
-// re-targets the monitor without waiting for anything: it starts a new
-// generation, and what a probe of an older one finds is dropped. The path is
-// sized for thousands of simulated edges: a probe shares its observer's one
-// request, bounds the RPC with simclock.WithTimeout — one allocation, and no
-// timer unless the transport actually waits — and hands the outcome to a
-// judge that keeps its window in a fixed ring.
+// The probing is not pluggable, and there is one Scheduler of it per observer,
+// plain state with no timer, lock or goroutine that its owner steps — the
+// membership engine, or the centralized member under its lock: Tick says whom
+// to probe every interval, the owner performs each probe with Probe (in core,
+// a short-lived goroutine around the transport's blocking Send), and Outcome
+// files what it found. The path is sized for thousands of simulated edges: a
+// probe shares its observer's one request, bounds the RPC with
+// simclock.WithTimeout — one allocation, and no timer unless the transport
+// actually waits — and hands the outcome to a judge that keeps its window in
+// a fixed ring.
 package edgefd
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/node"
@@ -42,33 +40,17 @@ import (
 // goroutine at a time calls it, so a judge guards nothing.
 type Judge func(ok bool, now time.Time) (faulty bool)
 
-// Factory builds the judge of one edge. A monitor calls it once per subject
+// Factory builds the judge of one edge. A scheduler calls it once per subject
 // every time it is re-targeted.
 type Factory func() Judge
 
-// Params bundles everything a monitor needs.
-type Params struct {
-	Observer node.Addr
-	Client   transport.Client
-	Clock    simclock.Clock
-	// Interval between probe rounds, and Timeout of each probe RPC.
-	Interval, Timeout time.Duration
-	// Judges builds each subject's detector.
-	Judges Factory
-	// OnFailure is told when a subject's edge is deemed faulty, once per
-	// subject and Watch, with the configuration that Watch named. It runs on
-	// the goroutine of the probe that completed the verdict and may block.
-	OnFailure func(config uint64, subject node.Addr)
-}
-
-// scheduler is the probe state of one observer: whom it probes, what each
-// edge's judge has seen, and which probes still count. It is plain state — no
-// clock, no transport, no lock — with two ways in besides watch: tick says
-// whom to probe now, and outcome files what one of those probes found.
-type scheduler struct {
+// Scheduler is the probe state of one observer: whom it probes, what each
+// edge's judge has seen, and which probes still count. Its owner serializes
+// the calls.
+type Scheduler struct {
 	judges Factory
-	// gen counts the calls of watch. A probe carries the generation it was
-	// issued under, and outcome drops it if that is not this one.
+	// gen counts the calls of Watch. A probe carries the generation it was
+	// issued under, and Outcome drops it if that is not this one.
 	gen uint64
 	// subjects is the caller's slice, shared with the engine that computed it:
 	// never written (rapid-vet's snapshot check holds this package to that).
@@ -77,10 +59,15 @@ type scheduler struct {
 	edges []Judge
 }
 
-// watch replaces the subjects. Every edge starts a cold window, also one
-// whose subject was watched before: a configuration's first verdict is a full
-// window after its install. (A surviving edge's window: ROADMAP item 2.)
-func (s *scheduler) watch(subjects []node.Addr) {
+// NewScheduler returns a scheduler of judges that watches nobody yet.
+func NewScheduler(judges Factory) *Scheduler { return &Scheduler{judges: judges} }
+
+// Watch replaces the subjects and starts a new generation: what a probe of an
+// older one finds counts for nothing. Every edge starts a cold window, also one
+// whose subject was watched before, so a configuration's first verdict is a
+// full window after its install. subjects is only read, and must not be
+// written while it is watched.
+func (s *Scheduler) Watch(subjects []node.Addr) {
 	s.gen++
 	s.subjects = subjects
 	s.edges = make([]Judge, len(subjects))
@@ -89,15 +76,15 @@ func (s *scheduler) watch(subjects []node.Addr) {
 	}
 }
 
-// tick is one probe round: it returns the subjects to probe and the
-// generation to file the i-th subject's outcome under, as outcome(gen, i, …).
-func (s *scheduler) tick() (gen uint64, subjects []node.Addr) {
+// Tick is one probe round: it returns the subjects to probe and the
+// generation to file the i-th subject's outcome under, as Outcome(gen, i, …).
+func (s *Scheduler) Tick() (gen uint64, subjects []node.Addr) {
 	return s.gen, s.subjects
 }
 
-// outcome files one probe's result and reports whether it completed the
+// Outcome files one probe's result and reports whether it completed the
 // verdict on its edge, which it does at most once per edge and generation.
-func (s *scheduler) outcome(gen uint64, i int, ok bool, now time.Time) (faulty bool) {
+func (s *Scheduler) Outcome(gen uint64, i int, ok bool, now time.Time) (faulty bool) {
 	if gen != s.gen || s.edges[i] == nil || !s.edges[i](ok, now) {
 		return false
 	}
@@ -105,108 +92,15 @@ func (s *scheduler) outcome(gen uint64, i int, ok bool, now time.Time) (faulty b
 	return true
 }
 
-// Monitor probes the subjects of one observer: it drives a scheduler from one
-// timer and performs the probes the scheduler asks for.
-type Monitor struct {
-	p   Params
-	req *remoting.Request // the one immutable request every probe sends
-
-	mu    sync.Mutex // guards everything below
-	sched scheduler
-	// config is what the last Watch named: verdicts are stamped with it.
-	config uint64
-	// due is when the next round is due. A timer that fires before it was
-	// armed for a round Watch has since put off, and is ignored.
-	due     time.Time
-	disarm  func() bool // stops the timer last armed
-	stopped bool
-}
-
-// NewMonitor returns a monitor that watches nobody yet.
-func NewMonitor(p Params) *Monitor {
-	req := &remoting.Request{Probe: &remoting.ProbeRequest{Sender: p.Observer}}
-	return &Monitor{p: p, req: req, sched: scheduler{judges: p.Judges}}
-}
-
-// Watch makes subjects, the edges of configuration config, what the monitor
-// probes from now on: the first round is one interval away, and every edge's
-// judge starts afresh. It never blocks: probes in flight run to their end and
-// count for nothing. subjects is only read, and must not be written while it
-// is watched. After Stop, Watch does nothing.
-func (m *Monitor) Watch(config uint64, subjects []node.Addr) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return
-	}
-	m.config = config
-	m.sched.watch(subjects)
-	m.arm(m.p.Clock.Now(), m.p.Interval)
-}
-
-// Stop ends the probing and the verdicts without waiting for probes in
-// flight. It is safe to call more than once.
-func (m *Monitor) Stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stopped = true
-	m.sched.watch(nil)
-	m.arm(m.p.Clock.Now(), 0)
-}
-
-// arm makes the next round due in d from now, replacing whatever was armed.
-// Nobody to probe arms nothing.
-func (m *Monitor) arm(now time.Time, d time.Duration) {
-	if m.disarm != nil {
-		m.disarm()
-	}
-	m.due = now.Add(d)
-	if len(m.sched.subjects) > 0 {
-		m.disarm = m.p.Clock.AfterFunc(d, m.round)
-	}
-}
-
-// round runs when the timer fires: it arms the next round — on the beat of
-// this one's deadline, however late it runs — and issues this one's probes.
-func (m *Monitor) round() {
-	m.mu.Lock()
-	now := m.p.Clock.Now()
-	if now.Before(m.due) {
-		m.mu.Unlock()
-		return
-	}
-	gen, subjects := m.sched.tick()
-	m.arm(now, m.p.Interval-now.Sub(m.due)%m.p.Interval)
-	m.mu.Unlock()
-	for i, subject := range subjects {
-		go m.probe(gen, i, subject)
-	}
-}
-
-// probe performs one probe and files its outcome. The callback runs outside
-// the lock: it may block on the engine's queue, and the engine must still be
-// able to Watch.
-func (m *Monitor) probe(gen uint64, i int, subject node.Addr) {
-	ok := m.probeOnce(subject)
-	m.mu.Lock()
-	config := m.config
-	faulty := m.sched.outcome(gen, i, ok, m.p.Clock.Now())
-	m.mu.Unlock()
-	if faulty {
-		m.p.OnFailure(config, subject)
-	}
-}
-
-// probeOnce sends a single probe and reports whether it succeeded. A subject
-// that reports itself as bootstrapping is treated as healthy, as in §6.
-func (m *Monitor) probeOnce(subject node.Addr) bool {
-	ctx, cancel := simclock.WithTimeout(m.p.Clock, m.p.Timeout)
+// Probe sends req — the observer's one probe request, shared by all its
+// probes — to subject, bounded by timeout, and reports whether the subject
+// answered healthy. A subject that reports itself as bootstrapping counts as
+// healthy, as in §6. It blocks for as long as the transport's Send does.
+func Probe(client transport.Client, clock simclock.Clock, timeout time.Duration, req *remoting.Request, subject node.Addr) bool {
+	ctx, cancel := simclock.WithTimeout(clock, timeout)
 	defer cancel()
-	resp, err := m.p.Client.Send(ctx, subject, m.req)
-	if err != nil {
-		return false
-	}
-	return resp != nil && resp.Probe != nil &&
+	resp, err := client.Send(ctx, subject, req)
+	return err == nil && resp != nil && resp.Probe != nil &&
 		(resp.Probe.Status == remoting.NodeOK || resp.Probe.Status == remoting.NodeBootstrapping)
 }
 

@@ -174,15 +174,12 @@ func TestProbeThatNeverWaitsArmsNoTimer(t *testing.T) {
 	clk := simclock.NewManual(time.Unix(0, 0))
 	ok := &remoting.Response{Probe: &remoting.ProbeResponse{Status: remoting.NodeOK}}
 	var sawErr error
-	m := NewMonitor(Params{
-		Observer: "observer:1", Clock: clk, Timeout: time.Second,
-		Client: ctxClient(func(ctx context.Context) (*remoting.Response, error) {
-			sawErr = ctx.Err()
-			return ok, nil
-		}),
+	client := ctxClient(func(ctx context.Context) (*remoting.Response, error) {
+		sawErr = ctx.Err()
+		return ok, nil
 	})
 	allocs := testing.AllocsPerRun(100, func() {
-		if !m.probeOnce("subject:1") {
+		if !Probe(client, clk, time.Second, probeReq, "subject:1") {
 			t.Fatal("probe failed")
 		}
 	})
@@ -204,14 +201,12 @@ func TestProbeThatNeverWaitsArmsNoTimer(t *testing.T) {
 func TestBlockedProbeIsReleasedAtTimeout(t *testing.T) {
 	clk := simclock.NewManual(time.Unix(0, 0))
 	waiting := make(chan struct{})
-	m := NewMonitor(Params{
-		Observer: "observer:1", Clock: clk, Timeout: 700 * time.Millisecond,
-		Client: ctxClient(func(ctx context.Context) (*remoting.Response, error) {
-			done := ctx.Done()
-			close(waiting)
-			<-done
-			return nil, ctx.Err()
-		}),
+	const timeout = 700 * time.Millisecond
+	client := ctxClient(func(ctx context.Context) (*remoting.Response, error) {
+		done := ctx.Done()
+		close(waiting)
+		<-done
+		return nil, ctx.Err()
 	})
 
 	type outcome struct {
@@ -220,9 +215,9 @@ func TestBlockedProbeIsReleasedAtTimeout(t *testing.T) {
 	}
 	result := make(chan outcome, 1)
 	go func() {
-		ctx, cancel := simclock.WithTimeout(clk, m.p.Timeout)
+		ctx, cancel := simclock.WithTimeout(clk, timeout)
 		defer cancel()
-		_, err := m.p.Client.Send(ctx, "subject:1", nil)
+		_, err := client.Send(ctx, "subject:1", nil)
 		result <- outcome{err: err}
 	}()
 	<-waiting
@@ -248,18 +243,18 @@ func TestBlockedProbeIsReleasedAtTimeout(t *testing.T) {
 		t.Fatalf("%d clock waiters after the probe timed out, want 0", got)
 	}
 
-	// The same through probeOnce: a timed-out probe is a failed probe.
+	// The same through Probe: a timed-out probe is a failed probe.
 	waiting = make(chan struct{})
 	failed := make(chan bool, 1)
-	go func() { failed <- !m.probeOnce("subject:1") }()
+	go func() { failed <- !Probe(client, clk, timeout, probeReq, "subject:1") }()
 	<-waiting
-	clk.Advance(m.p.Timeout)
+	clk.Advance(timeout)
 	select {
 	case f := <-failed:
 		if !f {
 			t.Fatal("a probe that timed out counted as a success")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("probeOnce still blocked after its timeout passed")
+		t.Fatal("Probe still blocked after its timeout passed")
 	}
 }
