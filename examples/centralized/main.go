@@ -14,25 +14,20 @@ import (
 
 func main() {
 	net := rapid.NewSimulatedNetwork(rapid.SimulatedNetworkOptions{Seed: 3})
+	// Every protocol duration divided by 40: 25 ms probes, 125 ms polls.
+	settings := rapid.ScaledSettings(40)
 
 	ensembleAddrs := []rapid.Addr{"ensemble-a:7000", "ensemble-b:7000", "ensemble-c:7000"}
-	ensembleSettings := rapid.DefaultEnsembleSettings()
-	ensembleSettings.ConsensusFallbackBase = 200 * time.Millisecond
-	ensemble, err := rapid.StartEnsemble(ensembleAddrs, ensembleSettings, net)
+	ensemble, err := rapid.StartEnsemble(ensembleAddrs, settings, net)
 	if err != nil {
 		log.Fatalf("start ensemble: %v", err)
 	}
 	fmt.Printf("started a %d-node membership ensemble\n", len(ensemble))
 
-	memberSettings := rapid.DefaultMemberSettings()
-	memberSettings.PollInterval = 50 * time.Millisecond
-	memberSettings.ProbeInterval = 25 * time.Millisecond
-	memberSettings.ProbeTimeout = 15 * time.Millisecond
-
-	var members []*rapid.EnsembleMember
+	var members []*rapid.Cluster
 	for i := 1; i <= 6; i++ {
 		addr := rapid.Addr(fmt.Sprintf("worker-%d:7100", i))
-		m, err := rapid.JoinViaEnsemble(addr, ensembleAddrs, memberSettings, net)
+		m, err := rapid.JoinViaEnsemble(addr, ensembleAddrs, settings, net)
 		if err != nil {
 			log.Fatalf("join %s: %v", addr, err)
 		}
@@ -40,13 +35,13 @@ func main() {
 		fmt.Printf("%s joined via the ensemble\n", addr)
 	}
 
-	waitFor(func() bool { return ensemble[0].ClusterSize() == len(members) })
+	waitFor(func() bool { return ensemble[0].Size() == len(members) })
 	fmt.Printf("\nensemble records %d managed members (configuration %x)\n",
-		ensemble[0].ClusterSize(), ensemble[0].ConfigurationID())
+		ensemble[0].Size(), ensemble[0].ConfigurationID())
 
 	fmt.Println("crashing worker-3; its k-ring observers report the failure to the ensemble...")
 	net.Crash("worker-3:7100")
-	waitFor(func() bool { return ensemble[0].ClusterSize() == len(members)-1 })
+	waitFor(func() bool { return ensemble[0].Size() == len(members)-1 })
 	waitFor(func() bool { return members[0].Size() == len(members)-1 })
 	fmt.Printf("ensemble removed the crashed worker; members learned the new view by polling\n")
 	fmt.Printf("worker-1 now sees %d members\n", members[0].Size())

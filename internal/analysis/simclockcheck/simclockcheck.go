@@ -54,7 +54,6 @@ var protocolLeaves = map[string]bool{
 	"edgefd":      true,
 	"gossipfd":    true,
 	"broadcast":   true,
-	"centralized": true,
 	"simnet":      true,
 	"experiments": true,
 }

@@ -1,8 +1,9 @@
 // Package snapshotcheck enforces snapshot immutability: the slices and maps
 // handed out by the membership snapshot accessors are shared — the engine
 // builds one sorted membership per configuration, and the snapshot, every
-// ViewChange.Members, every JoinResponse.Members and every send's target list
-// hold that very slice — so callers must treat them as read-only. Enforcing this
+// ViewChange.Members, every JoinResponse.Members, every GetViewResponse.Members
+// and every send's target list hold that very slice — so callers must treat
+// them as read-only. Enforcing this
 // at vet time is what let the engine drop its per-consumer O(N) copies, and
 // what would let the accessor that still copies defensively (Cluster.Members)
 // drop its copy without auditing every caller first.
@@ -61,9 +62,12 @@ var ReadOnlyFields = []FieldSource{
 	{"repro/internal/core", "snapshot", "members"},
 	{"repro/internal/core", "engine", "members"},
 	{"repro/internal/core", "engine", "addrs"},
+	{"repro/internal/core", "engine", "voters"},
+	{"repro/internal/core", "engine", "ensemble"},
 	{"repro/internal/core", "engine", "subjects"},
 	{"repro/internal/edgefd", "Scheduler", "subjects"},
 	{"repro/internal/remoting", "JoinResponse", "Members"},
+	{"repro/internal/remoting", "GetViewResponse", "Members"},
 }
 
 // TableSource identifies a struct type whose fields are copy-on-write tables.

@@ -1,12 +1,12 @@
 // Package broadcast provides standalone dissemination primitives: a
-// best-effort unicast-to-all broadcaster, which the Rapid-C ensemble
-// (package centralized) sends through, and a fanout gossip broadcaster. The
-// membership service (package core) uses neither: its engine returns its
-// sends — the alert batch for every member, vote bitmaps for the K ring
-// subjects — and its driver performs them. Gossip has no user left in this
-// module; it stays because the frozen benchmark times it
-// (broadcast.gossip_flush_ns) and goes with the [benchmark] PR that drops
-// that row.
+// best-effort unicast-to-all broadcaster and a fanout gossip broadcaster. The
+// membership service (package core), Rapid-C's ensemble included, uses
+// neither: its engine returns its sends — the alert batch for every voter,
+// vote bitmaps for the K ring subjects — and its driver performs them.
+// Neither has a user left in this module; both stay because the frozen
+// benchmark times them (broadcast.unicast_flush500_ns,
+// broadcast.gossip_flush_ns) and go with the [benchmark] PR that drops those
+// rows.
 //
 // A recipient list is immutable once set: SetMembership hands over a slice
 // its caller may share, so UnicastToAll keeps it without a copy and nobody

@@ -80,7 +80,8 @@ const (
 
 // Cluster is one process' handle on the Rapid membership service. Create one
 // with StartCluster (to bootstrap a new cluster) or JoinCluster (to join an
-// existing one through seed processes).
+// existing one through seed processes), or, in Rapid-C, with StartEnsemble and
+// JoinViaEnsemble.
 //
 // Internally the handle is a thin shell around a single-writer protocol
 // engine (see engine.go): transport handlers enqueue events on one queue, one
@@ -92,6 +93,9 @@ type Cluster struct {
 	client   transport.Client
 	clock    simclock.Clock
 	me       node.Endpoint
+	// ensemble is the electorate of a Rapid-C handle, an ensemble node's or a
+	// managed member's; nil for Rapid, where the membership votes.
+	ensemble []node.Addr
 
 	// events is the engine's only way in: every protocol message, join phase
 	// and probe outcome queues here in arrival order.
@@ -169,15 +173,11 @@ type EngineStats struct {
 // StartCluster bootstraps a brand-new cluster consisting of just this
 // process. Other processes join it by listing this address in their seeds.
 func StartCluster(addr node.Addr, settings Settings, net transport.Network) (*Cluster, error) {
-	c, err := newCluster(addr, settings, net)
+	c, err := register(addr, nil, settings, net)
 	if err != nil {
 		return nil, err
 	}
-	self := c.me
-	if err := net.Register(addr, c); err != nil {
-		return nil, fmt.Errorf("core: register %s: %w", addr, err)
-	}
-	c.initialize([]node.Endpoint{self})
+	c.initialize([]node.Endpoint{c.me})
 	return c, nil
 }
 
@@ -185,12 +185,45 @@ func StartCluster(addr node.Addr, settings Settings, net transport.Network) (*Cl
 // using Rapid's two-phase join protocol, and returns a started handle once
 // the view change admitting this process has been installed.
 func JoinCluster(addr node.Addr, seeds []node.Addr, settings Settings, net transport.Network) (*Cluster, error) {
-	c, err := newCluster(addr, settings, net)
+	return joinThrough(addr, seeds, nil, settings, net)
+}
+
+// StartEnsemble boots the auxiliary ensemble of Rapid-C (§5), typically three
+// processes, which is the ground truth for the membership of a cluster it
+// manages, the way applications use ZooKeeper. Each handle is an engine whose
+// electorate is the ensemble and whose view is the managed cluster, empty at
+// first; Size, Members and ConfigurationID describe that cluster.
+func StartEnsemble(addrs []node.Addr, settings Settings, net transport.Network) ([]*Cluster, error) {
+	ensemble := node.SortAddrs(slices.Clone(addrs))
+	nodes := make([]*Cluster, 0, len(ensemble))
+	for _, addr := range ensemble {
+		c, err := register(addr, ensemble, settings, net)
+		if err != nil {
+			for _, n := range nodes {
+				n.Stop()
+			}
+			return nil, err
+		}
+		c.initialize(nil)
+		nodes = append(nodes, c)
+	}
+	return nodes, nil
+}
+
+// JoinViaEnsemble joins the cluster a Rapid-C ensemble manages: JoinCluster
+// with the ensemble as the seeds, which names itself as the joiner's
+// observers. The member it starts probes its ring subjects, reports to the
+// ensemble, and learns every configuration by polling it.
+func JoinViaEnsemble(addr node.Addr, ensemble []node.Addr, settings Settings, net transport.Network) (*Cluster, error) {
+	return joinThrough(addr, ensemble, node.SortAddrs(slices.Clone(ensemble)), settings, net)
+}
+
+// joinThrough registers a handle whose electorate is the given ensemble (nil:
+// the membership), joins through seeds and starts it.
+func joinThrough(addr node.Addr, seeds, ensemble []node.Addr, settings Settings, net transport.Network) (*Cluster, error) {
+	c, err := register(addr, ensemble, settings, net)
 	if err != nil {
 		return nil, err
-	}
-	if err := net.Register(addr, c); err != nil {
-		return nil, fmt.Errorf("core: register %s: %w", addr, err)
 	}
 	members, err := c.join(seeds)
 	if err != nil {
@@ -198,6 +231,19 @@ func JoinCluster(addr node.Addr, seeds []node.Addr, settings Settings, net trans
 		return nil, err
 	}
 	c.initialize(members)
+	return c, nil
+}
+
+// register builds the unstarted handle and registers it with the transport.
+func register(addr node.Addr, ensemble []node.Addr, settings Settings, net transport.Network) (*Cluster, error) {
+	c, err := newCluster(addr, settings, net)
+	if err != nil {
+		return nil, err
+	}
+	c.ensemble = ensemble
+	if err := net.Register(addr, c); err != nil {
+		return nil, fmt.Errorf("core: register %s: %w", addr, err)
+	}
 	return c, nil
 }
 
@@ -230,7 +276,7 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 // are performed, and the timers they ask for armed, here, before the driver
 // exists: the snapshot is there when the constructor returns.
 func (c *Cluster) initialize(members []node.Endpoint) {
-	e, first := newEngine(c.me, &c.settings, &c.emetrics, members, c.clock.Now())
+	e, first := newEngine(c.me, &c.settings, &c.emetrics, members, c.ensemble, c.clock.Now())
 	c.perform(first)
 	c.started.Store(true)
 	close(c.startedCh)

@@ -56,7 +56,7 @@ func (e *engine) run(c *Cluster, flush, probe simclock.Timer) {
 // perform does to the world what one step asked for, the timers apart: the
 // sends first — a decision push belongs to the configuration being left —
 // then the new configuration, then the answers to the joiners it settled,
-// then the probes.
+// then the probes and the poll.
 func (c *Cluster) perform(out outputs) {
 	for _, s := range out.sends {
 		for _, to := range s.to {
@@ -75,6 +75,9 @@ func (c *Cluster) perform(out outputs) {
 	for i, subject := range out.probe {
 		go c.probe(out.probeGen, i, subject)
 	}
+	if out.poll {
+		go c.poll()
+	}
 }
 
 // probe performs one probe around the transport's blocking Send and hands
@@ -85,6 +88,26 @@ func (c *Cluster) perform(out outputs) {
 func (c *Cluster) probe(gen uint64, i int, subject node.Addr) {
 	ok := edgefd.Probe(c.client, c.clock, c.settings.ProbeTimeout, c.probeReq, subject)
 	c.enqueue(event{ctl: &control{probed: &probeResult{gen: gen, i: i, ok: ok}}})
+}
+
+// poll asks the ensemble for the configuration of the cluster it manages,
+// around the transport's blocking Send as probe does, and hands a changed one
+// to the engine. It asks the ensemble nodes in order until one answers, so a
+// member follows one node's sequence of configurations while that node is
+// reachable, and it has given up on all of them when the next poll is due.
+func (c *Cluster) poll() {
+	req := &remoting.Request{GetView: &remoting.GetViewRequest{Sender: c.me.Addr, KnownConfigurationID: c.ConfigurationID()}}
+	for _, to := range c.ensemble {
+		ctx, cancel := simclock.WithTimeout(c.clock, c.settings.pollInterval()/time.Duration(len(c.ensemble)))
+		resp, err := c.client.Send(ctx, to, req)
+		cancel()
+		if err == nil && resp != nil && resp.View != nil {
+			if !resp.View.Unchanged {
+				c.enqueue(event{ctl: &control{learned: resp.View}})
+			}
+			return
+		}
+	}
 }
 
 // join is the live driver of the joiner in join.go, on the goroutine that

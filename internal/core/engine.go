@@ -51,6 +51,8 @@ type control struct {
 	reinforce bool
 	// leave asks the engine to announce this process' graceful departure.
 	leave bool
+	// learned is an ensemble node's answer to this member's poll.
+	learned *remoting.GetViewResponse
 }
 
 // The control events that carry nothing are made once.
@@ -110,6 +112,8 @@ type outputs struct {
 	probe    []node.Addr
 	probeGen uint64
 	probeIn  time.Duration
+	// poll asks the ensemble for the configuration of the cluster it manages.
+	poll bool
 }
 
 // send is one request for a list of members.
@@ -132,12 +136,17 @@ type reply struct {
 type engine struct {
 	me node.Endpoint
 	// The settings the state machine reads: Settings.oneHopLimit,
-	// ProbeInterval, ConsensusFallbackBase and ReinforcementTimeout.
+	// ProbeInterval, pollInterval, ConsensusFallbackBase and
+	// ReinforcementTimeout.
 	oneHop               int
 	probeInterval        time.Duration
+	pollInterval         time.Duration
 	fallbackBase         time.Duration
 	reinforcementTimeout time.Duration
 	metrics              *EngineMetrics
+	// ensemble is the fixed electorate of Rapid-C, sorted by address; nil
+	// when the membership votes. engine-owned.
+	ensemble []node.Addr
 
 	// now is the time of the step or tick being applied. engine-owned.
 	now time.Time
@@ -146,24 +155,30 @@ type engine struct {
 	out outputs
 
 	view *view.View // engine-owned
-	// members and addrs are the membership sorted by address, myIndex this
-	// process' place in it (-1 once it has been removed), subjects the
-	// distinct processes it monitors and voteTargets where its vote pushes go:
-	// all five are derived from the view once per installed configuration. A
-	// voter bitmap is indexed the way addrs is. None is written after install
-	// built it: the snapshot, the view-change notification, every join
-	// response and every send still to be performed hold these very slices.
+	// members and addrs are the membership sorted by address; voters the
+	// electorate (addrs itself unless an ensemble manages the membership),
+	// myIndex this process' place in it (-1: no vote), subjects the distinct
+	// processes it monitors, voteTargets where its vote pushes go, and
+	// allRings whether it is a voter outside the view, an ensemble node: all
+	// are derived once per installed configuration. A voter bitmap is indexed
+	// the way voters is. No slice is written after install built it: the
+	// snapshot, the view-change notification, every join response and every
+	// send still to be performed hold these very slices.
 	members     []node.Endpoint      // engine-owned
 	addrs       []node.Addr          // engine-owned
+	voters      []node.Addr          // engine-owned
 	myIndex     int                  // engine-owned
 	subjects    []node.Addr          // engine-owned
 	voteTargets []node.Addr          // engine-owned
+	allRings    bool                 // engine-owned
 	cd          *cutdetect.Detector  // engine-owned
 	consensus   *fastpaxos.FastPaxos // engine-owned
-	// decided is the cut the consensus instance decided during this step. The
-	// instance only records it (see newConsensus); finish applies it once the
-	// call into consensus has returned. A cut is never empty. engine-owned.
+	// decided is the cut the consensus instance decided during this step, or
+	// the cut to the membership learned from the ensemble (see learn). finish
+	// applies it once the call into consensus has returned. A cut is never
+	// empty. engine-owned.
 	decided []node.Endpoint
+	learned []node.Endpoint // engine-owned
 	// votesDirty is set while the consensus instance holds votes this process
 	// has not pushed to its vote targets yet: its own, or, when it relays,
 	// whatever an inbound aggregate taught it. engine-owned.
@@ -176,6 +191,9 @@ type engine struct {
 	// probeDue is its next round, zero with nobody to probe. engine-owned.
 	probes   *edgefd.Scheduler
 	probeDue time.Time // engine-owned
+	// pollAt is when a member the ensemble manages next polls it, checked on
+	// the reinforcement tick; zero for everyone else. engine-owned.
+	pollAt time.Time
 
 	alertedEdges map[node.Addr]bool // engine-owned
 	// joinWaiters parks phase-2 join requests made in the current
@@ -221,19 +239,22 @@ const maxPastConfigs = 32
 // newEngine builds the engine state for the first configuration, installed at
 // now, and returns it with its first outputs: that configuration, its first
 // probe round, and the first flush window — an engine usually boots mid-storm,
-// and if it does not, the first ticks are the window's decay to its floor. It
-// runs on the caller's goroutine; the driver takes sole ownership afterwards
-// (the goroutine start gives the required happens-before edge).
+// and if it does not, the first ticks are the window's decay to its floor. A
+// nil ensemble makes the membership the electorate. It runs on the caller's
+// goroutine; the driver takes sole ownership afterwards (the goroutine start
+// gives the required happens-before edge).
 //
 // engine-entry: construction precedes the driver goroutine.
-func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.Endpoint, now time.Time) (*engine, outputs) {
+func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.Endpoint, ensemble []node.Addr, now time.Time) (*engine, outputs) {
 	e := &engine{
 		me:                   me,
 		oneHop:               s.oneHopLimit(),
 		probeInterval:        s.ProbeInterval,
+		pollInterval:         s.pollInterval(),
 		fallbackBase:         s.ConsensusFallbackBase,
 		reinforcementTimeout: s.ReinforcementTimeout,
 		metrics:              m,
+		ensemble:             ensemble,
 		now:                  now,
 		view:                 view.NewShared(s.K, members),
 		probes:               edgefd.NewScheduler(s.FailureDetector),
@@ -254,22 +275,29 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 // frozen build's own slices while it shares one, otherwise the only O(N) copy
 // made here — starts a fresh consensus instance and a new probe generation,
 // and puts the configuration and its first probe round, one interval from
-// now, into this step's outputs (none for a member with nobody to probe).
+// now, into this step's outputs (none for a member with nobody to probe). A
+// member the ensemble manages polls it one poll interval from now.
 func (e *engine) install() {
 	e.members, e.addrs = e.view.Membership()
+	e.voters = e.addrs
+	if e.ensemble != nil {
+		e.voters = e.ensemble
+	}
 	e.myIndex = -1
-	if i, ok := slices.BinarySearch(e.addrs, e.me.Addr); ok {
+	if i, ok := slices.BinarySearch(e.voters, e.me.Addr); ok {
 		e.myIndex = i
 	}
+	_, inView := slices.BinarySearch(e.addrs, e.me.Addr)
+	e.allRings = e.myIndex >= 0 && !inView
 	e.subjects = nil
-	if e.myIndex >= 0 {
+	if inView {
 		e.subjects, _ = e.view.UniqueSubjectsOf(e.me.Addr)
 	}
 	// Votes go to the ring subjects when this membership relays them, and
-	// otherwise to every other member, which makes one hop enough.
+	// otherwise to every other voter, which makes one hop enough.
 	e.voteTargets = e.subjects
 	if !e.relays() {
-		e.voteTargets = slices.DeleteFunc(slices.Clone(e.addrs), func(a node.Addr) bool { return a == e.me.Addr })
+		e.voteTargets = slices.DeleteFunc(slices.Clone(e.voters), func(a node.Addr) bool { return a == e.me.Addr })
 	}
 	e.consensus = e.newConsensus()
 	e.votesDirty = false
@@ -278,6 +306,10 @@ func (e *engine) install() {
 	e.probeDue = time.Time{}
 	if len(e.subjects) > 0 {
 		e.probeDue, e.out.probeIn = e.now.Add(e.probeInterval), e.probeInterval
+	}
+	e.pollAt = time.Time{}
+	if e.ensemble != nil && e.myIndex < 0 {
+		e.pollAt = e.now.Add(e.pollInterval)
 	}
 	e.out.publish = &snapshot{configID: e.view.ConfigurationID(), members: e.members, viewChanges: e.viewChanges}
 }
@@ -306,9 +338,11 @@ func (e *engine) step(ev event, now time.Time) outputs {
 	case c.reinforce:
 		e.reinforce()
 	case c.leave:
-		// A graceful leave goes to every member: the leaver's observers are
-		// among them, and file REMOVE alerts at once.
+		// A graceful leave goes to the electorate: the leaver's observers, or
+		// the ensemble that speaks for them, file REMOVE alerts at once.
 		e.broadcast(&remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.me.Addr}})
+	case c.learned != nil:
+		e.learn(c.learned)
 	}
 	return e.finish()
 }
@@ -409,7 +443,7 @@ func (e *engine) newConsensus() *fastpaxos.FastPaxos {
 	return fastpaxos.New(fastpaxos.Config{
 		MyAddr:          e.me.Addr,
 		MyIndex:         e.myIndex,
-		MembershipSize:  len(e.addrs),
+		MembershipSize:  len(e.voters),
 		ConfigurationID: e.view.ConfigurationID(),
 		Client:          outbox{e},
 		Broadcaster:     outbox{e},
@@ -427,10 +461,10 @@ func (e *engine) send(to []node.Addr, req *remoting.Request) {
 	}
 }
 
-// broadcast sends req to every member of the current configuration, this
-// process included (unicast-to-all, §6): alert batches, the classical
-// recovery rounds and leave announcements travel this way.
-func (e *engine) broadcast(req *remoting.Request) { e.send(e.addrs, req) }
+// broadcast sends req to every voter, this process included if it is one
+// (unicast-to-all, §6): alert batches, the classical recovery rounds and leave
+// announcements travel this way.
+func (e *engine) broadcast(req *remoting.Request) { e.send(e.voters, req) }
 
 // reply adds the answer to a join-phase request to this step's outputs.
 func (e *engine) reply(to chan<- *remoting.Response, resp *remoting.Response) {
@@ -463,7 +497,7 @@ func (e *engine) addVote(vote *remoting.FastRoundPhase2b) {
 
 // relays reports whether votes travel along the K rings in this
 // configuration (see Settings.oneHopLimit).
-func (e *engine) relays() bool { return len(e.addrs) > e.oneHop }
+func (e *engine) relays() bool { return len(e.voters) > e.oneHop }
 
 // pushVotes sends what the consensus instance knows — one voter bitmap per
 // distinct proposal — to this process' vote targets.
@@ -558,7 +592,7 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	if len(proposal) == 0 {
 		return
 	}
-	// A process its view no longer contains has no vote (and no bit).
+	// A process outside the electorate has no vote (and no bit).
 	if e.myIndex < 0 || e.consensus.HasProposed() {
 		return
 	}
@@ -570,7 +604,7 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	// for one on average. Left alone, the timing of a bootstrap storm against
 	// the seed's first window picks this number: five joiners, or three
 	// hundred.
-	if len(e.addrs) == 1 && len(proposal) > e.oneHop {
+	if len(e.voters) == 1 && len(proposal) > e.oneHop {
 		proposal = proposal[:e.oneHop]
 	}
 	// Arm the recovery deadline: the base delay plus a per-node jitter, so a
@@ -579,13 +613,14 @@ func (e *engine) propose(proposal []node.Endpoint) {
 	e.consensus.Propose(proposal)
 }
 
-// handleSubjectFailed converts an edge failure detector verdict into an
-// irrevocable REMOVE alert (enqueued for the next batch).
+// handleSubjectFailed converts an edge failure detector verdict, a leave or a
+// reinforcement echo into an irrevocable REMOVE alert (enqueued for the next
+// batch).
 func (e *engine) handleSubjectFailed(subject node.Addr) {
 	if !e.view.Contains(subject) || e.alertedEdges[subject] {
 		return
 	}
-	rings := e.view.RingNumbers(e.me.Addr, subject)
+	rings := e.ringsOf(subject)
 	if len(rings) == 0 {
 		return
 	}
@@ -599,6 +634,20 @@ func (e *engine) handleSubjectFailed(subject node.Addr) {
 	})
 }
 
+// ringsOf returns the rings on which this process reports about subject: the
+// ones it observes subject on, or all K for a voter outside the view — an
+// ensemble node, which observes nobody and speaks for every observer (§5).
+func (e *engine) ringsOf(subject node.Addr) []int {
+	if !e.allRings {
+		return e.view.RingNumbers(e.me.Addr, subject)
+	}
+	rings := make([]int, e.view.K())
+	for i := range rings {
+		rings[i] = i
+	}
+	return rings
+}
+
 // reinforce echoes REMOVE alerts for subjects stuck in the unstable report
 // region longer than ReinforcementTimeout (§4.2, liveness), re-runs the
 // implicit-alert scan that handleAlerts skips for join/vote-only batches, and
@@ -606,7 +655,8 @@ func (e *engine) handleSubjectFailed(subject node.Addr) {
 // voted in is past its deadline — again every ConsensusFallbackBase for as
 // long as it stays undecided, each time with a higher rank. Votes not pushed
 // yet go out on this tick too, so they never wait on a flush window that was
-// configured longer than it.
+// configured longer than it. A member the ensemble manages polls it here when
+// its poll is due.
 func (e *engine) reinforce() {
 	if e.votesDirty {
 		e.pushVotes()
@@ -619,10 +669,47 @@ func (e *engine) reinforce() {
 		e.fallbackAt = e.now.Add(e.fallbackBase)
 		e.consensus.StartClassicalRound()
 	}
+	if !e.pollAt.IsZero() && !e.now.Before(e.pollAt) {
+		e.pollAt, e.out.poll = e.now.Add(e.pollInterval), true
+	}
+}
+
+// learn files a configuration an ensemble node answered a poll with as this
+// step's decision: the cut from the installed membership to it, which
+// applyDecision installs and announces as it would a decided one, and whose
+// identifier is the ensemble's, since it depends on the member set alone.
+// Members is sorted by address, as every snapshot is. Identifiers do not
+// order configurations — a member set may come back, when the last joiners
+// fail — so whatever the ensemble answers is installed, and a member follows
+// the sequence of the first ensemble node that answers it (see poll).
+func (e *engine) learn(v *remoting.GetViewResponse) {
+	if v.ConfigurationID == e.view.ConfigurationID() {
+		return
+	}
+	var cut []node.Endpoint
+	old, cur := e.members, v.Members
+	for len(old) > 0 || len(cur) > 0 {
+		switch {
+		case len(cur) == 0 || len(old) > 0 && old[0].Addr < cur[0].Addr:
+			cut, old = append(cut, old[0]), old[1:]
+		case len(old) == 0 || cur[0].Addr < old[0].Addr:
+			cut, cur = append(cut, cur[0]), cur[1:]
+		default:
+			if old[0].ID != cur[0].ID { // an address that returned as a new process
+				cut = append(cut, old[0], cur[0])
+			}
+			old, cur = old[1:], cur[1:]
+		}
+	}
+	if len(cut) > 0 {
+		e.decided, e.learned = cut, v.Members
+	}
 }
 
 // handlePreJoin serves phase 1 of the join protocol: a seed returns the
-// joiner's temporary observers in the current configuration.
+// joiner's temporary observers in the current configuration. An ensemble node
+// names the ensemble, whose every node speaks for all K rings: the joiner has
+// fewer observers than H, so all of them must report.
 func (e *engine) handlePreJoin(ev *preJoinEvent) {
 	msg := ev.msg
 	resp := &remoting.PreJoinResponse{Sender: e.me.Addr}
@@ -643,6 +730,9 @@ func (e *engine) handlePreJoin(ev *preJoinEvent) {
 				resp.Observers = obs
 			}
 		}
+	}
+	if e.allRings && resp.Status == remoting.JoinSafeToJoin {
+		resp.Observers = e.voters
 	}
 	e.reply(ev.reply, &remoting.Response{PreJoin: resp})
 }
@@ -673,7 +763,7 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 		e.earlyJoins = append(e.earlyJoins, ev)
 		return
 	}
-	rings := e.view.RingNumbers(e.me.Addr, msg.Sender)
+	rings := e.ringsOf(msg.Sender)
 	if len(rings) == 0 {
 		// We are not one of the joiner's observers in this configuration.
 		e.reply(ev.reply, e.redirect())
@@ -757,17 +847,24 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	}
 
 	// A cut names members to remove and everybody else to admit; the view
-	// applies it in one pass per ring and says what it actually did.
-	var joiners []node.Endpoint
-	var leavers []node.Addr
+	// applies it in one pass per ring and says what it actually did. A
+	// learned membership is built instead, once per process however many
+	// members learn it (view.NewShared), where the cut would cost each of them
+	// a copy of the rings.
+	var joiners, leavers []node.Endpoint
 	for _, ep := range proposal {
-		if e.view.Contains(ep.Addr) {
-			leavers = append(leavers, ep.Addr)
+		if m, ok := e.view.Member(ep.Addr); ok && m.ID == ep.ID {
+			leavers = append(leavers, ep)
 		} else {
 			joiners = append(joiners, ep)
 		}
 	}
-	joined, left := e.view.ApplyCut(joiners, leavers)
+	joined, left := joiners, leavers
+	if e.learned != nil {
+		e.view, e.learned = view.NewShared(e.view.K(), e.learned), nil
+	} else {
+		joined, left = e.view.ApplyCut(joiners, node.EndpointAddrs(leavers))
+	}
 	changes := make([]StatusChange, 0, len(joined)+len(left))
 	for _, ep := range left {
 		changes = append(changes, StatusChange{Endpoint: ep, Joined: false})

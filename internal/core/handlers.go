@@ -12,13 +12,16 @@ import (
 // acknowledged immediately, so the transport's dispatch path never takes a
 // lock and never touches protocol state; which message it is gets decided
 // once, in the engine's dispatch. Only the join phases wait for the engine's
-// reply, and probes are answered directly from an atomic flag.
+// reply, and probes and polls are answered directly, from an atomic flag and
+// the snapshot.
 func (c *Cluster) HandleRequest(ctx context.Context, from node.Addr, req *remoting.Request) (*remoting.Response, error) {
 	switch {
 	case req == nil:
 		return remoting.AckResponse(), nil
 	case req.Probe != nil:
 		return c.handleProbe(), nil
+	case req.GetView != nil:
+		return c.handleGetView(req.GetView), nil
 	case req.PreJoin != nil:
 		return c.handlePreJoin(ctx, req.PreJoin), nil
 	case req.Join != nil:
@@ -43,6 +46,22 @@ func (c *Cluster) handleProbe() *remoting.Response {
 		status = remoting.NodeBootstrapping
 	}
 	return &remoting.Response{Probe: &remoting.ProbeResponse{Sender: c.me.Addr, Status: status}}
+}
+
+// handleGetView answers a member's poll from the snapshot, as handleProbe
+// answers a probe: "unchanged" for a member that already holds the
+// configuration, the membership otherwise. A handle that has not started yet
+// acknowledges it with nothing to learn.
+func (c *Cluster) handleGetView(msg *remoting.GetViewRequest) *remoting.Response {
+	s := c.snap.Load()
+	if s == nil {
+		return remoting.AckResponse()
+	}
+	resp := &remoting.GetViewResponse{Sender: c.me.Addr, ConfigurationID: s.configID, Unchanged: msg.KnownConfigurationID == s.configID}
+	if !resp.Unchanged {
+		resp.Members = s.members
+	}
+	return &remoting.Response{View: resp}
 }
 
 // handlePreJoin forwards phase 1 of the join protocol to the engine and waits

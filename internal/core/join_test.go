@@ -29,6 +29,9 @@ type engineRig struct {
 	settings Settings
 	engines  map[node.Addr]*engine
 	inbox    map[node.Addr][]*remoting.Request
+	// ensemble is the electorate of the engines start builds; nil: their
+	// membership.
+	ensemble []node.Addr
 }
 
 func newEngineRig(t *testing.T) *engineRig {
@@ -42,7 +45,7 @@ func newEngineRig(t *testing.T) *engineRig {
 //
 // engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) start(me node.Endpoint, members []node.Endpoint) (*engine, outputs) {
-	e, first := newEngine(me, &r.settings, &EngineMetrics{}, members, r.clk.Now())
+	e, first := newEngine(me, &r.settings, &EngineMetrics{}, members, r.ensemble, r.clk.Now())
 	r.engines[me.Addr] = e
 	return e, first
 }
@@ -57,7 +60,7 @@ func (r *engineRig) handle(me node.Endpoint, members []node.Endpoint) (*Cluster,
 		r.t.Fatal(err)
 	}
 	c.me = me
-	e, first := newEngine(me, &c.settings, &c.emetrics, members, r.clk.Now())
+	e, first := newEngine(me, &c.settings, &c.emetrics, members, nil, r.clk.Now())
 	c.perform(first)
 	c.started.Store(true)
 	close(c.startedCh)

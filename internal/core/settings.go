@@ -24,6 +24,13 @@
 // per proposal. A joiner is a state machine of its own (join.go), whose
 // calls the driver performs the same way.
 //
+// Rapid-C (§5) is the same engine with a fixed ensemble as its electorate —
+// who votes, and who hears alerts, classic rounds and leaves (StartEnsemble,
+// JoinViaEnsemble). An ensemble node is a voter outside the view it manages,
+// so it speaks for all K rings of any subject; a member of the managed
+// cluster probes its ring subjects, reports to the ensemble, never votes, and
+// learns each configuration by polling the ensemble.
+//
 // The batching window is load-adaptive (adaptive.go): it starts at a quarter
 // of BatchingWindowMax and is resized between BatchingWindowMin and
 // BatchingWindowMax from the engine's queue depth and batch arrival rate
@@ -160,6 +167,10 @@ func ScaledSettings(factor float64) Settings {
 // sends per view change against the N - 1 sends of one hop. A lone seed admits
 // this many joiners first, for the same reason.
 func (s *Settings) oneHopLimit() int { return 4 * s.K }
+
+// pollInterval is how often a member of a cluster an ensemble manages polls
+// the ensemble for its configuration: five probe intervals, §5's 5 s.
+func (s *Settings) pollInterval() time.Duration { return 5 * s.ProbeInterval }
 
 // validate fills defaults for zero-valued fields and checks watermarks.
 func (s *Settings) validate() error {

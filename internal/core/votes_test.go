@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/edgefd"
 	"repro/internal/node"
@@ -20,36 +22,46 @@ import (
 type stepRow struct {
 	name  string
 	n, me int // the membership is endpoint(0..n-1), the member under test endpoint(me)
-	turns []stepTurn
+	// ensemble, when set, is the size of an ensemble that manages the
+	// membership, and the process under test is its node me, at the paper's
+	// K, H, L = 10, 9, 3.
+	ensemble int
+	turns    []stepTurn
 	// installs is how many configurations the turns publish in all, and size
 	// the membership the member ends with.
 	installs, size int
 }
 
-// stepTurn is one input and the sends it must return, in order.
+// stepTurn is one input and the sends it must return, in order; the clock
+// moves on by wait first.
 type stepTurn struct {
+	wait  time.Duration
 	in    func(f *stepFixture) event // nil: a flush tick
 	sends []wantSend
 }
 
 // wantSend describes one send: the request's kind, its exact targets (in any
-// order) and, for a vote batch, how many voters each of its aggregates names.
+// order), for a vote batch how many voters each of its aggregates names, and
+// for an alert batch how many rings each of its alerts reports on.
 type wantSend struct {
 	kind   string
 	to     func(f *stepFixture) []node.Addr
 	voters []int
+	rings  []int
 }
 
 // stepFixture is what a row's inputs and targets are computed from: the
-// configuration, its probe generation, ring subjects and peers the member
-// started with — a decision push goes to the subjects of the configuration
-// being left.
+// configuration, its probe generation, ring subjects, electorate and peers
+// (the rest of the electorate) the member started with — a decision push goes
+// to the subjects of the configuration being left.
 type stepFixture struct {
+	me       node.Addr
 	config   uint64
 	next     uint64 // the configuration that admits newcomer
 	gen      uint64
 	members  []node.Addr
 	subjects []node.Addr
+	voters   []node.Addr
 	others   []node.Addr
 }
 
@@ -61,6 +73,25 @@ func ring(f *stepFixture) []node.Addr  { return f.subjects }
 func peers(f *stepFixture) []node.Addr { return f.others }
 func cut(f *stepFixture) event         { return event{req: cutAlerts(f.config, 3, newcomer)} }
 func leave(*stepFixture) event         { return leaveEvent }
+
+func electorate(f *stepFixture) []node.Addr { return f.voters }
+func reinforceTick(*stepFixture) event      { return reinforceEvent }
+
+// removal is a batch of one REMOVE alert about endpoint(0) on its first rings
+// rings, from the member endpoint(1), or echoed by the process under test.
+func removal(rings int, echoed bool) func(*stepFixture) event {
+	return func(f *stepFixture) event {
+		src := endpoint(1).Addr
+		if echoed {
+			src = f.me
+		}
+		alert := remoting.AlertMessage{EdgeSrc: src, EdgeDst: endpoint(0).Addr, Status: remoting.EdgeDown, ConfigurationID: f.config}
+		for i := range rings {
+			alert.RingNumbers = append(alert.RingNumbers, i)
+		}
+		return event{req: &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: src, Alerts: []remoting.AlertMessage{alert}}}}
+	}
+}
 
 // grown is the membership once newcomer has been admitted.
 func grown(f *stepFixture) []node.Addr { return append(slices.Clone(f.members), newcomer.Addr) }
@@ -118,18 +149,26 @@ func votes(aggs ...agg) func(*stepFixture) event {
 // engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (row stepRow) run(t *testing.T) {
 	r := newEngineRig(t)
-	r.settings.K, r.settings.H, r.settings.L = 3, 3, 1
-	r.settings.FailureDetector = edgefd.NewCountingFactory(1)
 	members := make([]node.Endpoint, row.n)
 	for i := range members {
 		members[i] = endpoint(i)
 	}
-	me := members[row.me].Addr
-	e, _ := r.start(members[row.me], members)
-	f := &stepFixture{config: e.view.ConfigurationID(), members: e.addrs, subjects: e.subjects}
+	self := endpoint(row.me)
+	if row.ensemble == 0 {
+		r.settings.K, r.settings.H, r.settings.L = 3, 3, 1
+		r.settings.FailureDetector = edgefd.NewCountingFactory(1)
+	} else {
+		for i := range row.ensemble {
+			r.ensemble = append(r.ensemble, node.Addr(fmt.Sprintf("ensemble-%d:1", i)))
+		}
+		self = node.Endpoint{Addr: r.ensemble[row.me], ID: node.NewID()}
+	}
+	me := self.Addr
+	e, _ := r.start(self, members)
+	f := &stepFixture{me: me, config: e.view.ConfigurationID(), members: e.addrs, subjects: e.subjects, voters: e.voters}
 	f.gen, _ = e.probes.Tick()
-	f.next = view.NewWithMembers(3, append(slices.Clone(members), newcomer)).ConfigurationID()
-	for _, a := range e.addrs {
+	f.next = view.NewWithMembers(r.settings.K, append(slices.Clone(members), newcomer)).ConfigurationID()
+	for _, a := range e.voters {
 		if a != me {
 			f.others = append(f.others, a)
 		}
@@ -137,6 +176,7 @@ func (row stepRow) run(t *testing.T) {
 
 	installs := 0
 	for i, turn := range row.turns {
+		r.clk.Advance(turn.wait)
 		var out outputs
 		if turn.in == nil {
 			out = e.tick(r.clk.Now(), 0)
@@ -157,7 +197,7 @@ func (row stepRow) run(t *testing.T) {
 			if to := want.to(f); !slices.Equal(node.SortAddrs(slices.Clone(got.to)), node.SortAddrs(slices.Clone(to))) {
 				t.Fatalf("turn %d, send %d goes to %v, want exactly %v", i, j, got.to, to)
 			}
-			var counts []int
+			var counts, rings []int
 			if got.req.VoteBatch != nil {
 				for _, v := range got.req.VoteBatch.Votes {
 					if v.ConfigurationID != f.config {
@@ -166,8 +206,16 @@ func (row stepRow) run(t *testing.T) {
 					counts = append(counts, voterCount(v.Voters))
 				}
 			}
+			if got.req.Alerts != nil {
+				for _, a := range got.req.Alerts.Alerts {
+					rings = append(rings, len(a.RingNumbers))
+				}
+			}
 			if !slices.Equal(counts, want.voters) {
 				t.Fatalf("turn %d, send %d carries aggregates of %v voters, want %v", i, j, counts, want.voters)
+			}
+			if want.rings != nil && !slices.Equal(rings, want.rings) {
+				t.Fatalf("turn %d, send %d carries alerts on %v rings, want %v", i, j, rings, want.rings)
 			}
 		}
 	}
@@ -301,4 +349,25 @@ func TestVerdictOfTheConfigurationLeftIsDropped(t *testing.T) {
 			{sends: []wantSend{{kind: "alerts", to: grown}}},
 		}},
 	)
+}
+
+// TestEnsembleEchoesAStuckSubjectOnAllRings: an ensemble node observes nobody
+// and speaks for every observer (§5). A subject reported on 5 of its 10 rings
+// sits between L and H, where it blocks every proposal (§4.2). Once it has sat
+// there for ReinforcementTimeout, the reinforcement tick echoes it: one REMOVE
+// alert on all K rings, which the next flush sends to the electorate as one
+// batch. The step that files the echo back makes the subject stable, and the
+// node votes for the cut.
+func TestEnsembleEchoesAStuckSubjectOnAllRings(t *testing.T) {
+	timeout := DefaultSettings().ReinforcementTimeout
+	runStepRows(t, stepRow{name: "an ensemble node", n: 60, me: 1, ensemble: 3, size: 60, turns: []stepTurn{
+		{in: removal(5, false)},
+		{}, // an ensemble node only ingests: nothing to flush
+		{wait: timeout - time.Millisecond, in: reinforceTick},
+		{}, // not stuck for long enough yet
+		{wait: time.Millisecond, in: reinforceTick},
+		{sends: []wantSend{{kind: "alerts", to: electorate, rings: []int{10}}}},
+		{in: removal(10, true)},
+		{sends: []wantSend{pushTo(peers, 1)}},
+	}})
 }

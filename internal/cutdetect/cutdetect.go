@@ -13,8 +13,8 @@
 //
 // All of it is one record per subject — the reported rings as a bitmap, the
 // state against the watermarks, the endpoint, the time it turned unstable —
-// in one map. The detector takes no lock: its owner serializes the calls (the
-// membership engine is single-writer, the centralized ensemble holds its own).
+// in one map. The detector takes no lock: its owner, the single-writer
+// membership engine, serializes the calls.
 //
 // The detector also implements the two liveness mechanisms of the paper:
 // implicit alerts (an unstable observer of an unstable subject implicitly

@@ -14,11 +14,10 @@
 //     successes and failing the edge when it crosses a threshold.
 //
 // The probing is not pluggable, and there is one Scheduler of it per observer,
-// plain state with no timer, lock or goroutine that its owner steps — the
-// membership engine, or the centralized member under its lock: Tick says whom
-// to probe every interval, the owner performs each probe with Probe (in core,
-// a short-lived goroutine around the transport's blocking Send), and Outcome
-// files what it found. The path is sized for thousands of simulated edges: a
+// plain state with no timer, lock or goroutine that its owner, the membership
+// engine, steps: Tick says whom to probe every interval, the owner performs
+// each probe with Probe (a short-lived goroutine around the transport's
+// blocking Send), and Outcome files what it found. The path is sized for thousands of simulated edges: a
 // probe shares its observer's one request, bounds the RPC with
 // simclock.WithTimeout — one allocation, and no timer unless the transport
 // actually waits — and hands the outcome to a judge that keeps its window in

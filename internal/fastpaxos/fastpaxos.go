@@ -12,11 +12,12 @@
 // membership service pushes the bitmaps (Aggregates) along its K rings
 // instead of having every member send its vote to every member. A proposal is
 // identified by an order-independent 128-bit fingerprint of its endpoints,
-// computed once per aggregate, never per voter. A bare vote that names only
-// its sender (HandleFastRoundVote) lands in the same tally; it is what small
-// fixed ensembles (package centralized) exchange. One instance is fed bitmaps
-// or bare votes, not both: the two identify a voter differently (by index, by
-// address), so a member seen through both would count twice.
+// computed once per aggregate, never per voter; a Rapid-C ensemble is the same
+// engine with the ensemble as its electorate, and votes with bitmaps too. A
+// bare vote that names only its sender (HandleFastRoundVote) lands in the same
+// tally; only the benchmark's layer timings still cast one. One instance is
+// fed bitmaps or bare votes, not both: the two identify a voter differently
+// (by index, by address), so a member seen through both would count twice.
 package fastpaxos
 
 import (

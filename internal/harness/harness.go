@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/centralized"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/node"
@@ -52,17 +51,12 @@ type Agent interface {
 
 // --- adapters ----------------------------------------------------------------
 
+// rapidAgent is a member of a Rapid or a Rapid-C fleet.
 type rapidAgent struct{ c *core.Cluster }
 
 func (a rapidAgent) Addr() node.Addr   { return a.c.Addr() }
 func (a rapidAgent) ReportedSize() int { return a.c.Size() }
 func (a rapidAgent) Stop()             { a.c.Stop() }
-
-type rapidCAgent struct{ m *centralized.Member }
-
-func (a rapidCAgent) Addr() node.Addr   { return a.m.Addr() }
-func (a rapidCAgent) ReportedSize() int { return a.m.Size() }
-func (a rapidCAgent) Stop()             { a.m.Stop() }
 
 type swimAgent struct{ n *swim.Node }
 
@@ -184,10 +178,7 @@ func (f *Fleet) startInfrastructure() error {
 		f.addAgent(rapidAgent{seed}, 0)
 		f.infra = append(f.infra, func() {})
 	case SystemRapidC:
-		ens := centralized.DefaultEnsembleSettings()
-		ens.ConsensusFallbackBase = scaled(4*time.Second, f.Options.TimeScale)
-		ens.ProposalBatchWindow = scaled(time.Second, f.Options.TimeScale)
-		nodes, err := centralized.StartEnsemble(ensembleAddrs(), ens, f.Net)
+		nodes, err := core.StartEnsemble(ensembleAddrs(), f.rapidSettings(), f.Net)
 		if err != nil {
 			return err
 		}
@@ -259,7 +250,8 @@ func (f *Fleet) startMembers() error {
 	return firstErr
 }
 
-// rapidSettings builds the core settings for this fleet's Rapid agents.
+// rapidSettings builds the core settings for this fleet's Rapid agents, and
+// for a Rapid-C fleet's ensemble and members.
 // Bootstrap storms at 1000+ nodes admit joiners in waves, so a large fleet's
 // joiners get more attempts than the default tuned for 100-node runs.
 func (f *Fleet) rapidSettings() core.Settings {
@@ -280,19 +272,11 @@ func (f *Fleet) startMember(i int) (Agent, error) {
 		}
 		return rapidAgent{c}, nil
 	case SystemRapidC:
-		ms := centralized.DefaultMemberSettings()
-		ms.PollInterval = scaled(5*time.Second, f.Options.TimeScale)
-		ms.ProbeInterval = scaled(time.Second, f.Options.TimeScale)
-		ms.ProbeTimeout = scaled(500*time.Millisecond, f.Options.TimeScale)
-		// A wall-clock retry budget, not a protocol duration: small fleets
-		// join in milliseconds regardless, but a 1000-member storm against
-		// the 3-node ensemble needs minutes on a saturated core.
-		ms.JoinTimeout = 180 * time.Second
-		m, err := centralized.JoinViaEnsemble(addr, ensembleAddrs(), ms, f.Net)
+		c, err := core.JoinViaEnsemble(addr, ensembleAddrs(), f.rapidSettings(), f.Net)
 		if err != nil {
 			return nil, err
 		}
-		return rapidCAgent{m}, nil
+		return rapidAgent{c}, nil
 	case SystemMemberlist:
 		n, err := swim.Start(addr, []node.Addr{seedAddr}, swim.DefaultOptions().Scaled(f.Options.TimeScale), f.Net)
 		if err != nil {
@@ -357,8 +341,8 @@ func (f *Fleet) Agents() []Agent {
 	return append([]Agent(nil), f.agents...)
 }
 
-// RapidStats returns every Rapid agent's engine stats (empty for other
-// systems). Experiments use it to assert control-plane health — no shed
+// RapidStats returns every Rapid or Rapid-C member's engine stats (empty for
+// the baselines). Experiments use it to assert control-plane health — no shed
 // events, adaptive window inside its configured bounds — after a run.
 func (f *Fleet) RapidStats() []core.EngineStats {
 	f.mu.Lock()

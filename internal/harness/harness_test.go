@@ -2,11 +2,13 @@ package harness
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/node"
 	"repro/internal/remoting"
+	"repro/internal/view"
 )
 
 func launch(t *testing.T, system System, n int) *Fleet {
@@ -63,6 +65,65 @@ func TestLaunchRapidCFleetConverges(t *testing.T) {
 	defer f.Stop()
 	if _, ok := f.WaitForSizeExcluding(6, nil, 30*time.Second); !ok {
 		t.Fatal("rapid-c fleet did not converge")
+	}
+}
+
+// TestRapidCEvictsOneWayVictim: the members that stop hearing a one-way
+// victim report it on some of its K rings, which leaves it between L and H on
+// the ensemble's detector, and only the ensemble's reinforcement echo
+// completes the cut. Rapid-C must evict the victim, and nobody else. Inject
+// takes the last member of the launch order, and the victim moved there is
+// one whose deaf observers hold between L and H-1 of its ring slots: fewer is
+// noise that Rapid rightly ignores.
+func TestRapidCEvictsOneWayVictim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 60-member fleet; the plain lane runs it")
+	}
+	const n, k, l, h = 60, 10, 3, 9
+	f := launch(t, SystemRapidC, n)
+	defer f.Stop()
+	if _, ok := f.WaitForSizeExcluding(n, nil, 30*time.Second); !ok {
+		t.Fatal("fleet did not converge")
+	}
+	// Ring places hash addresses, so any distinct identifiers give the
+	// fleet's rings; FaultOneWay deafens the even-numbered members.
+	members := make([]node.Endpoint, n)
+	deaf := map[node.Addr]bool{}
+	for i := range members {
+		members[i] = node.Endpoint{Addr: memberAddr(i), ID: node.ID{Low: uint64(i + 1)}}
+		deaf[memberAddr(i)] = i%2 == 0
+	}
+	rings := view.NewWithMembers(k, members)
+	f.mu.Lock()
+	i := slices.IndexFunc(f.agents, func(a Agent) bool {
+		observers, _ := rings.ObserversOf(a.Addr())
+		unheard := 0
+		for _, o := range observers {
+			if deaf[o] {
+				unheard++
+			}
+		}
+		return unheard >= l && unheard < h
+	})
+	if i < 0 {
+		f.mu.Unlock()
+		t.Fatal("no member fits the one-way fault class")
+	}
+	victim := f.agents[i]
+	f.agents = append(slices.Delete(f.agents, i, i+1), victim)
+	f.mu.Unlock()
+
+	victims, err := f.Inject(FaultOneWay, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.WaitForSizeExcluding(n-1, victims, 30*time.Second); !ok {
+		lo, hi := f.ReportedSizeRange(victims)
+		t.Fatalf("the one-way victim was not evicted: sizes [%d, %d]", lo, hi)
+	}
+	f.ClearFaults()
+	if size, _, ok := f.WaitForAgreement(victims, 30*time.Second); !ok || size != n-1 {
+		t.Fatalf("after the fault cleared: agreed=%v on %d members, want %d", ok, size, n-1)
 	}
 }
 

@@ -234,8 +234,8 @@ type LeaveMessage struct {
 	Sender node.Addr
 }
 
-// GetViewRequest asks a logically centralized ensemble member (§5, Rapid-C)
-// for the current configuration of the managed cluster.
+// GetViewRequest is a Rapid-C member's poll (§5): it asks an ensemble node
+// for the current configuration of the cluster the ensemble manages.
 type GetViewRequest struct {
 	Sender node.Addr
 	// KnownConfigurationID lets the ensemble answer cheaply ("unchanged")

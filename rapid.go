@@ -3,7 +3,6 @@ package rapid
 import (
 	"time"
 
-	"repro/internal/centralized"
 	"repro/internal/core"
 	"repro/internal/edgefd"
 	"repro/internal/node"
@@ -22,9 +21,10 @@ type (
 	Endpoint = node.Endpoint
 )
 
-// Re-exported membership service types (decentralized mode, §4).
+// Re-exported membership service types (§4, and Rapid-C, §5).
 type (
-	// Cluster is a process' handle on the membership service.
+	// Cluster is a process' handle on the membership service: a member, or a
+	// node of a Rapid-C ensemble.
 	Cluster = core.Cluster
 	// Settings are the service tunables ({K, H, L}, probe intervals, ...).
 	Settings = core.Settings
@@ -37,18 +37,6 @@ type (
 	// EngineStats is a point-in-time summary of the protocol engine's
 	// instrumentation (queue depth, events processed, batch sizes).
 	EngineStats = core.EngineStats
-)
-
-// Re-exported logically centralized mode types (Rapid-C, §5).
-type (
-	// EnsembleNode is one member of the auxiliary membership ensemble.
-	EnsembleNode = centralized.EnsembleNode
-	// EnsembleSettings tune the ensemble.
-	EnsembleSettings = centralized.EnsembleSettings
-	// EnsembleMember is a managed-cluster process in Rapid-C mode.
-	EnsembleMember = centralized.Member
-	// MemberSettings tune a Rapid-C member agent.
-	MemberSettings = centralized.MemberSettings
 )
 
 // Network is the transport abstraction clusters run on.
@@ -72,20 +60,16 @@ func JoinCluster(addr Addr, seeds []Addr, settings Settings, net Network) (*Clus
 	return core.JoinCluster(addr, seeds, settings, net)
 }
 
-// StartEnsemble boots the Rapid-C auxiliary ensemble (typically 3 nodes).
-func StartEnsemble(addrs []Addr, settings EnsembleSettings, net Network) ([]*EnsembleNode, error) {
-	return centralized.StartEnsemble(addrs, settings, net)
+// StartEnsemble boots the Rapid-C auxiliary ensemble (typically 3 nodes); each
+// handle's Size, Members and ConfigurationID describe the cluster it manages.
+func StartEnsemble(addrs []Addr, settings Settings, net Network) ([]*Cluster, error) {
+	return core.StartEnsemble(addrs, settings, net)
 }
 
-// DefaultEnsembleSettings returns the Rapid-C ensemble defaults.
-func DefaultEnsembleSettings() EnsembleSettings { return centralized.DefaultEnsembleSettings() }
-
-// DefaultMemberSettings returns the Rapid-C member defaults (5-second polls).
-func DefaultMemberSettings() MemberSettings { return centralized.DefaultMemberSettings() }
-
-// JoinViaEnsemble joins the managed cluster of a Rapid-C ensemble.
-func JoinViaEnsemble(addr Addr, ensemble []Addr, settings MemberSettings, net Network) (*EnsembleMember, error) {
-	return centralized.JoinViaEnsemble(addr, ensemble, settings, net)
+// JoinViaEnsemble joins the cluster a Rapid-C ensemble manages; the member
+// learns every configuration by polling the ensemble (every 5 probe intervals).
+func JoinViaEnsemble(addr Addr, ensemble []Addr, settings Settings, net Network) (*Cluster, error) {
+	return core.JoinViaEnsemble(addr, ensemble, settings, net)
 }
 
 // SimulatedNetworkOptions configure the in-process network.

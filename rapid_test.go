@@ -97,9 +97,8 @@ func TestPublicAPIFailureDetectorPlugins(t *testing.T) {
 // TestPublicAPICentralizedMode exercises Rapid-C through the facade.
 func TestPublicAPICentralizedMode(t *testing.T) {
 	net := rapid.NewSimulatedNetwork(rapid.SimulatedNetworkOptions{Seed: 23})
-	ens := rapid.DefaultEnsembleSettings()
-	ens.ConsensusFallbackBase = 200 * time.Millisecond
-	ensemble, err := rapid.StartEnsemble([]rapid.Addr{"e-a:1", "e-b:1", "e-c:1"}, ens, net)
+	settings := rapid.ScaledSettings(50)
+	ensemble, err := rapid.StartEnsemble([]rapid.Addr{"e-a:1", "e-b:1", "e-c:1"}, settings, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,21 +107,17 @@ func TestPublicAPICentralizedMode(t *testing.T) {
 			e.Stop()
 		}
 	}()
-	ms := rapid.DefaultMemberSettings()
-	ms.PollInterval = 30 * time.Millisecond
-	ms.ProbeInterval = 20 * time.Millisecond
-	ms.ProbeTimeout = 10 * time.Millisecond
-	m1, err := rapid.JoinViaEnsemble("w-1:1", []rapid.Addr{"e-a:1", "e-b:1", "e-c:1"}, ms, net)
+	m1, err := rapid.JoinViaEnsemble("w-1:1", []rapid.Addr{"e-a:1", "e-b:1", "e-c:1"}, settings, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m1.Stop()
-	m2, err := rapid.JoinViaEnsemble("w-2:1", []rapid.Addr{"e-a:1", "e-b:1", "e-c:1"}, ms, net)
+	m2, err := rapid.JoinViaEnsemble("w-2:1", []rapid.Addr{"e-a:1", "e-b:1", "e-c:1"}, settings, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Stop()
-	waitFor(t, func() bool { return ensemble[0].ClusterSize() == 2 && m1.Size() == 2 })
+	waitFor(t, func() bool { return ensemble[0].Size() == 2 && m1.Size() == 2 })
 }
 
 // TestPublicAPIOverTCP runs a two-node cluster over the real TCP transport.
