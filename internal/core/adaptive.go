@@ -12,6 +12,14 @@ import "time"
 // and ceiling after every flush, from two signals the engine already owns:
 // the depth of its inbound event queue and the number of batches that
 // arrived during the window just flushed (the alert arrival rate).
+//
+// The window is per configuration. Every view change grows it — each member
+// receives at least K alert batches and K vote pushes per relay hop — so an
+// install starts the next configuration's window at the floor again, and the
+// join that follows a cut costs about one view change rather than the
+// window's decay from the ceiling. Only an install that sends a parked joiner
+// back to phase 1, the sign of a join storm still under way, keeps the window
+// it grew (engine.restartWindow).
 
 // Controller thresholds. The queue fraction is relative to the queue's
 // capacity rather than a hard-coded depth.
@@ -47,9 +55,11 @@ type windowController struct {
 // newWindowController starts at a quarter of the ceiling (the paper's 100 ms
 // under the default 400 ms ceiling), clamped into the floor/ceiling range,
 // rather than at the floor: engines frequently boot mid-storm — every
-// admitted joiner starts one — and a floor-rate flusher is the worst thing to
-// add to a storm. A quiet engine decays to the floor within a few flushes
-// anyway (halving per tick).
+// admitted joiner starts one, and a lone seed must gather the storm into its
+// first cut — and a floor-rate flusher is the worst thing to add to a storm.
+// A quiet engine decays to the floor within a few flushes anyway (halving per
+// tick). Only a newborn engine starts here; later configurations start at the
+// floor (see the file comment).
 func newWindowController(floor, ceiling time.Duration) windowController {
 	return windowController{floor: floor, ceiling: ceiling, window: max(floor, ceiling/4)}
 }

@@ -222,13 +222,15 @@ type engine struct {
 
 	// winCtl sizes the flush window between the configured floor and ceiling
 	// from queue depth and arrival rate (see adaptive.go); arrivals counts
-	// the batches dispatched since the last flush, its rate input.
+	// the batches dispatched since the last flush, its rate input. The window
+	// belongs to the configuration: an install starts it at the floor again
+	// unless a join storm is still under way (see restartWindow).
 	winCtl   windowController // engine-owned
 	arrivals int              // engine-owned
-	// flushArmed says whether a tick is on its way. finish asks for one only
-	// while there is something to flush or to measure, so a quiet engine is
-	// stepped for nothing but its reinforcement tick.
-	flushArmed bool // engine-owned
+	// flushDue is when the tick on its way is due, zero while none is. finish
+	// asks for one only while there is something to flush or to measure, so a
+	// quiet engine is stepped for nothing but its reinforcement tick.
+	flushDue time.Time // engine-owned
 }
 
 // maxPastConfigs bounds the past-configuration history. It only needs to
@@ -266,7 +268,7 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 	}
 	m.BatchWindow.Set(int64(e.winCtl.window))
 	e.install()
-	e.flushArmed, e.out.flushIn = true, e.winCtl.window
+	e.armFlush(e.winCtl.window)
 	return e, e.finish()
 }
 
@@ -367,7 +369,7 @@ func (e *engine) probeRound() {
 // queue and the batches dispatched during this one.
 func (e *engine) tick(now time.Time, queueDepth int) outputs {
 	e.now = now
-	e.flushArmed = false
+	e.flushDue = time.Time{}
 	e.flushOutbox()
 	next := e.winCtl.retune(queueDepth, eventQueueSize, e.arrivals)
 	e.arrivals = 0
@@ -384,7 +386,7 @@ func (e *engine) tick(now time.Time, queueDepth int) outputs {
 //   - or a batch was dispatched since the last flush, which the controller
 //     must see at the end of this window to size the next one;
 //   - or the window is still above its floor and has to decay there, one
-//     halving per quiet tick.
+//     halving per quiet tick, within the configuration that grew it.
 //
 // Otherwise the timer stays stopped. Every step and tick ends here, so the
 // first alert after a quiet spell leaves exactly one floor window after it
@@ -395,14 +397,29 @@ func (e *engine) finish() outputs {
 		e.decided = nil
 		e.applyDecision(cut)
 	}
-	if !e.flushArmed && (len(e.pendingAlerts) > 0 || e.votesDirty ||
+	if e.flushDue.IsZero() && (len(e.pendingAlerts) > 0 || e.votesDirty ||
 		e.arrivals > 0 || e.winCtl.window > e.winCtl.floor) {
-		e.flushArmed = true
-		e.out.flushIn = e.winCtl.window
+		e.armFlush(e.winCtl.window)
 	}
 	out := e.out
 	e.out = outputs{}
 	return out
+}
+
+// armFlush asks for a tick d from now.
+func (e *engine) armFlush(d time.Duration) {
+	e.flushDue, e.out.flushIn = e.now.Add(d), d
+}
+
+// restartWindow starts the flush window of a configuration just installed at
+// the floor, and brings a tick due later than one floor window in to it — the
+// one case in which the engine re-arms a running flush timer.
+func (e *engine) restartWindow() {
+	e.winCtl.window = e.winCtl.floor
+	e.metrics.BatchWindow.Set(int64(e.winCtl.window))
+	if e.flushDue.After(e.now.Add(e.winCtl.window)) {
+		e.armFlush(e.winCtl.window)
+	}
 }
 
 // dispatchRequest is the one place that tells the protocol messages apart.
@@ -827,9 +844,10 @@ func (e *engine) forgetJoin(ev *joinEvent) {
 
 // applyDecision installs the configuration the agreed multi-process cut
 // leads to: finish calls it once per decided instance. It resets the
-// per-configuration protocol state, answers the joiners that were waiting on
-// this view change, and leaves the new snapshot, the first probe round's timer
-// and the subscribers' notification in this step's outputs.
+// per-configuration protocol state, the flush window included, answers the
+// joiners that were waiting on this view change, and leaves the new snapshot,
+// the first probe round's timer and the subscribers' notification in this
+// step's outputs.
 func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// The decision push. This process is about to drop the instance that just
 	// decided, and with it everything it would have relayed: pushed now, to
@@ -892,6 +910,7 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// times out.
 	var admitted *remoting.Response
 	redirect := e.redirect()
+	redirected := false
 	for key, w := range e.joinWaiters {
 		resp := redirect
 		if ep, ok := e.view.Member(key.addr); ok && ep.ID == key.id {
@@ -899,11 +918,21 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 				admitted = e.admitted()
 			}
 			resp = admitted
+		} else {
+			redirected = true
 		}
 		e.reply(w.reply, resp)
 	}
 	clear(e.joinWaiters)
 	clear(e.joinAlerted)
+	// The flush window belongs to the configuration, like the tallies: the
+	// alert batches and vote pushes of the view change just decided grew it,
+	// and a join into the new configuration must not wait out its decay. A
+	// joiner sent back to phase 1 says a join storm is still under way, and
+	// the storm keeps the window it grew.
+	if !redirected {
+		e.restartWindow()
+	}
 	// Requests that were waiting for this install are now current (or, if the
 	// joiner was just admitted, answered with the configuration).
 	early := e.earlyJoins

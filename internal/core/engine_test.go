@@ -181,132 +181,266 @@ func decayTicks(w windowController) int {
 	return ticks
 }
 
-// TestFlushTimerIsArmedOnDemand plays the driver's flush timer by hand: a
-// step's flushIn arms it, tick is its firing. A quiet engine asks for no
-// tick; an alert asks for one exactly one floor window later and leaves on
-// it, not before; unpushed votes ask for one too; a burst of arrivals keeps
-// the timer armed and grows the window, which then decays to the floor in as
-// many ticks as the controller alone needs, and stops. The regression this
-// guards is re-arming unconditionally.
+// flushTimer plays the driver's flush timer for one engine by hand: a step's
+// flushIn arms it, and fire moves the rig's clock to the tick's due time and
+// runs the tick. An engine never arms a timer that is running, with one
+// exception: an install that shortens the window may bring a tick due later
+// in.
+type flushTimer struct {
+	t   *testing.T
+	r   *engineRig
+	e   *engine
+	due time.Time // zero while the timer is stopped
+}
+
+func (f *flushTimer) arm(out outputs) outputs {
+	f.t.Helper()
+	if out.flushIn > 0 {
+		at := f.r.clk.Now().Add(out.flushIn)
+		if !f.due.IsZero() && (out.publish == nil || !at.Before(f.due)) {
+			f.t.Fatalf("flushIn %v while a tick was already %v away", out.flushIn, f.due.Sub(f.r.clk.Now()))
+		}
+		f.due = at
+	}
+	return out
+}
+
+// step applies one event to the engine and arms the timer as it asks.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func (f *flushTimer) step(ev event) outputs {
+	f.t.Helper()
+	return f.arm(f.r.step(f.e.me.Addr, ev))
+}
+
+// fire runs the tick at its due time.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func (f *flushTimer) fire() outputs {
+	f.t.Helper()
+	if f.due.IsZero() {
+		f.t.Fatal("tick on a stopped timer")
+	}
+	f.r.clk.Advance(f.due.Sub(f.r.clk.Now()))
+	f.due = time.Time{}
+	return f.arm(f.r.file(f.e.tick(f.r.clk.Now(), 0)))
+}
+
+// armed checks that the tick is want away, or that the timer is stopped if
+// want is zero, and that the engine agrees.
+func (f *flushTimer) armed(want time.Duration, when string) {
+	f.t.Helper()
+	var in time.Duration
+	if !f.due.IsZero() {
+		in = f.due.Sub(f.r.clk.Now())
+	}
+	if in != want || !f.e.flushDue.Equal(f.due) {
+		f.t.Fatalf("%s: the tick is %v away, the engine expects it at %v; want %v", when, in, f.e.flushDue, want)
+	}
+}
+
+// settle runs quiet ticks until the timer stops and returns how many ran.
+func (f *flushTimer) settle() int {
+	f.t.Helper()
+	ticks := 0
+	for !f.due.IsZero() {
+		if in, want := f.due.Sub(f.r.clk.Now()), f.e.winCtl.window; in != want {
+			f.t.Fatalf("the tick is %v away, the controller's window is %v", in, want)
+		}
+		f.fire()
+		if ticks++; ticks > 64 {
+			f.t.Fatal("the flush timer never stopped on a quiet engine")
+		}
+	}
+	return ticks
+}
+
+// growToCeiling bursts arrivals at the engine: arrivals alone arm the timer
+// (the controller must see them), every busy window doubles the next, and the
+// ceiling holds.
+func (f *flushTimer) growToCeiling() {
+	f.t.Helper()
+	ceiling := f.r.settings.BatchingWindowMax
+	for want := min(2*f.e.winCtl.window, ceiling); ; want = min(2*want, ceiling) {
+		before := f.e.winCtl.window
+		for i := 0; i < 2*growArrivals; i++ {
+			f.step(event{req: alertBatch(f.e.view.ConfigurationID(), uint64(i))})
+		}
+		f.armed(before, "during a burst")
+		if f.fire(); f.e.winCtl.window != want {
+			f.t.Fatalf("a busy window was followed by one of %v, want %v", f.e.winCtl.window, want)
+		}
+		f.armed(want, "above the floor after a busy window")
+		if want == ceiling {
+			return
+		}
+	}
+}
+
+// TestFlushTimerIsArmedOnDemand plays the driver's flush timer by hand. A
+// quiet engine asks for no tick; an alert asks for one exactly one floor
+// window later and leaves on it, not before; unpushed votes ask for one too;
+// a burst of arrivals keeps the timer armed and grows the window, which then
+// decays to the floor in as many ticks as the controller alone needs, and
+// stops. The regression this guards is re-arming unconditionally.
 //
 // engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 	r := newEngineRig(t)
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
 	e, first := r.start(members[0], members)
-	me := members[0].Addr
+	f := &flushTimer{t: t, r: r, e: e}
 	floor, ceiling := r.settings.BatchingWindowMin, r.settings.BatchingWindowMax
-
-	// timer is what the driver's flush timer was last armed with, zero while
-	// it is stopped. An engine must never arm a timer that is running.
-	var timer time.Duration
-	arm := func(out outputs) outputs {
-		t.Helper()
-		if out.flushIn > 0 {
-			if timer != 0 {
-				t.Fatalf("flushIn %v while a tick was already %v away", out.flushIn, timer)
-			}
-			timer = out.flushIn
-		}
-		return out
-	}
-	step := func(ev event) outputs { t.Helper(); return arm(r.step(me, ev)) }
-	tick := func() outputs {
-		t.Helper()
-		if timer == 0 {
-			t.Fatal("tick on a stopped timer")
-		}
-		timer = 0
-		return arm(r.file(e.tick(r.clk.Now(), 0)))
-	}
-	armed := func(want time.Duration, when string) {
-		t.Helper()
-		if timer != want || e.flushArmed != (want != 0) {
-			t.Fatalf("%s: the timer is armed with %v, flushArmed=%v; want %v", when, timer, e.flushArmed, want)
-		}
-	}
-	// settle runs quiet ticks until the timer stops and returns how many ran.
-	settle := func() int {
-		t.Helper()
-		ticks := 0
-		for timer != 0 {
-			if want := e.winCtl.window; timer != want {
-				t.Fatalf("the timer is armed with %v, the controller's window is %v", timer, want)
-			}
-			tick()
-			if ticks++; ticks > 64 {
-				t.Fatal("the flush timer never stopped on a quiet engine")
-			}
-		}
-		return ticks
-	}
 
 	// Born armed, at a quarter of the ceiling; quiet ticks halve the window
 	// to the floor and then the timer stops.
-	arm(first)
-	armed(ceiling/4, "at birth")
-	if want, got := decayTicks(e.winCtl), settle(); got != want {
+	f.arm(first)
+	f.armed(ceiling/4, "at birth")
+	if want, got := decayTicks(e.winCtl), f.settle(); got != want {
 		t.Fatalf("the first window decayed to the floor in %d ticks, the controller needs %d", got, want)
 	}
 	if e.winCtl.window != floor {
 		t.Fatalf("window settled at %v, want the floor %v", e.winCtl.window, floor)
 	}
-	armed(0, "after the decay")
+	f.armed(0, "after the decay")
 	r.clk.Advance(time.Minute)
-	if out := step(reinforceEvent); len(out.sends) != 0 {
+	if out := f.step(reinforceEvent); len(out.sends) != 0 {
 		t.Fatalf("a quiet engine's reinforcement tick sent %v", out.sends)
 	}
-	armed(0, "after a quiet minute")
+	f.armed(0, "after a quiet minute")
 
 	// The first alert — a subject's leave, which its observers report at
 	// once — arms the timer for one floor window; its batch leaves on that
 	// tick, not on the step that raised it.
-	if out := step(event{req: &remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.subjects[0]}}}); len(out.sends) != 0 {
+	if out := f.step(event{req: &remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.subjects[0]}}}); len(out.sends) != 0 {
 		t.Fatalf("the batch left before its flush tick: %v", out.sends)
 	}
-	armed(floor, "with an alert pending")
-	out := tick()
+	f.armed(floor, "with an alert pending")
+	out := f.fire()
 	if len(out.sends) != 1 || !slices.Equal(out.sends[0].to, e.addrs) ||
 		out.sends[0].req.Alerts == nil || len(out.sends[0].req.Alerts.Alerts) != 1 {
 		t.Fatalf("the flush tick sent %+v, want the one batch for every member", out.sends)
 	}
-	armed(0, "after the batch left")
+	f.armed(0, "after the batch left")
 	clear(r.inbox)
 
 	// A vote not pushed yet arms it, and the tick that pushes it stops it.
-	step(event{req: cutAlerts(e.view.ConfigurationID(), r.settings.K, endpoint(9))})
+	f.step(event{req: cutAlerts(e.view.ConfigurationID(), r.settings.K, endpoint(9))})
 	if !e.votesDirty {
 		t.Fatal("the cut did not make this member vote")
 	}
-	armed(floor, "with dirty votes")
-	if out := tick(); len(out.sends) != 1 || out.sends[0].req.VoteBatch == nil || e.votesDirty {
+	f.armed(floor, "with dirty votes")
+	if out := f.fire(); len(out.sends) != 1 || out.sends[0].req.VoteBatch == nil || e.votesDirty {
 		t.Fatalf("the tick after a vote sent %+v (still dirty: %v), want the one push", out.sends, e.votesDirty)
 	}
-	armed(0, "after the votes left")
+	f.armed(0, "after the votes left")
 
-	// A burst: arrivals alone arm the timer (the controller must see them),
-	// every busy window doubles the next, and the ceiling holds.
-	burst := func() {
-		for i := 0; i < 2*growArrivals; i++ {
-			step(event{req: alertBatch(e.view.ConfigurationID(), uint64(i))})
-		}
-	}
-	for want := 2 * floor; ; want = min(2*want, ceiling) {
-		before := e.winCtl.window
-		burst()
-		armed(before, "during a burst")
-		if tick(); e.winCtl.window != want {
-			t.Fatalf("a busy window was followed by one of %v, want %v", e.winCtl.window, want)
-		}
-		armed(want, "above the floor after a busy window")
-		if want == ceiling {
-			break
-		}
-	}
-	if want, got := decayTicks(e.winCtl), settle(); got != want || e.winCtl.window != floor {
+	f.growToCeiling()
+	if want, got := decayTicks(e.winCtl), f.settle(); got != want || e.winCtl.window != floor {
 		t.Fatalf("after the burst the window reached %v in %d ticks; the controller reaches the floor in %d", e.winCtl.window, got, want)
 	}
-	armed(0, "after the burst decayed")
+	f.armed(0, "after the burst decayed")
+}
+
+// TestInstallRestartsTheFlushWindow: the flush window belongs to the
+// configuration. A lone seed whose window a burst grew to the ceiling decides
+// a one-member cut on its own vote; with no parked joiner sent back to phase
+// 1, the new configuration starts at the floor — the running tick is brought
+// in to one floor window, the timer then stops, and the next JOIN alert leaves
+// exactly one floor window after it was raised. An install that redirects a
+// parked joiner keeps the window a join storm grew, and a newborn engine still
+// starts at a quarter of the ceiling.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func TestInstallRestartsTheFlushWindow(t *testing.T) {
+	floor, ceiling := DefaultSettings().BatchingWindowMin, DefaultSettings().BatchingWindowMax
+	// grown starts a lone seed and grows its window to the ceiling.
+	grown := func(t *testing.T) (*engineRig, *flushTimer) {
+		r := newEngineRig(t)
+		seed := endpoint(0)
+		e, first := r.start(seed, []node.Endpoint{seed})
+		f := &flushTimer{t: t, r: r, e: e}
+		f.arm(first)
+		f.growToCeiling()
+		return r, f
+	}
+	// decide makes the seed vote for admitting endpoint(9), a quorum on its own.
+	decide := func(f *flushTimer) outputs {
+		f.t.Helper()
+		out := f.step(event{req: cutAlerts(f.e.view.ConfigurationID(), f.r.settings.K, endpoint(9))})
+		if out.publish == nil || f.e.view.Size() != 2 {
+			f.t.Fatalf("the seed's vote decided nothing: %d members", f.e.view.Size())
+		}
+		return out
+	}
+	// park hands the seed a phase-2 request from joiner in its configuration.
+	park := func(f *flushTimer, joiner node.Endpoint) *joinEvent {
+		ev := &joinEvent{
+			msg:   &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: f.e.view.ConfigurationID()},
+			reply: make(chan *remoting.Response, 1),
+		}
+		f.step(event{ctl: &control{join: ev}})
+		return ev
+	}
+
+	t.Run("install without a redirect", func(t *testing.T) {
+		r, f := grown(t)
+		decide(f)
+		if got := f.e.winCtl.window; got != floor {
+			t.Fatalf("the new configuration's window is %v, want the floor %v", got, floor)
+		}
+		if got := f.e.metrics.BatchWindow.Value(); time.Duration(got) != floor {
+			t.Fatalf("the BatchWindow gauge reads %v, want the floor %v", time.Duration(got), floor)
+		}
+		f.armed(floor, "after the install")
+		if out := f.fire(); len(out.sends) != 0 {
+			t.Fatalf("the first tick of a quiet configuration sent %+v", out.sends)
+		}
+		f.armed(0, "after the install's tick")
+
+		joiner := endpoint(10)
+		raised := r.clk.Now()
+		park(f, joiner)
+		if len(f.e.pendingAlerts) != 1 {
+			t.Fatalf("%d alerts pending after a phase-2 request, want the JOIN alert", len(f.e.pendingAlerts))
+		}
+		f.armed(floor, "with a JOIN alert pending")
+		out := f.fire()
+		if len(out.sends) != 1 || out.sends[0].req.Alerts == nil || out.sends[0].req.Alerts.Alerts[0].EdgeDst != joiner.Addr {
+			t.Fatalf("the flush tick sent %+v, want the JOIN alert", out.sends)
+		}
+		if waited := r.clk.Now().Sub(raised); waited != floor {
+			t.Fatalf("the JOIN alert left %v after it was raised, want one floor window, %v", waited, floor)
+		}
+	})
+
+	t.Run("install that redirects a parked joiner", func(t *testing.T) {
+		r, f := grown(t)
+		before := f.due.Sub(r.clk.Now())
+		straggler := park(f, endpoint(11))
+		if out := decide(f); out.flushIn != 0 {
+			t.Fatalf("the install re-armed the flush timer with %v", out.flushIn)
+		}
+		if resp := answer(t, straggler); resp.Status != remoting.JoinConfigChanged {
+			t.Fatalf("the parked joiner got %s, want CONFIG_CHANGED", resp.Status)
+		}
+		if got := f.e.winCtl.window; got != ceiling {
+			t.Fatalf("the window is %v after an install that redirected a joiner, want the ceiling %v", got, ceiling)
+		}
+		f.armed(before, "after the install")
+	})
+
+	t.Run("newborn engine", func(t *testing.T) {
+		r := newEngineRig(t)
+		members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2)}
+		e, first := r.start(members[1], members)
+		f := &flushTimer{t: t, r: r, e: e}
+		f.arm(first)
+		if e.winCtl.window != ceiling/4 {
+			t.Fatalf("a newborn engine's window is %v, want a quarter of the ceiling, %v", e.winCtl.window, ceiling/4)
+		}
+		f.armed(ceiling/4, "at birth")
+	})
 }
 
 // TestConfigurationSlicesAreShared: everything a configuration hands out is

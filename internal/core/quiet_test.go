@@ -5,6 +5,7 @@ import (
 	"context"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,7 +81,8 @@ func TestQuietMemberRunsTwoGoroutines(t *testing.T) {
 // timer anywhere, and no timer per monitored edge — and that stays so while
 // time passes. Stopping a member brings flush timers back on the members that
 // have an alert to send, on nobody else, and once the view change has settled
-// they are gone again.
+// they are gone again; every member starts the new configuration at the floor
+// window, not at the one the view change grew.
 // There is no wall-clock threshold in here: the waits are for events, the
 // bounds are step counts. The regression this guards is an engine that
 // re-arms its flush timer unconditionally.
@@ -200,9 +202,34 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 	}
 
 	// The view change runs — alerts, votes relayed along the rings, windows
-	// that grow and decay — and then every flush timer is gone again.
+	// that grow — and then every flush timer is gone again. The new
+	// configuration starts at the floor window on every member: a subscriber
+	// reads the window as the install is announced, and the clock does not
+	// move on until every member that installed has been read, so no tick can
+	// have retuned it first.
 	if err := v.RemoveMember(victim.Addr); err != nil {
 		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	installedWindow := map[node.Addr]time.Duration{}
+	for a, c := range fleet {
+		c.Subscribe(func(vc ViewChange) {
+			if vc.ConfigurationID == v.ConfigurationID() {
+				mu.Lock()
+				installedWindow[a] = c.Stats().BatchWindow
+				mu.Unlock()
+			}
+		})
+	}
+	read := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for a, c := range fleet {
+			if _, ok := installedWindow[a]; !ok && c.ConfigurationID() == v.ConfigurationID() {
+				return false
+			}
+		}
+		return true
 	}
 	quiet = 2 * (n - 1)
 	settled := func() bool {
@@ -218,6 +245,9 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 		if step == 5000 {
 			t.Fatalf("the fleet did not go quiet after the view change: %d clock waiters, want %d", clk.PendingWaiters(), quiet)
 		}
+		if !waitUntil(t, 10*time.Second, read) {
+			t.Fatal("a member's install was never announced to its subscriber")
+		}
 		clk.Advance(s.BatchingWindowMin)
 		syncAll()
 		if settled() {
@@ -226,9 +256,14 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 			calm = 0
 		}
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	for a, c := range fleet {
 		if got := c.ConfigurationID(); got != v.ConfigurationID() {
 			t.Fatalf("%s installed configuration %x, want %x", a, got, v.ConfigurationID())
+		}
+		if got := installedWindow[a]; got != s.BatchingWindowMin {
+			t.Fatalf("%s started the new configuration with a %v window, want the floor %v", a, got, s.BatchingWindowMin)
 		}
 	}
 }

@@ -31,16 +31,19 @@
 // cluster probes its ring subjects, reports to the ensemble, never votes, and
 // learns each configuration by polling the ensemble.
 //
-// The batching window is load-adaptive (adaptive.go): it starts at a quarter
-// of BatchingWindowMax and is resized between BatchingWindowMin and
-// BatchingWindowMax from the engine's queue depth and batch arrival rate
-// (quiet clusters flush near-immediately, storming clusters send fewer,
-// larger batches). There is one overload rule: when the event queue is full,
-// an inbound batch with nothing in it for the current configuration is
+// The batching window is load-adaptive (adaptive.go): a new engine starts it
+// at a quarter of BatchingWindowMax, and it is resized between
+// BatchingWindowMin and BatchingWindowMax from the engine's queue depth and
+// batch arrival rate (quiet clusters flush near-immediately, storming
+// clusters send fewer, larger batches). The window belongs to the
+// configuration: every install starts it at BatchingWindowMin again, unless
+// the install sent a parked joiner back to phase 1 — a join storm still under
+// way keeps its window. There is one overload rule: when the event queue is
+// full, an inbound batch with nothing in it for the current configuration is
 // dropped rather than blocking the transport; everything else blocks. The
 // subscriber notification queue is bounded, coalescing view changes for slow
-// subscribers (notifier.go). See docs/ARCHITECTURE.md for the full
-// event-flow diagram.
+// subscribers (notifier.go). See docs/ARCHITECTURE.md for the full event-flow
+// diagram.
 package core
 
 import (
@@ -73,13 +76,15 @@ type Settings struct {
 
 	// BatchingWindowMin is the floor of the adaptive flush window (§6): a
 	// quiet engine collapses its window to this value so joins and isolated
-	// alerts are broadcast almost immediately. Defaults to 10 ms.
+	// alerts are broadcast almost immediately, and every configuration after
+	// the first starts at it unless its install redirected a parked joiner.
+	// Defaults to 10 ms.
 	BatchingWindowMin time.Duration
 	// BatchingWindowMax is the ceiling of the adaptive flush window: a
 	// storming engine grows its window toward this value so alerts leave in
-	// fewer, larger wire batches and votes in fewer pushes. An engine starts at a quarter of
-	// it — the paper's fixed 100 ms under the 400 ms default. Must satisfy
-	// 0 < BatchingWindowMin <= BatchingWindowMax.
+	// fewer, larger wire batches and votes in fewer pushes. A new engine
+	// starts at a quarter of it — the paper's fixed 100 ms under the 400 ms
+	// default. Must satisfy 0 < BatchingWindowMin <= BatchingWindowMax.
 	BatchingWindowMax time.Duration
 
 	// ConsensusFallbackBase is the base delay before an undecided node starts

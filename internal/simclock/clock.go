@@ -35,8 +35,9 @@ type Clock interface {
 	// with a different duration, which is what variable-period loops (the
 	// adaptive batching window) need: a Ticker's period is fixed at creation.
 	// Reset may only be called after the timer's value has been received from
-	// C (the engine's flush loop always consumes the tick before re-arming).
-	// Callers must Stop it when done.
+	// C, or before it has fired (an install re-arms the engine's probe timer,
+	// and may bring its flush timer in, that way). Callers must Stop it when
+	// done.
 	Timer(d time.Duration) Timer
 	// AfterFunc calls f once d has elapsed, unless stop is called first; stop
 	// reports whether it prevented the call. f must not block: the wall clock
@@ -61,7 +62,8 @@ type Timer interface {
 	// C returns the delivery channel.
 	C() <-chan time.Time
 	// Reset re-arms the timer to fire after d. It must only be called after
-	// the previous firing was received from C (or after Stop).
+	// the previous firing was received from C, after Stop, or before the
+	// timer has fired.
 	Reset(d time.Duration)
 	// Stop halts a pending firing. It does not close the channel.
 	Stop()
@@ -101,7 +103,8 @@ type realTimer struct{ t *time.Timer }
 func (rt realTimer) C() <-chan time.Time { return rt.t.C }
 
 // Reset relies on the Timer contract: the caller has already received the
-// previous firing (or called Stop), so the channel is known to be drained.
+// previous firing, called Stop, or the timer has not fired, so the channel is
+// known to be drained.
 func (rt realTimer) Reset(d time.Duration) { rt.t.Reset(d) }
 func (rt realTimer) Stop()                 { rt.t.Stop() }
 
@@ -231,8 +234,8 @@ func (mt *manualTimer) arm(d time.Duration) {
 }
 
 // Reset implements Timer. Per the Timer contract the previous firing has been
-// received (or stopped), so the stale waiter — if it has not fired yet — is
-// flagged for removal and a fresh one is queued.
+// received, stopped, or not happened yet, so the stale waiter — if it has not
+// fired yet — is flagged for removal and a fresh one is queued.
 func (mt *manualTimer) Reset(d time.Duration) {
 	mt.m.mu.Lock()
 	if mt.w != nil {
