@@ -55,11 +55,12 @@ type windowController struct {
 // newWindowController starts at a quarter of the ceiling (the paper's 100 ms
 // under the default 400 ms ceiling), clamped into the floor/ceiling range,
 // rather than at the floor: engines frequently boot mid-storm — every
-// admitted joiner starts one, and a lone seed must gather the storm into its
-// first cut — and a floor-rate flusher is the worst thing to add to a storm.
-// A quiet engine decays to the floor within a few flushes anyway (halving per
-// tick). Only a newborn engine starts here; later configurations start at the
-// floor (see the file comment).
+// admitted joiner starts one — and a floor-rate flusher is the worst thing to
+// add to a storm. A lone seed gathering a join storm holds its window here,
+// one tick after another, until the storm has arrived (engine.gathering); a
+// quiet engine decays to the floor within a few flushes (halving per tick).
+// Only a newborn engine starts here; later configurations start at the floor
+// (see the file comment).
 func newWindowController(floor, ceiling time.Duration) windowController {
 	return windowController{floor: floor, ceiling: ceiling, window: max(floor, ceiling/4)}
 }

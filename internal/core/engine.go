@@ -136,13 +136,14 @@ type reply struct {
 type engine struct {
 	me node.Endpoint
 	// The settings the state machine reads: Settings.oneHopLimit,
-	// ProbeInterval, pollInterval, ConsensusFallbackBase and
-	// ReinforcementTimeout.
+	// ProbeInterval, pollInterval, ConsensusFallbackBase,
+	// ReinforcementTimeout and JoinPhase2Timeout.
 	oneHop               int
 	probeInterval        time.Duration
 	pollInterval         time.Duration
 	fallbackBase         time.Duration
 	reinforcementTimeout time.Duration
+	joinTimeout          time.Duration
 	metrics              *EngineMetrics
 	// ensemble is the fixed electorate of Rapid-C, sorted by address; nil
 	// when the membership votes. engine-owned.
@@ -209,6 +210,14 @@ type engine struct {
 	// process has not installed yet (the seed that served the joiner's phase 1
 	// decided first); they are re-evaluated after every install. engine-owned.
 	earlyJoins []*joinEvent
+	// The state a lone voter gathers a join storm by (see gathering):
+	// joinArrived is set when a joiner reached this process in either phase
+	// since the last tick, unparked holds the joiners a lone voter answered in
+	// phase 1 in the current configuration that have not parked yet, and
+	// stormAt is when the configuration's first joiner parked. engine-owned.
+	joinArrived bool
+	unparked    map[joinerKey]bool
+	stormAt     time.Time
 	// pastConfigs are the configurations this process has moved past, oldest
 	// first, at most maxPastConfigs of them. A phase-2 join request naming one
 	// is stale and redirected; one naming an unknown configuration is early
@@ -255,6 +264,7 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 		pollInterval:         s.pollInterval(),
 		fallbackBase:         s.ConsensusFallbackBase,
 		reinforcementTimeout: s.ReinforcementTimeout,
+		joinTimeout:          s.JoinPhase2Timeout,
 		metrics:              m,
 		ensemble:             ensemble,
 		now:                  now,
@@ -264,6 +274,7 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 		alertedEdges:         make(map[node.Addr]bool),
 		joinWaiters:          make(map[joinerKey]*joinEvent),
 		joinAlerted:          make(map[joinerKey]bool),
+		unparked:             make(map[joinerKey]bool),
 		winCtl:               newWindowController(s.BatchingWindowMin, s.BatchingWindowMax),
 	}
 	m.BatchWindow.Set(int64(e.winCtl.window))
@@ -366,15 +377,42 @@ func (e *engine) probeRound() {
 
 // tick is one firing of the flush timer: it sends what the window gathered
 // and lets the controller size the next window from the depth of the inbound
-// queue and the batches dispatched during this one.
+// queue and the batches dispatched during this one — unless a lone voter is
+// gathering a join storm, when it holds everything for one more window of the
+// same length.
 func (e *engine) tick(now time.Time, queueDepth int) outputs {
 	e.now = now
 	e.flushDue = time.Time{}
+	gathering := e.gathering(queueDepth)
+	e.joinArrived = false
+	if gathering {
+		return e.finish()
+	}
 	e.flushOutbox()
 	next := e.winCtl.retune(queueDepth, eventQueueSize, e.arrivals)
 	e.arrivals = 0
 	e.metrics.BatchWindow.Set(int64(next))
 	return e.finish()
+}
+
+// gathering reports whether a lone voter holds its JOIN alerts on this tick,
+// given how many events wait in its inbound queue. Its vote alone decides the
+// cut they lead to, and every joiner the cut leaves out runs both join phases
+// again and is voted in by the members it admitted, so it waits for the whole
+// storm. A joiner must have parked, and the first one must have waited less
+// than half a JoinPhase2Timeout, so a trickle cannot time one out. Then it
+// holds while any of these says the storm is still arriving:
+//
+//   - a joiner it answered in phase 1 has not parked yet;
+//   - events are queued that this tick has not seen, joins among them;
+//   - 4K joiners are parked and one reached it, in either phase, since the
+//     last tick: above 4K the next wave's votes would be relayed along the
+//     rings, so only a quiet window ends the wait, while a smaller storm that
+//     has all parked is cut at once.
+func (e *engine) gathering(queueDepth int) bool {
+	return len(e.voters) == 1 &&
+		!e.stormAt.IsZero() && e.now.Sub(e.stormAt) < e.joinTimeout/2 &&
+		(len(e.unparked) > 0 || queueDepth > 0 || e.joinArrived && len(e.joinWaiters) >= e.oneHop)
 }
 
 // finish ends a step or tick. A cut the consensus instance decided during it
@@ -614,16 +652,6 @@ func (e *engine) propose(proposal []node.Endpoint) {
 		return
 	}
 	proposal = dedupeEndpoints(proposal)
-	// A lone seed is the only voter on its cut, so it may admit any part of
-	// it, and it admits at most oneHopLimit (4K) joiners: the largest
-	// electorate that still counts the next wave's votes in one hop, and 4K
-	// members already give the next joiners K observers that are distinct but
-	// for one on average. Left alone, the timing of a bootstrap storm against
-	// the seed's first window picks this number: five joiners, or three
-	// hundred.
-	if len(e.voters) == 1 && len(proposal) > e.oneHop {
-		proposal = proposal[:e.oneHop]
-	}
 	// Arm the recovery deadline: the base delay plus a per-node jitter, so a
 	// single coordinator usually emerges.
 	e.fallbackAt = e.now.Add(e.fallbackBase + time.Duration(e.myIndex%8)*e.fallbackBase/8)
@@ -726,15 +754,20 @@ func (e *engine) learn(v *remoting.GetViewResponse) {
 // handlePreJoin serves phase 1 of the join protocol: a seed returns the
 // joiner's temporary observers in the current configuration. An ensemble node
 // names the ensemble, whose every node speaks for all K rings: the joiner has
-// fewer observers than H, so all of them must report.
+// fewer observers than H, so all of them must report. A lone voter, the
+// joiner's only observer, expects it to park next (see gathering).
 func (e *engine) handlePreJoin(ev *preJoinEvent) {
 	msg := ev.msg
+	e.joinArrived = true
 	resp := &remoting.PreJoinResponse{Sender: e.me.Addr}
 	resp.Status = e.view.IsSafeToJoin(msg.Sender, msg.JoinerID)
 	resp.ConfigurationID = e.view.ConfigurationID()
 	switch resp.Status {
 	case remoting.JoinSafeToJoin:
 		resp.Observers = e.view.ExpectedObserversOf(msg.Sender)
+		if key := (joinerKey{addr: msg.Sender, id: msg.JoinerID}); len(e.voters) == 1 && !e.joinAlerted[key] {
+			e.unparked[key] = true
+		}
 	case remoting.JoinHostAlreadyInRing:
 		// If the very same process (same logical ID) retries its join — for
 		// example because the response to its phase-2 request was lost — the
@@ -760,6 +793,7 @@ func (e *engine) handlePreJoin(ev *preJoinEvent) {
 // to phase 1 (see applyDecision).
 func (e *engine) handleJoinPhase2(ev *joinEvent) {
 	msg := ev.msg
+	e.joinArrived = true
 	currentConfig := e.view.ConfigurationID()
 	// If the joiner is already a member, the view change raced ahead of this
 	// request (or it is a retry): answer immediately with the configuration.
@@ -796,6 +830,10 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 		return
 	}
 	e.joinAlerted[key] = true
+	delete(e.unparked, key)
+	if e.stormAt.IsZero() {
+		e.stormAt = e.now
+	}
 	e.addAlert(remoting.AlertMessage{
 		EdgeSrc:         e.me.Addr,
 		EdgeDst:         msg.Sender,
@@ -925,6 +963,8 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	}
 	clear(e.joinWaiters)
 	clear(e.joinAlerted)
+	clear(e.unparked)
+	e.stormAt = time.Time{}
 	// The flush window belongs to the configuration, like the tallies: the
 	// alert batches and vote pushes of the view change just decided grew it,
 	// and a join into the new configuration must not wait out its decay. A

@@ -89,6 +89,16 @@ func (r *engineRig) step(m node.Addr, ev event) outputs {
 	return r.file(r.engines[m].step(ev, r.clk.Now()))
 }
 
+// preJoin hands one phase-1 request to a seed's engine and returns its answer.
+func (r *engineRig) preJoin(seed node.Addr, joiner node.Endpoint) *remoting.PreJoinResponse {
+	ev := &preJoinEvent{
+		msg:   &remoting.PreJoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID},
+		reply: make(chan *remoting.Response, 1),
+	}
+	r.step(seed, event{ctl: &control{preJoin: ev}})
+	return (<-ev.reply).PreJoin
+}
+
 // park hands one phase-2 request to an observer's engine.
 func (r *engineRig) park(observer node.Addr, joiner node.Endpoint, configID uint64) *joinEvent {
 	ev := &joinEvent{
@@ -242,42 +252,135 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 	}
 }
 
-// TestLoneSeedAdmitsAtMost4K: the seed alone decides its first cut, and what
-// it admits votes on everything after, so it takes 4K of a bigger storm (the
-// first by address, like any cut) and redirects the rest.
+// tickSeed fires a lone seed's flush timer one window after the last firing,
+// with queued events waiting in its inbound queue, and reports whether the
+// tick held the storm: sent nothing, and kept both the window and the timer
+// running at it.
 //
 // engine-entry: the rig applies events on the test goroutine; no driver runs.
-func TestLoneSeedAdmitsAtMost4K(t *testing.T) {
+func (r *engineRig) tickSeed(s *engine, queued int) (held bool) {
+	window := s.winCtl.window
+	r.clk.Advance(window)
+	out := r.file(s.tick(r.clk.Now(), queued))
+	if len(out.sends) == 0 && (s.winCtl.window != window || out.flushIn != window) {
+		r.t.Fatalf("a held tick moved the window %v → %v (timer %v)", window, s.winCtl.window, out.flushIn)
+	}
+	return len(out.sends) == 0
+}
+
+// allAdmitted fails unless every parked request was answered SAFE_TO_JOIN by
+// the seed's first view change, with a membership of the seed plus all of them.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func allAdmitted(t *testing.T, s *engine, parked []*joinEvent) {
+	t.Helper()
+	if s.viewChanges != 1 || s.view.Size() != 1+len(parked) {
+		t.Fatalf("seed has %d members after %d view changes, want %d after one", s.view.Size(), s.viewChanges, 1+len(parked))
+	}
+	for _, ev := range parked {
+		if resp := answer(t, ev); resp.Status != remoting.JoinSafeToJoin || len(resp.Members) != 1+len(parked) {
+			t.Fatalf("%s got %s with %d members, want SAFE_TO_JOIN with %d", ev.msg.Sender, resp.Status, len(resp.Members), 1+len(parked))
+		}
+	}
+}
+
+// TestLoneSeedGathersTheStorm: a lone seed's vote alone decides its first cut,
+// and a joiner that cut leaves out runs both phases again and is voted in by
+// relayed votes. So a storm of 4K + 5 that parks over three windows is held —
+// the first two ticks because joiners answered in phase 1 have not parked, the
+// third because 4K have — and the first quiet window admits all of it in one
+// view change.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func TestLoneSeedGathersTheStorm(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
 	s, _ := r.start(seed, []node.Endpoint{seed})
 	c0 := s.view.ConfigurationID()
-	limit := 4 * r.settings.K
-	var parked []*joinEvent
-	for i := 1; i <= limit+5; i++ {
-		parked = append(parked, r.park(seed.Addr, endpoint(i), c0))
-	}
-	r.flush(seed.Addr) // JOIN alerts
-	r.deliver(seed.Addr)
-	if got := s.view.Size(); got != 1+limit {
-		t.Fatalf("seed has %d members after a storm of %d, want %d", got, len(parked), 1+limit)
-	}
-	redirected := 0
-	for _, ev := range parked {
-		switch resp := answer(t, ev); {
-		case resp.Status == remoting.JoinSafeToJoin && s.view.Contains(ev.msg.Sender):
-		case resp.Status == remoting.JoinConfigChanged && !s.view.Contains(ev.msg.Sender):
-			redirected++
-		default:
-			t.Fatalf("%s got %s, member=%v", ev.msg.Sender, resp.Status, s.view.Contains(ev.msg.Sender))
+	n := 4*r.settings.K + 5
+	for i := 1; i <= n; i++ {
+		if resp := r.preJoin(seed.Addr, endpoint(i)); resp.Status != remoting.JoinSafeToJoin {
+			t.Fatalf("phase 1 of %s got %s", endpoint(i).Addr, resp.Status)
 		}
 	}
-	if redirected != 5 {
-		t.Fatalf("%d joiners redirected, want 5", redirected)
+	var parked []*joinEvent
+	for wave := 0; wave < 3; wave++ {
+		for i := wave*n/3 + 1; i <= (wave+1)*n/3; i++ {
+			parked = append(parked, r.park(seed.Addr, endpoint(i), c0))
+		}
+		if !r.tickSeed(s, 0) {
+			t.Fatalf("the seed flushed after wave %d of 3", wave+1)
+		}
 	}
+	if r.tickSeed(s, 0) {
+		t.Fatal("the seed held its JOIN alerts through a quiet window")
+	}
+	r.deliver(seed.Addr)
+	allAdmitted(t, s, parked)
 	if !r.idle(seed.Addr) {
-		t.Fatal("the capped view change left a JOIN alert or tally behind")
+		t.Fatal("the view change left a JOIN alert or tally behind")
 	}
+}
+
+// TestLoneSeedCutsAParkedSmallStormAtOnce: a storm of at most 4K whose every
+// phase-1 joiner has parked — the shape of a 32-member cluster forming — is
+// cut on the seed's first tick that finds its inbound queue empty, as fast as
+// without the gathering rule; a tick that finds events queued has not seen
+// the window's arrivals yet.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func TestLoneSeedCutsAParkedSmallStormAtOnce(t *testing.T) {
+	r := newEngineRig(t)
+	seed := endpoint(0)
+	s, _ := r.start(seed, []node.Endpoint{seed})
+	c0 := s.view.ConfigurationID()
+	var parked []*joinEvent
+	for i := 1; i <= 31; i++ {
+		r.preJoin(seed.Addr, endpoint(i))
+		parked = append(parked, r.park(seed.Addr, endpoint(i), c0))
+	}
+	if !r.tickSeed(s, 1) {
+		t.Fatal("the seed cut the storm with events still queued")
+	}
+	if r.tickSeed(s, 0) {
+		t.Fatal("the seed held a small storm that had all parked")
+	}
+	r.deliver(seed.Addr)
+	allAdmitted(t, s, parked)
+}
+
+// TestLoneSeedCutsATrickleInTime: one joiner parks per window while the next
+// is answered in phase 1, so every tick sees a joiner arrive and another on its
+// way. The seed holds, on a window that does not move, until the first parked
+// joiner has waited half a JoinPhase2Timeout, and cuts on that tick.
+//
+// engine-entry: the rig applies events on the test goroutine; no driver runs.
+func TestLoneSeedCutsATrickleInTime(t *testing.T) {
+	r := newEngineRig(t)
+	seed := endpoint(0)
+	s, _ := r.start(seed, []node.Endpoint{seed})
+	c0 := s.view.ConfigurationID()
+	half := r.settings.JoinPhase2Timeout / 2
+	began := r.clk.Now()
+	var parked []*joinEvent
+	r.preJoin(seed.Addr, endpoint(1))
+	for i := 1; ; i++ {
+		parked = append(parked, r.park(seed.Addr, endpoint(i), c0))
+		r.preJoin(seed.Addr, endpoint(i+1))
+		held := r.tickSeed(s, 0)
+		waited := r.clk.Now().Sub(began)
+		if held && waited >= half {
+			t.Fatalf("the seed still held after the first joiner waited %v", waited)
+		}
+		if !held {
+			if waited < half {
+				t.Fatalf("the seed cut a trickle after %v, before half a JoinPhase2Timeout (%v)", waited, half)
+			}
+			break
+		}
+	}
+	r.deliver(seed.Addr)
+	allAdmitted(t, s, parked)
 }
 
 // TestRetriedJoinFilesOneAlert pins the per-configuration bookkeeping: a retry

@@ -169,8 +169,10 @@ func ScaledSettings(factor float64) Settings {
 // oneHopLimit is the largest membership whose fast-round votes travel in one
 // hop, every voter to every other member: 4K. Above it a member pushes vote
 // bitmaps to its K ring subjects only, which costs about four pushes of K
-// sends per view change against the N - 1 sends of one hop. A lone seed admits
-// this many joiners first, for the same reason.
+// sends per view change against the N - 1 sends of one hop. For the same
+// reason a lone seed that has this many joiners parked waits for a quiet
+// window before it cuts: a straggler left out would be voted in by relayed
+// votes in a second view change (see engine.gathering).
 func (s *Settings) oneHopLimit() int { return 4 * s.K }
 
 // pollInterval is how often a member of a cluster an ensemble manages polls

@@ -26,9 +26,10 @@ func TestRunBootstrapConvergenceSmall(t *testing.T) {
 
 // TestBootstrapConvergence1000Smoke is the CI gate for the paper-scale
 // simnet: a 1000-node Rapid fleet must bootstrap to a converged view inside
-// one test binary (no sockets) within the bound below. It runs only in
-// -short mode — CI invokes it as a dedicated smoke step, and gating it keeps
-// the multi-minute fleet out of every plain `go test ./...` (where it would
+// one test binary (no sockets) within the bound below, in one view change and
+// with no join timed out. It runs only in -short mode — CI invokes it as a
+// dedicated smoke step, and gating it keeps the 1000-member fleet out of
+// every plain `go test ./...` (where it would
 // run a second time for no extra signal). It also skips under the race
 // detector, whose ~10x instrumentation cost would turn a scale check into a
 // timeout lottery.
@@ -44,6 +45,12 @@ func TestBootstrapConvergence1000Smoke(t *testing.T) {
 	p := runCell(t, cfg, harness.SystemRapid, harness.FaultNone, 1000, ScenarioOptions{FormationTimeout: 4 * time.Minute})
 	if !p.FormationOK {
 		t.Fatal("1000-node bootstrap did not converge")
+	}
+	// The lone seed gathers the whole storm, so one view change forms the
+	// fleet: a second would mean joiners redirected out of the first and voted
+	// in again by relayed votes.
+	if p.SeedViewChanges != 1 {
+		t.Errorf("the seed installed %d configurations after its first, want 1", p.SeedViewChanges)
 	}
 	// Control-plane health gates: a clean bootstrap must finish with
 	// (essentially) zero overload shedding, and every member's adaptive
@@ -64,13 +71,16 @@ func TestBootstrapConvergence1000Smoke(t *testing.T) {
 		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v] paper-s",
 			p.MinBatchWindowS, p.MaxBatchWindowS, lo, hi)
 	}
-	// JoinsTimedOut is reported, not gated, at this size: at TimeScale 20
-	// JoinPhase2Timeout is 0.6 s of wall time, and one or two cores need
-	// longer than that just to start 999 joiners, so the big admission wave
-	// legitimately stays open past the first parkers' timeout.
-	// TestBootstrapStormTimesOutNoJoin gates it at a size that fits.
-	t.Logf("1000 nodes converged in %s wall (%.0f paper-s); join p50/p90/p99 = %.0f/%.0f/%.0f paper-s; %d msgs; shed=%d window=[%v,%v] paper-s joinsTimedOut=%d",
-		time.Since(start).Round(time.Second), p.ConvergeS, p.JoinP50S, p.JoinP90S, p.JoinP99S,
+	// At TimeScale 20 JoinPhase2Timeout is 0.6 s of wall time. A storm the
+	// seed decides in one view change parks every joiner once, for ≈ 0.05 s
+	// of wall time on a two-core host (20 consecutive runs: 1-2 paper-s, 1 999
+	// messages, no timeout), so a timed-out request means the seed cut the
+	// storm early and a second wave is back.
+	if p.JoinsTimedOut != 0 {
+		t.Errorf("%d phase-2 join requests ran out JoinPhase2Timeout", p.JoinsTimedOut)
+	}
+	t.Logf("1000 nodes converged in %s wall (%.0f paper-s) in %d view changes; join p50/p90/p99 = %.0f/%.0f/%.0f paper-s; %d msgs; shed=%d window=[%v,%v] paper-s joinsTimedOut=%d",
+		time.Since(start).Round(time.Second), p.ConvergeS, p.SeedViewChanges, p.JoinP50S, p.JoinP90S, p.JoinP99S,
 		p.BootMessages, p.ShedBatches, p.MinBatchWindowS, p.MaxBatchWindowS, p.JoinsTimedOut)
 }
 
@@ -131,8 +141,10 @@ func TestBootstrapConvergence200RaceSmoke(t *testing.T) {
 		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v] paper-s",
 			p.MinBatchWindowS, p.MaxBatchWindowS, lo, hi)
 	}
-	// Reported, not gated, for the same reason as in the 1000-node smoke: the
-	// instrumented fleet needs 0.5-4 s of wall time against a 0.6 s timeout.
+	// Reported, not gated: the instrumented fleet's wall time is what the
+	// 0.6 s timeout runs against, and the race lane's host varies. With the
+	// storm decided in one view change it read 1 paper-s, 399 messages and
+	// no timeout in three runs on a two-core host (0.1 s of wall time each).
 	t.Logf("200 nodes converged under -race in %s wall (%.0f paper-s); %d msgs; shed=%d joinsTimedOut=%d",
 		time.Since(start).Round(time.Second), p.ConvergeS, p.BootMessages, p.ShedBatches, p.JoinsTimedOut)
 }

@@ -110,6 +110,9 @@ type ScenarioCell struct {
 	JoinsTimedOut   int64   `json:"joins_timed_out"`
 	MinBatchWindowS float64 `json:"min_batch_window_paper_s"`
 	MaxBatchWindowS float64 `json:"max_batch_window_paper_s"`
+	// SeedViewChanges is how many view changes a Rapid fleet's seed applied
+	// until the fleet formed: 1 when the whole storm was decided in one.
+	SeedViewChanges int `json:"seed_view_changes"`
 
 	// RemovalExpected: the fault has victims, so the stable outcome evicts
 	// them; otherwise (whole-network kinds) it keeps everyone.
@@ -245,6 +248,7 @@ func RunScenarioCell(cfg Config, system harness.System, kind harness.Fault, n in
 // columns from a fleet whose bootstrap wait just ended.
 func (c *ScenarioCell) recordFormation(cfg Config, fleet *harness.Fleet) {
 	c.BootMessages = fleet.Net.TotalMessages()
+	c.SeedViewChanges = fleet.SeedViewChanges()
 	join := cfg.scaledAll(fleet.JoinLatencies())
 	c.JoinP50S, c.JoinP90S, c.JoinP99S = metrics.Percentile(join, 50), metrics.Percentile(join, 90), metrics.Percentile(join, 99)
 	for i, st := range fleet.RapidStats() {

@@ -252,8 +252,9 @@ func (f *Fleet) startMembers() error {
 
 // rapidSettings builds the core settings for this fleet's Rapid agents, and
 // for a Rapid-C fleet's ensemble and members.
-// Bootstrap storms at 1000+ nodes admit joiners in waves, so a large fleet's
-// joiners get more attempts than the default tuned for 100-node runs.
+// A bootstrap storm the seed cuts before all of it arrived admits the rest in
+// later waves, so a large fleet's joiners get more attempts than the default
+// tuned for 100-node runs.
 func (f *Fleet) rapidSettings() core.Settings {
 	settings := core.ScaledSettings(f.Options.TimeScale)
 	settings.JoinAttempts = max(settings.JoinAttempts, f.Options.N/25)
@@ -354,6 +355,17 @@ func (f *Fleet) RapidStats() []core.EngineStats {
 		}
 	}
 	return out
+}
+
+// SeedViewChanges returns how many view changes a Rapid fleet's seed has
+// applied (0 for the other systems): 1 after a join storm it decided in one.
+func (f *Fleet) SeedViewChanges() int {
+	if f.Options.System != SystemRapid {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.agents[0].(rapidAgent).c.ViewChangeCount() // the seed, added first
 }
 
 // Series returns the recorded size series for one agent.
