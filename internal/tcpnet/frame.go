@@ -16,12 +16,26 @@ import (
 // IDs, the server echoes each request's ID on its response, and the client's
 // demux reader routes responses back to waiters regardless of completion
 // order. IDs are per-connection, so 64 bits never wrap in practice.
+//
+// ID 0 marks a one-way frame, which is what a best-effort send writes: the
+// server handles the request and writes nothing back, so the sender never
+// waits out a round trip for an alert or a vote. The client numbers its
+// requests from 1, and drops any response that carries ID 0.
+
+// oneWayID is the request ID of a frame the server must not answer.
+const oneWayID = 0
 
 // maxFrame bounds a single payload to protect against corrupted prefixes.
 const maxFrame = 16 << 20
 
 // frameHeaderLen is the fixed header: length prefix plus request ID.
 const frameHeaderLen = 12
+
+// readBufferSize is the read buffer of each end of a connection. It holds a
+// membership message with its header (a probe is 14 bytes, an alert batch
+// about 120), so one read takes a frame instead of two, and a thousand
+// connections cost half a megabyte; larger frames bypass it.
+const readBufferSize = 512
 
 // writeFrame writes one framed message. Callers serialize writes per
 // connection (frames must not interleave).

@@ -16,7 +16,8 @@ import (
 // frame-size cap; and every frame it accepts must re-frame to exactly the
 // bytes it was read from. Seeded with the inputs of
 // TestServerSurvivesMalformedFrames and TestReadFrameRejectsHugeFrames, one
-// well-formed request frame and one well-formed response frame.
+// well-formed request frame, its one-way twin and one well-formed response
+// frame.
 func FuzzReadFrame(f *testing.F) {
 	frame := func(id uint64, payload []byte) []byte {
 		var buf bytes.Buffer
@@ -41,6 +42,7 @@ func FuzzReadFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(frame(42, req))
+	f.Add(frame(oneWayID, req))
 	resp, err := remoting.EncodeResponse(&remoting.Response{Probe: &remoting.ProbeResponse{Sender: "server", Status: remoting.NodeOK}})
 	if err != nil {
 		f.Fatal(err)

@@ -1,11 +1,13 @@
 package tcpnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/node"
@@ -34,12 +36,13 @@ func (c *client) Send(ctx context.Context, to node.Addr, req *remoting.Request) 
 		ctx, cancel = context.WithTimeout(ctx, c.net.opts.RequestTimeout)
 		defer cancel()
 	}
-	return c.net.send(callerCtx, ctx, to, req)
+	return c.net.send(callerCtx, ctx, to, req, false)
 }
 
 // SendBestEffort implements transport.Client: the message is queued for a
-// bounded worker pool; if the queue is full it is dropped and counted rather
-// than spawning an unbounded goroutine (and connection) per message.
+// bounded worker pool, which writes it as a one-way frame that the peer
+// handles and does not answer; if the queue is full it is dropped and counted
+// rather than spawning an unbounded goroutine (and connection) per message.
 func (c *client) SendBestEffort(to node.Addr, req *remoting.Request) {
 	n := c.net
 	n.mu.Lock()
@@ -57,12 +60,14 @@ func (c *client) SendBestEffort(to node.Addr, req *remoting.Request) {
 	}
 }
 
-// send runs one exchange. callerCtx distinguishes "the caller gave up"
-// (preserve ctx.Err()) from "our internal request timeout fired" (report
-// transport.ErrTimeout). A send that fails while writing to a reused pooled
-// connection — the peer closed it while idle — is retried once on a fresh
-// connection; the request was never processed, so the retry is safe.
-func (n *Network) send(callerCtx, ctx context.Context, to node.Addr, req *remoting.Request) (*remoting.Response, error) {
+// send runs one exchange; with oneWay it writes the request as a one-way
+// frame and returns, with no response, once the frame is on the connection.
+// callerCtx distinguishes "the caller gave up" (preserve ctx.Err()) from "our
+// internal request timeout fired" (report transport.ErrTimeout). A send that fails while writing to a
+// reused pooled connection — the peer closed it while idle — is retried once
+// on a fresh connection; the request was never processed, so the retry is
+// safe.
+func (n *Network) send(callerCtx, ctx context.Context, to node.Addr, req *remoting.Request, oneWay bool) (*remoting.Response, error) {
 	pl := n.pool(to)
 	if pl == nil {
 		return nil, fmt.Errorf("%w: network closed", transport.ErrUnreachable)
@@ -84,7 +89,13 @@ func (n *Network) send(callerCtx, ctx context.Context, to node.Addr, req *remoti
 			}
 			return nil, err
 		}
-		resp, err, retryable := pc.roundTrip(callerCtx, ctx, data)
+		var resp *remoting.Response
+		var retryable bool
+		if oneWay {
+			err, retryable = pc.write(callerCtx, ctx, oneWayID, data)
+		} else {
+			resp, err, retryable = pc.roundTrip(callerCtx, ctx, data)
+		}
 		if err != nil && retryable && attempt == 0 {
 			n.st.staleRetries.Add(1)
 			continue
@@ -200,6 +211,7 @@ func (pl *pool) dial(ctx context.Context) (*pconn, error) {
 		conn:    conn,
 		pending: make(map[uint64]chan result),
 	}
+	pc.lastWrite.Store(time.Now().UnixNano())
 	go pc.readLoop()
 	return pc, nil
 }
@@ -237,7 +249,8 @@ type pconn struct {
 	pool *pool
 	conn net.Conn
 
-	wmu sync.Mutex // serializes writeFrame calls
+	wmu       sync.Mutex   // serializes writeFrame calls
+	lastWrite atomic.Int64 // unix nanoseconds of the last frame written, or of the dial
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -263,19 +276,9 @@ func (pc *pconn) roundTrip(callerCtx, ctx context.Context, data []byte) (_ *remo
 	pc.pending[id] = ch
 	pc.mu.Unlock()
 
-	pc.wmu.Lock()
-	if dl, ok := ctx.Deadline(); ok {
-		pc.conn.SetWriteDeadline(dl)
-	}
-	werr := writeFrame(pc.conn, id, data)
-	pc.wmu.Unlock()
-	if werr != nil {
+	if err, retryable := pc.write(callerCtx, ctx, id, data); err != nil {
 		pc.unregister(id)
-		pc.close(fmt.Errorf("%w: write: %v", transport.ErrUnreachable, werr))
-		if cerr := callerCtx.Err(); cerr != nil {
-			return nil, cerr, false
-		}
-		return nil, fmt.Errorf("%w: write %s: %v", transport.ErrUnreachable, pc.pool.addr, werr), true
+		return nil, err, retryable
 	}
 
 	select {
@@ -293,6 +296,27 @@ func (pc *pconn) roundTrip(callerCtx, ctx context.Context, data []byte) (_ *remo
 	}
 }
 
+// write puts one frame on the connection. A failed write closes the
+// connection; retryable reports that the peer cannot have processed the
+// frame, unless the caller gave up.
+func (pc *pconn) write(callerCtx, ctx context.Context, id uint64, data []byte) (err error, retryable bool) {
+	pc.wmu.Lock()
+	if dl, ok := ctx.Deadline(); ok {
+		pc.conn.SetWriteDeadline(dl)
+	}
+	werr := writeFrame(pc.conn, id, data)
+	pc.wmu.Unlock()
+	if werr == nil {
+		pc.lastWrite.Store(time.Now().UnixNano())
+		return nil, false
+	}
+	pc.close(fmt.Errorf("%w: write: %v", transport.ErrUnreachable, werr))
+	if cerr := callerCtx.Err(); cerr != nil {
+		return cerr, false
+	}
+	return fmt.Errorf("%w: write %s: %v", transport.ErrUnreachable, pc.pool.addr, werr), true
+}
+
 func (pc *pconn) unregister(id uint64) {
 	pc.mu.Lock()
 	delete(pc.pending, id)
@@ -301,26 +325,40 @@ func (pc *pconn) unregister(id uint64) {
 
 // readLoop demuxes responses to waiters until the connection dies or idles
 // out. The client end idles out at 3/4 of IdleTimeout so that reuse of a
-// long-idle connection rarely races the server's own idle close.
+// long-idle connection rarely races the server's own idle close. A one-way
+// frame gets no answer, so the connection is idle only once nothing has been
+// read from it nor written to it for that long; the wait for the next frame
+// may run out and start again only while no byte of that frame has arrived.
 func (pc *pconn) readLoop() {
 	idle := pc.pool.net.opts.IdleTimeout * 3 / 4
+	r := bufio.NewReaderSize(pc.conn, readBufferSize)
+	deadline := time.Now().Add(idle)
 	for {
-		pc.conn.SetReadDeadline(time.Now().Add(idle))
-		id, frame, err := readFrame(pc.conn)
-		if err != nil {
+		pc.conn.SetReadDeadline(deadline)
+		if _, err := r.Peek(1); err != nil {
 			var ne net.Error
-			idleTimeout := errors.As(err, &ne) && ne.Timeout()
-			pc.mu.Lock()
-			quietIdle := idleTimeout && len(pc.pending) == 0
-			pc.mu.Unlock()
-			if quietIdle {
-				// Normal idle reap: nobody is waiting, just retire the conn.
-				pc.close(fmt.Errorf("%w: connection idle-closed", transport.ErrUnreachable))
-				return
+			if errors.As(err, &ne) && ne.Timeout() {
+				if deadline = time.Unix(0, pc.lastWrite.Load()).Add(idle); time.Now().Before(deadline) {
+					continue // written to since: not idle yet
+				}
+				pc.mu.Lock()
+				quiet := len(pc.pending) == 0
+				pc.mu.Unlock()
+				if quiet {
+					// Normal idle reap: nobody is waiting, just retire the conn.
+					pc.close(fmt.Errorf("%w: connection idle-closed", transport.ErrUnreachable))
+					return
+				}
 			}
 			pc.close(mapReadErr(pc.pool.addr, err))
 			return
 		}
+		id, frame, err := readFrame(r)
+		if err != nil {
+			pc.close(mapReadErr(pc.pool.addr, err))
+			return
+		}
+		deadline = time.Now().Add(idle)
 		resp, derr := remoting.DecodeResponse(frame)
 		pc.mu.Lock()
 		ch, ok := pc.pending[id]

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -131,14 +132,16 @@ func (st *listenerState) shutdown() {
 // serveConn serves one inbound connection, pipelined: frames are read
 // sequentially but each request's handler runs in its own goroutine (bounded
 // by MaxInFlightPerConn) and responses are written, ID-tagged, in completion
-// order under a write lock. A decode failure or idle timeout closes the
-// connection; clients re-dial transparently.
+// order under a write lock. A one-way frame's response is dropped instead.
+// A decode failure or idle timeout closes the connection; clients re-dial
+// transparently.
 func (st *listenerState) serveConn(conn net.Conn) {
 	defer st.untrack(conn)
 	defer conn.Close()
 
 	opts := &st.net.opts
 	from := node.Addr(conn.RemoteAddr().String())
+	r := bufio.NewReaderSize(conn, readBufferSize)
 	sem := make(chan struct{}, opts.MaxInFlightPerConn)
 	var wmu sync.Mutex
 	var inflight sync.WaitGroup
@@ -146,7 +149,7 @@ func (st *listenerState) serveConn(conn net.Conn) {
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(opts.IdleTimeout))
-		id, frame, err := readFrame(conn)
+		id, frame, err := readFrame(r)
 		if err != nil {
 			return
 		}
@@ -167,6 +170,9 @@ func (st *listenerState) serveConn(conn net.Conn) {
 			ctx, cancel := context.WithTimeout(context.Background(), opts.RequestTimeout)
 			resp, herr := st.handler.HandleRequest(ctx, from, req)
 			cancel()
+			if id == oneWayID {
+				return
+			}
 			if herr != nil || resp == nil {
 				resp = &remoting.Response{}
 			}

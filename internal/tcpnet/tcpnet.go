@@ -11,6 +11,8 @@
 // alert storms at a dead peer fail fast instead of piling up SYNs, and
 // best-effort sends flow through a bounded worker pool that sheds (and
 // counts) overflow instead of spawning a goroutine and an FD per message.
+// A best-effort send is a one-way frame (see frame.go): its worker is free
+// again once the frame is written, not once the peer has answered.
 // Stats exposes dial/request/drop counters so deployments can verify reuse
 // (dials should sit orders of magnitude below requests).
 package tcpnet
@@ -47,7 +49,8 @@ type Options struct {
 	// connection on the server side. Defaults to 256.
 	MaxInFlightPerConn int
 	// BestEffortWorkers is the size of the worker pool draining the
-	// best-effort send queue. Defaults to 4.
+	// best-effort send queue. A worker waits for a dial or a full socket
+	// buffer, never for the peer's answer. Defaults to 4.
 	BestEffortWorkers int
 	// BestEffortQueue bounds the best-effort send queue; overflow is dropped
 	// and counted in Stats.BestEffortDropped. Defaults to 1024.
@@ -122,8 +125,8 @@ type Stats struct {
 	Dials int64
 	// DialErrors counts failed dial attempts (backoff fail-fasts excluded).
 	DialErrors int64
-	// Requests counts request/response exchanges attempted over pooled
-	// connections, including best-effort deliveries.
+	// Requests counts messages sent over pooled connections:
+	// request/response exchanges and one-way best-effort frames alike.
 	Requests int64
 	// StaleRetries counts sends transparently retried on a fresh connection
 	// after writing to a pooled connection the peer had already closed.
@@ -315,13 +318,13 @@ type beTask struct {
 	req *remoting.Request
 }
 
-// bestEffortWorker drains the bounded queue; each delivery is a normal
-// pooled Send whose outcome is intentionally ignored.
+// bestEffortWorker drains the bounded queue; each delivery is a one-way frame
+// on the pooled connection, whose outcome is intentionally ignored.
 func (n *Network) bestEffortWorker() {
 	defer n.beWG.Done()
 	for task := range n.beCh {
 		ctx, cancel := context.WithTimeout(context.Background(), n.opts.RequestTimeout)
-		_, _ = n.send(ctx, ctx, task.to, task.req)
+		_, _ = n.send(ctx, ctx, task.to, task.req, true)
 		cancel()
 	}
 }

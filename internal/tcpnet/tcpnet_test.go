@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +121,154 @@ func TestTCPBestEffortDelivered(t *testing.T) {
 	}
 	if got := n.Stats().BestEffortQueued; got != 1 {
 		t.Fatalf("BestEffortQueued = %d, want 1", got)
+	}
+}
+
+// TestBestEffortWorkerDoesNotWaitForTheAnswer: a best-effort send is a
+// one-way frame, so one worker puts a whole burst on the connection while
+// the handlers of the first messages are still running. A worker that waited
+// for each answer would have one message in flight at a time.
+func TestBestEffortWorkerDoesNotWaitForTheAnswer(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	n := newTestNet(t, Options{BestEffortWorkers: 1, RequestTimeout: 10 * time.Second})
+	h := &countingHandler{block: block}
+	addr := registerTestListener(t, n, h)
+
+	const burst = 8
+	c := n.Client("client")
+	for i := 0; i < burst; i++ {
+		c.SendBestEffort(addr, probeReq())
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for h.inFlight() < burst && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := h.inFlight(); got != burst {
+		t.Fatalf("%d of %d best-effort messages reached a blocked handler through one worker", got, burst)
+	}
+	if st := n.Stats(); st.Requests != burst || st.Dials != 1 {
+		t.Fatalf("Requests = %d, Dials = %d; want %d one-way frames over 1 dial", st.Requests, st.Dials, burst)
+	}
+}
+
+// TestOneWayFrameIsNotAnswered: the server handles a frame with ID 0 and
+// writes nothing back, while the request after it is answered as usual.
+func TestOneWayFrameIsNotAnswered(t *testing.T) {
+	n := newTestNet(t, Options{})
+	h := &countingHandler{}
+	addr := registerTestListener(t, n, h)
+	data, err := remoting.EncodeRequest(probeReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := rawDial(t, string(addr))
+	if err := writeFrame(conn, oneWayID, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, 5, data); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	id, _, err := readFrame(conn)
+	if err != nil {
+		t.Fatalf("no answer to the request after a one-way frame: %v", err)
+	}
+	if id != 5 {
+		t.Fatalf("the server answered frame %d, want only frame 5", id)
+	}
+	conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if id, _, err := readFrame(conn); err == nil {
+		t.Fatalf("the server wrote a second frame (ID %d) for one answered request", id)
+	}
+	if got := h.count(); got != 2 {
+		t.Fatalf("handler saw %d probes, want 2 (one one-way, one answered)", got)
+	}
+}
+
+// TestAnswerToOneWayFrameIsDropped: a peer that answers every frame, as a
+// server that does not know one-way frames would, sends back a response with
+// ID 0. The client drops it, and the connection keeps serving requests.
+func TestAnswerToOneWayFrameIsDropped(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	ack, err := remoting.EncodeResponse(&remoting.Response{Probe: &remoting.ProbeResponse{Sender: "peer", Status: remoting.NodeOK}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answered atomic.Int64
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			id, _, err := readFrame(conn)
+			if err != nil || writeFrame(conn, id, ack) != nil {
+				return
+			}
+			answered.Add(1)
+		}
+	}()
+
+	n := newTestNet(t, Options{})
+	c := n.Client("client")
+	addr := node.Addr(ln.Addr().String())
+	c.SendBestEffort(addr, probeReq())
+	deadline := time.Now().Add(2 * time.Second)
+	for answered.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if answered.Load() == 0 {
+		t.Fatal("the one-way frame never reached the peer")
+	}
+	// The stray answer is on the wire ahead of this request's.
+	resp, err := c.Send(context.Background(), addr, probeReq())
+	if err != nil {
+		t.Fatalf("Send after an answered one-way frame: %v", err)
+	}
+	if resp.Probe == nil || resp.Probe.Status != remoting.NodeOK {
+		t.Fatalf("unexpected response: %+v", resp)
+	}
+	if st := n.Stats(); st.Dials != 1 || st.OpenConns != 1 {
+		t.Fatalf("Dials = %d, OpenConns = %d; want one connection that survived the stray answer", st.Dials, st.OpenConns)
+	}
+}
+
+// TestOneWayTrafficKeepsTheConnection: a connection that only carries
+// one-way frames reads nothing, and is still not idle while it is written
+// to. Once the writes stop it is reaped as usual.
+func TestOneWayTrafficKeepsTheConnection(t *testing.T) {
+	n := newTestNet(t, Options{IdleTimeout: 200 * time.Millisecond})
+	h := &countingHandler{}
+	addr := registerTestListener(t, n, h)
+	c := n.Client("client")
+
+	const sends = 12 // every 50 ms: four client idle periods of 150 ms
+	for i := 0; i < sends; i++ {
+		c.SendBestEffort(addr, probeReq())
+		time.Sleep(50 * time.Millisecond)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for h.count() < sends && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := h.count(); got != sends {
+		t.Fatalf("handler saw %d of %d one-way frames", got, sends)
+	}
+	if st := n.Stats(); st.Dials != 1 {
+		t.Fatalf("Dials = %d while one-way frames kept the connection busy, want 1", st.Dials)
+	}
+	deadline = time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) && n.Stats().OpenConns != 0 {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := n.Stats().OpenConns; got != 0 {
+		t.Fatalf("connection not reaped once the writes stopped: OpenConns = %d", got)
 	}
 }
 
@@ -288,8 +437,11 @@ func TestSendErrorMapping(t *testing.T) {
 			run: func(t *testing.T) error {
 				block := make(chan struct{})
 				defer close(block)
+				// The server bounds its handler by its own RequestTimeout, so
+				// it runs on a network whose timeout cannot race the client's.
+				server := newTestNet(t, Options{RequestTimeout: 10 * time.Second})
+				addr := registerTestListener(t, server, &countingHandler{block: block})
 				n := newTestNet(t, Options{RequestTimeout: 100 * time.Millisecond})
-				addr := registerTestListener(t, n, &countingHandler{block: block})
 				// No caller deadline: the transport's own RequestTimeout fires.
 				_, err := n.Client("c").Send(context.Background(), addr, probeReq())
 				return err

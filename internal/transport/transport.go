@@ -39,7 +39,8 @@ type Client interface {
 	// Send delivers a request and waits for the response or an error.
 	Send(ctx context.Context, to node.Addr, req *remoting.Request) (*remoting.Response, error)
 	// SendBestEffort delivers a request asynchronously, ignoring the response
-	// and any delivery failure. Alert batches and consensus votes use this.
+	// and any delivery failure; the TCP transport asks for no response at
+	// all. Alert batches and consensus votes use this.
 	SendBestEffort(to node.Addr, req *remoting.Request)
 }
 
