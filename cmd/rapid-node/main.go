@@ -97,7 +97,7 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:5000", "host:port this agent listens on")
 		join       = flag.String("join", "", "comma-separated seed addresses (empty = bootstrap a new cluster)")
 		metadata   = flag.String("metadata", "", "comma-separated key=value pairs attached to this process")
-		interval   = flag.Duration("probe-interval", time.Second, "edge failure detector probe interval")
+		interval   = flag.Duration("probe-interval", time.Second, "edge failure detector probe interval; the probe timeout (1/2 of it) and the adaptive batching window (1/100 to 2/5 of it) scale with it")
 		statusAddr = flag.String("status-addr", "", "host:port for the HTTP /status endpoint (empty = disabled)")
 		idle       = flag.Duration("idle-timeout", 0, "close pooled/inbound TCP connections idle this long (0 = default 60s)")
 		joinWait   = flag.Duration("join-deadline", 2*time.Minute, "keep retrying the cluster join until this deadline")
@@ -112,7 +112,6 @@ func main() {
 
 	settings := rapid.DefaultSettings()
 	settings.ProbeInterval = *interval
-	settings.ProbeTimeout = *interval / 2
 	if md := parseMetadata(*metadata); len(md) > 0 {
 		settings.Metadata = md
 	}

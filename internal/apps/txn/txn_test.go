@@ -2,10 +2,12 @@ package txn
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/simclock"
 )
 
 func servers(n int) []node.Addr {
@@ -28,12 +30,37 @@ func TestSerializationServerIsLowestAddress(t *testing.T) {
 	}
 }
 
+// TestStableMembershipNoFailovers runs on a manual clock, stepped only while
+// both clients are asleep, so a transaction's latency is the model's and not
+// the host's: a 1 ms service time that a loaded host stretches past the
+// bound would otherwise read as a failover pause.
 func TestStableMembershipNoFailovers(t *testing.T) {
 	s := servers(4)
 	src := NewStaticMembership(s)
-	p := NewPlatform(s, src, fastOpts())
+	clk := simclock.NewManual(time.Unix(0, 0))
+	opts := fastOpts()
+	opts.Clock = clk
+	p := NewPlatform(s, src, opts)
 	defer p.Stop()
-	results := p.RunWorkload(2, 300*time.Millisecond)
+	const clients = 2
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			// The watch loop's ticker is always armed; each client adds
+			// one waiter while it sleeps.
+			if clk.PendingWaiters() == 1+clients {
+				clk.Advance(opts.BaseLatency)
+			}
+			runtime.Gosched()
+		}
+	}()
+	results := p.RunWorkload(clients, 300*time.Millisecond)
+	close(done)
 	if len(results) == 0 {
 		t.Fatal("no transactions completed")
 	}

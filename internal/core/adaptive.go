@@ -8,10 +8,13 @@ import "time"
 // latency on every join and every isolated alert even though there is nothing
 // to coalesce, while a bootstrap storm at N=1000+ would amortize its O(N)
 // broadcast cost much better with a window several times larger. The
-// controller therefore resizes the flush window between a configured floor
-// and ceiling after every flush, from two signals the engine already owns:
-// the depth of its inbound event queue and the number of batches that
-// arrived during the window just flushed (the alert arrival rate).
+// controller therefore resizes the flush window between a floor and a ceiling
+// derived from the probe interval (Settings.windowFloor, windowCeiling) after
+// every flush, from two signals the engine already owns: the depth of its
+// inbound event queue and the number of batches that arrived during the
+// window just flushed (the alert arrival rate). Both signals are needed: a
+// two-valued window, or one grown on arrivals alone, made Rapid-C's
+// bootstrap slower and less stable (docs/ARCHITECTURE.md).
 //
 // The window is per configuration. Every view change grows it — each member
 // receives at least K alert batches and K vote pushes per relay hop — so an

@@ -58,8 +58,6 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 	net := simnet.New(simnet.Options{Seed: 99})
 	s := DefaultSettings()
 	s.Clock = clk
-	s.BatchingWindowMin = 10 * time.Millisecond
-	s.BatchingWindowMax = 160 * time.Millisecond
 	c, err := StartCluster("seed:1", s, net)
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
@@ -92,7 +90,7 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 		}
 	}
 	waiters(armed, "at birth")
-	if got := c.Stats().BatchWindow; got != s.BatchingWindowMax/4 {
+	if got := c.Stats().BatchWindow; got != s.windowCeiling()/4 {
 		t.Fatalf("window should start at a quarter of the ceiling, got %v", got)
 	}
 
@@ -155,24 +153,20 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 		sync()
 		waiters(quiet, "at the floor")
 		for i := 0; i < 5; i++ {
-			clk.Advance(s.BatchingWindowMin)
+			clk.Advance(s.windowFloor())
 			sync()
 			waiters(quiet, "on a quiet engine")
 		}
-		if got := c.Stats().BatchWindow; got != s.BatchingWindowMin {
+		if got := c.Stats().BatchWindow; got != s.windowFloor() {
 			t.Fatalf("a quiet engine's window moved to %v", got)
 		}
 	}
 
-	advanceUntil(s.BatchingWindowMin, false) // idle: collapse to the floor
+	advanceUntil(s.windowFloor(), false) // idle: collapse to the floor
 	wentQuiet()
-	advanceUntil(s.BatchingWindowMax, true) // storm: arm again, grow to the ceiling
+	advanceUntil(s.windowCeiling(), true) // storm: arm again, grow to the ceiling
 	// The last storm tick may have left arrivals behind; either way the window
 	// is above the floor, so the timer is armed until it has decayed.
-	advanceUntil(s.BatchingWindowMin, false)
+	advanceUntil(s.windowFloor(), false)
 	wentQuiet()
-
-	if shed := c.Stats().ShedBatches; shed != 0 {
-		t.Fatalf("current-configuration storm must not be shed, got %d", shed)
-	}
 }

@@ -129,9 +129,6 @@ type EngineMetrics struct {
 	BatchSizes metrics.Distribution
 	// BatchWindow is the engine's current adaptive flush window, nanoseconds.
 	BatchWindow metrics.Gauge
-	// ShedBatches counts inbound alert/vote batches dropped by overload
-	// shedding (queue full, nothing in the batch for this configuration).
-	ShedBatches metrics.Counter
 	// QueueFullNanos accumulates the time producers spent blocked on a full
 	// event queue.
 	QueueFullNanos metrics.Counter
@@ -150,11 +147,12 @@ type EngineStats struct {
 	EventsProcessed int64
 	BatchesSent     int64
 	BatchSizes      metrics.DistributionSummary
-	// BatchWindow is the current adaptive flush window, sized between
-	// Settings.BatchingWindowMin and BatchingWindowMax by load.
+	// BatchWindow is the current adaptive flush window, sized by load between
+	// a hundredth and two fifths of Settings.ProbeInterval.
 	BatchWindow time.Duration
-	// ShedBatches is the number of stale inbound batches dropped under
-	// overload instead of blocking the transport.
+	// ShedBatches always reads 0: an inbound batch blocks on a full event
+	// queue like every other event, and is never dropped. It is kept for the
+	// benchmark, which reads it, until a change to the benchmark drops it.
 	ShedBatches int64
 	// QueueFullTime is the cumulative time producers spent blocked on a full
 	// event queue.
@@ -288,7 +286,7 @@ func (c *Cluster) initialize(members []node.Endpoint) {
 // enqueue submits an event to the engine, blocking if the queue is full
 // (backpressure). It returns false if the cluster stopped instead. Time spent
 // blocked on a full queue is accumulated in QueueFullNanos, so overload is
-// visible in EngineStats even when nothing is shed.
+// visible in EngineStats.
 func (c *Cluster) enqueue(ev event) bool {
 	select {
 	case c.events <- ev:
@@ -305,52 +303,6 @@ func (c *Cluster) enqueue(ev event) bool {
 	case <-c.stopCh:
 		return false
 	}
-}
-
-// enqueueBatch submits an inbound alert/vote batch. Blocking the transport on
-// a full queue head-of-line-stalls every other endpoint sharing the caller's
-// delivery worker (the sharded simnet delivers ~N/Shards endpoints per
-// worker), so when the queue is full a batch with nothing in it for the
-// current configuration is dropped and counted instead: the engine would
-// config-filter it away on receipt anyway, unless a decision queued ahead of
-// it installs the configuration it names — which is why nothing is dropped
-// while there is room. Batches with current-configuration content keep the
-// blocking backpressure of enqueue.
-func (c *Cluster) enqueueBatch(ev event) {
-	select {
-	case c.events <- ev:
-		return
-	default:
-	}
-	if c.staleBatch(ev.req) {
-		c.emetrics.ShedBatches.Add(1)
-		return
-	}
-	c.enqueue(ev)
-}
-
-// staleBatch reports whether no alert or vote in the batch references the
-// current configuration.
-func (c *Cluster) staleBatch(req *remoting.Request) bool {
-	s := c.snap.Load()
-	if s == nil {
-		return false
-	}
-	if req.Alerts != nil {
-		for i := range req.Alerts.Alerts {
-			if req.Alerts.Alerts[i].ConfigurationID == s.configID {
-				return false
-			}
-		}
-	}
-	if req.VoteBatch != nil {
-		for i := range req.VoteBatch.Votes {
-			if req.VoteBatch.Votes[i].ConfigurationID == s.configID {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // member returns the endpoint registered for addr, by binary search of the
@@ -437,7 +389,6 @@ func (c *Cluster) Stats() EngineStats {
 		BatchesSent:       c.emetrics.BatchesSent.Value(),
 		BatchSizes:        c.emetrics.BatchSizes.Summary(),
 		BatchWindow:       time.Duration(c.emetrics.BatchWindow.Value()),
-		ShedBatches:       c.emetrics.ShedBatches.Value(),
 		QueueFullTime:     time.Duration(c.emetrics.QueueFullNanos.Value()),
 		NotifierDepth:     c.notifier.depth(),
 		NotifierCoalesced: c.emetrics.NotifierCoalesced.Value(),

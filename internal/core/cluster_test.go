@@ -125,34 +125,38 @@ func TestSettingsValidation(t *testing.T) {
 		t.Fatal("invalid watermarks should be rejected")
 	}
 
-	// Nonsense batching-window relations are errors, not silently rewritten.
-	inverted := testSettings()
-	inverted.BatchingWindowMin = 50 * time.Millisecond
-	inverted.BatchingWindowMax = 10 * time.Millisecond
-	if _, err := StartCluster("seed:1", inverted, net); err == nil {
-		t.Fatal("floor above ceiling should be rejected")
-	}
-	negCeiling := testSettings()
-	negCeiling.BatchingWindowMax = -time.Millisecond
-	if _, err := StartCluster("seed:1", negCeiling, net); err == nil {
-		t.Fatal("negative batching ceiling should be rejected")
-	}
-	negFloor := testSettings()
-	negFloor.BatchingWindowMin = -time.Millisecond
-	if _, err := StartCluster("seed:1", negFloor, net); err == nil {
-		t.Fatal("negative batching floor should be rejected")
-	}
-
-	// The zero Settings validates to the paper's defaults: the window starts
-	// at its fixed 100 ms and adapts between 10 and 400 ms.
 	var zero Settings
 	if err := zero.validate(); err != nil {
 		t.Fatalf("zero settings should validate: %v", err)
 	}
-	start := newWindowController(zero.BatchingWindowMin, zero.BatchingWindowMax).window
-	if zero.BatchingWindowMin != 10*time.Millisecond || zero.BatchingWindowMax != 400*time.Millisecond || start != 100*time.Millisecond {
-		t.Fatalf("default window wrong: floor=%v ceiling=%v start=%v",
-			zero.BatchingWindowMin, zero.BatchingWindowMax, start)
+}
+
+// TestDerivedTimings: the probe timeout and the batching window's floor and
+// ceiling derive from ProbeInterval, and equal the values the settings held
+// as fields of their own: the paper's 100 ms newborn window and 500 ms probe
+// timeout by default, each scaled with the interval, none below 1 ms.
+func TestDerivedTimings(t *testing.T) {
+	const ms = time.Millisecond
+	tests := []struct {
+		name                               string
+		s                                  Settings
+		floor, ceiling, newborn, probeWait time.Duration
+	}{
+		{"default", DefaultSettings(), 10 * ms, 400 * ms, 100 * ms, 500 * ms},
+		{"scaled 5", ScaledSettings(5), 2 * ms, 80 * ms, 20 * ms, 100 * ms},
+		{"scaled 10", ScaledSettings(10), 1 * ms, 40 * ms, 10 * ms, 50 * ms},
+		{"scaled 20", ScaledSettings(20), 1 * ms, 20 * ms, 5 * ms, 25 * ms},
+		{"scaled 50", ScaledSettings(50), 1 * ms, 8 * ms, 2 * ms, 10 * ms},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			floor, ceiling := tc.s.windowFloor(), tc.s.windowCeiling()
+			newborn := newWindowController(floor, ceiling).window
+			if floor != tc.floor || ceiling != tc.ceiling || newborn != tc.newborn || tc.s.probeTimeout() != tc.probeWait {
+				t.Fatalf("floor %v, ceiling %v, newborn %v, probe timeout %v; want %v, %v, %v, %v",
+					floor, ceiling, newborn, tc.s.probeTimeout(), tc.floor, tc.ceiling, tc.newborn, tc.probeWait)
+			}
+		})
 	}
 }
 
@@ -749,5 +753,60 @@ func TestSubscriberMayBlockWithoutStallingProtocol(t *testing.T) {
 	}
 	if delivered.Load() != 1 {
 		t.Errorf("expected exactly one in-flight delivery while blocked, got %d", delivered.Load())
+	}
+}
+
+// alertBatch is an inbound batch of one alert, naming configID.
+func alertBatch(configID uint64, seq uint64) *remoting.Request {
+	return &remoting.Request{Alerts: &remoting.BatchedAlertMessage{
+		Sender: "peer:1",
+		Seq:    seq,
+		Alerts: []remoting.AlertMessage{{
+			EdgeSrc:         "peer:1",
+			EdgeDst:         "ghost:1",
+			Status:          remoting.EdgeDown,
+			ConfigurationID: configID,
+			RingNumbers:     []int{0},
+		}},
+	}}
+}
+
+// TestQueueFullTimeAccounted: an inbound batch blocks on a full event queue
+// until the engine makes room, and the time it spent blocked is surfaced in
+// EngineStats.QueueFullTime. The engine is deliberately not started, so the
+// queue fills deterministically.
+func TestQueueFullTimeAccounted(t *testing.T) {
+	const queueSize = 4
+	c, err := newCluster("stalled:1", testSettings(), simnet.New(simnet.Options{Seed: 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.events = make(chan event, queueSize)
+	t.Cleanup(c.Stop)
+	ctx := context.Background()
+	for i := 0; i < queueSize; i++ {
+		if _, err := c.HandleRequest(ctx, "peer:1", alertBatch(1, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = c.HandleRequest(ctx, "peer:1", alertBatch(1, 99))
+	}()
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("enqueue should have blocked on the full queue")
+	default:
+	}
+	<-c.events // make room; the blocked producer completes
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocked producer never completed after the queue drained")
+	}
+	if got := c.Stats().QueueFullTime; got < 25*time.Millisecond {
+		t.Fatalf("QueueFullTime %v should reflect the blocked enqueue", got)
 	}
 }

@@ -86,7 +86,7 @@ func (c *Cluster) perform(out outputs) {
 // nor the next round, and Stop does not wait for it: once the member has
 // stopped, the outcome is dropped.
 func (c *Cluster) probe(gen uint64, i int, subject node.Addr) {
-	ok := edgefd.Probe(c.client, c.clock, c.settings.ProbeTimeout, c.probeReq, subject)
+	ok := edgefd.Probe(c.client, c.clock, c.settings.probeTimeout(), c.probeReq, subject)
 	c.enqueue(event{ctl: &control{probed: &probeResult{gen: gen, i: i, ok: ok}}})
 }
 

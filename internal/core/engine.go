@@ -229,7 +229,7 @@ type engine struct {
 	// as a single wire message on the next flush.
 	pendingAlerts []remoting.AlertMessage // engine-owned
 
-	// winCtl sizes the flush window between the configured floor and ceiling
+	// winCtl sizes the flush window between its floor and ceiling
 	// from queue depth and arrival rate (see adaptive.go); arrivals counts
 	// the batches dispatched since the last flush, its rate input. The window
 	// belongs to the configuration: an install starts it at the floor again
@@ -275,7 +275,7 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 		joinWaiters:          make(map[joinerKey]*joinEvent),
 		joinAlerted:          make(map[joinerKey]bool),
 		unparked:             make(map[joinerKey]bool),
-		winCtl:               newWindowController(s.BatchingWindowMin, s.BatchingWindowMax),
+		winCtl:               newWindowController(s.windowFloor(), s.windowCeiling()),
 	}
 	m.BatchWindow.Set(int64(e.winCtl.window))
 	e.install()

@@ -260,7 +260,7 @@ func (f *flushTimer) settle() int {
 // ceiling holds.
 func (f *flushTimer) growToCeiling() {
 	f.t.Helper()
-	ceiling := f.r.settings.BatchingWindowMax
+	ceiling := f.r.settings.windowCeiling()
 	for want := min(2*f.e.winCtl.window, ceiling); ; want = min(2*want, ceiling) {
 		before := f.e.winCtl.window
 		for i := 0; i < 2*growArrivals; i++ {
@@ -290,7 +290,7 @@ func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
 	e, first := r.start(members[0], members)
 	f := &flushTimer{t: t, r: r, e: e}
-	floor, ceiling := r.settings.BatchingWindowMin, r.settings.BatchingWindowMax
+	floor, ceiling := r.settings.windowFloor(), r.settings.windowCeiling()
 
 	// Born armed, at a quarter of the ceiling; quiet ticks halve the window
 	// to the floor and then the timer stops.
@@ -353,7 +353,8 @@ func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 //
 // engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestInstallRestartsTheFlushWindow(t *testing.T) {
-	floor, ceiling := DefaultSettings().BatchingWindowMin, DefaultSettings().BatchingWindowMax
+	s := DefaultSettings()
+	floor, ceiling := s.windowFloor(), s.windowCeiling()
 	// grown starts a lone seed and grows its window to the ceiling.
 	grown := func(t *testing.T) (*engineRig, *flushTimer) {
 		r := newEngineRig(t)

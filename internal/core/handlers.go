@@ -26,11 +26,6 @@ func (c *Cluster) HandleRequest(ctx context.Context, from node.Addr, req *remoti
 		return c.handlePreJoin(ctx, req.PreJoin), nil
 	case req.Join != nil:
 		return c.handleJoinPhase2(ctx, req.Join), nil
-	case req.Alerts != nil || req.VoteBatch != nil:
-		// enqueueBatch sheds a stale batch when the queue is full instead of
-		// blocking the transport's delivery worker; the batch is acked either
-		// way, as best-effort dissemination expects.
-		c.enqueueBatch(event{req: req})
 	default:
 		c.enqueue(event{req: req})
 	}

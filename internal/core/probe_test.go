@@ -229,13 +229,13 @@ type probeRig struct {
 	dead, blocked map[node.Addr]bool
 }
 
-func newProbeRig(t *testing.T, judges edgefd.Factory, timeout time.Duration) *probeRig {
+func newProbeRig(t *testing.T, judges edgefd.Factory) *probeRig {
 	r := &probeRig{t: t, clk: simclock.NewManual(time.Unix(0, 0)), sent: make(chan sentProbe, 256),
 		dead: map[node.Addr]bool{}, blocked: map[node.Addr]bool{}}
 	r.start = r.clk.Now()
 	s := DefaultSettings()
 	s.K, s.H, s.L = 3, 3, 1
-	s.Clock, s.FailureDetector, s.ProbeTimeout = r.clk, judges, timeout
+	s.Clock, s.FailureDetector = r.clk, judges
 	members := make([]node.Endpoint, 17)
 	for i := range members {
 		members[i] = endpoint(i)
@@ -254,7 +254,7 @@ func newProbeRig(t *testing.T, judges edgefd.Factory, timeout time.Duration) *pr
 	t.Cleanup(func() {
 		// Leave no probe behind for the next test to count.
 		c.Stop()
-		r.clk.Advance(timeout)
+		r.clk.Advance(s.probeTimeout())
 		r.settle(0)
 	})
 	return r
@@ -358,32 +358,27 @@ func (r *probeRig) settle(inFlight int) {
 }
 
 // TestBlockedProbeDelaysNeitherItsRoundNorTheNext: one subject's Send blocks
-// until its timeout, here one and a half intervals. The other probes of its
-// round come back to the engine at once, and the next round leaves on time
-// with the first still in flight; each blocked probe is filed when it times
-// out.
+// until its timeout, half an interval. The other probes of its round come
+// back to the engine at once, the blocked one is filed when it times out,
+// inside its round, and the next round leaves on time.
 func TestBlockedProbeDelaysNeitherItsRoundNorTheNext(t *testing.T) {
 	interval := DefaultSettings().ProbeInterval
-	r := newProbeRig(t, edgefd.NewCountingFactory(2), 3*interval/2)
+	r := newProbeRig(t, edgefd.NewCountingFactory(2))
 	r.mark(r.blocked, r.subjects[1])
 	r.mark(r.dead, r.subjects[2])
 
 	r.advance(interval)
 	r.round(interval)
 	r.filed(2, "the first round, one probe blocked")
+	r.advance(3 * interval / 2)
+	r.filed(3, "the first round's timeout")
 	r.advance(2 * interval)
 	r.round(2 * interval)
-	r.filed(4, "the second round, two probes blocked")
-	// The blocked probes time out at 2.5 and 3.5 intervals, with a third
-	// leaving in between.
-	r.advance(5 * interval / 2)
-	r.filed(5, "after one timeout")
-	r.advance(3 * interval)
-	r.round(3 * interval)
-	r.filed(7, "the third round")
-	r.advance(7 * interval / 2)
-	r.filed(8, "after two timeouts")
+	r.filed(5, "the second round, one probe blocked")
 	r.settle(1)
+	r.advance(5 * interval / 2)
+	r.filed(6, "the second round's timeout")
+	r.settle(0)
 }
 
 // TestStopReturnsWhileAProbeIsBlocked: Stop does not wait for a probe in
@@ -391,7 +386,7 @@ func TestBlockedProbeDelaysNeitherItsRoundNorTheNext(t *testing.T) {
 // it; the blocked probe ends at its timeout.
 func TestStopReturnsWhileAProbeIsBlocked(t *testing.T) {
 	interval := DefaultSettings().ProbeInterval
-	r := newProbeRig(t, edgefd.NewCountingFactory(1), interval/2)
+	r := newProbeRig(t, edgefd.NewCountingFactory(1))
 	r.mark(r.blocked, r.subjects[0])
 	r.advance(interval)
 	r.round(interval)

@@ -148,7 +148,7 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 	// Every engine is born armed, at a quarter of the ceiling, and its window
 	// halves per quiet tick. The decay is over long before the first probe.
 	waiters(quiet+n, "at birth")
-	for w := newWindowController(s.BatchingWindowMin, s.BatchingWindowMax); w.window > w.floor; {
+	for w := newWindowController(s.windowFloor(), s.windowCeiling()); w.window > w.floor; {
 		clk.Advance(w.window)
 		next := w.retune(0, eventQueueSize, 0)
 		for a, c := range fleet {
@@ -248,7 +248,7 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 		if !waitUntil(t, 10*time.Second, read) {
 			t.Fatal("a member's install was never announced to its subscriber")
 		}
-		clk.Advance(s.BatchingWindowMin)
+		clk.Advance(s.windowFloor())
 		syncAll()
 		if settled() {
 			calm++
@@ -262,8 +262,8 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 		if got := c.ConfigurationID(); got != v.ConfigurationID() {
 			t.Fatalf("%s installed configuration %x, want %x", a, got, v.ConfigurationID())
 		}
-		if got := installedWindow[a]; got != s.BatchingWindowMin {
-			t.Fatalf("%s started the new configuration with a %v window, want the floor %v", a, got, s.BatchingWindowMin)
+		if got := installedWindow[a]; got != s.windowFloor() {
+			t.Fatalf("%s started the new configuration with a %v window, want the floor %v", a, got, s.windowFloor())
 		}
 	}
 }

@@ -32,22 +32,20 @@
 // learns each configuration by polling the ensemble.
 //
 // The batching window is load-adaptive (adaptive.go): a new engine starts it
-// at a quarter of BatchingWindowMax, and it is resized between
-// BatchingWindowMin and BatchingWindowMax from the engine's queue depth and
-// batch arrival rate (quiet clusters flush near-immediately, storming
-// clusters send fewer, larger batches). The window belongs to the
-// configuration: every install starts it at BatchingWindowMin again, unless
-// the install sent a parked joiner back to phase 1 — a join storm still under
-// way keeps its window. There is one overload rule: when the event queue is
-// full, an inbound batch with nothing in it for the current configuration is
-// dropped rather than blocking the transport; everything else blocks. The
-// subscriber notification queue is bounded, coalescing view changes for slow
-// subscribers (notifier.go). See docs/ARCHITECTURE.md for the full event-flow
-// diagram.
+// at a quarter of its ceiling, and it is resized between a floor of a
+// hundredth and a ceiling of two fifths of the probe interval from the
+// engine's queue depth and batch arrival rate (quiet clusters flush
+// near-immediately, storming clusters send fewer, larger batches). The window
+// belongs to the configuration: every install starts it at the floor again,
+// unless the install sent a parked joiner back to phase 1 — a join storm
+// still under way keeps its window. Every event, inbound batches included,
+// blocks its producer while the engine's queue is full. The subscriber
+// notification queue is bounded, coalescing view changes for slow
+// subscribers (notifier.go). See docs/ARCHITECTURE.md for the full
+// event-flow diagram.
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/edgefd"
@@ -66,26 +64,13 @@ type Settings struct {
 	// between L and H it is unstable and delays proposals.
 	L int
 
-	// ProbeInterval is the edge failure detector's probe period.
+	// ProbeInterval is the edge failure detector's probe period. The probe
+	// timeout and the batching window derive from it (probeTimeout,
+	// windowFloor, windowCeiling).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each probe RPC.
-	ProbeTimeout time.Duration
 	// FailureDetector builds the judge of each monitored edge; defaults to the
 	// paper's ping-pong detector (40% of the last 10 probes).
 	FailureDetector edgefd.Factory
-
-	// BatchingWindowMin is the floor of the adaptive flush window (§6): a
-	// quiet engine collapses its window to this value so joins and isolated
-	// alerts are broadcast almost immediately, and every configuration after
-	// the first starts at it unless its install redirected a parked joiner.
-	// Defaults to 10 ms.
-	BatchingWindowMin time.Duration
-	// BatchingWindowMax is the ceiling of the adaptive flush window: a
-	// storming engine grows its window toward this value so alerts leave in
-	// fewer, larger wire batches and votes in fewer pushes. A new engine
-	// starts at a quarter of it — the paper's fixed 100 ms under the 400 ms
-	// default. Must satisfy 0 < BatchingWindowMin <= BatchingWindowMax.
-	BatchingWindowMax time.Duration
 
 	// ConsensusFallbackBase is the base delay before an undecided node starts
 	// a classical Paxos recovery round, and the pause between its retries.
@@ -126,10 +111,7 @@ func DefaultSettings() Settings {
 		H:                     9,
 		L:                     3,
 		ProbeInterval:         time.Second,
-		ProbeTimeout:          500 * time.Millisecond,
 		FailureDetector:       edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions()),
-		BatchingWindowMin:     10 * time.Millisecond,
-		BatchingWindowMax:     400 * time.Millisecond,
 		ConsensusFallbackBase: 8 * time.Second,
 		ReinforcementTimeout:  5 * time.Second,
 		JoinAttempts:          10,
@@ -156,9 +138,6 @@ func ScaledSettings(factor float64) Settings {
 		return scaled
 	}
 	s.ProbeInterval = scale(s.ProbeInterval)
-	s.ProbeTimeout = scale(s.ProbeTimeout)
-	s.BatchingWindowMin = scale(s.BatchingWindowMin)
-	s.BatchingWindowMax = scale(s.BatchingWindowMax)
 	s.ConsensusFallbackBase = scale(s.ConsensusFallbackBase)
 	s.ReinforcementTimeout = scale(s.ReinforcementTimeout)
 	s.JoinPhase2Timeout = scale(s.JoinPhase2Timeout)
@@ -174,6 +153,24 @@ func ScaledSettings(factor float64) Settings {
 // window before it cuts: a straggler left out would be voted in by relayed
 // votes in a second view change (see engine.gathering).
 func (s *Settings) oneHopLimit() int { return 4 * s.K }
+
+// probeTimeout bounds each probe: half the probe interval, so a probe ends
+// inside its round.
+func (s *Settings) probeTimeout() time.Duration { return max(s.ProbeInterval/2, time.Millisecond) }
+
+// windowFloor is the floor of the adaptive flush window: a hundredth of the
+// probe interval, 10 ms under the default 1 s. A quiet engine collapses its
+// window to it, so joins and isolated alerts are broadcast almost at once,
+// and every configuration after the first starts at it unless its install
+// redirected a parked joiner.
+func (s *Settings) windowFloor() time.Duration { return max(s.ProbeInterval/100, time.Millisecond) }
+
+// windowCeiling is the ceiling of the adaptive flush window: two fifths of
+// the probe interval, 400 ms under the default 1 s. A storming engine grows
+// its window toward it, so alerts leave in fewer, larger batches and votes in
+// fewer pushes. A new engine starts at a quarter of it: §6's fixed 100 ms,
+// a tenth of the probe interval.
+func (s *Settings) windowCeiling() time.Duration { return max(2*s.ProbeInterval/5, time.Millisecond) }
 
 // pollInterval is how often a member of a cluster an ensemble manages polls
 // the ensemble for its configuration: five probe intervals, §5's 5 s.
@@ -199,28 +196,8 @@ func (s *Settings) validate() error {
 	if s.ProbeInterval <= 0 {
 		s.ProbeInterval = time.Second
 	}
-	if s.ProbeTimeout <= 0 {
-		s.ProbeTimeout = s.ProbeInterval / 2
-	}
 	if s.FailureDetector == nil {
 		s.FailureDetector = edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions())
-	}
-	// The adaptive window range must be coherent: zero values take defaults,
-	// but explicitly negative values or an inverted floor/ceiling relation are
-	// configuration mistakes and are rejected instead of silently rewritten.
-	if s.BatchingWindowMin < 0 || s.BatchingWindowMax < 0 {
-		return fmt.Errorf("core: negative batching window (floor=%v ceiling=%v)",
-			s.BatchingWindowMin, s.BatchingWindowMax)
-	}
-	if s.BatchingWindowMin == 0 {
-		s.BatchingWindowMin = 10 * time.Millisecond
-	}
-	if s.BatchingWindowMax == 0 {
-		s.BatchingWindowMax = 400 * time.Millisecond
-	}
-	if s.BatchingWindowMin > s.BatchingWindowMax {
-		return fmt.Errorf("core: batching window floor %v exceeds ceiling %v",
-			s.BatchingWindowMin, s.BatchingWindowMax)
 	}
 	if s.ConsensusFallbackBase <= 0 {
 		s.ConsensusFallbackBase = 8 * time.Second

@@ -70,11 +70,11 @@ func TestBatchPathDoesNotAllocate(t *testing.T) {
 	}}}
 	now := r.clk.Now()
 	allocs := testing.AllocsPerRun(100, func() {
-		c.enqueueBatch(event{req: req})
+		c.enqueue(event{req: req})
 		e.step(<-c.events, now)
 	})
 	if allocs != 0 {
-		t.Errorf("enqueueBatch + step of a vote batch allocates %.0f times, want 0", allocs)
+		t.Errorf("enqueue + step of a vote batch allocates %.0f times, want 0", allocs)
 	}
 }
 

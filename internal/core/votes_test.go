@@ -77,19 +77,27 @@ func leave(*stepFixture) event         { return leaveEvent }
 func electorate(f *stepFixture) []node.Addr { return f.voters }
 func reinforceTick(*stepFixture) event      { return reinforceEvent }
 
-// removal is a batch of one REMOVE alert about endpoint(0) on its first rings
-// rings, from the member endpoint(1), or echoed by the process under test.
+// removal is a batch of REMOVE alerts about endpoint(0) on its first rings
+// rings: ring i reported by the member endpoint(1+i), so the tally comes from
+// distinct observers, or all of them echoed by the process under test in one
+// alert.
 func removal(rings int, echoed bool) func(*stepFixture) event {
 	return func(f *stepFixture) event {
-		src := endpoint(1).Addr
-		if echoed {
-			src = f.me
-		}
-		alert := remoting.AlertMessage{EdgeSrc: src, EdgeDst: endpoint(0).Addr, Status: remoting.EdgeDown, ConfigurationID: f.config}
+		echo := remoting.AlertMessage{EdgeSrc: f.me, EdgeDst: endpoint(0).Addr, Status: remoting.EdgeDown, ConfigurationID: f.config}
+		var alerts []remoting.AlertMessage
 		for i := range rings {
-			alert.RingNumbers = append(alert.RingNumbers, i)
+			if echoed {
+				echo.RingNumbers = append(echo.RingNumbers, i)
+				continue
+			}
+			alert := echo
+			alert.EdgeSrc, alert.RingNumbers = endpoint(1+i).Addr, []int{i}
+			alerts = append(alerts, alert)
 		}
-		return event{req: &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: src, Alerts: []remoting.AlertMessage{alert}}}}
+		if echoed {
+			alerts = []remoting.AlertMessage{echo}
+		}
+		return event{req: &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: alerts[0].EdgeSrc, Alerts: alerts}}}
 	}
 }
 
@@ -352,8 +360,8 @@ func TestVerdictOfTheConfigurationLeftIsDropped(t *testing.T) {
 }
 
 // TestEnsembleEchoesAStuckSubjectOnAllRings: an ensemble node observes nobody
-// and speaks for every observer (§5). A subject reported on 5 of its 10 rings
-// sits between L and H, where it blocks every proposal (§4.2). Once it has sat
+// and speaks for every observer (§5). A subject five observers report on 5 of
+// its 10 rings sits between L and H, where it blocks every proposal (§4.2). Once it has sat
 // there for ReinforcementTimeout, the reinforcement tick echoes it: one REMOVE
 // alert on all K rings, which the next flush sends to the electorate as one
 // batch. The step that files the echo back makes the subject stable, and the

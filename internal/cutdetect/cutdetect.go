@@ -11,6 +11,16 @@
 // no subject is unstable — this single rule is what yields almost-everywhere
 // agreement on a multi-node cut.
 //
+// A member whose tally is between L and H but whose REMOVE reports come from
+// fewer than L distinct observers is only suspect: it neither holds up a
+// proposal nor is reinforced. When N is not much larger than K one observer
+// can hold L of a subject's rings, and a single faulty observer — a deaf or
+// slow process that fails every probe it sends — would otherwise hold a
+// healthy subject unstable until reinforcement made its healthy observers
+// echo, evicting it alongside the faulty one. H is still counted in ring
+// slots, so a subject every observer reports reaches it as before; JOIN
+// tallies are not filtered.
+//
 // All of it is one record per subject — the reported rings as a bitmap, the
 // state against the watermarks, the endpoint, the time it turned unstable —
 // in one map. The detector takes no lock: its owner, the single-writer
@@ -41,8 +51,10 @@ type Detector struct {
 	subjects map[node.Addr]*record
 	// pending are the subjects that reached H and await flushing.
 	pending []*record
-	// updatesInProgress counts subjects currently in the unstable region.
+	// updatesInProgress counts subjects currently in the unstable region, and
+	// suspects those in it that are only suspect.
 	updatesInProgress int
+	suspects          int
 	// proposalsEmitted counts flushed proposals (diagnostics/tests).
 	proposalsEmitted int
 }
@@ -52,6 +64,7 @@ type state uint8
 
 const (
 	noise    state = iota // fewer than L reports
+	suspect               // in [L, H), from fewer than L observers of a member
 	unstable              // in [L, H)
 	stable                // reached H, awaiting the flush
 	emitted               // flushed in a proposal
@@ -65,6 +78,10 @@ type record struct {
 	first [1]uint64
 	count int
 	state state
+	// down marks a member's record, tallied from REMOVE reports, and
+	// observers are the distinct observers whose reports it counts.
+	down      bool
+	observers []node.Addr
 	// endpoint is what a proposal names the subject by (a joiner is not in
 	// the current view).
 	endpoint node.Endpoint
@@ -89,20 +106,22 @@ func New(k, h, l int) *Detector {
 // unstable. `now` is used to time how long subjects stay unstable.
 func (d *Detector) AggregateForProposal(alert remoting.AlertMessage, subject node.Endpoint, now time.Time) []node.Endpoint {
 	var out []node.Endpoint
+	down := alert.Status == remoting.EdgeDown
 	for _, ring := range alert.RingNumbers {
-		out = append(out, d.aggregate(alert.EdgeDst, subject, ring, now)...)
+		out = append(out, d.aggregate(alert.EdgeDst, subject, alert.EdgeSrc, down, ring, now)...)
 	}
 	return out
 }
 
-// aggregate applies a single (subject, ring) report.
-func (d *Detector) aggregate(subjectAddr node.Addr, subject node.Endpoint, ring int, now time.Time) []node.Endpoint {
+// aggregate applies a single (subject, ring) report from observer; down says
+// whether it is a REMOVE report.
+func (d *Detector) aggregate(subjectAddr node.Addr, subject node.Endpoint, observer node.Addr, down bool, ring int, now time.Time) []node.Endpoint {
 	if ring < 0 || ring >= d.k {
 		return nil
 	}
 	r := d.subjects[subjectAddr]
 	if r == nil {
-		r = &record{}
+		r = &record{down: down}
 		if r.rings = r.first[:]; d.k > 64 {
 			r.rings = make([]uint64, (d.k+63)/64)
 		}
@@ -118,15 +137,19 @@ func (d *Detector) aggregate(subjectAddr node.Addr, subject node.Endpoint, ring 
 	*word |= bit
 	r.count++
 	r.endpoint = subject
-
-	if r.count == d.l {
-		d.updatesInProgress++
-		r.state, r.since = unstable, now
+	if r.down && !slices.Contains(r.observers, observer) {
+		r.observers = append(r.observers, observer)
 	}
+
 	if r.count == d.h {
+		switch r.state {
+		case suspect:
+			d.suspects--
+		case unstable:
+			d.updatesInProgress--
+		}
 		r.state = stable
 		d.pending = append(d.pending, r)
-		d.updatesInProgress--
 		if d.updatesInProgress == 0 {
 			// No subject is unstable: flush everything in stable mode as one
 			// multi-process cut proposal.
@@ -139,19 +162,34 @@ func (d *Detector) aggregate(subjectAddr node.Addr, subject node.Endpoint, ring 
 			slices.SortFunc(out, node.CompareEndpoints)
 			return out
 		}
+		return nil
+	}
+	if r.count >= d.l && r.state < unstable {
+		if r.down && len(r.observers) < d.l {
+			if r.state == noise {
+				d.suspects++
+				r.state = suspect
+			}
+		} else {
+			if r.state == suspect {
+				d.suspects--
+			}
+			d.updatesInProgress++
+			r.state, r.since = unstable, now
+		}
 	}
 	return nil
 }
 
-// unstableSubjects returns the subjects in the unstable region that keep, in
+// inFlux returns the subjects with a tally between L and H that keep, in
 // address order.
-func (d *Detector) unstableSubjects(keep func(*record) bool) []node.Addr {
-	if d.updatesInProgress == 0 {
+func (d *Detector) inFlux(keep func(*record) bool) []node.Addr {
+	if d.updatesInProgress == 0 && d.suspects == 0 {
 		return nil
 	}
 	var out []node.Addr
 	for addr, r := range d.subjects {
-		if r.state == unstable && keep(r) {
+		if (r.state == suspect || r.state == unstable) && keep(r) {
 			out = append(out, addr)
 		}
 	}
@@ -159,15 +197,15 @@ func (d *Detector) unstableSubjects(keep func(*record) bool) []node.Addr {
 }
 
 // InvalidateFailingEdges applies implicit alerts: if both an observer o and
-// its subject s are in the unstable region (or o is already in the stable
+// its subject s have a tally between L and H (or o is already in the stable
 // set), an implicit alert from o about s is applied. This prevents the
 // detector from waiting forever for alerts from observers that are themselves
 // faulty (§4.2, "Ensuring liveness"). It returns any proposal that results.
 func (d *Detector) InvalidateFailingEdges(v *view.View, now time.Time) []node.Endpoint {
 	var out []node.Endpoint
-	// A sorted snapshot of the unstable subjects, for determinism.
-	for _, subjectAddr := range d.unstableSubjects(func(*record) bool { return true }) {
-		subject := d.subjects[subjectAddr].endpoint
+	// A sorted snapshot of the subjects in flux, for determinism.
+	for _, subjectAddr := range d.inFlux(func(*record) bool { return true }) {
+		s := d.subjects[subjectAddr]
 		var observers []node.Addr
 		if v.Contains(subjectAddr) {
 			observers, _ = v.ObserversOf(subjectAddr)
@@ -175,12 +213,12 @@ func (d *Detector) InvalidateFailingEdges(v *view.View, now time.Time) []node.En
 			observers = v.ExpectedObserversOf(subjectAddr)
 		}
 		for _, o := range observers {
-			// The observer must itself be unstable, or in the pending stable set.
-			if r := d.subjects[o]; r == nil || (r.state != unstable && r.state != stable) {
+			// The observer must itself be in flux, or in the pending stable set.
+			if r := d.subjects[o]; r == nil || (r.state != suspect && r.state != unstable && r.state != stable) {
 				continue
 			}
 			for _, ring := range v.RingNumbers(o, subjectAddr) {
-				out = append(out, d.aggregate(subjectAddr, subject, ring, now)...)
+				out = append(out, d.aggregate(subjectAddr, s.endpoint, o, s.down, ring, now)...)
 			}
 		}
 	}
@@ -189,9 +227,10 @@ func (d *Detector) InvalidateFailingEdges(v *view.View, now time.Time) []node.En
 
 // UnstableLongerThan returns the subjects that have been in the unstable
 // region for at least the given duration. The membership service uses this to
-// trigger reinforcement: observers of a stuck subject echo REMOVE alerts.
+// trigger reinforcement: observers of a stuck subject echo REMOVE alerts. A
+// suspect subject is never returned.
 func (d *Detector) UnstableLongerThan(now time.Time, timeout time.Duration) []node.Addr {
-	return d.unstableSubjects(func(r *record) bool { return now.Sub(r.since) >= timeout })
+	return d.inFlux(func(r *record) bool { return r.state == unstable && now.Sub(r.since) >= timeout })
 }
 
 // Tally returns the number of the subject's ring slots with a report: an
@@ -221,5 +260,5 @@ func (d *Detector) ProposalsEmitted() int { return d.proposalsEmitted }
 func (d *Detector) Clear() {
 	d.subjects = make(map[node.Addr]*record)
 	d.pending = nil
-	d.updatesInProgress = 0
+	d.updatesInProgress, d.suspects = 0, 0
 }

@@ -150,6 +150,73 @@ func TestSubjectBelowLIsNoise(t *testing.T) {
 	}
 }
 
+// TestOneObserverCannotHoldAMemberUnstable is the faulty-observer case of a
+// small membership: a deaf process that holds L of a healthy member's rings
+// reports it on all of them. The member is only suspect — it neither delays
+// the faulty process' own removal nor is reinforced — until reports from L
+// distinct observers make it unstable.
+func TestOneObserverCannotHoldAMemberUnstable(t *testing.T) {
+	d := New(testK, testH, testL)
+	q, r := node.Addr("q:1"), node.Addr("r:1")
+	deaf := remoting.AlertMessage{EdgeSrc: "deaf:1", EdgeDst: q, Status: remoting.EdgeDown, RingNumbers: []int{0, 1, 2, 3}}
+	d.AggregateForProposal(deaf, subjectEP(q), t0)
+	if d.Tally(q) != 4 || d.UpdatesInProgress() != 0 {
+		t.Fatalf("tally %d, %d unstable; want 4 ring slots and no unstable subject", d.Tally(q), d.UpdatesInProgress())
+	}
+	if got := d.UnstableLongerThan(t0.Add(time.Hour), time.Second); len(got) != 0 {
+		t.Fatalf("a suspect subject was offered for reinforcement: %v", got)
+	}
+	var got []node.Endpoint
+	for i := 0; i < testH; i++ {
+		a, ep := alertOnRing(i, r, i)
+		got = d.AggregateForProposal(a, ep, t0)
+	}
+	if len(got) != 1 || got[0].Addr != r {
+		t.Fatalf("a suspect subject must not delay the proposal; got %v", got)
+	}
+
+	// Two more observers make L distinct ones: q is unstable, and stays so
+	// until it reaches H.
+	d.Clear()
+	d.AggregateForProposal(deaf, subjectEP(q), t0)
+	for i := 4; i < 4+testL-1; i++ {
+		a, ep := alertOnRing(i, q, i)
+		d.AggregateForProposal(a, ep, t0)
+	}
+	if d.UpdatesInProgress() != 1 {
+		t.Fatalf("%d unstable subjects after reports from %d observers, want 1", d.UpdatesInProgress(), testL)
+	}
+	if got := d.UnstableLongerThan(t0.Add(time.Hour), time.Second); len(got) != 1 || got[0] != q {
+		t.Fatalf("UnstableLongerThan = %v, want [%v]", got, q)
+	}
+	for i := 4 + testL - 1; i < testH; i++ {
+		a, ep := alertOnRing(i, q, i)
+		got = d.AggregateForProposal(a, ep, t0)
+	}
+	if len(got) != 1 || got[0].Addr != q || d.UpdatesInProgress() != 0 {
+		t.Fatalf("proposal %v with %d unstable, want [q] and none", got, d.UpdatesInProgress())
+	}
+}
+
+// TestOneObserverHoldsAJoinerUnstable: JOIN tallies are not filtered by
+// observer. A joiner reported on L rings by one observer delays the proposal
+// until its other observers report it too.
+func TestOneObserverHoldsAJoinerUnstable(t *testing.T) {
+	d := New(testK, testH, testL)
+	joiner := node.Endpoint{Addr: "joiner:1", ID: node.ID{High: 42, Low: 42}}
+	d.AggregateForProposal(remoting.AlertMessage{EdgeSrc: "seed:1", EdgeDst: joiner.Addr, Status: remoting.EdgeUp, RingNumbers: []int{0, 1, 2}, JoinerID: joiner.ID}, joiner, t0)
+	if d.UpdatesInProgress() != 1 {
+		t.Fatalf("%d unstable subjects, want the joiner", d.UpdatesInProgress())
+	}
+	r := node.Addr("r:1")
+	for i := 0; i < testH; i++ {
+		a, ep := alertOnRing(i, r, i)
+		if got := d.AggregateForProposal(a, ep, t0); len(got) != 0 {
+			t.Fatalf("proposal %v emitted while the joiner is unstable", got)
+		}
+	}
+}
+
 func TestMultipleProposalsSequentially(t *testing.T) {
 	d := New(testK, testH, testL)
 	first := node.Addr("a:1")

@@ -52,25 +52,7 @@ func TestBootstrapConvergence1000Smoke(t *testing.T) {
 	if p.SeedViewChanges != 1 {
 		t.Errorf("the seed installed %d configurations after its first, want 1", p.SeedViewChanges)
 	}
-	// Control-plane health gates: a clean bootstrap must finish with
-	// (essentially) zero overload shedding, and every member's adaptive
-	// window must sit inside the configured floor/ceiling. Shedding on this
-	// workload means the adaptive window stopped absorbing the storm — a
-	// controller regression sheds five to six orders of magnitude more than
-	// the tolerance here (a stuck-at-floor controller was observed at 10^5
-	// sheds), while a healthy run sheds zero almost always and at most a
-	// handful when the host scheduler starves a member mid-storm, so the
-	// tiny allowance keeps the gate meaningful without coupling CI green to
-	// machine load.
-	if p.ShedBatches*1000 > p.BootMessages {
-		t.Errorf("bootstrap shed %d batches of %d messages; the adaptive window should keep the event queues from filling",
-			p.ShedBatches, p.BootMessages)
-	}
-	bounds := core.ScaledSettings(cfg.TimeScale)
-	if lo, hi := cfg.scaledSeconds(bounds.BatchingWindowMin), cfg.scaledSeconds(bounds.BatchingWindowMax); p.MinBatchWindowS < lo || p.MaxBatchWindowS > hi {
-		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v] paper-s",
-			p.MinBatchWindowS, p.MaxBatchWindowS, lo, hi)
-	}
+	checkControlPlane(t, cfg, p)
 	// At TimeScale 20 JoinPhase2Timeout is 0.6 s of wall time. A storm the
 	// seed decides in one view change parks every joiner once, for ≈ 0.05 s
 	// of wall time on a two-core host (20 consecutive runs: 1-2 paper-s, 1 999
@@ -79,9 +61,9 @@ func TestBootstrapConvergence1000Smoke(t *testing.T) {
 	if p.JoinsTimedOut != 0 {
 		t.Errorf("%d phase-2 join requests ran out JoinPhase2Timeout", p.JoinsTimedOut)
 	}
-	t.Logf("1000 nodes converged in %s wall (%.0f paper-s) in %d view changes; join p50/p90/p99 = %.0f/%.0f/%.0f paper-s; %d msgs; shed=%d window=[%v,%v] paper-s joinsTimedOut=%d",
+	t.Logf("1000 nodes converged in %s wall (%.0f paper-s) in %d view changes; join p50/p90/p99 = %.0f/%.0f/%.0f paper-s; %d msgs; queue-full=%v window=[%v,%v] paper-s joinsTimedOut=%d",
 		time.Since(start).Round(time.Second), p.ConvergeS, p.SeedViewChanges, p.JoinP50S, p.JoinP90S, p.JoinP99S,
-		p.BootMessages, p.ShedBatches, p.MinBatchWindowS, p.MaxBatchWindowS, p.JoinsTimedOut)
+		p.BootMessages, p.QueueFullS, p.MinBatchWindowS, p.MaxBatchWindowS, p.JoinsTimedOut)
 }
 
 // TestBootstrapStormTimesOutNoJoin is the gate against the join stall coming
@@ -130,21 +112,41 @@ func TestBootstrapConvergence200RaceSmoke(t *testing.T) {
 	if !p.FormationOK {
 		t.Fatal("200-node bootstrap did not converge under the race detector")
 	}
-	// Same control-plane gates as the 1000-node smoke, with the same tiny
-	// shedding allowance for instrumented-scheduler hiccups.
-	if p.ShedBatches*1000 > p.BootMessages {
-		t.Errorf("bootstrap shed %d batches of %d messages; the adaptive window should keep the event queues from filling",
-			p.ShedBatches, p.BootMessages)
-	}
-	bounds := core.ScaledSettings(cfg.TimeScale)
-	if lo, hi := cfg.scaledSeconds(bounds.BatchingWindowMin), cfg.scaledSeconds(bounds.BatchingWindowMax); p.MinBatchWindowS < lo || p.MaxBatchWindowS > hi {
-		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs configured [%v, %v] paper-s",
-			p.MinBatchWindowS, p.MaxBatchWindowS, lo, hi)
-	}
+	checkControlPlane(t, cfg, p)
 	// Reported, not gated: the instrumented fleet's wall time is what the
 	// 0.6 s timeout runs against, and the race lane's host varies. With the
 	// storm decided in one view change it read 1 paper-s, 399 messages and
 	// no timeout in three runs on a two-core host (0.1 s of wall time each).
-	t.Logf("200 nodes converged under -race in %s wall (%.0f paper-s); %d msgs; shed=%d joinsTimedOut=%d",
-		time.Since(start).Round(time.Second), p.ConvergeS, p.BootMessages, p.ShedBatches, p.JoinsTimedOut)
+	t.Logf("200 nodes converged under -race in %s wall (%.0f paper-s); %d msgs; queue-full=%v paper-s joinsTimedOut=%d",
+		time.Since(start).Round(time.Second), p.ConvergeS, p.BootMessages, p.QueueFullS, p.JoinsTimedOut)
+}
+
+// queueFullAllowanceS is the time, in paper-seconds summed over the fleet,
+// that the paper-scale smokes allow producers to spend blocked on full event
+// queues: 0.05 s of wall time at TimeScale 20, a member starved for a moment.
+// On a two-core host the 1000-node smoke read 0 in 41 of 42 runs (30 of them
+// two copies at once) and the 200-node race smoke 0 in 52; the other
+// 1000-node run read 5 109 with 12 584 timed-out joins. The lone seed gathers
+// the storm, so a window controller pinned at its floor reads 0 as well; with
+// the seed's gathering off too it read 1 708 to 7 175 in three of four runs,
+// and with gathering off alone 0 to 243.
+const queueFullAllowanceS = 1.0
+
+// checkControlPlane gates a bootstrap's control-plane health: its event queues
+// must not fill, and every member's adaptive window must sit inside the floor
+// and ceiling core derives from the probe interval (1/100 and 2/5 of it, at
+// least 1 ms each).
+func checkControlPlane(t *testing.T, cfg Config, p ScenarioCell) {
+	t.Helper()
+	if p.QueueFullS > queueFullAllowanceS {
+		t.Errorf("producers spent %.1f paper-s blocked on full event queues (allowance %v); the adaptive window should keep the queues from filling",
+			p.QueueFullS, queueFullAllowanceS)
+	}
+	interval := core.ScaledSettings(cfg.TimeScale).ProbeInterval
+	lo := cfg.scaledSeconds(max(interval/100, time.Millisecond))
+	hi := cfg.scaledSeconds(max(2*interval/5, time.Millisecond))
+	if p.MinBatchWindowS < lo || p.MaxBatchWindowS > hi {
+		t.Errorf("adaptive window left its bounds: fleet [%v, %v] vs derived [%v, %v] paper-s",
+			p.MinBatchWindowS, p.MaxBatchWindowS, lo, hi)
+	}
 }

@@ -123,7 +123,6 @@ var (
 		{head: "join-p90(s)", prec: 1, val: func(c *ScenarioCell) float64 { return c.JoinP90S }},
 		{head: "join-p99(s)", prec: 1, val: func(c *ScenarioCell) float64 { return c.JoinP99S }},
 		{head: "msgs/node", val: func(c *ScenarioCell) float64 { return float64(c.BootMessages) / float64(c.N) }},
-		{head: "shed", val: func(c *ScenarioCell) float64 { return float64(c.ShedBatches) }},
 		{head: "timed-out", val: func(c *ScenarioCell) float64 { return float64(c.JoinsTimedOut) }},
 		{head: "max-window(s)", prec: 2, val: func(c *ScenarioCell) float64 { return c.MaxBatchWindowS }},
 	}

@@ -99,13 +99,11 @@ type ScenarioCell struct {
 	// proxy for the dissemination cost of the bootstrap storm.
 	BootMessages int64 `json:"boot_messages"`
 	// Control-plane health of a Rapid fleet (zero for the baselines), summed
-	// over its members: ShedBatches non-zero means some member's event queue
-	// filled up; QueueFullS is the time producers spent blocked on full
-	// queues; JoinsTimedOut counts phase-2 join requests that ran out
-	// JoinPhase2Timeout (the join pipeline is redirect-driven, so a healthy
-	// bootstrap reads 0). Min/MaxBatchWindowS bracket the adaptive flush
-	// windows the members ended formation with.
-	ShedBatches     int64   `json:"shed_batches"`
+	// over its members: QueueFullS is the time producers spent blocked on
+	// full event queues; JoinsTimedOut counts phase-2 join requests that ran
+	// out JoinPhase2Timeout (the join pipeline is redirect-driven, so a
+	// healthy bootstrap reads 0). Min/MaxBatchWindowS bracket the adaptive
+	// flush windows the members ended formation with.
 	QueueFullS      float64 `json:"queue_full_paper_s"`
 	JoinsTimedOut   int64   `json:"joins_timed_out"`
 	MinBatchWindowS float64 `json:"min_batch_window_paper_s"`
@@ -252,7 +250,6 @@ func (c *ScenarioCell) recordFormation(cfg Config, fleet *harness.Fleet) {
 	join := cfg.scaledAll(fleet.JoinLatencies())
 	c.JoinP50S, c.JoinP90S, c.JoinP99S = metrics.Percentile(join, 50), metrics.Percentile(join, 90), metrics.Percentile(join, 99)
 	for i, st := range fleet.RapidStats() {
-		c.ShedBatches += st.ShedBatches
 		c.QueueFullS += cfg.scaledSeconds(st.QueueFullTime)
 		c.JoinsTimedOut += st.JoinsTimedOut
 		w := cfg.scaledSeconds(st.BatchWindow)

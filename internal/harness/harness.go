@@ -343,8 +343,9 @@ func (f *Fleet) Agents() []Agent {
 }
 
 // RapidStats returns every Rapid or Rapid-C member's engine stats (empty for
-// the baselines). Experiments use it to assert control-plane health — no shed
-// events, adaptive window inside its configured bounds — after a run.
+// the baselines). Experiments use it to assert control-plane health — no time
+// blocked on a full event queue, adaptive window inside its bounds — after a
+// run.
 func (f *Fleet) RapidStats() []core.EngineStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -382,7 +382,11 @@ func (q *delayQueue) close() {
 // delayPump drains one shard's delay heap: ready events move to the shard's
 // ordinary delivery queue (preserving heap order), future events are waited
 // out on the network clock, and a notify wake re-evaluates the head whenever
-// a new (possibly earlier) event arrives.
+// a new (possibly earlier) event arrives. Once the wait is armed the clock is
+// read again: a manual clock advanced past the head's deadline between the
+// first read and the arming has set the waiter a full wait beyond the
+// advanced time, and without the second look nothing would wake the pump for
+// the head.
 func (n *Network) delayPump(s *shard) {
 	defer n.workers.Done()
 	q := &s.delayed
@@ -404,11 +408,15 @@ func (n *Network) delayPump(s *shard) {
 			s.queue.push(head.ev)
 			continue
 		}
-		wait := q.items[0].due.Sub(now)
+		due := q.items[0].due
 		q.mu.Unlock()
+		wake := n.clock.After(due.Sub(now))
+		if !due.After(n.clock.Now()) {
+			continue
+		}
 		select {
 		case <-q.notify:
-		case <-n.clock.After(wait):
+		case <-wake:
 		}
 	}
 }

@@ -101,6 +101,30 @@ func TestSlowNodeTimesOutBoundedRPCs(t *testing.T) {
 	}
 }
 
+// TestLateWakeUpInsideTheDeadlineIsNoTimeout: a round trip that fits the
+// caller's deadline succeeds even when the sleeper wakes only after the
+// deadline has passed, as a loaded host or timer slack makes it. A manual
+// clock jumps past both the arrival and the deadline in one step, so both
+// are due when the sender runs again.
+func TestLateWakeUpInsideTheDeadlineIsNoTimeout(t *testing.T) {
+	clk := simclock.NewManual(time.Unix(0, 0))
+	n := New(Options{Seed: 1, Clock: clk, Latency: 10 * time.Millisecond})
+	defer n.Close()
+	n.Register("b:1", &echoHandler{})
+	ctx, cancel := simclock.WithTimeout(clk, 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.Client("a:1").Send(ctx, "b:1", probe("a:1"))
+		done <- err
+	}()
+	waitFor(t, func() bool { return clk.PendingWaiters() >= 2 }, "the request's arrival and the deadline armed")
+	clk.Advance(60 * time.Millisecond)
+	if err := <-done; err != nil {
+		t.Fatalf("a 20ms round trip under a 50ms deadline failed with %v", err)
+	}
+}
+
 // --- flapping rules ----------------------------------------------------------
 
 // TestFlapScheduleTogglesLoss drives the flap phases with a manual clock:
@@ -424,24 +448,19 @@ func runFaultKindTrace(t *testing.T, seed int64, tc faultKindCase) faultTraceRes
 		// Flush the delay heaps: one advance far past every pending deadline.
 		clk.Advance(time.Second)
 	}
-	// Drain until every trace stops growing for several consecutive polls.
-	var last, stable int
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		total := 0
-		for _, h := range handlers {
-			total += len(h.snapshot())
-		}
-		if total == last && total > 0 {
-			if stable++; stable >= 5 {
-				break
+	// Drain until every accepted copy has left its destination's backlog, then
+	// close the network, which waits for the delivery workers: the last
+	// handler has returned. The condition counts messages, not quiet time, so
+	// a starved delivery worker cannot end the drain early.
+	waitFor(t, func() bool {
+		for _, d := range dsts {
+			if st, ok := net.lookup(d); !ok || st.pending.Load() != 0 {
+				return false
 			}
-		} else {
-			stable = 0
 		}
-		last = total
-		time.Sleep(20 * time.Millisecond)
-	}
+		return true
+	}, "every accepted delivery")
+	net.Close()
 	res := faultTraceResult{
 		traces: make(map[node.Addr][]string, len(dsts)),
 		total:  net.TotalMessages(),

@@ -30,6 +30,7 @@ package simnet
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -318,11 +319,8 @@ func (n *Network) shardFor(addr node.Addr) *shard {
 // blocking the old one-goroutine-per-endpoint design did not have, accepted
 // here because per-endpoint dispatchers (N goroutines with N fixed-size
 // inboxes) are what capped fleets at ~100 nodes. The engine side keeps the
-// stall rare: past its queue's high-water mark it sheds inbound batches that
-// are entirely stale instead of blocking the worker (core's enqueueBatch;
-// core's TestShardWorkerSurvivesOverloadedEndpoint is the regression test),
-// so only current-configuration traffic to a genuinely saturated node still
-// blocks.
+// stall rare: its adaptive batching window keeps its event queue from
+// filling, which the paper-scale bootstrap smokes gate on.
 func (n *Network) deliverLoop(s *shard) {
 	defer n.workers.Done()
 	for {
@@ -663,34 +661,52 @@ type client struct {
 	from node.Addr
 }
 
-// sleepCtx waits out one direction's propagation delay, honoring the
-// caller's deadline: a slow link makes RPCs *time out*, not merely take
-// longer, which is what turns delay injection into a protocol-visible gray
-// failure (probers bound each RPC with a context deadline).
-func (n *Network) sleepCtx(ctx context.Context, d time.Duration) bool {
+// arrive waits for a message that arrives at at, honoring the caller's
+// deadline: a slow link makes RPCs *time out*, not merely take longer, which
+// is what turns delay injection into a protocol-visible gray failure
+// (probers bound each RPC with a context deadline). The deadline is held
+// against the arrival time, not against the moment this goroutine wakes up:
+// a host that wakes the sleeper late (timer slack, a loaded CPU) must not
+// turn a round trip inside the timeout into a timeout. Only a caller that
+// canceled gets nothing from a message that arrived in time.
+func (n *Network) arrive(ctx context.Context, at time.Time) bool {
 	if ctx == nil || ctx.Done() == nil {
-		n.clock.Sleep(d)
+		if wait := at.Sub(n.clock.Now()); wait > 0 {
+			n.clock.Sleep(wait)
+		}
 		return true
 	}
-	select {
-	case <-ctx.Done():
+	if deadline, ok := ctx.Deadline(); ok && at.After(deadline) {
+		<-ctx.Done()
 		return false
-	case <-n.clock.After(d):
-		return true
 	}
+	if wait := at.Sub(n.clock.Now()); wait > 0 {
+		select {
+		case <-ctx.Done():
+		case <-n.clock.After(wait):
+			return true
+		}
+	}
+	return !errors.Is(ctx.Err(), context.Canceled)
 }
 
 // Send implements transport.Client. Both the request and the response path
 // are subject to fault rules, so one-way partitions affect RPCs correctly:
 // a node whose ingress is blocked can still send requests but never hears
 // responses. Propagation delay (Options.Latency plus any delay rules) is
-// paid per direction and races the context deadline.
+// paid per direction and races the context deadline. The reply leaves the
+// handler's time after the request arrived, so how late the request's
+// sleeper woke up is not paid twice.
 func (c *client) Send(ctx context.Context, to node.Addr, req *remoting.Request) (*remoting.Response, error) {
 	n := c.net
 	n.shardFor(c.from).countMessage(req)
 	delay := n.latency + n.extraDelay(c.from, to)
-	if delay > 0 && !n.sleepCtx(ctx, delay) {
-		return nil, transport.ErrTimeout
+	var arrived, handled time.Time
+	if delay > 0 {
+		if arrived = n.clock.Now().Add(delay); !n.arrive(ctx, arrived) {
+			return nil, transport.ErrTimeout
+		}
+		handled = n.clock.Now()
 	}
 	if !n.allowed(c.from, to) {
 		return nil, transport.ErrUnreachable
@@ -708,7 +724,7 @@ func (c *client) Send(ctx context.Context, to node.Addr, req *remoting.Request) 
 		return nil, transport.ErrTimeout
 	}
 	n.account(c.from, to, req, resp)
-	if delay > 0 && !n.sleepCtx(ctx, delay) {
+	if delay > 0 && !n.arrive(ctx, arrived.Add(n.clock.Since(handled)+delay)) {
 		return nil, transport.ErrTimeout
 	}
 	return resp, nil

@@ -186,12 +186,9 @@ func (pl *pool) dial(ctx context.Context) (*pconn, error) {
 		pl.net.st.dialErrors.Add(1)
 		pl.mu.Lock()
 		if pl.backoff == 0 {
-			pl.backoff = opts.DialBackoffBase
-		} else if pl.backoff < opts.DialBackoffMax {
-			pl.backoff *= 2
-			if pl.backoff > opts.DialBackoffMax {
-				pl.backoff = opts.DialBackoffMax
-			}
+			pl.backoff = dialBackoffBase
+		} else {
+			pl.backoff = min(2*pl.backoff, dialBackoffMax)
 		}
 		pl.backoffUntil = time.Now().Add(pl.backoff)
 		pl.mu.Unlock()

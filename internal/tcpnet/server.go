@@ -131,7 +131,7 @@ func (st *listenerState) shutdown() {
 
 // serveConn serves one inbound connection, pipelined: frames are read
 // sequentially but each request's handler runs in its own goroutine (bounded
-// by MaxInFlightPerConn) and responses are written, ID-tagged, in completion
+// by maxInFlightPerConn) and responses are written, ID-tagged, in completion
 // order under a write lock. A one-way frame's response is dropped instead.
 // A decode failure or idle timeout closes the connection; clients re-dial
 // transparently.
@@ -142,7 +142,7 @@ func (st *listenerState) serveConn(conn net.Conn) {
 	opts := &st.net.opts
 	from := node.Addr(conn.RemoteAddr().String())
 	r := bufio.NewReaderSize(conn, readBufferSize)
-	sem := make(chan struct{}, opts.MaxInFlightPerConn)
+	sem := make(chan struct{}, maxInFlightPerConn)
 	var wmu sync.Mutex
 	var inflight sync.WaitGroup
 	defer inflight.Wait()

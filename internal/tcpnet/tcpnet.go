@@ -31,8 +31,7 @@ import (
 )
 
 // Options configure the TCP network. Zero values take defaults; negative
-// values (and an inverted backoff range) are configuration mistakes and are
-// rejected by New, mirroring core.Settings validation.
+// timeouts are configuration mistakes and are rejected by New.
 type Options struct {
 	// DialTimeout bounds connection establishment. Defaults to 1s.
 	DialTimeout time.Duration
@@ -45,21 +44,6 @@ type Options struct {
 	// than the server end so reuse rarely races a server-side close).
 	// Defaults to 60s.
 	IdleTimeout time.Duration
-	// MaxInFlightPerConn bounds concurrently executing handlers per inbound
-	// connection on the server side. Defaults to 256.
-	MaxInFlightPerConn int
-	// BestEffortWorkers is the size of the worker pool draining the
-	// best-effort send queue. A worker waits for a dial or a full socket
-	// buffer, never for the peer's answer. Defaults to 4.
-	BestEffortWorkers int
-	// BestEffortQueue bounds the best-effort send queue; overflow is dropped
-	// and counted in Stats.BestEffortDropped. Defaults to 1024.
-	BestEffortQueue int
-	// DialBackoffBase is the first post-failure backoff window during which
-	// dials to a peer fail fast. It doubles per consecutive failure up to
-	// DialBackoffMax. Defaults: 50ms base, 2s max.
-	DialBackoffBase time.Duration
-	DialBackoffMax  time.Duration
 	// Dial, when non-nil, replaces the default dialer. A TLS deployment
 	// supplies a tls.Dialer's DialContext here.
 	Dial func(ctx context.Context, network, address string) (net.Conn, error)
@@ -68,18 +52,31 @@ type Options struct {
 	Listen func(network, address string) (net.Listener, error)
 }
 
-// validate rejects negative or inverted options and fills in defaults,
-// following the same convention as core.Settings: zero means "default",
-// nonsense is an error rather than a silent rewrite.
+// The transport's fixed bounds.
+const (
+	// maxInFlightPerConn bounds concurrently executing handlers per inbound
+	// connection on the server side.
+	maxInFlightPerConn = 256
+	// bestEffortWorkers is the size of the worker pool draining the
+	// best-effort send queue. A worker waits for a dial or a full socket
+	// buffer, never for the peer's answer.
+	bestEffortWorkers = 4
+	// bestEffortQueue bounds the best-effort send queue; overflow is dropped
+	// and counted in Stats.BestEffortDropped.
+	bestEffortQueue = 1024
+	// dialBackoffBase is the first post-failure backoff window during which
+	// dials to a peer fail fast. It doubles per consecutive failure up to
+	// dialBackoffMax.
+	dialBackoffBase = 50 * time.Millisecond
+	dialBackoffMax  = 2 * time.Second
+)
+
+// validate rejects negative timeouts and fills in defaults: zero means
+// "default", nonsense is an error rather than a silent rewrite.
 func (o *Options) validate() error {
-	if o.DialTimeout < 0 || o.RequestTimeout < 0 || o.IdleTimeout < 0 ||
-		o.DialBackoffBase < 0 || o.DialBackoffMax < 0 {
-		return fmt.Errorf("tcpnet: negative timeout in options (dial=%v request=%v idle=%v backoff=%v/%v)",
-			o.DialTimeout, o.RequestTimeout, o.IdleTimeout, o.DialBackoffBase, o.DialBackoffMax)
-	}
-	if o.MaxInFlightPerConn < 0 || o.BestEffortWorkers < 0 || o.BestEffortQueue < 0 {
-		return fmt.Errorf("tcpnet: negative bound in options (inflight=%d workers=%d queue=%d)",
-			o.MaxInFlightPerConn, o.BestEffortWorkers, o.BestEffortQueue)
+	if o.DialTimeout < 0 || o.RequestTimeout < 0 || o.IdleTimeout < 0 {
+		return fmt.Errorf("tcpnet: negative timeout in options (dial=%v request=%v idle=%v)",
+			o.DialTimeout, o.RequestTimeout, o.IdleTimeout)
 	}
 	if o.DialTimeout == 0 {
 		o.DialTimeout = time.Second
@@ -89,24 +86,6 @@ func (o *Options) validate() error {
 	}
 	if o.IdleTimeout == 0 {
 		o.IdleTimeout = 60 * time.Second
-	}
-	if o.MaxInFlightPerConn == 0 {
-		o.MaxInFlightPerConn = 256
-	}
-	if o.BestEffortWorkers == 0 {
-		o.BestEffortWorkers = 4
-	}
-	if o.BestEffortQueue == 0 {
-		o.BestEffortQueue = 1024
-	}
-	if o.DialBackoffBase == 0 {
-		o.DialBackoffBase = 50 * time.Millisecond
-	}
-	if o.DialBackoffMax == 0 {
-		o.DialBackoffMax = 2 * time.Second
-	}
-	if o.DialBackoffBase > o.DialBackoffMax {
-		return fmt.Errorf("tcpnet: dial backoff base %v exceeds max %v", o.DialBackoffBase, o.DialBackoffMax)
 	}
 	if o.Dial == nil {
 		d := &net.Dialer{}
@@ -173,8 +152,7 @@ type Network struct {
 	beWG sync.WaitGroup
 }
 
-// New creates a TCP transport network. It fails on invalid options (negative
-// timeouts or bounds, inverted backoff range).
+// New creates a TCP transport network. It fails on negative timeouts.
 func New(opts Options) (*Network, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -183,10 +161,10 @@ func New(opts Options) (*Network, error) {
 		opts:      opts,
 		listeners: make(map[node.Addr]*listenerState),
 		pools:     make(map[node.Addr]*pool),
-		beCh:      make(chan beTask, opts.BestEffortQueue),
+		beCh:      make(chan beTask, bestEffortQueue),
 	}
-	n.beWG.Add(opts.BestEffortWorkers)
-	for i := 0; i < opts.BestEffortWorkers; i++ {
+	n.beWG.Add(bestEffortWorkers)
+	for i := 0; i < bestEffortWorkers; i++ {
 		go n.bestEffortWorker()
 	}
 	return n, nil

@@ -125,17 +125,18 @@ func TestTCPBestEffortDelivered(t *testing.T) {
 }
 
 // TestBestEffortWorkerDoesNotWaitForTheAnswer: a best-effort send is a
-// one-way frame, so one worker puts a whole burst on the connection while
-// the handlers of the first messages are still running. A worker that waited
-// for each answer would have one message in flight at a time.
+// one-way frame, so the workers put a whole burst on the connection while
+// the handlers of the first messages are still running. The burst is twice
+// the bestEffortWorkers pool: workers that waited for each answer would have
+// at most one message each in flight, fewer than the burst.
 func TestBestEffortWorkerDoesNotWaitForTheAnswer(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
-	n := newTestNet(t, Options{BestEffortWorkers: 1, RequestTimeout: 10 * time.Second})
+	n := newTestNet(t, Options{RequestTimeout: 10 * time.Second})
 	h := &countingHandler{block: block}
 	addr := registerTestListener(t, n, h)
 
-	const burst = 8
+	const burst = 2 * bestEffortWorkers
 	c := n.Client("client")
 	for i := 0; i < burst; i++ {
 		c.SendBestEffort(addr, probeReq())
@@ -145,7 +146,7 @@ func TestBestEffortWorkerDoesNotWaitForTheAnswer(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got := h.inFlight(); got != burst {
-		t.Fatalf("%d of %d best-effort messages reached a blocked handler through one worker", got, burst)
+		t.Fatalf("%d of %d best-effort messages reached a blocked handler through %d workers", got, burst, bestEffortWorkers)
 	}
 	if st := n.Stats(); st.Requests != burst || st.Dials != 1 {
 		t.Fatalf("Requests = %d, Dials = %d; want %d one-way frames over 1 dial", st.Requests, st.Dials, burst)
@@ -503,9 +504,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative idle timeout rejected", Options{IdleTimeout: -time.Second}, true},
 		{"negative dial timeout rejected", Options{DialTimeout: -1}, true},
 		{"negative request timeout rejected", Options{RequestTimeout: -1}, true},
-		{"negative best effort queue rejected", Options{BestEffortQueue: -1}, true},
-		{"negative workers rejected", Options{BestEffortWorkers: -2}, true},
-		{"inverted backoff range rejected", Options{DialBackoffBase: time.Second, DialBackoffMax: time.Millisecond}, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -529,9 +527,6 @@ func TestIdleTimeoutDefaultsApplied(t *testing.T) {
 	n := newTestNet(t, Options{})
 	if n.opts.IdleTimeout != 60*time.Second {
 		t.Fatalf("zero IdleTimeout did not default to 60s: %v", n.opts.IdleTimeout)
-	}
-	if n.opts.BestEffortWorkers != 4 || n.opts.BestEffortQueue != 1024 {
-		t.Fatalf("defaults not applied: %+v", n.opts)
 	}
 }
 
