@@ -16,11 +16,12 @@
 // exception carries //lint:allow snapshot <reason>.
 //
 // The same rule guards copy-on-write tables (view.tables, which every view of
-// one member list in a process aliases until it mutates): every field of such
-// a struct is a read-only source, and assigning the field itself, taking the
-// address of one of its elements or copying into it is a write too — except
-// in a function whose doc comment carries the marker "owned-tables", which
-// says that the function runs after the tables were made the writer's own.
+// one configuration in a process aliases until it mutates privately): every
+// field of such a struct is a read-only source, and assigning the field
+// itself, taking the address of one of its elements or copying into it is a
+// write too — except in a function whose doc comment carries the marker
+// "owned-tables", which says that the function runs after the tables were
+// made the writer's own.
 package snapshotcheck
 
 import (

@@ -632,9 +632,13 @@ func (e *engine) handleAlerts(batch *remoting.BatchedAlertMessage) {
 	// Implicit alerts (§4.2, liveness) scan every unstable subject's would-be
 	// observers — O(unstable x K^2) ring searches. Their outcome can only
 	// change when a REMOVE alert made some observer unstable, so the scan is
-	// skipped for join/vote-only batches; during a 1000-node bootstrap storm
-	// (hundreds of unstable joiners, zero failures) this check was >80% of
-	// all CPU. The reinforcement tick re-runs the scan as a backstop.
+	// not asked for after join/vote-only batches; during a 1000-node bootstrap
+	// storm (hundreds of unstable joiners, zero failures) this check was >80%
+	// of all CPU. The detector itself makes a scan free unless some record
+	// entered suspect, unstable or stable since the last one — the only
+	// transitions that give it a pair it has not applied — so the batches of
+	// a crash round after the first do not pay it either. The reinforcement
+	// tick asks for the scan as a backstop.
 	if downApplied {
 		proposal = append(proposal, e.cd.InvalidateFailingEdges(e.view, e.now)...)
 	}
@@ -903,10 +907,11 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	}
 
 	// A cut names members to remove and everybody else to admit; the view
-	// applies it in one pass per ring and says what it actually did. A
-	// learned membership is built instead, once per process however many
-	// members learn it (view.NewShared), where the cut would cost each of them
-	// a copy of the rings.
+	// says what it actually did, and the process builds the configuration
+	// once however many of its members apply the cut (view.ApplyCut). A
+	// learned membership is built from its list with view.NewShared, which
+	// in an in-process fleet is the ensemble's build's own slice and is found
+	// without being compared.
 	var joiners, leavers []node.Endpoint
 	for _, ep := range proposal {
 		if m, ok := e.view.Member(ep.Addr); ok && m.ID == ep.ID {

@@ -78,10 +78,11 @@ func TestBatchPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestStormBuildsEachConfigurationOnce: 199 joiners storm one seed. However
-// many of them a view change admits together, the process builds the K rings
-// of a configuration once: the build count is the number of distinct lists the
-// members started from, not the number of members.
+// TestStormBuildsEachConfigurationOnce: 199 joiners storm one seed, then two
+// members crash and one replacement joins. However many members start from a
+// configuration or apply the cut that leads to it, the process builds its K
+// rings once: every configuration the fleet installs adds exactly one build,
+// whether made from a list or by a cut.
 func TestStormBuildsEachConfigurationOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 200-member fleet is too slow for the race lane")
@@ -137,12 +138,40 @@ func TestStormBuildsEachConfigurationOnce(t *testing.T) {
 	if !waitUntil(t, 60*time.Second, func() bool { return allAgree(clusters, n) }) {
 		t.Fatalf("the fleet did not converge to %d members", n)
 	}
+	// The seed installs every configuration of the fleet: its first, and one
+	// per view change.
+	configs := 1 + seed.ViewChangeCount()
 	builds := view.SharedBuilds() - before
-	t.Logf("%d members started in %d distinct configurations %v; %d builds", n, len(adopted), adopted, builds)
-	if builds != len(adopted) {
-		t.Errorf("%d builds for %d distinct starting configurations", builds, len(adopted))
+	t.Logf("%d members started in %d distinct configurations %v; %d configurations, %d builds", n, len(adopted), adopted, configs, builds)
+	if builds != configs {
+		t.Errorf("%d builds for the %d configurations the storm went through", builds, configs)
 	}
 	if len(adopted) > n/4 {
 		t.Errorf("%d distinct starting configurations for %d members: the storm was not admitted in waves", len(adopted), n)
+	}
+
+	// Two crash; the 198 survivors apply the cut that removes them.
+	survivors := clusters[:n-2]
+	net.Crash(addr(n - 1))
+	net.Crash(addr(n - 2))
+	if !waitUntil(t, 60*time.Second, func() bool { return allAgree(survivors, n-2) }) {
+		t.Fatal("the survivors did not agree on a configuration without the two crashed members")
+	}
+	// A replacement joins: it starts from the configuration that admits it,
+	// which the survivors' cut has already built.
+	replacement, err := JoinCluster(addr(n), []node.Addr{addr(0)}, settings, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replacement.Stop()
+	survivors = append(slices.Clip(survivors), replacement)
+	if !waitUntil(t, 60*time.Second, func() bool { return allAgree(survivors, n-1) }) {
+		t.Fatal("the fleet did not admit the replacement")
+	}
+	changes := 1 + seed.ViewChangeCount() - configs
+	grown := view.SharedBuilds() - before - builds
+	t.Logf("crash and replacement: %d view changes, %d builds", changes, grown)
+	if grown != changes {
+		t.Errorf("%d builds for the %d configurations after the crash and the replacement", grown, changes)
 	}
 }

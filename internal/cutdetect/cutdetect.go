@@ -57,6 +57,10 @@ type Detector struct {
 	suspects          int
 	// proposalsEmitted counts flushed proposals (diagnostics/tests).
 	proposalsEmitted int
+	// rescan says a record entered suspect, unstable or stable since the
+	// implicit-alert scan last started: only such a transition gives the scan
+	// something it has not applied already.
+	rescan bool
 }
 
 // state is where a subject's tally stands against the watermarks.
@@ -148,7 +152,7 @@ func (d *Detector) aggregate(subjectAddr node.Addr, subject node.Endpoint, obser
 		case unstable:
 			d.updatesInProgress--
 		}
-		r.state = stable
+		r.state, d.rescan = stable, true
 		d.pending = append(d.pending, r)
 		if d.updatesInProgress == 0 {
 			// No subject is unstable: flush everything in stable mode as one
@@ -168,14 +172,14 @@ func (d *Detector) aggregate(subjectAddr node.Addr, subject node.Endpoint, obser
 		if r.down && len(r.observers) < d.l {
 			if r.state == noise {
 				d.suspects++
-				r.state = suspect
+				r.state, d.rescan = suspect, true
 			}
 		} else {
 			if r.state == suspect {
 				d.suspects--
 			}
 			d.updatesInProgress++
-			r.state, r.since = unstable, now
+			r.state, r.since, d.rescan = unstable, now, true
 		}
 	}
 	return nil
@@ -201,7 +205,18 @@ func (d *Detector) inFlux(keep func(*record) bool) []node.Addr {
 // set), an implicit alert from o about s is applied. This prevents the
 // detector from waiting forever for alerts from observers that are themselves
 // faulty (§4.2, "Ensuring liveness"). It returns any proposal that results.
+//
+// The scan is free when no record has entered suspect, unstable or stable
+// since it last started. An implicit alert is idempotent per (subject, ring),
+// and only such a transition makes a new pair of an in-flux subject and an
+// eligible observer, so a scan without one applies nothing. v must be the
+// configuration the detector tallies, as it is between two Clears.
 func (d *Detector) InvalidateFailingEdges(v *view.View, now time.Time) []node.Endpoint {
+	if !d.rescan {
+		return nil
+	}
+	// Cleared first: a transition the scan itself causes schedules another.
+	d.rescan = false
 	var out []node.Endpoint
 	// A sorted snapshot of the subjects in flux, for determinism.
 	for _, subjectAddr := range d.inFlux(func(*record) bool { return true }) {
@@ -261,4 +276,5 @@ func (d *Detector) Clear() {
 	d.subjects = make(map[node.Addr]*record)
 	d.pending = nil
 	d.updatesInProgress, d.suspects = 0, 0
+	d.rescan = false
 }

@@ -142,12 +142,24 @@ func sameView(t *testing.T, name string, got, want *View, members []node.Endpoin
 func TestCutPathsAgree(t *testing.T) { cutSequences(t, false) }
 
 // TestCutPathsAgreeFromASharedBuild runs the same sequences from views that
-// alias one frozen build, with a sibling that never mutates: whatever the two
-// mutating views do to their copies, the sibling stays indistinguishable from
-// a private build of the start list, and keeps aliasing the frozen tables.
+// alias one frozen build, with a sibling that never mutates: whatever the
+// mutating views do, the sibling stays indistinguishable from a private build
+// of the start list, and keeps aliasing the frozen tables. The view that
+// applies whole cuts moves from build to build, and a twin that applies the
+// same cuts aliases the very build it does at every step. A newcomer to each
+// step's build — a view whose history is that build's members alone — admits
+// a joiner under the identifier of a member an earlier step removed, which
+// the others reject: it gets a build of its own, and that build answers like
+// a private one.
 func TestCutPathsAgreeFromASharedBuild(t *testing.T) { cutSequences(t, true) }
 
 func cutSequences(t *testing.T, sharedStart bool) {
+	ownBuilds := 0 // steps at which a newcomer's history made it a build of its own
+	defer func() {
+		if sharedStart && ownBuilds == 0 && !t.Failed() {
+			t.Error("no newcomer admitted a joiner whole rejected: the sequences never exercised a history of its own")
+		}
+	}()
 	for seed := int64(0); seed < 200; seed++ {
 		if sharedStart && testing.Short() && seed%4 != 0 {
 			continue // the race lane runs the private sequences in full already
@@ -180,9 +192,8 @@ func cutSequences(t *testing.T, sharedStart bool) {
 			node.SortAddrs(out)
 			return out
 		}
-		var start []node.Endpoint
-		var sibling, private *View
-		mutated := false
+		var start, gone []node.Endpoint
+		var sibling, twin, private *View
 		checkSibling := func(when string) {}
 		if sharedStart {
 			for i, n := 0, 1+rng.Intn(60); i < n; i++ {
@@ -190,11 +201,11 @@ func cutSequences(t *testing.T, sharedStart bool) {
 				start, live[ep.Addr], usedIDs[ep.ID] = append(start, ep), ep, true
 			}
 			slices.SortFunc(start, node.CompareEndpoints)
-			whole, single, sibling = shared(k, start, mask), shared(k, start, mask), shared(k, start, mask)
+			whole, single, sibling, twin = shared(k, start, mask), shared(k, start, mask), shared(k, start, mask), shared(k, start, mask)
 			private = build(k, start, mask)
 			frozen := sibling.t
-			if whole.t != frozen || single.t != frozen || whole.base == nil {
-				t.Fatalf("seed %d: three views of one list do not alias one build", seed)
+			if whole.t != frozen || single.t != frozen || twin.t != frozen || whole.base == nil {
+				t.Fatalf("seed %d: four views of one list do not alias one build", seed)
 			}
 			checkSibling = func(when string) {
 				if sibling.t != frozen || sibling.base == nil {
@@ -247,6 +258,14 @@ func cutSequences(t *testing.T, sharedStart bool) {
 					again.ID = fresh().ID
 					joiners = append(joiners, again)
 				}
+				if len(gone) > 0 {
+					// A fresh address under the identifier of a member an
+					// earlier step removed: rejected by every view whose
+					// history holds that identifier.
+					back := fresh()
+					back.ID = gone[rng.Intn(len(gone))].ID
+					joiners = append(joiners, back)
+				}
 				if len(members) > 0 {
 					stay := live[members[len(members)-1]]
 					if !slices.Contains(leavers, stay.Addr) {
@@ -285,7 +304,14 @@ func cutSequences(t *testing.T, sharedStart bool) {
 					usedIDs[ep.ID] = true
 				}
 			}
+			var newcomer *View
+			var newcomerMembers []node.Endpoint
+			if sharedStart {
+				newcomer = whole.base.view()
+				newcomerMembers = whole.Members()
+			}
 			joined, left := whole.ApplyCut(joiners, leavers)
+			gone = append(gone, left...)
 			if !slices.EqualFunc(joined, wantJoined, node.Endpoint.Equal) {
 				t.Fatalf("seed %d step %d: ApplyCut joined %v, the one-element calls admitted %v", seed, step, joined, wantJoined)
 			}
@@ -308,14 +334,51 @@ func cutSequences(t *testing.T, sharedStart bool) {
 			sameView(t, name+" (cut vs one at a time)", whole, single, sorted, strangers)
 			sameView(t, name+" (cut vs built sorted)", whole, build(k, sorted, mask), sorted, strangers)
 			sameView(t, name+" (cut vs built shuffled)", whole, build(k, shuffled, mask), sorted, strangers)
-			// A view copies the tables on its first effective mutation, not before.
-			mutated = mutated || len(joined)+len(left) > 0
-			if sharedStart && (whole.base == nil) != mutated {
-				t.Fatalf("%s: whole aliases the frozen build = %v, mutated = %v", name, whole.base != nil, mutated)
+			if sharedStart {
+				if checkSharers(t, name, whole, twin, newcomer, newcomerMembers, joiners, leavers, joined, left, strangers) {
+					ownBuilds++
+				}
 			}
 			checkSibling(fmt.Sprintf("step %d", step))
 		}
 	}
+}
+
+// checkSharers is the shared half of one step of cutSequences: whole, which
+// has just applied the cut, still aliases a frozen build; twin applies the
+// same cut with the same history and lands on that build; newcomer, which
+// aliased the build whole left and knows only its members, lands on it too
+// when it admits what whole did, and on a build of its own — one that answers
+// like a private build of its members — when it admits more. It reports
+// which of the two happened.
+func checkSharers(t *testing.T, name string, whole, twin, newcomer *View, members, joiners []node.Endpoint, leavers []node.Addr, joined, left []node.Endpoint, strangers []node.Addr) (ownBuild bool) {
+	t.Helper()
+	if whole.base == nil {
+		t.Fatalf("%s: whole no longer aliases a frozen build", name)
+	}
+	if j, l := twin.ApplyCut(joiners, leavers); !slices.EqualFunc(j, joined, node.Endpoint.Equal) || !slices.EqualFunc(l, left, node.Endpoint.Equal) || twin.t != whole.t {
+		t.Fatalf("%s: the twin admitted %v and removed %v, and aliases whole's build = %v", name, j, l, twin.t == whole.t)
+	}
+	j, l := newcomer.ApplyCut(joiners, leavers)
+	if !slices.EqualFunc(l, left, node.Endpoint.Equal) {
+		t.Fatalf("%s: the newcomer removed %v, whole removed %v", name, l, left)
+	}
+	if slices.EqualFunc(j, joined, node.Endpoint.Equal) {
+		if newcomer.t != whole.t {
+			t.Fatalf("%s: the newcomer admitted what whole did but aliases another build", name)
+		}
+		return false
+	}
+	if newcomer.t == whole.t || newcomer.base == nil {
+		t.Fatalf("%s: the newcomer admitted %v where whole admitted %v, and aliases whole's build = %v", name, j, joined, newcomer.t == whole.t)
+	}
+	for _, ep := range left {
+		members = slices.DeleteFunc(members, func(m node.Endpoint) bool { return m.Addr == ep.Addr })
+	}
+	members = append(members, j...)
+	slices.SortFunc(members, node.CompareEndpoints)
+	sameView(t, name+" (newcomer vs built)", newcomer, build(newcomer.k, members, newcomer.hashMask), members, strangers)
+	return true
 }
 
 func TestRadixSortIsAStableSortOnTop(t *testing.T) {

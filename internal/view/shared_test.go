@@ -179,3 +179,91 @@ func TestSharersMutateWhileReadersWalk(t *testing.T) {
 	}
 	sameView(t, "a reader, afterwards", readers[0], private, eps, nil)
 }
+
+// TestSharedCutIsBuiltOnce: 64 views of one build apply the same cut at once —
+// what every member of an in-process fleet does with a decision. The process
+// builds the next configuration once, every view aliases that build, and it
+// answers like a private build of the new list.
+func TestSharedCutIsBuiltOnce(t *testing.T) {
+	eps := sortedEndpoints(500, 0xc07)
+	views := make([]*View, 64)
+	for i := range views {
+		views[i] = NewShared(10, eps)
+	}
+	joiners := sortedEndpoints(3, 0xc08)
+	for i := range joiners {
+		joiners[i].Addr = node.Addr(fmt.Sprintf("joiner-%d:1", i))
+	}
+	leavers := []node.Addr{eps[7].Addr, eps[300].Addr}
+	before := SharedBuilds()
+	var wg sync.WaitGroup
+	for _, v := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if joined, left := v.ApplyCut(joiners, leavers); len(joined) != 3 || len(left) != 2 {
+				t.Errorf("a view joined %d and removed %d, want 3 and 2", len(joined), len(left))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := SharedBuilds() - before; got != 1 {
+		t.Fatalf("64 views applying one cut made %d builds, want 1", got)
+	}
+	want := slices.Concat(eps[:7], eps[8:300], eps[301:], joiners)
+	slices.SortFunc(want, node.CompareEndpoints)
+	for i, v := range views {
+		if v.t != views[0].t || v.base == nil {
+			t.Fatalf("view %d does not alias the one build of the cut", i)
+		}
+	}
+	sameView(t, "cut build vs private", views[63], NewWithMembers(10, want), want, []node.Addr{eps[7].Addr, "stranger:1"})
+	m0, a0 := views[0].Membership()
+	if m1, a1 := views[1].Membership(); &m0[0] != &m1[0] || &a0[0] != &a1[0] || !slices.EqualFunc(m0, want, node.Endpoint.Equal) {
+		t.Fatal("two views of one cut build do not hand out the same frozen membership")
+	}
+	// A member handed the build's membership — a joiner of the new
+	// configuration — finds the build without comparing the list.
+	if v := NewShared(10, m0); v.t != views[0].t || SharedBuilds()-before != 1 {
+		t.Fatal("NewShared of a cut build's own membership did not find the build")
+	}
+	// A view that left the cut's parent behind rejects what its history
+	// rejects, where a newcomer to the build does not.
+	back := node.Endpoint{Addr: "back:1", ID: eps[7].ID}
+	if joined, _ := views[0].ApplyCut([]node.Endpoint{back}, nil); len(joined) != 0 || views[0].t != views[1].t {
+		t.Fatal("a view admitted the identifier of a member it removed")
+	}
+	if joined, _ := NewShared(10, m0).ApplyCut([]node.Endpoint{back}, nil); len(joined) != 1 {
+		t.Fatal("a newcomer to the build rejected an identifier it never saw")
+	}
+}
+
+// TestPrivateMutationOfACutBuild: a view that aliases a build made by a
+// removal — one with a free slot — and then mutates privately copies the free
+// list with the tables, and each sequence with its own length. The parent
+// build, which the removal was applied to, never reaches this state: a list
+// build has no free slot and is never written. Nor does an engine, which
+// changes a shared view only through ApplyCut.
+func TestPrivateMutationOfACutBuild(t *testing.T) {
+	eps := sortedEndpoints(40, 0xf4ee)
+	v, parent := NewShared(10, eps), NewShared(10, eps)
+	v.ApplyCut(nil, []node.Addr{eps[5].Addr, eps[20].Addr})
+	if v.base == nil || len(v.t.free) != 2 {
+		t.Fatalf("the cut build has %d free slots and is aliased = %v, want 2 and true", len(v.t.free), v.base != nil)
+	}
+	want := slices.Concat(eps[:5], eps[6:20], eps[21:])
+	extra := node.Endpoint{Addr: "extra:1", ID: node.ID{High: 0xf4ef, Low: 1}}
+	if err := v.AddMember(extra); err != nil {
+		t.Fatal(err)
+	}
+	if v.base != nil {
+		t.Fatal("AddMember did not copy the build")
+	}
+	if err := v.RemoveMember(eps[30].Addr); err != nil {
+		t.Fatal(err)
+	}
+	want = slices.DeleteFunc(append(want, extra), func(ep node.Endpoint) bool { return ep.Addr == eps[30].Addr })
+	slices.SortFunc(want, node.CompareEndpoints)
+	sameView(t, "private mutation of a cut build", v, NewWithMembers(10, want), want, []node.Addr{eps[5].Addr})
+	sameView(t, "the parent build, afterwards", parent, NewWithMembers(10, eps), eps, nil)
+}

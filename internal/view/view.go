@@ -32,11 +32,17 @@
 //     orders what the radix passes left equal by the full (hash, address) key,
 //     so the order is total and identical on every process.
 //
-// Sharing. The tables are a pure function of the member list, so views that
-// NewShared returns for one list alias one frozen build per process — an
+// Sharing. The tables are a pure function of the member list, so a
+// configuration is a process-wide value: views that NewShared returns for one
+// list alias one frozen build, and ApplyCut moves such a view to the build of
+// the cut, made once per process by the first view to apply it — an
 // in-process fleet does not sort the same N members into the same K rings N
-// times — and a view copies them (own) before its first mutation, then rewires
-// the copy in place like any other. NewWithMembers always builds privately.
+// times, at formation or at any view change after it. What a cut admits is
+// still judged against each view's own identifier history, so a view whose
+// history differs lands on a build of its own. Only AddMember and
+// RemoveMember copy a shared build (own) and rewire the copy in place.
+// NewWithMembers always builds privately, and a private view's cuts rewire
+// its own tables.
 package view
 
 import (
@@ -139,38 +145,91 @@ func NewWithMembers(k int, members []node.Endpoint) *View {
 // build is NewWithMembers with the ring hash masked (see View.hashMask).
 func build(k int, members []node.Endpoint, hashMask uint64) *View {
 	v := newSized(k, len(members), hashMask)
-	adds := make([]int32, 0, len(members))
-	for _, ep := range members {
-		adds, _ = v.admit(ep, adds, nil)
-	}
-	v.rewire(adds, nil)
+	c := v.stage(members, nil, false)
+	v.place(nil, c.adds, nil)
 	return v
 }
 
-// builds holds the last maxBuilds frozen builds of this process, oldest first.
-// A fleet forms in a wave or two, so the lists wanted at any one time are few;
-// a list that fell out is built again.
+// builds holds the last maxBuilds frozen builds of this process, oldest first:
+// the ones made from a list and the ones made by a cut. A fleet forms in a
+// wave or two and then moves from configuration to configuration together, so
+// the builds wanted at any one time are few; one that fell out is built again.
+// The table is the only link between builds: none holds a pointer to another,
+// so nothing keeps a chain of past configurations alive.
 var builds struct {
 	sync.Mutex
 	recent []*frozen
 	made   int
 }
 
-// frozen is a view that is never handed out or mutated, and its addresses.
+// frozen is a view that is never handed out or mutated, with what every view
+// that aliases it reads instead of deriving: its members and their addresses
+// in address order (slot order is not address order once a cut has freed
+// slots), its configuration identifier, and its members' identifiers, the
+// history a NewShared view starts from. serial numbers the builds of the
+// process; a build made by a cut records what it was made of — its parent's
+// serial, the joiners it admitted in address order and the addresses it
+// removed, sorted — and one made from a list has parent 0.
 type frozen struct {
 	*View
-	addrs []node.Addr
+	members []node.Endpoint
+	addrs   []node.Addr
+	config  uint64
+	ids     map[node.ID]struct{}
+
+	serial  int
+	parent  int
+	joined  []node.Endpoint
+	removed []node.Addr
 }
 
 const maxBuilds = 8
 
-// SharedBuilds returns how many builds NewShared has made in this process —
-// one per distinct list, however many views asked for it.
+// SharedBuilds returns how many builds this process has made — one per
+// distinct list NewShared was asked for and one per distinct cut ApplyCut
+// applied to a shared view, however many views asked.
 func SharedBuilds() int {
 	builds.Lock()
 	defer builds.Unlock()
 	return builds.made
 }
+
+// file freezes b's view into a build of the process, numbers it and files it,
+// evicting the oldest build when the table is full. Called with builds locked.
+func file(b *frozen) *frozen {
+	b.members = b.Members()
+	b.addrs = node.EndpointAddrs(b.members)
+	b.config = b.ConfigurationID()
+	builds.made++
+	b.serial = builds.made
+	if len(builds.recent) == maxBuilds {
+		builds.recent = slices.Delete(builds.recent, 0, 1)
+	}
+	builds.recent = append(builds.recent, b)
+	return b
+}
+
+// view returns a new view that aliases b and whose history is b's members.
+func (b *frozen) view() *View {
+	return &View{k: b.k, hashMask: b.hashMask, t: b.t, base: b, baseIDs: b.ids, cachedConfig: b.config, configIsValid: true}
+}
+
+// holds reports whether members is b's member list: the very slice b hands
+// out — what every joiner of a wave, and every member that learns b from an
+// ensemble, is given in this process — or, for a list that crossed a
+// network, an equal one endpoint by endpoint.
+func (b *frozen) holds(members []node.Endpoint) bool {
+	if len(members) != len(b.members) {
+		return false
+	}
+	if len(members) == 0 || &members[0] == &b.members[0] {
+		return true
+	}
+	return slices.EqualFunc(b.members, members, sameEndpoint)
+}
+
+// sameEndpoint reports whether x and y are equal down to their metadata.
+func sameEndpoint(x, y node.Endpoint) bool { return x.Equal(y) && maps.Equal(x.Metadata, y.Metadata) }
 
 // NewShared returns a view of the given members whose tables are built once
 // per process, however many views of that list are asked for: every joiner of
@@ -178,11 +237,12 @@ func SharedBuilds() int {
 // pays one list comparison. The list must be strictly sorted by address and
 // repeat no identifier; any other list gets NewWithMembers' private build.
 //
-// A build is found by comparing every endpoint of the list, never by the
-// configuration identifier alone — the list may have crossed a network — and
-// callers that arrive together wait for one build instead of racing. The view
-// is as mutable as any: its first ApplyCut, AddMember or RemoveMember copies
-// the tables (see own) and rewires the copy in place.
+// A build is found by the list itself, never by the configuration identifier
+// alone — the list may have crossed a network — and callers that arrive
+// together wait for one build instead of racing. The builds ApplyCut makes are
+// found too. The view is as mutable as any: its ApplyCut moves it to the
+// build of the cut, and AddMember and RemoveMember copy the tables (see own)
+// and rewire the copy in place.
 func NewShared(k int, members []node.Endpoint) *View {
 	return shared(k, members, ^uint64(0))
 }
@@ -197,25 +257,37 @@ func shared(k int, members []node.Endpoint, hashMask uint64) *View {
 	builds.Lock()
 	defer builds.Unlock()
 	i := slices.IndexFunc(builds.recent, func(b *frozen) bool {
-		// A frozen build holds its list in slot order.
-		return b.k == k && b.hashMask == hashMask && slices.EqualFunc(b.t.eps, members, func(x, y node.Endpoint) bool {
-			return x.Equal(y) && maps.Equal(x.Metadata, y.Metadata)
-		})
+		return b.k == k && b.hashMask == hashMask && b.holds(members)
 	})
-	if i < 0 {
-		b := &frozen{View: build(k, members, hashMask)}
-		if b.Size() != len(members) {
-			return b.View // a repeated identifier: the list does not build to itself
-		}
-		builds.made++
-		b.addrs = node.EndpointAddrs(b.t.eps)
-		if len(builds.recent) == maxBuilds {
-			builds.recent = slices.Delete(builds.recent, 0, 1)
-		}
-		i, builds.recent = len(builds.recent), append(builds.recent, b)
+	if i >= 0 {
+		return builds.recent[i].view()
 	}
-	b := builds.recent[i]
-	return &View{k: k, hashMask: hashMask, t: b.t, base: b, baseIDs: b.seenIDs, cachedConfig: b.ConfigurationID(), configIsValid: true}
+	v := build(k, members, hashMask)
+	if len(v.seenIDs) != len(members) {
+		return v // a repeated identifier: the list does not build to itself
+	}
+	return file(&frozen{View: v, ids: v.seenIDs}).view()
+}
+
+// cutBuild returns the build that the cut c, staged against a view of build
+// b, leads to: the one the process already has, or one it makes now, once,
+// by applying c to a copy of b's tables.
+func cutBuild(b *frozen, c *cut) *frozen {
+	removed := node.SortAddrs(node.EndpointAddrs(c.left))
+	builds.Lock()
+	defer builds.Unlock()
+	for _, x := range builds.recent {
+		if x.parent == b.serial && slices.EqualFunc(x.joined, c.adds, sameEndpoint) && slices.Equal(x.removed, removed) {
+			return x
+		}
+	}
+	w := &View{k: b.k, hashMask: b.hashMask, t: b.t, base: b}
+	w.place(nil, c.adds, c.dels)
+	ids := make(map[node.ID]struct{}, w.Size())
+	for _, s := range w.t.seqs[w.k] {
+		ids[w.t.eps[s].ID] = struct{}{}
+	}
+	return file(&frozen{View: w, ids: ids, parent: b.serial, joined: c.adds, removed: removed})
 }
 
 // K returns the number of rings (observers per subject).
@@ -285,13 +357,13 @@ func (v *View) MemberAddrs() []node.Addr {
 
 // Membership returns the members and their addresses in address order, in
 // slices nobody may write: the frozen build's own — the same two for every
-// view of the list — while the view shares one, fresh copies afterwards.
+// view of the build — while the view aliases one, fresh copies otherwise.
 func (v *View) Membership() ([]node.Endpoint, []node.Addr) {
 	v.mu.RLock()
 	b := v.base
 	v.mu.RUnlock()
 	if b != nil {
-		return b.t.eps, b.addrs
+		return b.members, b.addrs
 	}
 	members := v.Members()
 	return members, node.EndpointAddrs(members)
@@ -359,9 +431,9 @@ func (v *View) probeHashes(buf *[16]uint64, addr node.Addr) []uint64 {
 // --- the mutation path ---------------------------------------------------------
 
 // own makes the tables this view's to write: a view that aliases a frozen
-// build copies it — the slot table and two pointer-free blocks — before its
-// first mutation. rapid-vet's snapshot check allows writes to the tables only
-// in functions marked as this one is.
+// build copies it — the slot table, the free list and two pointer-free blocks
+// — before its first private mutation. rapid-vet's snapshot check allows
+// writes to the tables only in functions marked as this one is.
 //
 // owned-tables: this is where they become owned.
 func (v *View) own() {
@@ -370,31 +442,70 @@ func (v *View) own() {
 	}
 	src, n, stride := v.t, len(v.t.eps), v.k+1
 	block := make([]int32, 2*stride*n) // the position index, then the sequences
-	v.private = tables{eps: slices.Clone(src.eps), hashes: slices.Clone(src.hashes), pos: block[: stride*n : stride*n], seqs: make([][]int32, stride)}
+	v.private = tables{eps: slices.Clone(src.eps), hashes: slices.Clone(src.hashes), free: slices.Clone(src.free), pos: block[: stride*n : stride*n], seqs: make([][]int32, stride)}
 	copy(v.private.pos, src.pos)
 	for r, seq := range src.seqs {
-		v.private.seqs[r] = block[(stride+r)*n:][:n:n]
+		// A build with free slots has fewer members than slots: each sequence
+		// keeps its own length, with room for the slots to fill up again.
+		v.private.seqs[r] = block[(stride+r)*n:][:len(seq):n]
 		copy(v.private.seqs[r], seq)
 	}
 	v.t, v.base = &v.private, nil
 }
 
+// cut is a multi-process cut staged against a view: what applying it does.
+type cut struct {
+	dels   []int32         // the slots of the leavers that are members
+	left   []node.Endpoint // those members, in the order the leavers were named
+	joined []node.Endpoint // the admitted joiners, in the order they were named
+	adds   []node.Endpoint // the same joiners, in address order
+}
+
+// stage works out what a cut does to this view without touching its tables:
+// which leavers are members, and which joiners are admissible, each judged
+// after the ones named before it; named says whether c.joined is wanted. The
+// admitted identifiers join the view's history here. Must be called with the
+// lock held.
+func (v *View) stage(joiners []node.Endpoint, leavers []node.Addr, named bool) (c cut) {
+	for _, a := range leavers {
+		if s, ok := v.slot(a); ok && !slices.Contains(c.dels, s) {
+			c.dels = append(c.dels, s)
+			c.left = append(c.left, v.t.eps[s])
+		}
+	}
+	if len(joiners) > 0 {
+		c.adds = make([]node.Endpoint, 0, len(joiners))
+		if named {
+			c.joined = make([]node.Endpoint, 0, len(joiners))
+		}
+	}
+	for _, ep := range joiners {
+		if at, err := v.admissible(ep, c.adds, c.dels); err == nil {
+			c.adds = slices.Insert(c.adds, at, ep)
+			if named {
+				c.joined = append(c.joined, ep)
+			}
+			v.see(ep.ID)
+		}
+	}
+	return c
+}
+
 // admissible reports why ep may not join, if it may not, and otherwise where
-// its slot belongs in adds. adds and dels are the cut being staged: the slots
-// of the joiners admitted so far, in address order, and of the leavers, whose
+// it belongs in adds. adds and dels are the cut being staged: the joiners
+// admitted so far, in address order, and the slots of the leavers, whose
 // addresses are free again. Must be called with the lock held.
-func (v *View) admissible(ep node.Endpoint, adds, dels []int32) (at int, err error) {
+func (v *View) admissible(ep node.Endpoint, adds []node.Endpoint, dels []int32) (at int, err error) {
 	if s, ok := v.slot(ep.Addr); ok && !slices.Contains(dels, s) {
 		return 0, ErrNodeAlreadyInRing
 	}
 	// Join responses and consensus proposals arrive sorted by address, so the
 	// last joiner staged usually settles where this one goes.
-	if at = len(adds); at > 0 && v.t.eps[adds[at-1]].Addr >= ep.Addr {
+	if at = len(adds); at > 0 && adds[at-1].Addr >= ep.Addr {
 		var taken bool
-		at, taken = slices.BinarySearchFunc(adds, ep.Addr, func(s int32, a node.Addr) int {
-			return strings.Compare(string(v.t.eps[s].Addr), string(a))
-		})
-		if taken {
+		if at, taken = slices.BinarySearchFunc(adds, ep.Addr, func(x node.Endpoint, a node.Addr) int {
+			return strings.Compare(string(x.Addr), string(a))
+		}); taken {
 			return 0, ErrNodeAlreadyInRing
 		}
 	}
@@ -408,36 +519,41 @@ func (v *View) admissible(ep node.Endpoint, adds, dels []int32) (at int, err err
 	return at, nil
 }
 
-// admit stages ep if it is admissible: gives it a slot, hashes it once per
-// ring, records its identifier and puts the slot in its place in adds; rewire
-// then places it in the rings.
-//
-// owned-tables: own comes first.
-func (v *View) admit(ep node.Endpoint, adds, dels []int32) ([]int32, error) {
-	at, err := v.admissible(ep, adds, dels)
-	if err != nil {
-		return adds, err
-	}
-	v.own()
-	t := v.t
-	var s int32
-	if n := len(t.free); n > 0 {
-		s, t.free = t.free[n-1], t.free[:n-1]
-		t.eps[s] = ep
-	} else {
-		// The new rows are written before they are read: the hashes just
-		// below, the positions when rewire places the slot.
-		s = int32(len(t.eps))
-		t.eps = append(t.eps, ep)
-		t.hashes = slices.Grow(t.hashes, v.k)[:len(t.hashes)+v.k]
-		t.pos = slices.Grow(t.pos, v.k+1)[:len(t.pos)+v.k+1]
-	}
-	fillRingHashes(t.hashes[int(s)*v.k:(int(s)+1)*v.k], ep.Addr, v.hashMask)
+// see records id in the view's history. Must be called with the lock held.
+func (v *View) see(id node.ID) {
 	if v.seenIDs == nil {
 		v.seenIDs = make(map[node.ID]struct{})
 	}
-	v.seenIDs[ep.ID] = struct{}{}
-	return slices.Insert(adds, at, s), nil
+	v.seenIDs[id] = struct{}{}
+}
+
+// place applies a staged cut to the view's own tables: each joiner of adds,
+// in address order, gets a slot — appended to slots, which a caller may
+// provide — and its ring hashes, and rewire places them in the rings and
+// takes the slots in dels out.
+//
+// owned-tables: own comes first.
+func (v *View) place(slots []int32, adds []node.Endpoint, dels []int32) {
+	v.own()
+	t := v.t
+	slots = slices.Grow(slots, len(adds))
+	for _, ep := range adds {
+		var s int32
+		if n := len(t.free); n > 0 {
+			s, t.free = t.free[n-1], t.free[:n-1]
+			t.eps[s] = ep
+		} else {
+			// The new rows are written before they are read: the hashes just
+			// below, the positions when rewire places the slot.
+			s = int32(len(t.eps))
+			t.eps = append(t.eps, ep)
+			t.hashes = slices.Grow(t.hashes, v.k)[:len(t.hashes)+v.k]
+			t.pos = slices.Grow(t.pos, v.k+1)[:len(t.pos)+v.k+1]
+		}
+		fillRingHashes(t.hashes[int(s)*v.k:(int(s)+1)*v.k], ep.Addr, v.hashMask)
+		slots = append(slots, s)
+	}
+	v.rewire(slots, dels)
 }
 
 // AddMember inserts an endpoint into every ring. It fails if the address or
@@ -445,12 +561,12 @@ func (v *View) admit(ep node.Endpoint, adds, dels []int32) ([]int32, error) {
 func (v *View) AddMember(ep node.Endpoint) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	var one [1]int32
-	adds, err := v.admit(ep, one[:0], nil)
-	if err != nil {
+	if _, err := v.admissible(ep, nil, nil); err != nil {
 		return err
 	}
-	v.rewire(adds, nil)
+	v.see(ep.ID)
+	var one [1]int32
+	v.place(one[:0], []node.Endpoint{ep}, nil)
 	return nil
 }
 
@@ -478,25 +594,25 @@ func (v *View) RemoveMember(addr node.Addr) error {
 // joiner of the same cut — are skipped, where the one-element calls would
 // have returned ErrNodeNotInRing, ErrNodeAlreadyInRing or
 // ErrUUIDAlreadyInRing.
+//
+// A view that aliases a frozen build moves to the build of the cut: what the
+// cut admits and removes is judged against this view's own history, and the
+// process applies each distinct cut of a build once (see cutBuild), however
+// many views apply it. A private view rewires its own tables.
 func (v *View) ApplyCut(joiners []node.Endpoint, leavers []node.Addr) (joined, left []node.Endpoint) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	dels := make([]int32, 0, len(leavers))
-	for _, a := range leavers {
-		if s, ok := v.slot(a); ok && !slices.Contains(dels, s) {
-			dels = append(dels, s)
-			left = append(left, v.t.eps[s])
-		}
+	c := v.stage(joiners, leavers, true)
+	switch {
+	case len(c.adds)+len(c.dels) == 0:
+	case v.base != nil:
+		b := cutBuild(v.base, &c)
+		v.t, v.base = b.t, b
+		v.cachedConfig, v.configIsValid = b.config, true
+	default:
+		v.place(nil, c.adds, c.dels)
 	}
-	adds := make([]int32, 0, len(joiners))
-	for _, ep := range joiners {
-		var err error
-		if adds, err = v.admit(ep, adds, dels); err == nil {
-			joined = append(joined, ep)
-		}
-	}
-	v.rewire(adds, dels)
-	return joined, left
+	return c.joined, c.left
 }
 
 // rewire is the view's one mutation path: it takes the slots in dels out of
