@@ -1,7 +1,7 @@
 // Command rapid-vet is the repo's custom vet tool: it enforces the engine's
-// concurrency and determinism invariants (simclock discipline, single-writer
-// ownership, pooled-buffer discipline, snapshot immutability) as
-// build-breaking lints. See docs/ARCHITECTURE.md, "Enforced invariants".
+// determinism and sharing invariants (simclock discipline, snapshot
+// immutability) as build-breaking lints. See docs/ARCHITECTURE.md,
+// "Enforced invariants".
 //
 // It speaks cmd/go's vettool protocol — the same contract
 // golang.org/x/tools/go/analysis/unitchecker implements, rebuilt here on the

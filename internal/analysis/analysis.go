@@ -7,10 +7,10 @@
 // go/importer alone. Analyzers are written against the same Analyzer/Pass
 // shape as x/tools, so they port verbatim if the dependency ever lands.
 //
-// The analyzers themselves live in subpackages (simclockcheck, singlewriter,
-// poolcheck, snapshotcheck); Suite lists them all for the vettool and the
-// self-vet test. docs/ARCHITECTURE.md ("Enforced invariants") documents what
-// each one checks and why the invariant is load-bearing.
+// The analyzers themselves live in subpackages (simclockcheck,
+// snapshotcheck); package suite lists them for the vettool and the self-vet
+// test. docs/ARCHITECTURE.md ("Enforced invariants") documents what each one
+// checks and why the invariant is load-bearing.
 package analysis
 
 import (

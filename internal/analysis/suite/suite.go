@@ -5,9 +5,7 @@ package suite
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/poolcheck"
 	"repro/internal/analysis/simclockcheck"
-	"repro/internal/analysis/singlewriter"
 	"repro/internal/analysis/snapshotcheck"
 )
 
@@ -15,8 +13,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		simclockcheck.Analyzer,
-		singlewriter.Analyzer,
-		poolcheck.Analyzer,
 		snapshotcheck.Analyzer,
 	}
 }

@@ -17,8 +17,6 @@ import (
 // reinforcement ticker into step and tick calls, stamps each with the clock,
 // and performs what comes back. A probe timer armed with zero, a lone
 // member's, fires at once and is ignored.
-//
-// engine-entry: the single-writer goroutine itself.
 func (e *engine) run(c *Cluster, flush, probe simclock.Timer) {
 	defer c.wg.Done()
 	defer flush.Stop()

@@ -129,10 +129,9 @@ type reply struct {
 }
 
 // engine is the single-writer owner of all protocol state. Only the goroutine
-// that steps it touches the engine-owned fields after initialization;
-// rapid-vet's singlewriter analyzer enforces that every access is reachable
-// from an engine-entry root (newEngine, which happens-before the driver
-// goroutine starts, and run itself).
+// that steps it touches its fields after initialization: Cluster.initialize
+// builds it with newEngine and hands it to `go e.run`, and nothing else holds
+// one. TestOnlyRunTouchesTheEngine (purity_test.go) enforces that.
 type engine struct {
 	me node.Endpoint
 	// The settings the state machine reads: Settings.oneHopLimit,
@@ -146,16 +145,16 @@ type engine struct {
 	joinTimeout          time.Duration
 	metrics              *EngineMetrics
 	// ensemble is the fixed electorate of Rapid-C, sorted by address; nil
-	// when the membership votes. engine-owned.
+	// when the membership votes.
 	ensemble []node.Addr
 
-	// now is the time of the step or tick being applied. engine-owned.
+	// now is the time of the step or tick being applied.
 	now time.Time
 	// out collects the outputs of the step or tick being applied; finish
-	// hands them over and starts afresh. engine-owned.
+	// hands them over and starts afresh.
 	out outputs
 
-	view *view.View // engine-owned
+	view *view.View
 	// members and addrs are the membership sorted by address; voters the
 	// electorate (addrs itself unless an ensemble manages the membership),
 	// myIndex this process' place in it (-1: no vote), subjects the distinct
@@ -165,81 +164,81 @@ type engine struct {
 	// the way voters is. No slice is written after install built it: the
 	// snapshot, the view-change notification, every join response and every
 	// send still to be performed hold these very slices.
-	members     []node.Endpoint      // engine-owned
-	addrs       []node.Addr          // engine-owned
-	voters      []node.Addr          // engine-owned
-	myIndex     int                  // engine-owned
-	subjects    []node.Addr          // engine-owned
-	voteTargets []node.Addr          // engine-owned
-	allRings    bool                 // engine-owned
-	cd          *cutdetect.Detector  // engine-owned
-	consensus   *fastpaxos.FastPaxos // engine-owned
+	members     []node.Endpoint
+	addrs       []node.Addr
+	voters      []node.Addr
+	myIndex     int
+	subjects    []node.Addr
+	voteTargets []node.Addr
+	allRings    bool
+	cd          *cutdetect.Detector
+	consensus   *fastpaxos.FastPaxos
 	// decided is the cut the consensus instance decided during this step, or
 	// the cut to the membership learned from the ensemble (see learn). finish
 	// applies it once the call into consensus has returned. A cut is never
-	// empty. engine-owned.
+	// empty.
 	decided []node.Endpoint
-	learned []node.Endpoint // engine-owned
+	learned []node.Endpoint
 	// votesDirty is set while the consensus instance holds votes this process
 	// has not pushed to its vote targets yet: its own, or, when it relays,
-	// whatever an inbound aggregate taught it. engine-owned.
+	// whatever an inbound aggregate taught it.
 	votesDirty bool
 	// fallbackAt is the recovery deadline of the current consensus instance:
 	// armed when this process votes, cleared by the next install, and checked
-	// on the reinforcement tick. Zero while unarmed. engine-owned.
+	// on the reinforcement tick. Zero while unarmed.
 	fallbackAt time.Time
 	// probes judges the edges to subjects, a new generation per install;
-	// probeDue is its next round, zero with nobody to probe. engine-owned.
+	// probeDue is its next round, zero with nobody to probe.
 	probes   *edgefd.Scheduler
-	probeDue time.Time // engine-owned
+	probeDue time.Time
 	// pollAt is when a member the ensemble manages next polls it, checked on
-	// the reinforcement tick; zero for everyone else. engine-owned.
+	// the reinforcement tick; zero for everyone else.
 	pollAt time.Time
 
-	alertedEdges map[node.Addr]bool // engine-owned
+	alertedEdges map[node.Addr]bool
 	// joinWaiters parks phase-2 join requests made in the current
 	// configuration until the next view change answers them: admitted, or
 	// redirected to phase 1. One request per joiner incarnation; a retry
-	// replaces the one it supersedes. engine-owned.
+	// replaces the one it supersedes.
 	joinWaiters map[joinerKey]*joinEvent
 	// joinAlerted records the joiners this process already filed a JOIN alert
 	// for in the current configuration: alerts are irrevocable, so a retry
-	// parks again without another broadcast. engine-owned.
+	// parks again without another broadcast.
 	joinAlerted map[joinerKey]bool
 	// earlyJoins holds phase-2 requests that name a configuration this
 	// process has not installed yet (the seed that served the joiner's phase 1
-	// decided first); they are re-evaluated after every install. engine-owned.
+	// decided first); they are re-evaluated after every install.
 	earlyJoins []*joinEvent
 	// The state a lone voter gathers a join storm by (see gathering):
 	// joinArrived is set when a joiner reached this process in either phase
 	// since the last tick, unparked holds the joiners a lone voter answered in
 	// phase 1 in the current configuration that have not parked yet, and
-	// stormAt is when the configuration's first joiner parked. engine-owned.
+	// stormAt is when the configuration's first joiner parked.
 	joinArrived bool
 	unparked    map[joinerKey]bool
 	stormAt     time.Time
 	// pastConfigs are the configurations this process has moved past, oldest
 	// first, at most maxPastConfigs of them. A phase-2 join request naming one
 	// is stale and redirected; one naming an unknown configuration is early
-	// and held (see handleJoinPhase2). engine-owned.
+	// and held (see handleJoinPhase2).
 	pastConfigs []uint64
-	viewChanges int // engine-owned
+	viewChanges int
 
 	// Outbound alert batch: alerts generated within one batching window leave
 	// as a single wire message on the next flush.
-	pendingAlerts []remoting.AlertMessage // engine-owned
+	pendingAlerts []remoting.AlertMessage
 
 	// winCtl sizes the flush window between its floor and ceiling
 	// from queue depth and arrival rate (see adaptive.go); arrivals counts
 	// the batches dispatched since the last flush, its rate input. The window
 	// belongs to the configuration: an install starts it at the floor again
 	// unless a join storm is still under way (see restartWindow).
-	winCtl   windowController // engine-owned
-	arrivals int              // engine-owned
+	winCtl   windowController
+	arrivals int
 	// flushDue is when the tick on its way is due, zero while none is. finish
 	// asks for one only while there is something to flush or to measure, so a
 	// quiet engine is stepped for nothing but its reinforcement tick.
-	flushDue time.Time // engine-owned
+	flushDue time.Time
 }
 
 // maxPastConfigs bounds the past-configuration history. It only needs to
@@ -254,8 +253,6 @@ const maxPastConfigs = 32
 // nil ensemble makes the membership the electorate. It runs on the caller's
 // goroutine; the driver takes sole ownership afterwards (the goroutine start
 // gives the required happens-before edge).
-//
-// engine-entry: construction precedes the driver goroutine.
 func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.Endpoint, ensemble []node.Addr, now time.Time) (*engine, outputs) {
 	e := &engine{
 		me:                   me,

@@ -28,8 +28,6 @@ func (r *engineRig) p1aRanks(at node.Addr) []remoting.Rank {
 // tick at or after base + jitter, fires again every base while the instance
 // stays undecided — each time with a higher rank, or the retry would send
 // nothing — and is gone once the instance decides.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	r := newEngineRig(t)
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
@@ -90,8 +88,6 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 // pre-join and a phase-2 request that arrive behind a backlog of batches are
 // served in arrival order, after the backlog, and the notice that the
 // phase-2 caller gave up — queued behind them — still drops the parked waiter.
-//
-// engine-entry: the test drains the queue on its own goroutine; no driver runs.
 func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
@@ -206,16 +202,12 @@ func (f *flushTimer) arm(out outputs) outputs {
 }
 
 // step applies one event to the engine and arms the timer as it asks.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (f *flushTimer) step(ev event) outputs {
 	f.t.Helper()
 	return f.arm(f.r.step(f.e.me.Addr, ev))
 }
 
 // fire runs the tick at its due time.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (f *flushTimer) fire() outputs {
 	f.t.Helper()
 	if f.due.IsZero() {
@@ -283,8 +275,6 @@ func (f *flushTimer) growToCeiling() {
 // a burst of arrivals keeps the timer armed and grows the window, which then
 // decays to the floor in as many ticks as the controller alone needs, and
 // stops. The regression this guards is re-arming unconditionally.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 	r := newEngineRig(t)
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
@@ -350,8 +340,6 @@ func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 // exactly one floor window after it was raised. An install that redirects a
 // parked joiner keeps the window a join storm grew, and a newborn engine still
 // starts at a quarter of the ceiling.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestInstallRestartsTheFlushWindow(t *testing.T) {
 	s := DefaultSettings()
 	floor, ceiling := s.windowFloor(), s.windowCeiling()
@@ -450,8 +438,6 @@ func TestInstallRestartsTheFlushWindow(t *testing.T) {
 // is a member already and the targets of a broadcast share a backing array —
 // and IsMember and Metadata, which used to read a per-install map, answer
 // from that slice.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestConfigurationSlicesAreShared(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0).WithMetadata(map[string]string{"role": "seed"})

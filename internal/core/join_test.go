@@ -42,8 +42,6 @@ func newEngineRig(t *testing.T) *engineRig {
 }
 
 // start builds a member's engine and returns it with its first outputs.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) start(me node.Endpoint, members []node.Endpoint) (*engine, outputs) {
 	e, first := newEngine(me, &r.settings, &EngineMetrics{}, members, r.ensemble, r.clk.Now())
 	r.engines[me.Addr] = e
@@ -52,8 +50,6 @@ func (r *engineRig) start(me node.Endpoint, members []node.Endpoint) (*engine, o
 
 // handle builds a member as start does, inside a Cluster handle that has no
 // driver: the test takes events off its queue and performs outputs on it.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) handle(me node.Endpoint, members []node.Endpoint) (*Cluster, *engine) {
 	c, err := newCluster(me.Addr, r.settings, &scriptedNet{})
 	if err != nil {
@@ -83,8 +79,6 @@ func (r *engineRig) file(out outputs) outputs {
 }
 
 // step applies one event to a member at the rig's time and files the outputs.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) step(m node.Addr, ev event) outputs {
 	return r.file(r.engines[m].step(ev, r.clk.Now()))
 }
@@ -111,8 +105,6 @@ func (r *engineRig) park(observer node.Addr, joiner node.Endpoint, configID uint
 
 // flush runs one flush tick on every listed member: its pending batch and
 // vote push go into the inboxes.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) flush(members ...node.Addr) {
 	for _, m := range members {
 		r.file(r.engines[m].tick(r.clk.Now(), 0))
@@ -134,8 +126,6 @@ func (r *engineRig) deliver(members ...node.Addr) {
 
 // idle reports that the member's cut detector tracks no subject between the
 // watermarks and that nothing is waiting in its outbox.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) idle(m node.Addr) bool {
 	e := r.engines[m]
 	return e.cd.UpdatesInProgress() == 0 && len(e.pendingAlerts) == 0
@@ -176,8 +166,6 @@ func endpoint(i int) node.Endpoint {
 // between L and H and blocks every proposal — and must be admitted by the
 // next view change, all without a tick of protocol time (at the parent commit
 // it waited out JoinPhase2Timeout).
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestRacedPastJoinerIsRedirected(t *testing.T) {
 	r := newEngineRig(t)
 	began := r.clk.Now()
@@ -256,8 +244,6 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 // with queued events waiting in its inbound queue, and reports whether the
 // tick held the storm: sent nothing, and kept both the window and the timer
 // running at it.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (r *engineRig) tickSeed(s *engine, queued int) (held bool) {
 	window := s.winCtl.window
 	r.clk.Advance(window)
@@ -270,8 +256,6 @@ func (r *engineRig) tickSeed(s *engine, queued int) (held bool) {
 
 // allAdmitted fails unless every parked request was answered SAFE_TO_JOIN by
 // the seed's first view change, with a membership of the seed plus all of them.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func allAdmitted(t *testing.T, s *engine, parked []*joinEvent) {
 	t.Helper()
 	if s.viewChanges != 1 || s.view.Size() != 1+len(parked) {
@@ -290,8 +274,6 @@ func allAdmitted(t *testing.T, s *engine, parked []*joinEvent) {
 // the first two ticks because joiners answered in phase 1 have not parked, the
 // third because 4K have — and the first quiet window admits all of it in one
 // view change.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestLoneSeedGathersTheStorm(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
@@ -327,8 +309,6 @@ func TestLoneSeedGathersTheStorm(t *testing.T) {
 // cut on the seed's first tick that finds its inbound queue empty, as fast as
 // without the gathering rule; a tick that finds events queued has not seen
 // the window's arrivals yet.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestLoneSeedCutsAParkedSmallStormAtOnce(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
@@ -353,8 +333,6 @@ func TestLoneSeedCutsAParkedSmallStormAtOnce(t *testing.T) {
 // is answered in phase 1, so every tick sees a joiner arrive and another on its
 // way. The seed holds, on a window that does not move, until the first parked
 // joiner has waited half a JoinPhase2Timeout, and cuts on that tick.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestLoneSeedCutsATrickleInTime(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
@@ -387,8 +365,6 @@ func TestLoneSeedCutsATrickleInTime(t *testing.T) {
 // of the same joiner replaces its parked request (releasing the old handler)
 // without a second JOIN alert, and a request its handler gave up on is not
 // kept parked.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestRetriedJoinFilesOneAlert(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)

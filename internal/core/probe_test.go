@@ -22,8 +22,6 @@ import (
 // probeEngine starts member 0 of an n-member configuration on the rig's
 // manual clock, with K = 3 and the given detector, and returns its first
 // outputs.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func probeEngine(t *testing.T, n int, judges edgefd.Factory) (*engineRig, *engine, outputs) {
 	r := newEngineRig(t)
 	r.settings.K, r.settings.H, r.settings.L = 3, 3, 1
@@ -62,8 +60,6 @@ func alerted(e *engine) []node.Addr {
 // asks for the next one on the beat of its deadline however late it fired,
 // and a firing before the round is due — the timer an install re-armed had
 // fired already — probes nothing and re-arms for the rest.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestFirstProbeIsOneIntervalAfterWatch(t *testing.T) {
 	r, e, first := probeEngine(t, 16, edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions()))
 	me, interval := e.me.Addr, r.settings.ProbeInterval
@@ -109,8 +105,6 @@ func TestFirstProbeIsOneIntervalAfterWatch(t *testing.T) {
 // fills first, so a crash is reported ten probe intervals after the install —
 // and one that stops answering after a full healthy window by its fourth
 // failure, each in the step that files the deciding outcome.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestVerdictIsAnAlertOnTheTenthColdOrFourthWarmProbe(t *testing.T) {
 	r, e, _ := probeEngine(t, 16, edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions()))
 	me, interval := e.me.Addr, r.settings.ProbeInterval
@@ -144,8 +138,6 @@ func TestVerdictIsAnAlertOnTheTenthColdOrFourthWarmProbe(t *testing.T) {
 // member's subject list, one of them under an index past its end. They reach
 // no judge and file no alert; the same failure in the new configuration's
 // round is the verdict.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestOutcomeOfAnOlderGenerationChangesNothing(t *testing.T) {
 	r, e, _ := probeEngine(t, 5, edgefd.NewCountingFactory(1))
 	me, interval := e.me.Addr, r.settings.ProbeInterval
@@ -176,8 +168,6 @@ func TestOutcomeOfAnOlderGenerationChangesNothing(t *testing.T) {
 // lone seed, or one its configuration no longer contains — asks for no probe
 // round, and a firing of a timer armed earlier probes nothing and re-arms
 // nothing.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestLoneOrRemovedMemberArmsNoProbeTimer(t *testing.T) {
 	quiet := func(out outputs, who string) {
 		t.Helper()

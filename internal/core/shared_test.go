@@ -17,8 +17,6 @@ import (
 // handed the same list hold the same frozen membership — one pair of slices,
 // not one pair each — until one of them applies a cut, which leaves the
 // other's untouched. The public accessor still hands out a copy.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestMembersOfOneListShareOneMembership(t *testing.T) {
 	r := newEngineRig(t)
 	list := []node.Endpoint{endpoint(1), endpoint(2), endpoint(3)}
@@ -55,8 +53,6 @@ func TestMembersOfOneListShareOneMembership(t *testing.T) {
 
 // TestBatchPathDoesNotAllocate: an inbound vote batch goes through the queue
 // and the engine without allocating, with the event down to two words.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func TestBatchPathDoesNotAllocate(t *testing.T) {
 	if size := unsafe.Sizeof(event{}); size != 2*unsafe.Sizeof(uintptr(0)) {
 		t.Errorf("an event is %d bytes, want two words: the queue holds %d of them per member", size, eventQueueSize)

@@ -153,8 +153,6 @@ func votes(aggs ...agg) func(*stepFixture) event {
 }
 
 // run steps the row's member through its turns.
-//
-// engine-entry: the rig applies events on the test goroutine; no driver runs.
 func (row stepRow) run(t *testing.T) {
 	r := newEngineRig(t)
 	members := make([]node.Endpoint, row.n)

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/node"
 )
@@ -71,7 +70,7 @@ const (
 // EncodeRequest serializes a request. The byte length of the result is what
 // transports report to the bandwidth accounting used for Table 2 of the paper.
 func EncodeRequest(req *Request) ([]byte, error) {
-	return appendRequest(make([]byte, 0, 128), req), nil
+	return AppendRequest(make([]byte, 0, 128), req), nil
 }
 
 // DecodeRequest deserializes a request previously produced by EncodeRequest.
@@ -92,7 +91,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 
 // EncodeResponse serializes a response.
 func EncodeResponse(resp *Response) ([]byte, error) {
-	return appendResponse(make([]byte, 0, 64), resp), nil
+	return AppendResponse(make([]byte, 0, 64), resp), nil
 }
 
 // DecodeResponse deserializes a response previously produced by EncodeResponse.
@@ -111,37 +110,12 @@ func DecodeResponse(data []byte) (*Response, error) {
 	return resp, nil
 }
 
-// sizeBufPool recycles scratch buffers for the Size functions, which need the
-// encoded length but not the bytes.
-var sizeBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 256); return &b },
-}
-
-// RequestSize returns the encoded size of a request in bytes. The simulated
-// network uses this for byte accounting without shipping encoded bytes
-// around; a pooled scratch buffer keeps it allocation-free at steady state.
-func RequestSize(req *Request) int {
-	bp := sizeBufPool.Get().(*[]byte)
-	b := appendRequest((*bp)[:0], req)
-	n := len(b)
-	*bp = b[:0]
-	sizeBufPool.Put(bp)
-	return n
-}
-
-// ResponseSize returns the encoded size of a response in bytes.
-func ResponseSize(resp *Response) int {
-	bp := sizeBufPool.Get().(*[]byte)
-	b := appendResponse((*bp)[:0], resp)
-	n := len(b)
-	*bp = b[:0]
-	sizeBufPool.Put(bp)
-	return n
-}
-
 // --- encoding ----------------------------------------------------------------
 
-func appendRequest(b []byte, req *Request) []byte {
+// AppendRequest appends the encoding of req to b and returns the extended
+// buffer. The simulated network sizes messages this way, into a scratch
+// buffer it keeps, without shipping encoded bytes around.
+func AppendRequest(b []byte, req *Request) []byte {
 	b = append(b, codecVersion)
 	var mask uint64
 	if req != nil {
@@ -267,7 +241,9 @@ func appendRequest(b []byte, req *Request) []byte {
 	return b
 }
 
-func appendResponse(b []byte, resp *Response) []byte {
+// AppendResponse appends the encoding of resp to b and returns the extended
+// buffer.
+func AppendResponse(b []byte, resp *Response) []byte {
 	b = append(b, codecVersion)
 	var mask uint64
 	if resp != nil {

@@ -178,11 +178,11 @@ func TestDecodeGarbageFails(t *testing.T) {
 
 func TestSizesArePositive(t *testing.T) {
 	req := &Request{Probe: &ProbeRequest{Sender: "x:1"}}
-	if RequestSize(req) <= 0 {
-		t.Error("RequestSize should be positive for a valid request")
+	if len(AppendRequest(nil, req)) <= 0 {
+		t.Error("a valid request should encode to some bytes")
 	}
-	if ResponseSize(AckResponse()) <= 0 {
-		t.Error("ResponseSize should be positive for a valid response")
+	if len(AppendResponse(nil, AckResponse())) <= 0 {
+		t.Error("a valid response should encode to some bytes")
 	}
 }
 
@@ -199,7 +199,7 @@ func TestBatchedAlertSizeGrowsSublinearly(t *testing.T) {
 			EdgeSrc: "a:1", EdgeDst: node.Addr(string(rune('b'+i)) + ":1"), ConfigurationID: 1,
 		})
 	}
-	s1, s10 := RequestSize(single), RequestSize(batch)
+	s1, s10 := len(AppendRequest(nil, single)), len(AppendRequest(nil, batch))
 	if s10 >= 10*s1 {
 		t.Errorf("batched size %d should be < 10x single size %d", s10, s1)
 	}

@@ -280,7 +280,7 @@ func (s *shard) randJitter(max time.Duration) time.Duration {
 
 // delayedItem is one best-effort message waiting in a shard's delay heap.
 type delayedItem struct {
-	ev  *deliveryEvent
+	ev  deliveryEvent
 	due time.Time
 	seq uint64
 }
@@ -309,7 +309,7 @@ func (q *delayQueue) less(i, j int) bool {
 
 // push schedules ev for delivery at due. It reports false when the queue is
 // already closed, in which case the caller still owns the event.
-func (q *delayQueue) push(ev *deliveryEvent, due time.Time) bool {
+func (q *delayQueue) push(ev deliveryEvent, due time.Time) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()

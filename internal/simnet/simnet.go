@@ -18,11 +18,11 @@
 // process. Nothing funnels through a global dispatcher: endpoints, fault
 // rules, RNG state, message counters and the best-effort delivery queues are
 // all hash-partitioned into shards, so enqueue and delivery never serialize
-// on a single lock or goroutine. Best-effort messages ride pooled delivery
-// events (the same sync.Pool pattern as remoting's size buffers), which keeps
-// steady-state delivery at zero allocations per message. When no fault rules
-// are installed — the entire bootstrap workload — the per-message fault check
-// reduces to two atomic loads.
+// on a single lock or goroutine. A best-effort message travels as a delivery
+// event held by value in its shard's ring or delay heap, which reuse their
+// storage, so steady-state delivery allocates nothing per message. When no
+// fault rules are installed — the entire bootstrap workload — the per-message
+// fault check reduces to two atomic loads.
 //
 // Call Close when done with a network to stop the per-shard delivery workers;
 // fleets created by the harness do this automatically.
@@ -44,9 +44,9 @@ import (
 )
 
 // deliveryEvent is a queued best-effort message awaiting dispatch to a
-// handler. Events are recycled through a sync.Pool: at 1000+ nodes the
-// best-effort path carries millions of messages per bootstrap, and a fresh
-// allocation per message is what used to cap fleet sizes.
+// handler. It is a value copied into and out of the shard's queues: at 1000+
+// nodes the best-effort path carries millions of messages per bootstrap, and a
+// fresh allocation per message is what used to cap fleet sizes.
 type deliveryEvent struct {
 	from node.Addr
 	req  *remoting.Request
@@ -57,16 +57,10 @@ type deliveryEvent struct {
 	st *endpointState
 }
 
-var eventPool = sync.Pool{New: func() any { return new(deliveryEvent) }}
+// releaseEvent returns an undeliverable event's inbox slot.
+func releaseEvent(ev deliveryEvent) { ev.st.pending.Add(-1) }
 
-// releaseEvent returns an undeliverable event's inbox slot and recycles it.
-func releaseEvent(ev *deliveryEvent) {
-	ev.st.pending.Add(-1)
-	*ev = deliveryEvent{}
-	eventPool.Put(ev)
-}
-
-// eventQueue is a growable FIFO ring of pooled delivery events. The overall
+// eventQueue is a growable FIFO ring of delivery events. The overall
 // backlog is bounded by the per-destination pending counters (the queue never
 // holds more than the sum of every endpoint's inbox bound), so the ring only
 // grows under genuine load and is reused afterwards; steady-state enqueue and
@@ -74,7 +68,7 @@ func releaseEvent(ev *deliveryEvent) {
 type eventQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	buf    []*deliveryEvent
+	buf    []deliveryEvent
 	head   int
 	len    int
 	closed bool
@@ -83,7 +77,7 @@ type eventQueue struct {
 func (q *eventQueue) init() { q.cond = sync.NewCond(&q.mu) }
 
 // push appends one event. It never blocks.
-func (q *eventQueue) push(ev *deliveryEvent) {
+func (q *eventQueue) push(ev deliveryEvent) {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -91,7 +85,7 @@ func (q *eventQueue) push(ev *deliveryEvent) {
 		return
 	}
 	if q.len == len(q.buf) {
-		grown := make([]*deliveryEvent, max(64, 2*len(q.buf)))
+		grown := make([]deliveryEvent, max(64, 2*len(q.buf)))
 		for i := 0; i < q.len; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
 		}
@@ -104,21 +98,21 @@ func (q *eventQueue) push(ev *deliveryEvent) {
 }
 
 // pop removes the oldest event, blocking until one is available or the queue
-// is closed (nil return).
-func (q *eventQueue) pop() *deliveryEvent {
+// is closed (false).
+func (q *eventQueue) pop() (deliveryEvent, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.len == 0 && !q.closed {
 		q.cond.Wait()
 	}
 	if q.len == 0 {
-		return nil
+		return deliveryEvent{}, false
 	}
 	ev := q.buf[q.head]
-	q.buf[q.head] = nil
+	q.buf[q.head] = deliveryEvent{}
 	q.head = (q.head + 1) % len(q.buf)
 	q.len--
-	return ev
+	return ev, true
 }
 
 // close wakes the worker and makes further pushes no-ops.
@@ -151,9 +145,9 @@ type Options struct {
 	// deadline), and best-effort messages are held in the destination
 	// shard's delay heap until it elapses.
 	Latency time.Duration
-	// AccountBandwidth enables per-node byte accounting. It costs one sizing
-	// pass per message (RequestSize/ResponseSize over the binary codec, with
-	// a pooled scratch buffer), so it is off by default.
+	// AccountBandwidth enables per-node byte accounting. It costs one encoding
+	// pass per message (into a scratch buffer the sender's shard keeps), so it
+	// is off by default.
 	AccountBandwidth bool
 	// InboxSize bounds each node's best-effort message backlog; further
 	// messages are dropped, mimicking UDP behaviour under load.
@@ -193,8 +187,11 @@ type shard struct {
 	msgTotal  atomic.Int64
 	msgCounts sync.Map // request kind -> *atomic.Int64
 
+	// recMu guards the recorders of the shard's endpoints and sizeBuf, the
+	// scratch buffer their messages are encoded into to be measured.
 	recMu     sync.Mutex
 	recorders map[node.Addr]*metrics.BandwidthRecorder
+	sizeBuf   []byte
 }
 
 // Network is a simulated cluster interconnect.
@@ -324,16 +321,14 @@ func (n *Network) shardFor(addr node.Addr) *shard {
 func (n *Network) deliverLoop(s *shard) {
 	defer n.workers.Done()
 	for {
-		ev := s.queue.pop()
-		if ev == nil {
+		ev, ok := s.queue.pop()
+		if !ok {
 			return
 		}
 		ev.st.pending.Add(-1)
 		if !ev.st.gone.Load() {
 			_, _ = ev.st.handler.HandleRequest(context.Background(), ev.from, ev.req)
 		}
-		*ev = deliveryEvent{}
-		eventPool.Put(ev)
 	}
 }
 
@@ -575,15 +570,29 @@ func (n *Network) account(from, to node.Addr, req *remoting.Request, resp *remot
 	}
 	now := n.clock.Now()
 	if req != nil {
-		size := remoting.RequestSize(req)
+		size := n.shardFor(from).encodedSize(req, nil)
 		n.recorder(from).RecordSent(now, size)
 		n.recorder(to).RecordReceived(now, size)
 	}
 	if resp != nil {
-		size := remoting.ResponseSize(resp)
+		size := n.shardFor(to).encodedSize(nil, resp)
 		n.recorder(to).RecordSent(now, size)
 		n.recorder(from).RecordReceived(now, size)
 	}
+}
+
+// encodedSize returns the wire length of a request, or of resp when req is
+// nil, by encoding it into the shard's scratch buffer, which keeps the
+// largest message seen so far so that sizing allocates nothing once warm.
+func (s *shard) encodedSize(req *remoting.Request, resp *remoting.Response) int {
+	s.recMu.Lock()
+	defer s.recMu.Unlock()
+	if req != nil {
+		s.sizeBuf = remoting.AppendRequest(s.sizeBuf[:0], req)
+	} else {
+		s.sizeBuf = remoting.AppendResponse(s.sizeBuf[:0], resp)
+	}
+	return len(s.sizeBuf)
 }
 
 // --- delivery ---------------------------------------------------------------
@@ -733,8 +742,8 @@ func (c *client) Send(ctx context.Context, to node.Addr, req *remoting.Request) 
 // SendBestEffort implements transport.Client: the message is queued on the
 // destination shard if the fault rules allow it, and silently dropped
 // otherwise (or if the destination's backlog or the shard queue is full).
-// The steady-state path performs no allocation: delivery events come from a
-// pool and per-kind counters are pre-existing atomics.
+// The steady-state path performs no allocation: the delivery event is a value
+// the shard's queues copy, and per-kind counters are pre-existing atomics.
 func (c *client) SendBestEffort(to node.Addr, req *remoting.Request) {
 	n := c.net
 	src := n.shardFor(c.from)
@@ -775,8 +784,7 @@ func (n *Network) deliverBestEffort(from, to node.Addr, st *endpointState, req *
 		return
 	}
 	n.account(from, to, req, nil)
-	ev := eventPool.Get().(*deliveryEvent)
-	ev.from, ev.req, ev.st = from, req, st
+	ev := deliveryEvent{from: from, req: req, st: st}
 	s := n.shardFor(to)
 	if delay <= 0 {
 		s.queue.push(ev)
