@@ -2,7 +2,7 @@
 // best-effort unicast-to-all broadcaster and a fanout gossip broadcaster. The
 // membership service (package core), Rapid-C's ensemble included, uses
 // neither: its engine returns its sends — the alert batch for every voter,
-// vote bitmaps for the K ring subjects — and its driver performs them.
+// vote bitmaps for ring subjects — and its driver performs them.
 // Neither has a user left in this module; both stay because the frozen
 // benchmark times them (broadcast.unicast_flush500_ns,
 // broadcast.gossip_flush_ns) and go with the [benchmark] PR that drops those

@@ -17,10 +17,10 @@ import "time"
 // bootstrap slower and less stable (docs/ARCHITECTURE.md).
 //
 // The window is per configuration. Every view change grows it — each member
-// receives at least K alert batches and K vote pushes per relay hop — so an
-// install starts the next configuration's window at the floor again, and the
-// join that follows a cut costs about one view change rather than the
-// window's decay from the ceiling. Only an install that sends a parked joiner
+// receives at least K alert batches and about four vote pushes per relay
+// hop — so an install starts the next configuration's window at the floor
+// again, and the join that follows a cut costs about one view change rather
+// than the window's decay from the ceiling. Only an install that sends a parked joiner
 // back to phase 1, the sign of a join storm still under way, keeps the window
 // it grew (engine.restartWindow).
 

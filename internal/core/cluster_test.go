@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	stdnet "net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -547,11 +548,11 @@ func allAgree(clusters []*Cluster, size int) bool {
 }
 
 // TestVotesTravelAlongTheRings: 200 members, two crash. The survivors count
-// each other's votes through bitmaps pushed along the K rings: no standalone
-// fast-round message, and per member and view change a handful of pushes to
-// K subjects (about 4K measured, 6K allowed) where unicast-to-all sent one
-// vote batch to each of the 200 — and every survivor installs the same
-// configuration.
+// each other's votes through bitmaps pushed along the rings: no standalone
+// fast-round message, and per member and view change a few pushes to four
+// subjects and one decision push to K (about 18 sends measured, 6K allowed)
+// where unicast-to-all sent one vote batch to each of the 200 — and every
+// survivor installs the same configuration.
 func TestVotesTravelAlongTheRings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 200-member fleet is too slow for the race lane")
@@ -583,6 +584,71 @@ func TestVotesTravelAlongTheRings(t *testing.T) {
 	t.Logf("%d view change(s), %.1f vote-batch sends per member and view change (K=%d)", changes, perMember, settings.K)
 	if perMember == 0 || perMember > float64(6*settings.K) {
 		t.Errorf("%.1f vote-batch sends per member and view change, want (0, %d]", perMember, 6*settings.K)
+	}
+}
+
+// TestDecisionReachesAMemberWhoseVoteRingsAllFail: 60 members at K = 10
+// relay votes on their first voteRings rings. Every member that pushes votes
+// to member M crashes at once, so no vote aggregate reaches M any more, and
+// M learns the quorum only from the deciding aggregate, which its other
+// observers push to all their ring subjects. Every survivor, M included, must
+// install the configuration without the crashed members on the fast path: a
+// member that misses the decision starts a recovery round (phase1a) that
+// acceptors in the next configuration ignore.
+func TestDecisionReachesAMemberWhoseVoteRingsAllFail(t *testing.T) {
+	const n = 60
+	net := simnet.New(simnet.Options{Seed: 60})
+	defer net.Close()
+	settings := ScaledSettings(5)
+	node.SeedIDGenerator(60)
+	addrs := make([]node.Addr, n)
+	for i := range addrs {
+		addrs[i] = addr(i)
+	}
+	clusters := joinFleet(t, net, addrs, settings)
+	defer stopAll(clusters)
+
+	m := addrs[n/2]
+	v := view.NewWithMembers(settings.K, clusters[0].Members())
+	pushers, others := map[node.Addr]bool{}, 0
+	for _, a := range addrs {
+		subjects, err := v.UniqueSubjectsOf(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(subjects) <= voteRings {
+			t.Fatalf("%s has %d distinct ring subjects; the test needs more than %d", a, len(subjects), voteRings)
+		}
+		switch {
+		case slices.Contains(subjects[:voteRings], m):
+			pushers[a] = true
+		case slices.Contains(subjects, m):
+			others++
+		}
+	}
+	if others == 0 {
+		t.Fatalf("every observer of %s pushes votes to it; the test needs one that does not", m)
+	}
+	var survivors []*Cluster
+	for _, c := range clusters {
+		if !pushers[c.Addr()] {
+			survivors = append(survivors, c)
+		}
+	}
+	t.Logf("crashing the %d members that push votes to %s; %d other observers remain", len(pushers), m, others)
+	recoveriesBefore := net.MessageCount("phase1a")
+	for a := range pushers {
+		net.Crash(a)
+	}
+	if !waitUntil(t, 60*time.Second, func() bool { return allAgree(survivors, len(survivors)) }) {
+		sizes := make([]int, len(survivors))
+		for i, c := range survivors {
+			sizes[i] = c.Size()
+		}
+		t.Fatalf("the survivors did not agree on a configuration without the crashed members: sizes %v", sizes)
+	}
+	if got := net.MessageCount("phase1a") - recoveriesBefore; got != 0 {
+		t.Errorf("%d recovery messages sent; every survivor should decide from the fast round", got)
 	}
 }
 

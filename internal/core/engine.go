@@ -158,7 +158,8 @@ type engine struct {
 	// members and addrs are the membership sorted by address; voters the
 	// electorate (addrs itself unless an ensemble manages the membership),
 	// myIndex this process' place in it (-1: no vote), subjects the distinct
-	// processes it monitors, voteTargets where its vote pushes go, and
+	// processes it monitors in ring order, voteTargets where its own vote and
+	// its relays go (see install), and
 	// allRings whether it is a voter outside the view, an ensemble node: all
 	// are derived once per installed configuration. A voter bitmap is indexed
 	// the way voters is. No slice is written after install built it: the
@@ -303,10 +304,14 @@ func (e *engine) install() {
 	if inView {
 		e.subjects, _ = e.view.UniqueSubjectsOf(e.me.Addr)
 	}
-	// Votes go to the ring subjects when this membership relays them, and
-	// otherwise to every other voter, which makes one hop enough.
-	e.voteTargets = e.subjects
-	if !e.relays() {
+	// Votes go to the subjects of the first voteRings rings when this
+	// membership relays them (the decision push alone goes to all K, see
+	// applyDecision), and otherwise to every other voter, which makes one
+	// hop enough.
+	if e.relays() {
+		n := min(voteRings, len(e.subjects))
+		e.voteTargets = e.subjects[:n:n]
+	} else {
 		e.voteTargets = slices.DeleteFunc(slices.Clone(e.voters), func(a node.Addr) bool { return a == e.me.Addr })
 	}
 	e.consensus = e.newConsensus()
@@ -547,13 +552,14 @@ func (e *engine) addVote(vote *remoting.FastRoundPhase2b) {
 	e.consensus.Merge(vote.ConfigurationID, vote.Proposal, vote.Voters)
 }
 
-// relays reports whether votes travel along the K rings in this
+// relays reports whether votes are relayed along the rings in this
 // configuration (see Settings.oneHopLimit).
 func (e *engine) relays() bool { return len(e.voters) > e.oneHop }
 
 // pushVotes sends what the consensus instance knows — one voter bitmap per
-// distinct proposal — to this process' vote targets.
-func (e *engine) pushVotes() {
+// distinct proposal — to the given targets: this process' vote targets, or,
+// for the decision push, every subject of the configuration being left.
+func (e *engine) pushVotes(to []node.Addr) {
 	e.votesDirty = false
 	votes := e.consensus.Aggregates()
 	if len(votes) == 0 {
@@ -561,7 +567,7 @@ func (e *engine) pushVotes() {
 	}
 	e.metrics.BatchSizes.Observe(float64(len(votes)))
 	e.metrics.BatchesSent.Add(1)
-	e.send(e.voteTargets, &remoting.Request{VoteBatch: &remoting.FastRoundVoteBatch{Sender: e.me.Addr, Votes: votes}})
+	e.send(to, &remoting.Request{VoteBatch: &remoting.FastRoundVoteBatch{Sender: e.me.Addr, Votes: votes}})
 }
 
 // flushOutbox sends what the last batching window produced: the vote
@@ -570,7 +576,7 @@ func (e *engine) pushVotes() {
 // well, and comes back through the transport like everyone else's.
 func (e *engine) flushOutbox() {
 	if e.votesDirty {
-		e.pushVotes()
+		e.pushVotes(e.voteTargets)
 	}
 	if len(e.pendingAlerts) == 0 {
 		return
@@ -705,7 +711,7 @@ func (e *engine) ringsOf(subject node.Addr) []int {
 // its poll is due.
 func (e *engine) reinforce() {
 	if e.votesDirty {
-		e.pushVotes()
+		e.pushVotes(e.voteTargets)
 	}
 	for _, subject := range e.cd.UnstableLongerThan(e.now, e.reinforcementTimeout) {
 		e.handleSubjectFailed(subject)
@@ -890,12 +896,16 @@ func (e *engine) forgetJoin(ev *joinEvent) {
 func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// The decision push. This process is about to drop the instance that just
 	// decided, and with it everything it would have relayed: pushed now, to
-	// the subjects of the configuration being left, the deciding aggregate
-	// lets them decide too — otherwise the relay chain ends at whoever
-	// decides first. In a one-hop membership only a vote of its own that has
-	// not left yet still matters to anyone.
-	if e.votesDirty || e.relays() {
-		e.pushVotes()
+	// all its K-ring subjects of the configuration being left — not just its
+	// vote rings — the deciding aggregate lets them decide too. Otherwise the
+	// relay chain ends at whoever decides first, and a member whose vote-ring
+	// observers all failed together would never decide: its recovery round
+	// goes to acceptors that have moved on. In a one-hop membership only a
+	// vote of its own that has not left yet still matters to anyone.
+	if e.relays() {
+		e.pushVotes(e.subjects)
+	} else if e.votesDirty {
+		e.pushVotes(e.voteTargets)
 	}
 
 	e.pastConfigs = append(e.pastConfigs, e.view.ConfigurationID())

@@ -17,12 +17,12 @@
 // alerts are coalesced into one batched wire message per batching window,
 // sent to every member (unicast-to-all, §6). Consensus votes are
 // counted the way §4.3 counts them: a member keeps a voter bitmap per
-// distinct proposal and, on the same window, pushes what it learned to its K
-// ring subjects (to everyone, in memberships of at most 4K, where one hop is
-// cheaper). The engine owns its deadlines too: the consensus recovery
-// deadline is a field it checks on its reinforcement tick, not a goroutine
-// per proposal. A joiner is a state machine of its own (join.go), whose
-// calls the driver performs the same way.
+// distinct proposal and, on the same window, pushes what it learned to the
+// subjects of its first four rings, and the bitmap that decides to all K (to
+// everyone, in memberships of at most 4K). The engine owns its deadlines too:
+// the consensus recovery deadline is a field it checks on its reinforcement
+// tick, not a goroutine per proposal. A joiner is a state machine of its own
+// (join.go), whose calls the driver performs the same way.
 //
 // Rapid-C (§5) is the same engine with a fixed ensemble as its electorate —
 // who votes, and who hears alerts, classic rounds and leaves (StartEnsemble,
@@ -147,12 +147,22 @@ func ScaledSettings(factor float64) Settings {
 
 // oneHopLimit is the largest membership whose fast-round votes travel in one
 // hop, every voter to every other member: 4K. Above it a member pushes vote
-// bitmaps to its K ring subjects only, which costs about four pushes of K
-// sends per view change against the N - 1 sends of one hop. For the same
-// reason a lone seed that has this many joiners parked waits for a quiet
-// window before it cuts: a straggler left out would be voted in by relayed
-// votes in a second view change (see engine.gathering).
+// bitmaps to the subjects of its first voteRings rings, and the aggregate
+// that decides, once, to all K. A lone seed that has this many joiners parked
+// also waits for a quiet window before it cuts: a straggler left out would be
+// voted in by relayed votes in a second view change (see engine.gathering).
 func (s *Settings) oneHopLimit() int { return 4 * s.K }
+
+// voteRings is how many of a member's rings carry its own vote and what it
+// relays when the membership relays votes: the first voteRings distinct ring
+// subjects, ring 0's successor first. Push gossip costs about fanout × rounds
+// sends per member, f·log_f N (Karp et al., "Randomized Rumor Spreading",
+// FOCS 2000). At N = 200 that is 23 sends for f = 10, 15 for f = 4 and 14.5
+// for f = 3, while the rounds grow from 2.3 to 3.8 and 4.8, each one flush
+// window long. Four rings take nearly all of the saving for 1.5 more relay
+// hops. The decision push is not narrowed: a member that misses every copy of
+// it cannot catch up (see engine.applyDecision).
+const voteRings = 4
 
 // probeTimeout bounds each probe: half the probe interval, so a probe ends
 // inside its round.

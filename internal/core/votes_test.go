@@ -17,11 +17,15 @@ import (
 
 // A stepRow drives one member of an n-member configuration through a list of
 // turns — events given to step, or flush ticks — with no transport and no
-// goroutine, and checks what each turn returns: K = 3 here, so a membership
-// relays votes from 13 members on (oneHopLimit = 4K = 12).
+// goroutine, and checks what each turn returns: K = 3 unless the row says
+// otherwise, so a membership relays votes from 13 members on (oneHopLimit =
+// 4K = 12), and voteRings (4) are all the rings there are.
 type stepRow struct {
 	name  string
 	n, me int // the membership is endpoint(0..n-1), the member under test endpoint(me)
+	// paper runs the row at the paper's K, H, L = 10, 9, 3, where a relaying
+	// membership (n > 40) has more distinct ring subjects than vote rings.
+	paper bool
 	// ensemble, when set, is the size of an ensemble that manages the
 	// membership, and the process under test is its node me, at the paper's
 	// K, H, L = 10, 9, 3.
@@ -56,6 +60,7 @@ type wantSend struct {
 // to the subjects of the configuration being left.
 type stepFixture struct {
 	me       node.Addr
+	k        int
 	config   uint64
 	next     uint64 // the configuration that admits newcomer
 	gen      uint64
@@ -68,11 +73,12 @@ type stepFixture struct {
 // newcomer is the process every row's cut admits.
 var newcomer = endpoint(99)
 
-func all(f *stepFixture) []node.Addr   { return f.members }
-func ring(f *stepFixture) []node.Addr  { return f.subjects }
-func peers(f *stepFixture) []node.Addr { return f.others }
-func cut(f *stepFixture) event         { return event{req: cutAlerts(f.config, 3, newcomer)} }
-func leave(*stepFixture) event         { return leaveEvent }
+func all(f *stepFixture) []node.Addr      { return f.members }
+func ring(f *stepFixture) []node.Addr     { return f.subjects }
+func voteRing(f *stepFixture) []node.Addr { return f.subjects[:voteRings] }
+func peers(f *stepFixture) []node.Addr    { return f.others }
+func cut(f *stepFixture) event            { return event{req: cutAlerts(f.config, f.k, newcomer)} }
+func leave(*stepFixture) event            { return leaveEvent }
 
 func electorate(f *stepFixture) []node.Addr { return f.voters }
 func reinforceTick(*stepFixture) event      { return reinforceEvent }
@@ -160,10 +166,11 @@ func (row stepRow) run(t *testing.T) {
 		members[i] = endpoint(i)
 	}
 	self := endpoint(row.me)
-	if row.ensemble == 0 {
+	if row.ensemble == 0 && !row.paper {
 		r.settings.K, r.settings.H, r.settings.L = 3, 3, 1
 		r.settings.FailureDetector = edgefd.NewCountingFactory(1)
-	} else {
+	}
+	if row.ensemble > 0 {
 		for i := range row.ensemble {
 			r.ensemble = append(r.ensemble, node.Addr(fmt.Sprintf("ensemble-%d:1", i)))
 		}
@@ -171,7 +178,10 @@ func (row stepRow) run(t *testing.T) {
 	}
 	me := self.Addr
 	e, _ := r.start(self, members)
-	f := &stepFixture{me: me, config: e.view.ConfigurationID(), members: e.addrs, subjects: e.subjects, voters: e.voters}
+	f := &stepFixture{me: me, k: r.settings.K, config: e.view.ConfigurationID(), members: e.addrs, subjects: e.subjects, voters: e.voters}
+	if row.paper && e.relays() && len(f.subjects) <= voteRings {
+		t.Fatalf("%d distinct ring subjects: the row cannot tell the vote rings from all rings", len(f.subjects))
+	}
 	f.gen, _ = e.probes.Tick()
 	f.next = view.NewWithMembers(r.settings.K, append(slices.Clone(members), newcomer)).ConfigurationID()
 	for _, a := range e.voters {
@@ -255,8 +265,9 @@ func voterCount(bitmap []byte) int {
 
 // TestOwnVoteIsPushedToRingSubjectsOnce: above the one-hop limit a member's
 // vote leaves on the next flush, as a bitmap with its own bit, for exactly its
-// ring subjects; a member it taught pushes on to its own subjects; and an
-// aggregate that teaches nothing causes no push at all.
+// ring subjects (at K = 3 every ring is a vote ring); a member it taught
+// pushes on to its own subjects; and an aggregate that teaches nothing causes
+// no push at all.
 func TestOwnVoteIsPushedToRingSubjectsOnce(t *testing.T) {
 	runStepRows(t,
 		stepRow{name: "the voter", n: 16, me: 5, size: 16, turns: []stepTurn{
@@ -290,6 +301,46 @@ func TestDecidingAggregateIsRelayedBeforeInstall(t *testing.T) {
 		}},
 		stepRow{name: "the second aggregate decides", n: 16, me: 2, installs: 1, size: 17, turns: []stepTurn{
 			{in: votes(append([]agg{{proposal: 98, from: 0, count: 1}, {proposal: 99, from: 1, count: 13}}, rest...)...), sends: []wantSend{pushTo(ring, 1, 13)}},
+			{},
+		}},
+	)
+}
+
+// TestVotesTakeFourRingsAndTheDecisionAllK: at the paper's K = 10 and 48
+// members, above the one-hop limit of 40, a member's own vote, a relay of what
+// it learned and the reinforcement tick's push of a vote not yet pushed go to
+// its first four distinct ring subjects only; the step that decides pushes the
+// deciding aggregate (37 of 48, the fast quorum) to all its distinct subjects
+// of the configuration it leaves. At 40 members a vote still goes to every
+// other member in one hop, and a decision taught by a peer pushes nothing.
+func TestVotesTakeFourRingsAndTheDecisionAllK(t *testing.T) {
+	runStepRows(t,
+		stepRow{name: "the voter", n: 48, me: 5, paper: true, size: 48, turns: []stepTurn{
+			{in: cut},
+			{sends: []wantSend{pushTo(voteRing, 1)}},
+			{},
+		}},
+		stepRow{name: "a relay", n: 48, me: 7, paper: true, size: 48, turns: []stepTurn{
+			{in: votes(agg{proposal: 99, from: 5, count: 1})},
+			{sends: []wantSend{pushTo(voteRing, 1)}},
+		}},
+		stepRow{name: "the reinforcement tick", n: 48, me: 5, paper: true, size: 48, turns: []stepTurn{
+			{in: cut},
+			{in: reinforceTick, sends: []wantSend{pushTo(voteRing, 1)}},
+			{}, // pushed already: the flush tick has nothing to send
+		}},
+		stepRow{name: "the deciding step", n: 48, me: 2, paper: true, installs: 1, size: 49, turns: []stepTurn{
+			{in: votes(agg{proposal: 99, from: 5, count: 1})},
+			{sends: []wantSend{pushTo(voteRing, 1)}},
+			{in: votes(agg{proposal: 99, from: 0, count: 37}), sends: []wantSend{pushTo(ring, 37)}},
+			{},
+		}},
+		stepRow{name: "one hop at 4K", n: 40, me: 5, paper: true, size: 40, turns: []stepTurn{
+			{in: cut},
+			{sends: []wantSend{pushTo(peers, 1)}},
+		}},
+		stepRow{name: "a decision in one hop", n: 40, me: 6, paper: true, installs: 1, size: 41, turns: []stepTurn{
+			{in: votes(agg{proposal: 99, from: 0, count: 31})}, // the fast quorum of 40
 			{},
 		}},
 	)

@@ -1,8 +1,10 @@
 // Package docscheck keeps the documentation honest: it fails when README.md
 // or anything under docs/ references a command-line flag that the cmd/
-// binaries no longer define. The flag sets are recovered from the AST of each
-// cmd/<name>/main.go (calls to flag.String, flag.Int, ...), so the check
-// needs no build tags, no binary execution, and stays correct as flags move.
+// binaries no longer define, or a qualified Go identifier that the module no
+// longer declares (identifiers_test.go). The flag sets are recovered from the
+// AST of each cmd/<name>/main.go (calls to flag.String, flag.Int, ...) and the
+// declarations from the module's source, so the checks need no build tags,
+// no binary execution, and stay correct as flags and names move.
 package docscheck
 
 import (

@@ -9,8 +9,9 @@
 // Votes are counted the way the paper counts them: per distinct proposal the
 // instance keeps a bitmap of the voters it knows of (bit i = member i of the
 // sorted membership) and ORs in every aggregate it is handed (Merge). The
-// membership service pushes the bitmaps (Aggregates) along its K rings
-// instead of having every member send its vote to every member. A proposal is
+// membership service pushes the bitmaps (Aggregates) along four of its K
+// rings, and the aggregate that decides along all K, instead of having every
+// member send its vote to every member. A proposal is
 // identified by an order-independent 128-bit fingerprint of its endpoints,
 // computed once per aggregate, never per voter; a Rapid-C ensemble is the same
 // engine with the ensemble as its electorate, and votes with bitmaps too. A
@@ -46,7 +47,7 @@ type Config struct {
 	// VoteSink, when non-nil, receives this process' fast-round vote instead
 	// of it being broadcast: the vote then carries a voter bitmap with the one
 	// bit MyIndex set. The membership service merges it and pushes what
-	// Aggregates returns along its K rings; the recovery path always uses
+	// Aggregates returns along its rings; the recovery path always uses
 	// Broadcaster directly.
 	VoteSink func(*remoting.FastRoundPhase2b)
 	// OnDecide is invoked exactly once with the decided proposal.

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/simclock"
 )
 
 // LatencyModel assigns a one-way propagation delay to a (src, dst) link.
@@ -382,14 +383,30 @@ func (q *delayQueue) close() {
 // delayPump drains one shard's delay heap: ready events move to the shard's
 // ordinary delivery queue (preserving heap order), future events are waited
 // out on the network clock, and a notify wake re-evaluates the head whenever
-// a new (possibly earlier) event arrives. Once the wait is armed the clock is
-// read again: a manual clock advanced past the head's deadline between the
-// first read and the arming has set the waiter a full wait beyond the
-// advanced time, and without the second look nothing would wake the pump for
-// the head.
+// a new (possibly earlier) event arrives. The wait is one re-armable timer per
+// pump, stopped and drained before every re-arm and before the pump idles, so
+// a burst of pushes leaves one armed deadline, not one per wake. Once the
+// timer is armed the clock is read again: a manual clock advanced past the
+// head's deadline between the first read and the arming has set the timer a
+// full wait beyond the advanced time, and without the second look nothing
+// would wake the pump for the head.
 func (n *Network) delayPump(s *shard) {
 	defer n.workers.Done()
 	q := &s.delayed
+	var wake simclock.Timer
+	// disarm stops the timer and drops a firing already delivered, which the
+	// Timer contract requires before Reset (pre-Go 1.23 timer channels).
+	disarm := func() {
+		if wake == nil {
+			return
+		}
+		wake.Stop()
+		select {
+		case <-wake.C():
+		default:
+		}
+	}
+	defer disarm()
 	for {
 		q.mu.Lock()
 		if q.closed {
@@ -398,6 +415,7 @@ func (n *Network) delayPump(s *shard) {
 		}
 		if len(q.items) == 0 {
 			q.mu.Unlock()
+			disarm()
 			<-q.notify
 			continue
 		}
@@ -410,13 +428,18 @@ func (n *Network) delayPump(s *shard) {
 		}
 		due := q.items[0].due
 		q.mu.Unlock()
-		wake := n.clock.After(due.Sub(now))
+		if wake == nil {
+			wake = n.clock.Timer(due.Sub(now))
+		} else {
+			disarm()
+			wake.Reset(due.Sub(now))
+		}
 		if !due.After(n.clock.Now()) {
 			continue
 		}
 		select {
 		case <-q.notify:
-		case <-wake:
+		case <-wake.C():
 		}
 	}
 }

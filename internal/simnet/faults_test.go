@@ -101,6 +101,32 @@ func TestSlowNodeTimesOutBoundedRPCs(t *testing.T) {
 	}
 }
 
+// TestDelayPumpArmsOneDeadline: a burst of sends through a delay rule wakes
+// the shard's delay pump once per push while the heap head is not yet due.
+// Each wake re-arms the pump's one timer, so the burst leaves a single armed
+// deadline on the clock, not one per wake, and advancing past it delivers
+// the whole burst and leaves nothing armed.
+func TestDelayPumpArmsOneDeadline(t *testing.T) {
+	const sends = 2000
+	clk := simclock.NewManual(time.Unix(0, 0))
+	n := New(Options{Seed: 1, Clock: clk})
+	defer n.Close()
+	h := &echoHandler{}
+	n.Register("b:1", h)
+	n.SetNodeDelay("b:1", time.Second)
+	c := n.Client("a:1")
+	for range sends {
+		c.SendBestEffort("b:1", &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: "a:1"}})
+	}
+	time.Sleep(50 * time.Millisecond) // let the pump take its last wake
+	if got := clk.PendingWaiters(); got != 1 {
+		t.Fatalf("%d waiters pending after %d delayed sends, want the pump's one deadline", got, sends)
+	}
+	clk.Advance(time.Second)
+	waitFor(t, func() bool { return h.alertCount() == sends }, "the delayed burst delivered")
+	waitFor(t, func() bool { return clk.PendingWaiters() == 0 }, "the pump idle with nothing armed")
+}
+
 // TestLateWakeUpInsideTheDeadlineIsNoTimeout: a round trip that fits the
 // caller's deadline succeeds even when the sleeper wakes only after the
 // deadline has passed, as a loaded host or timer slack makes it. A manual
