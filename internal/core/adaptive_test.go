@@ -49,9 +49,9 @@ func TestWindowControllerGrowsAndShrinks(t *testing.T) {
 }
 
 // TestAdaptiveWindowOnManualClock drives a live engine loop with a manual
-// clock: idle flush ticks must collapse the window from its starting value to
-// the floor, where the flush timer stops; a synthetic alert storm must arm it
-// again and grow the window to the ceiling; and when the storm ends the
+// clock: idle flushes must collapse the window from its starting value to
+// the floor, where the driver's timer stops; a synthetic alert storm must arm
+// it again and grow the window to the ceiling; and when the storm ends the
 // window must decay and the timer stop once more.
 func TestAdaptiveWindowOnManualClock(t *testing.T) {
 	clk := simclock.NewManual(time.Unix(0, 0))
@@ -69,10 +69,9 @@ func TestAdaptiveWindowOnManualClock(t *testing.T) {
 		c.Stop()
 	}()
 
-	// A lone seed monitors nobody and its probe scheduler arms no timer, so the
-	// clock holds the engine's reinforcement ticker and, while it is armed, its
-	// flush timer.
-	const quiet, armed = 1, 2
+	// A lone seed monitors nobody and holds nothing in flux, so the clock holds
+	// the driver's timer while a flush is armed, and nothing otherwise.
+	const quiet, armed = 0, 1
 	waiters := func(n int, when string) {
 		t.Helper()
 		if !waitUntil(t, 5*time.Second, func() bool { return clk.PendingWaiters() == n }) {

@@ -271,15 +271,16 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 
 // initialize installs the first configuration and starts the engine's
 // driver and the subscriber delivery goroutine. The engine's first outputs
-// are performed, and the timers they ask for armed, here, before the driver
-// exists: the snapshot is there when the constructor returns.
+// are performed, and the driver's timer armed for its first wake, here, before
+// the driver exists: the snapshot is there when the constructor returns.
 func (c *Cluster) initialize(members []node.Endpoint) {
-	e, first := newEngine(c.me, &c.settings, &c.emetrics, members, c.ensemble, c.clock.Now())
+	now := c.clock.Now()
+	e, first := newEngine(c.me, &c.settings, &c.emetrics, members, c.ensemble, now)
 	c.perform(first)
 	c.started.Store(true)
 	close(c.startedCh)
 	c.wg.Add(1)
-	go e.run(c, c.clock.Timer(first.flushIn), c.clock.Timer(first.probeIn))
+	go e.run(c, c.clock.Timer(first.wakeAt.Sub(now)), first.wakeAt)
 	go c.notifier.run()
 }
 

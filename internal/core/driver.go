@@ -12,20 +12,16 @@ import (
 
 // run is the live driver of the state machine in engine.go: the one
 // goroutine that steps the engine, and, with join below, the only code in this
-// package that sends, arms the member's timers, blocks on the transport or
-// publishes to subscribers. It turns the inbound queue, the flush and probe timers and the
-// reinforcement ticker into step and tick calls, stamps each with the clock,
-// and performs what comes back. A probe timer armed with zero, a lone
-// member's, fires at once and is ignored.
-func (e *engine) run(c *Cluster, flush, probe simclock.Timer) {
+// package that sends, arms the member's timer, blocks on the transport or
+// publishes to subscribers. It turns the inbound queue into step calls and its
+// one timer into wake calls, stamps each with the clock, and performs what
+// comes back. armed is the deadline the timer is set for, zero once it fired
+// or while the engine holds none. Whenever wakeAt differs, the timer is
+// stopped and drained — the pre-Go 1.23 Timer contract before Reset — and set
+// for it. A firing that raced a re-arm wakes the engine for nothing.
+func (e *engine) run(c *Cluster, timer simclock.Timer, armed time.Time) {
 	defer c.wg.Done()
-	defer flush.Stop()
-	defer probe.Stop()
-	// The unstable set and the recovery deadline are checked five times per
-	// ReinforcementTimeout (1 s by default), never more often than the
-	// millisecond ScaledSettings floors every duration at.
-	reinforce := c.clock.Ticker(max(c.settings.ReinforcementTimeout/5, time.Millisecond))
-	defer reinforce.Stop()
+	defer timer.Stop()
 	for {
 		var out outputs
 		select {
@@ -34,24 +30,25 @@ func (e *engine) run(c *Cluster, flush, probe simclock.Timer) {
 		case ev := <-c.events:
 			out = e.step(ev, c.clock.Now())
 			c.emetrics.EventsProcessed.Add(1)
-		case <-flush.C():
-			out = e.tick(c.clock.Now(), len(c.events))
-		case <-probe.C():
-			out = e.step(probeEvent, c.clock.Now())
-		case <-reinforce.C():
-			out = e.step(reinforceEvent, c.clock.Now())
+		case <-timer.C():
+			armed = time.Time{}
+			out = e.wake(c.clock.Now(), len(c.events))
 		}
 		c.perform(out)
-		if out.flushIn > 0 {
-			flush.Reset(out.flushIn)
-		}
-		if out.probeIn > 0 {
-			probe.Reset(out.probeIn)
+		if !out.wakeAt.Equal(armed) {
+			timer.Stop()
+			select {
+			case <-timer.C():
+			default:
+			}
+			if armed = out.wakeAt; !armed.IsZero() {
+				timer.Reset(armed.Sub(c.clock.Now()))
+			}
 		}
 	}
 }
 
-// perform does to the world what one step asked for, the timers apart: the
+// perform does to the world what one step or wake asked for, the timer apart: the
 // sends first — a decision push belongs to the configuration being left —
 // then the new configuration, then the answers to the joiners it settled,
 // then the probes and the poll.

@@ -13,17 +13,17 @@ import (
 )
 
 // This file implements the member as a state machine: a deterministic
-// reaction to alerts, probes, votes and ticks (§4.1–§4.3). The engine is pure
-// state — the K-ring view, the probe scheduler, the multi-process cut
+// reaction to alerts, probes, votes and deadlines (§4.1–§4.3). The engine is
+// pure state — the K-ring view, the probe scheduler, the multi-process cut
 // detector, the consensus instance, the pending join waiters, the outbound
-// alert batch — with two ways in and one way out: step applies one event,
-// tick is one firing of the flush timer, and both return outputs, the things
-// to do to the world. The engine holds no transport, no clock, no timer and
-// no handle on the Cluster, so it cannot do any of them itself; run
-// (driver.go) is the goroutine that feeds it events and the time and performs
-// what it returns, probes included. Events are applied one at a time, so no
-// mutex guards protocol state, and the engine's deadlines are fields it checks
-// on its ticks. Transport handlers are thin enqueuers; see handlers.go.
+// alert batch, every deadline — with two ways in and one way out: step applies
+// one event, wake runs the deadlines that are due, and both return outputs,
+// the things to do to the world and when to wake next. The engine holds no
+// transport, no clock, no timer and no handle on the Cluster, so it cannot do
+// any of them itself; run (driver.go) is the goroutine that feeds it events
+// and the time, arms one timer for it and performs what it returns, probes
+// included. Events are applied one at a time, so no mutex guards protocol
+// state. Transport handlers are thin enqueuers; see handlers.go.
 
 // event is the union of everything the engine consumes. It is two words — a
 // member's queue holds eventQueueSize of them — and a struct rather than an
@@ -44,23 +44,16 @@ type control struct {
 	// stopped waiting (its caller's context ended or JoinPhase2Timeout ran
 	// out), so the request must not stay parked.
 	joinGone *joinEvent
-	// probed is what a probe found; probe is a firing of the probe timer.
+	// probed is what a probe found.
 	probed *probeResult
-	probe  bool
-	// reinforce is the reinforcement tick: five per ReinforcementTimeout.
-	reinforce bool
 	// leave asks the engine to announce this process' graceful departure.
 	leave bool
 	// learned is an ensemble node's answer to this member's poll.
 	learned *remoting.GetViewResponse
 }
 
-// The control events that carry nothing are made once.
-var (
-	probeEvent     = event{ctl: &control{probe: true}}
-	reinforceEvent = event{ctl: &control{reinforce: true}}
-	leaveEvent     = event{ctl: &control{leave: true}}
-)
+// leaveEvent carries nothing, so it is made once.
+var leaveEvent = event{ctl: &control{leave: true}}
 
 // probeResult is what the probe of a round's i-th subject found.
 type probeResult struct {
@@ -91,8 +84,8 @@ type joinerKey struct {
 	id   node.ID
 }
 
-// outputs is everything one step or tick asks of the world, in the order the
-// driver performs it.
+// outputs is everything one step or wake asks of the world, in the order the
+// driver performs it, and when the engine must wake next.
 type outputs struct {
 	// sends are best-effort messages. A send's targets are a slice some
 	// configuration owns: nobody writes to it.
@@ -104,16 +97,15 @@ type outputs struct {
 	change  *ViewChange
 	// replies answer join requests, parked ones included.
 	replies []reply
-	// flushIn, when positive, arms the flush timer: tick is due that much
-	// later. Zero leaves the timer as it is — running, or stopped.
-	flushIn time.Duration
-	// probe are the subjects to probe now, probeGen the round's generation,
-	// and probeIn, when positive, arms the probe timer as flushIn does.
+	// probe are the subjects to probe now, and probeGen the round's
+	// generation.
 	probe    []node.Addr
 	probeGen uint64
-	probeIn  time.Duration
 	// poll asks the ensemble for the configuration of the cluster it manages.
 	poll bool
+	// wakeAt is the earliest deadline the engine holds after this step or
+	// wake, zero when it holds none: the driver's one timer fires at it.
+	wakeAt time.Time
 }
 
 // send is one request for a list of members.
@@ -148,9 +140,9 @@ type engine struct {
 	// when the membership votes.
 	ensemble []node.Addr
 
-	// now is the time of the step or tick being applied.
+	// now is the time of the step or wake being applied.
 	now time.Time
-	// out collects the outputs of the step or tick being applied; finish
+	// out collects the outputs of the step or wake being applied; finish
 	// hands them over and starts afresh.
 	out outputs
 
@@ -185,16 +177,20 @@ type engine struct {
 	// whatever an inbound aggregate taught it.
 	votesDirty bool
 	// fallbackAt is the recovery deadline of the current consensus instance:
-	// armed when this process votes, cleared by the next install, and checked
-	// on the reinforcement tick. Zero while unarmed.
+	// armed when this process votes, cleared by the next install. Zero while
+	// unarmed.
 	fallbackAt time.Time
 	// probes judges the edges to subjects, a new generation per install;
 	// probeDue is its next round, zero with nobody to probe.
 	probes   *edgefd.Scheduler
 	probeDue time.Time
-	// pollAt is when a member the ensemble manages next polls it, checked on
-	// the reinforcement tick; zero for everyone else.
+	// pollAt is when a member the ensemble manages next polls it; zero for
+	// everyone else.
 	pollAt time.Time
+	// reinforceDue is the next reinforcement check, a fifth of
+	// ReinforcementTimeout apart while a subject is in flux — the only time it
+	// can do anything — and zero otherwise.
+	reinforceDue time.Time
 
 	alertedEdges map[node.Addr]bool
 	// joinWaiters parks phase-2 join requests made in the current
@@ -212,7 +208,7 @@ type engine struct {
 	earlyJoins []*joinEvent
 	// The state a lone voter gathers a join storm by (see gathering):
 	// joinArrived is set when a joiner reached this process in either phase
-	// since the last tick, unparked holds the joiners a lone voter answered in
+	// since the last flush, unparked holds the joiners a lone voter answered in
 	// phase 1 in the current configuration that have not parked yet, and
 	// stormAt is when the configuration's first joiner parked.
 	joinArrived bool
@@ -236,9 +232,9 @@ type engine struct {
 	// unless a join storm is still under way (see restartWindow).
 	winCtl   windowController
 	arrivals int
-	// flushDue is when the tick on its way is due, zero while none is. finish
-	// asks for one only while there is something to flush or to measure, so a
-	// quiet engine is stepped for nothing but its reinforcement tick.
+	// flushDue is when the next flush is due, zero while none is. finish
+	// arms one only while there is something to flush or to measure, so a
+	// quiet engine wakes for nothing but its probe rounds.
 	flushDue time.Time
 }
 
@@ -248,9 +244,9 @@ type engine struct {
 const maxPastConfigs = 32
 
 // newEngine builds the engine state for the first configuration, installed at
-// now, and returns it with its first outputs: that configuration, its first
-// probe round, and the first flush window — an engine usually boots mid-storm,
-// and if it does not, the first ticks are the window's decay to its floor. A
+// now, and returns it with its first outputs: that configuration, and a wake
+// at the end of the first flush window — an engine usually boots mid-storm,
+// and if it does not, the first flushes are the window's decay to its floor. A
 // nil ensemble makes the membership the electorate. It runs on the caller's
 // goroutine; the driver takes sole ownership afterwards (the goroutine start
 // gives the required happens-before edge).
@@ -277,7 +273,7 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 	}
 	m.BatchWindow.Set(int64(e.winCtl.window))
 	e.install()
-	e.armFlush(e.winCtl.window)
+	e.flushDue = now.Add(e.winCtl.window)
 	return e, e.finish()
 }
 
@@ -285,8 +281,8 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 // view it just obtained or changed — the view hands out its address order: the
 // frozen build's own slices while it shares one, otherwise the only O(N) copy
 // made here — starts a fresh consensus instance and a new probe generation,
-// and puts the configuration and its first probe round, one interval from
-// now, into this step's outputs (none for a member with nobody to probe). A
+// arms its first probe round one interval from now (none for a member with
+// nobody to probe), and puts the configuration into this step's outputs. A
 // member the ensemble manages polls it one poll interval from now.
 func (e *engine) install() {
 	e.members, e.addrs = e.view.Membership()
@@ -320,7 +316,7 @@ func (e *engine) install() {
 	e.probes.Watch(e.subjects)
 	e.probeDue = time.Time{}
 	if len(e.subjects) > 0 {
-		e.probeDue, e.out.probeIn = e.now.Add(e.probeInterval), e.probeInterval
+		e.probeDue = e.now.Add(e.probeInterval)
 	}
 	e.pollAt = time.Time{}
 	if e.ensemble != nil && e.myIndex < 0 {
@@ -348,10 +344,6 @@ func (e *engine) step(ev event, now time.Time) outputs {
 		if r := c.probed; e.probes.Outcome(r.gen, r.i, r.ok, e.now) {
 			e.handleSubjectFailed(e.subjects[r.i])
 		}
-	case c.probe:
-		e.probeRound()
-	case c.reinforce:
-		e.reinforce()
 	case c.leave:
 		// A graceful leave goes to the electorate: the leaver's observers, or
 		// the ensemble that speaks for them, file REMOVE alerts at once.
@@ -362,42 +354,64 @@ func (e *engine) step(ev event, now time.Time) outputs {
 	return e.finish()
 }
 
-// probeRound is one firing of the probe timer: the round's subjects go into
-// the outputs, and the next round is armed on the beat of this one's deadline,
-// however late it fired. A firing before the round is due — an install re-armed
-// a timer that had fired — probes nothing and re-arms for the rest.
-func (e *engine) probeRound() {
-	if e.probeDue.IsZero() {
-		return
+// wake runs, at the given time and with the given number of events waiting in
+// the inbound queue, whatever of the engine's deadlines is due, in a fixed
+// order: the flush; the probe round, the next one armed on the beat of this
+// one's deadline however late it ran; the reinforcement check (§4.2,
+// liveness), which echoes REMOVE alerts for subjects stuck in the unstable
+// report region longer than ReinforcementTimeout and re-runs the
+// implicit-alert scan that handleAlerts skips for join/vote-only batches; the
+// classical recovery round, again every ConsensusFallbackBase while the
+// instance stays undecided, each time with a higher rank; the poll. A deadline
+// that is not due yet does nothing, so a wake that finds nothing due changes
+// nothing.
+func (e *engine) wake(now time.Time, queueDepth int) outputs {
+	e.now = now
+	if e.due(e.flushDue) {
+		e.flush(queueDepth)
 	}
-	if !e.now.Before(e.probeDue) {
-		e.probeDue = e.now.Add(e.probeInterval - e.now.Sub(e.probeDue)%e.probeInterval)
+	if e.due(e.probeDue) {
+		e.probeDue = now.Add(e.probeInterval - now.Sub(e.probeDue)%e.probeInterval)
 		e.out.probeGen, e.out.probe = e.probes.Tick()
 	}
-	e.out.probeIn = e.probeDue.Sub(e.now)
+	if e.due(e.reinforceDue) {
+		e.reinforceDue = time.Time{}
+		for _, subject := range e.cd.UnstableLongerThan(now, e.reinforcementTimeout) {
+			e.handleSubjectFailed(subject)
+		}
+		e.propose(e.cd.InvalidateFailingEdges(e.view, now))
+	}
+	if e.due(e.fallbackAt) {
+		e.fallbackAt = now.Add(e.fallbackBase)
+		e.consensus.StartClassicalRound()
+	}
+	if e.due(e.pollAt) {
+		e.pollAt, e.out.poll = now.Add(e.pollInterval), true
+	}
+	return e.finish()
 }
 
-// tick is one firing of the flush timer: it sends what the window gathered
-// and lets the controller size the next window from the depth of the inbound
-// queue and the batches dispatched during this one — unless a lone voter is
-// gathering a join storm, when it holds everything for one more window of the
-// same length.
-func (e *engine) tick(now time.Time, queueDepth int) outputs {
-	e.now = now
+// due reports whether a deadline is armed and has come.
+func (e *engine) due(at time.Time) bool { return !at.IsZero() && !e.now.Before(at) }
+
+// flush sends what the window gathered and lets the controller size the next
+// window from the depth of the inbound queue and the batches dispatched during
+// this one — unless a lone voter is gathering a join storm, when it holds
+// everything for one more window of the same length.
+func (e *engine) flush(queueDepth int) {
 	e.flushDue = time.Time{}
 	gathering := e.gathering(queueDepth)
 	e.joinArrived = false
 	if gathering {
-		return e.finish()
+		return
 	}
 	e.flushOutbox()
 	next := e.winCtl.retune(queueDepth, eventQueueSize, e.arrivals)
 	e.arrivals = 0
 	e.metrics.BatchWindow.Set(int64(next))
-	return e.finish()
 }
 
-// gathering reports whether a lone voter holds its JOIN alerts on this tick,
+// gathering reports whether a lone voter holds its JOIN alerts on this flush,
 // given how many events wait in its inbound queue. Its vote alone decides the
 // cut they lead to, and every joiner the cut leaves out runs both join phases
 // again and is voted in by the members it admitted, so it waits for the whole
@@ -406,9 +420,9 @@ func (e *engine) tick(now time.Time, queueDepth int) outputs {
 // holds while any of these says the storm is still arriving:
 //
 //   - a joiner it answered in phase 1 has not parked yet;
-//   - events are queued that this tick has not seen, joins among them;
+//   - events are queued that this flush has not seen, joins among them;
 //   - 4K joiners are parked and one reached it, in either phase, since the
-//     last tick: above 4K the next wave's votes would be relayed along the
+//     last flush: above 4K the next wave's votes would be relayed along the
 //     rings, so only a quiet window ends the wait, while a smaller storm that
 //     has all parked is cut at once.
 func (e *engine) gathering(queueDepth int) bool {
@@ -417,20 +431,21 @@ func (e *engine) gathering(queueDepth int) bool {
 		(len(e.unparked) > 0 || queueDepth > 0 || e.joinArrived && len(e.joinWaiters) >= e.oneHop)
 }
 
-// finish ends a step or tick. A cut the consensus instance decided during it
+// finish ends a step or wake. A cut the consensus instance decided during it
 // is applied here, exactly once and with no consensus call on the stack.
-// Then, if no tick is on its way and one has work to do, it asks for one, with
-// the window the controller last chose:
+// Then, if no flush is armed and one has work to do, it arms one, with the
+// window the controller last chose:
 //
 //   - output is pending — buffered alerts, or votes not pushed yet;
 //   - or a batch was dispatched since the last flush, which the controller
 //     must see at the end of this window to size the next one;
 //   - or the window is still above its floor and has to decay there, one
-//     halving per quiet tick, within the configuration that grew it.
+//     halving per quiet flush, within the configuration that grew it.
 //
-// Otherwise the timer stays stopped. Every step and tick ends here, so the
-// first alert after a quiet spell leaves exactly one floor window after it
-// was raised.
+// Every step and wake ends here, so the first alert after a quiet spell
+// leaves exactly one floor window after it was raised. The reinforcement
+// check is armed a period ahead while a subject is in flux and disarmed once
+// none is, and the outputs carry the earliest deadline left.
 func (e *engine) finish() outputs {
 	if e.decided != nil {
 		cut := e.decided
@@ -439,26 +454,37 @@ func (e *engine) finish() outputs {
 	}
 	if e.flushDue.IsZero() && (len(e.pendingAlerts) > 0 || e.votesDirty ||
 		e.arrivals > 0 || e.winCtl.window > e.winCtl.floor) {
-		e.armFlush(e.winCtl.window)
+		e.flushDue = e.now.Add(e.winCtl.window)
 	}
+	if !e.cd.InFlux() {
+		e.reinforceDue = time.Time{}
+	} else if e.reinforceDue.IsZero() {
+		e.reinforceDue = e.now.Add(e.reinforcementTimeout / 5)
+	}
+	e.out.wakeAt = e.wakeAt()
 	out := e.out
 	e.out = outputs{}
 	return out
 }
 
-// armFlush asks for a tick d from now.
-func (e *engine) armFlush(d time.Duration) {
-	e.flushDue, e.out.flushIn = e.now.Add(d), d
+// wakeAt is the earliest deadline the engine holds, zero when it holds none.
+func (e *engine) wakeAt() time.Time {
+	var next time.Time
+	for _, at := range [...]time.Time{e.flushDue, e.probeDue, e.reinforceDue, e.fallbackAt, e.pollAt} {
+		if !at.IsZero() && (next.IsZero() || at.Before(next)) {
+			next = at
+		}
+	}
+	return next
 }
 
 // restartWindow starts the flush window of a configuration just installed at
-// the floor, and brings a tick due later than one floor window in to it — the
-// one case in which the engine re-arms a running flush timer.
+// the floor, and brings a flush due later than one floor window in to it.
 func (e *engine) restartWindow() {
 	e.winCtl.window = e.winCtl.floor
 	e.metrics.BatchWindow.Set(int64(e.winCtl.window))
-	if e.flushDue.After(e.now.Add(e.winCtl.window)) {
-		e.armFlush(e.winCtl.window)
+	if due := e.now.Add(e.winCtl.window); e.flushDue.After(due) {
+		e.flushDue = due
 	}
 }
 
@@ -641,7 +667,7 @@ func (e *engine) handleAlerts(batch *remoting.BatchedAlertMessage) {
 	// entered suspect, unstable or stable since the last one — the only
 	// transitions that give it a pair it has not applied — so the batches of
 	// a crash round after the first do not pay it either. The reinforcement
-	// tick asks for the scan as a backstop.
+	// check asks for the scan as a backstop.
 	if downApplied {
 		proposal = append(proposal, e.cd.InvalidateFailingEdges(e.view, e.now)...)
 	}
@@ -698,32 +724,6 @@ func (e *engine) ringsOf(subject node.Addr) []int {
 		rings[i] = i
 	}
 	return rings
-}
-
-// reinforce echoes REMOVE alerts for subjects stuck in the unstable report
-// region longer than ReinforcementTimeout (§4.2, liveness), re-runs the
-// implicit-alert scan that handleAlerts skips for join/vote-only batches, and
-// starts a classical recovery round when the consensus instance this process
-// voted in is past its deadline — again every ConsensusFallbackBase for as
-// long as it stays undecided, each time with a higher rank. Votes not pushed
-// yet go out on this tick too, so they never wait on a flush window that was
-// configured longer than it. A member the ensemble manages polls it here when
-// its poll is due.
-func (e *engine) reinforce() {
-	if e.votesDirty {
-		e.pushVotes(e.voteTargets)
-	}
-	for _, subject := range e.cd.UnstableLongerThan(e.now, e.reinforcementTimeout) {
-		e.handleSubjectFailed(subject)
-	}
-	e.propose(e.cd.InvalidateFailingEdges(e.view, e.now))
-	if !e.fallbackAt.IsZero() && !e.now.Before(e.fallbackAt) {
-		e.fallbackAt = e.now.Add(e.fallbackBase)
-		e.consensus.StartClassicalRound()
-	}
-	if !e.pollAt.IsZero() && !e.now.Before(e.pollAt) {
-		e.pollAt, e.out.poll = e.now.Add(e.pollInterval), true
-	}
 }
 
 // learn files a configuration an ensemble node answered a poll with as this
@@ -890,8 +890,8 @@ func (e *engine) forgetJoin(ev *joinEvent) {
 // applyDecision installs the configuration the agreed multi-process cut
 // leads to: finish calls it once per decided instance. It resets the
 // per-configuration protocol state, the flush window included, answers the
-// joiners that were waiting on this view change, and leaves the new snapshot,
-// the first probe round's timer and the subscribers' notification in this
+// joiners that were waiting on this view change, arms the first probe round,
+// and leaves the new snapshot and the subscribers' notification in this
 // step's outputs.
 func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// The decision push. This process is about to drop the instance that just

@@ -24,10 +24,10 @@ func (r *engineRig) p1aRanks(at node.Addr) []remoting.Rank {
 }
 
 // TestRecoveryDeadlineIsEngineOwned drives the consensus recovery deadline by
-// hand: it is armed when this process votes, fires on the first reinforcement
-// tick at or after base + jitter, fires again every base while the instance
-// stays undecided — each time with a higher rank, or the retry would send
-// nothing — and is gone once the instance decides.
+// hand, waking the engine at every deadline it holds: it is armed when this
+// process votes, fires at exactly base + jitter, again at exactly every base
+// while the instance stays undecided — each time with a higher rank, or the
+// retry would send nothing — and is gone once the instance decides.
 func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	r := newEngineRig(t)
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
@@ -42,10 +42,9 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	delay := base + myIndex*base/8
 	cut := cutAlerts(e.view.ConfigurationID(), r.settings.K, endpoint(9))
 
-	// tick moves the clock and runs one reinforcement tick.
+	// tick moves the clock on, waking the engine at every deadline on the way.
 	tick := func(advance time.Duration) []remoting.Rank {
-		r.clk.Advance(advance)
-		r.step(e.me.Addr, reinforceEvent)
+		r.wakeUntil(e, r.clk.Now().Add(advance))
 		return r.p1aRanks(addr(0))
 	}
 	if got := tick(10 * base); len(got) != 0 {
@@ -53,16 +52,16 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	}
 
 	r.step(e.me.Addr, event{req: cut})
-	if got := tick(delay - time.Millisecond); len(got) != 0 {
+	if got := tick(delay - time.Nanosecond); len(got) != 0 {
 		t.Fatalf("recovery round %v started before base + jitter", got)
 	}
 	for round := uint64(2); round <= 4; round++ {
-		got := tick(time.Millisecond)
+		got := tick(time.Nanosecond)
 		want := remoting.Rank{Round: round, NodeIndex: myIndex + 2}
 		if len(got) != 1 || got[0] != want {
 			t.Fatalf("the deadline started rounds %v, want one of rank %v", got, want)
 		}
-		if got := tick(base - time.Millisecond); len(got) != 0 {
+		if got := tick(base - time.Nanosecond); len(got) != 0 {
 			t.Fatalf("recovery round %v restarted before another base passed", got)
 		}
 	}
@@ -81,6 +80,36 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	}
 	if got := tick(10 * base); len(got) != 0 {
 		t.Fatalf("recovery round %v started for a decided instance", got)
+	}
+}
+
+// TestPollIsEngineOwned: a member of a cluster an ensemble manages polls it at
+// exactly every poll interval from its install, and at no other time.
+func TestPollIsEngineOwned(t *testing.T) {
+	r := newEngineRig(t)
+	r.ensemble = []node.Addr{"ensemble-0:1", "ensemble-1:1", "ensemble-2:1"}
+	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
+	e, first := r.start(members[1], members)
+	start, interval := r.clk.Now(), r.settings.pollInterval()
+	polls := func(outs []outputs) int {
+		n := 0
+		for _, out := range outs {
+			if out.poll {
+				n++
+			}
+		}
+		return n
+	}
+	if first.poll {
+		t.Fatal("the member polled at its install")
+	}
+	for n := time.Duration(1); n <= 3; n++ {
+		if got := polls(r.wakeUntil(e, start.Add(n*interval-time.Nanosecond))); got != 0 {
+			t.Fatalf("%d polls before the one due %v after the install", got, n*interval)
+		}
+		if got := polls(r.wakeUntil(e, start.Add(n*interval))); got != 1 {
+			t.Fatalf("%d polls at %v after the install, want one", got, n*interval)
+		}
 	}
 }
 
@@ -177,226 +206,249 @@ func decayTicks(w windowController) int {
 	return ticks
 }
 
-// flushTimer plays the driver's flush timer for one engine by hand: a step's
-// flushIn arms it, and fire moves the rig's clock to the tick's due time and
-// runs the tick. An engine never arms a timer that is running, with one
-// exception: an install that shortens the window may bring a tick due later
-// in.
-type flushTimer struct {
-	t   *testing.T
-	r   *engineRig
-	e   *engine
-	due time.Time // zero while the timer is stopped
+// driverTimer plays the driver's one timer for one engine by hand: fire moves
+// the rig's clock to the flush deadline and wakes the engine there, running
+// whatever else is due by then as well. Every step and wake is checked against
+// the flush deadline last seen: the engine never moves a pending flush, with
+// one exception — an install that shortens the window may bring a later flush
+// in — and its next wake is never after its flush.
+type driverTimer struct {
+	t     *testing.T
+	r     *engineRig
+	e     *engine
+	flush time.Time // the flush deadline last seen; zero while none is armed
 }
 
-func (f *flushTimer) arm(out outputs) outputs {
-	f.t.Helper()
-	if out.flushIn > 0 {
-		at := f.r.clk.Now().Add(out.flushIn)
-		if !f.due.IsZero() && (out.publish == nil || !at.Before(f.due)) {
-			f.t.Fatalf("flushIn %v while a tick was already %v away", out.flushIn, f.due.Sub(f.r.clk.Now()))
-		}
-		f.due = at
+// check holds one step's or wake's outputs to that rule; fired says the
+// pending flush ran.
+func (d *driverTimer) check(out outputs, fired bool) outputs {
+	d.t.Helper()
+	due := d.e.flushDue
+	if !fired && !d.flush.IsZero() && !due.Equal(d.flush) && (out.publish == nil || !due.Before(d.flush)) {
+		d.t.Fatalf("the flush due in %v moved to %v", d.flush.Sub(d.r.clk.Now()), due.Sub(d.r.clk.Now()))
 	}
+	if !due.IsZero() && out.wakeAt.After(due) {
+		d.t.Fatalf("the next wake is %v after the flush", out.wakeAt.Sub(due))
+	}
+	d.flush = due
 	return out
 }
 
-// step applies one event to the engine and arms the timer as it asks.
-func (f *flushTimer) step(ev event) outputs {
-	f.t.Helper()
-	return f.arm(f.r.step(f.e.me.Addr, ev))
+// step applies one event to the engine.
+func (d *driverTimer) step(ev event) outputs {
+	d.t.Helper()
+	return d.check(d.r.step(d.e.me.Addr, ev), false)
 }
 
-// fire runs the tick at its due time.
-func (f *flushTimer) fire() outputs {
-	f.t.Helper()
-	if f.due.IsZero() {
-		f.t.Fatal("tick on a stopped timer")
+// fire wakes the engine at its flush deadline.
+func (d *driverTimer) fire() outputs {
+	d.t.Helper()
+	if d.flush.IsZero() {
+		d.t.Fatal("a flush with none armed")
 	}
-	f.r.clk.Advance(f.due.Sub(f.r.clk.Now()))
-	f.due = time.Time{}
-	return f.arm(f.r.file(f.e.tick(f.r.clk.Now(), 0)))
+	d.r.clk.Advance(d.flush.Sub(d.r.clk.Now()))
+	return d.check(d.r.file(d.e.wake(d.r.clk.Now(), 0)), true)
 }
 
-// armed checks that the tick is want away, or that the timer is stopped if
-// want is zero, and that the engine agrees.
-func (f *flushTimer) armed(want time.Duration, when string) {
-	f.t.Helper()
+// armed checks that the flush is want away, or that none is armed if want is
+// zero.
+func (d *driverTimer) armed(want time.Duration, when string) {
+	d.t.Helper()
 	var in time.Duration
-	if !f.due.IsZero() {
-		in = f.due.Sub(f.r.clk.Now())
+	if !d.flush.IsZero() {
+		in = d.flush.Sub(d.r.clk.Now())
 	}
-	if in != want || !f.e.flushDue.Equal(f.due) {
-		f.t.Fatalf("%s: the tick is %v away, the engine expects it at %v; want %v", when, in, f.e.flushDue, want)
+	if in != want || !d.e.flushDue.Equal(d.flush) {
+		d.t.Fatalf("%s: the flush is %v away, the engine expects it at %v; want %v", when, in, d.e.flushDue, want)
 	}
 }
 
-// settle runs quiet ticks until the timer stops and returns how many ran.
-func (f *flushTimer) settle() int {
-	f.t.Helper()
-	ticks := 0
-	for !f.due.IsZero() {
-		if in, want := f.due.Sub(f.r.clk.Now()), f.e.winCtl.window; in != want {
-			f.t.Fatalf("the tick is %v away, the controller's window is %v", in, want)
+// settle runs quiet flushes until none is armed and returns how many ran.
+func (d *driverTimer) settle() int {
+	d.t.Helper()
+	flushes := 0
+	for !d.flush.IsZero() {
+		if in, want := d.flush.Sub(d.r.clk.Now()), d.e.winCtl.window; in != want {
+			d.t.Fatalf("the flush is %v away, the controller's window is %v", in, want)
 		}
-		f.fire()
-		if ticks++; ticks > 64 {
-			f.t.Fatal("the flush timer never stopped on a quiet engine")
+		d.fire()
+		if flushes++; flushes > 64 {
+			d.t.Fatal("a quiet engine never stopped flushing")
 		}
 	}
-	return ticks
+	return flushes
 }
 
-// growToCeiling bursts arrivals at the engine: arrivals alone arm the timer
+// growToCeiling bursts arrivals at the engine: arrivals alone arm a flush
 // (the controller must see them), every busy window doubles the next, and the
 // ceiling holds.
-func (f *flushTimer) growToCeiling() {
-	f.t.Helper()
-	ceiling := f.r.settings.windowCeiling()
-	for want := min(2*f.e.winCtl.window, ceiling); ; want = min(2*want, ceiling) {
-		before := f.e.winCtl.window
+func (d *driverTimer) growToCeiling() {
+	d.t.Helper()
+	ceiling := d.r.settings.windowCeiling()
+	for want := min(2*d.e.winCtl.window, ceiling); ; want = min(2*want, ceiling) {
+		before := d.e.winCtl.window
 		for i := 0; i < 2*growArrivals; i++ {
-			f.step(event{req: alertBatch(f.e.view.ConfigurationID(), uint64(i))})
+			d.step(event{req: alertBatch(d.e.view.ConfigurationID(), uint64(i))})
 		}
-		f.armed(before, "during a burst")
-		if f.fire(); f.e.winCtl.window != want {
-			f.t.Fatalf("a busy window was followed by one of %v, want %v", f.e.winCtl.window, want)
+		d.armed(before, "during a burst")
+		if d.fire(); d.e.winCtl.window != want {
+			d.t.Fatalf("a busy window was followed by one of %v, want %v", d.e.winCtl.window, want)
 		}
-		f.armed(want, "above the floor after a busy window")
+		d.armed(want, "above the floor after a busy window")
 		if want == ceiling {
 			return
 		}
 	}
 }
 
-// TestFlushTimerIsArmedOnDemand plays the driver's flush timer by hand. A
-// quiet engine asks for no tick; an alert asks for one exactly one floor
-// window later and leaves on it, not before; unpushed votes ask for one too;
-// a burst of arrivals keeps the timer armed and grows the window, which then
-// decays to the floor in as many ticks as the controller alone needs, and
-// stops. The regression this guards is re-arming unconditionally.
+// TestFlushTimerIsArmedOnDemand plays the driver's timer by hand. A quiet
+// engine holds no flush: it wakes for its probe rounds and at no other time,
+// and a wake with nothing due changes nothing. An alert arms a flush exactly
+// one floor window later and leaves on it, not before; unpushed votes arm one
+// too; a burst of arrivals keeps flushes armed and grows the window, which
+// then decays to the floor in as many flushes as the controller alone needs,
+// and the flushes stop. The regression this guards is re-arming
+// unconditionally.
 func TestFlushTimerIsArmedOnDemand(t *testing.T) {
 	r := newEngineRig(t)
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
 	e, first := r.start(members[0], members)
-	f := &flushTimer{t: t, r: r, e: e}
+	d := &driverTimer{t: t, r: r, e: e}
 	floor, ceiling := r.settings.windowFloor(), r.settings.windowCeiling()
 
-	// Born armed, at a quarter of the ceiling; quiet ticks halve the window
-	// to the floor and then the timer stops.
-	f.arm(first)
-	f.armed(ceiling/4, "at birth")
-	if want, got := decayTicks(e.winCtl), f.settle(); got != want {
-		t.Fatalf("the first window decayed to the floor in %d ticks, the controller needs %d", got, want)
+	// Born with a flush armed, at a quarter of the ceiling; quiet flushes
+	// halve the window to the floor and then stop.
+	d.check(first, false)
+	d.armed(ceiling/4, "at birth")
+	if want, got := decayTicks(e.winCtl), d.settle(); got != want {
+		t.Fatalf("the first window decayed to the floor in %d flushes, the controller needs %d", got, want)
 	}
 	if e.winCtl.window != floor {
 		t.Fatalf("window settled at %v, want the floor %v", e.winCtl.window, floor)
 	}
-	f.armed(0, "after the decay")
-	r.clk.Advance(time.Minute)
-	if out := f.step(reinforceEvent); len(out.sends) != 0 {
-		t.Fatalf("a quiet engine's reinforcement tick sent %v", out.sends)
+	d.armed(0, "after the decay")
+	if next := e.wakeAt(); !next.Equal(e.probeDue) {
+		t.Fatalf("a quiet engine wakes %v from now, its probe round is due in %v", next.Sub(r.clk.Now()), e.probeDue.Sub(r.clk.Now()))
 	}
-	f.armed(0, "after a quiet minute")
+	nothingDue := func(when string) {
+		t.Helper()
+		before := e.wakeAt()
+		if out := d.check(r.file(e.wake(r.clk.Now(), 0)), false); len(out.sends) != 0 || len(out.probe) != 0 || !out.wakeAt.Equal(before) {
+			t.Fatalf("%s: a wake with nothing due sent %v, probed %v and moved the next wake by %v", when, out.sends, out.probe, out.wakeAt.Sub(before))
+		}
+	}
+	nothingDue("on a quiet engine")
+	wakes := r.wakeUntil(e, r.clk.Now().Add(time.Minute))
+	if want := int(time.Minute / r.settings.ProbeInterval); len(wakes) != want {
+		t.Fatalf("a quiet engine woke %d times in a minute, want once per probe round, %d", len(wakes), want)
+	}
+	for _, out := range wakes {
+		if len(out.sends) != 0 || len(out.probe) == 0 {
+			t.Fatalf("a quiet engine's wake sent %v and probed %v, want a probe round alone", out.sends, out.probe)
+		}
+	}
+	d.armed(0, "after a quiet minute")
 
 	// The first alert — a subject's leave, which its observers report at
-	// once — arms the timer for one floor window; its batch leaves on that
-	// tick, not on the step that raised it.
-	if out := f.step(event{req: &remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.subjects[0]}}}); len(out.sends) != 0 {
-		t.Fatalf("the batch left before its flush tick: %v", out.sends)
+	// once — arms a flush one floor window later; its batch leaves on that
+	// flush, not on the step that raised it.
+	if out := d.step(event{req: &remoting.Request{Leave: &remoting.LeaveMessage{Sender: e.subjects[0]}}}); len(out.sends) != 0 {
+		t.Fatalf("the batch left before its flush: %v", out.sends)
 	}
-	f.armed(floor, "with an alert pending")
-	out := f.fire()
+	d.armed(floor, "with an alert pending")
+	nothingDue("with a flush pending")
+	out := d.fire()
 	if len(out.sends) != 1 || !slices.Equal(out.sends[0].to, e.addrs) ||
 		out.sends[0].req.Alerts == nil || len(out.sends[0].req.Alerts.Alerts) != 1 {
-		t.Fatalf("the flush tick sent %+v, want the one batch for every member", out.sends)
+		t.Fatalf("the flush sent %+v, want the one batch for every member", out.sends)
 	}
-	f.armed(0, "after the batch left")
+	d.armed(0, "after the batch left")
 	clear(r.inbox)
 
-	// A vote not pushed yet arms it, and the tick that pushes it stops it.
-	f.step(event{req: cutAlerts(e.view.ConfigurationID(), r.settings.K, endpoint(9))})
+	// A vote not pushed yet arms a flush, and the flush that pushes it is the
+	// last.
+	d.step(event{req: cutAlerts(e.view.ConfigurationID(), r.settings.K, endpoint(9))})
 	if !e.votesDirty {
 		t.Fatal("the cut did not make this member vote")
 	}
-	f.armed(floor, "with dirty votes")
-	if out := f.fire(); len(out.sends) != 1 || out.sends[0].req.VoteBatch == nil || e.votesDirty {
-		t.Fatalf("the tick after a vote sent %+v (still dirty: %v), want the one push", out.sends, e.votesDirty)
+	d.armed(floor, "with dirty votes")
+	if out := d.fire(); len(out.sends) != 1 || out.sends[0].req.VoteBatch == nil || e.votesDirty {
+		t.Fatalf("the flush after a vote sent %+v (still dirty: %v), want the one push", out.sends, e.votesDirty)
 	}
-	f.armed(0, "after the votes left")
+	d.armed(0, "after the votes left")
 
-	f.growToCeiling()
-	if want, got := decayTicks(e.winCtl), f.settle(); got != want || e.winCtl.window != floor {
-		t.Fatalf("after the burst the window reached %v in %d ticks; the controller reaches the floor in %d", e.winCtl.window, got, want)
+	d.growToCeiling()
+	if want, got := decayTicks(e.winCtl), d.settle(); got != want || e.winCtl.window != floor {
+		t.Fatalf("after the burst the window reached %v in %d flushes; the controller reaches the floor in %d", e.winCtl.window, got, want)
 	}
-	f.armed(0, "after the burst decayed")
+	d.armed(0, "after the burst decayed")
 }
 
 // TestInstallRestartsTheFlushWindow: the flush window belongs to the
 // configuration. A lone seed whose window a burst grew to the ceiling decides
 // a one-member cut on its own vote; with no parked joiner sent back to phase
-// 1, the new configuration starts at the floor — the running tick is brought
-// in to one floor window, the timer then stops, and the next JOIN alert leaves
-// exactly one floor window after it was raised. An install that redirects a
-// parked joiner keeps the window a join storm grew, and a newborn engine still
-// starts at a quarter of the ceiling.
+// 1, the new configuration starts at the floor — the pending flush is brought
+// in to one floor window, the flushes then stop, and the next JOIN alert
+// leaves exactly one floor window after it was raised. An install that
+// redirects a parked joiner keeps the window a join storm grew, and a newborn
+// engine still starts at a quarter of the ceiling.
 func TestInstallRestartsTheFlushWindow(t *testing.T) {
 	s := DefaultSettings()
 	floor, ceiling := s.windowFloor(), s.windowCeiling()
 	// grown starts a lone seed and grows its window to the ceiling.
-	grown := func(t *testing.T) (*engineRig, *flushTimer) {
+	grown := func(t *testing.T) (*engineRig, *driverTimer) {
 		r := newEngineRig(t)
 		seed := endpoint(0)
 		e, first := r.start(seed, []node.Endpoint{seed})
-		f := &flushTimer{t: t, r: r, e: e}
-		f.arm(first)
-		f.growToCeiling()
-		return r, f
+		d := &driverTimer{t: t, r: r, e: e}
+		d.check(first, false)
+		d.growToCeiling()
+		return r, d
 	}
 	// decide makes the seed vote for admitting endpoint(9), a quorum on its own.
-	decide := func(f *flushTimer) outputs {
-		f.t.Helper()
-		out := f.step(event{req: cutAlerts(f.e.view.ConfigurationID(), f.r.settings.K, endpoint(9))})
-		if out.publish == nil || f.e.view.Size() != 2 {
-			f.t.Fatalf("the seed's vote decided nothing: %d members", f.e.view.Size())
+	decide := func(d *driverTimer) outputs {
+		d.t.Helper()
+		out := d.step(event{req: cutAlerts(d.e.view.ConfigurationID(), d.r.settings.K, endpoint(9))})
+		if out.publish == nil || d.e.view.Size() != 2 {
+			d.t.Fatalf("the seed's vote decided nothing: %d members", d.e.view.Size())
 		}
 		return out
 	}
 	// park hands the seed a phase-2 request from joiner in its configuration.
-	park := func(f *flushTimer, joiner node.Endpoint) *joinEvent {
+	park := func(d *driverTimer, joiner node.Endpoint) *joinEvent {
 		ev := &joinEvent{
-			msg:   &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: f.e.view.ConfigurationID()},
+			msg:   &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: d.e.view.ConfigurationID()},
 			reply: make(chan *remoting.Response, 1),
 		}
-		f.step(event{ctl: &control{join: ev}})
+		d.step(event{ctl: &control{join: ev}})
 		return ev
 	}
 
 	t.Run("install without a redirect", func(t *testing.T) {
-		r, f := grown(t)
-		decide(f)
-		if got := f.e.winCtl.window; got != floor {
+		r, d := grown(t)
+		decide(d)
+		if got := d.e.winCtl.window; got != floor {
 			t.Fatalf("the new configuration's window is %v, want the floor %v", got, floor)
 		}
-		if got := f.e.metrics.BatchWindow.Value(); time.Duration(got) != floor {
+		if got := d.e.metrics.BatchWindow.Value(); time.Duration(got) != floor {
 			t.Fatalf("the BatchWindow gauge reads %v, want the floor %v", time.Duration(got), floor)
 		}
-		f.armed(floor, "after the install")
-		if out := f.fire(); len(out.sends) != 0 {
-			t.Fatalf("the first tick of a quiet configuration sent %+v", out.sends)
+		d.armed(floor, "after the install")
+		if out := d.fire(); len(out.sends) != 0 {
+			t.Fatalf("the first flush of a quiet configuration sent %+v", out.sends)
 		}
-		f.armed(0, "after the install's tick")
+		d.armed(0, "after the install's flush")
 
 		joiner := endpoint(10)
 		raised := r.clk.Now()
-		park(f, joiner)
-		if len(f.e.pendingAlerts) != 1 {
-			t.Fatalf("%d alerts pending after a phase-2 request, want the JOIN alert", len(f.e.pendingAlerts))
+		park(d, joiner)
+		if len(d.e.pendingAlerts) != 1 {
+			t.Fatalf("%d alerts pending after a phase-2 request, want the JOIN alert", len(d.e.pendingAlerts))
 		}
-		f.armed(floor, "with a JOIN alert pending")
-		out := f.fire()
+		d.armed(floor, "with a JOIN alert pending")
+		out := d.fire()
 		if len(out.sends) != 1 || out.sends[0].req.Alerts == nil || out.sends[0].req.Alerts.Alerts[0].EdgeDst != joiner.Addr {
-			t.Fatalf("the flush tick sent %+v, want the JOIN alert", out.sends)
+			t.Fatalf("the flush sent %+v, want the JOIN alert", out.sends)
 		}
 		if waited := r.clk.Now().Sub(raised); waited != floor {
 			t.Fatalf("the JOIN alert left %v after it was raised, want one floor window, %v", waited, floor)
@@ -404,31 +456,29 @@ func TestInstallRestartsTheFlushWindow(t *testing.T) {
 	})
 
 	t.Run("install that redirects a parked joiner", func(t *testing.T) {
-		r, f := grown(t)
-		before := f.due.Sub(r.clk.Now())
-		straggler := park(f, endpoint(11))
-		if out := decide(f); out.flushIn != 0 {
-			t.Fatalf("the install re-armed the flush timer with %v", out.flushIn)
-		}
+		r, d := grown(t)
+		before := d.flush.Sub(r.clk.Now())
+		straggler := park(d, endpoint(11))
+		decide(d)
 		if resp := answer(t, straggler); resp.Status != remoting.JoinConfigChanged {
 			t.Fatalf("the parked joiner got %s, want CONFIG_CHANGED", resp.Status)
 		}
-		if got := f.e.winCtl.window; got != ceiling {
+		if got := d.e.winCtl.window; got != ceiling {
 			t.Fatalf("the window is %v after an install that redirected a joiner, want the ceiling %v", got, ceiling)
 		}
-		f.armed(before, "after the install")
+		d.armed(before, "after the install")
 	})
 
 	t.Run("newborn engine", func(t *testing.T) {
 		r := newEngineRig(t)
 		members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2)}
 		e, first := r.start(members[1], members)
-		f := &flushTimer{t: t, r: r, e: e}
-		f.arm(first)
+		d := &driverTimer{t: t, r: r, e: e}
+		d.check(first, false)
 		if e.winCtl.window != ceiling/4 {
 			t.Fatalf("a newborn engine's window is %v, want a quarter of the ceiling, %v", e.winCtl.window, ceiling/4)
 		}
-		f.armed(ceiling/4, "at birth")
+		d.armed(ceiling/4, "at birth")
 	})
 }
 

@@ -103,12 +103,30 @@ func (r *engineRig) park(observer node.Addr, joiner node.Endpoint, configID uint
 	return ev
 }
 
-// flush runs one flush tick on every listed member: its pending batch and
-// vote push go into the inboxes.
+// flush runs every listed member's flush at the rig's time, as a wake at its
+// flush deadline would, whether or not its window has ended: its pending batch
+// and vote push go into the inboxes.
 func (r *engineRig) flush(members ...node.Addr) {
 	for _, m := range members {
-		r.file(r.engines[m].tick(r.clk.Now(), 0))
+		e := r.engines[m]
+		e.now = r.clk.Now()
+		e.flush(0)
+		r.file(e.finish())
 	}
+}
+
+// wakeUntil plays the driver's one timer against a stepped engine up to the
+// given time: the rig's clock moves to each deadline the engine holds on the
+// way and the engine wakes there, with nothing queued. It files the outputs of
+// every wake, returns them in order, and leaves the clock at until.
+func (r *engineRig) wakeUntil(e *engine, until time.Time) []outputs {
+	var outs []outputs
+	for at := e.wakeAt(); !at.IsZero() && !at.After(until); at = e.wakeAt() {
+		r.clk.Advance(max(0, at.Sub(r.clk.Now())))
+		outs = append(outs, r.file(e.wake(r.clk.Now(), 0)))
+	}
+	r.clk.Advance(max(0, until.Sub(r.clk.Now())))
+	return outs
 }
 
 // deliver applies everything queued for the listed members.
@@ -240,16 +258,19 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 	}
 }
 
-// tickSeed fires a lone seed's flush timer one window after the last firing,
-// with queued events waiting in its inbound queue, and reports whether the
-// tick held the storm: sent nothing, and kept both the window and the timer
-// running at it.
+// tickSeed wakes a lone seed one window after its last flush, when its next
+// flush is due, with queued events waiting in its inbound queue, and reports
+// whether the flush held the storm: sent nothing, and kept both the window and
+// the next flush one window away.
 func (r *engineRig) tickSeed(s *engine, queued int) (held bool) {
 	window := s.winCtl.window
 	r.clk.Advance(window)
-	out := r.file(s.tick(r.clk.Now(), queued))
-	if len(out.sends) == 0 && (s.winCtl.window != window || out.flushIn != window) {
-		r.t.Fatalf("a held tick moved the window %v → %v (timer %v)", window, s.winCtl.window, out.flushIn)
+	if !s.flushDue.Equal(r.clk.Now()) {
+		r.t.Fatalf("the seed's flush is due %v from now, want now", s.flushDue.Sub(r.clk.Now()))
+	}
+	out := r.file(s.wake(r.clk.Now(), queued))
+	if next := s.flushDue.Sub(r.clk.Now()); len(out.sends) == 0 && (s.winCtl.window != window || next != window) {
+		r.t.Fatalf("a held flush moved the window %v → %v (next flush in %v)", window, s.winCtl.window, next)
 	}
 	return len(out.sends) == 0
 }

@@ -46,38 +46,56 @@ func cutOf(e *engine, i int) event {
 	return votes(agg{proposal: i, from: 0, count: len(e.addrs)})(f)
 }
 
-// alerted lists the subjects of the REMOVE alerts e has pending.
-func alerted(e *engine) []node.Addr {
+// consecutive is a detector whose judges fail an edge on its n-th failed
+// probe in a row: a ping-pong window of n probes, all of them failed.
+func consecutive(n int) edgefd.Factory {
+	return edgefd.NewPingPongFactory(edgefd.PingPongOptions{WindowSize: n, FailureThreshold: 1})
+}
+
+// wake wakes a member at the rig's time, with nothing queued, and files the
+// outputs.
+func (r *engineRig) wake(e *engine) outputs { return r.file(e.wake(r.clk.Now(), 0)) }
+
+// alerted lists the subjects of the REMOVE alerts e has filed: the ones a
+// flush sent, which reach e too, then the ones still pending.
+func (r *engineRig) alerted(e *engine) []node.Addr {
 	var subjects []node.Addr
+	for _, req := range r.inbox[e.me.Addr] {
+		if req.Alerts != nil && req.Alerts.Sender == e.me.Addr {
+			for _, a := range req.Alerts.Alerts {
+				subjects = append(subjects, a.EdgeDst)
+			}
+		}
+	}
 	for _, a := range e.pendingAlerts {
 		subjects = append(subjects, a.EdgeDst)
 	}
 	return subjects
 }
 
-// TestFirstProbeIsOneIntervalAfterWatch plays the driver's probe timer by
-// hand: every install asks for the first round one interval later, a round
-// asks for the next one on the beat of its deadline however late it fired,
-// and a firing before the round is due — the timer an install re-armed had
-// fired already — probes nothing and re-arms for the rest.
+// TestFirstProbeIsOneIntervalAfterWatch wakes the engine by hand: every
+// install arms the first round one interval later, a round arms the next one
+// on the beat of its deadline however late it ran, and a wake before the
+// round is due — for another deadline, or at the beat of the configuration
+// left — probes nothing and leaves the round where it is.
 func TestFirstProbeIsOneIntervalAfterWatch(t *testing.T) {
 	r, e, first := probeEngine(t, 16, edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions()))
 	me, interval := e.me.Addr, r.settings.ProbeInterval
 	start := r.clk.Now()
-	// at moves the clock to the given offset from the start and fires the
-	// probe timer there.
+	// at moves the clock to the given offset from the start and wakes the
+	// engine there.
 	at := func(offset time.Duration) outputs {
 		r.clk.Advance(start.Add(offset).Sub(r.clk.Now()))
-		return r.step(me, probeEvent)
+		return r.wake(e)
 	}
 	round := func(out outputs, subjects []node.Addr, next time.Duration, when string) {
 		t.Helper()
-		if !slices.Equal(out.probe, subjects) || out.probeIn != next {
-			t.Fatalf("%s: probed %v and armed %v, want %v and %v", when, out.probe, out.probeIn, subjects, next)
+		if in := e.probeDue.Sub(r.clk.Now()); !slices.Equal(out.probe, subjects) || in != next {
+			t.Fatalf("%s: probed %v and armed %v, want %v and %v", when, out.probe, in, subjects, next)
 		}
 	}
-	if first.probeIn != interval || len(first.probe) != 0 {
-		t.Fatalf("the first configuration armed %v and probed %v, want one interval and nobody", first.probeIn, first.probe)
+	if in := e.probeDue.Sub(start); in != interval || len(first.probe) != 0 {
+		t.Fatalf("the first configuration armed %v and probed %v, want one interval and nobody", in, first.probe)
 	}
 	round(at(interval-time.Millisecond), nil, time.Millisecond, "before the first round is due")
 	out := at(interval)
@@ -89,8 +107,8 @@ func TestFirstProbeIsOneIntervalAfterWatch(t *testing.T) {
 	// later, and the timer armed for the old beat at 3 probes nothing.
 	r.clk.Advance(start.Add(25 * interval / 10).Sub(r.clk.Now()))
 	installed := r.step(me, cutOf(e, 99))
-	if installed.publish == nil || installed.probeIn != interval {
-		t.Fatalf("the view change armed %v, want one interval", installed.probeIn)
+	if in := e.probeDue.Sub(r.clk.Now()); installed.publish == nil || in != interval {
+		t.Fatalf("the view change armed %v, want one interval", in)
 	}
 	round(at(3*interval), nil, interval/2, "at the beat of the configuration left")
 	out = at(35 * interval / 10)
@@ -114,11 +132,11 @@ func TestVerdictIsAnAlertOnTheTenthColdOrFourthWarmProbe(t *testing.T) {
 	round := func(n time.Duration, want ...node.Addr) {
 		t.Helper()
 		r.clk.Advance(interval)
-		out := r.step(me, probeEvent)
+		out := r.wake(e)
 		for i, subject := range out.probe {
 			r.step(me, outcome(out.probeGen, i, !dead[subject]))
 		}
-		if got := alerted(e); !slices.Equal(got, want) || !r.clk.Now().Equal(installed.Add(n*interval)) {
+		if got := r.alerted(e); !slices.Equal(got, want) || !r.clk.Now().Equal(installed.Add(n*interval)) {
 			t.Fatalf("after round %d at %v the alerts are %v, want %v", n, r.clk.Now().Sub(installed), got, want)
 		}
 	}
@@ -139,10 +157,10 @@ func TestVerdictIsAnAlertOnTheTenthColdOrFourthWarmProbe(t *testing.T) {
 // no judge and file no alert; the same failure in the new configuration's
 // round is the verdict.
 func TestOutcomeOfAnOlderGenerationChangesNothing(t *testing.T) {
-	r, e, _ := probeEngine(t, 5, edgefd.NewCountingFactory(1))
+	r, e, _ := probeEngine(t, 5, consecutive(1))
 	me, interval := e.me.Addr, r.settings.ProbeInterval
 	r.clk.Advance(interval)
-	old := r.step(me, probeEvent)
+	old := r.wake(e)
 	if len(old.probe) != 2 {
 		t.Fatalf("member 0 of 5 probes %v", old.probe)
 	}
@@ -153,44 +171,44 @@ func TestOutcomeOfAnOlderGenerationChangesNothing(t *testing.T) {
 	for i := range old.probe {
 		r.step(me, outcome(old.probeGen, i, false))
 	}
-	if got := alerted(e); len(got) != 0 {
+	if got := r.alerted(e); len(got) != 0 {
 		t.Fatalf("failures of the configuration left filed alerts on %v", got)
 	}
 	r.clk.Advance(interval)
-	out := r.step(me, probeEvent)
+	out := r.wake(e)
 	r.step(me, outcome(out.probeGen, 0, false))
-	if got := alerted(e); !slices.Equal(got, e.subjects) {
+	if got := r.alerted(e); !slices.Equal(got, e.subjects) {
 		t.Fatalf("the new configuration's failure filed alerts on %v, want %v", got, e.subjects)
 	}
 }
 
 // TestLoneOrRemovedMemberArmsNoProbeTimer: a member with nobody to probe — a
-// lone seed, or one its configuration no longer contains — asks for no probe
-// round, and a firing of a timer armed earlier probes nothing and re-arms
+// lone seed, or one its configuration no longer contains — arms no probe
+// round, and a wake when a round would have been due probes nothing and arms
 // nothing.
 func TestLoneOrRemovedMemberArmsNoProbeTimer(t *testing.T) {
-	quiet := func(out outputs, who string) {
+	quiet := func(e *engine, out outputs, who string) {
 		t.Helper()
-		if out.probeIn != 0 || len(out.probe) != 0 {
-			t.Fatalf("%s armed %v and probed %v", who, out.probeIn, out.probe)
+		if !e.probeDue.IsZero() || len(out.probe) != 0 {
+			t.Fatalf("%s armed a round at %v and probed %v", who, e.probeDue, out.probe)
 		}
 	}
-	r, e, first := probeEngine(t, 1, edgefd.NewCountingFactory(1))
-	quiet(first, "a lone seed")
+	r, e, first := probeEngine(t, 1, consecutive(1))
+	quiet(e, first, "a lone seed")
 	r.clk.Advance(r.settings.ProbeInterval)
-	quiet(r.step(e.me.Addr, probeEvent), "a lone seed's probe timer")
+	quiet(e, r.wake(e), "a lone seed's wake")
 
-	r, e, first = probeEngine(t, 3, edgefd.NewCountingFactory(1))
-	if first.probeIn == 0 {
-		t.Fatal("member 0 of 3 armed no probe timer")
+	r, e, _ = probeEngine(t, 3, consecutive(1))
+	if e.probeDue.IsZero() {
+		t.Fatal("member 0 of 3 armed no probe round")
 	}
 	removed := r.step(e.me.Addr, cutOf(e, 0))
 	if removed.publish == nil || e.myIndex >= 0 {
 		t.Fatal("the cut did not remove the member")
 	}
-	quiet(removed, "the removed member's install")
+	quiet(e, removed, "the removed member's install")
 	r.clk.Advance(r.settings.ProbeInterval)
-	quiet(r.step(e.me.Addr, probeEvent), "the removed member's old probe timer")
+	quiet(e, r.wake(e), "the removed member's wake at its old round")
 }
 
 // --- the driver's probes, on a manual clock ------------------------------------------
@@ -353,7 +371,7 @@ func (r *probeRig) settle(inFlight int) {
 // inside its round, and the next round leaves on time.
 func TestBlockedProbeDelaysNeitherItsRoundNorTheNext(t *testing.T) {
 	interval := DefaultSettings().ProbeInterval
-	r := newProbeRig(t, edgefd.NewCountingFactory(2))
+	r := newProbeRig(t, consecutive(2))
 	r.mark(r.blocked, r.subjects[1])
 	r.mark(r.dead, r.subjects[2])
 
@@ -376,7 +394,7 @@ func TestBlockedProbeDelaysNeitherItsRoundNorTheNext(t *testing.T) {
 // it; the blocked probe ends at its timeout.
 func TestStopReturnsWhileAProbeIsBlocked(t *testing.T) {
 	interval := DefaultSettings().ProbeInterval
-	r := newProbeRig(t, edgefd.NewCountingFactory(1))
+	r := newProbeRig(t, consecutive(1))
 	r.mark(r.blocked, r.subjects[0])
 	r.advance(interval)
 	r.round(interval)

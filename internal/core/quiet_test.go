@@ -76,16 +76,16 @@ func TestQuietMemberRunsTwoGoroutines(t *testing.T) {
 
 // TestQuietFleetHoldsNoFlushWaiters counts what a whole fleet keeps on its
 // clock. 48 members (more than 4K, so votes are relayed) share one manual
-// clock. Once the fleet is past the first windows' decay, the clock holds one
-// probe timer and one reinforcement ticker per member exactly — no flush
-// timer anywhere, and no timer per monitored edge — and that stays so while
-// time passes. Stopping a member brings flush timers back on the members that
-// have an alert to send, on nobody else, and once the view change has settled
-// they are gone again; every member starts the new configuration at the floor
-// window, not at the one the view change grew.
+// clock. Each member holds exactly one waiter, its driver's timer, whatever
+// its engine has armed: at birth and while the first windows decay, on a
+// quiet fleet while time passes — no timer per monitored edge — and at the
+// detectors' verdict, when the observers of a stopped member have an alert
+// to send. Once the view change has settled every member starts the new
+// configuration at the floor window, not at the one the view change grew.
 // There is no wall-clock threshold in here: the waits are for events, the
-// bounds are step counts. The regression this guards is an engine that
-// re-arms its flush timer unconditionally.
+// bounds are step counts. The regressions this guards are a second time
+// source beside the driver's timer, and a timer the driver re-arms without
+// stopping the one it holds.
 func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 	const n = 48
 	clk := simclock.NewManual(time.Unix(0, 0))
@@ -143,11 +143,12 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 
 	v := view.NewWithMembers(s.K, members)
 	probes := edges(v)
-	quiet := 2 * n // one probe timer and one reinforcement ticker per member
+	quiet := n // the driver's timer, one per member
 
-	// Every engine is born armed, at a quarter of the ceiling, and its window
-	// halves per quiet tick. The decay is over long before the first probe.
-	waiters(quiet+n, "at birth")
+	// Every engine is born with a flush armed, at a quarter of the ceiling,
+	// and its window halves per quiet flush. The decay is over long before the
+	// first probe.
+	waiters(quiet, "at birth")
 	for w := newWindowController(s.windowFloor(), s.windowCeiling()); w.window > w.floor; {
 		clk.Advance(w.window)
 		next := w.retune(0, eventQueueSize, 0)
@@ -157,7 +158,7 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 			}
 		}
 		if next > w.floor {
-			waiters(quiet+n, "while the windows decay")
+			waiters(quiet, "while the windows decay")
 		}
 	}
 	syncAll()
@@ -174,7 +175,8 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 
 	// One member stops. Its observers' next three probes fail and change
 	// nothing; the fourth is the detector's verdict, and exactly the observers
-	// — the members with an alert to send — arm a flush timer.
+	// — the members with an alert to send — arm a flush, on the timer they
+	// hold already.
 	victim := members[n/2]
 	subjects, _ := v.UniqueSubjectsOf(victim.Addr)
 	observers := 0
@@ -186,7 +188,7 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 	fleet[victim.Addr].Stop()
 	delete(fleet, victim.Addr)
 	probes -= len(subjects)
-	quiet -= 2
+	quiet--
 	waiters(quiet, "after a member stopped")
 	for round := 0; round < 3; round++ {
 		probeRound(probes)
@@ -195,14 +197,26 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 		}
 	}
 	clk.Advance(s.ProbeInterval)
-	waiters(quiet+observers, "at the detectors' verdict")
 	syncAll()
-	if got := clk.PendingWaiters(); got != quiet+observers {
-		t.Fatalf("%d clock waiters at the verdict, want %d: only the %d observers have anything to send", got, quiet+observers, observers)
+	if got := clk.PendingWaiters(); got != quiet {
+		t.Fatalf("%d clock waiters at the verdict, want %d", got, quiet)
+	}
+	// Their flushes are due one floor window after they filed the verdict:
+	// each observer's batch goes to every member, and nobody else sends one.
+	alerts, want := net.MessageCount("alerts"), int64(observers*n)
+	for i := 0; net.MessageCount("alerts")-alerts < want; i++ {
+		if i == 100 {
+			t.Fatalf("%d alert messages after the verdict, want %d: one batch from each of the %d observers", net.MessageCount("alerts")-alerts, want, observers)
+		}
+		clk.Advance(s.windowFloor())
+		syncAll()
+	}
+	if got := net.MessageCount("alerts") - alerts; got != want {
+		t.Fatalf("%d alert messages after the verdict, want %d: one batch from each of the %d observers", got, want, observers)
 	}
 
 	// The view change runs — alerts, votes relayed along the rings, windows
-	// that grow — and then every flush timer is gone again. The new
+	// that grow — and every member keeps its one timer. The new
 	// configuration starts at the floor window on every member: a subscriber
 	// reads the window as the install is announced, and the clock does not
 	// move on until every member that installed has been read, so no tick can
@@ -231,7 +245,7 @@ func TestQuietFleetHoldsNoFlushWaiters(t *testing.T) {
 		}
 		return true
 	}
-	quiet = 2 * (n - 1)
+	quiet = n - 1
 	settled := func() bool {
 		for _, c := range fleet {
 			if c.Size() != n-1 {

@@ -19,9 +19,9 @@
 // counted the way §4.3 counts them: a member keeps a voter bitmap per
 // distinct proposal and, on the same window, pushes what it learned to the
 // subjects of its first four rings, and the bitmap that decides to all K (to
-// everyone, in memberships of at most 4K). The engine owns its deadlines too:
-// the consensus recovery deadline is a field it checks on its reinforcement
-// tick, not a goroutine per proposal. A joiner is a state machine of its own
+// everyone, in memberships of at most 4K). The engine owns its deadlines too,
+// and the driver arms one timer for the earliest, not a timer or goroutine
+// per deadline. A joiner is a state machine of its own
 // (join.go), whose calls the driver performs the same way.
 //
 // Rapid-C (§5) is the same engine with a fixed ensemble as its electorate —
@@ -72,15 +72,14 @@ type Settings struct {
 	// paper's ping-pong detector (40% of the last 10 probes).
 	FailureDetector edgefd.Factory
 
-	// ConsensusFallbackBase is the base delay before an undecided node starts
-	// a classical Paxos recovery round, and the pause between its retries.
-	// Each node adds a deterministic jitter so a single coordinator usually
-	// emerges. The deadline is checked on the reinforcement tick.
+	// ConsensusFallbackBase is the base delay before an undecided node starts a
+	// classical Paxos recovery round, and the pause between its retries. Each
+	// node adds a deterministic jitter so a single coordinator usually emerges.
 	ConsensusFallbackBase time.Duration
 
 	// ReinforcementTimeout is how long a subject may stay in the unstable
 	// report region before this node's observers echo REMOVE alerts (§4.2).
-	// The unstable set is checked five times per timeout.
+	// While any subject is in flux, the engine checks five times per timeout.
 	ReinforcementTimeout time.Duration
 
 	// JoinAttempts bounds how many failed attempts a joiner makes at the

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/edgefd"
 	"repro/internal/node"
 	"repro/internal/remoting"
 	"repro/internal/view"
@@ -16,7 +15,7 @@ import (
 // --- counting votes along the rings: rows on step ----------------------------------
 
 // A stepRow drives one member of an n-member configuration through a list of
-// turns — events given to step, or flush ticks — with no transport and no
+// turns — events given to step, or flushes — with no transport and no
 // goroutine, and checks what each turn returns: K = 3 unless the row says
 // otherwise, so a membership relays votes from 13 members on (oneHopLimit =
 // 4K = 12), and voteRings (4) are all the rings there are.
@@ -36,12 +35,18 @@ type stepRow struct {
 	installs, size int
 }
 
-// stepTurn is one input and the sends it must return, in order; the clock
-// moves on by wait first.
+// stepTurn is one input and the sends it must return, in order. The clock
+// moves on by wait first, and the member wakes at every deadline it holds on
+// the way, as the driver's timer would wake it; the sends of those wakes
+// count as the turn's.
 type stepTurn struct {
-	wait  time.Duration
-	in    func(f *stepFixture) event // nil: a flush tick
+	wait time.Duration
+	// in is the event to step; nil wakes the member at its flush deadline,
+	// if it holds one.
+	in    func(f *stepFixture) event
 	sends []wantSend
+	// tally, when set, is newcomer's tally in the cut detector after the turn.
+	tally func(f *stepFixture) int
 }
 
 // wantSend describes one send: the request's kind, its exact targets (in any
@@ -68,6 +73,10 @@ type stepFixture struct {
 	subjects []node.Addr
 	voters   []node.Addr
 	others   []node.Addr
+	// joinObservers are newcomer's expected observers, one per ring, and
+	// watcher the one on ring 0.
+	joinObservers []node.Addr
+	watcher       node.Addr
 }
 
 // newcomer is the process every row's cut admits.
@@ -81,7 +90,6 @@ func cut(f *stepFixture) event            { return event{req: cutAlerts(f.config
 func leave(*stepFixture) event            { return leaveEvent }
 
 func electorate(f *stepFixture) []node.Addr { return f.voters }
-func reinforceTick(*stepFixture) event      { return reinforceEvent }
 
 // removal is a batch of REMOVE alerts about endpoint(0) on its first rings
 // rings: ring i reported by the member endpoint(1+i), so the tally comes from
@@ -106,6 +114,43 @@ func removal(rings int, echoed bool) func(*stepFixture) event {
 		return event{req: &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: alerts[0].EdgeSrc, Alerts: alerts}}}
 	}
 }
+
+// watcherDown is a batch of REMOVE alerts about newcomer's watcher on the
+// given rings, ring i reported by the member endpoint(1+i).
+func watcherDown(rings ...int) func(*stepFixture) event {
+	return func(f *stepFixture) event {
+		var alerts []remoting.AlertMessage
+		for _, i := range rings {
+			alerts = append(alerts, remoting.AlertMessage{EdgeSrc: endpoint(1 + i).Addr, EdgeDst: f.watcher, Status: remoting.EdgeDown, ConfigurationID: f.config, RingNumbers: []int{i}})
+		}
+		return event{req: &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: alerts[0].EdgeSrc, Alerts: alerts}}}
+	}
+}
+
+// joinPastWatcher is a batch of JOIN alerts about newcomer, each from its
+// expected observer, on every ring but the watcher's.
+func joinPastWatcher(f *stepFixture) event {
+	var alerts []remoting.AlertMessage
+	for ring, o := range f.joinObservers {
+		if o != f.watcher {
+			alerts = append(alerts, remoting.AlertMessage{EdgeSrc: o, EdgeDst: newcomer.Addr, Status: remoting.EdgeUp, ConfigurationID: f.config, RingNumbers: []int{ring}, JoinerID: newcomer.ID})
+		}
+	}
+	return event{req: &remoting.Request{Alerts: &remoting.BatchedAlertMessage{Sender: alerts[0].EdgeSrc, Alerts: alerts}}}
+}
+
+// pastWatcher is how many rings joinPastWatcher reports newcomer on, and
+// everyRing all K of them.
+func pastWatcher(f *stepFixture) int {
+	n := 0
+	for _, o := range f.joinObservers {
+		if o != f.watcher {
+			n++
+		}
+	}
+	return n
+}
+func everyRing(f *stepFixture) int { return f.k }
 
 // grown is the membership once newcomer has been admitted.
 func grown(f *stepFixture) []node.Addr { return append(slices.Clone(f.members), newcomer.Addr) }
@@ -168,7 +213,7 @@ func (row stepRow) run(t *testing.T) {
 	self := endpoint(row.me)
 	if row.ensemble == 0 && !row.paper {
 		r.settings.K, r.settings.H, r.settings.L = 3, 3, 1
-		r.settings.FailureDetector = edgefd.NewCountingFactory(1)
+		r.settings.FailureDetector = consecutive(1)
 	}
 	if row.ensemble > 0 {
 		for i := range row.ensemble {
@@ -183,6 +228,8 @@ func (row stepRow) run(t *testing.T) {
 		t.Fatalf("%d distinct ring subjects: the row cannot tell the vote rings from all rings", len(f.subjects))
 	}
 	f.gen, _ = e.probes.Tick()
+	f.joinObservers = e.view.ExpectedObserversOf(newcomer.Addr)
+	f.watcher = f.joinObservers[0]
 	f.next = view.NewWithMembers(r.settings.K, append(slices.Clone(members), newcomer)).ConfigurationID()
 	for _, a := range e.voters {
 		if a != me {
@@ -192,15 +239,24 @@ func (row stepRow) run(t *testing.T) {
 
 	installs := 0
 	for i, turn := range row.turns {
-		r.clk.Advance(turn.wait)
-		var out outputs
-		if turn.in == nil {
-			out = e.tick(r.clk.Now(), 0)
-		} else {
-			out = e.step(turn.in(f), r.clk.Now())
+		outs := r.wakeUntil(e, r.clk.Now().Add(turn.wait))
+		switch {
+		case turn.in != nil:
+			outs = append(outs, e.step(turn.in(f), r.clk.Now()))
+		case !e.flushDue.IsZero():
+			outs = append(outs, r.wakeUntil(e, e.flushDue)...)
 		}
-		if out.publish != nil {
-			installs++
+		var out outputs
+		for _, o := range outs {
+			out.sends = append(out.sends, o.sends...)
+			if o.publish != nil {
+				installs++
+			}
+		}
+		if turn.tally != nil {
+			if got, want := e.cd.Tally(newcomer.Addr), turn.tally(f); got != want {
+				t.Fatalf("turn %d left newcomer's tally at %d, want %d", i, got, want)
+			}
 		}
 		if len(out.sends) != len(turn.sends) {
 			t.Fatalf("turn %d returned %d sends (%+v), want %d", i, len(out.sends), out.sends, len(turn.sends))
@@ -307,12 +363,13 @@ func TestDecidingAggregateIsRelayedBeforeInstall(t *testing.T) {
 }
 
 // TestVotesTakeFourRingsAndTheDecisionAllK: at the paper's K = 10 and 48
-// members, above the one-hop limit of 40, a member's own vote, a relay of what
-// it learned and the reinforcement tick's push of a vote not yet pushed go to
-// its first four distinct ring subjects only; the step that decides pushes the
-// deciding aggregate (37 of 48, the fast quorum) to all its distinct subjects
-// of the configuration it leaves. At 40 members a vote still goes to every
-// other member in one hop, and a decision taught by a peer pushes nothing.
+// members, above the one-hop limit of 40, a member's own vote and a relay of
+// what it learned go to its first four distinct ring subjects only, on the
+// flush — a reinforcement check pushes nothing; the step that decides pushes
+// the deciding aggregate (37 of 48, the fast quorum) to all its distinct
+// subjects of the configuration it leaves. At 40 members a vote still goes to
+// every other member in one hop, and a decision taught by a peer pushes
+// nothing.
 func TestVotesTakeFourRingsAndTheDecisionAllK(t *testing.T) {
 	runStepRows(t,
 		stepRow{name: "the voter", n: 48, me: 5, paper: true, size: 48, turns: []stepTurn{
@@ -325,9 +382,12 @@ func TestVotesTakeFourRingsAndTheDecisionAllK(t *testing.T) {
 			{sends: []wantSend{pushTo(voteRing, 1)}},
 		}},
 		stepRow{name: "the reinforcement tick", n: 48, me: 5, paper: true, size: 48, turns: []stepTurn{
+			// Subject 0 is suspect, on three rings from one observer: the
+			// reinforcement check is armed, and no proposal is held up.
+			{in: removal(3, true)},
 			{in: cut},
-			{in: reinforceTick, sends: []wantSend{pushTo(voteRing, 1)}},
-			{}, // pushed already: the flush tick has nothing to send
+			{sends: []wantSend{pushTo(voteRing, 1)}},
+			{wait: DefaultSettings().ReinforcementTimeout}, // five checks, nothing to push
 		}},
 		stepRow{name: "the deciding step", n: 48, me: 2, paper: true, installs: 1, size: 49, turns: []stepTurn{
 			{in: votes(agg{proposal: 99, from: 5, count: 1})},
@@ -410,21 +470,38 @@ func TestVerdictOfTheConfigurationLeftIsDropped(t *testing.T) {
 
 // TestEnsembleEchoesAStuckSubjectOnAllRings: an ensemble node observes nobody
 // and speaks for every observer (§5). A subject five observers report on 5 of
-// its 10 rings sits between L and H, where it blocks every proposal (§4.2). Once it has sat
-// there for ReinforcementTimeout, the reinforcement tick echoes it: one REMOVE
-// alert on all K rings, which the next flush sends to the electorate as one
-// batch. The step that files the echo back makes the subject stable, and the
-// node votes for the cut.
+// its 10 rings sits between L and H, where it blocks every proposal (§4.2).
+// The reinforcement check that finds it there for ReinforcementTimeout — one
+// a fifth of the timeout apart from the report on, so the one at exactly the
+// timeout — echoes it: one REMOVE alert on all K rings, which the next flush
+// sends to the electorate as one batch. The step that files the echo back
+// makes the subject stable, and the node votes for the cut.
 func TestEnsembleEchoesAStuckSubjectOnAllRings(t *testing.T) {
 	timeout := DefaultSettings().ReinforcementTimeout
 	runStepRows(t, stepRow{name: "an ensemble node", n: 60, me: 1, ensemble: 3, size: 60, turns: []stepTurn{
 		{in: removal(5, false)},
-		{}, // an ensemble node only ingests: nothing to flush
-		{wait: timeout - time.Millisecond, in: reinforceTick},
-		{}, // not stuck for long enough yet
-		{wait: time.Millisecond, in: reinforceTick},
-		{sends: []wantSend{{kind: "alerts", to: electorate, rings: []int{10}}}},
+		{wait: timeout - time.Nanosecond}, // not stuck for long enough yet; an ensemble node only ingests
+		{wait: time.Nanosecond, sends: []wantSend{{kind: "alerts", to: electorate, rings: []int{10}}}},
 		{in: removal(10, true)},
 		{sends: []wantSend{pushTo(peers, 1)}},
+	}})
+}
+
+// TestReinforcementRunsTheBackstopScan: a JOIN-only batch asks for no
+// implicit-alert scan. When it makes newcomer unstable while newcomer's
+// watcher — an expected observer of it — is already an unstable REMOVE
+// subject, the implicit alert from the watcher is applied by the next
+// reinforcement check, within a fifth of ReinforcementTimeout, and not on the
+// batch. Newcomer then waits stable for the watcher's removal, and the two
+// leave in one proposal.
+func TestReinforcementRunsTheBackstopScan(t *testing.T) {
+	check := DefaultSettings().ReinforcementTimeout / 5
+	runStepRows(t, stepRow{name: "a joiner behind an unstable observer", n: 16, me: 5, size: 16, turns: []stepTurn{
+		{in: watcherDown(0)},
+		{in: joinPastWatcher, tally: pastWatcher},
+		{wait: check - time.Nanosecond, tally: pastWatcher},
+		{wait: time.Nanosecond, tally: everyRing},
+		{in: watcherDown(1, 2)},
+		{sends: []wantSend{pushTo(ring, 1)}},
 	}})
 }

@@ -185,6 +185,11 @@ func (d *Detector) aggregate(subjectAddr node.Addr, subject node.Endpoint, obser
 	return nil
 }
 
+// InFlux reports whether some subject's tally is between L and H: suspect or
+// unstable. Only then can UnstableLongerThan or InvalidateFailingEdges return
+// anything.
+func (d *Detector) InFlux() bool { return d.updatesInProgress > 0 || d.suspects > 0 }
+
 // inFlux returns the subjects with a tally between L and H that keep, in
 // address order.
 func (d *Detector) inFlux(keep func(*record) bool) []node.Addr {

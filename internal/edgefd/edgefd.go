@@ -2,16 +2,10 @@
 // §6). What is pluggable is the policy: a Judge is told the outcome of every
 // probe of one observer → subject edge and says when the edge is faulty; the
 // membership service converts that verdict into an irrevocable REMOVE alert.
-// Three are provided, and any Factory can be plugged into the service, which
-// mirrors Rapid's support for application-supplied detectors:
-//
-//   - PingPong: the paper's default — the edge is faulty when at least 40% of
-//     the last 10 probe attempts failed.
-//   - Counting: the edge is faulty after a fixed number of consecutive probe
-//     failures (a simpler, more aggressive detector).
-//   - PhiAccrual: an adaptive detector in the style of Hayashibara et al.,
-//     computing a suspicion level from the distribution of probe round-trip
-//     successes and failing the edge when it crosses a threshold.
+// One is provided, the paper's default PingPong — the edge is faulty when at
+// least 40% of the last 10 probe attempts failed — and any Factory can be
+// plugged into the service, which mirrors Rapid's support for
+// application-supplied detectors.
 //
 // The probing is not pluggable, and there is one Scheduler of it per observer,
 // plain state with no timer, lock or goroutine that its owner, the membership
@@ -25,7 +19,6 @@
 package edgefd
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/node"
@@ -147,111 +140,4 @@ func pingPongJudge(opts PingPongOptions) Judge {
 		next = (next + 1) % len(failed)
 		return seen == len(failed) && float64(failures) >= opts.FailureThreshold*float64(opts.WindowSize)
 	}
-}
-
-// --- Counting detector -------------------------------------------------------
-
-// NewCountingFactory returns a Factory that fails an edge after
-// consecutiveFailures probe failures in a row. It reacts faster than the
-// windowed detector and is useful in tests and latency-sensitive setups.
-func NewCountingFactory(consecutiveFailures int) Factory {
-	if consecutiveFailures <= 0 {
-		consecutiveFailures = 3
-	}
-	return func() Judge {
-		streak := 0
-		return func(success bool, _ time.Time) bool {
-			if success {
-				streak = 0
-				return false
-			}
-			streak++
-			return streak >= consecutiveFailures
-		}
-	}
-}
-
-// --- Phi-accrual detector ----------------------------------------------------
-
-// PhiAccrualOptions tune the adaptive detector.
-type PhiAccrualOptions struct {
-	// Threshold is the suspicion level above which the edge is faulty.
-	Threshold float64
-	// MinSamples is the number of successful probes required before the
-	// detector starts suspecting.
-	MinSamples int
-	// MinStdDev floors the standard deviation estimate.
-	MinStdDev time.Duration
-}
-
-// DefaultPhiAccrualOptions returns commonly used parameters (threshold 8).
-func DefaultPhiAccrualOptions() PhiAccrualOptions {
-	return PhiAccrualOptions{Threshold: 8, MinSamples: 5, MinStdDev: 10 * time.Millisecond}
-}
-
-// NewPhiAccrualFactory returns a Factory producing φ-accrual judges: the
-// suspicion level φ = -log10(P(no heartbeat for Δt)) is computed from the
-// observed distribution of inter-success times; when φ exceeds the threshold
-// the edge is reported faulty.
-func NewPhiAccrualFactory(opts PhiAccrualOptions) Factory {
-	if opts.Threshold <= 0 {
-		opts.Threshold = 8
-	}
-	if opts.MinSamples <= 0 {
-		opts.MinSamples = 5
-	}
-	if opts.MinStdDev <= 0 {
-		opts.MinStdDev = 10 * time.Millisecond
-	}
-	return func() Judge { return phiAccrualJudge(opts) }
-}
-
-// phiWindow is how many inter-success intervals the φ-accrual judge keeps.
-const phiWindow = 100
-
-// phiAccrualJudge keeps the last phiWindow intervals between successful
-// probes in a ring, with their sum and sum of squares as running totals, so
-// mean and deviation cost O(1) whenever a probe fails.
-func phiAccrualJudge(opts PhiAccrualOptions) Judge {
-	var lastSuccess time.Time
-	intervals := make([]float64, phiWindow) // seconds; next is the oldest slot once full
-	next, seen := 0, 0
-	var sum, sumSq float64
-	return func(success bool, now time.Time) bool {
-		if success {
-			if !lastSuccess.IsZero() {
-				if seen < len(intervals) {
-					seen++
-				} else {
-					old := intervals[next]
-					sum, sumSq = sum-old, sumSq-old*old
-				}
-				d := now.Sub(lastSuccess).Seconds()
-				intervals[next] = d
-				sum, sumSq = sum+d, sumSq+d*d
-				next = (next + 1) % len(intervals)
-			}
-			lastSuccess = now
-			return false
-		}
-		if seen < opts.MinSamples || lastSuccess.IsZero() {
-			return false
-		}
-		mean := sum / float64(seen)
-		// Rounding can leave a hair below zero where every interval is equal.
-		std := math.Sqrt(max(sumSq/float64(seen)-mean*mean, 0))
-		std = max(std, opts.MinStdDev.Seconds())
-		return phiValue(now.Sub(lastSuccess).Seconds(), mean, std) >= opts.Threshold
-	}
-}
-
-// phiValue computes the φ suspicion level assuming normally distributed
-// inter-arrival times, following the φ-accrual failure detector.
-func phiValue(elapsed, mean, std float64) float64 {
-	y := (elapsed - mean) / std
-	e := math.Exp(-y * (1.5976 + 0.070566*y*y))
-	if elapsed > mean {
-		return -math.Log10(e / (1.0 + e))
-	}
-	return -math.Log10(1.0 - 1.0/(1.0+e))
 }

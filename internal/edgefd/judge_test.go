@@ -3,7 +3,6 @@ package edgefd
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -15,9 +14,9 @@ import (
 
 // --- reference judges ------------------------------------------------------------
 
-// The judges as they were before the windows became fixed rings: a slice that
-// is appended to and re-sliced, recounted for every verdict. The rings must
-// give the same verdict after every probe.
+// The judge as it was before the window became a fixed ring: a slice that is
+// appended to and re-sliced, recounted for every verdict. The ring must give
+// the same verdict after every probe.
 
 func refPingPongJudge(opts PingPongOptions) Judge {
 	window := make([]bool, 0, opts.WindowSize)
@@ -37,50 +36,6 @@ func refPingPongJudge(opts PingPongOptions) Judge {
 		}
 		return float64(failures) >= opts.FailureThreshold*float64(opts.WindowSize)
 	}
-}
-
-func refPhiAccrualJudge(opts PhiAccrualOptions) Judge {
-	var lastSuccess time.Time
-	var intervals []float64
-	return func(success bool, now time.Time) bool {
-		if success {
-			if !lastSuccess.IsZero() {
-				intervals = append(intervals, now.Sub(lastSuccess).Seconds())
-				if len(intervals) > 100 {
-					intervals = intervals[1:]
-				}
-			}
-			lastSuccess = now
-			return false
-		}
-		if len(intervals) < opts.MinSamples || lastSuccess.IsZero() {
-			return false
-		}
-		mean, std := meanStd(intervals)
-		if minStd := opts.MinStdDev.Seconds(); std < minStd {
-			std = minStd
-		}
-		return phiValue(now.Sub(lastSuccess).Seconds(), mean, std) >= opts.Threshold
-	}
-}
-
-// meanStd returns the mean and standard deviation of the samples, in two
-// passes.
-func meanStd(samples []float64) (mean, std float64) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	var sum float64
-	for _, s := range samples {
-		sum += s
-	}
-	mean = sum / float64(len(samples))
-	var variance float64
-	for _, s := range samples {
-		variance += (s - mean) * (s - mean)
-	}
-	variance /= float64(len(samples))
-	return mean, math.Sqrt(variance)
 }
 
 // recordedProbes is a fixed 1 000-probe outcome sequence: healthy stretches,
@@ -120,40 +75,20 @@ func TestRingJudgesGiveTheRecordedVerdicts(t *testing.T) {
 			t.Fatalf("ping-pong %+v: %d faulty verdicts of %d; the recording does not exercise the judge", opts, faulty, len(probes))
 		}
 	}
-
-	now := time.Unix(0, 0)
-	rng := rand.New(rand.NewSource(21))
-	opts := DefaultPhiAccrualOptions()
-	ring, ref := phiAccrualJudge(opts), refPhiAccrualJudge(opts)
-	faulty := 0
-	for i, success := range probes {
-		now = now.Add(time.Second + time.Duration(rng.Intn(40)-20)*time.Millisecond)
-		got, want := ring(success, now), ref(success, now)
-		if got != want {
-			t.Fatalf("phi-accrual: verdict %v after probe %d, the recomputed window says %v", got, i, want)
-		}
-		if got {
-			faulty++
-		}
-	}
-	if faulty == 0 {
-		t.Fatal("phi-accrual: no faulty verdict; the recording does not exercise the judge")
-	}
 }
 
 func TestJudgesDoNotAllocate(t *testing.T) {
 	probes := recordedProbes()
 	now := time.Unix(0, 0)
-	pp, phi := pingPongJudge(DefaultPingPongOptions()), phiAccrualJudge(DefaultPhiAccrualOptions())
+	pp := pingPongJudge(DefaultPingPongOptions())
 	i := 0
 	allocs := testing.AllocsPerRun(len(probes), func() {
 		now = now.Add(time.Second)
 		pp(probes[i%len(probes)], now)
-		phi(probes[i%len(probes)], now)
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("the judges allocate %.2f times per probe, want 0", allocs)
+		t.Fatalf("the judge allocates %.2f times per probe, want 0", allocs)
 	}
 }
 

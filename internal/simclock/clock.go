@@ -35,9 +35,9 @@ type Clock interface {
 	// with a different duration, which is what variable-period loops (the
 	// adaptive batching window) need: a Ticker's period is fixed at creation.
 	// Reset may only be called after the timer's value has been received from
-	// C, or before it has fired (an install re-arms the engine's probe timer,
-	// and may bring its flush timer in, that way). Callers must Stop it when
-	// done.
+	// C, after Stop with a firing already delivered drained from C, or before
+	// it has fired (the membership engine's driver re-arms its one timer
+	// after Stop and a non-blocking drain). Callers must Stop it when done.
 	Timer(d time.Duration) Timer
 	// AfterFunc calls f once d has elapsed, unless stop is called first; stop
 	// reports whether it prevented the call. f must not block: the wall clock

@@ -230,6 +230,63 @@ func TestManualTimerStop(t *testing.T) {
 	}
 }
 
+// TestManualTimerStopDrainReset re-arms a timer the way a driver with one
+// timer does — Stop, drop a firing not yet received, Reset. A firing that was
+// delivered but not received is dropped, not seen after the re-arm; the
+// timer never holds more than one waiter; and re-arming while another
+// goroutine advances the clock past its deadlines never leaves Advance
+// blocked on the timer's channel for longer than the next re-arm.
+func TestManualTimerStopDrainReset(t *testing.T) {
+	c := NewManual(time.Unix(0, 0))
+	tm := c.Timer(time.Second)
+	rearm := func(d time.Duration) {
+		tm.Stop()
+		select {
+		case <-tm.C():
+		default:
+		}
+		tm.Reset(d)
+	}
+	c.Advance(time.Second) // delivered, not received
+	rearm(5 * time.Second)
+	c.Advance(4 * time.Second)
+	select {
+	case <-tm.C():
+		t.Fatal("a firing from before the re-arm was received after it")
+	default:
+	}
+	c.Advance(time.Second)
+	select {
+	case at := <-tm.C():
+		if want := time.Unix(6, 0); !at.Equal(want) {
+			t.Fatalf("fired at %v, want %v", at, want)
+		}
+	default:
+		t.Fatal("the re-armed timer did not fire at its deadline")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			c.Advance(time.Millisecond)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		rearm(time.Duration(1+i%3) * time.Millisecond)
+		if n := c.PendingWaiters(); n > 1 {
+			t.Fatalf("%d waiters after a re-arm, want at most 1", n)
+		}
+	}
+	for {
+		select {
+		case <-tm.C():
+		case <-done:
+			return
+		}
+	}
+}
+
 func TestManualTimerZeroFiresImmediately(t *testing.T) {
 	c := NewManual(time.Unix(0, 0))
 	tm := c.Timer(0)

@@ -120,16 +120,3 @@ func NewTCPNetwork(opts TCPNetworkOptions) (*TCPNetwork, error) {
 func PingPongFailureDetector() edgefd.Factory {
 	return edgefd.NewPingPongFactory(edgefd.DefaultPingPongOptions())
 }
-
-// CountingFailureDetector returns an edge failure detector whose judges fail
-// an edge after the given number of consecutive probe failures.
-func CountingFailureDetector(consecutiveFailures int) edgefd.Factory {
-	return edgefd.NewCountingFactory(consecutiveFailures)
-}
-
-// PhiAccrualFailureDetector returns an adaptive φ-accrual edge detector: its
-// judges suspect an edge from how long it has been silent, measured against
-// the intervals between its earlier answers.
-func PhiAccrualFailureDetector() edgefd.Factory {
-	return edgefd.NewPhiAccrualFactory(edgefd.DefaultPhiAccrualOptions())
-}

@@ -1,10 +1,12 @@
 package rapid_test
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	rapid "repro"
+	"repro/internal/edgefd"
 )
 
 // TestPublicAPIQuickstart exercises the facade exactly the way README's
@@ -59,12 +61,26 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	})
 }
 
-// TestPublicAPIFailureDetectorPlugins verifies the exported detector
-// factories can be plugged into Settings.
+// TestPublicAPIFailureDetectorPlugins verifies that an edge failure detector
+// of the application's own can be plugged into Settings (§4.1): it judges
+// every probe, and its verdict removes a crashed member.
 func TestPublicAPIFailureDetectorPlugins(t *testing.T) {
 	net := rapid.NewSimulatedNetwork(rapid.SimulatedNetworkOptions{Seed: 22})
 	settings := rapid.ScaledSettings(50)
-	settings.FailureDetector = rapid.CountingFailureDetector(3)
+	// An edge is faulty on its third failed probe in a row.
+	var judged atomic.Int64
+	settings.FailureDetector = func() edgefd.Judge {
+		streak := 0
+		return func(ok bool, _ time.Time) bool {
+			judged.Add(1)
+			if ok {
+				streak = 0
+			} else {
+				streak++
+			}
+			return streak >= 3
+		}
+	}
 
 	seed, err := rapid.StartCluster("fd-0:4000", settings, net)
 	if err != nil {
@@ -87,11 +103,9 @@ func TestPublicAPIFailureDetectorPlugins(t *testing.T) {
 	// form its ¾ quorum, so this also exercises the classical Paxos fallback.
 	net.Crash(peer2.Addr())
 	waitFor(t, func() bool { return seed.Size() == 2 && peer1.Size() == 2 })
-	if settings.FailureDetector == nil {
-		t.Fatal("factory should be set")
+	if judged.Load() == 0 {
+		t.Fatal("the plugged-in detector judged no probe")
 	}
-	_ = rapid.PingPongFailureDetector()
-	_ = rapid.PhiAccrualFailureDetector()
 }
 
 // TestPublicAPICentralizedMode exercises Rapid-C through the facade.
