@@ -4,8 +4,9 @@
 // installed, and SIGINT/SIGTERM triggers a graceful leave.
 //
 // With --status-addr the agent also serves a JSON status document over HTTP
-// (GET /status): its configuration ID, reported size, the phase-2 join
-// requests it gave up on after JoinPhase2Timeout (0 on a healthy cluster), and
+// (GET /status): its configuration ID, reported size, the phase-2 rounds of its
+// own join whose JoinPhase2Timeout ran out before every observer answered (0
+// on a healthy cluster), and
 // the TCP transport's dial/request/drop counters. cmd/rapid-fleet polls this
 // endpoint to drive and verify real-process loopback fleets.
 //

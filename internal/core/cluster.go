@@ -76,6 +76,10 @@ const (
 	eventQueueSize = 1024
 	// notifierQueueBound caps the pending view-change notification queue.
 	notifierQueueBound = 64
+	// joinAnswersSize bounds the phase-2 answers waiting for the join in
+	// progress: K observers answer a round, and the join reads them as they
+	// come, so an answer is dropped only in a burst of stale ones.
+	joinAnswersSize = 64
 )
 
 // Cluster is one process' handle on the Rapid membership service. Create one
@@ -105,10 +109,10 @@ type Cluster struct {
 	wg       sync.WaitGroup
 
 	started atomic.Bool
-	// startedCh is closed when started turns true, for the phase-2 join
-	// requests that wait for this member's engine instead of bouncing.
-	startedCh chan struct{}
-	snap      atomic.Pointer[snapshot]
+	// joinAnswers carries the observers' answers to this process' phase-2
+	// join requests from HandleRequest to join, until the handle starts.
+	joinAnswers chan *remoting.JoinResponse
+	snap        atomic.Pointer[snapshot]
 
 	notifier *notifier
 	probeReq *remoting.Request // the one request every probe of this member sends
@@ -135,9 +139,9 @@ type EngineMetrics struct {
 	// NotifierCoalesced counts view changes merged away by the bounded
 	// notification queue.
 	NotifierCoalesced metrics.Counter
-	// JoinsTimedOut counts phase-2 join requests this member gave up on
-	// because JoinPhase2Timeout or the caller's deadline ran out before a view
-	// change settled them.
+	// JoinsTimedOut counts this process' own phase-2 join rounds whose
+	// JoinPhase2Timeout ran out with observers still unanswered, one per
+	// round; it is counted while the handle joins, never after.
 	JoinsTimedOut metrics.Counter
 }
 
@@ -162,9 +166,10 @@ type EngineStats struct {
 	// NotifierCoalesced is the number of view changes merged away because a
 	// slow subscriber hit the notification queue bound.
 	NotifierCoalesced int64
-	// JoinsTimedOut is the number of phase-2 join requests this member gave
-	// up on because JoinPhase2Timeout or the caller's deadline ran out. The
-	// join pipeline is redirect-driven, so a healthy bootstrap reads 0.
+	// JoinsTimedOut is the number of phase-2 rounds this process' own join
+	// ran, whose JoinPhase2Timeout ran out before every observer answered:
+	// each failed an attempt. Observers answer at the next view change, with
+	// an admission or a redirect, so a healthy bootstrap reads 0.
 	JoinsTimedOut int64
 }
 
@@ -255,15 +260,15 @@ func newCluster(addr node.Addr, settings Settings, net transport.Network) (*Clus
 		me = me.WithMetadata(settings.Metadata)
 	}
 	c := &Cluster{
-		settings:  settings,
-		net:       net,
-		client:    net.Client(addr),
-		clock:     settings.Clock,
-		me:        me,
-		events:    make(chan event, eventQueueSize),
-		stopCh:    make(chan struct{}),
-		startedCh: make(chan struct{}),
-		probeReq:  &remoting.Request{Probe: &remoting.ProbeRequest{Sender: addr}},
+		settings:    settings,
+		net:         net,
+		client:      net.Client(addr),
+		clock:       settings.Clock,
+		me:          me,
+		events:      make(chan event, eventQueueSize),
+		stopCh:      make(chan struct{}),
+		joinAnswers: make(chan *remoting.JoinResponse, joinAnswersSize),
+		probeReq:    &remoting.Request{Probe: &remoting.ProbeRequest{Sender: addr}},
 	}
 	c.notifier = newNotifier(notifierQueueBound, &c.emetrics.NotifierCoalesced)
 	return c, nil
@@ -278,9 +283,10 @@ func (c *Cluster) initialize(members []node.Endpoint) {
 	e, first := newEngine(c.me, &c.settings, &c.emetrics, members, c.ensemble, now)
 	c.perform(first)
 	c.started.Store(true)
-	close(c.startedCh)
+	timer := newWakeTimer(c.clock)
+	timer.set(first.wakeAt)
 	c.wg.Add(1)
-	go e.run(c, c.clock.Timer(first.wakeAt.Sub(now)), first.wakeAt)
+	go e.run(c, timer)
 	go c.notifier.run()
 }
 

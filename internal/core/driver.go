@@ -1,25 +1,20 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/edgefd"
 	"repro/internal/node"
-	"repro/internal/remoting"
 	"repro/internal/simclock"
 )
 
 // run is the live driver of the state machine in engine.go: the one
 // goroutine that steps the engine, and, with join below, the only code in this
-// package that sends, arms the member's timer, blocks on the transport or
-// publishes to subscribers. It turns the inbound queue into step calls and its
-// one timer into wake calls, stamps each with the clock, and performs what
-// comes back. armed is the deadline the timer is set for, zero once it fired
-// or while the engine holds none. Whenever wakeAt differs, the timer is
-// stopped and drained — the pre-Go 1.23 Timer contract before Reset — and set
-// for it. A firing that raced a re-arm wakes the engine for nothing.
-func (e *engine) run(c *Cluster, timer simclock.Timer, armed time.Time) {
+// package that sends on the engine's behalf, arms the member's timer, blocks on
+// the transport or publishes to subscribers. It turns the inbound queue into
+// step calls and its one timer into wake calls, stamps each with the clock,
+// and performs what comes back.
+func (e *engine) run(c *Cluster, timer *wakeTimer) {
 	defer c.wg.Done()
 	defer timer.Stop()
 	for {
@@ -31,27 +26,55 @@ func (e *engine) run(c *Cluster, timer simclock.Timer, armed time.Time) {
 			out = e.step(ev, c.clock.Now())
 			c.emetrics.EventsProcessed.Add(1)
 		case <-timer.C():
-			armed = time.Time{}
+			timer.fired()
 			out = e.wake(c.clock.Now(), len(c.events))
 		}
 		c.perform(out)
-		if !out.wakeAt.Equal(armed) {
-			timer.Stop()
-			select {
-			case <-timer.C():
-			default:
-			}
-			if armed = out.wakeAt; !armed.IsZero() {
-				timer.Reset(armed.Sub(c.clock.Now()))
-			}
-		}
+		timer.set(out.wakeAt)
+	}
+}
+
+// wakeTimer is one simclock.Timer kept armed for one absolute deadline, a
+// state machine's wakeAt. armed is the deadline it is set for, zero once it
+// fired or while there is none. Whenever the deadline differs, the timer is
+// stopped and drained — the pre-Go 1.23 Timer contract before Reset — and set
+// for it. A firing that raced a re-arm wakes the state machine for nothing,
+// which a wake with nothing due tolerates.
+type wakeTimer struct {
+	simclock.Timer
+	clock simclock.Clock
+	armed time.Time
+}
+
+// newWakeTimer returns a timer on clock that is not armed.
+func newWakeTimer(clock simclock.Clock) *wakeTimer {
+	t := &wakeTimer{Timer: clock.Timer(time.Hour), clock: clock}
+	t.Stop()
+	return t
+}
+
+// fired records that the timer went off.
+func (t *wakeTimer) fired() { t.armed = time.Time{} }
+
+// set arms the timer for at, or disarms it if at is zero.
+func (t *wakeTimer) set(at time.Time) {
+	if at.Equal(t.armed) {
+		return
+	}
+	t.Stop()
+	select {
+	case <-t.C():
+	default:
+	}
+	if t.armed = at; !at.IsZero() {
+		t.Reset(at.Sub(t.clock.Now()))
 	}
 }
 
 // perform does to the world what one step or wake asked for, the timer apart: the
-// sends first — a decision push belongs to the configuration being left —
-// then the new configuration, then the answers to the joiners it settled,
-// then the probes and the poll.
+// sends first — a decision push belongs to the configuration being left, and
+// the answers to the joiners a view change settled go out with it — then the
+// new configuration, then the answer to a phase-1 request, then the probes.
 func (c *Cluster) perform(out outputs) {
 	for _, s := range out.sends {
 		for _, to := range s.to {
@@ -64,14 +87,11 @@ func (c *Cluster) perform(out outputs) {
 	if out.change != nil {
 		c.notifier.publish(*out.change)
 	}
-	for _, r := range out.replies {
-		r.to <- r.resp
+	if out.reply.to != nil {
+		out.reply.to <- out.reply.resp
 	}
 	for i, subject := range out.probe {
 		go c.probe(out.probeGen, i, subject)
-	}
-	if out.poll {
-		go c.poll()
 	}
 }
 
@@ -85,67 +105,43 @@ func (c *Cluster) probe(gen uint64, i int, subject node.Addr) {
 	c.enqueue(event{ctl: &control{probed: &probeResult{gen: gen, i: i, ok: ok}}})
 }
 
-// poll asks the ensemble for the configuration of the cluster it manages,
-// around the transport's blocking Send as probe does, and hands a changed one
-// to the engine. It asks the ensemble nodes in order until one answers, so a
-// member follows one node's sequence of configurations while that node is
-// reachable, and it has given up on all of them when the next poll is due.
-func (c *Cluster) poll() {
-	req := &remoting.Request{GetView: &remoting.GetViewRequest{Sender: c.me.Addr, KnownConfigurationID: c.ConfigurationID()}}
-	for _, to := range c.ensemble {
-		ctx, cancel := simclock.WithTimeout(c.clock, c.settings.pollInterval()/time.Duration(len(c.ensemble)))
-		resp, err := c.client.Send(ctx, to, req)
-		cancel()
-		if err == nil && resp != nil && resp.View != nil {
-			if !resp.View.Unchanged {
-				c.enqueue(event{ctl: &control{learned: resp.View}})
-			}
-			return
-		}
-	}
-}
-
 // join is the live driver of the joiner in join.go, on the goroutine that
-// called JoinCluster: it performs each round's calls, waits out the retry
-// delays, and steps the joiner with what comes back until it has an outcome.
-// The calls of a round run as goroutines around the transport's blocking Send
-// under one JoinPhase2Timeout context, which is cancelled once the round is
-// over — superseded, or the join ended — so an observer still parking one of
-// its requests sees the context end. Each round answers on a channel of its
-// own, which nobody reads once the round is over.
+// called JoinCluster: it performs what the joiner asks for and steps it with
+// what comes back until it has an outcome. Phase 1 is a blocking Send to the
+// seed, made here, under a JoinPhase2Timeout deadline, so a dead seed fails
+// its attempt at once. Phase 2 is one-way: the requests go out best effort,
+// and the observers' answers come back through HandleRequest on the buffered
+// joinAnswers channel. One timer holds the joiner's deadline.
 func (c *Cluster) join(seeds []node.Addr) ([]node.Endpoint, error) {
-	var answers chan joinAnswer
-	var retry <-chan time.Time
-	cancel := context.CancelFunc(func() {})
-	defer func() { cancel() }()
-	j := newJoiner(c.me, seeds, &c.settings, c.clock.Now())
-	for out := j.start(c.clock.Now()); ; {
+	now := c.clock.Now()
+	j := newJoiner(c.me, seeds, &c.settings, &c.emetrics, now)
+	timer := newWakeTimer(c.clock)
+	defer timer.Stop()
+	for out := j.start(now); ; {
 		switch {
 		case out.members != nil || out.err != nil:
 			c.me.ID = j.me.ID // regenerated on an identifier collision
 			return out.members, out.err
-		case out.to != nil:
-			cancel() // the round this one supersedes
-			var ctx context.Context
-			ctx, cancel = simclock.WithTimeout(c.clock, c.settings.JoinPhase2Timeout)
-			answers = make(chan joinAnswer, len(out.to)) // no call waits for a reader
+		case out.req != nil && out.req.PreJoin != nil:
+			ctx, cancel := simclock.WithTimeout(c.clock, c.settings.JoinPhase2Timeout)
+			resp, err := c.client.Send(ctx, out.to[0], out.req)
+			cancel()
+			out = j.preJoined(out.to[0], resp, err, c.clock.Now())
+			continue
+		case out.req != nil:
 			for _, to := range out.to {
-				go func(answers chan<- joinAnswer, to node.Addr, req *remoting.Request) {
-					resp, err := c.client.Send(ctx, to, req)
-					answers <- joinAnswer{from: to, resp: resp, err: err}
-				}(answers, to, out.req)
+				c.client.SendBestEffort(to, out.req)
 			}
-		case out.retryIn > 0:
-			cancel() // the round that failed
-			answers, retry = nil, c.clock.After(out.retryIn)
 		}
+		timer.set(out.wakeAt)
 		select {
 		case <-c.stopCh:
 			return nil, ErrStopped
-		case a := <-answers:
-			out = j.step(a, c.clock.Now())
-		case <-retry:
-			out = j.start(c.clock.Now())
+		case resp := <-c.joinAnswers:
+			out = j.joined(resp, c.clock.Now())
+		case <-timer.C():
+			timer.fired()
+			out = j.wake(c.clock.Now())
 		}
 	}
 }

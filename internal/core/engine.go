@@ -30,8 +30,9 @@ import (
 // interface, so the hot path (inbound batches and consensus votes) queues a
 // message without allocating.
 type event struct {
-	// req is a one-way protocol message (batch, consensus phase, leave),
-	// queued as the transport delivered it; dispatchRequest tells which.
+	// req is a one-way protocol message (batch, consensus phase, phase-2
+	// join, leave), queued as the transport delivered it; dispatchRequest
+	// tells which.
 	req *remoting.Request
 	ctl *control // set instead of req for everything else
 }
@@ -39,16 +40,12 @@ type event struct {
 // control is anything but a protocol message. One field is set.
 type control struct {
 	preJoin *preJoinEvent
-	join    *joinEvent
-	// joinGone tells the engine that the handler serving this phase-2 request
-	// stopped waiting (its caller's context ended or JoinPhase2Timeout ran
-	// out), so the request must not stay parked.
-	joinGone *joinEvent
 	// probed is what a probe found.
 	probed *probeResult
 	// leave asks the engine to announce this process' graceful departure.
 	leave bool
-	// learned is an ensemble node's answer to this member's poll.
+	// learned is an ensemble node's answer to a poll, whichever node sent it
+	// (see learn).
 	learned *remoting.GetViewResponse
 }
 
@@ -65,16 +62,6 @@ type probeResult struct {
 // preJoinEvent carries a phase-1 join request and its reply channel.
 type preJoinEvent struct {
 	msg   *remoting.PreJoinRequest
-	reply chan *remoting.Response
-}
-
-// joinEvent carries a phase-2 join request and its reply channel (buffered,
-// so a reply never blocks on a handler that stopped listening). The engine
-// replies at once, parks the request with the join waiters until the next
-// view change settles it, or holds it as early until the configuration it
-// names is installed.
-type joinEvent struct {
-	msg   *remoting.JoinRequest
 	reply chan *remoting.Response
 }
 
@@ -95,14 +82,13 @@ type outputs struct {
 	// configuration a member starts in).
 	publish *snapshot
 	change  *ViewChange
-	// replies answer join requests, parked ones included.
-	replies []reply
+	// reply answers the phase-1 join request this step served, if it served
+	// one.
+	reply reply
 	// probe are the subjects to probe now, and probeGen the round's
 	// generation.
 	probe    []node.Addr
 	probeGen uint64
-	// poll asks the ensemble for the configuration of the cluster it manages.
-	poll bool
 	// wakeAt is the earliest deadline the engine holds after this step or
 	// wake, zero when it holds none: the driver's one timer fires at it.
 	wakeAt time.Time
@@ -114,7 +100,7 @@ type send struct {
 	req *remoting.Request
 }
 
-// reply is the answer to one join-phase request, for its waiting handler.
+// reply is the answer to a phase-1 join request, for its waiting handler.
 type reply struct {
 	to   chan<- *remoting.Response
 	resp *remoting.Response
@@ -185,27 +171,29 @@ type engine struct {
 	probes   *edgefd.Scheduler
 	probeDue time.Time
 	// pollAt is when a member the ensemble manages next polls it; zero for
-	// everyone else.
-	pollAt time.Time
+	// everyone else. pollTo is the ensemble node it polls, and pollMissed
+	// says that node has not answered the last poll yet, so the next one
+	// goes to the node after it.
+	pollAt     time.Time
+	pollTo     int
+	pollMissed bool
 	// reinforceDue is the next reinforcement check, a fifth of
 	// ReinforcementTimeout apart while a subject is in flux — the only time it
 	// can do anything — and zero otherwise.
 	reinforceDue time.Time
 
 	alertedEdges map[node.Addr]bool
-	// joinWaiters parks phase-2 join requests made in the current
-	// configuration until the next view change answers them: admitted, or
-	// redirected to phase 1. One request per joiner incarnation; a retry
-	// replaces the one it supersedes.
-	joinWaiters map[joinerKey]*joinEvent
-	// joinAlerted records the joiners this process already filed a JOIN alert
-	// for in the current configuration: alerts are irrevocable, so a retry
-	// parks again without another broadcast.
-	joinAlerted map[joinerKey]bool
+	// joinWaiters are the joiner incarnations that parked a phase-2 request in
+	// the current configuration, and for which this process filed a JOIN
+	// alert: the next view change answers each of them, admitted or
+	// redirected to phase 1. Alerts are irrevocable, so a retry parks again
+	// without another alert, and is answered once, with the rest.
+	joinWaiters map[joinerKey]bool
 	// earlyJoins holds phase-2 requests that name a configuration this
 	// process has not installed yet (the seed that served the joiner's phase 1
-	// decided first); they are re-evaluated after every install.
-	earlyJoins []*joinEvent
+	// decided first), one per joiner incarnation, so a retry replaces the
+	// request it gave up on; they are re-evaluated after every install.
+	earlyJoins map[joinerKey]*remoting.JoinRequest
 	// The state a lone voter gathers a join storm by (see gathering):
 	// joinArrived is set when a joiner reached this process in either phase
 	// since the last flush, unparked holds the joiners a lone voter answered in
@@ -266,8 +254,8 @@ func newEngine(me node.Endpoint, s *Settings, m *EngineMetrics, members []node.E
 		probes:               edgefd.NewScheduler(s.FailureDetector),
 		cd:                   cutdetect.New(s.K, s.H, s.L),
 		alertedEdges:         make(map[node.Addr]bool),
-		joinWaiters:          make(map[joinerKey]*joinEvent),
-		joinAlerted:          make(map[joinerKey]bool),
+		joinWaiters:          make(map[joinerKey]bool),
+		earlyJoins:           make(map[joinerKey]*remoting.JoinRequest),
 		unparked:             make(map[joinerKey]bool),
 		winCtl:               newWindowController(s.windowFloor(), s.windowCeiling()),
 	}
@@ -334,10 +322,6 @@ func (e *engine) step(ev event, now time.Time) outputs {
 	case c == nil:
 	case c.preJoin != nil:
 		e.handlePreJoin(c.preJoin)
-	case c.join != nil:
-		e.handleJoinPhase2(c.join)
-	case c.joinGone != nil:
-		e.forgetJoin(c.joinGone)
 	case c.probed != nil:
 		// An outcome of an older generation — a probe that crossed an install —
 		// completes nothing: every configuration starts with fresh windows.
@@ -362,9 +346,9 @@ func (e *engine) step(ev event, now time.Time) outputs {
 // report region longer than ReinforcementTimeout and re-runs the
 // implicit-alert scan that handleAlerts skips for join/vote-only batches; the
 // classical recovery round, again every ConsensusFallbackBase while the
-// instance stays undecided, each time with a higher rank; the poll. A deadline
-// that is not due yet does nothing, so a wake that finds nothing due changes
-// nothing.
+// instance stays undecided, each time with a higher rank; the poll. A
+// deadline that is not due yet does nothing, so a wake that finds nothing due
+// changes nothing.
 func (e *engine) wake(now time.Time, queueDepth int) outputs {
 	e.now = now
 	if e.due(e.flushDue) {
@@ -386,7 +370,8 @@ func (e *engine) wake(now time.Time, queueDepth int) outputs {
 		e.consensus.StartClassicalRound()
 	}
 	if e.due(e.pollAt) {
-		e.pollAt, e.out.poll = now.Add(e.pollInterval), true
+		e.pollAt = now.Add(e.pollInterval)
+		e.poll()
 	}
 	return e.finish()
 }
@@ -479,9 +464,12 @@ func (e *engine) wakeAt() time.Time {
 }
 
 // restartWindow starts the flush window of a configuration just installed at
-// the floor, and brings a flush due later than one floor window in to it.
+// the floor, with no arrivals counted against it — a flush due at the instant
+// of the install would otherwise retune the new window from the batches of
+// the configuration just left — and brings a flush due later than one floor
+// window in to it.
 func (e *engine) restartWindow() {
-	e.winCtl.window = e.winCtl.floor
+	e.winCtl.window, e.arrivals = e.winCtl.floor, 0
 	e.metrics.BatchWindow.Set(int64(e.winCtl.window))
 	if due := e.now.Add(e.winCtl.window); e.flushDue.After(due) {
 		e.flushDue = due
@@ -511,6 +499,8 @@ func (e *engine) dispatchRequest(req *remoting.Request) {
 		e.consensus.HandlePhase2a(req.P2a)
 	case req.P2b != nil:
 		e.consensus.HandlePhase2b(req.P2b)
+	case req.Join != nil:
+		e.handleJoinPhase2(req.Join)
 	case req.Leave != nil:
 		// A graceful leave is a REMOVE alert its observers file at once.
 		e.handleSubjectFailed(req.Leave.Sender)
@@ -548,11 +538,6 @@ func (e *engine) send(to []node.Addr, req *remoting.Request) {
 // (unicast-to-all, §6): alert batches, the classical recovery rounds and leave
 // announcements travel this way.
 func (e *engine) broadcast(req *remoting.Request) { e.send(e.voters, req) }
-
-// reply adds the answer to a join-phase request to this step's outputs.
-func (e *engine) reply(to chan<- *remoting.Response, resp *remoting.Response) {
-	e.out.replies = append(e.out.replies, reply{to: to, resp: resp})
-}
 
 // outbox is the engine as its consensus instance sees it: the Client and the
 // Broadcaster of the frozen fastpaxos.Config, which here only add to the
@@ -726,16 +711,32 @@ func (e *engine) ringsOf(subject node.Addr) []int {
 	return rings
 }
 
-// learn files a configuration an ensemble node answered a poll with as this
-// step's decision: the cut from the installed membership to it, which
-// applyDecision installs and announces as it would a decided one, and whose
-// identifier is the ensemble's, since it depends on the member set alone.
-// Members is sorted by address, as every snapshot is. Identifiers do not
-// order configurations — a member set may come back, when the last joiners
-// fail — so whatever the ensemble answers is installed, and a member follows
-// the sequence of the first ensemble node that answers it (see poll).
+// poll asks one ensemble node for the configuration of the cluster it
+// manages: the node polled last, unless it has not answered that poll, when
+// the next one in turn. So a member follows one node's sequence of
+// configurations while that node answers.
+func (e *engine) poll() {
+	if e.pollMissed {
+		e.pollTo = (e.pollTo + 1) % len(e.ensemble)
+	}
+	e.pollMissed = true
+	e.send(e.ensemble[e.pollTo:e.pollTo+1], &remoting.Request{GetView: &remoting.GetViewRequest{Sender: e.me.Addr, KnownConfigurationID: e.view.ConfigurationID()}})
+}
+
+// learn files a configuration the ensemble node this member polls answered
+// with as this step's decision: the cut from the installed membership to it,
+// which applyDecision installs and announces as it would a decided one, and
+// whose identifier is the ensemble's, since it depends on the member set
+// alone. Members is sorted by address, as every snapshot is. Identifiers do
+// not order configurations — a member set may come back, when the last
+// joiners fail — so whatever that node answers is installed, and an answer
+// from any other node, or to a process that does not poll, is ignored.
 func (e *engine) learn(v *remoting.GetViewResponse) {
-	if v.ConfigurationID == e.view.ConfigurationID() {
+	if e.pollAt.IsZero() || v.Sender != e.ensemble[e.pollTo] {
+		return
+	}
+	e.pollMissed = false
+	if v.Unchanged || v.ConfigurationID == e.view.ConfigurationID() {
 		return
 	}
 	var cut []node.Endpoint
@@ -772,15 +773,15 @@ func (e *engine) handlePreJoin(ev *preJoinEvent) {
 	switch resp.Status {
 	case remoting.JoinSafeToJoin:
 		resp.Observers = e.view.ExpectedObserversOf(msg.Sender)
-		if key := (joinerKey{addr: msg.Sender, id: msg.JoinerID}); len(e.voters) == 1 && !e.joinAlerted[key] {
+		if key := (joinerKey{addr: msg.Sender, id: msg.JoinerID}); len(e.voters) == 1 && !e.joinWaiters[key] {
 			e.unparked[key] = true
 		}
 	case remoting.JoinHostAlreadyInRing:
 		// If the very same process (same logical ID) retries its join — for
 		// example because the response to its phase-2 request was lost — the
 		// view change admitting it already happened. Point it at its actual
-		// observers; their phase-2 handler replies immediately with the
-		// current configuration.
+		// observers, who answer its phase-2 request at once with the current
+		// configuration.
 		if existing, ok := e.view.Member(msg.Sender); ok && existing.ID == msg.JoinerID {
 			resp.Status = remoting.JoinSafeToJoin
 			if obs, err := e.view.ObserversOf(msg.Sender); err == nil {
@@ -791,52 +792,48 @@ func (e *engine) handlePreJoin(ev *preJoinEvent) {
 	if e.allRings && resp.Status == remoting.JoinSafeToJoin {
 		resp.Observers = e.voters
 	}
-	e.reply(ev.reply, &remoting.Response{PreJoin: resp})
+	e.out.reply = reply{to: ev.reply, resp: &remoting.Response{PreJoin: resp}}
 }
 
 // handleJoinPhase2 serves phase 2 of the join protocol on one of the joiner's
-// temporary observers: it broadcasts a JOIN alert and parks the reply channel
-// until the next view change, which either admits the joiner or redirects it
-// to phase 1 (see applyDecision).
-func (e *engine) handleJoinPhase2(ev *joinEvent) {
-	msg := ev.msg
+// temporary observers: it broadcasts a JOIN alert and parks the joiner until
+// the next view change, which either admits it or redirects it to phase 1
+// (see applyDecision). Every answer is a one-way send to the joiner, at once
+// or at that view change.
+func (e *engine) handleJoinPhase2(msg *remoting.JoinRequest) {
 	e.joinArrived = true
 	currentConfig := e.view.ConfigurationID()
+	key := joinerKey{addr: msg.Sender, id: msg.JoinerID}
 	// If the joiner is already a member, the view change raced ahead of this
 	// request (or it is a retry): answer immediately with the configuration.
 	// After a big admission wave hundreds of such requests arrive; they all
 	// get the configuration's one membership slice.
 	if existing, ok := e.view.Member(msg.Sender); ok && existing.ID == msg.JoinerID {
-		e.reply(ev.reply, e.admitted())
+		e.send([]node.Addr{msg.Sender}, e.admitted())
 		return
 	}
 	if msg.ConfigurationID != currentConfig {
 		if slices.Contains(e.pastConfigs, msg.ConfigurationID) {
-			e.reply(ev.reply, e.redirect())
+			e.send([]node.Addr{msg.Sender}, e.redirect())
 			return
 		}
 		// The request is early, not stale: the seed installed a configuration
 		// this member is still deciding. Bouncing it would cost the joiner a
 		// ring it needs to reach H; it is served once the install catches up.
-		e.earlyJoins = append(e.earlyJoins, ev)
+		e.earlyJoins[key] = msg
 		return
 	}
 	rings := e.ringsOf(msg.Sender)
 	if len(rings) == 0 {
-		// We are not one of the joiner's observers in this configuration.
-		e.reply(ev.reply, e.redirect())
+		// We are not one of the joiner's observers in this configuration. A
+		// redirect would name the configuration the joiner's round is in,
+		// which the joiner ignores as stale, so none is sent.
 		return
 	}
-	key := joinerKey{addr: msg.Sender, id: msg.JoinerID}
-	if old := e.joinWaiters[key]; old != nil {
-		// A retry supersedes the request it gave up on; release that handler.
-		e.reply(old.reply, e.redirect())
+	if e.joinWaiters[key] {
+		return // a retry: parked already, and answered with the rest
 	}
-	e.joinWaiters[key] = ev
-	if e.joinAlerted[key] {
-		return
-	}
-	e.joinAlerted[key] = true
+	e.joinWaiters[key] = true
 	delete(e.unparked, key)
 	if e.stormAt.IsZero() {
 		e.stormAt = e.now
@@ -855,34 +852,23 @@ func (e *engine) handleJoinPhase2(ev *joinEvent) {
 // admitted is the phase-2 answer for a joiner the current configuration
 // contains. Members is the engine's shared slice: the receiver must not write
 // to it (rapid-vet's snapshot check holds callers to that).
-func (e *engine) admitted() *remoting.Response {
-	return &remoting.Response{Join: &remoting.JoinResponse{
+func (e *engine) admitted() *remoting.Request {
+	return &remoting.Request{Answer: &remoting.Response{Join: &remoting.JoinResponse{
 		Sender:          e.me.Addr,
 		Status:          remoting.JoinSafeToJoin,
 		ConfigurationID: e.view.ConfigurationID(),
 		Members:         e.members,
-	}}
+	}}}
 }
 
 // redirect is the phase-2 answer that sends a joiner back to phase 1: this
 // configuration will not admit it, the one named here might.
-func (e *engine) redirect() *remoting.Response {
-	return &remoting.Response{Join: &remoting.JoinResponse{Sender: e.me.Addr, Status: remoting.JoinConfigChanged, ConfigurationID: e.view.ConfigurationID()}}
-}
-
-// forgetJoin drops a phase-2 request whose handler stopped waiting for it.
-func (e *engine) forgetJoin(ev *joinEvent) {
-	key := joinerKey{addr: ev.msg.Sender, id: ev.msg.JoinerID}
-	if e.joinWaiters[key] == ev {
-		delete(e.joinWaiters, key)
-		return
-	}
-	for i, held := range e.earlyJoins {
-		if held == ev {
-			e.earlyJoins = append(e.earlyJoins[:i], e.earlyJoins[i+1:]...)
-			return
-		}
-	}
+func (e *engine) redirect() *remoting.Request {
+	return &remoting.Request{Answer: &remoting.Response{Join: &remoting.JoinResponse{
+		Sender:          e.me.Addr,
+		Status:          remoting.JoinConfigChanged,
+		ConfigurationID: e.view.ConfigurationID(),
+	}}}
 }
 
 // --- view changes -------------------------------------------------------------
@@ -950,31 +936,36 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	e.install()
 	e.out.change = &ViewChange{ConfigurationID: e.view.ConfigurationID(), Members: e.members, Changes: changes}
 
-	// Settle every parked joiner now. The incarnation this view change
-	// admitted gets the new configuration; every other one is redirected to
-	// phase 1, where the seed names its observers in the new K rings. Keeping
-	// it parked and re-filing its JOIN alert here would report only the rings
-	// this process still holds for it — after a small view grew, a handful of
-	// K — and a JOIN tally in [L, H) that can never reach H blocks every
-	// member's proposal (§4.2: no subject may be unstable) until the joiner
-	// times out.
-	var admitted *remoting.Response
-	redirect := e.redirect()
-	redirected := false
-	for key, w := range e.joinWaiters {
-		resp := redirect
+	// Settle every parked joiner now, with one send for those this view
+	// change admitted — they get the new configuration — and one for the
+	// rest, redirected to phase 1, where the seed names their observers in
+	// the new K rings. Keeping one parked and re-filing its JOIN alert here
+	// would report only the rings this process still holds for it — after a
+	// small view grew, a handful of K — and a JOIN tally in [L, H) that can
+	// never reach H blocks every member's proposal (§4.2: no subject may be
+	// unstable) until the joiner times out.
+	var admitted, redirected []node.Addr
+	for key := range e.joinWaiters {
 		if ep, ok := e.view.Member(key.addr); ok && ep.ID == key.id {
-			if admitted == nil {
-				admitted = e.admitted()
-			}
-			resp = admitted
+			admitted = append(admitted, key.addr)
 		} else {
-			redirected = true
+			redirected = append(redirected, key.addr)
 		}
-		e.reply(w.reply, resp)
+	}
+	// The answers go out ahead of the decision push and everything else this
+	// step sends: a joiner waits on its answer, nobody waits on the push, and
+	// a best-effort send queues behind those sent before it.
+	var answers []send
+	if len(admitted) > 0 {
+		answers = append(answers, send{to: admitted, req: e.admitted()})
+	}
+	if len(redirected) > 0 {
+		answers = append(answers, send{to: redirected, req: e.redirect()})
+	}
+	if len(answers) > 0 {
+		e.out.sends = append(answers, e.out.sends...)
 	}
 	clear(e.joinWaiters)
-	clear(e.joinAlerted)
 	clear(e.unparked)
 	e.stormAt = time.Time{}
 	// The flush window belongs to the configuration, like the tallies: the
@@ -982,15 +973,16 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// and a join into the new configuration must not wait out its decay. A
 	// joiner sent back to phase 1 says a join storm is still under way, and
 	// the storm keeps the window it grew.
-	if !redirected {
+	if len(redirected) == 0 {
 		e.restartWindow()
 	}
 	// Requests that were waiting for this install are now current (or, if the
-	// joiner was just admitted, answered with the configuration).
+	// joiner was just admitted, answered with the configuration); one that
+	// names a configuration still to come is held again.
 	early := e.earlyJoins
-	e.earlyJoins = nil
-	for _, ev := range early {
-		e.handleJoinPhase2(ev)
+	e.earlyJoins = make(map[joinerKey]*remoting.JoinRequest, len(early))
+	for _, msg := range early {
+		e.handleJoinPhase2(msg)
 	}
 }
 

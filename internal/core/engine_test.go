@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/remoting"
+	"repro/internal/view"
 )
 
 // p1aRanks empties the rig's inboxes and returns the ranks of the recovery
@@ -83,45 +84,96 @@ func TestRecoveryDeadlineIsEngineOwned(t *testing.T) {
 	}
 }
 
+// polls returns the ensemble nodes the outputs poll, in order.
+func polls(outs ...outputs) []node.Addr {
+	var to []node.Addr
+	for _, out := range outs {
+		for _, s := range out.sends {
+			if s.req.GetView != nil {
+				to = append(to, s.to...)
+			}
+		}
+	}
+	return to
+}
+
 // TestPollIsEngineOwned: a member of a cluster an ensemble manages polls it at
-// exactly every poll interval from its install, and at no other time.
+// exactly every poll interval from its install, and at no other time, with a
+// one-way GetView the engine sends itself. It keeps polling the node that
+// answered its last poll, moves to the next node after a poll that got no
+// answer, and learns only from the node it polls: an answer from any other is
+// ignored.
 func TestPollIsEngineOwned(t *testing.T) {
 	r := newEngineRig(t)
 	r.ensemble = []node.Addr{"ensemble-0:1", "ensemble-1:1", "ensemble-2:1"}
 	members := []node.Endpoint{endpoint(0), endpoint(1), endpoint(2), endpoint(3)}
 	e, first := r.start(members[1], members)
 	start, interval := r.clk.Now(), r.settings.pollInterval()
-	polls := func(outs []outputs) int {
-		n := 0
-		for _, out := range outs {
-			if out.poll {
-				n++
-			}
-		}
-		return n
+	if got := polls(first); len(got) != 0 {
+		t.Fatalf("the member polled %v at its install", got)
 	}
-	if first.poll {
-		t.Fatal("the member polled at its install")
+	// pollAt runs the member to the n-th poll after the install and returns
+	// whom it polled there.
+	pollAt := func(n time.Duration) node.Addr {
+		t.Helper()
+		if got := polls(r.wakeUntil(e, start.Add(n*interval-time.Nanosecond))...); len(got) != 0 {
+			t.Fatalf("polled %v before the poll due %v after the install", got, n*interval)
+		}
+		got := polls(r.wakeUntil(e, start.Add(n*interval))...)
+		if len(got) != 1 {
+			t.Fatalf("%d polls at %v after the install, want one", len(got), n*interval)
+		}
+		return got[0]
 	}
-	for n := time.Duration(1); n <= 3; n++ {
-		if got := polls(r.wakeUntil(e, start.Add(n*interval-time.Nanosecond))); got != 0 {
-			t.Fatalf("%d polls before the one due %v after the install", got, n*interval)
-		}
-		if got := polls(r.wakeUntil(e, start.Add(n*interval))); got != 1 {
-			t.Fatalf("%d polls at %v after the install, want one", got, n*interval)
-		}
+	answer := func(from node.Addr, members []node.Endpoint) {
+		v := &remoting.GetViewResponse{Sender: from, ConfigurationID: view.NewWithMembers(r.settings.K, members).ConfigurationID(), Members: members}
+		r.step(e.me.Addr, event{ctl: &control{learned: v}})
+	}
+	unchanged := func(from node.Addr) {
+		r.step(e.me.Addr, event{ctl: &control{learned: &remoting.GetViewResponse{Sender: from, ConfigurationID: e.view.ConfigurationID(), Unchanged: true}}})
+	}
+
+	if got := pollAt(1); got != r.ensemble[0] {
+		t.Fatalf("the first poll went to %s, want %s", got, r.ensemble[0])
+	}
+	unchanged(r.ensemble[0])
+	if got := pollAt(2); got != r.ensemble[0] {
+		t.Fatalf("after an answer the poll went to %s, want %s again", got, r.ensemble[0])
+	}
+	// No answer to that poll: the next goes to the next node, and an answer
+	// from the node it no longer polls teaches it nothing.
+	if got := pollAt(3); got != r.ensemble[1] {
+		t.Fatalf("after an unanswered poll the poll went to %s, want %s", got, r.ensemble[1])
+	}
+	answer(r.ensemble[0], members[:3])
+	if e.view.Size() != len(members) {
+		t.Fatalf("the member learned a configuration of %d from a node it did not poll", e.view.Size())
+	}
+	answer(r.ensemble[1], members[:3])
+	if e.view.Size() != 3 {
+		t.Fatalf("the member holds %d members after the polled node's answer, want 3", e.view.Size())
+	}
+	// The install restarts the poll interval, with the node that answered.
+	start = r.clk.Now()
+	if got := pollAt(1); got != r.ensemble[1] {
+		t.Fatalf("after the install the poll went to %s, want %s", got, r.ensemble[1])
 	}
 }
 
 // TestJoinPhasesQueueFIFOBehindBatches: there is one way into the engine. A
 // pre-join and a phase-2 request that arrive behind a backlog of batches are
-// served in arrival order, after the backlog, and the notice that the
-// phase-2 caller gave up — queued behind them — still drops the parked waiter.
+// served in arrival order, after the backlog. The phase-2 request is only
+// enqueued — its handler returns at once — and the engine answers it with a
+// send.
 func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
 	c, e := r.handle(seed, []node.Endpoint{seed})
-	dispatch := func(ev event) { c.perform(e.step(ev, r.clk.Now())) }
+	dispatch := func(ev event) outputs {
+		out := e.step(ev, r.clk.Now())
+		c.perform(out)
+		return out
+	}
 	configID := e.view.ConfigurationID()
 	joiner := endpoint(1)
 
@@ -143,23 +195,14 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 		preJoined <- resp
 	}()
 	queued(backlog + 1)
-	ctx, giveUp := context.WithCancel(context.Background())
-	joined := make(chan *remoting.Response, 1)
-	go func() {
-		resp, _ := c.HandleRequest(ctx, joiner.Addr, &remoting.Request{Join: &remoting.JoinRequest{
-			Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: configID,
-		}})
-		joined <- resp
-	}()
-	queued(backlog + 2)
-	giveUp()
-	queued(backlog + 3)
-	if resp := <-joined; resp.Join.Status != remoting.JoinViewChangeInProgress {
-		t.Fatalf("abandoned phase-2 request answered %s", resp.Join.Status)
+	resp, err := c.HandleRequest(context.Background(), joiner.Addr, joinRequest(joiner, configID).req)
+	if err != nil || resp == nil || !resp.Ack {
+		t.Fatalf("the phase-2 request was answered %+v, %v; want an acknowledgement", resp, err)
 	}
+	queued(backlog + 2)
 
 	for i := 0; i < backlog; i++ {
-		if ev := <-c.events; ev.req == nil {
+		if ev := <-c.events; ev.req == nil || ev.req.Alerts == nil {
 			t.Fatalf("event %d jumped the backlog of batches: %+v", i, ev)
 		} else {
 			dispatch(ev)
@@ -179,20 +222,12 @@ func TestJoinPhasesQueueFIFOBehindBatches(t *testing.T) {
 		t.Fatalf("pre-join answered %s/%x", resp.PreJoin.Status, resp.PreJoin.ConfigurationID)
 	}
 	ev = <-c.events
-	if ev.ctl == nil || ev.ctl.join == nil {
+	if ev.req == nil || ev.req.Join == nil {
 		t.Fatalf("want the phase-2 request next, got %+v", ev)
 	}
 	dispatch(ev)
 	if len(e.joinWaiters) != 1 {
 		t.Fatalf("%d joiners parked after the phase-2 request, want 1", len(e.joinWaiters))
-	}
-	ev = <-c.events
-	if ev.ctl == nil || ev.ctl.joinGone == nil {
-		t.Fatalf("want the give-up notice last, got %+v", ev)
-	}
-	dispatch(ev)
-	if len(e.joinWaiters) != 0 {
-		t.Fatal("a request whose caller gave up stayed parked")
 	}
 }
 
@@ -415,13 +450,9 @@ func TestInstallRestartsTheFlushWindow(t *testing.T) {
 		return out
 	}
 	// park hands the seed a phase-2 request from joiner in its configuration.
-	park := func(d *driverTimer, joiner node.Endpoint) *joinEvent {
-		ev := &joinEvent{
-			msg:   &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: d.e.view.ConfigurationID()},
-			reply: make(chan *remoting.Response, 1),
-		}
-		d.step(event{ctl: &control{join: ev}})
-		return ev
+	park := func(d *driverTimer, joiner node.Endpoint) node.Endpoint {
+		d.step(joinRequest(joiner, d.e.view.ConfigurationID()))
+		return joiner
 	}
 
 	t.Run("install without a redirect", func(t *testing.T) {
@@ -460,13 +491,30 @@ func TestInstallRestartsTheFlushWindow(t *testing.T) {
 		before := d.flush.Sub(r.clk.Now())
 		straggler := park(d, endpoint(11))
 		decide(d)
-		if resp := answer(t, straggler); resp.Status != remoting.JoinConfigChanged {
+		if resp := r.answer(straggler); resp.Status != remoting.JoinConfigChanged {
 			t.Fatalf("the parked joiner got %s, want CONFIG_CHANGED", resp.Status)
 		}
 		if got := d.e.winCtl.window; got != ceiling {
 			t.Fatalf("the window is %v after an install that redirected a joiner, want the ceiling %v", got, ceiling)
 		}
 		d.armed(before, "after the install")
+	})
+
+	// The batches of the configuration being left must not size the new
+	// one's window: a flush that comes due at the very instant of an install
+	// — the driver took the deciding event off its queue before the timer
+	// that fired with it — runs in the new configuration, at the floor.
+	t.Run("flush due at the instant of an install", func(t *testing.T) {
+		r, d := grown(t)
+		for i := 0; i < 2*growArrivals; i++ {
+			d.step(event{req: alertBatch(d.e.view.ConfigurationID(), uint64(i))})
+		}
+		r.clk.Advance(d.flush.Sub(r.clk.Now()))
+		decide(d)
+		d.fire()
+		if got := d.e.winCtl.window; got != floor {
+			t.Fatalf("the flush due at the install left the window at %v, want the floor %v", got, floor)
+		}
 	})
 
 	t.Run("newborn engine", func(t *testing.T) {
@@ -499,8 +547,8 @@ func TestConfigurationSlicesAreShared(t *testing.T) {
 	decided := r.step(seed.Addr, event{req: r.inbox[seed.Addr][0]})
 	c.perform(outputs{publish: decided.publish})
 
-	admitted := answer(t, parked)
-	late := answer(t, r.park(seed.Addr, joiner, s.view.ConfigurationID())) // a retry that finds the joiner a member already
+	admitted := r.answer(parked)
+	late := r.answer(r.park(seed.Addr, joiner, s.view.ConfigurationID())) // a retry that finds the joiner a member already
 	if decided.publish == nil || decided.change == nil {
 		t.Fatal("the deciding step published no view change")
 	}

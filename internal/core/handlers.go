@@ -8,12 +8,14 @@ import (
 )
 
 // HandleRequest implements transport.Handler. Handlers are thin enqueuers:
-// protocol messages go onto the engine queue as they are and are
-// acknowledged immediately, so the transport's dispatch path never takes a
-// lock and never touches protocol state; which message it is gets decided
-// once, in the engine's dispatch. Only the join phases wait for the engine's
-// reply, and probes and polls are answered directly, from an atomic flag and
-// the snapshot.
+// protocol messages — a phase-2 join request among them, started or not, as
+// the queue is there before the engine runs — go onto the engine queue as they
+// are and are acknowledged immediately, so the transport's dispatch path never
+// takes a lock and never touches protocol state; which message it is gets
+// decided once, in the engine's dispatch. Only phase 1 of a join waits for the
+// engine's reply; probes and polls are answered directly, from an atomic flag
+// and the snapshot, and answers to this process' own phase-2 requests and
+// polls are handed on (see takeAnswer).
 func (c *Cluster) HandleRequest(ctx context.Context, from node.Addr, req *remoting.Request) (*remoting.Response, error) {
 	switch {
 	case req == nil:
@@ -21,11 +23,11 @@ func (c *Cluster) HandleRequest(ctx context.Context, from node.Addr, req *remoti
 	case req.Probe != nil:
 		return c.handleProbe(), nil
 	case req.GetView != nil:
-		return c.handleGetView(req.GetView), nil
+		c.handleGetView(req.GetView)
 	case req.PreJoin != nil:
 		return c.handlePreJoin(ctx, req.PreJoin), nil
-	case req.Join != nil:
-		return c.handleJoinPhase2(ctx, req.Join), nil
+	case req.Answer != nil:
+		c.takeAnswer(req.Answer)
 	default:
 		c.enqueue(event{req: req})
 	}
@@ -44,19 +46,35 @@ func (c *Cluster) handleProbe() *remoting.Response {
 }
 
 // handleGetView answers a member's poll from the snapshot, as handleProbe
-// answers a probe: "unchanged" for a member that already holds the
-// configuration, the membership otherwise. A handle that has not started yet
-// acknowledges it with nothing to learn.
-func (c *Cluster) handleGetView(msg *remoting.GetViewRequest) *remoting.Response {
+// answers a probe, but with a one-way send: "unchanged" for a member that
+// already holds the configuration, the membership otherwise. A handle that
+// has not started yet has nothing to answer with.
+func (c *Cluster) handleGetView(msg *remoting.GetViewRequest) {
 	s := c.snap.Load()
 	if s == nil {
-		return remoting.AckResponse()
+		return
 	}
 	resp := &remoting.GetViewResponse{Sender: c.me.Addr, ConfigurationID: s.configID, Unchanged: msg.KnownConfigurationID == s.configID}
 	if !resp.Unchanged {
 		resp.Members = s.members
 	}
-	return &remoting.Response{View: resp}
+	c.client.SendBestEffort(msg.Sender, &remoting.Request{Answer: &remoting.Response{View: resp}})
+}
+
+// takeAnswer hands on a one-way answer addressed to this process: a poll's to
+// the engine, which judges whether it is the one it waits for, and a phase-2
+// join's to the join in progress, without blocking — once the join is over
+// (the handle has started), or its buffer is full, the answer is dropped.
+func (c *Cluster) takeAnswer(resp *remoting.Response) {
+	switch {
+	case resp.View != nil:
+		c.enqueue(event{ctl: &control{learned: resp.View}})
+	case resp.Join != nil && !c.started.Load():
+		select {
+		case c.joinAnswers <- resp.Join:
+		default:
+		}
+	}
 }
 
 // handlePreJoin forwards phase 1 of the join protocol to the engine and waits
@@ -81,68 +99,4 @@ func (c *Cluster) handlePreJoin(ctx context.Context, msg *remoting.PreJoinReques
 	case <-c.stopCh:
 		return busy
 	}
-}
-
-// handleJoinPhase2 forwards phase 2 of the join protocol to the engine, which
-// answers at once or at the next view change: admitted, or redirected to
-// phase 1. A request that arrives before this member's own engine runs — a
-// member is registered with the transport while it is still joining, and the
-// configuration that admits it already names it as an observer — waits for
-// the engine instead of bouncing. This handler enforces the caller-facing
-// bounds: the caller's context and JoinPhase2Timeout.
-func (c *Cluster) handleJoinPhase2(ctx context.Context, msg *remoting.JoinRequest) *remoting.Response {
-	timeout := c.clock.Timer(c.settings.JoinPhase2Timeout)
-	defer timeout.Stop()
-	ev := &joinEvent{msg: msg, reply: make(chan *remoting.Response, 1)}
-	started := c.startedCh
-	var reply chan *remoting.Response // nil until the engine has the request
-	for {
-		select {
-		case <-started:
-			started = nil
-			if !c.enqueue(event{ctl: &control{join: ev}}) {
-				return c.joinBusy()
-			}
-			reply = ev.reply
-		case resp := <-reply:
-			return resp
-		case <-ctx.Done():
-			// A caller that cancelled was answered by another observer or
-			// gave the attempt up; only an expired wait counts as timed out.
-			return c.abandonJoin(ev, reply, ctx.Err() != context.Canceled)
-		case <-timeout.C():
-			return c.abandonJoin(ev, reply, true)
-		case <-c.stopCh:
-			return c.joinBusy()
-		}
-	}
-}
-
-// abandonJoin ends a phase-2 request whose bounds ran out. An answer that is
-// already there still wins: on a saturated host this goroutine may be
-// scheduled long after the engine replied, with the deadline passed as well.
-// Otherwise the engine is told to forget the request, if it ever got it.
-func (c *Cluster) abandonJoin(ev *joinEvent, reply chan *remoting.Response, timedOut bool) *remoting.Response {
-	select {
-	case resp := <-reply:
-		return resp
-	default:
-	}
-	if timedOut {
-		c.emetrics.JoinsTimedOut.Add(1)
-	}
-	if reply != nil {
-		c.enqueue(event{ctl: &control{joinGone: ev}})
-	}
-	return c.joinBusy()
-}
-
-// joinBusy is the phase-2 answer of a member that cannot serve the request
-// now; the joiner counts it as a lost observer.
-func (c *Cluster) joinBusy() *remoting.Response {
-	return &remoting.Response{Join: &remoting.JoinResponse{
-		Sender:          c.me.Addr,
-		Status:          remoting.JoinViewChangeInProgress,
-		ConfigurationID: c.ConfigurationID(),
-	}}
 }

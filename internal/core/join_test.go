@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,8 +20,9 @@ import (
 // engineRig drives engines by hand on the test goroutine: no driver runs, so
 // every interleaving below is exactly the one written down. The rig performs
 // an engine's outputs the way the driver would, minus the world: sends land
-// in per-member inboxes and move only when the test says so, replies go to the
-// channel that waits for them, and the time is whatever the manual clock says.
+// in per-member inboxes and move only when the test says so — a joiner's
+// phase-2 answers in the joiner's — a phase-1 reply goes to the channel that
+// waits for it, and the time is whatever the manual clock says.
 type engineRig struct {
 	t        *testing.T
 	clk      *simclock.Manual
@@ -59,21 +59,20 @@ func (r *engineRig) handle(me node.Endpoint, members []node.Endpoint) (*Cluster,
 	e, first := newEngine(me, &c.settings, &c.emetrics, members, nil, r.clk.Now())
 	c.perform(first)
 	c.started.Store(true)
-	close(c.startedCh)
 	r.engines[me.Addr] = e
 	return c, e
 }
 
-// file puts one step's sends into the recipients' inboxes and its replies
-// into the channels that wait for them, and hands the outputs back.
+// file puts one step's sends into the recipients' inboxes and its phase-1
+// reply into the channel that waits for it, and hands the outputs back.
 func (r *engineRig) file(out outputs) outputs {
 	for _, s := range out.sends {
 		for _, to := range s.to {
 			r.inbox[to] = append(r.inbox[to], s.req)
 		}
 	}
-	for _, rep := range out.replies {
-		rep.to <- rep.resp
+	if out.reply.to != nil {
+		out.reply.to <- out.reply.resp
 	}
 	return out
 }
@@ -93,14 +92,16 @@ func (r *engineRig) preJoin(seed node.Addr, joiner node.Endpoint) *remoting.PreJ
 	return (<-ev.reply).PreJoin
 }
 
-// park hands one phase-2 request to an observer's engine.
-func (r *engineRig) park(observer node.Addr, joiner node.Endpoint, configID uint64) *joinEvent {
-	ev := &joinEvent{
-		msg:   &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: configID, Metadata: joiner.Metadata},
-		reply: make(chan *remoting.Response, 1),
-	}
-	r.step(observer, event{ctl: &control{join: ev}})
-	return ev
+// park hands one phase-2 request to an observer's engine and returns the
+// joiner, whose answers its inbox collects.
+func (r *engineRig) park(observer node.Addr, joiner node.Endpoint, configID uint64) node.Endpoint {
+	r.step(observer, joinRequest(joiner, configID))
+	return joiner
+}
+
+// joinRequest is joiner's phase-2 request naming the given configuration.
+func joinRequest(joiner node.Endpoint, configID uint64) event {
+	return event{req: &remoting.Request{Join: &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: configID, Metadata: joiner.Metadata}}}
 }
 
 // flush runs every listed member's flush at the rig's time, as a wake at its
@@ -162,15 +163,29 @@ func cutAlerts(configID uint64, k int, joiner node.Endpoint) *remoting.Request {
 	}}}}
 }
 
-func answer(t *testing.T, ev *joinEvent) *remoting.JoinResponse {
-	t.Helper()
-	select {
-	case resp := <-ev.reply:
-		return resp.Join
-	default:
-		t.Fatalf("no answer to %s's phase-2 request", ev.msg.Sender)
-		return nil
+// answers takes the phase-2 answers sent to joiner out of its inbox.
+func (r *engineRig) answers(joiner node.Endpoint) []*remoting.JoinResponse {
+	var got []*remoting.JoinResponse
+	kept := r.inbox[joiner.Addr][:0]
+	for _, req := range r.inbox[joiner.Addr] {
+		if req.Answer != nil && req.Answer.Join != nil {
+			got = append(got, req.Answer.Join)
+		} else {
+			kept = append(kept, req)
+		}
 	}
+	r.inbox[joiner.Addr] = kept
+	return got
+}
+
+// answer takes the one phase-2 answer sent to joiner out of its inbox.
+func (r *engineRig) answer(joiner node.Endpoint) *remoting.JoinResponse {
+	r.t.Helper()
+	got := r.answers(joiner)
+	if len(got) != 1 {
+		r.t.Fatalf("%d answers to %s's phase-2 request, want one", len(got), joiner.Addr)
+	}
+	return got[0]
 }
 
 func endpoint(i int) node.Endpoint {
@@ -192,9 +207,8 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 	c0 := s.view.ConfigurationID()
 
 	first := []node.Endpoint{endpoint(1), endpoint(2), endpoint(3)}
-	var admitted []*joinEvent
 	for _, j := range first {
-		admitted = append(admitted, r.park(seed.Addr, j, c0))
+		r.park(seed.Addr, j, c0)
 	}
 	r.flush(seed.Addr) // JOIN alerts
 	// The straggler parks after the cut's alerts left and before they come
@@ -208,12 +222,12 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 		t.Fatalf("seed has %d members after the first wave, want 4", got)
 	}
 	c1 := s.view.ConfigurationID()
-	for _, ev := range admitted {
-		if resp := answer(t, ev); resp.Status != remoting.JoinSafeToJoin || len(resp.Members) != 4 {
-			t.Fatalf("%s: got %s with %d members, want SAFE_TO_JOIN with 4", ev.msg.Sender, resp.Status, len(resp.Members))
+	for _, j := range first {
+		if resp := r.answer(j); resp.Status != remoting.JoinSafeToJoin || len(resp.Members) != 4 {
+			t.Fatalf("%s: got %s with %d members, want SAFE_TO_JOIN with 4", j.Addr, resp.Status, len(resp.Members))
 		}
 	}
-	if resp := answer(t, straggler); resp.Status != remoting.JoinConfigChanged || resp.ConfigurationID != c1 {
+	if resp := r.answer(straggler); resp.Status != remoting.JoinConfigChanged || resp.ConfigurationID != c1 {
 		t.Fatalf("raced-past joiner got %s/%x, want CONFIG_CHANGED/%x", resp.Status, resp.ConfigurationID, c1)
 	}
 	if !r.idle(seed.Addr) {
@@ -227,12 +241,11 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 		r.start(j, members)
 		all = append(all, j.Addr)
 	}
-	var waiting []*joinEvent
 	seen := map[node.Addr]bool{}
 	for _, o := range s.view.ExpectedObserversOf(late.Addr) {
 		if !seen[o] {
 			seen[o] = true
-			waiting = append(waiting, r.park(o, late, c1))
+			r.park(o, late, c1)
 		}
 	}
 	r.flush(all...) // JOIN alerts
@@ -248,8 +261,12 @@ func TestRacedPastJoinerIsRedirected(t *testing.T) {
 			t.Fatalf("%s still tracks a subject between the watermarks", m)
 		}
 	}
-	for _, ev := range waiting {
-		if resp := answer(t, ev); resp.Status != remoting.JoinSafeToJoin || len(resp.Members) != 5 {
+	answers := r.answers(late)
+	if len(answers) != len(seen) {
+		t.Fatalf("%d answers from the redirected joiner's %d observers", len(answers), len(seen))
+	}
+	for _, resp := range answers {
+		if resp.Status != remoting.JoinSafeToJoin || len(resp.Members) != 5 {
 			t.Fatalf("redirected joiner got %s with %d members, want SAFE_TO_JOIN with 5", resp.Status, len(resp.Members))
 		}
 	}
@@ -275,16 +292,16 @@ func (r *engineRig) tickSeed(s *engine, queued int) (held bool) {
 	return len(out.sends) == 0
 }
 
-// allAdmitted fails unless every parked request was answered SAFE_TO_JOIN by
+// allAdmitted fails unless every parked joiner was answered SAFE_TO_JOIN by
 // the seed's first view change, with a membership of the seed plus all of them.
-func allAdmitted(t *testing.T, s *engine, parked []*joinEvent) {
-	t.Helper()
+func (r *engineRig) allAdmitted(s *engine, parked []node.Endpoint) {
+	r.t.Helper()
 	if s.viewChanges != 1 || s.view.Size() != 1+len(parked) {
-		t.Fatalf("seed has %d members after %d view changes, want %d after one", s.view.Size(), s.viewChanges, 1+len(parked))
+		r.t.Fatalf("seed has %d members after %d view changes, want %d after one", s.view.Size(), s.viewChanges, 1+len(parked))
 	}
-	for _, ev := range parked {
-		if resp := answer(t, ev); resp.Status != remoting.JoinSafeToJoin || len(resp.Members) != 1+len(parked) {
-			t.Fatalf("%s got %s with %d members, want SAFE_TO_JOIN with %d", ev.msg.Sender, resp.Status, len(resp.Members), 1+len(parked))
+	for _, j := range parked {
+		if resp := r.answer(j); resp.Status != remoting.JoinSafeToJoin || len(resp.Members) != 1+len(parked) {
+			r.t.Fatalf("%s got %s with %d members, want SAFE_TO_JOIN with %d", j.Addr, resp.Status, len(resp.Members), 1+len(parked))
 		}
 	}
 }
@@ -306,7 +323,7 @@ func TestLoneSeedGathersTheStorm(t *testing.T) {
 			t.Fatalf("phase 1 of %s got %s", endpoint(i).Addr, resp.Status)
 		}
 	}
-	var parked []*joinEvent
+	var parked []node.Endpoint
 	for wave := 0; wave < 3; wave++ {
 		for i := wave*n/3 + 1; i <= (wave+1)*n/3; i++ {
 			parked = append(parked, r.park(seed.Addr, endpoint(i), c0))
@@ -319,7 +336,7 @@ func TestLoneSeedGathersTheStorm(t *testing.T) {
 		t.Fatal("the seed held its JOIN alerts through a quiet window")
 	}
 	r.deliver(seed.Addr)
-	allAdmitted(t, s, parked)
+	r.allAdmitted(s, parked)
 	if !r.idle(seed.Addr) {
 		t.Fatal("the view change left a JOIN alert or tally behind")
 	}
@@ -335,7 +352,7 @@ func TestLoneSeedCutsAParkedSmallStormAtOnce(t *testing.T) {
 	seed := endpoint(0)
 	s, _ := r.start(seed, []node.Endpoint{seed})
 	c0 := s.view.ConfigurationID()
-	var parked []*joinEvent
+	var parked []node.Endpoint
 	for i := 1; i <= 31; i++ {
 		r.preJoin(seed.Addr, endpoint(i))
 		parked = append(parked, r.park(seed.Addr, endpoint(i), c0))
@@ -347,7 +364,7 @@ func TestLoneSeedCutsAParkedSmallStormAtOnce(t *testing.T) {
 		t.Fatal("the seed held a small storm that had all parked")
 	}
 	r.deliver(seed.Addr)
-	allAdmitted(t, s, parked)
+	r.allAdmitted(s, parked)
 }
 
 // TestLoneSeedCutsATrickleInTime: one joiner parks per window while the next
@@ -361,7 +378,7 @@ func TestLoneSeedCutsATrickleInTime(t *testing.T) {
 	c0 := s.view.ConfigurationID()
 	half := r.settings.JoinPhase2Timeout / 2
 	began := r.clk.Now()
-	var parked []*joinEvent
+	var parked []node.Endpoint
 	r.preJoin(seed.Addr, endpoint(1))
 	for i := 1; ; i++ {
 		parked = append(parked, r.park(seed.Addr, endpoint(i), c0))
@@ -379,40 +396,43 @@ func TestLoneSeedCutsATrickleInTime(t *testing.T) {
 		}
 	}
 	r.deliver(seed.Addr)
-	allAdmitted(t, s, parked)
+	r.allAdmitted(s, parked)
 }
 
-// TestRetriedJoinFilesOneAlert pins the per-configuration bookkeeping: a retry
-// of the same joiner replaces its parked request (releasing the old handler)
-// without a second JOIN alert, and a request its handler gave up on is not
-// kept parked.
+// TestRetriedJoinFilesOneAlert pins the per-configuration bookkeeping: a
+// retry replaces the request it gave up on without answering it — a parked
+// one without a second JOIN alert, an early one in the one slot its joiner
+// incarnation holds. The view change then answers the parked joiner once,
+// and holds the early request again while the configuration it names is
+// still to come.
 func TestRetriedJoinFilesOneAlert(t *testing.T) {
 	r := newEngineRig(t)
 	seed := endpoint(0)
 	s, _ := r.start(seed, []node.Endpoint{seed})
 	c0 := s.view.ConfigurationID()
-	j := endpoint(1)
+	j, early := endpoint(1), endpoint(2)
 
-	firstTry := r.park(seed.Addr, j, c0)
-	retry := r.park(seed.Addr, j, c0)
+	for try := uint64(0); try < 2; try++ {
+		r.park(seed.Addr, j, c0)
+		r.park(seed.Addr, early, 0xe0+try) // a configuration nobody installed
+	}
 	if len(s.pendingAlerts) != 1 {
 		t.Fatalf("%d JOIN alerts pending after a retry, want 1", len(s.pendingAlerts))
 	}
-	if resp := answer(t, firstTry); resp.Status != remoting.JoinConfigChanged {
-		t.Fatalf("superseded request got %s, want CONFIG_CHANGED", resp.Status)
+	if got := len(r.answers(j)) + len(r.answers(early)); got != 0 {
+		t.Fatalf("%d answers to requests a retry replaced, want none", got)
 	}
-	r.step(seed.Addr, event{ctl: &control{joinGone: retry}})
-	if len(s.joinWaiters) != 0 {
-		t.Fatal("a request whose handler gave up stayed parked")
-	}
-	third := r.park(seed.Addr, j, c0)
-	if len(s.pendingAlerts) != 1 {
-		t.Fatalf("%d JOIN alerts pending after re-parking, want 1", len(s.pendingAlerts))
+	held := s.earlyJoins[joinerKey{addr: early.Addr, id: early.ID}]
+	if len(s.earlyJoins) != 1 || held == nil || held.ConfigurationID != 0xe1 {
+		t.Fatalf("%d early requests held (the joiner's names %+v), want the retry's alone", len(s.earlyJoins), held)
 	}
 	r.flush(seed.Addr) // the JOIN alert
 	r.deliver(seed.Addr)
-	if resp := answer(t, third); resp.Status != remoting.JoinSafeToJoin {
+	if resp := r.answer(j); resp.Status != remoting.JoinSafeToJoin {
 		t.Fatalf("joiner got %s, want SAFE_TO_JOIN", resp.Status)
+	}
+	if got := r.answers(early); len(got) != 0 || len(s.earlyJoins) != 1 {
+		t.Fatalf("the install answered the early request %d times and holds %d, want none and one", len(got), len(s.earlyJoins))
 	}
 }
 
@@ -421,8 +441,9 @@ func TestRetriedJoinFilesOneAlert(t *testing.T) {
 // TestEarlyJoinRequestsAreHeldNotBounced sends a joiner's phase-2 requests
 // too early on purpose: to the seed, naming a configuration the seed has not
 // installed yet, and to a member that is registered with the transport but
-// still joining. Both must be served once the members catch up — the joiner
-// is admitted from exactly these two requests.
+// still joining, whose queue holds the request until its engine runs. Both
+// must be served once the members catch up — the joiner is admitted from
+// exactly these two requests.
 func TestEarlyJoinRequestsAreHeldNotBounced(t *testing.T) {
 	net := simnet.New(simnet.Options{Seed: 3})
 	defer net.Close()
@@ -434,29 +455,30 @@ func TestEarlyJoinRequestsAreHeldNotBounced(t *testing.T) {
 	}
 	defer seed.Stop()
 	// The second member exists for the transport, but has not joined yet.
-	second, err := newCluster(addr(1), s, net)
+	second, err := register(addr(1), nil, s, net)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Register(second.me.Addr, second); err != nil {
 		t.Fatal(err)
 	}
 	// The configuration {seed, second}, which nobody has installed so far.
 	next := view.NewWithMembers(s.K, []node.Endpoint{seed.me, second.me}).ConfigurationID()
 
 	joiner := endpoint(2)
+	answers := make(chan *remoting.JoinResponse, 4)
+	if err := net.Register(joiner.Addr, transport.HandlerFunc(func(_ context.Context, _ node.Addr, req *remoting.Request) (*remoting.Response, error) {
+		if req.Answer != nil && req.Answer.Join != nil {
+			answers <- req.Answer.Join
+		}
+		return remoting.AckResponse(), nil
+	})); err != nil {
+		t.Fatal(err)
+	}
 	req := &remoting.Request{Join: &remoting.JoinRequest{Sender: joiner.Addr, JoinerID: joiner.ID, ConfigurationID: next}}
-	answers := make(chan *remoting.Response, 2)
 	for _, observer := range []*Cluster{seed, second} {
-		observer := observer
-		go func() {
-			resp, _ := observer.HandleRequest(contextWithTimeout(t, 10*time.Second), joiner.Addr, req)
-			answers <- resp
-		}()
+		net.Client(joiner.Addr).SendBestEffort(observer.me.Addr, req)
 	}
 	select {
 	case resp := <-answers:
-		t.Fatalf("an early request was answered with %s instead of being held", resp.Join.Status)
+		t.Fatalf("an early request was answered with %s instead of being held", resp.Status)
 	case <-time.After(100 * time.Millisecond):
 	}
 
@@ -470,65 +492,89 @@ func TestEarlyJoinRequestsAreHeldNotBounced(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		select {
 		case resp := <-answers:
-			if resp.Join.Status != remoting.JoinSafeToJoin || len(resp.Join.Members) != 3 {
-				t.Fatalf("held request got %s with %d members, want SAFE_TO_JOIN with 3", resp.Join.Status, len(resp.Join.Members))
+			if resp.Status != remoting.JoinSafeToJoin || len(resp.Members) != 3 {
+				t.Fatalf("held request got %s with %d members, want SAFE_TO_JOIN with 3", resp.Status, len(resp.Members))
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("a held request was never served")
 		}
 	}
-	if n := seed.Stats().JoinsTimedOut + second.Stats().JoinsTimedOut; n != 0 {
-		t.Fatalf("%d phase-2 requests timed out", n)
+	if n := second.Stats().JoinsTimedOut; n != 0 {
+		t.Fatalf("%d of the second member's phase-2 rounds timed out", n)
 	}
 }
 
 // --- joiner side -----------------------------------------------------------------
 
-// scriptedNet answers a joiner from a script: the seed's phase-1 answers and
-// each observer's phase-2 behaviour.
+// scriptedNet answers a joiner from a script: the seed's phase-1 answers, and
+// each observer's answer to a phase-2 request, which it hands straight to the
+// joiner's handler, as the observer's one-way send would.
 type scriptedNet struct {
 	preJoin func() *remoting.PreJoinResponse
-	// join answers a phase-2 request, or blocks on ctx like a parked one.
-	join func(ctx context.Context, observer node.Addr) (*remoting.JoinResponse, error)
+	// join is an observer's answer to a phase-2 request; nil, no answer.
+	join   func(observer node.Addr) *remoting.JoinResponse
+	joiner transport.Handler
 
 	preJoins atomic.Int64
 }
 
-func (n *scriptedNet) Register(node.Addr, transport.Handler) error { return nil }
-func (n *scriptedNet) Deregister(node.Addr)                        {}
-func (n *scriptedNet) Client(node.Addr) transport.Client           { return n }
-func (n *scriptedNet) SendBestEffort(node.Addr, *remoting.Request) {}
-func (n *scriptedNet) Send(ctx context.Context, to node.Addr, req *remoting.Request) (*remoting.Response, error) {
-	if req.PreJoin != nil {
-		n.preJoins.Add(1)
-		return &remoting.Response{PreJoin: n.preJoin()}, nil
+func (n *scriptedNet) Register(_ node.Addr, h transport.Handler) error { n.joiner = h; return nil }
+func (n *scriptedNet) Deregister(node.Addr)                            {}
+func (n *scriptedNet) Client(node.Addr) transport.Client               { return n }
+func (n *scriptedNet) SendBestEffort(to node.Addr, req *remoting.Request) {
+	if req.Join == nil {
+		return
 	}
-	resp, err := n.join(ctx, to)
-	if err != nil {
-		return nil, err
+	if resp := n.join(to); resp != nil {
+		resp.Sender = to
+		n.joiner.HandleRequest(context.Background(), to, &remoting.Request{Answer: &remoting.Response{Join: resp}})
 	}
-	return &remoting.Response{Join: resp}, nil
+}
+func (n *scriptedNet) Send(context.Context, node.Addr, *remoting.Request) (*remoting.Response, error) {
+	n.preJoins.Add(1)
+	return &remoting.Response{PreJoin: n.preJoin()}, nil
 }
 
-// parked blocks like a phase-2 request waiting for a view change.
-func parked(ctx context.Context) (*remoting.JoinResponse, error) {
-	<-ctx.Done()
-	return nil, ctx.Err()
+// phase2 starts a joiner through addr(0) at now and files the seed's answer
+// naming observers in configuration 1; it returns the joiner and its
+// phase-2 outputs.
+func phase2(t *testing.T, observers []node.Addr, now time.Time) (*joiner, joinOutputs) {
+	t.Helper()
+	s := DefaultSettings()
+	j := newJoiner(endpoint(1), []node.Addr{addr(0)}, &s, &EngineMetrics{}, now)
+	j.start(now)
+	out := j.preJoined(addr(0), &remoting.Response{PreJoin: &remoting.PreJoinResponse{
+		Status: remoting.JoinSafeToJoin, ConfigurationID: 1, Observers: observers,
+	}}, nil, now)
+	if len(out.to) != len(distinctOf(observers)) || out.req.Join == nil || !out.wakeAt.Equal(now.Add(s.JoinPhase2Timeout)) {
+		t.Fatalf("phase 2 sends to %v until %v, want the %d distinct observers for one JoinPhase2Timeout", out.to, out.wakeAt, len(distinctOf(observers)))
+	}
+	return j, out
+}
+
+// redirectFrom is an observer's redirect to the given configuration.
+func redirectFrom(o node.Addr, configID uint64) *remoting.JoinResponse {
+	return &remoting.JoinResponse{Sender: o, Status: remoting.JoinConfigChanged, ConfigurationID: configID}
+}
+
+// waiting fails unless out asks the joiner to wait for its round's deadline.
+func waiting(t *testing.T, j *joiner, out joinOutputs) {
+	t.Helper()
+	if out.to != nil || out.members != nil || out.err != nil || out.wakeAt.IsZero() || !out.wakeAt.Equal(j.wakeAt) {
+		t.Fatalf("got %+v, want to wait for the round's deadline", out)
+	}
 }
 
 // TestJoinAbandonsOnceHIsUnreachable steps the joiner through its ring
 // arithmetic: with K=10 and H=9 one bounced ring still leaves H reachable, two
 // do not — whether they belong to two observers or to one that holds two
 // rings. An attempt abandoned on a redirect is free: phase 1 again, at once.
-// (TestAbandonedRoundCancelsItsParkedCalls has the driver cancel the calls
-// still parked.)
 func TestJoinAbandonsOnceHIsUnreachable(t *testing.T) {
 	distinct := make([]node.Addr, 10)
 	for i := range distinct {
 		distinct[i] = addr(100 + i)
 	}
 	twoRings := append([]node.Addr{distinct[0]}, distinct[:9]...) // distinct[0] holds rings 0 and 1
-	bounce := &remoting.Response{Join: &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: 2}}
 	cases := []struct {
 		name      string
 		observers []node.Addr
@@ -539,85 +585,86 @@ func TestJoinAbandonsOnceHIsUnreachable(t *testing.T) {
 		{"two rings lost", distinct, distinct[:2], true},
 		{"one observer with two rings lost", twoRings, distinct[:1], true},
 	}
-	s := DefaultSettings()
 	now := time.Unix(0, 0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			j := newJoiner(endpoint(1), []node.Addr{addr(0)}, &s, now)
-			j.start(now)
-			out := j.step(joinAnswer{from: addr(0), resp: &remoting.Response{PreJoin: &remoting.PreJoinResponse{
-				Status: remoting.JoinSafeToJoin, ConfigurationID: 1, Observers: tc.observers,
-			}}}, now)
-			if len(out.to) != len(distinctOf(tc.observers)) || out.req.Join == nil {
-				t.Fatalf("phase 2 calls %v, want the %d distinct observers", out.to, len(distinctOf(tc.observers)))
-			}
+			j, out := phase2(t, tc.observers, now)
 			for _, o := range tc.bouncing {
-				out = j.step(joinAnswer{from: o, resp: bounce}, now)
+				out = j.joined(redirectFrom(o, 2), now)
 			}
 			if tc.abandon {
-				if len(out.to) != 1 || out.req.PreJoin == nil || out.retryIn != 0 || j.attempt != 0 {
+				if len(out.to) != 1 || out.req.PreJoin == nil || !out.wakeAt.IsZero() || j.attempt != 0 {
 					t.Fatalf("got %+v after %d attempts, want phase 1 again at once, free of charge", out, j.attempt)
 				}
 				return
 			}
-			if out.to != nil || out.retryIn != 0 || out.members != nil || out.err != nil {
-				t.Fatalf("abandoned with H still reachable: %+v", out)
-			}
-			admitted := &remoting.Response{Join: &remoting.JoinResponse{Status: remoting.JoinSafeToJoin, Members: []node.Endpoint{endpoint(0)}}}
-			if out = j.step(joinAnswer{from: distinct[5], resp: admitted}, now); out.err != nil || len(out.members) != 1 {
+			waiting(t, j, out)
+			admitted := &remoting.JoinResponse{Sender: distinct[5], Status: remoting.JoinSafeToJoin, Members: []node.Endpoint{endpoint(0), endpoint(1)}}
+			if out = j.joined(admitted, now); out.err != nil || len(out.members) != 2 {
 				t.Fatalf("got %+v; want the admitting answer", out)
 			}
 		})
 	}
 }
 
-// TestAbandonedRoundCancelsItsParkedCalls: once two of ten rings bounced, the
-// driver abandons the round and cancels the context of every request still
-// parked, and the join ends on the next phase 1's answer.
-func TestAbandonedRoundCancelsItsParkedCalls(t *testing.T) {
+// TestJoinerFilesOnlyAnswersItAwaits: phase-2 answers carry no round, so the
+// joiner files the first answer of each observer its round still awaits, a
+// redirect only if it names a configuration other than the round's own, and
+// an admission from anyone; and a deadline that finds observers still
+// awaited fails the attempt and counts one timed-out join.
+func TestJoinerFilesOnlyAnswersItAwaits(t *testing.T) {
 	observers := make([]node.Addr, 10)
 	for i := range observers {
 		observers[i] = addr(100 + i)
 	}
-	var cancelled sync.WaitGroup
-	cancelled.Add(len(observers) - 2)
-	net := &scriptedNet{join: func(ctx context.Context, observer node.Addr) (*remoting.JoinResponse, error) {
-		if observer == observers[0] || observer == observers[1] {
-			return &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: 2}, nil
+	now := time.Unix(0, 0)
+	t.Run("a stale redirect naming the round's configuration is ignored", func(t *testing.T) {
+		j, _ := phase2(t, observers, now)
+		for _, o := range observers[:3] {
+			waiting(t, j, j.joined(redirectFrom(o, 1), now))
 		}
-		defer cancelled.Done()
-		return parked(ctx)
-	}}
-	net.preJoin = func() *remoting.PreJoinResponse {
-		if net.preJoins.Load() > 1 {
-			return &remoting.PreJoinResponse{Status: remoting.JoinHostAlreadyInRing}
+		if len(j.rings) != len(observers) || j.live != len(observers) {
+			t.Fatalf("%d observers awaited and %d rings live after stale redirects, want all", len(j.rings), j.live)
 		}
-		return &remoting.PreJoinResponse{Status: remoting.JoinSafeToJoin, ConfigurationID: 1, Observers: observers}
-	}
-	c, err := newCluster(addr(1), DefaultSettings(), net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.join([]node.Addr{addr(0)})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrAddressInUse) {
-			t.Fatalf("got %v, want the second phase 1's ErrAddressInUse", err)
+	})
+	t.Run("an observer's duplicate answer counts once", func(t *testing.T) {
+		j, _ := phase2(t, observers, now)
+		for range 3 {
+			waiting(t, j, j.joined(redirectFrom(observers[0], 2), now))
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("the join waited for observers that cannot bring it to H")
-	}
-	released := make(chan struct{})
-	go func() { cancelled.Wait(); close(released) }()
-	select {
-	case <-released: // every parked request saw its context end
-	case <-time.After(5 * time.Second):
-		t.Fatal("a parked request of the abandoned round was never cancelled")
-	}
+		waiting(t, j, j.joined(redirectFrom("stranger:1", 2), now))
+		if len(j.rings) != len(observers)-1 || j.live != len(observers)-1 {
+			t.Fatalf("%d observers awaited and %d rings live, want one ring lost", len(j.rings), j.live)
+		}
+	})
+	t.Run("an admission of this incarnation ends the join, whoever sent it", func(t *testing.T) {
+		j, _ := phase2(t, observers, now)
+		other := endpoint(1)
+		other.ID.Low++ // an earlier incarnation at this address
+		waiting(t, j, j.joined(&remoting.JoinResponse{Sender: observers[0], Status: remoting.JoinSafeToJoin, Members: []node.Endpoint{endpoint(0), other}}, now))
+		out := j.joined(&remoting.JoinResponse{Sender: "earlier-round:1", Status: remoting.JoinSafeToJoin, Members: []node.Endpoint{endpoint(0), endpoint(1)}}, now)
+		if len(out.members) != 2 || out.err != nil {
+			t.Fatalf("got %+v, want the admission", out)
+		}
+	})
+	t.Run("a deadline with observers still awaited fails the attempt", func(t *testing.T) {
+		j, out := phase2(t, observers, now)
+		deadline := out.wakeAt
+		waiting(t, j, j.wake(deadline.Add(-time.Nanosecond)))
+		out = j.wake(deadline)
+		if out.to != nil || out.err != nil || j.attempt != 1 || !out.wakeAt.Equal(deadline.Add(j.retryDelay)) {
+			t.Fatalf("got %+v after %d failed attempts, want a retry delay after one", out, j.attempt)
+		}
+		if got := j.metrics.JoinsTimedOut.Value(); got != 1 {
+			t.Fatalf("JoinsTimedOut = %d, want 1", got)
+		}
+		if out = j.wake(out.wakeAt); len(out.to) != 1 || out.req.PreJoin == nil {
+			t.Fatalf("got %+v once the retry delay was over, want phase 1", out)
+		}
+		if got := j.metrics.JoinsTimedOut.Value(); got != 1 {
+			t.Fatalf("JoinsTimedOut = %d after the retry, want 1", got)
+		}
+	})
 }
 
 func distinctOf(addrs []node.Addr) map[node.Addr]bool {
@@ -647,10 +694,10 @@ func TestRedirectsAreFreeButBounded(t *testing.T) {
 		configID++
 		return &remoting.PreJoinResponse{Status: remoting.JoinSafeToJoin, ConfigurationID: configID, Observers: []node.Addr{addr(100)}}
 	}
-	net.join = func(context.Context, node.Addr) (*remoting.JoinResponse, error) {
-		return &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: configID + 1}, nil
+	net.join = func(node.Addr) *remoting.JoinResponse {
+		return &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: configID + 1}
 	}
-	c, err := newCluster(addr(1), s, net)
+	c, err := register(addr(1), nil, s, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,11 +722,11 @@ func TestStaleSeedCostsAnAttempt(t *testing.T) {
 		preJoin: func() *remoting.PreJoinResponse {
 			return &remoting.PreJoinResponse{Status: remoting.JoinSafeToJoin, ConfigurationID: 1, Observers: []node.Addr{addr(100)}}
 		},
-		join: func(context.Context, node.Addr) (*remoting.JoinResponse, error) {
-			return &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: 2}, nil
+		join: func(node.Addr) *remoting.JoinResponse {
+			return &remoting.JoinResponse{Status: remoting.JoinConfigChanged, ConfigurationID: 2}
 		},
 	}
-	c, err := newCluster(addr(1), s, net)
+	c, err := register(addr(1), nil, s, net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,16 +170,19 @@ func handsEngineOnlyToRun(t *testing.T, fset *token.FileSet, init *ast.FuncDecl)
 	return calls
 }
 
-// TestOnlyTheDriverBlocks: a blocking call — a transport Send, or the
-// deadline that bounds one — appears in no non-test file of the package but
-// driver.go, where the join rounds and a Rapid-C member's polls make theirs
-// (a probe's is edgefd.Probe's).
+// TestOnlyTheDriverBlocks: a blocking call — a transport Send, edgefd.Probe
+// around one, or the deadline that bounds one — appears in no non-test file of
+// the package but driver.go, where exactly two functions make one: the probe
+// and phase 1 of the join. Everything that waits on a view change or a period
+// — phase 2 of a join, a Rapid-C poll — is a one-way message pair. And
+// driver.go starts one kind of goroutine, the probe's.
 func TestOnlyTheDriverBlocks(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	senders := map[string]bool{}
+	goStmts := 0
 	for _, file := range files {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
@@ -190,20 +193,86 @@ func TestOnlyTheDriverBlocks(t *testing.T) {
 		}
 		for _, decl := range parsed.Decls {
 			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok && file == "driver.go" {
+					goStmts++
+					if types.ExprString(g.Call.Fun) != "c.probe" {
+						t.Errorf("driver.go starts %s as a goroutine; only the probe runs as one", types.ExprString(g.Call.Fun))
+					}
+				}
 				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Send" && types.ExprString(sel) != "simclock.WithTimeout" {
+				if !ok {
+					return true
+				}
+				name := types.ExprString(sel)
+				if sel.Sel.Name != "Send" && name != "simclock.WithTimeout" && name != "edgefd.Probe" {
 					return true
 				}
 				if file != "driver.go" {
-					t.Errorf("%s calls %s: only driver.go may block", file, types.ExprString(sel))
-				} else if fn, ok := decl.(*ast.FuncDecl); ok && sel.Sel.Name == "Send" {
+					t.Errorf("%s calls %s: only driver.go may block", file, name)
+				} else if fn, ok := decl.(*ast.FuncDecl); ok && name != "simclock.WithTimeout" {
 					senders[fn.Name.Name] = true
 				}
 				return true
 			})
 		}
 	}
-	if !senders["join"] || !senders["poll"] {
-		t.Errorf("driver.go sends from %v, want join and poll among them", senders)
+	if len(senders) != 2 || !senders["join"] || !senders["probe"] {
+		t.Errorf("driver.go blocks on the transport in %v, want exactly join and probe", senders)
+	}
+	if goStmts != 1 {
+		t.Errorf("driver.go holds %d go statements, want one, the probe's", goStmts)
+	}
+}
+
+// TestNoHandlerWaitsForTheEngine: on every path from HandleRequest — the
+// Cluster methods it calls, and theirs — a receive is from the caller's
+// context, the stop channel, or, in handlePreJoin alone, phase 1's reply: no
+// handler waits on a channel the engine fills for anything else.
+func TestNoHandlerWaitsForTheEngine(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	methods := map[string]*ast.FuncDecl{}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		parsed, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range parsed.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && types.ExprString(fn.Recv.List[0].Type) == "*Cluster" {
+				methods[fn.Name.Name] = fn
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for queue := []string{"HandleRequest"}; len(queue) > 0; queue = queue[1:] {
+		name := queue[0]
+		fn := methods[name]
+		if seen[name] || fn == nil {
+			continue
+		}
+		seen[name] = true
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && types.ExprString(sel.X) == "c" {
+					queue = append(queue, sel.Sel.Name)
+				}
+			case *ast.UnaryExpr:
+				from := types.ExprString(n.X)
+				if n.Op == token.ARROW && from != "ctx.Done()" && from != "c.stopCh" && (name != "handlePreJoin" || from != "reply") {
+					t.Errorf("%s: %s, on a HandleRequest path, receives from %s", fset.Position(n.Pos()), name, from)
+				}
+			}
+			return true
+		})
+	}
+	if !seen["handlePreJoin"] || !seen["takeAnswer"] {
+		t.Fatalf("the walk from HandleRequest reached %v, want handlePreJoin and takeAnswer among them", seen)
 	}
 }

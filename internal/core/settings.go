@@ -10,9 +10,12 @@
 // the goroutine that drives it (driver.go): the engine owns all protocol
 // state, the probe scheduler included, and does no IO — it is stepped with
 // one event at a time from one queue that everything — batches, consensus
-// phases, join phases, probe outcomes, the leave request — enters in arrival
-// order, and returns what to send, answer, publish and probe (the driver runs
-// each probe as a short-lived goroutine around the blocking Send). Transport
+// phases, join phases, probe outcomes, poll answers, the leave request — enters
+// in arrival order, and returns what to send, publish and probe (the driver
+// runs each probe as a short-lived goroutine around the blocking Send). A
+// request that waits on a view change or a period — phase 2 of a join, a
+// Rapid-C poll — is one half of a one-way message pair: the engine answers it
+// with a send when the answer is ready, and no handler waits for it. Transport
 // handlers are thin enqueuers, readers see atomic snapshots, and outbound
 // alerts are coalesced into one batched wire message per batching window,
 // sent to every member (unicast-to-all, §6). Consensus votes are
@@ -21,15 +24,18 @@
 // subjects of its first four rings, and the bitmap that decides to all K (to
 // everyone, in memberships of at most 4K). The engine owns its deadlines too,
 // and the driver arms one timer for the earliest, not a timer or goroutine
-// per deadline. A joiner is a state machine of its own
-// (join.go), whose calls the driver performs the same way.
+// per deadline. A joiner is a state machine of its own (join.go), with one
+// deadline, which the joining goroutine performs the same way: phase 1 is a
+// call to a seed, phase 2 one-way requests whose answers come back through
+// the handler.
 //
 // Rapid-C (§5) is the same engine with a fixed ensemble as its electorate —
 // who votes, and who hears alerts, classic rounds and leaves (StartEnsemble,
 // JoinViaEnsemble). An ensemble node is a voter outside the view it manages,
 // so it speaks for all K rings of any subject; a member of the managed
 // cluster probes its ring subjects, reports to the ensemble, never votes, and
-// learns each configuration by polling the ensemble.
+// learns each configuration by polling one ensemble node with a one-way
+// request the node answers the same way.
 //
 // The batching window is load-adaptive (adaptive.go): a new engine starts it
 // at a quarter of its ceiling, and it is resized between a floor of a
@@ -88,8 +94,13 @@ type Settings struct {
 	// counted, within the time the attempts could have taken in all,
 	// JoinAttempts x (2 x JoinPhase2Timeout + JoinRetryDelay).
 	JoinAttempts int
-	// JoinPhase2Timeout bounds how long a joiner (and the observer serving
-	// it) waits for the next view change, which admits or redirects it.
+	// JoinPhase2Timeout bounds one phase-2 round of a join: how long the
+	// joiner waits for its observers' answers, which each sends at its next
+	// view change, admitted or redirected. A round that runs out with an
+	// observer unanswered fails its attempt and counts in JoinsTimedOut.
+	// It also bounds the phase-1 call, and half of it how long a lone seed
+	// holds a join storm's alerts. Observers keep no timer for a parked
+	// joiner.
 	JoinPhase2Timeout time.Duration
 	// JoinRetryDelay is the pause after a failed join attempt.
 	JoinRetryDelay time.Duration

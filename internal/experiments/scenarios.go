@@ -100,10 +100,11 @@ type ScenarioCell struct {
 	BootMessages int64 `json:"boot_messages"`
 	// Control-plane health of a Rapid fleet (zero for the baselines), summed
 	// over its members: QueueFullS is the time producers spent blocked on
-	// full event queues; JoinsTimedOut counts phase-2 join requests that ran
-	// out JoinPhase2Timeout (the join pipeline is redirect-driven, so a
-	// healthy bootstrap reads 0). Min/MaxBatchWindowS bracket the adaptive
-	// flush windows the members ended formation with.
+	// full event queues; JoinsTimedOut counts the members' own phase-2 join
+	// rounds whose JoinPhase2Timeout ran out before every observer answered
+	// (observers answer at the next view change, with an admission or a
+	// redirect, so a healthy bootstrap reads 0). Min/MaxBatchWindowS bracket
+	// the adaptive flush windows the members ended formation with.
 	QueueFullS      float64 `json:"queue_full_paper_s"`
 	JoinsTimedOut   int64   `json:"joins_timed_out"`
 	MinBatchWindowS float64 `json:"min_batch_window_paper_s"`

@@ -5,7 +5,7 @@ package remoting
 // (each Encoder/Decoder pair here is single-use), costing both CPU and the
 // bandwidth that Table 2 of the paper accounts. The format:
 //
-//	byte 0   codec version (currently 3)
+//	byte 0   codec version (currently 4)
 //	uvarint  field mask: bit i set means union field i is present
 //	...      each present field's payload, in mask bit order
 //
@@ -30,9 +30,11 @@ import (
 
 // codecVersion tags every encoded message so the format can evolve. Version
 // 2 added the batch Seq field and the FastRoundVoteBatch union member;
-// version 3 added the voter bitmap to every fast-round vote. A peer of
-// another version rejects the frame outright instead of mis-decoding it.
-const codecVersion = 3
+// version 3 added the voter bitmap to every fast-round vote; version 4 added
+// the Answer union member, a Response encoded as a response is, version byte
+// apart. A peer of another version rejects the frame outright instead of
+// mis-decoding it.
+const codecVersion = 4
 
 // ErrCodecVersion indicates a message encoded with an unknown format version.
 var ErrCodecVersion = errors.New("remoting: unknown codec version")
@@ -55,6 +57,7 @@ const (
 	reqGetView
 	reqCustom
 	reqVoteBatch
+	reqAnswer
 )
 
 // Response union field bits, in encoding order.
@@ -158,6 +161,9 @@ func AppendRequest(b []byte, req *Request) []byte {
 		if req.VoteBatch != nil {
 			mask |= reqVoteBatch
 		}
+		if req.Answer != nil {
+			mask |= reqAnswer
+		}
 	}
 	b = binary.AppendUvarint(b, mask)
 	if mask == 0 {
@@ -238,13 +244,21 @@ func AppendRequest(b []byte, req *Request) []byte {
 			b = appendVote(b, &m.Votes[i])
 		}
 	}
+	if req.Answer != nil {
+		b = appendResponse(b, req.Answer)
+	}
 	return b
 }
 
 // AppendResponse appends the encoding of resp to b and returns the extended
 // buffer.
 func AppendResponse(b []byte, resp *Response) []byte {
-	b = append(b, codecVersion)
+	return appendResponse(append(b, codecVersion), resp)
+}
+
+// appendResponse appends resp without the version byte: a response on its
+// own, or a request's Answer.
+func appendResponse(b []byte, resp *Response) []byte {
 	var mask uint64
 	if resp != nil {
 		if resp.PreJoin != nil {
@@ -704,7 +718,10 @@ func (d *decoder) request() *Request {
 		}
 		req.VoteBatch = m
 	}
-	if mask&^uint64((reqVoteBatch<<1)-1) != 0 {
+	if mask&reqAnswer != 0 {
+		req.Answer = d.responseBody()
+	}
+	if mask&^uint64((reqAnswer<<1)-1) != 0 {
 		d.fail(fmt.Errorf("unknown request fields in mask %#x", mask))
 	}
 	return req
@@ -712,6 +729,13 @@ func (d *decoder) request() *Request {
 
 func (d *decoder) response() *Response {
 	d.version()
+	return d.responseBody()
+}
+
+// responseBody decodes what appendResponse wrote: a response's fields after
+// its version byte, or a request's Answer. Its collections are bounded by the
+// bytes remaining, as every other count is.
+func (d *decoder) responseBody() *Response {
 	mask := d.uvarint()
 	resp := &Response{}
 	if d.err != nil {

@@ -7,6 +7,7 @@ package remoting
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -328,11 +329,14 @@ func TestSizeMatchesEncodedLength(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var scratch []byte
 	for i := 0; i < 200; i++ {
-		req := randRequest(r)
-		data, _ := EncodeRequest(req)
-		scratch = AppendRequest(scratch[:0], req)
-		if !bytes.Equal(scratch, data) {
-			t.Fatalf("AppendRequest(%s) gives %d bytes, EncodeRequest %d, or they differ", req.Kind(), len(scratch), len(data))
+		// A random request, and a random one-way answer: a phase-2 join's or
+		// a poll's.
+		for _, req := range []*Request{randRequest(r), {Answer: randResponse(r)}} {
+			data, _ := EncodeRequest(req)
+			scratch = AppendRequest(scratch[:0], req)
+			if !bytes.Equal(scratch, data) {
+				t.Fatalf("AppendRequest(%s) gives %d bytes, EncodeRequest %d, or they differ", req.Kind(), len(scratch), len(data))
+			}
 		}
 		resp := randResponse(r)
 		rdata, _ := EncodeResponse(resp)
@@ -401,6 +405,21 @@ func TestDecodeRejectsVersion2Frame(t *testing.T) {
 	}
 }
 
+// TestAnswerCountsAreBounded: an answer's member count is bounded by the
+// bytes left in the frame, as a response's is, so a hostile count fails the
+// decode instead of sizing an allocation.
+func TestAnswerCountsAreBounded(t *testing.T) {
+	data, _ := EncodeRequest(&Request{Answer: &Response{Join: &JoinResponse{Sender: "a:1", Status: JoinSafeToJoin, ConfigurationID: 7}}})
+	// The members count is the frame's last byte; a count of 2^40 replaces it.
+	hostile := binary.AppendUvarint(append([]byte(nil), data[:len(data)-1]...), 1<<40)
+	if _, err := DecodeRequest(hostile); err == nil {
+		t.Fatal("an answer claiming 2^40 members decoded")
+	}
+	if got, err := DecodeRequest(data); err != nil || got.Answer == nil || got.Answer.Join == nil || got.Kind() != "answer" {
+		t.Fatalf("the well-formed answer decoded as %+v, %v", got, err)
+	}
+}
+
 // TestDecodeRejectsTrailingBytes pins strict framing.
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	data, _ := EncodeRequest(&Request{Probe: &ProbeRequest{Sender: "a:1"}})
@@ -438,16 +457,29 @@ func corruptRequests(n int, visit func([]byte)) {
 // FuzzDecodeRequest: DecodeRequest faces the network. Whatever the bytes, it
 // must not panic, and whatever it accepts must survive the codec: re-encoded
 // and decoded again it is the same value. Seeded with the corrupt inputs of
-// the test above and one well-formed vote batch carrying a voter bitmap.
+// the test above, one well-formed vote batch carrying a voter bitmap, and the
+// three one-way answers: a phase-2 admission naming 500 members, a redirect,
+// and a poll's view.
 func FuzzDecodeRequest(f *testing.F) {
 	corruptRequests(5, func(data []byte) { f.Add(append([]byte(nil), data...)) })
-	valid, _ := EncodeRequest(&Request{VoteBatch: &FastRoundVoteBatch{Sender: "10.0.0.1:7000", Seq: 9, Votes: []FastRoundPhase2b{{
-		Sender:          "10.0.0.1:7000",
-		ConfigurationID: 0xfeedface,
-		Proposal:        []node.Endpoint{{Addr: "10.0.0.9:7000", ID: node.ID{High: 1, Low: 2}, Metadata: map[string]string{"role": "backend"}}},
-		Voters:          []byte{0xff, 0x0f, 0x01},
-	}}}})
-	f.Add(valid)
+	members := make([]node.Endpoint, 500)
+	for i := range members {
+		members[i] = node.Endpoint{Addr: node.Addr(fmt.Sprintf("10.0.%d.%d:7000", i/256, i%256)), ID: node.ID{High: uint64(i), Low: 7}}
+	}
+	for _, req := range []*Request{
+		{VoteBatch: &FastRoundVoteBatch{Sender: "10.0.0.1:7000", Seq: 9, Votes: []FastRoundPhase2b{{
+			Sender:          "10.0.0.1:7000",
+			ConfigurationID: 0xfeedface,
+			Proposal:        []node.Endpoint{{Addr: "10.0.0.9:7000", ID: node.ID{High: 1, Low: 2}, Metadata: map[string]string{"role": "backend"}}},
+			Voters:          []byte{0xff, 0x0f, 0x01},
+		}}}},
+		{Answer: &Response{Join: &JoinResponse{Sender: "10.0.0.1:7000", Status: JoinSafeToJoin, ConfigurationID: 0xfeedface, Members: members}}},
+		{Answer: &Response{Join: &JoinResponse{Sender: "10.0.0.1:7000", Status: JoinConfigChanged, ConfigurationID: 0xfeedface}}},
+		{Answer: &Response{View: &GetViewResponse{Sender: "10.0.0.1:7000", ConfigurationID: 0xfeedface, Members: members[:3]}}},
+	} {
+		valid, _ := EncodeRequest(req)
+		f.Add(valid)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data)
 		if err != nil {

@@ -126,8 +126,9 @@ type JoinRequest struct {
 	Metadata        map[string]string
 }
 
-// JoinResponse is returned to the joiner once the view change that includes
-// it has been decided (or immediately with a non-OK status).
+// JoinResponse is an observer's answer to a phase-2 request, sent to the
+// joiner as a one-way Request.Answer once the view change that includes it has
+// been decided, or at once when the observer cannot admit it (a redirect).
 type JoinResponse struct {
 	Sender          node.Addr
 	Status          JoinStatus
@@ -155,7 +156,7 @@ type BatchedAlertMessage struct {
 	Sender node.Addr
 	// Seq is a wire field nothing stamps or reads any more: it numbered a
 	// sender's batches for the deduplication of a gossip mode that is gone.
-	// It stays in codec version 3 because the frozen benchmark encodes it, and
+	// It stays in the codec because the frozen benchmark encodes it, and
 	// goes with the [benchmark] PR that changes that.
 	Seq    uint64
 	Alerts []AlertMessage
@@ -280,6 +281,11 @@ type Request struct {
 	GetView   *GetViewRequest
 	Custom    *CustomMessage
 	VoteBatch *FastRoundVoteBatch
+	// Answer is the one-way reply to a request that waits on a view change
+	// or a period — a phase-2 join, a Rapid-C poll — sent when it is ready:
+	// a Response carried as a request, so the exchange holds no transport
+	// call open.
+	Answer *Response
 }
 
 // Response is the union of all RPC response payloads.
@@ -324,6 +330,8 @@ func (r *Request) Kind() string {
 		return "getview"
 	case r.VoteBatch != nil:
 		return "votebatch"
+	case r.Answer != nil:
+		return "answer"
 	case r.Custom != nil:
 		return "custom:" + r.Custom.Kind
 	default:

@@ -85,6 +85,7 @@ func TestRequestKind(t *testing.T) {
 		{&Request{P2a: &Phase2a{}}, "phase2a"},
 		{&Request{P2b: &Phase2b{}}, "phase2b"},
 		{&Request{Leave: &LeaveMessage{}}, "leave"},
+		{&Request{Answer: &Response{Join: &JoinResponse{}}}, "answer"},
 	}
 	for _, c := range cases {
 		if got := c.req.Kind(); got != c.want {

@@ -159,6 +159,42 @@ func TestPublicAPIOverTCP(t *testing.T) {
 	}
 }
 
+// TestTCPJoinOutlivesRequestTimeout: phase 2 of a join holds no transport
+// call open — the joiner's requests and the observers' answers are one-way
+// messages — so a lone TCP seed whose handlers run under a 30 ms
+// RequestTimeout admits a joiner on its first attempt, in about one flush
+// window, and no phase-2 round times out. A phase-2 request parked in a
+// handler would be cut at RequestTimeout, and the join would cost a failed
+// attempt and a JoinRetryDelay.
+func TestTCPJoinOutlivesRequestTimeout(t *testing.T) {
+	net, err := rapid.NewTCPNetwork(rapid.TCPNetworkOptions{RequestTimeout: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("NewTCPNetwork: %v", err)
+	}
+	defer net.Close()
+	settings := rapid.DefaultSettings()
+
+	seed, err := rapid.StartCluster("127.0.0.1:39811", settings, net)
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
+	}
+	defer seed.Stop()
+	began := time.Now()
+	peer, err := rapid.JoinCluster("127.0.0.1:39812", []rapid.Addr{"127.0.0.1:39811"}, settings, net)
+	took := time.Since(began)
+	if err != nil {
+		t.Fatalf("TCP join failed: %v", err)
+	}
+	defer peer.Stop()
+	if took >= settings.JoinRetryDelay {
+		t.Fatalf("the join took %v, at least a JoinRetryDelay (%v): an attempt failed", took, settings.JoinRetryDelay)
+	}
+	if n := peer.Stats().JoinsTimedOut; n != 0 {
+		t.Fatalf("%d phase-2 rounds timed out", n)
+	}
+	t.Logf("joined in %v", took)
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
