@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fastpaxos"
 	"repro/internal/node"
 	"repro/internal/remoting"
 	"repro/internal/simnet"
@@ -550,9 +551,14 @@ func allAgree(clusters []*Cluster, size int) bool {
 // TestVotesTravelAlongTheRings: 200 members, two crash. The survivors count
 // each other's votes through bitmaps pushed along the rings: no standalone
 // fast-round message, and per member and view change a few pushes to four
-// subjects and one decision push to K (about 18 sends measured, 6K allowed)
-// where unicast-to-all sent one vote batch to each of the 200 — and every
-// survivor installs the same configuration.
+// subjects, where unicast-to-all sent one vote batch to each of the 200 — and
+// every survivor installs the same configuration. The decision push goes to
+// the same four subjects, plus the few that lost a pusher to the cut: 4.2
+// sends per member carry a quorum, where a decision push to all K sent 9.8.
+// All pushes together read 11–16 sends per member (16.5–20 with the push to
+// all K), and 22–25 under the race detector: their count follows the flush
+// timing, so the bound on them is loose, and the one on the decision push,
+// which depends on the rings alone, is the one a push to all K fails.
 func TestVotesTravelAlongTheRings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a 200-member fleet is too slow for the race lane")
@@ -560,17 +566,18 @@ func TestVotesTravelAlongTheRings(t *testing.T) {
 	const n = 200
 	net := simnet.New(simnet.Options{Seed: 14})
 	defer net.Close()
+	decisions := &quorumCountingNet{Network: net, quorum: fastpaxos.FastQuorumSize(n)}
 	settings := ScaledSettings(5)
 	node.SeedIDGenerator(14)
 	addrs := make([]node.Addr, n)
 	for i := range addrs {
 		addrs[i] = addr(i)
 	}
-	clusters := joinFleet(t, net, addrs, settings)
+	clusters := joinFleet(t, decisions, addrs, settings)
 	defer stopAll(clusters)
 
 	survivors := clusters[:n-2]
-	pushesBefore, changesBefore := net.MessageCount("votebatch"), survivors[0].ViewChangeCount()
+	pushesBefore, decisionsBefore, changesBefore := net.MessageCount("votebatch"), decisions.sent.Load(), survivors[0].ViewChangeCount()
 	net.Crash(addrs[n-1])
 	net.Crash(addrs[n-2])
 	if !waitUntil(t, 60*time.Second, func() bool { return allAgree(survivors, n-2) }) {
@@ -579,12 +586,40 @@ func TestVotesTravelAlongTheRings(t *testing.T) {
 	if got := net.MessageCount("fastround"); got != 0 {
 		t.Errorf("%d standalone fast-round messages sent; votes travel as pushed bitmaps", got)
 	}
-	changes := survivors[0].ViewChangeCount() - changesBefore
-	perMember := float64(net.MessageCount("votebatch")-pushesBefore) / float64(len(survivors)*changes)
-	t.Logf("%d view change(s), %.1f vote-batch sends per member and view change (K=%d)", changes, perMember, settings.K)
+	changes := float64(len(survivors) * (survivors[0].ViewChangeCount() - changesBefore))
+	perMember := float64(net.MessageCount("votebatch")-pushesBefore) / changes
+	decisionPush := float64(decisions.sent.Load()-decisionsBefore) / changes
+	t.Logf("%.1f vote-batch sends per member and view change, %.1f of them with a quorum (K=%d)", perMember, decisionPush, settings.K)
 	if perMember == 0 || perMember > float64(6*settings.K) {
 		t.Errorf("%.1f vote-batch sends per member and view change, want (0, %d]", perMember, 6*settings.K)
 	}
+	if decisionPush == 0 || decisionPush > voteRings+1 {
+		t.Errorf("%.1f sends per member and view change carry a quorum, want (0, %d]", decisionPush, voteRings+1)
+	}
+}
+
+// quorumCountingNet counts the vote-batch sends that carry an aggregate of at
+// least quorum voters: in a fleet of that size, the decision push.
+type quorumCountingNet struct {
+	*simnet.Network
+	quorum int
+	sent   atomic.Int64
+}
+
+func (q *quorumCountingNet) Client(a node.Addr) transport.Client {
+	return quorumCountingClient{q.Network.Client(a), q}
+}
+
+type quorumCountingClient struct {
+	transport.Client
+	q *quorumCountingNet
+}
+
+func (c quorumCountingClient) SendBestEffort(to node.Addr, req *remoting.Request) {
+	if req.VoteBatch != nil && slices.ContainsFunc(req.VoteBatch.Votes, func(v remoting.FastRoundPhase2b) bool { return voterCount(v.Voters) >= c.q.quorum }) {
+		c.q.sent.Add(1)
+	}
+	c.Client.SendBestEffort(to, req)
 }
 
 // TestDecisionReachesAMemberWhoseVoteRingsAllFail: 60 members at K = 10

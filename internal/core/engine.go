@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -289,9 +290,9 @@ func (e *engine) install() {
 		e.subjects, _ = e.view.UniqueSubjectsOf(e.me.Addr)
 	}
 	// Votes go to the subjects of the first voteRings rings when this
-	// membership relays them (the decision push alone goes to all K, see
-	// applyDecision), and otherwise to every other voter, which makes one
-	// hop enough.
+	// membership relays them (the decision push adds what the cut's leavers
+	// pushed to, see decisionTargets), and otherwise to every other voter,
+	// which makes one hop enough.
 	if e.relays() {
 		n := min(voteRings, len(e.subjects))
 		e.voteTargets = e.subjects[:n:n]
@@ -569,7 +570,7 @@ func (e *engine) relays() bool { return len(e.voters) > e.oneHop }
 
 // pushVotes sends what the consensus instance knows — one voter bitmap per
 // distinct proposal — to the given targets: this process' vote targets, or,
-// for the decision push, every subject of the configuration being left.
+// for the decision push, its decisionTargets.
 func (e *engine) pushVotes(to []node.Addr) {
 	e.votesDirty = false
 	votes := e.consensus.Aggregates()
@@ -579,6 +580,22 @@ func (e *engine) pushVotes(to []node.Addr) {
 	e.metrics.BatchSizes.Observe(float64(len(votes)))
 	e.metrics.BatchesSent.Add(1)
 	e.send(to, &remoting.Request{VoteBatch: &remoting.FastRoundVoteBatch{Sender: e.me.Addr, Votes: votes}})
+}
+
+// decisionTargets are the vote targets plus every other subject that a leaver
+// of the cut pushed votes to in the configuration being left, so that a member
+// which loses a vote-ring observer to the cut hears the decision from all K.
+func (e *engine) decisionTargets(leavers []node.Endpoint) []node.Addr {
+	to := e.voteTargets // capped at its length: an append copies
+	for _, l := range leavers {
+		theirs, _ := e.view.UniqueSubjectsOf(l.Addr)
+		for _, s := range theirs[:min(voteRings, len(theirs))] {
+			if slices.Contains(e.subjects, s) && !slices.Contains(to, s) {
+				to = append(to, s)
+			}
+		}
+	}
+	return to
 }
 
 // flushOutbox sends what the last batching window produced: the vote
@@ -880,16 +897,23 @@ func (e *engine) redirect() *remoting.Request {
 // and leaves the new snapshot and the subscribers' notification in this
 // step's outputs.
 func (e *engine) applyDecision(proposal []node.Endpoint) {
+	var joiners, leavers []node.Endpoint
+	for _, ep := range proposal {
+		if m, ok := e.view.Member(ep.Addr); ok && m.ID == ep.ID {
+			leavers = append(leavers, ep)
+		} else {
+			joiners = append(joiners, ep)
+		}
+	}
 	// The decision push. This process is about to drop the instance that just
-	// decided, and with it everything it would have relayed: pushed now, to
-	// all its K-ring subjects of the configuration being left — not just its
-	// vote rings — the deciding aggregate lets them decide too. Otherwise the
-	// relay chain ends at whoever decides first, and a member whose vote-ring
-	// observers all failed together would never decide: its recovery round
-	// goes to acceptors that have moved on. In a one-hop membership only a
-	// vote of its own that has not left yet still matters to anyone.
+	// decided, and with it everything it would have relayed: pushed now, the
+	// deciding aggregate lets its vote targets decide too, or the relay chain
+	// ends at whoever decides first. A member whose vote-ring observers all
+	// leave would hear nothing — its recovery round goes to acceptors that
+	// have moved on — so decisionTargets adds it. In a one-hop membership only
+	// a vote of its own that has not left yet still matters to anyone.
 	if e.relays() {
-		e.pushVotes(e.subjects)
+		e.pushVotes(e.decisionTargets(leavers))
 	} else if e.votesDirty {
 		e.pushVotes(e.voteTargets)
 	}
@@ -905,14 +929,6 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// learned membership is built from its list with view.NewShared, which
 	// in an in-process fleet is the ensemble's build's own slice and is found
 	// without being compared.
-	var joiners, leavers []node.Endpoint
-	for _, ep := range proposal {
-		if m, ok := e.view.Member(ep.Addr); ok && m.ID == ep.ID {
-			leavers = append(leavers, ep)
-		} else {
-			joiners = append(joiners, ep)
-		}
-	}
 	joined, left := joiners, leavers
 	if e.learned != nil {
 		e.view, e.learned = view.NewShared(e.view.K(), e.learned), nil
@@ -943,7 +959,8 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 	// would report only the rings this process still holds for it — after a
 	// small view grew, a handful of K — and a JOIN tally in [L, H) that can
 	// never reach H blocks every member's proposal (§4.2: no subject may be
-	// unstable) until the joiner times out.
+	// unstable) until the joiner times out. Both lists are sorted by address,
+	// so the same inputs give the same sends whatever the map's order.
 	var admitted, redirected []node.Addr
 	for key := range e.joinWaiters {
 		if ep, ok := e.view.Member(key.addr); ok && ep.ID == key.id {
@@ -952,6 +969,8 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 			redirected = append(redirected, key.addr)
 		}
 	}
+	node.SortAddrs(admitted)
+	node.SortAddrs(redirected)
 	// The answers go out ahead of the decision push and everything else this
 	// step sends: a joiner waits on its answer, nobody waits on the push, and
 	// a best-effort send queues behind those sent before it.
@@ -977,10 +996,16 @@ func (e *engine) applyDecision(proposal []node.Endpoint) {
 		e.restartWindow()
 	}
 	// Requests that were waiting for this install are now current (or, if the
-	// joiner was just admitted, answered with the configuration); one that
-	// names a configuration still to come is held again.
-	early := e.earlyJoins
-	e.earlyJoins = make(map[joinerKey]*remoting.JoinRequest, len(early))
+	// joiner was just admitted, answered with the configuration), and handled
+	// in joiner order; one that names a configuration still to come is held.
+	early := make([]*remoting.JoinRequest, 0, len(e.earlyJoins))
+	for _, msg := range e.earlyJoins {
+		early = append(early, msg)
+	}
+	clear(e.earlyJoins)
+	slices.SortFunc(early, func(a, b *remoting.JoinRequest) int {
+		return cmp.Or(cmp.Compare(a.Sender, b.Sender), a.JoinerID.Compare(b.JoinerID))
+	})
 	for _, msg := range early {
 		e.handleJoinPhase2(msg)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -433,6 +434,45 @@ func TestRetriedJoinFilesOneAlert(t *testing.T) {
 	}
 	if got := r.answers(early); len(got) != 0 || len(s.earlyJoins) != 1 {
 		t.Fatalf("the install answered the early request %d times and holds %d, want none and one", len(got), len(s.earlyJoins))
+	}
+}
+
+// TestViewChangeSendsFollowTheInputs: the joiners a view change settles sit in
+// maps — the parked ones, and the early requests that name the configuration
+// it installs — and its sends must not follow the maps' order. Two fresh lone
+// seeds, each with four joiners parked and three early requests held, decide
+// the same cut, which admits two of the parked joiners and the three early
+// ones: both must return the same sends, in the same order — the admitted,
+// then the redirected parked joiners, then each early joiner's answer.
+func TestViewChangeSendsFollowTheInputs(t *testing.T) {
+	decide := func() []send {
+		r := newEngineRig(t)
+		seed := endpoint(0)
+		s, _ := r.start(seed, []node.Endpoint{seed})
+		c0 := s.view.ConfigurationID()
+		members := []node.Endpoint{seed, endpoint(1), endpoint(2), endpoint(5), endpoint(6), endpoint(7)}
+		next := view.NewWithMembers(r.settings.K, members).ConfigurationID()
+		for i := 1; i <= 4; i++ {
+			r.park(seed.Addr, endpoint(i), c0)
+		}
+		for i := 5; i <= 7; i++ {
+			r.park(seed.Addr, endpoint(i), next)
+		}
+		batch := &remoting.BatchedAlertMessage{Sender: "peer:1"}
+		for _, j := range members[1:] {
+			batch.Alerts = append(batch.Alerts, cutAlerts(c0, r.settings.K, j).Alerts.Alerts...)
+		}
+		out := r.step(seed.Addr, event{req: &remoting.Request{Alerts: batch}})
+		if s.view.ConfigurationID() != next || len(out.sends) != 5 {
+			t.Fatalf("the cut installed %x and returned %d sends, want %x and 5", s.view.ConfigurationID(), len(out.sends), next)
+		}
+		return out.sends
+	}
+	first, second := decide(), decide()
+	for i := range first {
+		if !reflect.DeepEqual(first[i], second[i]) {
+			t.Fatalf("send %d: one seed sent %s to %v, the other %s to %v", i, first[i].req.Kind(), first[i].to, second[i].req.Kind(), second[i].to)
+		}
 	}
 }
 

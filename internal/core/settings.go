@@ -21,8 +21,8 @@
 // sent to every member (unicast-to-all, §6). Consensus votes are
 // counted the way §4.3 counts them: a member keeps a voter bitmap per
 // distinct proposal and, on the same window, pushes what it learned to the
-// subjects of its first four rings, and the bitmap that decides to all K (to
-// everyone, in memberships of at most 4K). The engine owns its deadlines too,
+// subjects of its first four rings, the bitmap that decides too, with the
+// subjects the cut's leavers pushed to (everyone, in memberships up to 4K). The engine owns its deadlines too,
 // and the driver arms one timer for the earliest, not a timer or goroutine
 // per deadline. A joiner is a state machine of its own (join.go), with one
 // deadline, which the joining goroutine performs the same way: phase 1 is a
@@ -157,21 +157,21 @@ func ScaledSettings(factor float64) Settings {
 
 // oneHopLimit is the largest membership whose fast-round votes travel in one
 // hop, every voter to every other member: 4K. Above it a member pushes vote
-// bitmaps to the subjects of its first voteRings rings, and the aggregate
-// that decides, once, to all K. A lone seed that has this many joiners parked
-// also waits for a quiet window before it cuts: a straggler left out would be
-// voted in by relayed votes in a second view change (see engine.gathering).
+// bitmaps, the deciding one included, to its first voteRings ring subjects.
+// The costs cross lower, near 2K–3K: at N = 48 on loopback TCP the relay sends
+// 18–29 votes per member and view change, one hop 47. 4K stays because it
+// also keeps tcp-churn-32 on one hop, and a lone seed with this many joiners
+// parked waits for a quiet window before it cuts: a straggler left out would
+// be voted in by relayed votes in a second view change (see engine.gathering).
 func (s *Settings) oneHopLimit() int { return 4 * s.K }
 
-// voteRings is how many of a member's rings carry its own vote and what it
-// relays when the membership relays votes: the first voteRings distinct ring
-// subjects, ring 0's successor first. Push gossip costs about fanout × rounds
-// sends per member, f·log_f N (Karp et al., "Randomized Rumor Spreading",
-// FOCS 2000). At N = 200 that is 23 sends for f = 10, 15 for f = 4 and 14.5
-// for f = 3, while the rounds grow from 2.3 to 3.8 and 4.8, each one flush
-// window long. Four rings take nearly all of the saving for 1.5 more relay
-// hops. The decision push is not narrowed: a member that misses every copy of
-// it cannot catch up (see engine.applyDecision).
+// voteRings is how many of a member's rings carry its own vote, what it
+// relays and the decision when the membership relays votes: the first
+// voteRings distinct ring subjects, ring 0's successor first. Push gossip
+// costs about fanout × rounds sends per member, f·log_f N (Karp et al.,
+// "Randomized Rumor Spreading", FOCS 2000): at N = 200, 23 sends for f = 10,
+// 15 for f = 4 and 14.5 for f = 3, in 2.3, 3.8 and 4.8 rounds of one flush
+// window. Four rings take nearly all of the saving for 1.5 more relay hops.
 const voteRings = 4
 
 // probeTimeout bounds each probe: half the probe interval, so a probe ends

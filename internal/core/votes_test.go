@@ -29,7 +29,10 @@ type stepRow struct {
 	// membership, and the process under test is its node me, at the paper's
 	// K, H, L = 10, 9, 3.
 	ensemble int
-	turns    []stepTurn
+	// leaver, when not zero, is the member endpoint(leaver) whose removal the
+	// turns decide, instead of newcomer's admission.
+	leaver int
+	turns  []stepTurn
 	// installs is how many configurations the turns publish in all, and size
 	// the membership the member ends with.
 	installs, size int
@@ -62,12 +65,12 @@ type wantSend struct {
 // stepFixture is what a row's inputs and targets are computed from: the
 // configuration, its probe generation, ring subjects, electorate and peers
 // (the rest of the electorate) the member started with — a decision push goes
-// to the subjects of the configuration being left.
+// to subjects of the configuration being left.
 type stepFixture struct {
 	me       node.Addr
 	k        int
 	config   uint64
-	next     uint64 // the configuration that admits newcomer
+	next     uint64 // the configuration the row's cut leads to
 	gen      uint64
 	members  []node.Addr
 	subjects []node.Addr
@@ -77,6 +80,8 @@ type stepFixture struct {
 	// watcher the one on ring 0.
 	joinObservers []node.Addr
 	watcher       node.Addr
+	// leaverTargets are the row's leaver's vote targets.
+	leaverTargets []node.Addr
 }
 
 // newcomer is the process every row's cut admits.
@@ -90,6 +95,18 @@ func cut(f *stepFixture) event            { return event{req: cutAlerts(f.config
 func leave(*stepFixture) event            { return leaveEvent }
 
 func electorate(f *stepFixture) []node.Addr { return f.voters }
+
+// leaverFillIn is voteRing plus every other subject of the member that the
+// row's leaver pushed votes to.
+func leaverFillIn(f *stepFixture) []node.Addr {
+	to := slices.Clone(voteRing(f))
+	for _, s := range f.subjects[voteRings:] {
+		if slices.Contains(f.leaverTargets, s) {
+			to = append(to, s)
+		}
+	}
+	return to
+}
 
 // removal is a batch of REMOVE alerts about endpoint(0) on its first rings
 // rings: ring i reported by the member endpoint(1+i), so the tally comes from
@@ -231,6 +248,14 @@ func (row stepRow) run(t *testing.T) {
 	f.joinObservers = e.view.ExpectedObserversOf(newcomer.Addr)
 	f.watcher = f.joinObservers[0]
 	f.next = view.NewWithMembers(r.settings.K, append(slices.Clone(members), newcomer)).ConfigurationID()
+	if row.leaver != 0 {
+		f.next = view.NewWithMembers(r.settings.K, slices.Delete(slices.Clone(members), row.leaver, row.leaver+1)).ConfigurationID()
+		theirs, _ := e.view.UniqueSubjectsOf(endpoint(row.leaver).Addr)
+		f.leaverTargets = theirs[:voteRings]
+		if len(leaverFillIn(f)) == voteRings {
+			t.Fatalf("endpoint(%d) pushes votes to none of %s's other subjects: the row cannot see the fill-in", row.leaver, me)
+		}
+	}
 	for _, a := range e.voters {
 		if a != me {
 			f.others = append(f.others, a)
@@ -362,15 +387,16 @@ func TestDecidingAggregateIsRelayedBeforeInstall(t *testing.T) {
 	)
 }
 
-// TestVotesTakeFourRingsAndTheDecisionAllK: at the paper's K = 10 and 48
-// members, above the one-hop limit of 40, a member's own vote and a relay of
-// what it learned go to its first four distinct ring subjects only, on the
-// flush — a reinforcement check pushes nothing; the step that decides pushes
-// the deciding aggregate (37 of 48, the fast quorum) to all its distinct
-// subjects of the configuration it leaves. At 40 members a vote still goes to
-// every other member in one hop, and a decision taught by a peer pushes
-// nothing.
-func TestVotesTakeFourRingsAndTheDecisionAllK(t *testing.T) {
+// TestVotesAndTheDecisionTakeFourRings: at the paper's K = 10 and 48 members,
+// above the one-hop limit of 40, a member's own vote and a relay of what it
+// learned go to its first four distinct ring subjects only, on the flush — a
+// reinforcement check pushes nothing; the step that decides pushes the
+// deciding aggregate (37 of 48, the fast quorum) to the same four. A cut that
+// removes a member adds the subjects that member pushed votes to, so each of
+// them hears the decision from all its observers. At 40 members a vote still
+// goes to every other member in one hop, and a decision taught by a peer
+// pushes nothing.
+func TestVotesAndTheDecisionTakeFourRings(t *testing.T) {
 	runStepRows(t,
 		stepRow{name: "the voter", n: 48, me: 5, paper: true, size: 48, turns: []stepTurn{
 			{in: cut},
@@ -392,7 +418,13 @@ func TestVotesTakeFourRingsAndTheDecisionAllK(t *testing.T) {
 		stepRow{name: "the deciding step", n: 48, me: 2, paper: true, installs: 1, size: 49, turns: []stepTurn{
 			{in: votes(agg{proposal: 99, from: 5, count: 1})},
 			{sends: []wantSend{pushTo(voteRing, 1)}},
-			{in: votes(agg{proposal: 99, from: 0, count: 37}), sends: []wantSend{pushTo(ring, 37)}},
+			{in: votes(agg{proposal: 99, from: 0, count: 37}), sends: []wantSend{pushTo(voteRing, 37)}},
+			{},
+		}},
+		// endpoint(16)'s first four subjects include three of member 2's
+		// last six.
+		stepRow{name: "the vote targets of a leaver", n: 48, me: 2, paper: true, leaver: 16, installs: 1, size: 47, turns: []stepTurn{
+			{in: votes(agg{proposal: 16, from: 0, count: 37}), sends: []wantSend{pushTo(leaverFillIn, 37)}},
 			{},
 		}},
 		stepRow{name: "one hop at 4K", n: 40, me: 5, paper: true, size: 40, turns: []stepTurn{

@@ -10,8 +10,9 @@
 // instance keeps a bitmap of the voters it knows of (bit i = member i of the
 // sorted membership) and ORs in every aggregate it is handed (Merge). The
 // membership service pushes the bitmaps (Aggregates) along four of its K
-// rings, and the aggregate that decides along all K, instead of having every
-// member send its vote to every member. A proposal is
+// rings — the aggregate that decides too, plus the subjects a leaver of the
+// cut pushed to — instead of having every member send its vote to every
+// member. A proposal is
 // identified by an order-independent 128-bit fingerprint of its endpoints,
 // computed once per aggregate, never per voter; a Rapid-C ensemble is the same
 // engine with the ensemble as its electorate, and votes with bitmaps too. A
